@@ -38,6 +38,7 @@ from .feasibility import (
     spectral_feasibility,
 )
 from .graphs import (
+    GraphAnalysis,
     catalog,
     catalog_entry,
     catalog_names,
@@ -272,7 +273,8 @@ def _load_targets(target: str):
 
 
 def _verify_one(name, graph, k, d, e) -> dict:
-    verdict = structural_check(graph, k, d, e)
+    analysis = GraphAnalysis(graph)
+    verdict = structural_check(graph, k, d, e, analysis=analysis)
     result = {
         "graph": name,
         "n": graph.n,
@@ -295,9 +297,9 @@ def _verify_one(name, graph, k, d, e) -> dict:
     }
     if not verdict.structure_ok:
         return result
-    path_id = verify_path_count_identity(graph, k, d, e)
-    allones = verify_allones_identity(graph, k, d, e)
-    cross = spectral_crosscheck(graph, k, d, e)
+    path_id = verify_path_count_identity(graph, k, d, e, analysis=analysis)
+    allones = verify_allones_identity(graph, k, d, e, analysis=analysis)
+    cross = spectral_crosscheck(graph, k, d, e, analysis=analysis)
     result["path_count_residual"] = path_id.residual
     result["allones_residual"] = allones.residual
     result["crosscheck_max_deviation"] = cross.max_deviation

@@ -4,8 +4,10 @@ The graphs treated here are k-regular of even girth 2d with a small excess e
 over the Moore bound.  Such a graph (when e <= k - 2) is bipartite of
 diameter d + 1, every vertex has exactly e/2 vertices at distance d + 1, and
 the "at distance d + 1" relation partitions the vertex set into cliques of
-size e/2 + 1.  `structural_check` verifies all of that directly by BFS and
-reports each violated condition by name instead of raising.
+size e/2 + 1.  `GraphAnalysis` runs one BFS per root and derives the distance
+rows, girth, bipartiteness, connectivity and diameter from that single pass;
+`structural_check` is a view over it for a claimed (k, d, e) that reports each
+violated condition by name instead of raising.
 
 Two exact matrix identities tie the distance matrices A_i to the polynomial
 families (integer arithmetic, so a zero residual is a proof for the given
@@ -13,6 +15,11 @@ graph):
 
     F_d(A)  = k*A_d - A*A_{d+1}             (path-count identity)
     k*J     = (A + k*I)(H_{d-1}(A) + A_{d+1})   (all-ones factorization)
+
+Both are evaluated on neighbour lists (`_intmat.adjacency_matmul`), never on
+a dense A, so each costs O(n^2 k d) integer additions on a k-regular graph of
+order n.  The verifiers and `structural_check` accept the `GraphAnalysis` of
+their graph, so `verify` runs the BFS pass once per graph.
 
 For excess 0 the matrix A_{d+1} is taken to be zero and both identities
 degrade gracefully, which lets the classical excess-0 graphs in the catalog
@@ -22,7 +29,6 @@ serve as exact regression anchors.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -165,70 +171,112 @@ def _parse_g6_order(data: bytes) -> tuple[int, bytes]:
 
 
 # ---------------------------------------------------------------------------
-# BFS machinery
+# graph analysis: one BFS per root
 
-def bfs_distances(graph: Graph, source: int) -> list[int]:
-    """Distances from source; unreachable vertices get -1."""
-    dist = [-1] * graph.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in graph.adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+def _bfs(
+    adjacency, root: int, shortest: int | float = math.inf, odd_check: bool = False
+) -> tuple[list[int], int | float, bool]:
+    """One level-by-level BFS from ``root`` over neighbour lists.
+
+    Returns the distance row (-1 where unreachable), the length of the
+    shortest closed walk through ``root`` closed by a non-tree edge, if
+    shorter than ``shortest`` (else ``shortest``), and, with ``odd_check``,
+    whether an edge joins two vertices of one level.
+
+    An edge {u, v} met from u with dist[v] >= dist[u] is a non-tree edge (v was
+    reached from another vertex) and closes a walk of dist[u] + dist[v] + 1,
+    which contains a cycle at most that long; an edge inside one level closes
+    an odd cycle.  Such walks from level L are at least 2L + 1 long, so the
+    levels from which none could beat ``shortest`` are searched without the
+    test, unless ``odd_check`` asks for every level.
+    """
+    dist = [-1] * len(adjacency)
+    dist[root] = 0
+    frontier = [root]
+    level = 0
+    odd = False
+    while frontier:
+        next_level = level + 1
+        reached = []
+        if odd_check or 2 * level + 1 < shortest:
+            for u in frontier:
+                for v in adjacency[u]:
+                    dv = dist[v]
+                    if dv < 0:
+                        dist[v] = next_level
+                        reached.append(v)
+                    elif dv >= level:
+                        if level + dv + 1 < shortest:
+                            shortest = level + dv + 1
+                        if dv == level:
+                            odd = True
+        else:
+            for u in frontier:
+                for v in adjacency[u]:
+                    if dist[v] < 0:
+                        dist[v] = next_level
+                        reached.append(v)
+        frontier = reached
+        level = next_level
+    return dist, shortest, odd
+
+
+class GraphAnalysis:
+    """Everything `verify` needs from breadth-first search, from one BFS per
+    root: the distance rows, the girth, bipartiteness, connectivity and the
+    diameter.
+
+    The girth is the minimum over all roots of the closed walks that non-tree
+    edges close: every candidate contains a cycle no longer than itself, and a
+    shortest cycle is found from any of its vertices.  A component is
+    bipartite iff the BFS from any one of its vertices meets no edge inside a
+    level, so only the first BFS into each component looks for one.  The
+    order-0 graph counts as connected, with no diameter.
+    """
+
+    __slots__ = ("graph", "distances", "girth", "bipartite", "connected", "diameter")
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        self.distances: list[list[int]] = []
+        self.girth: int | float = math.inf
+        self.bipartite = True
+        for root in range(graph.n):
+            new_component = all(row[root] < 0 for row in self.distances)
+            dist, self.girth, odd = _bfs(graph.adjacency, root, self.girth, new_component)
+            self.distances.append(dist)
+            self.bipartite = self.bipartite and not odd
+        self.connected = not self.distances or -1 not in self.distances[0]
+        self.diameter: int | None = (
+            max(map(max, self.distances)) if self.connected and graph.n else None
+        )
+
+    def distance_matrix(self, i: int) -> list[list[int]]:
+        """A_i, the 0/1 matrix of vertex pairs at distance i (zero beyond the
+        diameter)."""
+        return [[1 if x == i else 0 for x in row] for row in self.distances]
+
+
+def _analysis_for(graph: Graph, analysis: GraphAnalysis | None) -> GraphAnalysis:
+    if analysis is None:
+        return GraphAnalysis(graph)
+    if analysis.graph != graph:
+        raise ValueError("the analysis passed is of another graph")
+    return analysis
 
 
 def all_distances(graph: Graph) -> list[list[int]]:
-    return [bfs_distances(graph, u) for u in range(graph.n)]
-
-
-def is_connected(graph: Graph) -> bool:
-    return graph.n == 0 or -1 not in bfs_distances(graph, 0)
+    """Distance rows from every vertex; unreachable vertices get -1."""
+    return GraphAnalysis(graph).distances
 
 
 def is_bipartite(graph: Graph) -> bool:
-    color = [-1] * graph.n
-    for start in range(graph.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in graph.adjacency[u]:
-                if color[v] < 0:
-                    color[v] = color[u] ^ 1
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return False
-    return True
+    return GraphAnalysis(graph).bipartite
 
 
 def girth(graph: Graph) -> int | float:
     """Length of a shortest cycle via BFS from every vertex; inf for forests."""
-    best = math.inf
-    for root in range(graph.n):
-        dist = [-1] * graph.n
-        parent = [-1] * graph.n
-        dist[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            if 2 * dist[u] >= best:
-                continue
-            for v in graph.adjacency[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-                elif v != parent[u]:
-                    cycle = dist[u] + dist[v] + 1
-                    if cycle < best:
-                        best = cycle
-    return best
+    return GraphAnalysis(graph).girth
 
 
 @dataclass(frozen=True)
@@ -248,22 +296,14 @@ class DistanceMatrixSet:
 
 def distance_matrices(graph: Graph) -> DistanceMatrixSet:
     """BFS from every vertex; exact 0/1 matrices. Rejects disconnected input."""
-    dists = all_distances(graph)
-    d_max = 0
-    for row in dists:
-        m = max(row)
-        if min(row) < 0:
-            raise DisconnectedGraphError("distance matrices need a connected graph")
-        d_max = max(d_max, m)
-    mats = []
-    for i in range(d_max + 1):
-        mats.append(
-            tuple(
-                tuple(1 if dists[u][v] == i else 0 for v in range(graph.n))
-                for u in range(graph.n)
-            )
-        )
-    return DistanceMatrixSet(d_max=d_max, matrices=tuple(mats))
+    analysis = GraphAnalysis(graph)
+    if not analysis.connected:
+        raise DisconnectedGraphError("distance matrices need a connected graph")
+    d_max = analysis.diameter or 0
+    mats = tuple(
+        tuple(map(tuple, analysis.distance_matrix(i))) for i in range(d_max + 1)
+    )
+    return DistanceMatrixSet(d_max=d_max, matrices=mats)
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +353,21 @@ class StructuralVerdict:
         return tuple(f for f in self.failures if f in REGIME_CONDITIONS)
 
 
-def structural_check(graph: Graph, k: int, d: int, e: int) -> StructuralVerdict:
+def structural_check(
+    graph: Graph, k: int, d: int, e: int, *, analysis: GraphAnalysis | None = None
+) -> StructuralVerdict:
     """Check, in order: regularity, bipartiteness, girth 2d, order M(k,2d)+e,
     diameter (d+1 for e > 0, d for e = 0), uniform count of e/2 vertices at
     distance d+1, and the clique partition of the distance-(d+1) relation.
 
-    Violations are recorded, not raised.
+    Violations are recorded, not raised.  A precomputed ``analysis`` of the
+    same graph is used instead of a new one.
     """
+    return _verdict(_analysis_for(graph, analysis), k, d, e)
+
+
+def _verdict(analysis: GraphAnalysis, k: int, d: int, e: int) -> StructuralVerdict:
+    graph = analysis.graph
     failures: list[str] = []
     if d < 3:
         failures.append("half-girth-range")
@@ -328,11 +376,9 @@ def structural_check(graph: Graph, k: int, d: int, e: int) -> StructuralVerdict:
 
     if any(deg != k for deg in graph.degrees):
         failures.append("regularity")
-    bip = is_bipartite(graph)
-    if not bip:
+    if not analysis.bipartite:
         failures.append("bipartite")
-    g = girth(graph)
-    if g != 2 * d:
+    if analysis.girth != 2 * d:
         failures.append("girth")
 
     excess = None
@@ -343,16 +389,15 @@ def structural_check(graph: Graph, k: int, d: int, e: int) -> StructuralVerdict:
     if excess != e:
         failures.append("order")
 
-    dists = all_distances(graph)
-    connected = all(min(row) >= 0 for row in dists)
-    diameter: int | None = max(max(row) for row in dists) if connected else None
+    connected = analysis.connected
     if not connected:
         failures.append("connected")
     expected_diameter = d + 1 if e > 0 else d
-    if diameter != expected_diameter:
+    if analysis.diameter != expected_diameter:
         failures.append("diameter")
 
-    counts = [sum(1 for x in row if x == d + 1) for row in dists] if connected else []
+    far = d + 1
+    counts = [row.count(far) for row in analysis.distances] if connected else []
     uniform = bool(counts) and len(set(counts)) == 1
     antipode_count = counts[0] if uniform else None
     if not uniform or antipode_count != e // 2:
@@ -364,7 +409,7 @@ def structural_check(graph: Graph, k: int, d: int, e: int) -> StructuralVerdict:
         if e == 0:
             cliques_ok = True  # no vertex pairs at distance d+1; trivially a clique partition
         else:
-            cliques_ok = _antipodal_clique_partition(graph.n, dists, d + 1)
+            cliques_ok = _antipodal_clique_partition(analysis.distances, far)
             if cliques_ok:
                 clique_count = 2 * graph.n // (e + 2)
     if not cliques_ok:
@@ -375,9 +420,9 @@ def structural_check(graph: Graph, k: int, d: int, e: int) -> StructuralVerdict:
         k=k,
         d=d,
         e=e,
-        girth=g,
-        diameter=diameter,
-        bipartite=bip,
+        girth=analysis.girth,
+        diameter=analysis.diameter,
+        bipartite=analysis.bipartite,
         excess=excess,
         antipode_count_per_vertex=antipode_count,
         antipodal_cliques_ok=cliques_ok,
@@ -386,19 +431,15 @@ def structural_check(graph: Graph, k: int, d: int, e: int) -> StructuralVerdict:
     )
 
 
-def _antipodal_clique_partition(n: int, dists: list[list[int]], far: int) -> bool:
-    """True iff {v : dist(u,v) = far} + u forms the same clique for all its
-    members, i.e. the distance-``far`` relation is a disjoint clique union."""
-    for u in range(n):
-        cell = [u] + [v for v in range(n) if dists[u][v] == far]
-        for a in cell:
-            for b in cell:
-                if a != b and dists[a][b] != far:
-                    return False
-            # the cell seen from a must be identical
-            if sorted([a] + [v for v in range(n) if dists[a][v] == far]) != sorted(cell):
-                return False
-    return True
+def _antipodal_clique_partition(dists: list[list[int]], far: int) -> bool:
+    """True iff the distance-``far`` relation is a disjoint clique union: the
+    cell {u} + {v : dist(u,v) = far} is the same set seen from each of its
+    members (then any two members are at distance ``far``)."""
+    cells = [
+        frozenset([u, *(v for v, x in enumerate(row) if x == far)])
+        for u, row in enumerate(dists)
+    ]
+    return all(cells[a] == cell for cell in cells for a in cell)
 
 
 # ---------------------------------------------------------------------------
@@ -417,46 +458,63 @@ class IdentityCheck:
         return self.residual == 0
 
 
-def _require_structure(graph: Graph, k: int, d: int, e: int) -> StructuralVerdict:
-    verdict = structural_check(graph, k, d, e)
+def _require_structure(
+    graph: Graph, k: int, d: int, e: int, analysis: GraphAnalysis | None
+) -> GraphAnalysis:
+    analysis = _analysis_for(graph, analysis)
+    verdict = _verdict(analysis, k, d, e)
     if not verdict.structure_ok:
         raise StructuralRefusal(
             f"structural check failed: {', '.join(verdict.failures)}", verdict=verdict
         )
-    return verdict
+    return analysis
 
 
-def verify_path_count_identity(graph: Graph, k: int, d: int, e: int) -> IdentityCheck:
+def verify_path_count_identity(
+    graph: Graph, k: int, d: int, e: int, *, analysis: GraphAnalysis | None = None
+) -> IdentityCheck:
     """Exact residual of F_d(A) = k*A_d - A*A_{d+1}.
 
     Refuses when the graph is structurally inconsistent with (k, d, e); the
     identity itself is tested on whatever structurally consistent graph is
     supplied, regime notes notwithstanding.  For e = 0, A_{d+1} is the zero
-    matrix.
+    matrix.  Costs O(n^2 k d) integer additions (see `_intmat`).
     """
-    _require_structure(graph, k, d, e)
-    dm = distance_matrices(graph)
-    a = graph.adjacency_matrix()
-    lhs = _intmat.eval_poly(dickson_family("F", k, d).coefficients, a)
-    rhs = _intmat.mat_sub(
-        _intmat.mat_scale(k, dm.matrix(d)), _intmat.matmul(a, dm.matrix(d + 1))
+    analysis = _require_structure(graph, k, d, e, analysis)
+    adjacency = graph.adjacency
+    lhs = _intmat.adjacency_eval_poly(dickson_family("F", k, d).coefficients, adjacency)
+    walks = _intmat.adjacency_matmul(adjacency, analysis.distance_matrix(d + 1))
+    residual = max(
+        (
+            abs(f - (k if x == d else 0) + w)
+            for f_row, dist, w_row in zip(lhs, analysis.distances, walks)
+            for f, x, w in zip(f_row, dist, w_row)
+        ),
+        default=0,
     )
-    return IdentityCheck(
-        name="path-count", n=graph.n, residual=_intmat.max_abs(_intmat.mat_sub(lhs, rhs))
-    )
+    return IdentityCheck(name="path-count", n=graph.n, residual=residual)
 
 
-def verify_allones_identity(graph: Graph, k: int, d: int, e: int) -> IdentityCheck:
-    """Exact residual of k*J = (A + k*I)(H_{d-1}(A) + A_{d+1})."""
-    _require_structure(graph, k, d, e)
-    dm = distance_matrices(graph)
-    a = graph.adjacency_matrix()
+def verify_allones_identity(
+    graph: Graph, k: int, d: int, e: int, *, analysis: GraphAnalysis | None = None
+) -> IdentityCheck:
+    """Exact residual of k*J = (A + k*I)(H_{d-1}(A) + A_{d+1}), with the
+    product taken as A·M + k·M."""
+    analysis = _require_structure(graph, k, d, e, analysis)
+    adjacency = graph.adjacency
     inner = _intmat.mat_add(
-        _intmat.eval_poly(dickson_family("H", k, d - 1).coefficients, a),
-        dm.matrix(d + 1),
+        _intmat.adjacency_eval_poly(dickson_family("H", k, d - 1).coefficients, adjacency),
+        analysis.distance_matrix(d + 1),
     )
-    prod = _intmat.matmul(_intmat.add_diag(a, k), inner)
-    residual = max(abs(x - k) for row in prod for x in row)
+    walks = _intmat.adjacency_matmul(adjacency, inner)
+    residual = max(
+        (
+            abs(w + k * m - k)
+            for w_row, m_row in zip(walks, inner)
+            for w, m in zip(w_row, m_row)
+        ),
+        default=0,
+    )
     return IdentityCheck(name="all-ones", n=graph.n, residual=residual)
 
 
@@ -490,11 +548,13 @@ class CrosscheckReport:
         return self.max_deviation <= self.tolerance
 
 
-def spectral_crosscheck(graph: Graph, k: int, d: int, e: int) -> CrosscheckReport:
+def spectral_crosscheck(
+    graph: Graph, k: int, d: int, e: int, *, analysis: GraphAnalysis | None = None
+) -> CrosscheckReport:
     """Eigen-decompose A (LAPACK symmetric solver) and check H_{d-1}(theta)
     against {1, -e/2} (or {0} in the degenerate e = 0 case) for every
     eigenvalue other than one copy each of +k and -k."""
-    _require_structure(graph, k, d, e)
+    _require_structure(graph, k, d, e, analysis)
     eigenvalues = np.linalg.eigvalsh(np.array(graph.adjacency_matrix(), dtype=float))
     order = np.argsort(np.abs(eigenvalues - k))
     drop = {int(order[0])}

@@ -27,7 +27,7 @@ import mpmath
 
 from . import _intmat
 from .errors import DegreeRangeError, ParameterDomainError, StructuralRefusal
-from .graphs import Graph, girth, is_bipartite
+from .graphs import Graph, GraphAnalysis
 from .polynomials import dickson_family
 from .precision import working_precision
 
@@ -93,27 +93,34 @@ class TraceIdentityReport:
 
 def trace_identity_check(graph: Graph, k: int, d: int) -> TraceIdentityReport:
     """Verify the closed-walk counts of a k-regular bipartite graph of girth
-    2d against the intersection-matrix oracle, exactly."""
+    2d against the intersection-matrix oracle, exactly.
+
+    A is symmetric, so tr(A^q) = <A^m, A^(q-m)> (entrywise inner product)
+    with m = q // 2: powers up to A^d suffice, each one adjacency-list
+    product (`_intmat.adjacency_matmul`).
+    """
+    analysis = GraphAnalysis(graph)
     problems = []
     if any(deg != k for deg in graph.degrees):
         problems.append("regularity")
-    if girth(graph) != 2 * d:
+    if analysis.girth != 2 * d:
         problems.append("girth")
-    if not is_bipartite(graph):
+    if not analysis.bipartite:
         problems.append("bipartite")
     if problems:
         raise StructuralRefusal(f"trace identity preconditions failed: {', '.join(problems)}")
     b = build_bd(k, d)
-    a = graph.adjacency_matrix()
-    power = _intmat.eye(graph.n)
+    low = _intmat.eye(graph.n)  # A^m
+    high = graph.adjacency_matrix()  # A^(m+1)
     first_failure = None
     qs = tuple(range(2 * d))
     for q in qs:
-        if _intmat.trace(power) != graph.n * bd_entry00(b, q):
+        if q >= 2 and q % 2 == 0:
+            low, high = high, _intmat.adjacency_matmul(graph.adjacency, high)
+        walks = _intmat.frobenius(low, high if q % 2 else low)
+        if walks != graph.n * bd_entry00(b, q):
             first_failure = q
             break
-        if q + 1 < 2 * d:
-            power = _intmat.matmul(power, a)
     return TraceIdentityReport(n=graph.n, d=d, checked=qs, first_failure=first_failure)
 
 

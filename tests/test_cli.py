@@ -3,7 +3,7 @@ import json
 import pytest
 
 import g6ref
-from cage_spectra import catalog
+from cage_spectra import _intmat, catalog, graphs
 from cage_spectra.cli import dumps_canonical, main
 from cage_spectra.precision import ENV_VAR, precision_bits
 
@@ -142,6 +142,49 @@ def test_bad_graph6_file_exit_code(tmp_path, capsys):
     path.write_text("C~~~~\n")
     code, _, err = run(capsys, "verify", str(path), "--k", "3", "--d", "3", "--e", "0")
     assert code == 2 and "error" in err
+
+
+def test_verify_order_zero_graph_is_a_failed_row(tmp_path, capsys):
+    path = tmp_path / "null.g6"
+    path.write_text("?\n")
+    code, out, err = run(capsys, "verify", str(path), "--k", "3", "--d", "3", "--e", "0",
+                         "--format", "json")
+    assert code == 1 and err == ""
+    (result,) = json.loads(out)
+    assert result["n"] == 0 and result["diameter"] is None
+    assert result["structural_ok"] is False and result["ok"] is False
+
+
+def count_bfs_runs(monkeypatch):
+    runs = []
+    bfs = graphs._bfs
+
+    def counted(adjacency, *args):
+        runs.append(len(adjacency))
+        return bfs(adjacency, *args)
+
+    monkeypatch.setattr(graphs, "_bfs", counted)
+    return runs
+
+
+def test_verify_analyses_each_graph_once(monkeypatch, capsys):
+    runs = count_bfs_runs(monkeypatch)
+    code, _, _ = run(capsys, "verify", "catalog:heawood", "--k", "3", "--d", "3", "--e", "0")
+    assert code == 0
+    assert runs == [14] * 14  # one BFS per root of the one graph
+
+
+def test_verify_structural_failure_skips_identity_kernels(monkeypatch, capsys):
+    runs = count_bfs_runs(monkeypatch)
+
+    def never(*args):
+        raise AssertionError("identity kernel entered after a structural failure")
+
+    monkeypatch.setattr(_intmat, "adjacency_matmul", never)
+    monkeypatch.setattr(_intmat, "adjacency_eval_poly", never)
+    code, out, _ = run(capsys, "verify", "catalog:heawood", "--k", "3", "--d", "3", "--e", "2")
+    assert code == 1 and "FAIL" in out
+    assert runs == [14] * 14
 
 
 def test_precision_env(monkeypatch):
