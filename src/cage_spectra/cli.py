@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .errors import (
@@ -198,7 +199,10 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call and reused for the
+    rest of the process (never at import)."""
     parser = argparse.ArgumentParser(
         prog="cage-spectra",
         description="Spectral feasibility toolkit for regular graphs of even girth and small excess.",

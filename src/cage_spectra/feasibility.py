@@ -22,9 +22,9 @@ This module:
   and in the trigonometric weight form built from f, g1, g2, g3, and
   requires the two routes to agree;
 
-* certifies integrality of each multiplicity with exact rational interval
-  arithmetic propagated from the root bracket (an enclosure must contain
-  exactly one integer);
+* certifies integrality of each multiplicity with exact interval arithmetic
+  propagated from the root bracket (an enclosure must contain exactly one
+  integer), done in integers over the bracket's power of two;
 
 * for d >= 7 certifies the product-gap exclusion: the squares of the
   second-smallest roots of the two families differ by a value trapped in a
@@ -53,10 +53,10 @@ from .errors import (
     RegimeViolationError,
 )
 from .graphs import moore_bound
-from .intersection import bd_entry00, build_bd
-from .intervals import RatInterval, poly_enclosure
+from .intersection import bd_moments, build_bd
+from .intervals import RatInterval
 from .polynomials import derivative, dickson_family
-from .precision import working_precision
+from .precision import precision_bits, working_precision
 
 VERDICT_ADMISSIBLE = "spectrally-admissible"
 VERDICT_INTEGRALITY = "excluded-by-integrality"
@@ -116,14 +116,34 @@ def _family_poly(k: int, d: int, epsilon: int) -> tuple[int, ...]:
 
 
 def _sign_dyadic(coeffs: tuple[int, ...], num: int, shift: int) -> int:
-    """Exact sign of P(num / 2^shift) for an integer polynomial P."""
+    """Exact sign of P(num / 2^shift) for an integer polynomial P: the sign of
+    2^(shift*deg) P(num / 2^shift), by Horner's rule in integers."""
     acc = coeffs[-1]
-    scale = 1 << shift
-    power = 1
-    for c in reversed(coeffs[:-1]):
-        power *= scale
-        acc = acc * num + c * power
+    for j, c in enumerate(reversed(coeffs[:-1]), 1):
+        acc = acc * num + (c << shift * j)
     return (acc > 0) - (acc < 0)
+
+
+def _dyadic_enclosure(coeffs: tuple[int, ...], lo: int, hi: int, shift: int) -> tuple[int, int]:
+    """Interval Horner of an integer polynomial (constant term first) over
+    the dyadic bracket [lo, hi] / 2^shift, in integers.
+
+    Returns numerators (a, b): [a, b] / 2^(shift*deg) equals
+    `intervals.poly_enclosure` endpoint for endpoint.  Each step multiplies
+    by the bracket, taking the extreme corners by sign as the four-product
+    min/max would, then adds c; every endpoint keeps the one shared power of
+    two, so no gcd is ever taken.
+    """
+    a = b = coeffs[-1]
+    for j, c in enumerate(reversed(coeffs[:-1]), 1):
+        c <<= shift * j
+        if lo >= 0:
+            a, b = (a * lo if a >= 0 else a * hi) + c, (b * hi if b >= 0 else b * lo) + c
+        elif hi <= 0:
+            a, b = (b * lo if b >= 0 else b * hi) + c, (a * hi if a >= 0 else a * lo) + c
+        else:
+            a, b = min(a * hi, b * lo) + c, max(a * lo, b * hi) + c
+    return a, b
 
 
 def _bisect(coeffs, lo, hi, shift, sign_lo, bits):
@@ -146,12 +166,18 @@ def _bisect(coeffs, lo, hi, shift, sign_lo, bits):
     return lo, hi, shift
 
 
-def _phi_interval(mp, k: int, d: int, i: int, eta: int):
+def _phi_interval(mp, d: int, i: int, eta: int, s_pow):
+    """The angular case interval for phi_i; ``s_pow`` is s^(1-d)."""
     a = abs(eta)
-    s_pow = mp.power(k - 1, mp.mpf(-(d - 1)) / 2)  # s^(1-d)
     if eta > 0:
         return i * mp.pi / (d + a * s_pow), i * mp.pi / d
     return i * mp.pi / d, i * mp.pi / (d - a * s_pow)
+
+
+#: Isolated roots per (k, d, epsilon, working precision), for the life of the
+#: process.  The roots do not depend on e beyond epsilon, so the epsilon = 1
+#: family is shared by every e; a failed isolation is never stored.
+_ROOTS: dict[tuple[int, int, int, int], tuple[RootRecord, ...]] = {}
 
 
 def isolate_roots(k: int, d: int, e: int, epsilon: int) -> list[RootRecord]:
@@ -160,13 +186,23 @@ def isolate_roots(k: int, d: int, e: int, epsilon: int) -> list[RootRecord]:
     epsilon must be 1 or -e/2.  Each root is seeded from its angular case
     interval, bracketed to dyadic width below 2^-60, and checked against its
     alpha case bound; a seed without a sign change is an internal error.
-    Records come back sorted by theta ascending with i = 1..d-1.
+    Records come back sorted by theta ascending with i = 1..d-1, in a new
+    list on every call.
     """
     validate_parameters(k, d, e)
     if epsilon not in (1, -e // 2):
         raise ParameterDomainError(
             f"epsilon must be 1 or -e/2 = {-e // 2}, got {epsilon}"
         )
+    key = (k, d, epsilon, precision_bits())
+    roots = _ROOTS.get(key)
+    if roots is None:
+        roots = _ROOTS[key] = _isolate(k, d, e, epsilon)
+    return list(roots)
+
+
+def _isolate(k: int, d: int, e: int, epsilon: int) -> tuple[RootRecord, ...]:
+    """The uncached isolation; ``e`` only names the triple in errors."""
     coeffs = _family_poly(k, d, epsilon)
     records = []
     with working_precision() as mp:
@@ -174,7 +210,7 @@ def isolate_roots(k: int, d: int, e: int, epsilon: int) -> list[RootRecord]:
         s_pow = mp.power(k - 1, mp.mpf(-(d - 1)) / 2)
         for i in range(1, d):
             eta = epsilon if (d + i) % 2 == 0 else -epsilon
-            phi_lo, phi_hi = _phi_interval(mp, k, d, i, eta)
+            phi_lo, phi_hi = _phi_interval(mp, d, i, eta, s_pow)
             theta_lo = -two_s * mp.cos(phi_lo)
             theta_hi = -two_s * mp.cos(phi_hi)
             # seed strictly inside the open interval; the root keeps a
@@ -225,7 +261,7 @@ def isolate_roots(k: int, d: int, e: int, epsilon: int) -> list[RootRecord]:
     records.sort(key=lambda r: r.bracket[0])
     if [r.i for r in records] != list(range(1, d)):
         raise BracketSeedError("isolated roots are not ascending in their index order")
-    return records
+    return tuple(records)
 
 
 def transcendental_residual(record: RootRecord, k: int, d: int) -> float:
@@ -369,28 +405,63 @@ def _dyadic_pair(bracket: tuple[Fraction, Fraction]) -> tuple[int, int, int]:
 
 
 def _multiplicity_enclosure(
-    k: int, d: int, e: int, epsilon: int, bracket: tuple[Fraction, Fraction]
+    k: int, d: int, e: int, epsilon: int, lo: int, hi: int, shift: int
 ) -> RatInterval | None:
-    """Exact rational enclosure of the closed-form multiplicity over a theta
-    bracket; None when the denominator enclosure straddles zero."""
+    """Exact enclosure of the closed-form multiplicity over the theta bracket
+    [lo, hi] / 2^shift; None when the denominator enclosure contains zero.
+
+    Equal, endpoint for endpoint, to the `RatInterval` evaluation
+
+        N / (D * (k^2 - x^2)) * prefactor,   N = H_{d-2}(x),  D = H'_{d-1}(x)
+
+    with each factor enclosed by `intervals.poly_enclosure` and `square`, but
+    done in integers: N and D (both of degree d-2) carry 2^(shift (d-2)),
+    k^2 - x^2 carries 2^(2 shift), so the quotient carries 2^(2 shift).  Its
+    extreme corners are picked by sign, and only the two endpoints become
+    `Fraction`s.
+    """
     n = moore_bound(k, 2 * d) + e
-    prefactor = Fraction(n * e * k * (k - 1), 2 * epsilon * (2 * epsilon + e // 2 - 1))
-    x = RatInterval(bracket[0], bracket[1])
-    numer = poly_enclosure(dickson_family("H", k, d - 2).coefficients, x)
-    h_deriv = poly_enclosure(derivative(dickson_family("H", k, d - 1)).coefficients, x)
-    denom = h_deriv * (RatInterval.point(k * k) - x.square())
-    if denom.contains_zero():
+    pre_num = n * e * k * (k - 1)
+    pre_den = 2 * epsilon * (2 * epsilon + e // 2 - 1)
+    n_lo, n_hi = _dyadic_enclosure(dickson_family("H", k, d - 2).coefficients, lo, hi, shift)
+    h_lo, h_hi = _dyadic_enclosure(
+        derivative(dickson_family("H", k, d - 1)).coefficients, lo, hi, shift
+    )
+    # k^2 - x^2 from the tight enclosure of x^2
+    if lo >= 0:
+        sq_lo, sq_hi = lo * lo, hi * hi
+    elif hi <= 0:
+        sq_lo, sq_hi = hi * hi, lo * lo
+    else:
+        sq_lo, sq_hi = 0, max(lo * lo, hi * hi)
+    k2 = k * k << 2 * shift
+    w_lo, w_hi = k2 - sq_hi, k2 - sq_lo
+    corners = (h_lo * w_lo, h_lo * w_hi, h_hi * w_lo, h_hi * w_hi)
+    d_lo, d_hi = min(corners), max(corners)
+    if d_lo <= 0 <= d_hi:
         return None
-    return (numer / denom) * prefactor
+    # corners of [n_lo, n_hi] * [1/d_hi, 1/d_lo]; the prefactor is positive
+    # for both families (eps = 1 and eps = -e/2 with e >= 2), so it keeps them
+    if d_lo > 0:
+        low = (n_lo, d_hi if n_lo >= 0 else d_lo)
+        high = (n_hi, d_lo if n_hi >= 0 else d_hi)
+    else:
+        low = (n_hi, d_hi if n_hi >= 0 else d_lo)
+        high = (n_lo, d_lo if n_lo >= 0 else d_hi)
+    scale = 2 * shift
+    return RatInterval(
+        Fraction(low[0] * pre_num << scale, low[1] * pre_den),
+        Fraction(high[0] * pre_num << scale, high[1] * pre_den),
+    )
 
 
 def _assess_multiplicity(k, d, e, record: RootRecord) -> MultiplicityAssessment:
     """Dual-route multiplicity with a certified enclosure; the bracket is
     refined until the enclosure is decisively narrow."""
     coeffs = None
-    bracket = record.bracket
+    lo, hi, shift = _dyadic_pair(record.bracket)
     bits = TARGET_BRACKET_BITS
-    enclosure = _multiplicity_enclosure(k, d, e, record.epsilon, bracket)
+    enclosure = _multiplicity_enclosure(k, d, e, record.epsilon, lo, hi, shift)
     while enclosure is None or enclosure.width > ENCLOSURE_WIDTH_LIMIT:
         bits += 32
         if bits > 444:
@@ -400,12 +471,10 @@ def _assess_multiplicity(k, d, e, record: RootRecord) -> MultiplicityAssessment:
             )
         if coeffs is None:
             coeffs = _family_poly(k, d, record.epsilon)
-        lo, hi, shift = _dyadic_pair(bracket)
         if lo == hi:
             raise IllConditionedError("degenerate exact bracket with singular denominator")
         lo, hi, shift = _bisect(coeffs, lo, hi, shift, _sign_dyadic(coeffs, lo, shift), bits)
-        bracket = (Fraction(lo, 1 << shift), Fraction(hi, 1 << shift))
-        enclosure = _multiplicity_enclosure(k, d, e, record.epsilon, bracket)
+        enclosure = _multiplicity_enclosure(k, d, e, record.epsilon, lo, hi, shift)
     closed = multiplicity_closed_form(k, d, e, record.epsilon, record.theta)
     trig = multiplicity_trig(k, d, e, record)
     nearest = round(closed)
@@ -633,12 +702,12 @@ class FeasibilityReport:
 
 
 def _moment_check(k: int, d: int, e: int, n: int, assessments) -> MomentCheck:
-    b = build_bd(k, d)
+    walks = bd_moments(build_bd(k, d), 2 * d)
     worst_q, worst = 0, 0.0
     for q in range(2 * d):
         lhs = sum(a.closed_form * a.record.theta ** q for a in assessments)
         lhs += float(k) ** q + float(-k) ** q
-        rhs = float(n * bd_entry00(b, q))
+        rhs = float(n * walks[q])
         scale = max(
             abs(rhs),
             sum(abs(a.closed_form * a.record.theta ** q) for a in assessments)

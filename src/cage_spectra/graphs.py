@@ -29,6 +29,7 @@ serve as exact regression anchors.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -116,6 +117,8 @@ class Graph:
 # graph6 ingestion
 
 _G6_HEADER = b">>graph6<<"
+_G6_OUT_OF_RANGE = re.compile(rb"[^\x3f-\x7e]")
+_G6_NONZERO = re.compile(rb"[^?]")
 
 
 def parse_graph6(text: bytes | str) -> Graph:
@@ -126,9 +129,11 @@ def parse_graph6(text: bytes | str) -> Graph:
         data = data[len(_G6_HEADER):]
     if not data:
         raise Graph6ParseError("malformed header: empty graph6 string")
-    for pos, byte in enumerate(data):
-        if not 63 <= byte <= 126:
-            raise Graph6ParseError(f"character out of range at byte {pos}: {byte}")
+    bad = _G6_OUT_OF_RANGE.search(data)
+    if bad:
+        raise Graph6ParseError(
+            f"character out of range at byte {bad.start()}: {data[bad.start()]}"
+        )
     n, body = _parse_g6_order(data)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
@@ -136,19 +141,20 @@ def parse_graph6(text: bytes | str) -> Graph:
         raise Graph6ParseError(
             f"wrong length: order {n} needs {need} payload bytes, got {len(body)}"
         )
-    bits = []
-    for byte in body:
-        value = byte - 63
-        bits.extend((value >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
-        raise Graph6ParseError("trailing padding bits are nonzero")
+    # bit t of the payload (most significant first) is the pair (i, j), i < j,
+    # with t = j(j-1)/2 + i; only the nonzero bytes ("?" is 0) carry edges
     edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
+    for match in _G6_NONZERO.finditer(body):
+        pos = match.start()
+        value = body[pos] - 63
+        while value:
+            top = value.bit_length() - 1
+            value ^= 1 << top
+            t = 6 * pos + 5 - top
+            if t >= nbits:
+                raise Graph6ParseError("trailing padding bits are nonzero")
+            j = (1 + math.isqrt(8 * t + 1)) // 2
+            edges.append((t - j * (j - 1) // 2, j))
     return Graph.from_edges(n, edges)
 
 
@@ -478,12 +484,15 @@ def verify_path_count_identity(
     Refuses when the graph is structurally inconsistent with (k, d, e); the
     identity itself is tested on whatever structurally consistent graph is
     supplied, regime notes notwithstanding.  For e = 0, A_{d+1} is the zero
-    matrix.  Costs O(n^2 k d) integer additions (see `_intmat`).
+    matrix and its product with A is skipped.  Costs O(n^2 k d) integer
+    additions (see `_intmat`).
     """
     analysis = _require_structure(graph, k, d, e, analysis)
     adjacency = graph.adjacency
     lhs = _intmat.adjacency_eval_poly(dickson_family("F", k, d).coefficients, adjacency)
-    walks = _intmat.adjacency_matmul(adjacency, analysis.distance_matrix(d + 1))
+    far = analysis.distance_matrix(d + 1)
+    # A·A_{d+1} vanishes with A_{d+1} (e = 0: the diameter is at most d)
+    walks = _intmat.adjacency_matmul(adjacency, far) if any(map(any, far)) else far
     residual = max(
         (
             abs(f - (k if x == d else 0) + w)
@@ -502,10 +511,10 @@ def verify_allones_identity(
     product taken as A·M + k·M."""
     analysis = _require_structure(graph, k, d, e, analysis)
     adjacency = graph.adjacency
-    inner = _intmat.mat_add(
-        _intmat.adjacency_eval_poly(dickson_family("H", k, d - 1).coefficients, adjacency),
-        analysis.distance_matrix(d + 1),
-    )
+    inner = _intmat.adjacency_eval_poly(dickson_family("H", k, d - 1).coefficients, adjacency)
+    far = analysis.distance_matrix(d + 1)
+    if any(map(any, far)):  # A_{d+1} = 0 when the diameter is at most d (e = 0)
+        inner = _intmat.mat_add(inner, far)
     walks = _intmat.adjacency_matmul(adjacency, inner)
     residual = max(
         (

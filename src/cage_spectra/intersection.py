@@ -22,6 +22,7 @@ The polynomial (x^2 - k^2) * H_{D-1}(x) annihilates B_D and is minimal for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 import mpmath
 
@@ -59,22 +60,29 @@ def build_bd(k: int, D: int) -> IntersectionMatrix:
     return IntersectionMatrix(k=k, D=D, entries=tuple(tuple(row) for row in m))
 
 
-def bd_entry00(b: IntersectionMatrix, q: int) -> int:
-    """(B^q)_{0,0} by exact iterated vector-matrix products.
+def bd_moments(b: IntersectionMatrix, count: int) -> list[int]:
+    """(B^q)_{0,0} for q = 0..count-1, by one pass of exact vector-matrix
+    products e_0^T B^q.
 
     For q below the girth 2D this equals the number of closed q-walks from
     any vertex of the corresponding graph; it vanishes for odd q.
     """
+    if count < 0:
+        raise ParameterDomainError(f"moment count must be >= 0, got {count}")
+    columns = list(zip(*b.entries))
+    vec = [1] + [0] * b.D
+    moments = []
+    for _ in range(count):
+        moments.append(vec[0])
+        vec = [sum(map(mul, vec, col)) for col in columns]
+    return moments
+
+
+def bd_entry00(b: IntersectionMatrix, q: int) -> int:
+    """(B^q)_{0,0}; see `bd_moments`."""
     if q < 0:
         raise ParameterDomainError(f"power q must be >= 0, got {q}")
-    vec = [1] + [0] * b.D
-    rows = b.entries
-    for _ in range(q):
-        vec = [
-            sum(vec[i] * rows[i][j] for i in range(b.D + 1) if vec[i])
-            for j in range(b.D + 1)
-        ]
-    return vec[0]
+    return bd_moments(b, q + 1)[q]
 
 
 @dataclass(frozen=True)
@@ -109,7 +117,7 @@ def trace_identity_check(graph: Graph, k: int, d: int) -> TraceIdentityReport:
         problems.append("bipartite")
     if problems:
         raise StructuralRefusal(f"trace identity preconditions failed: {', '.join(problems)}")
-    b = build_bd(k, d)
+    walks_from_vertex = bd_moments(build_bd(k, d), 2 * d)
     low = _intmat.eye(graph.n)  # A^m
     high = graph.adjacency_matrix()  # A^(m+1)
     first_failure = None
@@ -118,7 +126,7 @@ def trace_identity_check(graph: Graph, k: int, d: int) -> TraceIdentityReport:
         if q >= 2 and q % 2 == 0:
             low, high = high, _intmat.adjacency_matmul(graph.adjacency, high)
         walks = _intmat.frobenius(low, high if q % 2 else low)
-        if walks != graph.n * bd_entry00(b, q):
+        if walks != graph.n * walks_from_vertex[q]:
             first_failure = q
             break
     return TraceIdentityReport(n=graph.n, d=d, checked=qs, first_failure=first_failure)

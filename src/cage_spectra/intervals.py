@@ -112,7 +112,11 @@ def _coerce(x) -> RatInterval:
 
 
 def poly_enclosure(coefficients: Sequence[Rat], x: RatInterval) -> RatInterval:
-    """Interval Horner evaluation of a polynomial (constant term first)."""
+    """Interval Horner evaluation of a polynomial (constant term first).
+
+    The feasibility engine evaluates its enclosures with an integer kernel on
+    dyadic brackets (`feasibility._dyadic_enclosure`); this `Fraction`
+    evaluation is the oracle that kernel must equal endpoint for endpoint."""
     acc = RatInterval.point(0)
     for c in reversed(coefficients):
         acc = acc * x + RatInterval.point(c)

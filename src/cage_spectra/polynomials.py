@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Union
 
 from .errors import DegreeRangeError, ParameterDomainError
@@ -124,7 +125,8 @@ def dickson_family(kind: str, k: int, i: int) -> IntPolynomial:
     """Return the i-th member of the family ``kind`` in {"G", "F", "H"}.
 
     Every member is monic of degree i.  Raises for k < 3 (below the regime
-    these families are used in) and for i < 0.
+    these families are used in) and for i < 0.  Members are immutable and
+    memoised per (kind, k, i) for the life of the process.
     """
     kind = kind.upper()
     if kind not in FAMILIES:
@@ -133,6 +135,11 @@ def dickson_family(kind: str, k: int, i: int) -> IntPolynomial:
         raise DegreeRangeError(f"degree k must be >= 3, got {k}")
     if i < 0:
         raise ParameterDomainError(f"family index must be >= 0, got {i}")
+    return _family_member(kind, k, i)
+
+
+@lru_cache(maxsize=None)
+def _family_member(kind: str, k: int, i: int) -> IntPolynomial:
     if kind == "G":
         seeds = [IntPolynomial((1,)), IntPolynomial((1, 1))]
     elif kind == "F":
@@ -157,8 +164,14 @@ def eval_rational(p: IntPolynomial, x: Scalar) -> Fraction:
 
 
 def derivative(p: IntPolynomial) -> IntPolynomial:
-    """Formal derivative, exact."""
-    return IntPolynomial([j * c for j, c in enumerate(p.coefficients)][1:])
+    """Formal derivative, exact; memoised per coefficient tuple, so the
+    derivative of a family member is built once per (kind, k, i)."""
+    return _derivative(p.coefficients)
+
+
+@lru_cache(maxsize=None)
+def _derivative(coefficients: tuple[int, ...]) -> IntPolynomial:
+    return IntPolynomial([j * c for j, c in enumerate(coefficients)][1:])
 
 
 def h_closed_form(k: int, d: int, phi: float) -> float:

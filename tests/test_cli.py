@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import g6ref
-from cage_spectra import _intmat, catalog, graphs
+from cage_spectra import _intmat, catalog, cli, graphs
 from cage_spectra.cli import dumps_canonical, main
 from cage_spectra.precision import ENV_VAR, precision_bits
 
@@ -62,6 +66,17 @@ def test_formats_agree_on_verdict(capsys):
     header, row = csv_out.strip().splitlines()
     assert header.split(",")[4] == "verdict"
     assert row.split(",")[4] == "excluded-by-gap"
+
+
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+
+
+def test_scan_paper_grid_matches_benchmark_golden(capsys):
+    code, out, err = run(
+        capsys, "scan", "--k", "4..20", "--d", "7,9,11", "--e", "2,4,6", "--format", "csv"
+    )
+    assert code == 0 and err == ""
+    assert out.encode() == (GOLDEN_DIR / "paper-grid.csv").read_bytes()
 
 
 def test_scan_csv(capsys):
@@ -129,6 +144,31 @@ def test_unknown_flag_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["moore", "3", "6", "--frobnicate"])
     assert info.value.code == 2
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert run(capsys, "moore", "3", "6")[:2] == (0, "14\n")
+    parser = cli._build_parser()
+    assert run(capsys, "poly", "H", "4", "2")[:2] == (0, "-3 0 1\n")
+    assert cli._build_parser() is parser
+
+
+def test_usage_error_after_a_successful_call(capsys):
+    assert run(capsys, "catalog")[0] == 0
+    with pytest.raises(SystemExit) as info:
+        main(["scan", "--k", "4"])
+    assert info.value.code == 2
+    assert run(capsys, "moore", "3", "6")[:2] == (0, "14\n")
+
+
+def test_parser_is_not_built_at_import():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = "import cage_spectra.cli as c; print(c._build_parser.cache_info().currsize)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "0\n"
 
 
 def test_missing_subcommand_usage_error():

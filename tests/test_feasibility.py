@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cage_spectra import (
+    BracketSeedError,
     EvenHalfGirthError,
     ExcessRangeError,
     IllConditionedError,
@@ -107,6 +108,29 @@ def test_isolate_roots_bracket_sign_certified():
             sign_lo = _sign_dyadic(coeffs, lo.numerator, lo.denominator.bit_length() - 1)
             sign_hi = _sign_dyadic(coeffs, hi.numerator, hi.denominator.bit_length() - 1)
             assert sign_lo * sign_hi < 0
+
+
+def test_isolate_roots_returns_a_new_list_each_call():
+    first = isolate_roots(6, 7, 2, 1)
+    expected = list(first)
+    first.reverse()
+    first.append(None)
+    again = isolate_roots(6, 7, 2, 1)
+    assert again == expected and again is not first
+    # the epsilon = 1 family does not depend on e
+    assert isolate_roots(6, 7, 4, 1) == expected
+
+
+def test_isolate_roots_errors_name_the_callers_e(monkeypatch):
+    from cage_spectra import feasibility
+
+    monkeypatch.setattr(feasibility, "_ROOTS", {})
+    monkeypatch.setattr(feasibility, "_sign_dyadic", lambda coeffs, num, shift: 1)
+    for e in (2, 14):
+        with pytest.raises(BracketSeedError) as info:
+            isolate_roots(16, 7, e, 1)
+        assert f"(k=16, d=7, e={e}, eps=1, i=1)" in str(info.value)
+    assert feasibility._ROOTS == {}  # a failed isolation is not cached
 
 
 def test_isolate_roots_domain():

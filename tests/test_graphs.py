@@ -23,6 +23,7 @@ from cage_spectra import (
     verify_allones_identity,
     verify_path_count_identity,
 )
+from cage_spectra import _intmat
 
 
 def cycle(n):
@@ -112,7 +113,7 @@ def test_parse_graph6_catalog_roundtrip(heawood):
 def test_parse_graph6_errors():
     with pytest.raises(Graph6ParseError, match="empty"):
         parse_graph6("")
-    with pytest.raises(Graph6ParseError, match="out of range"):
+    with pytest.raises(Graph6ParseError, match="^character out of range at byte 1: 31$"):
         parse_graph6("C\x1f??")
     with pytest.raises(Graph6ParseError, match="wrong length"):
         parse_graph6("C~~")
@@ -120,6 +121,20 @@ def test_parse_graph6_errors():
         parse_graph6("D?")
     with pytest.raises(Graph6ParseError, match="padding"):
         parse_graph6("A@")  # n=2 needs 1 bit; a set pad bit is invalid
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 6, 7, 8, 10])
+def test_parse_graph6_rejects_every_set_padding_bit(n):
+    nbits = n * (n - 1) // 2
+    complete_payload = [63] * ((nbits + 5) // 6)  # every pair an edge, padding clear
+    complete_payload[-1] &= ~((1 << (-nbits % 6)) - 1)
+    text = chr(63 + n) + "".join(chr(63 + v) for v in complete_payload)
+    assert parse_graph6(text).edge_count == nbits
+    for bit in range(-nbits % 6):
+        payload = complete_payload[:]
+        payload[-1] |= 1 << bit
+        with pytest.raises(Graph6ParseError, match="^trailing padding bits are nonzero$"):
+            parse_graph6(chr(63 + n) + "".join(chr(63 + v) for v in payload))
 
 
 def test_graph_validation():
@@ -261,6 +276,25 @@ def test_identities_moebius_kantor_conditional(moebius_kantor):
     if structural_check(moebius_kantor, 3, 3, 2).structure_ok:
         assert verify_path_count_identity(moebius_kantor, 3, 3, 2).residual == 0
         assert verify_allones_identity(moebius_kantor, 3, 3, 2).residual == 0
+
+
+def test_identities_skip_the_zero_distance_matrix(heawood, monkeypatch):
+    # e = 0: A_{d+1} = 0, so neither A·A_{d+1} nor H_{d-1}(A) + A_{d+1} is formed
+    nonzero = []
+    product = _intmat.adjacency_matmul
+
+    def recording(adjacency, x):
+        nonzero.append(any(map(any, x)))
+        return product(adjacency, x)
+
+    def never(*args):
+        raise AssertionError("the zero matrix A_{d+1} was added")
+
+    monkeypatch.setattr(_intmat, "adjacency_matmul", recording)
+    monkeypatch.setattr(_intmat, "mat_add", never)
+    assert verify_path_count_identity(heawood, 3, 3, 0).residual == 0
+    assert verify_allones_identity(heawood, 3, 3, 0).residual == 0
+    assert nonzero and all(nonzero)
 
 
 def test_identity_refusal():

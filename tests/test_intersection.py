@@ -14,6 +14,8 @@ from cage_spectra import (
     minimal_polynomial_check,
     trace_identity_check,
 )
+from cage_spectra import _intmat
+from cage_spectra.intersection import bd_moments
 
 
 def tree_closed_walks(k: int, q: int) -> int:
@@ -41,6 +43,20 @@ def test_build_bd_domain():
         build_bd(3, 1)
     with pytest.raises(ParameterDomainError):
         build_bd(2, 3)
+
+
+@pytest.mark.parametrize("k,D", [(3, 3), (4, 5), (7, 9)])
+def test_bd_moments_match_dense_powers(k, D):
+    b = build_bd(k, D)
+    power, expected = _intmat.eye(D + 1), []
+    for _ in range(3 * D):
+        expected.append(power[0][0])
+        power = _intmat.matmul(power, b.rows())
+    assert bd_moments(b, 3 * D) == expected
+    assert [bd_entry00(b, q) for q in range(3 * D)] == expected
+    assert bd_moments(b, 0) == []
+    with pytest.raises(ParameterDomainError):
+        bd_moments(b, -1)
 
 
 def test_bd_entry00_basics():
