@@ -6,13 +6,17 @@ a root of H_{d-1}(x) - eps with eps in {1, -e/2}, where H_{d-1} is the
 degree-(d-1) Dickson polynomial of the second kind with parameter k - 1.
 This module:
 
-* isolates all 2(d-1) roots by exact dyadic bisection on the integer
-  polynomial H_{d-1} - eps, seeded from the case-split angular intervals
+* isolates all 2(d-1) roots of the integer polynomial H_{d-1} - eps in
+  dyadic brackets, seeded from the case-split angular intervals
 
       i*pi/(d + |eta| s^{1-d}) < phi_i < i*pi/d        (eta_i > 0)
       i*pi/d < phi_i < i*pi/(d - |eta| s^{1-d})        (eta_i < 0)
 
-  with theta = -2 s cos(phi), s = sqrt(k-1), eta_i = eps * (-1)^(d+i);
+  with theta = -2 s cos(phi), s = sqrt(k-1), eta_i = eps * (-1)^(d+i).
+  Each bracket is the cell exact bisection would end on: Newton's method in
+  integers predicts it, and it is certified by an interval enclosure of
+  P' that excludes 0 over the seed bracket (P is monotone there) and two
+  exact signs at the cell's ends, with the halving loop as the fallback;
 
 * evaluates the eigenvalue multiplicity both in closed form
 
@@ -41,7 +45,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from functools import lru_cache
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .errors import (
     BracketSeedError,
@@ -55,7 +60,7 @@ from .errors import (
 from .graphs import moore_bound
 from .intersection import bd_moments, build_bd
 from .intervals import RatInterval
-from .polynomials import derivative, dickson_family
+from .polynomials import IntPolynomial, derivative, dickson_family
 from .precision import precision_bits, working_precision
 
 VERDICT_ADMISSIBLE = "spectrally-admissible"
@@ -109,8 +114,23 @@ class RootRecord:
     bracket: tuple[Fraction, Fraction]
 
 
+class _Polys(NamedTuple):
+    """The polynomials the scan needs for one (k, d)."""
+
+    h: IntPolynomial        # H_{d-1}
+    h_prev: IntPolynomial   # H_{d-2}
+    h_deriv: IntPolynomial  # H'_{d-1}
+
+
+@lru_cache(maxsize=None)
+def _polys(k: int, d: int) -> _Polys:
+    h = dickson_family("H", k, d - 1)
+    return _Polys(h, dickson_family("H", k, d - 2), derivative(h))
+
+
 def _family_poly(k: int, d: int, epsilon: int) -> tuple[int, ...]:
-    coeffs = list(dickson_family("H", k, d - 1).coefficients)
+    """Coefficients of H_{d-1} - epsilon, constant term first."""
+    coeffs = list(_polys(k, d).h.coefficients)
     coeffs[0] -= epsilon
     return tuple(coeffs)
 
@@ -146,10 +166,97 @@ def _dyadic_enclosure(coeffs: tuple[int, ...], lo: int, hi: int, shift: int) -> 
     return a, b
 
 
+def _horner_newton(coeffs: tuple[int, ...], num: int, shift: int) -> tuple[int, int]:
+    """P and P' at num / 2^shift in one Horner pass, in integers: returns
+    (2^(shift*deg) P, 2^(shift*(deg-1)) P'), so P/P' in units of 2^-shift is
+    their integer quotient."""
+    acc, slope = coeffs[-1], 0
+    for j, c in enumerate(reversed(coeffs[:-1]), 1):
+        slope = slope * num + acc
+        acc = acc * num + (c << shift * j)
+    return acc, slope
+
+
+#: Extra bits the Newton predictor carries below the grid of final cells.
+_NEWTON_GUARD = 16
+
+#: Bits a Newton step is assumed to lose to the curvature of P: a step that
+#: moves an iterate by 2^-b leaves it about 2^(MARGIN - 2b) from the root.
+_NEWTON_MARGIN = 12
+
+#: Newton steps before the predictor gives up.
+_NEWTON_STEPS = 40
+
+
+def _predict_cell(coeffs, lo, hi, shift, halvings):
+    """Index j of the grid cell of width (hi - lo) / 2^(shift+halvings) that
+    holds the root of P in (lo, hi) / 2^shift, counted from lo, predicted by
+    Newton's method from the midpoint; None when it does not settle.
+
+    Each step runs at the scale its result can use (twice the bits its start
+    is right to), so only the last one or two run at the full scale: the
+    cell grid plus `_NEWTON_GUARD` bits.
+    """
+    top = shift + halvings + _NEWTON_GUARD
+    scale = min(top, max(shift + 1, 2 * _NEWTON_MARGIN))
+    x = (lo + hi) << (scale - shift - 1)
+    known = shift + 1 - (hi - lo).bit_length()  # bits to which the midpoint is right
+    for _ in range(_NEWTON_STEPS):
+        target = min(top, max(scale, 2 * known))
+        x <<= target - scale
+        scale = target
+        value, slope = _horner_newton(coeffs, x, scale)
+        if slope == 0:
+            return None
+        step = value // slope
+        x -= step
+        # the step was the old iterate's error; the new one is right to
+        # about twice as many bits
+        known = min(scale, 2 * (scale - step.bit_length()) - _NEWTON_MARGIN)
+        if known >= top:
+            break
+    else:
+        return None
+    return ((x >> _NEWTON_GUARD) - (lo << halvings)) // (hi - lo)
+
+
+def _monotone(coeffs, lo, hi, shift) -> bool:
+    """True when the interval-Horner enclosure of P' over the dyadic bracket
+    [lo, hi] / 2^shift excludes 0, so P is strictly monotone on it."""
+    slope = tuple(j * c for j, c in enumerate(coeffs))[1:]
+    if not slope:
+        return False
+    slope_lo, slope_hi = _dyadic_enclosure(slope, lo, hi, shift)
+    return slope_lo > 0 or slope_hi < 0
+
+
 def _bisect(coeffs, lo, hi, shift, sign_lo, bits):
     """Shrink the dyadic bracket (lo, hi)/2^shift below width 2^-bits,
     keeping P(lo) and P(hi) of opposite sign (or collapsing onto an exact
-    root)."""
+    root): the bracket of the halving loop at the end, mostly without its
+    sign evaluations.
+
+    Halving keeps the numerator width w = hi - lo and runs a number of steps
+    L fixed by the width alone, so unless it collapses onto an exact root it
+    ends on a cell [lo 2^L + j w, lo 2^L + (j+1) w] / 2^(shift+L) of a uniform
+    grid.  The Newton-predicted cell j is taken only when certified: the
+    interval-Horner enclosure of P' over the whole bracket excludes 0 (P is
+    strictly monotone there, so every grid point left of the root has the
+    sign of the cell's low end and every one right of it the sign of its
+    high end, and halving can only reach this cell), and exact signs show
+    sign_lo at the cell's low end and -sign_lo at its high end.  Anything
+    else runs the halving loop.
+    """
+    width = hi - lo
+    halvings = max(0, width.bit_length() + bits - shift) if width > 0 else 0
+    if halvings and _monotone(coeffs, lo, hi, shift):
+        cell = _predict_cell(coeffs, lo, hi, shift, halvings)
+        if cell is not None and 0 <= cell < 1 << halvings:
+            low, scale = (lo << halvings) + cell * width, shift + halvings
+            if _sign_dyadic(coeffs, low, scale) == sign_lo != 0 and _sign_dyadic(
+                coeffs, low + width, scale
+            ) == -sign_lo:
+                return low, low + width, scale
     while ((hi - lo) << bits) >= (1 << shift):
         lo <<= 1
         hi <<= 1
@@ -181,7 +288,7 @@ _ROOTS: dict[tuple[int, int, int, int], tuple[RootRecord, ...]] = {}
 
 
 def isolate_roots(k: int, d: int, e: int, epsilon: int) -> list[RootRecord]:
-    """Isolate the d-1 roots of H_{d-1}(x) - epsilon by exact bisection.
+    """Isolate the d-1 roots of H_{d-1}(x) - epsilon in exact dyadic brackets.
 
     epsilon must be 1 or -e/2.  Each root is seeded from its angular case
     interval, bracketed to dyadic width below 2^-60, and checked against its
@@ -294,8 +401,9 @@ def multiplicity_closed_form(k: int, d: int, e: int, epsilon: int, theta: float)
     or k^2 - theta^2 falls below 1e-12 in magnitude."""
     validate_parameters(k, d, e)
     n = moore_bound(k, 2 * d) + e
-    h_prev = dickson_family("H", k, d - 2)(theta)
-    h_deriv = derivative(dickson_family("H", k, d - 1))(theta)
+    polys = _polys(k, d)
+    h_prev = polys.h_prev(theta)
+    h_deriv = polys.h_deriv(theta)
     k2t2 = k * k - theta * theta
     if abs(h_deriv) < 1e-12 or abs(k2t2) < 1e-12:
         raise IllConditionedError(
@@ -406,9 +514,10 @@ def _dyadic_pair(bracket: tuple[Fraction, Fraction]) -> tuple[int, int, int]:
 
 def _multiplicity_enclosure(
     k: int, d: int, e: int, epsilon: int, lo: int, hi: int, shift: int
-) -> RatInterval | None:
+) -> tuple[tuple[int, int], tuple[int, int]] | None:
     """Exact enclosure of the closed-form multiplicity over the theta bracket
-    [lo, hi] / 2^shift; None when the denominator enclosure contains zero.
+    [lo, hi] / 2^shift, as two unreduced fractions (numerator, positive
+    denominator); None when the denominator enclosure contains zero.
 
     Equal, endpoint for endpoint, to the `RatInterval` evaluation
 
@@ -417,16 +526,14 @@ def _multiplicity_enclosure(
     with each factor enclosed by `intervals.poly_enclosure` and `square`, but
     done in integers: N and D (both of degree d-2) carry 2^(shift (d-2)),
     k^2 - x^2 carries 2^(2 shift), so the quotient carries 2^(2 shift).  Its
-    extreme corners are picked by sign, and only the two endpoints become
-    `Fraction`s.
+    extreme corners are picked by sign; no gcd is taken.
     """
     n = moore_bound(k, 2 * d) + e
     pre_num = n * e * k * (k - 1)
     pre_den = 2 * epsilon * (2 * epsilon + e // 2 - 1)
-    n_lo, n_hi = _dyadic_enclosure(dickson_family("H", k, d - 2).coefficients, lo, hi, shift)
-    h_lo, h_hi = _dyadic_enclosure(
-        derivative(dickson_family("H", k, d - 1)).coefficients, lo, hi, shift
-    )
+    polys = _polys(k, d)
+    n_lo, n_hi = _dyadic_enclosure(polys.h_prev.coefficients, lo, hi, shift)
+    h_lo, h_hi = _dyadic_enclosure(polys.h_deriv.coefficients, lo, hi, shift)
     # k^2 - x^2 from the tight enclosure of x^2
     if lo >= 0:
         sq_lo, sq_hi = lo * lo, hi * hi
@@ -446,23 +553,33 @@ def _multiplicity_enclosure(
         low = (n_lo, d_hi if n_lo >= 0 else d_lo)
         high = (n_hi, d_lo if n_hi >= 0 else d_hi)
     else:
-        low = (n_hi, d_hi if n_hi >= 0 else d_lo)
-        high = (n_lo, d_lo if n_lo >= 0 else d_hi)
+        low = (-n_hi, -(d_hi if n_hi >= 0 else d_lo))
+        high = (-n_lo, -(d_lo if n_lo >= 0 else d_hi))
     scale = 2 * shift
-    return RatInterval(
-        Fraction(low[0] * pre_num << scale, low[1] * pre_den),
-        Fraction(high[0] * pre_num << scale, high[1] * pre_den),
+    return (
+        (low[0] * pre_num << scale, low[1] * pre_den),
+        (high[0] * pre_num << scale, high[1] * pre_den),
     )
+
+
+def _decisive(ends) -> bool:
+    """The enclosure exists and is no wider than `ENCLOSURE_WIDTH_LIMIT`,
+    by cross-multiplication."""
+    if ends is None:
+        return False
+    (a, b), (c, q) = ends
+    limit = ENCLOSURE_WIDTH_LIMIT
+    return (c * b - a * q) * limit.denominator <= limit.numerator * b * q
 
 
 def _assess_multiplicity(k, d, e, record: RootRecord) -> MultiplicityAssessment:
     """Dual-route multiplicity with a certified enclosure; the bracket is
     refined until the enclosure is decisively narrow."""
-    coeffs = None
     lo, hi, shift = _dyadic_pair(record.bracket)
     bits = TARGET_BRACKET_BITS
-    enclosure = _multiplicity_enclosure(k, d, e, record.epsilon, lo, hi, shift)
-    while enclosure is None or enclosure.width > ENCLOSURE_WIDTH_LIMIT:
+    ends = _multiplicity_enclosure(k, d, e, record.epsilon, lo, hi, shift)
+    coeffs = None
+    while not _decisive(ends):
         bits += 32
         if bits > 444:
             raise IllConditionedError(
@@ -471,10 +588,13 @@ def _assess_multiplicity(k, d, e, record: RootRecord) -> MultiplicityAssessment:
             )
         if coeffs is None:
             coeffs = _family_poly(k, d, record.epsilon)
+            # every refined bracket keeps this sign of P at its low end
+            sign_lo = _sign_dyadic(coeffs, lo, shift)
         if lo == hi:
             raise IllConditionedError("degenerate exact bracket with singular denominator")
-        lo, hi, shift = _bisect(coeffs, lo, hi, shift, _sign_dyadic(coeffs, lo, shift), bits)
-        enclosure = _multiplicity_enclosure(k, d, e, record.epsilon, lo, hi, shift)
+        lo, hi, shift = _bisect(coeffs, lo, hi, shift, sign_lo, bits)
+        ends = _multiplicity_enclosure(k, d, e, record.epsilon, lo, hi, shift)
+    enclosure = RatInterval(Fraction(*ends[0]), Fraction(*ends[1]))
     closed = multiplicity_closed_form(k, d, e, record.epsilon, record.theta)
     trig = multiplicity_trig(k, d, e, record)
     nearest = round(closed)

@@ -50,14 +50,18 @@ from .polynomials import dickson_family
 def moore_bound(k: int, g: int) -> int:
     """Minimum order of a k-regular graph of girth g, exactly.
 
-    Odd g:  1 + k + k(k-1) + ... + k(k-1)^((g-3)/2)
-    Even g: 2 * (1 + (k-1) + ... + (k-1)^((g-2)/2))
+    Odd g:  1 + k + k(k-1) + ... + k(k-1)^((g-3)/2) = 1 + k((k-1)^((g-1)/2) - 1)/(k-2)
+    Even g: 2 * (1 + (k-1) + ... + (k-1)^((g-2)/2)) = 2((k-1)^(g/2) - 1)/(k-2)
+
+    Both series are g terms of 1 (an odd-length cycle) when k = 2.
     """
     if k < 2 or g < 3:
         raise ParameterDomainError(f"moore_bound needs k >= 2 and g >= 3, got k={k}, g={g}")
+    if k == 2:
+        return g
     if g % 2:
-        return 1 + sum(k * (k - 1) ** j for j in range((g - 1) // 2))
-    return 2 * sum((k - 1) ** j for j in range(g // 2))
+        return 1 + k * ((k - 1) ** ((g - 1) // 2) - 1) // (k - 2)
+    return 2 * ((k - 1) ** (g // 2) - 1) // (k - 2)
 
 
 class Graph:
@@ -240,10 +244,11 @@ class GraphAnalysis:
     order-0 graph counts as connected, with no diameter.
     """
 
-    __slots__ = ("graph", "distances", "girth", "bipartite", "connected", "diameter")
+    __slots__ = ("graph", "distances", "girth", "bipartite", "connected", "diameter", "_verdicts")
 
     def __init__(self, graph: Graph):
         self.graph = graph
+        self._verdicts: dict[tuple[int, int, int], StructuralVerdict] = {}
         self.distances: list[list[int]] = []
         self.girth: int | float = math.inf
         self.bipartite = True
@@ -256,6 +261,13 @@ class GraphAnalysis:
         self.diameter: int | None = (
             max(map(max, self.distances)) if self.connected and graph.n else None
         )
+
+    def verdict(self, k: int, d: int, e: int) -> StructuralVerdict:
+        """The structural verdict for (k, d, e), computed once per triple."""
+        verdict = self._verdicts.get((k, d, e))
+        if verdict is None:
+            verdict = self._verdicts[k, d, e] = _verdict(self, k, d, e)
+        return verdict
 
     def distance_matrix(self, i: int) -> list[list[int]]:
         """A_i, the 0/1 matrix of vertex pairs at distance i (zero beyond the
@@ -369,7 +381,7 @@ def structural_check(
     Violations are recorded, not raised.  A precomputed ``analysis`` of the
     same graph is used instead of a new one.
     """
-    return _verdict(_analysis_for(graph, analysis), k, d, e)
+    return _analysis_for(graph, analysis).verdict(k, d, e)
 
 
 def _verdict(analysis: GraphAnalysis, k: int, d: int, e: int) -> StructuralVerdict:
@@ -468,7 +480,7 @@ def _require_structure(
     graph: Graph, k: int, d: int, e: int, analysis: GraphAnalysis | None
 ) -> GraphAnalysis:
     analysis = _analysis_for(graph, analysis)
-    verdict = _verdict(analysis, k, d, e)
+    verdict = analysis.verdict(k, d, e)
     if not verdict.structure_ok:
         raise StructuralRefusal(
             f"structural check failed: {', '.join(verdict.failures)}", verdict=verdict

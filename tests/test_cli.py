@@ -79,6 +79,17 @@ def test_scan_paper_grid_matches_benchmark_golden(capsys):
     assert out.encode() == (GOLDEN_DIR / "paper-grid.csv").read_bytes()
 
 
+def test_scan_deep_girth_matches_benchmark_golden(capsys):
+    """The 21 deep-girth triples, one scan each; the four that fail print a
+    BracketSeedError whose alpha digits depend on the exact root bracket."""
+    golden = json.loads((GOLDEN_DIR / "deep-girth.json").read_text())
+    assert len(golden) == 21
+    for key, expected in golden.items():
+        k, d, e = key.split(",")
+        code, out, err = run(capsys, "scan", "--k", k, "--d", d, "--e", e, "--format", "csv")
+        assert (code, out, err) == (expected["exit"], expected["stdout"], expected["stderr"]), key
+
+
 def test_scan_csv(capsys):
     code, out, _ = run(capsys, "scan", "--k", "4..6", "--d", "7", "--e", "2,4", "--format", "csv")
     assert code == 0
@@ -212,6 +223,20 @@ def test_verify_analyses_each_graph_once(monkeypatch, capsys):
     code, _, _ = run(capsys, "verify", "catalog:heawood", "--k", "3", "--d", "3", "--e", "0")
     assert code == 0
     assert runs == [14] * 14  # one BFS per root of the one graph
+
+
+def test_verify_computes_one_structural_verdict_per_graph(monkeypatch, capsys):
+    verdicts = []
+    compute = graphs._verdict
+
+    def counted(analysis, *args):
+        verdicts.append(args)
+        return compute(analysis, *args)
+
+    monkeypatch.setattr(graphs, "_verdict", counted)
+    code, _, _ = run(capsys, "verify", "catalog:heawood", "--k", "3", "--d", "3", "--e", "0")
+    assert code == 0
+    assert verdicts == [(3, 3, 0)]  # shared by the check and all three verifiers
 
 
 def test_verify_structural_failure_skips_identity_kernels(monkeypatch, capsys):

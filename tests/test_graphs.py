@@ -24,6 +24,7 @@ from cage_spectra import (
     verify_path_count_identity,
 )
 from cage_spectra import _intmat
+from cage_spectra.graphs import GraphAnalysis
 
 
 def cycle(n):
@@ -57,6 +58,16 @@ def test_moore_bound_odd_girth():
             else:
                 expected = 2 * ((k - 1) ** (g // 2) - 1) // (k - 2)
             assert moore_bound(k, g) == expected
+
+
+def test_moore_bound_matches_the_series():
+    for k in range(2, 61):
+        for g in range(3, 41):
+            if g % 2:
+                series = 1 + sum(k * (k - 1) ** j for j in range((g - 1) // 2))
+            else:
+                series = 2 * sum((k - 1) ** j for j in range(g // 2))
+            assert moore_bound(k, g) == series, (k, g)
 
 
 def test_moore_bound_domain():
@@ -303,6 +314,17 @@ def test_identity_refusal():
     assert info.value.verdict is not None and not info.value.verdict.passed
     with pytest.raises(StructuralRefusal):
         verify_allones_identity(cycle(5), 3, 3, 0)
+
+
+def test_identity_refusal_carries_the_shared_verdict():
+    graph = cycle(5)
+    analysis = GraphAnalysis(graph)
+    verdict = structural_check(graph, 3, 3, 0, analysis=analysis)
+    for verifier in (verify_path_count_identity, verify_allones_identity, spectral_crosscheck):
+        with pytest.raises(StructuralRefusal) as info:
+            verifier(graph, 3, 3, 0, analysis=analysis)
+        assert info.value.verdict is verdict
+        assert str(info.value) == f"structural check failed: {', '.join(verdict.failures)}"
 
 
 # ---------------------------------------------------------------------------
