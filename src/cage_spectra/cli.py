@@ -11,7 +11,8 @@ Subcommands:
 
 TARGET is either ``catalog:<name>`` or a path to a graph6 file (one graph
 per line).  ``--format`` selects text, json, or csv output where supported.
-Exit codes: 0 success, 1 verification failure, 2 usage or parameter error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parameter error
+(an unreadable or malformed graph6 file included).
 
 JSON is canonical: keys sorted, floats at 12 significant digits, so a report
 parsed and re-serialized is byte-identical.  Exact integers are never
@@ -268,7 +269,8 @@ def _load_targets(target: str):
         return [(name, catalog(name))]
     path = Path(target)
     graphs = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    # bytes, so a non-ASCII byte reaches parse_graph6's out-of-range error
+    for lineno, line in enumerate(path.read_bytes().splitlines(), start=1):
         if line.strip():
             graphs.append((f"{path.name}:{lineno}", parse_graph6(line)))
     if not graphs:
@@ -398,7 +400,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DRIVERS[args.command](args, sys.stdout)
-    except (ParameterDomainError, Graph6ParseError, FileNotFoundError) as exc:
+    except (ParameterDomainError, Graph6ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (StructuralRefusal, CageSpectraError) as exc:

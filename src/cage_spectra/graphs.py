@@ -4,10 +4,12 @@ The graphs treated here are k-regular of even girth 2d with a small excess e
 over the Moore bound.  Such a graph (when e <= k - 2) is bipartite of
 diameter d + 1, every vertex has exactly e/2 vertices at distance d + 1, and
 the "at distance d + 1" relation partitions the vertex set into cliques of
-size e/2 + 1.  `GraphAnalysis` runs one BFS per root and derives the distance
-rows, girth, bipartiteness, connectivity and diameter from that single pass;
-`structural_check` is a view over it for a claimed (k, d, e) that reports each
-violated condition by name instead of raising.
+size e/2 + 1.  `GraphAnalysis` runs one bit-parallel breadth-first search from
+every root at once, over Python-int bitsets, and derives the girth,
+bipartiteness, connectivity, diameter and the bitsets of the vertices at each
+distance from that single pass; `structural_check` is a view over it for a
+claimed (k, d, e) that reports each violated condition by name instead of
+raising.
 
 Two exact matrix identities tie the distance matrices A_i to the polynomial
 families (integer arithmetic, so a zero residual is a proof for the given
@@ -181,86 +183,117 @@ def _parse_g6_order(data: bytes) -> tuple[int, bytes]:
 
 
 # ---------------------------------------------------------------------------
-# graph analysis: one BFS per root
+# graph analysis: one bit-parallel BFS from every root at once
 
-def _bfs(
-    adjacency, root: int, shortest: int | float = math.inf, odd_check: bool = False
-) -> tuple[list[int], int | float, bool]:
-    """One level-by-level BFS from ``root`` over neighbour lists.
+#: maps the ASCII digits of ``format(bits, "b")`` to the byte values 0 and 1
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
-    Returns the distance row (-1 where unreachable), the length of the
-    shortest closed walk through ``root`` closed by a non-tree edge, if
-    shorter than ``shortest`` (else ``shortest``), and, with ``odd_check``,
-    whether an edge joins two vertices of one level.
 
-    An edge {u, v} met from u with dist[v] >= dist[u] is a non-tree edge (v was
-    reached from another vertex) and closes a walk of dist[u] + dist[v] + 1,
-    which contains a cycle at most that long; an edge inside one level closes
-    an odd cycle.  Such walks from level L are at least 2L + 1 long, so the
-    levels from which none could beat ``shortest`` are searched without the
-    test, unless ``odd_check`` asks for every level.
+def _members(bits: int):
+    """The positions of the set bits of ``bits``, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def _all_roots_bfs(adjacency) -> tuple[list[list[int]], int | float, bool, bool]:
+    """Breadth-first search from every root at once, level by level.
+
+    Vertex v holds a bitset (a Python int) of the roots whose frontier is at v;
+    by symmetry of distance, that is the set of vertices at the current level
+    L from v.  The next frontier of v is the OR of its neighbours' bitsets minus
+    the roots that have already reached v, so a level costs one big-int OR per
+    edge end.  Returns the level bitsets (``levels[i][v]`` is the set of
+    vertices at distance i from v), the girth, bipartiteness and connectivity
+    (every vertex has seen every root).
+
+    A root in both frontier[v] and the OR of v's neighbours' frontiers sees an
+    edge inside level L, which closes an odd walk of 2L + 1; a root that newly
+    reaches v from two neighbours at once closes a walk of 2L + 2.  Every such
+    walk contains a cycle at most that long, and a shortest cycle is closed in
+    one of these two ways seen from any of its vertices, so the first level
+    that shows either gives the girth.  The graph is bipartite iff no level of
+    any root has an edge inside it.  Once the girth is known, a level tracks
+    only the one OR per edge end, and the odd-edge test until one is found.
     """
-    dist = [-1] * len(adjacency)
-    dist[root] = 0
-    frontier = [root]
-    level = 0
-    odd = False
-    while frontier:
-        next_level = level + 1
+    frontier = [1 << v for v in range(len(adjacency))]
+    seen = frontier[:]
+    levels = []
+    shortest: int | float = math.inf
+    bipartite = True
+    while any(frontier):
+        level = len(levels)
+        levels.append(frontier)
+        odd = even = 0
         reached = []
-        if odd_check or 2 * level + 1 < shortest:
-            for u in frontier:
-                for v in adjacency[u]:
-                    dv = dist[v]
-                    if dv < 0:
-                        dist[v] = next_level
-                        reached.append(v)
-                    elif dv >= level:
-                        if level + dv + 1 < shortest:
-                            shortest = level + dv + 1
-                        if dv == level:
-                            odd = True
+        if shortest == math.inf:
+            for v, nbrs in enumerate(adjacency):
+                once = twice = 0
+                for u in nbrs:
+                    f = frontier[u]
+                    twice |= once & f
+                    once |= f
+                odd |= frontier[v] & once
+                new = once & ~seen[v]
+                even |= new & twice
+                seen[v] |= new
+                reached.append(new)
         else:
-            for u in frontier:
-                for v in adjacency[u]:
-                    if dist[v] < 0:
-                        dist[v] = next_level
-                        reached.append(v)
+            for v, nbrs in enumerate(adjacency):
+                once = 0
+                for u in nbrs:
+                    once |= frontier[u]
+                if bipartite:
+                    odd |= frontier[v] & once
+                new = once & ~seen[v]
+                seen[v] |= new
+                reached.append(new)
+        if odd:
+            bipartite = False
+        if shortest == math.inf and (odd or even):
+            shortest = 2 * level + (1 if odd else 2)
         frontier = reached
-        level = next_level
-    return dist, shortest, odd
+    full = (1 << len(adjacency)) - 1
+    return levels, shortest, bipartite, all(bits == full for bits in seen)
 
 
 class GraphAnalysis:
-    """Everything `verify` needs from breadth-first search, from one BFS per
-    root: the distance rows, the girth, bipartiteness, connectivity and the
-    diameter.
+    """Everything `verify` needs from breadth-first search, from one
+    bit-parallel pass over all roots (`_all_roots_bfs`): the level bitsets,
+    the girth, bipartiteness, connectivity and the diameter.
 
-    The girth is the minimum over all roots of the closed walks that non-tree
-    edges close: every candidate contains a cycle no longer than itself, and a
-    shortest cycle is found from any of its vertices.  A component is
-    bipartite iff the BFS from any one of its vertices meets no edge inside a
-    level, so only the first BFS into each component looks for one.  The
-    order-0 graph counts as connected, with no diameter.
+    ``levels[i][v]`` is the bitset of the vertices at distance i from v, so
+    the antipode counts and the clique-partition test read bitsets, and the
+    distance rows (``distances``) and the matrices A_i are built only when
+    asked for.  The order-0 graph counts as connected, with no diameter.
     """
 
-    __slots__ = ("graph", "distances", "girth", "bipartite", "connected", "diameter", "_verdicts")
+    __slots__ = ("graph", "levels", "girth", "bipartite", "connected", "diameter",
+                 "_distances", "_verdicts")
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self._verdicts: dict[tuple[int, int, int], StructuralVerdict] = {}
-        self.distances: list[list[int]] = []
-        self.girth: int | float = math.inf
-        self.bipartite = True
-        for root in range(graph.n):
-            new_component = all(row[root] < 0 for row in self.distances)
-            dist, self.girth, odd = _bfs(graph.adjacency, root, self.girth, new_component)
-            self.distances.append(dist)
-            self.bipartite = self.bipartite and not odd
-        self.connected = not self.distances or -1 not in self.distances[0]
-        self.diameter: int | None = (
-            max(map(max, self.distances)) if self.connected and graph.n else None
+        self._distances: list[list[int]] | None = None
+        self.levels, self.girth, self.bipartite, self.connected = _all_roots_bfs(
+            graph.adjacency
         )
+        self.diameter: int | None = len(self.levels) - 1 if self.connected and graph.n else None
+
+    @property
+    def distances(self) -> list[list[int]]:
+        """Distance rows from every vertex, -1 where unreachable; built from
+        the level bitsets on first use."""
+        if self._distances is None:
+            n = self.graph.n
+            rows = [[-1] * n for _ in range(n)]
+            for i, level in enumerate(self.levels):
+                for row, bits in zip(rows, level):
+                    for u in _members(bits):
+                        row[u] = i
+            self._distances = rows
+        return self._distances
 
     def verdict(self, k: int, d: int, e: int) -> StructuralVerdict:
         """The structural verdict for (k, d, e), computed once per triple."""
@@ -269,10 +302,21 @@ class GraphAnalysis:
             verdict = self._verdicts[k, d, e] = _verdict(self, k, d, e)
         return verdict
 
+    def level(self, i: int) -> list[int]:
+        """The bitsets of the vertices at distance i from each vertex (all
+        empty beyond the eccentricities)."""
+        if 0 <= i < len(self.levels):
+            return self.levels[i]
+        return [0] * self.graph.n
+
     def distance_matrix(self, i: int) -> list[list[int]]:
         """A_i, the 0/1 matrix of vertex pairs at distance i (zero beyond the
         diameter)."""
-        return [[1 if x == i else 0 for x in row] for row in self.distances]
+        width = f"0{self.graph.n}b"
+        return [
+            list(format(bits, width)[::-1].encode().translate(_BINARY_DIGITS))
+            for bits in self.level(i)
+        ]
 
 
 def _analysis_for(graph: Graph, analysis: GraphAnalysis | None) -> GraphAnalysis:
@@ -415,7 +459,8 @@ def _verdict(analysis: GraphAnalysis, k: int, d: int, e: int) -> StructuralVerdi
         failures.append("diameter")
 
     far = d + 1
-    counts = [row.count(far) for row in analysis.distances] if connected else []
+    antipodes = analysis.level(far)
+    counts = [bits.bit_count() for bits in antipodes] if connected else []
     uniform = bool(counts) and len(set(counts)) == 1
     antipode_count = counts[0] if uniform else None
     if not uniform or antipode_count != e // 2:
@@ -427,7 +472,9 @@ def _verdict(analysis: GraphAnalysis, k: int, d: int, e: int) -> StructuralVerdi
         if e == 0:
             cliques_ok = True  # no vertex pairs at distance d+1; trivially a clique partition
         else:
-            cliques_ok = _antipodal_clique_partition(analysis.distances, far)
+            cliques_ok = _is_clique_partition(
+                [bits | 1 << v for v, bits in enumerate(antipodes)]
+            )
             if cliques_ok:
                 clique_count = 2 * graph.n // (e + 2)
     if not cliques_ok:
@@ -449,15 +496,12 @@ def _verdict(analysis: GraphAnalysis, k: int, d: int, e: int) -> StructuralVerdi
     )
 
 
-def _antipodal_clique_partition(dists: list[list[int]], far: int) -> bool:
-    """True iff the distance-``far`` relation is a disjoint clique union: the
-    cell {u} + {v : dist(u,v) = far} is the same set seen from each of its
-    members (then any two members are at distance ``far``)."""
-    cells = [
-        frozenset([u, *(v for v, x in enumerate(row) if x == far)])
-        for u, row in enumerate(dists)
-    ]
-    return all(cells[a] == cell for cell in cells for a in cell)
+def _is_clique_partition(cells: list[int]) -> bool:
+    """True iff the relation "v is in cells[u]" is a disjoint clique union,
+    for bitset cells with u in cells[u]: each cell is the same set seen from
+    each of its members (then any two members are related).  For the cells
+    {u} + {v : dist(u, v) = far}, that is the antipodal clique partition."""
+    return all(cells[a] == cell for cell in cells for a in _members(cell))
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +551,9 @@ def verify_path_count_identity(
     walks = _intmat.adjacency_matmul(adjacency, far) if any(map(any, far)) else far
     residual = max(
         (
-            abs(f - (k if x == d else 0) + w)
-            for f_row, dist, w_row in zip(lhs, analysis.distances, walks)
-            for f, x, w in zip(f_row, dist, w_row)
+            abs(f - k * a + w)
+            for f_row, a_row, w_row in zip(lhs, analysis.distance_matrix(d), walks)
+            for f, a, w in zip(f_row, a_row, w_row)
         ),
         default=0,
     )

@@ -1,5 +1,6 @@
-"""Property tests: the one-pass graph analysis against networkx, and the
-adjacency-list kernels against the dense reference products."""
+"""Property tests: the bit-parallel graph analysis against networkx and
+against row-based references, and the adjacency-list kernels against the
+dense reference products."""
 
 import math
 
@@ -12,7 +13,7 @@ from cage_spectra import _intmat
 from cage_spectra.graphs import (
     Graph,
     GraphAnalysis,
-    _antipodal_clique_partition,
+    _is_clique_partition,
     structural_check,
 )
 
@@ -64,20 +65,75 @@ def to_networkx(graph):
     return g
 
 
-@SETTINGS
-@given(st.one_of(random_graphs(), forests(), cycle_unions()))
-def test_analysis_matches_networkx(graph):
+@st.composite
+def sparse_graphs(draw):
+    """65-160 vertices, so every bitset spans several machine words: a cycle
+    through 0..length-1, random sparse edges that join it to further
+    components and leave vertices isolated, and sometimes a spanning tree.
+    Half of them keep every edge between an even and an odd vertex, so they
+    are bipartite with even girth."""
+    n = draw(st.integers(65, 160))
+    bipartite = draw(st.booleans())
+    length = draw(st.integers(3, n))
+    if bipartite and length % 2:
+        length -= 1
+    edges = [(i, (i + 1) % length) for i in range(length)] if length >= 3 else []
+    vertex = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=n // 2))
+    if draw(st.booleans()):
+        # vertex v hangs from an earlier vertex, of the other parity if bipartite
+        for v in range(1, n):
+            if bipartite:
+                other = 1 - v % 2
+                edges.append((v, 2 * draw(st.integers(0, (v - 1 - other) // 2)) + other))
+            else:
+                edges.append((v, draw(st.integers(0, v - 1))))
+    return Graph.from_edges(n, [(u, v) for u, v in edges
+                                if u != v and not (bipartite and (u - v) % 2 == 0)])
+
+
+def check_against_networkx(graph):
     analysis = GraphAnalysis(graph)
     g = to_networkx(graph)
     assert analysis.girth == nx.girth(g)
     assert analysis.bipartite == nx.is_bipartite(g)
     lengths = dict(nx.all_pairs_shortest_path_length(g))
-    assert analysis.distances == [
-        [lengths[u].get(v, -1) for v in range(graph.n)] for u in range(graph.n)
-    ]
+    rows = [[lengths[u].get(v, -1) for v in range(graph.n)] for u in range(graph.n)]
+    assert analysis.distances == rows
     connected = graph.n == 0 or nx.is_connected(g)
     assert analysis.connected == connected
     assert analysis.diameter == (nx.diameter(g) if connected and graph.n else None)
+    return analysis, rows
+
+
+@SETTINGS
+@given(st.one_of(random_graphs(), forests(), cycle_unions()))
+def test_analysis_matches_networkx(graph):
+    check_against_networkx(graph)
+
+
+def row_clique_partition(rows, far):
+    """The row-based clique-partition test: the cell {u} + {v : dist(u, v) =
+    far} is the same set seen from each of its members."""
+    cells = [frozenset([u, *(v for v, x in enumerate(row) if x == far)])
+             for u, row in enumerate(rows)]
+    return all(cells[a] == cell for cell in cells for a in cell)
+
+
+def bitset_cells(analysis, far):
+    return [bits | 1 << v for v, bits in enumerate(analysis.level(far))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(sparse_graphs())
+def test_analysis_beyond_one_machine_word(graph):
+    analysis, rows = check_against_networkx(graph)
+    for far in range(1, 5):
+        assert [bits.bit_count() for bits in analysis.level(far)] == [
+            row.count(far) for row in rows
+        ]
+        assert _is_clique_partition(bitset_cells(analysis, far)) == row_clique_partition(rows, far)
+        assert analysis.distance_matrix(far) == [[int(x == far) for x in row] for row in rows]
 
 
 def test_analysis_forest_and_null_graph():
@@ -110,7 +166,8 @@ def test_adjacency_eval_poly_matches_dense(graph, coefficients):
 def test_antipodal_clique_partition_matches_definition(graph, far):
     # the distance-``far`` relation is a disjoint clique union iff adding the
     # identity makes it transitive
-    dists = GraphAnalysis(graph).distances
+    analysis = GraphAnalysis(graph)
+    dists = analysis.distances
     n = graph.n
     related = [[u == v or dists[u][v] == far for v in range(n)] for u in range(n)]
     transitive = all(
@@ -118,7 +175,7 @@ def test_antipodal_clique_partition_matches_definition(graph, far):
         for u in range(n) for v in range(n) for w in range(n)
         if related[u][v] and related[v][w]
     )
-    assert _antipodal_clique_partition(dists, far) == transitive
+    assert _is_clique_partition(bitset_cells(analysis, far)) == transitive
 
 
 def test_analysis_of_another_graph_is_rejected(heawood, tutte_coxeter):

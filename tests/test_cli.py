@@ -195,6 +195,22 @@ def test_bad_graph6_file_exit_code(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+def test_verify_non_ascii_byte_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "binary.g6"
+    path.write_bytes(b"Bw\n\xffw\n")
+    code, out, err = run(capsys, "verify", str(path), "--k", "3", "--d", "3", "--e", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: character out of range at byte 0: 255\n"
+
+
+@pytest.mark.parametrize("target", ["", "absent.g6"], ids=["directory", "missing"])
+def test_verify_unreadable_target_is_an_error(tmp_path, capsys, target):
+    code, out, err = run(capsys, "verify", str(tmp_path / target),
+                         "--k", "3", "--d", "3", "--e", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+
 def test_verify_order_zero_graph_is_a_failed_row(tmp_path, capsys):
     path = tmp_path / "null.g6"
     path.write_text("?\n")
@@ -206,23 +222,24 @@ def test_verify_order_zero_graph_is_a_failed_row(tmp_path, capsys):
     assert result["structural_ok"] is False and result["ok"] is False
 
 
-def count_bfs_runs(monkeypatch):
-    runs = []
-    bfs = graphs._bfs
+def count_bfs_passes(monkeypatch):
+    catalog("heawood")  # its load-time girth check is not part of verify
+    passes = []
+    bfs = graphs._all_roots_bfs
 
-    def counted(adjacency, *args):
-        runs.append(len(adjacency))
-        return bfs(adjacency, *args)
+    def counted(adjacency):
+        passes.append(len(adjacency))
+        return bfs(adjacency)
 
-    monkeypatch.setattr(graphs, "_bfs", counted)
-    return runs
+    monkeypatch.setattr(graphs, "_all_roots_bfs", counted)
+    return passes
 
 
 def test_verify_analyses_each_graph_once(monkeypatch, capsys):
-    runs = count_bfs_runs(monkeypatch)
+    passes = count_bfs_passes(monkeypatch)
     code, _, _ = run(capsys, "verify", "catalog:heawood", "--k", "3", "--d", "3", "--e", "0")
     assert code == 0
-    assert runs == [14] * 14  # one BFS per root of the one graph
+    assert passes == [14]  # one all-roots pass over the one graph
 
 
 def test_verify_computes_one_structural_verdict_per_graph(monkeypatch, capsys):
@@ -240,16 +257,20 @@ def test_verify_computes_one_structural_verdict_per_graph(monkeypatch, capsys):
 
 
 def test_verify_structural_failure_skips_identity_kernels(monkeypatch, capsys):
-    runs = count_bfs_runs(monkeypatch)
+    """A rejected candidate costs the one BFS pass: no n x n distance rows, no
+    A_i, no matrix kernel."""
+    passes = count_bfs_passes(monkeypatch)
 
     def never(*args):
-        raise AssertionError("identity kernel entered after a structural failure")
+        raise AssertionError("built or entered after a structural failure")
 
-    monkeypatch.setattr(_intmat, "adjacency_matmul", never)
-    monkeypatch.setattr(_intmat, "adjacency_eval_poly", never)
+    monkeypatch.setattr(graphs.GraphAnalysis, "distances", property(never))
+    monkeypatch.setattr(graphs.GraphAnalysis, "distance_matrix", never)
+    for kernel in ("adjacency_matmul", "adjacency_eval_poly", "mat_add"):
+        monkeypatch.setattr(_intmat, kernel, never)
     code, out, _ = run(capsys, "verify", "catalog:heawood", "--k", "3", "--d", "3", "--e", "2")
     assert code == 1 and "FAIL" in out
-    assert runs == [14] * 14
+    assert passes == [14]
 
 
 def test_precision_env(monkeypatch):
