@@ -4,16 +4,16 @@ small excess e over the Moore bound.
 The package provides exact integer polynomial families on a three-term
 recurrence, graph structural checks with exact matrix-identity verifiers, the
 tridiagonal intersection-matrix moment oracle, and a certified feasibility
-engine: certified dyadic root brackets, dual-route eigenvalue
-multiplicities, rational-interval integrality certificates, and the
-product-gap nonexistence test for girth >= 14.
+engine: certified dyadic root brackets, closed-form eigenvalue
+multiplicities (with the trigonometric weight form as a second route),
+rational-interval integrality certificates, and the product-gap
+nonexistence test for girth >= 14.
 """
 
 from .errors import (
     BracketSeedError,
     CageSpectraError,
     DegreeRangeError,
-    DisconnectedGraphError,
     EvenHalfGirthError,
     ExcessRangeError,
     Graph6ParseError,
@@ -27,7 +27,6 @@ from .feasibility import (
     FeasibilityReport,
     GapVerdict,
     MultiplicityAssessment,
-    MultiplicitySet,
     RootRecord,
     SkippedTriple,
     SymmetryReport,
@@ -44,12 +43,10 @@ from .feasibility import (
     multiplicity_trig,
     scan,
     spectral_feasibility,
-    transcendental_residual,
     validate_parameters,
 )
 from .graphs import (
     CrosscheckReport,
-    DistanceMatrixSet,
     Graph,
     IdentityCheck,
     StructuralVerdict,
@@ -57,7 +54,6 @@ from .graphs import (
     catalog,
     catalog_entry,
     catalog_names,
-    distance_matrices,
     girth,
     moore_bound,
     parse_graph6,
@@ -68,19 +64,15 @@ from .graphs import (
 )
 from .intersection import (
     IntersectionMatrix,
-    bd_entry00,
     build_bd,
-    ld_entry00,
     minimal_polynomial_check,
     trace_identity_check,
 )
-from .intervals import RatInterval, poly_enclosure
+from .intervals import RatInterval
 from .polynomials import (
-    ExactRational,
     IntPolynomial,
     derivative,
     dickson_family,
-    eval_rational,
     h_closed_form,
     h_roots_closed_form,
 )
@@ -92,10 +84,7 @@ __all__ = [
     "CageSpectraError",
     "CrosscheckReport",
     "DegreeRangeError",
-    "DisconnectedGraphError",
-    "DistanceMatrixSet",
     "EvenHalfGirthError",
-    "ExactRational",
     "ExcessRangeError",
     "FeasibilityReport",
     "GapVerdict",
@@ -106,7 +95,6 @@ __all__ = [
     "IntPolynomial",
     "IntersectionMatrix",
     "MultiplicityAssessment",
-    "MultiplicitySet",
     "OddExcessError",
     "ParameterDomainError",
     "RatInterval",
@@ -121,15 +109,12 @@ __all__ = [
     "VERDICT_INTEGRALITY",
     "VERDICT_OUTSIDE",
     "antipodal_spectrum",
-    "bd_entry00",
     "build_bd",
     "catalog",
     "catalog_entry",
     "catalog_names",
     "derivative",
     "dickson_family",
-    "distance_matrices",
-    "eval_rational",
     "f_weight",
     "g_weight",
     "gap_check",
@@ -137,20 +122,17 @@ __all__ = [
     "h_closed_form",
     "h_roots_closed_form",
     "isolate_roots",
-    "ld_entry00",
     "minimal_polynomial_check",
     "moore_bound",
     "multiplicity_closed_form",
     "multiplicity_symmetry_checks",
     "multiplicity_trig",
     "parse_graph6",
-    "poly_enclosure",
     "scan",
     "spectral_crosscheck",
     "spectral_feasibility",
     "structural_check",
     "trace_identity_check",
-    "transcendental_residual",
     "validate_parameters",
     "verify_allones_identity",
     "verify_path_count_identity",

@@ -8,7 +8,7 @@ evaluated by Horner's rule on the same kernel.  Every entry stays an
 arbitrary-precision integer, so every residual is exact.
 
 The dense helpers (`matmul`, `eval_poly`, ...) serve the small intersection
-matrix B_D only; `eval_poly` also takes float/mpf coefficients.
+matrix B_D only.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def add_diag(a, c):
 
 def eval_poly(coefficients, a):
     """Horner evaluation of a polynomial (constant term first) at a square
-    matrix.  Works for integer coefficients and for float/mpf coefficients."""
+    matrix; exact for integer coefficients."""
     n = len(a)
     if not coefficients:
         return [[0] * n for _ in range(n)]

@@ -29,10 +29,6 @@ class Graph6ParseError(CageSpectraError, ValueError):
     """Malformed graph6 input."""
 
 
-class DisconnectedGraphError(CageSpectraError, ValueError):
-    """An operation that needs a connected graph received a disconnected one."""
-
-
 class StructuralRefusal(CageSpectraError, RuntimeError):
     """A verifier refused to run because its structural preconditions failed.
 

@@ -18,13 +18,14 @@ This module:
   P' that excludes 0 over the seed bracket (P is monotone there) and two
   exact signs at the cell's ends, with the halving loop as the fallback;
 
-* evaluates the eigenvalue multiplicity both in closed form
+* evaluates the eigenvalue multiplicity in closed form
 
       m(theta) = n e k (k-1) H_{d-2}(theta)
                  / [ 2 eps (2 eps + e/2 - 1) H'_{d-1}(theta) (k^2 - theta^2) ]
 
-  and in the trigonometric weight form built from f, g1, g2, g3, and
-  requires the two routes to agree;
+  (`multiplicity_trig`, the trigonometric weight form built from f, g1,
+  g2, g3, is a second route to the same value; the engine does not
+  evaluate it, and the acceptance suite checks that the two agree);
 
 * certifies integrality of each multiplicity with exact interval arithmetic
   propagated from the root bracket (an enclosure must contain exactly one
@@ -48,6 +49,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Union
 
+import mpmath
+
 from .errors import (
     BracketSeedError,
     EvenHalfGirthError,
@@ -61,7 +64,6 @@ from .graphs import moore_bound
 from .intersection import bd_moments, build_bd
 from .intervals import RatInterval
 from .polynomials import IntPolynomial, derivative, dickson_family
-from .precision import precision_bits, working_precision
 
 VERDICT_ADMISSIBLE = "spectrally-admissible"
 VERDICT_INTEGRALITY = "excluded-by-integrality"
@@ -70,6 +72,9 @@ VERDICT_OUTSIDE = "outside-regime"
 
 #: Root brackets are shrunk below this dyadic width before any verdict.
 TARGET_BRACKET_BITS = 60
+
+#: mpmath working precision, in bits, of the root-isolation seeds.
+_SEED_BITS = 128
 
 #: A multiplicity enclosure wider than this triggers bracket refinement.
 ENCLOSURE_WIDTH_LIMIT = Fraction(1, 2)
@@ -148,8 +153,8 @@ def _dyadic_enclosure(coeffs: tuple[int, ...], lo: int, hi: int, shift: int) -> 
     """Interval Horner of an integer polynomial (constant term first) over
     the dyadic bracket [lo, hi] / 2^shift, in integers.
 
-    Returns numerators (a, b): [a, b] / 2^(shift*deg) equals
-    `intervals.poly_enclosure` endpoint for endpoint.  Each step multiplies
+    Returns numerators (a, b): [a, b] / 2^(shift*deg) equals interval Horner
+    in `RatInterval` arithmetic endpoint for endpoint.  Each step multiplies
     by the bracket, taking the extreme corners by sign as the four-product
     min/max would, then adds c; every endpoint keeps the one shared power of
     two, so no gcd is ever taken.
@@ -281,10 +286,10 @@ def _phi_interval(mp, d: int, i: int, eta: int, s_pow):
     return i * mp.pi / d, i * mp.pi / (d - a * s_pow)
 
 
-#: Isolated roots per (k, d, epsilon, working precision), for the life of the
-#: process.  The roots do not depend on e beyond epsilon, so the epsilon = 1
-#: family is shared by every e; a failed isolation is never stored.
-_ROOTS: dict[tuple[int, int, int, int], tuple[RootRecord, ...]] = {}
+#: Isolated roots per (k, d, epsilon), for the life of the process.  The
+#: roots do not depend on e beyond epsilon, so the epsilon = 1 family is
+#: shared by every e; a failed isolation is never stored.
+_ROOTS: dict[tuple[int, int, int], tuple[RootRecord, ...]] = {}
 
 
 def isolate_roots(k: int, d: int, e: int, epsilon: int) -> list[RootRecord]:
@@ -301,7 +306,7 @@ def isolate_roots(k: int, d: int, e: int, epsilon: int) -> list[RootRecord]:
         raise ParameterDomainError(
             f"epsilon must be 1 or -e/2 = {-e // 2}, got {epsilon}"
         )
-    key = (k, d, epsilon, precision_bits())
+    key = (k, d, epsilon)
     roots = _ROOTS.get(key)
     if roots is None:
         roots = _ROOTS[key] = _isolate(k, d, e, epsilon)
@@ -312,7 +317,8 @@ def _isolate(k: int, d: int, e: int, epsilon: int) -> tuple[RootRecord, ...]:
     """The uncached isolation; ``e`` only names the triple in errors."""
     coeffs = _family_poly(k, d, epsilon)
     records = []
-    with working_precision() as mp:
+    with mpmath.mp.workprec(_SEED_BITS):
+        mp = mpmath.mp
         two_s = 2 * mp.sqrt(k - 1)
         s_pow = mp.power(k - 1, mp.mpf(-(d - 1)) / 2)
         for i in range(1, d):
@@ -369,23 +375,6 @@ def _isolate(k: int, d: int, e: int, epsilon: int) -> tuple[RootRecord, ...]:
     if [r.i for r in records] != list(range(1, d)):
         raise BracketSeedError("isolated roots are not ascending in their index order")
     return tuple(records)
-
-
-def transcendental_residual(record: RootRecord, k: int, d: int) -> float:
-    """Left side of the angular-defect equation at the record's alpha:
-
-        sin(alpha) - eta * s^(1-d) * sin((i*pi - alpha)/d)
-
-    Must vanish (below 1e-9) for a genuine record."""
-    if record.epsilon == 0:
-        raise ParameterDomainError(
-            "epsilon = 0 (the zero-excess limit) is outside the supported regime"
-        )
-    with working_precision() as mp:
-        s_pow = mp.power(k - 1, mp.mpf(-(d - 1)) / 2)
-        alpha = mp.mpf(record.alpha)
-        value = mp.sin(alpha) - record.eta * s_pow * mp.sin((record.i * mp.pi - alpha) / d)
-        return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +484,6 @@ class MultiplicityAssessment:
 
     record: RootRecord
     closed_form: float
-    trig_form: float
     enclosure: RatInterval
     integer: int | None
     nearest: int
@@ -523,10 +511,10 @@ def _multiplicity_enclosure(
 
         N / (D * (k^2 - x^2)) * prefactor,   N = H_{d-2}(x),  D = H'_{d-1}(x)
 
-    with each factor enclosed by `intervals.poly_enclosure` and `square`, but
-    done in integers: N and D (both of degree d-2) carry 2^(shift (d-2)),
-    k^2 - x^2 carries 2^(2 shift), so the quotient carries 2^(2 shift).  Its
-    extreme corners are picked by sign; no gcd is taken.
+    with each factor enclosed by interval Horner and `square`, but done in
+    integers: N and D (both of degree d-2) carry 2^(shift (d-2)), k^2 - x^2
+    carries 2^(2 shift), so the quotient carries 2^(2 shift).  Its extreme
+    corners are picked by sign; no gcd is taken.
     """
     n = moore_bound(k, 2 * d) + e
     pre_num = n * e * k * (k - 1)
@@ -573,7 +561,7 @@ def _decisive(ends) -> bool:
 
 
 def _assess_multiplicity(k, d, e, record: RootRecord) -> MultiplicityAssessment:
-    """Dual-route multiplicity with a certified enclosure; the bracket is
+    """Closed-form multiplicity with a certified enclosure; the bracket is
     refined until the enclosure is decisively narrow."""
     lo, hi, shift = _dyadic_pair(record.bracket)
     bits = TARGET_BRACKET_BITS
@@ -596,12 +584,10 @@ def _assess_multiplicity(k, d, e, record: RootRecord) -> MultiplicityAssessment:
         ends = _multiplicity_enclosure(k, d, e, record.epsilon, lo, hi, shift)
     enclosure = RatInterval(Fraction(*ends[0]), Fraction(*ends[1]))
     closed = multiplicity_closed_form(k, d, e, record.epsilon, record.theta)
-    trig = multiplicity_trig(k, d, e, record)
     nearest = round(closed)
     return MultiplicityAssessment(
         record=record,
         closed_form=closed,
-        trig_form=trig,
         enclosure=enclosure,
         integer=enclosure.contained_integer(),
         nearest=int(nearest),
@@ -771,15 +757,6 @@ def _gap_from_records(k, d, e, mu2: RootRecord, lam2: RootRecord) -> GapVerdict:
 # full feasibility report
 
 @dataclass(frozen=True)
-class MultiplicitySet:
-    """Nontrivial eigenvalue multiplicities; the two valence eigenvalues +-k
-    carry multiplicity 1 each, so the entries must sum to n - 2."""
-
-    entries: tuple[tuple[float, float], ...]
-    n: int
-
-
-@dataclass(frozen=True)
 class MomentCheck:
     """Power-sum comparison against the intersection-matrix oracle for
     q = 0..2d-1, relative to the natural magnitude of the summands."""
@@ -798,7 +775,6 @@ class FeasibilityReport:
     n: int
     roots: tuple[RootRecord, ...]
     assessments: tuple[MultiplicityAssessment, ...]
-    multiplicities: MultiplicitySet
     all_positive: bool
     all_integral: bool
     sum_value: float
@@ -842,8 +818,8 @@ def _moment_check(k: int, d: int, e: int, n: int, assessments) -> MomentCheck:
 def spectral_feasibility(k: int, d: int, e: int) -> FeasibilityReport:
     """Assemble the full spectral verdict for (k, d, e).
 
-    Isolates all 2(d-1) candidate eigenvalues, computes every multiplicity by
-    both routes with certified enclosures, and checks: positivity,
+    Isolates all 2(d-1) candidate eigenvalues, computes every multiplicity in
+    closed form with a certified enclosure, and checks: positivity,
     integrality, the multiplicity sum n - 2, the moment identity for
     q = 0..2d-1, and (for d >= 7) the product-gap exclusion.  The gap
     exclusion reproduces the nonexistence argument and takes precedence;
@@ -881,9 +857,6 @@ def spectral_feasibility(k: int, d: int, e: int) -> FeasibilityReport:
         n=n,
         roots=tuple(roots),
         assessments=assessments,
-        multiplicities=MultiplicitySet(
-            entries=tuple((a.record.theta, a.closed_form) for a in assessments), n=n
-        ),
         all_positive=all_positive,
         all_integral=all_integral,
         sum_value=total,

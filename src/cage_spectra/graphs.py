@@ -40,12 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _intmat
-from .errors import (
-    DisconnectedGraphError,
-    Graph6ParseError,
-    ParameterDomainError,
-    StructuralRefusal,
-)
+from .errors import Graph6ParseError, ParameterDomainError, StructuralRefusal
 from .polynomials import dickson_family
 
 
@@ -129,7 +124,15 @@ _G6_NONZERO = re.compile(rb"[^?]")
 
 def parse_graph6(text: bytes | str) -> Graph:
     """Parse one graph in graph6 format (printable McKay encoding)."""
-    data = text.encode("ascii") if isinstance(text, str) else bytes(text)
+    if isinstance(text, str):
+        try:
+            data = text.encode("latin-1")  # code points 0..255 are the bytes
+        except UnicodeEncodeError as exc:
+            raise Graph6ParseError(
+                f"character out of range at byte {exc.start}: {ord(text[exc.start])}"
+            ) from None
+    else:
+        data = bytes(text)
     data = data.strip()
     if data.startswith(_G6_HEADER):
         data = data[len(_G6_HEADER):]
@@ -327,45 +330,9 @@ def _analysis_for(graph: Graph, analysis: GraphAnalysis | None) -> GraphAnalysis
     return analysis
 
 
-def all_distances(graph: Graph) -> list[list[int]]:
-    """Distance rows from every vertex; unreachable vertices get -1."""
-    return GraphAnalysis(graph).distances
-
-
-def is_bipartite(graph: Graph) -> bool:
-    return GraphAnalysis(graph).bipartite
-
-
 def girth(graph: Graph) -> int | float:
     """Length of a shortest cycle via BFS from every vertex; inf for forests."""
     return GraphAnalysis(graph).girth
-
-
-@dataclass(frozen=True)
-class DistanceMatrixSet:
-    """0/1 distance matrices A_0..A_{d_max}; A_0 = I and sum_i A_i = J."""
-
-    d_max: int
-    matrices: tuple
-
-    def matrix(self, i: int) -> list[list[int]]:
-        """A_i as an integer matrix; the zero matrix for i > d_max."""
-        if 0 <= i <= self.d_max:
-            return [list(row) for row in self.matrices[i]]
-        n = len(self.matrices[0])
-        return [[0] * n for _ in range(n)]
-
-
-def distance_matrices(graph: Graph) -> DistanceMatrixSet:
-    """BFS from every vertex; exact 0/1 matrices. Rejects disconnected input."""
-    analysis = GraphAnalysis(graph)
-    if not analysis.connected:
-        raise DisconnectedGraphError("distance matrices need a connected graph")
-    d_max = analysis.diameter or 0
-    mats = tuple(
-        tuple(map(tuple, analysis.distance_matrix(i))) for i in range(d_max + 1)
-    )
-    return DistanceMatrixSet(d_max=d_max, matrices=mats)
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-import mpmath
-
 from . import _intmat
 from .errors import DegreeRangeError, ParameterDomainError, StructuralRefusal
 from .graphs import Graph, GraphAnalysis
 from .polynomials import dickson_family
-from .precision import working_precision
 
 
 @dataclass(frozen=True)
@@ -76,13 +73,6 @@ def bd_moments(b: IntersectionMatrix, count: int) -> list[int]:
         moments.append(vec[0])
         vec = [sum(map(mul, vec, col)) for col in columns]
     return moments
-
-
-def bd_entry00(b: IntersectionMatrix, q: int) -> int:
-    """(B^q)_{0,0}; see `bd_moments`."""
-    if q < 0:
-        raise ParameterDomainError(f"power q must be >= 0, got {q}")
-    return bd_moments(b, q + 1)[q]
 
 
 @dataclass(frozen=True)
@@ -161,57 +151,3 @@ def minimal_polynomial_check(k: int, D: int) -> MinimalPolynomialReport:
         square_factor_nonzero=_intmat.max_abs(square) != 0,
         h_factor_nonzero=_intmat.max_abs(h_at_b) != 0,
     )
-
-
-def ld_entry00(k: int, d: int, theta: float) -> float:
-    """(L_d(B_d))_{0,0} where L_d(x) = (x^2-k^2)(H_{d-1}(x)-H_{d-1}(theta))/(x-theta).
-
-    The quotient is computed by synthetic division (exact polynomial division
-    up to the numeric carrier of theta), so no restriction on theta is
-    needed.  Agrees with -k*(k-1)*H_{d-2}(theta).  Uses binary64 up to d = 9
-    and the configured extended precision beyond.
-    """
-    if d < 2:
-        raise ParameterDomainError(f"d must be >= 2, got {d}")
-    h = dickson_family("H", k, d - 1).coefficients
-    if d > 9:
-        with working_precision() as mp:
-            return float(_ld_entry00(k, d, h, mp.mpf(theta)))
-    return float(_ld_entry00(k, d, h, float(theta)))
-
-
-def _ld_entry00(k, d, h_coeffs, theta):
-    h_at_theta = _horner(h_coeffs, theta)
-    shifted = [h_coeffs[0] - h_at_theta] + [c * _one_like(theta) for c in h_coeffs[1:]]
-    # numerator (x^2 - k^2) * (H_{d-1}(x) - H_{d-1}(theta)), constant first
-    numer = [0 * theta] * (len(shifted) + 2)
-    for j, c in enumerate(shifted):
-        numer[j] += -k * k * c
-        numer[j + 2] += c
-    quotient = _synthetic_divide(numer, theta)
-    b = build_bd(k, d).rows()
-    return _intmat.eval_poly(quotient, b)[0][0]
-
-
-def _one_like(x):
-    return x * 0 + 1 if isinstance(x, mpmath.mpf) else 1.0
-
-
-def _horner(coeffs, x):
-    acc = 0 * x
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _synthetic_divide(coeffs, root):
-    """Divide the polynomial (constant first) by (x - root); the remainder is
-    discarded (it is the evaluation at root, zero up to roundoff here)."""
-    quotient = []
-    carry = 0 * root
-    for c in reversed(coeffs):
-        quotient.append(carry)
-        carry = carry * root + c
-    quotient = quotient[1:]  # drop the leading zero from the degree bump
-    quotient.reverse()
-    return quotient

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 Rat = Union[int, Fraction]
 
@@ -109,15 +109,3 @@ def _coerce(x) -> RatInterval:
     if isinstance(x, RatInterval):
         return x
     return RatInterval.point(x)
-
-
-def poly_enclosure(coefficients: Sequence[Rat], x: RatInterval) -> RatInterval:
-    """Interval Horner evaluation of a polynomial (constant term first).
-
-    The feasibility engine evaluates its enclosures with an integer kernel on
-    dyadic brackets (`feasibility._dyadic_enclosure`); this `Fraction`
-    evaluation is the oracle that kernel must equal endpoint for endpoint."""
-    acc = RatInterval.point(0)
-    for c in reversed(coefficients):
-        acc = acc * x + RatInterval.point(c)
-    return acc

@@ -17,26 +17,18 @@ indices (H_{-1} = 0, H_{-2} = -1/(k-1)), but no formula implemented here
 evaluates below index 0, so the constructor rejects i < 0 rather than carry
 rational coefficients.
 
-All coefficients are exact Python integers.  Exactness is reserved for sign
-queries (`eval_rational`); diagnostic evaluation is binary64.
+All coefficients are exact Python integers.  Evaluation is exact at int and
+`Fraction` points and binary64 at floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
 
 from .errors import DegreeRangeError, ParameterDomainError
-
-#: Exact rational scalar used wherever a certified sign is required.
-#: `fractions.Fraction` already guarantees a reduced form with positive
-#: denominator, which is exactly the invariant needed here.
-ExactRational = Fraction
-
-Scalar = Union[int, float, Fraction]
 
 FAMILIES = ("G", "F", "H")
 
@@ -152,15 +144,6 @@ def _family_member(kind: str, k: int, i: int) -> IntPolynomial:
     for _ in range(i - len(seeds) + 1):
         prev, cur = cur, cur.shift_up() - (k - 1) * prev
     return cur
-
-
-def eval_rational(p: IntPolynomial, x: Scalar) -> Fraction:
-    """Exact Horner evaluation at a rational point; the sign of the result
-    is certified."""
-    result = Fraction(0)
-    for c in reversed(p.coefficients):
-        result = result * x + c
-    return result
 
 
 def derivative(p: IntPolynomial) -> IntPolynomial:

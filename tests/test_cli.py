@@ -9,7 +9,6 @@ import pytest
 import g6ref
 from cage_spectra import _intmat, catalog, cli, graphs
 from cage_spectra.cli import dumps_canonical, main
-from cage_spectra.precision import ENV_VAR, precision_bits
 
 
 def run(capsys, *argv):
@@ -271,16 +270,6 @@ def test_verify_structural_failure_skips_identity_kernels(monkeypatch, capsys):
     code, out, _ = run(capsys, "verify", "catalog:heawood", "--k", "3", "--d", "3", "--e", "2")
     assert code == 1 and "FAIL" in out
     assert passes == [14]
-
-
-def test_precision_env(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    assert precision_bits() == 128
-    monkeypatch.setenv(ENV_VAR, "256")
-    assert precision_bits() == 256
-    monkeypatch.setenv(ENV_VAR, "8")
-    with pytest.raises(ValueError):
-        precision_bits()
 
 
 def test_dumps_canonical_floats():

@@ -1,6 +1,6 @@
 """The scan's integer kernels against the arithmetic they replace.
 
-`intervals.poly_enclosure` and `RatInterval` are the documented oracles:
+`oracles.poly_enclosure` and `RatInterval` are the documented oracles:
 every endpoint the integer route produces must equal theirs exactly, so the
 refinement steps, the certified integers and every verdict stay the same.
 Likewise `_bisect` must return exactly the bracket of the bit-by-bit halving
@@ -20,10 +20,8 @@ from cage_spectra import (
     RatInterval,
     derivative,
     dickson_family,
-    eval_rational,
     isolate_roots,
     moore_bound,
-    poly_enclosure,
 )
 from cage_spectra import feasibility
 from cage_spectra.feasibility import (
@@ -37,6 +35,7 @@ from cage_spectra.feasibility import (
     _multiplicity_enclosure,
     _sign_dyadic,
 )
+from oracles import poly_enclosure
 
 PAPER_GRID = [
     (k, d, e)
@@ -79,7 +78,7 @@ def test_dyadic_enclosure_matches_poly_enclosure(coeffs, bracket):
 @settings(max_examples=300, deadline=None)
 @given(coefficient_lists, st.integers(-(1 << 90), 1 << 90), st.integers(0, 80))
 def test_sign_dyadic_matches_rational_evaluation(coeffs, num, shift):
-    value = eval_rational(IntPolynomial(coeffs), Fraction(num, 1 << shift))
+    value = IntPolynomial(coeffs)(Fraction(num, 1 << shift))
     assert _sign_dyadic(tuple(coeffs), num, shift) == (value > 0) - (value < 0)
 
 

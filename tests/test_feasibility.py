@@ -16,7 +16,6 @@ from cage_spectra import (
     SkippedTriple,
     VERDICT_ADMISSIBLE,
     VERDICT_GAP,
-    bd_entry00,
     build_bd,
     f_weight,
     g_weight,
@@ -28,8 +27,9 @@ from cage_spectra import (
     multiplicity_trig,
     scan,
     spectral_feasibility,
-    transcendental_residual,
 )
+from cage_spectra.intersection import bd_moments
+from oracles import transcendental_residual
 
 ACCEPTANCE_TRIPLES = [(4, 3, 2), (5, 5, 2), (6, 5, 4), (7, 7, 2), (8, 7, 6)]
 
@@ -375,11 +375,11 @@ def test_moment_identity_invariant(k, d):
         report = spectral_feasibility(k, d, e)
         assert report.moment_check.ok, (k, d, e, report.moment_check)
         # recompute the worst case directly against the oracle
-        b = build_bd(k, d)
+        walks = bd_moments(build_bd(k, d), 2 * d)
         for q in range(2 * d):
             lhs = sum(a.closed_form * a.record.theta ** q for a in report.assessments)
             lhs += float(k) ** q + float(-k) ** q
-            rhs = float(report.n * bd_entry00(b, q))
+            rhs = float(report.n * walks[q])
             scale = max(abs(rhs), sum(abs(a.closed_form * a.record.theta ** q)
                                       for a in report.assessments) + 2.0 * float(k) ** q)
             assert abs(lhs - rhs) <= 1e-6 * scale

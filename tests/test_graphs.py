@@ -6,7 +6,6 @@ import pytest
 
 import g6ref
 from cage_spectra import (
-    DisconnectedGraphError,
     Graph,
     Graph6ParseError,
     ParameterDomainError,
@@ -14,7 +13,6 @@ from cage_spectra import (
     antipodal_spectrum,
     catalog,
     catalog_names,
-    distance_matrices,
     girth,
     moore_bound,
     parse_graph6,
@@ -126,6 +124,11 @@ def test_parse_graph6_errors():
         parse_graph6("")
     with pytest.raises(Graph6ParseError, match="^character out of range at byte 1: 31$"):
         parse_graph6("C\x1f??")
+    for text in ("B\xffw", b"B\xffw"):
+        with pytest.raises(Graph6ParseError, match="^character out of range at byte 1: 255$"):
+            parse_graph6(text)
+    with pytest.raises(Graph6ParseError, match="^character out of range at byte 1: 8364$"):
+        parse_graph6("B\u20acw")
     with pytest.raises(Graph6ParseError, match="wrong length"):
         parse_graph6("C~~")
     with pytest.raises(Graph6ParseError, match="wrong length"):
@@ -169,31 +172,31 @@ def test_girth_small_graphs(heawood):
 
 
 def test_distance_matrices_path2():
-    dm = distance_matrices(Graph.from_edges(2, [(0, 1)]))
-    assert dm.d_max == 1
-    assert dm.matrix(0) == [[1, 0], [0, 1]]
-    assert dm.matrix(1) == [[0, 1], [1, 0]]
+    analysis = GraphAnalysis(Graph.from_edges(2, [(0, 1)]))
+    assert analysis.diameter == 1
+    assert analysis.distance_matrix(0) == [[1, 0], [0, 1]]
+    assert analysis.distance_matrix(1) == [[0, 1], [1, 0]]
 
 
 def test_distance_matrices_c4_antipodes():
-    dm = distance_matrices(cycle(4))
-    assert dm.matrix(2) == [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
+    analysis = GraphAnalysis(cycle(4))
+    assert analysis.distance_matrix(2) == [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
 
 
 def test_distance_matrices_heawood_oracle(heawood):
     import networkx as nx
 
-    dm = distance_matrices(heawood)
-    assert dm.d_max == 3
-    assert {sum(row) for row in dm.matrix(3)} == {4}
+    analysis = GraphAnalysis(heawood)
+    assert analysis.diameter == 3
+    assert {sum(row) for row in analysis.distance_matrix(3)} == {4}
     # every row partitions the other 13 vertices
     for u in range(heawood.n):
-        assert sum(sum(dm.matrix(i)[u]) for i in range(1, 4)) == heawood.n - 1
+        assert sum(sum(analysis.distance_matrix(i)[u]) for i in range(1, 4)) == heawood.n - 1
     # full cross-check against networkx BFS
     G = nx.Graph([(u, v) for u in range(heawood.n) for v in heawood.adjacency[u]])
     lengths = dict(nx.all_pairs_shortest_path_length(G))
     for i in range(4):
-        mat = dm.matrix(i)
+        mat = analysis.distance_matrix(i)
         for u in range(14):
             for v in range(14):
                 assert mat[u][v] == (1 if lengths[u][v] == i else 0)
@@ -202,20 +205,15 @@ def test_distance_matrices_heawood_oracle(heawood):
 @pytest.mark.parametrize("name", ["heawood", "tutte_coxeter", "moebius_kantor", "pg23_incidence"])
 def test_distance_matrices_partition_and_symmetry(name):
     graph = catalog(name)
-    dm = distance_matrices(graph)
+    analysis = GraphAnalysis(graph)
     total = [[0] * graph.n for _ in range(graph.n)]
-    for i in range(dm.d_max + 1):
-        mat = dm.matrix(i)
+    for i in range(analysis.diameter + 1):
+        mat = analysis.distance_matrix(i)
         assert mat == [list(col) for col in zip(*mat)]  # symmetric
         for u in range(graph.n):
             for v in range(graph.n):
                 total[u][v] += mat[u][v]
     assert all(x == 1 for row in total for x in row)  # sums to J
-
-
-def test_distance_matrices_disconnected():
-    with pytest.raises(DisconnectedGraphError):
-        distance_matrices(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
 
 # ---------------------------------------------------------------------------

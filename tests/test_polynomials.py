@@ -9,7 +9,6 @@ from cage_spectra import (
     ParameterDomainError,
     derivative,
     dickson_family,
-    eval_rational,
     h_closed_form,
     h_roots_closed_form,
 )
@@ -72,11 +71,12 @@ def test_domain_rejections():
 
 def test_eval_rational():
     p = IntPolynomial((-3, 0, 1))  # x^2 - 3
-    assert eval_rational(p, 2) == 1
-    assert eval_rational(p, 0) == -3
+    assert p(Fraction(2)) == 1
+    assert p(Fraction(0)) == -3
     h2 = dickson_family("H", 4, 2)
-    assert eval_rational(h2, Fraction(7, 4)) == Fraction(1, 16)
-    value = eval_rational(h2, Fraction(-7, 3))
+    assert h2(Fraction(7, 4)) == Fraction(1, 16)
+    value = h2(Fraction(-7, 3))
+    assert isinstance(value, Fraction)
     assert value == Fraction(49, 9) - 3 and value.denominator == 9
 
 
