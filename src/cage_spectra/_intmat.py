@@ -58,8 +58,8 @@ def frobenius(a, b):
     return sum(sum(map(mul, ra, rb)) for ra, rb in zip(a, b))
 
 
-def eye(n, one=1):
-    return [[one if i == j else 0 * one for j in range(n)] for i in range(n)]
+def eye(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def matmul(a, b):

@@ -13,6 +13,11 @@ This module:
       i*pi/d < phi_i < i*pi/(d - |eta| s^{1-d})        (eta_i < 0)
 
   with theta = -2 s cos(phi), s = sqrt(k-1), eta_i = eps * (-1)^(d+i).
+  The seeds are computed in integer fixed point, at 168 bits below the
+  scale s^(1-d) of the interval: pi by Machin's formula, cos and sin of the
+  three base angles pi/d and pi/(d +- |eta| s^(1-d)) by Taylor series and
+  their multiples by angle addition, 2s by `math.isqrt`; phi and alpha come
+  from the final bracket by Newton's method in the same arithmetic.
   Each bracket is the cell exact bisection would end on: Newton's method in
   integers predicts it, and it is certified by an interval enclosure of
   P' that excludes 0 over the seed bracket (P is monotone there) and two
@@ -49,8 +54,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Union
 
-import mpmath
-
 from .errors import (
     BracketSeedError,
     EvenHalfGirthError,
@@ -72,9 +75,6 @@ VERDICT_OUTSIDE = "outside-regime"
 
 #: Root brackets are shrunk below this dyadic width before any verdict.
 TARGET_BRACKET_BITS = 60
-
-#: mpmath working precision, in bits, of the root-isolation seeds.
-_SEED_BITS = 128
 
 #: A multiplicity enclosure wider than this triggers bracket refinement.
 ENCLOSURE_WIDTH_LIMIT = Fraction(1, 2)
@@ -278,12 +278,99 @@ def _bisect(coeffs, lo, hi, shift, sign_lo, bits):
     return lo, hi, shift
 
 
-def _phi_interval(mp, d: int, i: int, eta: int, s_pow):
-    """The angular case interval for phi_i; ``s_pow`` is s^(1-d)."""
-    a = abs(eta)
-    if eta > 0:
-        return i * mp.pi / (d + a * s_pow), i * mp.pi / d
-    return i * mp.pi / d, i * mp.pi / (d - a * s_pow)
+# ---------------------------------------------------------------------------
+# fixed-point kernels for the seeds: a real x is held as an integer near
+# x * 2^bits
+
+#: Bits the series kernels carry below the precision they return.
+_KERNEL_GUARD = 16
+
+
+def _drop_guard(x: int) -> int:
+    """x rounded from `_KERNEL_GUARD` extra bits to the nearest ulp."""
+    return (x + (1 << (_KERNEL_GUARD - 1))) >> _KERNEL_GUARD
+
+
+def _seed_bits(k: int, d: int) -> int:
+    """Working precision of the seeds, phi and alpha: 168 bits below
+    s^(1-d) = (k-1)^(-(d-1)/2), the scale of the angular case interval."""
+    return 168 + ((k - 1) ** ((d - 1) // 2) - 1).bit_length()
+
+
+def _atan_inv(m: int, bits: int) -> int:
+    """atan(1/m) in fixed point by its Taylor series, each term truncated."""
+    power, m2 = (1 << bits) // m, m * m  # 2^bits / m^(2j+1)
+    total, j = 0, 0
+    while power:
+        term = power // (2 * j + 1)
+        total += -term if j % 2 else term
+        power //= m2
+        j += 1
+    return total
+
+
+@lru_cache(maxsize=None)
+def _fixed_pi(bits: int) -> int:
+    """pi in fixed point, within 1 ulp, by Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239)."""
+    work = bits + _KERNEL_GUARD
+    return _drop_guard(16 * _atan_inv(5, work) - 4 * _atan_inv(239, work))
+
+
+def _fixed_two_s(k: int, bits: int) -> int:
+    """2s = 2 sqrt(k-1) in fixed point, at most 2 ulp below it."""
+    return 2 * math.isqrt((k - 1) << 2 * bits)
+
+
+def _cos_sin(x: int, bits: int) -> tuple[int, int]:
+    """cos and sin of x / 2^bits in fixed point, each within 1 ulp for
+    |x / 2^bits| <= 2, by their Taylor series."""
+    work = bits + _KERNEL_GUARD
+    ax = abs(x) << _KERNEL_GUARD
+    term = cos = 1 << work
+    sin, n = 0, 0
+    while term:
+        n += 1
+        term = (term * ax >> work) // n  # |x|^n / n!
+        if n % 2:
+            sin += term if n % 4 == 1 else -term
+        else:
+            cos += term if n % 4 == 0 else -term
+    return _drop_guard(cos), _drop_guard(sin if x >= 0 else -sin)
+
+
+def _turn(cos: int, sin: int, by_cos: int, by_sin: int, bits: int) -> tuple[int, int]:
+    """(cos, sin) of the sum of two angles, by angle addition."""
+    return (cos * by_cos - sin * by_sin) >> bits, (sin * by_cos + cos * by_sin) >> bits
+
+
+def _multiples(beta: int, count: int, bits: int) -> list[tuple[int, int]]:
+    """(cos, sin) of i * beta / 2^bits for i = 0..count, by the
+    angle-addition recurrence from one `_cos_sin`."""
+    step = _cos_sin(beta, bits)
+    out = [(1 << bits, 0)]
+    for _ in range(count):
+        out.append(_turn(*out[-1], *step, bits))
+    return out
+
+
+def _acos_near(c: int, phi: int, cos_phi: int, sin_phi: int, bits: int) -> int:
+    """The angle in (0, pi) whose cosine is c / 2^bits, in fixed point with
+    bits >= 64.
+
+    ``phi`` is a nearby angle with its cosine and sine.  The float acos
+    gives the first step from it; Newton's method on cos then refines it,
+    turning (cos_phi, sin_phi) by each step until the next one would be
+    below the last few bits."""
+    guess = math.acos(c / (1 << bits)) - phi / (1 << bits)
+    step = round(math.ldexp(guess, 64)) << (bits - 64)
+    for _ in range(_NEWTON_STEPS):
+        cos_phi, sin_phi = _turn(cos_phi, sin_phi, *_cos_sin(step, bits), bits)
+        phi += step
+        step = ((cos_phi - c) << bits) // sin_phi
+        if 2 * step.bit_length() + 8 < bits:
+            break
+    return phi + step
 
 
 #: Isolated roots per (k, d, epsilon), for the life of the process.  The
@@ -314,63 +401,73 @@ def isolate_roots(k: int, d: int, e: int, epsilon: int) -> list[RootRecord]:
 
 
 def _isolate(k: int, d: int, e: int, epsilon: int) -> tuple[RootRecord, ...]:
-    """The uncached isolation; ``e`` only names the triple in errors."""
+    """The uncached isolation; ``e`` only names the triple in errors.
+
+    The seeds, phi and alpha are computed in fixed point at `_seed_bits`
+    bits.  |eta| s^(1-d) is the rational a / q, so the case interval's ends
+    are the multiples of three base angles pi/d and pi/(d +- a/q)."""
     coeffs = _family_poly(k, d, epsilon)
+    bits = _seed_bits(k, d)
+    pi = _fixed_pi(bits)
+    two_s = _fixed_two_s(k, bits)
+    a, q = abs(epsilon), (k - 1) ** ((d - 1) // 2)
+    beta = pi // d
+    centre = _multiples(beta, d - 1, bits)                  # i pi / d
+    inner = _multiples(pi * q // (d * q + a), d - 1, bits)  # i pi / (d + a/q)
+    outer = _multiples(pi * q // (d * q - a), d - 1, bits)  # i pi / (d - a/q)
     records = []
-    with mpmath.mp.workprec(_SEED_BITS):
-        mp = mpmath.mp
-        two_s = 2 * mp.sqrt(k - 1)
-        s_pow = mp.power(k - 1, mp.mpf(-(d - 1)) / 2)
-        for i in range(1, d):
-            eta = epsilon if (d + i) % 2 == 0 else -epsilon
-            phi_lo, phi_hi = _phi_interval(mp, d, i, eta, s_pow)
-            theta_lo = -two_s * mp.cos(phi_lo)
-            theta_hi = -two_s * mp.cos(phi_hi)
-            # seed strictly inside the open interval; the root keeps a
-            # bounded fraction of the interval width on both sides
-            slop = (theta_hi - theta_lo) / (1 << 30)
-            width = float(theta_hi - theta_lo)
-            shift = max(64, 36 + int(-math.log2(width)) if width > 0 else 64)
-            lo = int(mp.ceil((theta_lo + slop) * (1 << shift)))
-            hi = int(mp.floor((theta_hi - slop) * (1 << shift)))
-            sign_lo = _sign_dyadic(coeffs, lo, shift)
-            sign_hi = _sign_dyadic(coeffs, hi, shift)
-            if sign_lo == 0:
-                hi = lo
-            elif sign_hi == 0:
-                lo = hi
-            elif sign_lo * sign_hi > 0:
-                raise BracketSeedError(
-                    f"seed interval for (k={k}, d={d}, e={e}, eps={epsilon}, i={i}) "
-                    "does not bracket a sign change"
-                )
-            else:
-                lo, hi, shift = _bisect(coeffs, lo, hi, shift, sign_lo, TARGET_BRACKET_BITS)
-            theta_mid = mp.mpf(lo + hi) / (1 << (shift + 1))
-            phi = mp.acos(-theta_mid / two_s)
-            alpha = i * mp.pi - d * phi
-            bound = abs(eta) * s_pow * min(phi, mp.pi - phi)
-            if eta > 0 and not (0 < alpha < bound):
-                raise BracketSeedError(
-                    f"alpha={float(alpha)} outside case bound (0, {float(bound)}) "
-                    f"for (k={k}, d={d}, e={e}, eps={epsilon}, i={i})"
-                )
-            if eta < 0 and not (-bound < alpha < 0):
-                raise BracketSeedError(
-                    f"alpha={float(alpha)} outside case bound ({-float(bound)}, 0) "
-                    f"for (k={k}, d={d}, e={e}, eps={epsilon}, i={i})"
-                )
-            records.append(
-                RootRecord(
-                    i=i,
-                    epsilon=epsilon,
-                    eta=eta,
-                    theta=float(theta_mid),
-                    phi=float(phi),
-                    alpha=float(alpha),
-                    bracket=(Fraction(lo, 1 << shift), Fraction(hi, 1 << shift)),
-                )
+    for i in range(1, d):
+        eta = epsilon if (d + i) % 2 == 0 else -epsilon
+        cos_lo, cos_hi = (inner[i][0], centre[i][0]) if eta > 0 else (centre[i][0], outer[i][0])
+        theta_lo = -(two_s * cos_lo) >> bits
+        theta_hi = -(two_s * cos_hi) >> bits
+        # seed strictly inside the open interval; the root keeps a
+        # bounded fraction of the interval width on both sides:
+        # lo = ceil((theta_lo + w/2^30) 2^shift), hi = floor((theta_hi - w/2^30) 2^shift)
+        span = theta_hi - theta_lo
+        width = span / (1 << bits)
+        shift = max(64, 36 + int(-math.log2(width)) if width > 0 else 64)
+        lo = -((-((theta_lo << 30) + span) << shift) >> (bits + 30))
+        hi = (((theta_hi << 30) - span) << shift) >> (bits + 30)
+        sign_lo = _sign_dyadic(coeffs, lo, shift)
+        sign_hi = _sign_dyadic(coeffs, hi, shift)
+        if sign_lo == 0:
+            hi = lo
+        elif sign_hi == 0:
+            lo = hi
+        elif sign_lo * sign_hi > 0:
+            raise BracketSeedError(
+                f"seed interval for (k={k}, d={d}, e={e}, eps={epsilon}, i={i}) "
+                "does not bracket a sign change"
             )
+        else:
+            lo, hi, shift = _bisect(coeffs, lo, hi, shift, sign_lo, TARGET_BRACKET_BITS)
+        # cos(phi) = -theta_mid / (2s) at the bracket's midpoint
+        cos_phi = (-(lo + hi) << 2 * bits) // (two_s << (shift + 1))
+        phi = _acos_near(cos_phi, i * beta, *centre[i], bits)
+        alpha = i * pi - d * phi
+        bound = a * min(phi, pi - phi) // q
+        if eta > 0 and not (0 < alpha < bound):
+            raise BracketSeedError(
+                f"alpha={alpha / (1 << bits)} outside case bound (0, {bound / (1 << bits)}) "
+                f"for (k={k}, d={d}, e={e}, eps={epsilon}, i={i})"
+            )
+        if eta < 0 and not (-bound < alpha < 0):
+            raise BracketSeedError(
+                f"alpha={alpha / (1 << bits)} outside case bound ({-bound / (1 << bits)}, 0) "
+                f"for (k={k}, d={d}, e={e}, eps={epsilon}, i={i})"
+            )
+        records.append(
+            RootRecord(
+                i=i,
+                epsilon=epsilon,
+                eta=eta,
+                theta=(lo + hi) / (1 << (shift + 1)),
+                phi=phi / (1 << bits),
+                alpha=alpha / (1 << bits),
+                bracket=(Fraction(lo, 1 << shift), Fraction(hi, 1 << shift)),
+            )
+        )
     records.sort(key=lambda r: r.bracket[0])
     if [r.i for r in records] != list(range(1, d)):
         raise BracketSeedError("isolated roots are not ascending in their index order")

@@ -118,6 +118,7 @@ class Graph:
 # graph6 ingestion
 
 _G6_HEADER = b">>graph6<<"
+_ASCII_SPACE = " \t\n\r\x0b\x0c"  # what bytes.strip() removes
 _G6_OUT_OF_RANGE = re.compile(rb"[^\x3f-\x7e]")
 _G6_NONZERO = re.compile(rb"[^?]")
 
@@ -125,17 +126,18 @@ _G6_NONZERO = re.compile(rb"[^?]")
 def parse_graph6(text: bytes | str) -> Graph:
     """Parse one graph in graph6 format (printable McKay encoding)."""
     if isinstance(text, str):
+        text = text.strip(_ASCII_SPACE).removeprefix(_G6_HEADER.decode())
         try:
             data = text.encode("latin-1")  # code points 0..255 are the bytes
         except UnicodeEncodeError as exc:
+            # the first byte out of range may come before the wide character
+            bad = _G6_OUT_OF_RANGE.search(text[: exc.start].encode("latin-1"))
+            pos = bad.start() if bad else exc.start
             raise Graph6ParseError(
-                f"character out of range at byte {exc.start}: {ord(text[exc.start])}"
+                f"character out of range at byte {pos}: {ord(text[pos])}"
             ) from None
     else:
-        data = bytes(text)
-    data = data.strip()
-    if data.startswith(_G6_HEADER):
-        data = data[len(_G6_HEADER):]
+        data = bytes(text).strip().removeprefix(_G6_HEADER)
     if not data:
         raise Graph6ParseError("malformed header: empty graph6 string")
     bad = _G6_OUT_OF_RANGE.search(data)

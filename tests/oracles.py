@@ -8,14 +8,21 @@ both are right.  None of them is used by the package itself.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence, Union
 
 import mpmath
 
 from cage_spectra import _intmat
-from cage_spectra.errors import ParameterDomainError
-from cage_spectra.feasibility import RootRecord
+from cage_spectra.errors import BracketSeedError, ParameterDomainError
+from cage_spectra.feasibility import (
+    TARGET_BRACKET_BITS,
+    RootRecord,
+    _bisect,
+    _family_poly,
+    _sign_dyadic,
+)
 from cage_spectra.intersection import build_bd
 from cage_spectra.intervals import RatInterval
 from cage_spectra.polynomials import dickson_family
@@ -98,3 +105,75 @@ def transcendental_residual(record: RootRecord, k: int, d: int) -> float:
         alpha = mp.mpf(record.alpha)
         value = mp.sin(alpha) - record.eta * s_pow * mp.sin((record.i * mp.pi - alpha) / d)
         return float(value)
+
+
+def isolate_mp(k: int, d: int, e: int, epsilon: int) -> tuple[RootRecord, ...]:
+    """Root isolation with the seeds, phi and alpha in `MP_BITS` of mpmath.
+
+    The route the package took before its seeds moved to integer fixed
+    point: the case interval's ends, -2s cos(phi) at each, the slop, the
+    seed's ceiling and floor, acos and alpha, all as mpmath floats.  The
+    exact parts (`_sign_dyadic`, `_bisect`) are the package's own, so the
+    package must return the same records and raise on the same keys."""
+    coeffs = _family_poly(k, d, epsilon)
+    records = []
+    with mpmath.mp.workprec(MP_BITS):
+        mp = mpmath.mp
+        two_s = 2 * mp.sqrt(k - 1)
+        s_pow = mp.power(k - 1, mp.mpf(-(d - 1)) / 2)
+        for i in range(1, d):
+            eta = epsilon if (d + i) % 2 == 0 else -epsilon
+            a = abs(eta)
+            if eta > 0:
+                phi_lo, phi_hi = i * mp.pi / (d + a * s_pow), i * mp.pi / d
+            else:
+                phi_lo, phi_hi = i * mp.pi / d, i * mp.pi / (d - a * s_pow)
+            theta_lo = -two_s * mp.cos(phi_lo)
+            theta_hi = -two_s * mp.cos(phi_hi)
+            slop = (theta_hi - theta_lo) / (1 << 30)
+            width = float(theta_hi - theta_lo)
+            shift = max(64, 36 + int(-math.log2(width)) if width > 0 else 64)
+            lo = int(mp.ceil((theta_lo + slop) * (1 << shift)))
+            hi = int(mp.floor((theta_hi - slop) * (1 << shift)))
+            sign_lo = _sign_dyadic(coeffs, lo, shift)
+            sign_hi = _sign_dyadic(coeffs, hi, shift)
+            if sign_lo == 0:
+                hi = lo
+            elif sign_hi == 0:
+                lo = hi
+            elif sign_lo * sign_hi > 0:
+                raise BracketSeedError(
+                    f"seed interval for (k={k}, d={d}, e={e}, eps={epsilon}, i={i}) "
+                    "does not bracket a sign change"
+                )
+            else:
+                lo, hi, shift = _bisect(coeffs, lo, hi, shift, sign_lo, TARGET_BRACKET_BITS)
+            theta_mid = mp.mpf(lo + hi) / (1 << (shift + 1))
+            phi = mp.acos(-theta_mid / two_s)
+            alpha = i * mp.pi - d * phi
+            bound = a * s_pow * min(phi, mp.pi - phi)
+            if eta > 0 and not (0 < alpha < bound):
+                raise BracketSeedError(
+                    f"alpha={float(alpha)} outside case bound (0, {float(bound)}) "
+                    f"for (k={k}, d={d}, e={e}, eps={epsilon}, i={i})"
+                )
+            if eta < 0 and not (-bound < alpha < 0):
+                raise BracketSeedError(
+                    f"alpha={float(alpha)} outside case bound ({-float(bound)}, 0) "
+                    f"for (k={k}, d={d}, e={e}, eps={epsilon}, i={i})"
+                )
+            records.append(
+                RootRecord(
+                    i=i,
+                    epsilon=epsilon,
+                    eta=eta,
+                    theta=float(theta_mid),
+                    phi=float(phi),
+                    alpha=float(alpha),
+                    bracket=(Fraction(lo, 1 << shift), Fraction(hi, 1 << shift)),
+                )
+            )
+    records.sort(key=lambda r: r.bracket[0])
+    if [r.i for r in records] != list(range(1, d)):
+        raise BracketSeedError("isolated roots are not ascending in their index order")
+    return tuple(records)

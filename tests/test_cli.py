@@ -181,6 +181,23 @@ def test_parser_is_not_built_at_import():
     assert done.stdout == "0\n"
 
 
+def test_scan_runs_without_mpmath():
+    """The scan's seeds are integer fixed point: a fresh interpreter that
+    runs a scan never imports mpmath."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = (
+        "import sys, cage_spectra.cli as c; "
+        "code = c.main(['scan', '--k', '4..6', '--d', '7', '--e', '2', '--format', 'csv']); "
+        "print(code, 'mpmath' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.splitlines()[-1] == "0 False"
+    assert done.stdout.startswith("k,d,e,n,verdict,")
+
+
 def test_missing_subcommand_usage_error():
     with pytest.raises(SystemExit) as info:
         main([])

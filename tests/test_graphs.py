@@ -127,8 +127,14 @@ def test_parse_graph6_errors():
     for text in ("B\xffw", b"B\xffw"):
         with pytest.raises(Graph6ParseError, match="^character out of range at byte 1: 255$"):
             parse_graph6(text)
-    with pytest.raises(Graph6ParseError, match="^character out of range at byte 1: 8364$"):
-        parse_graph6("B\u20acw")
+    # a str is indexed like the bytes it stands for: after whitespace and the
+    # header are stripped, and at the first out-of-range character
+    for text in ("B\u20acw", " B\u20acw", ">>graph6<<B\u20acw"):
+        with pytest.raises(Graph6ParseError, match="^character out of range at byte 1: 8364$"):
+            parse_graph6(text)
+    for text in (" B\xffw", " B\xff\u20acw", b" B\xffw"):
+        with pytest.raises(Graph6ParseError, match="^character out of range at byte 1: 255$"):
+            parse_graph6(text)
     with pytest.raises(Graph6ParseError, match="wrong length"):
         parse_graph6("C~~")
     with pytest.raises(Graph6ParseError, match="wrong length"):

@@ -1,13 +1,15 @@
 """The package's public surface and its third-party footprint.
 
 `__all__` is pinned name for name, so a name is added or removed on purpose;
-the names the package dropped must stay gone; mpmath serves only the
-root-isolation seeds and numpy only the eigenvalue cross-check; and no
-module reads the environment, so output depends on arguments alone.
+the names the package dropped must stay gone; numpy serves only the
+eigenvalue cross-check and no module imports mpmath (the tests' oracles
+use it); and no module reads the environment, so output depends on
+arguments alone.
 """
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,7 +94,7 @@ REMOVED = {
 }
 
 #: The one package module allowed to import each third-party library.
-THIRD_PARTY = {"mpmath": "feasibility", "numpy": "graphs"}
+THIRD_PARTY = {"numpy": "graphs"}
 
 
 def module_trees():
@@ -129,10 +131,12 @@ def test_precision_module_is_gone():
 
 
 def test_third_party_imports_stay_in_their_module():
-    users = {lib: [] for lib in THIRD_PARTY}
+    """Every import outside the standard library is listed in THIRD_PARTY
+    and made by its one module, so an mpmath import anywhere fails."""
+    users = {}
     for stem, tree in module_trees().items():
-        for lib in imported_roots(tree) & set(THIRD_PARTY):
-            users[lib].append(stem)
+        for lib in imported_roots(tree) - sys.stdlib_module_names - {"__future__"}:
+            users.setdefault(lib, []).append(stem)
     assert users == {lib: [stem] for lib, stem in THIRD_PARTY.items()}
 
 

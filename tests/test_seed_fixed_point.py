@@ -1,0 +1,168 @@
+"""Root-isolation seeds in integer fixed point against the mpmath route.
+
+`oracles.isolate_mp` is the isolation with 128-bit mpmath seeds.  The
+package's fixed-point route must return equal `RootRecord` tuples (every
+bracket, and theta, phi and alpha bit for bit) and raise `BracketSeedError`
+on the same keys.  The kernels it is built from are checked against mpmath
+at 32 bits above their own precision, each within a stated bound in units
+of the last place (ulp, 2^-bits).
+"""
+
+import mpmath
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cage_spectra import BracketSeedError
+from cage_spectra import feasibility
+from cage_spectra.feasibility import (
+    _acos_near,
+    _cos_sin,
+    _fixed_pi,
+    _fixed_two_s,
+    _multiples,
+    _seed_bits,
+)
+from oracles import isolate_mp
+
+
+def isolation_keys(triples):
+    """The distinct (k, d, epsilon) isolations of some triples, each with
+    the first e that asks for it."""
+    keys = {}
+    for k, d, e in triples:
+        for epsilon in (1, -e // 2):
+            keys.setdefault((k, d, epsilon), e)
+    return sorted((k, d, e, epsilon) for (k, d, epsilon), e in keys.items())
+
+
+#: The isolations of the benchmark's 153 paper-grid and 21 deep-girth triples.
+WORKLOAD_KEYS = isolation_keys(
+    [(k, d, e) for k in range(4, 21) for d in (7, 9, 11) for e in (2, 4, 6) if e <= k - 2]
+    + [(k, d, e) for k in (4, 8, 16, 32) for d in (15, 21, 27) for e in sorted({2, k - 2})]
+)
+
+
+def outcome(isolate, k, d, e, epsilon):
+    try:
+        return isolate(k, d, e, epsilon)
+    except BracketSeedError as exc:
+        return BracketSeedError, str(exc)
+
+
+def test_fixed_point_isolation_equals_mpmath_on_the_workload_keys():
+    """Exhaustive: records equal field for field (floats compare bit for
+    bit), and every failure carries the same message."""
+    assert len(WORKLOAD_KEYS) == 186 + 33
+    failures = []
+    for key in WORKLOAD_KEYS:
+        got, want = outcome(feasibility._isolate, *key), outcome(isolate_mp, *key)
+        assert got == want, key
+        if got[0] is BracketSeedError:
+            failures.append(key)
+    # the d = 27, k >= 16 isolations behind the benchmark's four failing triples
+    assert failures == [
+        (16, 27, 2, -1), (16, 27, 2, 1), (32, 27, 2, -1), (32, 27, 2, 1), (32, 27, 30, -15)
+    ]
+
+
+@st.composite
+def isolations(draw):
+    k = draw(st.integers(4, 40))
+    d = draw(st.sampled_from(range(3, 32, 2)))
+    e = 2 * draw(st.integers(1, (k - 2) // 2))
+    return k, d, e, draw(st.sampled_from((1, -e // 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(isolations())
+def test_fixed_point_isolation_equals_mpmath_on_a_sample(key):
+    """Records equal bit for bit, and both routes raise or neither does.
+    Where alpha lies below about 2^-60, 128-bit mpmath no longer has all
+    53 bits of it, so the digits a failure prints may differ."""
+    got, want = outcome(feasibility._isolate, *key), outcome(isolate_mp, *key)
+    if want[0] is BracketSeedError:
+        assert got[0] is BracketSeedError
+    else:
+        assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the kernels, against mpmath at bits + 32
+
+def reference(bits):
+    return mpmath.mp.workprec(bits + 32)
+
+
+def ulps(fixed, exact, bits):
+    return abs(fixed - exact * mpmath.mpf(2) ** bits)
+
+
+@given(st.integers(4, 200), st.sampled_from(range(3, 64, 2)))
+def test_seed_bits_sit_168_below_the_case_interval(k, d):
+    # s^(1-d) = (k-1)^(-(d-1)/2), and 2^(bits-168) is the least power of two
+    # at or above its reciprocal
+    bits = _seed_bits(k, d)
+    power = (k - 1) ** ((d - 1) // 2)
+    assert 1 << (bits - 169) < power <= 1 << (bits - 168)
+
+
+@given(st.integers(1, 1500))
+def test_fixed_pi_within_one_ulp(bits):
+    with reference(bits):
+        assert ulps(_fixed_pi(bits), mpmath.mp.pi, bits) < 1
+
+
+@given(st.integers(3, 10**6), st.integers(1, 1500))
+def test_fixed_two_s_within_two_ulp_below(k, bits):
+    with reference(bits):
+        exact = 2 * mpmath.sqrt(k - 1) * mpmath.mpf(2) ** bits
+        assert 0 <= exact - _fixed_two_s(k, bits) < 2
+
+
+@st.composite
+def fixed_angles(draw, reach=2):
+    bits = draw(st.integers(8, 600))
+    return draw(st.integers(-reach << bits, reach << bits)), bits
+
+
+@given(fixed_angles())
+def test_cos_sin_within_one_ulp(angle):
+    x, bits = angle
+    cos, sin = _cos_sin(x, bits)
+    with reference(bits):
+        t = mpmath.mpf(x) / mpmath.mpf(2) ** bits
+        assert ulps(cos, mpmath.cos(t), bits) < 1
+        assert ulps(sin, mpmath.sin(t), bits) < 1
+
+
+@given(st.integers(168, 600), st.sampled_from(range(3, 64, 2)), st.integers(500, 2000))
+def test_multiples_within_four_ulp_per_step(bits, d, per_mille):
+    """Each angle-addition step adds at most the 1-ulp errors of the step's
+    cos and sin plus two truncations: 4 ulp."""
+    beta = _fixed_pi(bits) * per_mille // (1000 * d)
+    with reference(bits):
+        for i, (cos, sin) in enumerate(_multiples(beta, d - 1, bits)):
+            t = i * mpmath.mpf(beta) / mpmath.mpf(2) ** bits
+            assert ulps(cos, mpmath.cos(t), bits) <= 4 * i
+            assert ulps(sin, mpmath.sin(t), bits) <= 4 * i
+
+
+@given(
+    st.integers(168, 600),
+    st.sampled_from(range(3, 64, 2)),
+    st.data(),
+    st.floats(-0.3, 0.3),
+)
+def test_acos_near_within_its_bound(bits, d, data, offset):
+    """phi to within 32 / sin(phi) ulp: the few Newton turns each leave a
+    few ulp in cos(phi), and dividing by sin(phi) turns cosine error into
+    angle error."""
+    i = data.draw(st.integers(1, d - 1))
+    near = _fixed_pi(bits) * i // d
+    with reference(bits):
+        one = mpmath.mpf(2) ** bits
+        target = (near / one) + mpmath.mpf(offset) / d
+        c = int(mpmath.floor(mpmath.cos(target) * one))
+        phi = _acos_near(c, near, *_cos_sin(near, bits), bits)
+        exact = mpmath.acos(c / one)
+        assert ulps(phi, exact, bits) * mpmath.sin(exact) <= 32
