@@ -1,11 +1,20 @@
 """Exact-arithmetic matrix helpers, all in Python integers.
 
-Graph-sized products never form the adjacency matrix A: a graph is given by
-its neighbour lists, and row u of A·X is the sum of the rows of X at u's
-neighbours, so A·X costs O(n²k) integer additions for a k-regular graph on
-n vertices instead of the O(n³) of a dense product.  Polynomials in A are
-evaluated by Horner's rule on the same kernel.  Every entry stays an
-arbitrary-precision integer, so every residual is exact.
+Graph-sized matrices never exist as n x n lists.  Row u of an integer matrix
+X is held as one Python int, its packed row
+
+    X[u][0] + X[u][1]·2^W + ... + X[u][n-1]·2^(W(n-1)),
+
+with W-bit signed fields (Kronecker substitution).  Packing is linear, so
+row u of A·X is the sum of the packed rows of X at u's neighbours: k big-int
+additions in C for a vertex of degree k (`packed_product`), and c·I adds
+``c << W·u`` to row u.  Every packed value is an exact integer whatever its
+fields hold; only reading fields back needs a bound.  A row whose entries all
+satisfy |x| < 2^(W-1) is 0 exactly when every entry is 0 (its lowest nonzero
+field is not a multiple of 2^W), and its entries decode field by field
+(`unpack`).  So with W set from an a-priori bound on the entries of a
+difference (`field_width`), comparing packed rows as integers is an exact
+proof, and only a nonzero row is ever decoded.
 
 The dense helpers (`matmul`, `eval_poly`, ...) serve the small intersection
 matrix B_D only.
@@ -13,53 +22,96 @@ matrix B_D only.
 
 from __future__ import annotations
 
-from operator import mul
 
-Matrix = list
-
-
-def adjacency_matmul(adjacency, x):
-    """A·X for the 0/1 adjacency matrix A given by ``adjacency`` (one
-    neighbour list per vertex): row u is the sum of the rows of X at u's
-    neighbours, a zero row for an isolated vertex."""
-    width = len(x[0]) if x else 0
-    return [
-        list(map(sum, zip(*[x[w] for w in nbrs]))) if nbrs else [0] * width
-        for nbrs in adjacency
-    ]
+def poly_bound(coefficients, k: int) -> int:
+    """Σ|c_i|·k^i: a bound on every entry of p(A) when each row of the 0/1
+    matrix A has at most k ones (then each entry of A^i is at most k^i)."""
+    return sum(abs(c) * k**i for i, c in enumerate(coefficients))
 
 
-def adjacency_eval_poly(coefficients, adjacency):
-    """p(A) for integer coefficients (constant term first) at the adjacency
-    matrix given by neighbour lists, by Horner's rule P <- A·P + c·I.
+def field_width(bound: int) -> int:
+    """The field width W, a whole number of bytes, with bound < 2^(W-1)."""
+    return 8 * (bound.bit_length() // 8 + 1)
+
+
+#: maps the ASCII digits of ``format(bits, "b")`` to the byte values 0 and 1
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def pack_bitsets(bitsets, n: int, width: int) -> list[int]:
+    """Packed rows of the 0/1 matrix with a 1 at (u, j) for each bit j of
+    ``bitsets[u]``: the binary digits of each bitset, most significant first,
+    become the low bytes of big-endian fields of ``width`` bits."""
+    digits = f"0{n}b"
+    size = width // 8
+    rows = []
+    for bits in bitsets:
+        if bits:
+            fields = bytearray(n * size)
+            fields[size - 1::size] = format(bits, digits).encode().translate(_BINARY_DIGITS)
+            bits = int.from_bytes(fields, "big")
+        rows.append(bits)
+    return rows
+
+
+def ones_row(n: int, width: int) -> int:
+    """The packed row of n ones."""
+    return int.from_bytes((bytes(width // 8 - 1) + b"\x01") * n, "big")
+
+
+def packed_product(adjacency, rows: list[int]) -> list[int]:
+    """Packed rows of A·X, for the 0/1 matrix A given by neighbour lists and
+    the packed rows of X: row u is the sum of the rows at u's neighbours."""
+    return [sum(map(rows.__getitem__, nbrs)) for nbrs in adjacency]
+
+
+def packed_eval_poly(coefficients, adjacency, width: int) -> list[int]:
+    """Packed rows of p(A) for integer coefficients (constant term first), by
+    Horner's rule P <- A·P + c·I.
 
     Multiplying on the left is exact because P is a polynomial in A and so
-    commutes with it.  The first step, top·I -> top·A + c·I, needs no product.
+    commutes with it.  The first step, top·I -> top·A + c·I, reads the
+    neighbour lists and needs no product.
     """
-    n = len(adjacency)
     # pad to degree >= 1; a zero top coefficient leaves p unchanged
     *lower, top = [*coefficients, 0, 0][: max(len(coefficients), 2)]
-    result = [[0] * n for _ in range(n)]
-    for row, nbrs in zip(result, adjacency):
+    size = width // 8
+    rows = []
+    for nbrs in adjacency:
+        fields = bytearray(len(adjacency) * size)
         for v in nbrs:
-            row[v] = top
+            fields[v * size] = 1
+        rows.append(top * int.from_bytes(fields, "little"))
     for step, c in enumerate(reversed(lower)):
         if step:
-            result = adjacency_matmul(adjacency, result)
+            rows = packed_product(adjacency, rows)
         if c:
-            for i, row in enumerate(result):
-                row[i] += c
-    return result
+            rows = [row + (c << width * u) for u, row in enumerate(rows)]
+    return rows
 
 
-def frobenius(a, b):
-    """Sum of the entrywise products of two equal-shape matrices; tr(X·Y)
-    when Y is symmetric."""
-    return sum(sum(map(mul, ra, rb)) for ra, rb in zip(a, b))
+def unpack(row: int, n: int, width: int) -> list[int]:
+    """The n signed fields of a packed row whose entries satisfy
+    |x| < 2^(W-1): adding 2^(W-1) to every field leaves no borrow."""
+    size = width // 8
+    half = 1 << (width - 1)
+    data = (row + half * ones_row(n, width)).to_bytes(n * size, "little")
+    return [int.from_bytes(data[j * size:(j + 1) * size], "little") - half for j in range(n)]
 
 
-def eye(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+def packed_max_abs(rows: list[int], n: int, width: int) -> int:
+    """max |entry| over packed rows (0 for none); only nonzero rows are
+    decoded."""
+    return max((max(map(abs, unpack(row, n, width))) for row in rows if row), default=0)
+
+
+def packed_trace(rows: list[int], width: int) -> int:
+    """The trace of a square matrix from its packed rows: field u of row u,
+    summed."""
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    bias = half * ones_row(len(rows), width)
+    return sum((((row + bias) >> width * u) & mask) - half for u, row in enumerate(rows))
 
 
 def matmul(a, b):
@@ -77,10 +129,6 @@ def matmul(a, b):
                 row[j] += x * row_b[j]
         out.append(row)
     return out
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def add_diag(a, c):

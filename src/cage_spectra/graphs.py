@@ -18,10 +18,14 @@ graph):
     F_d(A)  = k*A_d - A*A_{d+1}             (path-count identity)
     k*J     = (A + k*I)(H_{d-1}(A) + A_{d+1})   (all-ones factorization)
 
-Both are evaluated on neighbour lists (`_intmat.adjacency_matmul`), never on
-a dense A, so each costs O(n^2 k d) integer additions on a k-regular graph of
-order n.  The verifiers and `structural_check` accept the `GraphAnalysis` of
-their graph, so `verify` runs the BFS pass once per graph.
+Both are evaluated on packed rows (`_intmat`): each matrix row is one Python
+int with fixed-width signed fields, row u of A·X is the sum of the rows at
+u's k neighbours, A_d and A_{d+1} are packed straight from the level bitsets,
+and every row of J is one constant int.  The field width comes from an a-priori bound on the entries of
+lhs - rhs, so an identity holds exactly when every packed difference row is
+the integer 0; only a nonzero row is decoded, for the max |entry| residual.
+The verifiers and `structural_check` accept the `GraphAnalysis` of their
+graph, so `verify` runs the BFS pass once per graph.
 
 For excess 0 the matrix A_{d+1} is taken to be zero and both identities
 degrade gracefully, which lets the classical excess-0 graphs in the catalog
@@ -34,7 +38,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
+from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -190,10 +195,6 @@ def _parse_g6_order(data: bytes) -> tuple[int, bytes]:
 # ---------------------------------------------------------------------------
 # graph analysis: one bit-parallel BFS from every root at once
 
-#: maps the ASCII digits of ``format(bits, "b")`` to the byte values 0 and 1
-_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def _members(bits: int):
     """The positions of the set bits of ``bits``, lowest first."""
     while bits:
@@ -270,8 +271,9 @@ class GraphAnalysis:
 
     ``levels[i][v]`` is the bitset of the vertices at distance i from v, so
     the antipode counts and the clique-partition test read bitsets, and the
-    distance rows (``distances``) and the matrices A_i are built only when
-    asked for.  The order-0 graph counts as connected, with no diameter.
+    distance rows (``distances``) and the packed rows of the matrices A_i
+    are built only when asked for.  The order-0 graph counts as connected,
+    with no diameter.
     """
 
     __slots__ = ("graph", "levels", "girth", "bipartite", "connected", "diameter",
@@ -314,14 +316,10 @@ class GraphAnalysis:
             return self.levels[i]
         return [0] * self.graph.n
 
-    def distance_matrix(self, i: int) -> list[list[int]]:
-        """A_i, the 0/1 matrix of vertex pairs at distance i (zero beyond the
-        diameter)."""
-        width = f"0{self.graph.n}b"
-        return [
-            list(format(bits, width)[::-1].encode().translate(_BINARY_DIGITS))
-            for bits in self.level(i)
-        ]
+    def distance_matrix(self, i: int, width: int) -> list[int]:
+        """The packed rows, with ``width``-bit fields, of A_i, the 0/1 matrix of
+        vertex pairs at distance i (zero beyond the diameter)."""
+        return _intmat.pack_bitsets(self.level(i), self.graph.n, width)
 
 
 def _analysis_for(graph: Graph, analysis: GraphAnalysis | None) -> GraphAnalysis:
@@ -509,47 +507,54 @@ def verify_path_count_identity(
     Refuses when the graph is structurally inconsistent with (k, d, e); the
     identity itself is tested on whatever structurally consistent graph is
     supplied, regime notes notwithstanding.  For e = 0, A_{d+1} is the zero
-    matrix and its product with A is skipped.  Costs O(n^2 k d) integer
-    additions (see `_intmat`).
+    matrix and is neither built nor multiplied.  Costs at most d packed
+    products (see `_intmat`).
+
+    The graph is k-regular, so |F_d(A)| <= Σ|c_i| k^i entrywise and k*A_d and
+    A*A_{d+1} add at most k each: fields of that width hold every entry of
+    the difference, and it is zero exactly when each packed row is 0.
     """
     analysis = _require_structure(graph, k, d, e, analysis)
-    adjacency = graph.adjacency
-    lhs = _intmat.adjacency_eval_poly(dickson_family("F", k, d).coefficients, adjacency)
-    far = analysis.distance_matrix(d + 1)
-    # A·A_{d+1} vanishes with A_{d+1} (e = 0: the diameter is at most d)
-    walks = _intmat.adjacency_matmul(adjacency, far) if any(map(any, far)) else far
-    residual = max(
-        (
-            abs(f - k * a + w)
-            for f_row, a_row, w_row in zip(lhs, analysis.distance_matrix(d), walks)
-            for f, a, w in zip(f_row, a_row, w_row)
-        ),
-        default=0,
-    )
-    return IdentityCheck(name="path-count", n=graph.n, residual=residual)
+    n, adjacency = graph.n, graph.adjacency
+    coefficients = dickson_family("F", k, d).coefficients
+    width = _intmat.field_width(_intmat.poly_bound(coefficients, k) + 2 * k)
+    diff = [
+        f - k * a
+        for f, a in zip(
+            _intmat.packed_eval_poly(coefficients, adjacency, width),
+            analysis.distance_matrix(d, width),
+        )
+    ]
+    if any(analysis.level(d + 1)):  # A_{d+1} = 0 when the diameter is at most d (e = 0)
+        walks = _intmat.packed_product(adjacency, analysis.distance_matrix(d + 1, width))
+        diff = list(map(add, diff, walks))
+    residual = _intmat.packed_max_abs(diff, n, width)
+    return IdentityCheck(name="path-count", n=n, residual=residual)
 
 
 def verify_allones_identity(
     graph: Graph, k: int, d: int, e: int, *, analysis: GraphAnalysis | None = None
 ) -> IdentityCheck:
     """Exact residual of k*J = (A + k*I)(H_{d-1}(A) + A_{d+1}), with the
-    product taken as A·M + k·M."""
+    product taken as A·M + k·M on packed rows.
+
+    On a k-regular graph |M| <= Σ|c_i| k^i + 1 entrywise, so A·M + k·M - k·J
+    has entries of at most 2k(Σ|c_i| k^i + 1) + k: the field width that
+    makes the packed comparison exact.
+    """
     analysis = _require_structure(graph, k, d, e, analysis)
-    adjacency = graph.adjacency
-    inner = _intmat.adjacency_eval_poly(dickson_family("H", k, d - 1).coefficients, adjacency)
-    far = analysis.distance_matrix(d + 1)
-    if any(map(any, far)):  # A_{d+1} = 0 when the diameter is at most d (e = 0)
-        inner = _intmat.mat_add(inner, far)
-    walks = _intmat.adjacency_matmul(adjacency, inner)
-    residual = max(
-        (
-            abs(w + k * m - k)
-            for w_row, m_row in zip(walks, inner)
-            for w, m in zip(w_row, m_row)
-        ),
-        default=0,
-    )
-    return IdentityCheck(name="all-ones", n=graph.n, residual=residual)
+    n, adjacency = graph.n, graph.adjacency
+    coefficients = dickson_family("H", k, d - 1).coefficients
+    width = _intmat.field_width(2 * k * (_intmat.poly_bound(coefficients, k) + 1) + k)
+    inner = _intmat.packed_eval_poly(coefficients, adjacency, width)
+    if any(analysis.level(d + 1)):  # A_{d+1} = 0 when the diameter is at most d (e = 0)
+        inner = list(map(add, inner, analysis.distance_matrix(d + 1, width)))
+    all_k = k * _intmat.ones_row(n, width)
+    diff = [
+        w + k * m - all_k for w, m in zip(_intmat.packed_product(adjacency, inner), inner)
+    ]
+    residual = _intmat.packed_max_abs(diff, n, width)
+    return IdentityCheck(name="all-ones", n=n, residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +594,11 @@ def spectral_crosscheck(
     against {1, -e/2} (or {0} in the degenerate e = 0 case) for every
     eigenvalue other than one copy each of +k and -k."""
     _require_structure(graph, k, d, e, analysis)
-    eigenvalues = np.linalg.eigvalsh(np.array(graph.adjacency_matrix(), dtype=float))
+    n, degrees = graph.n, graph.degrees
+    a = np.zeros((n, n))
+    a[np.repeat(np.arange(n), degrees),
+      np.fromiter(chain.from_iterable(graph.adjacency), dtype=np.intp, count=sum(degrees))] = 1.0
+    eigenvalues = np.linalg.eigvalsh(a)
     order = np.argsort(np.abs(eigenvalues - k))
     drop = {int(order[0])}
     order = np.argsort(np.abs(eigenvalues + k))

@@ -93,9 +93,9 @@ def trace_identity_check(graph: Graph, k: int, d: int) -> TraceIdentityReport:
     """Verify the closed-walk counts of a k-regular bipartite graph of girth
     2d against the intersection-matrix oracle, exactly.
 
-    A is symmetric, so tr(A^q) = <A^m, A^(q-m)> (entrywise inner product)
-    with m = q // 2: powers up to A^d suffice, each one adjacency-list
-    product (`_intmat.adjacency_matmul`).
+    The powers A^q, q < 2d, are packed rows (`_intmat`), one packed product
+    each, and tr(A^q) is the sum of their diagonal fields.  Each entry of A^q
+    is at most k^q, which sets the field width.
     """
     analysis = GraphAnalysis(graph)
     problems = []
@@ -108,15 +108,14 @@ def trace_identity_check(graph: Graph, k: int, d: int) -> TraceIdentityReport:
     if problems:
         raise StructuralRefusal(f"trace identity preconditions failed: {', '.join(problems)}")
     walks_from_vertex = bd_moments(build_bd(k, d), 2 * d)
-    low = _intmat.eye(graph.n)  # A^m
-    high = graph.adjacency_matrix()  # A^(m+1)
+    width = _intmat.field_width(k ** (2 * d - 1))
+    power = analysis.distance_matrix(0, width)  # A^0 = I
     first_failure = None
     qs = tuple(range(2 * d))
     for q in qs:
-        if q >= 2 and q % 2 == 0:
-            low, high = high, _intmat.adjacency_matmul(graph.adjacency, high)
-        walks = _intmat.frobenius(low, high if q % 2 else low)
-        if walks != graph.n * walks_from_vertex[q]:
+        if q:
+            power = _intmat.packed_product(graph.adjacency, power)
+        if _intmat.packed_trace(power, width) != graph.n * walks_from_vertex[q]:
             first_failure = q
             break
     return TraceIdentityReport(n=graph.n, d=d, checked=qs, first_failure=first_failure)

@@ -2,14 +2,16 @@
 
 Each one reaches its value by another route than the engine does (`Fraction`
 interval arithmetic, synthetic polynomial division in binary64 or mpmath,
-the transcendental angular-defect equation), so agreement is evidence that
-both are right.  None of them is used by the package itself.
+the transcendental angular-defect equation, list-of-list matrices where the
+package packs each row into one int), so agreement is evidence that both are
+right.  None of them is used by the package itself.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence, Union
 
 import mpmath
@@ -177,3 +179,79 @@ def isolate_mp(k: int, d: int, e: int, epsilon: int) -> tuple[RootRecord, ...]:
     if [r.i for r in records] != list(range(1, d)):
         raise BracketSeedError("isolated roots are not ascending in their index order")
     return tuple(records)
+
+
+# ---------------------------------------------------------------------------
+# the list route for the graph identities: one Python int per matrix entry
+
+def adjacency_matmul(adjacency, x):
+    """A·X for the 0/1 adjacency matrix A given by ``adjacency`` (one
+    neighbour list per vertex): row u is the sum of the rows of X at u's
+    neighbours, a zero row for an isolated vertex."""
+    width = len(x[0]) if x else 0
+    return [
+        list(map(sum, zip(*[x[w] for w in nbrs]))) if nbrs else [0] * width
+        for nbrs in adjacency
+    ]
+
+
+def adjacency_eval_poly(coefficients, adjacency):
+    """p(A) for integer coefficients (constant term first), by Horner's rule
+    P <- A·P + c·I on lists."""
+    n = len(adjacency)
+    result = [[0] * n for _ in range(n)]
+    for c in reversed(coefficients):
+        result = adjacency_matmul(adjacency, result)
+        for i, row in enumerate(result):
+            row[i] += c
+    return result
+
+
+def distance_matrix(analysis, i):
+    """A_i as a list of 0/1 rows, read from the analysis's distance rows."""
+    return [[int(x == i) for x in row] for row in analysis.distances]
+
+
+def path_count_residual(graph, analysis, k, d, coefficients):
+    """max |F_d(A) - k*A_d + A*A_{d+1}| on lists, for the coefficients of F_d."""
+    lhs = adjacency_eval_poly(coefficients, graph.adjacency)
+    walks = adjacency_matmul(graph.adjacency, distance_matrix(analysis, d + 1))
+    return max(
+        (
+            abs(f - k * a + w)
+            for f_row, a_row, w_row in zip(lhs, distance_matrix(analysis, d), walks)
+            for f, a, w in zip(f_row, a_row, w_row)
+        ),
+        default=0,
+    )
+
+
+def allones_residual(graph, analysis, k, d, coefficients):
+    """max |(A + k*I)(H_{d-1}(A) + A_{d+1}) - k*J| on lists, for the
+    coefficients of H_{d-1}."""
+    inner = [
+        [h + a for h, a in zip(h_row, a_row)]
+        for h_row, a_row in zip(
+            adjacency_eval_poly(coefficients, graph.adjacency), distance_matrix(analysis, d + 1)
+        )
+    ]
+    walks = adjacency_matmul(graph.adjacency, inner)
+    return max(
+        (abs(w + k * m - k) for w_row, m_row in zip(walks, inner) for w, m in zip(w_row, m_row)),
+        default=0,
+    )
+
+
+def power_traces(adjacency, count):
+    """tr(A^q) for q = 0..count-1: tr(A^q) = <A^m, A^(q-m)> entrywise with
+    m = q // 2, because A is symmetric."""
+    n = len(adjacency)
+    low = [[int(i == j) for j in range(n)] for i in range(n)]  # A^m
+    high = adjacency_matmul(adjacency, low)  # A^(m+1)
+    traces = []
+    for q in range(count):
+        if q >= 2 and q % 2 == 0:
+            low, high = high, adjacency_matmul(adjacency, high)
+        other = high if q % 2 else low
+        traces.append(sum(sum(map(mul, ra, rb)) for ra, rb in zip(low, other)))
+    return traces

@@ -1,6 +1,6 @@
 """Property tests: the bit-parallel graph analysis against networkx and
-against row-based references, and the adjacency-list kernels against the
-dense reference products."""
+against row-based references, and the packed-row kernels against the dense
+reference products and the list route of `oracles`."""
 
 import math
 
@@ -16,6 +16,7 @@ from cage_spectra.graphs import (
     _is_clique_partition,
     structural_check,
 )
+from oracles import adjacency_eval_poly, adjacency_matmul
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -133,7 +134,9 @@ def test_analysis_beyond_one_machine_word(graph):
             row.count(far) for row in rows
         ]
         assert _is_clique_partition(bitset_cells(analysis, far)) == row_clique_partition(rows, far)
-        assert analysis.distance_matrix(far) == [[int(x == far) for x in row] for row in rows]
+        assert [_intmat.unpack(row, graph.n, 8) for row in analysis.distance_matrix(far, 8)] == [
+            [int(x == far) for x in row] for row in rows
+        ]
 
 
 def test_analysis_forest_and_null_graph():
@@ -142,23 +145,73 @@ def test_analysis_forest_and_null_graph():
     assert (null.distances, null.girth, null.connected, null.diameter) == ([], math.inf, True, None)
 
 
+#: entries up to 2^80 in size, so fields run past one machine word
+ENTRIES = st.one_of(st.integers(-20, 20), st.integers(-(2**80), 2**80))
+
+
+def pack(rows, width):
+    return [sum(x << width * j for j, x in enumerate(row)) for row in rows]
+
+
+def unpack(rows, n, width):
+    return [_intmat.unpack(row, n, width) for row in rows]
+
+
 @SETTINGS
 @given(random_graphs(), st.data())
 def test_adjacency_matmul_matches_dense(graph, data):
-    width = data.draw(st.integers(1, 4))
-    x = [data.draw(st.lists(st.integers(-9, 9), min_size=width, max_size=width))
-         for _ in range(graph.n)]
-    assert _intmat.adjacency_matmul(graph.adjacency, x) == (
-        _intmat.matmul(graph.adjacency_matrix(), x) if graph.n else []
+    n = graph.n
+    x = [data.draw(st.lists(ENTRIES, min_size=n, max_size=n)) for _ in range(n)]
+    expected = adjacency_matmul(graph.adjacency, x)
+    assert expected == (_intmat.matmul(graph.adjacency_matrix(), x) if n else [])
+    bound = max(graph.degrees, default=0) * max((abs(v) for row in x for v in row), default=0)
+    width = _intmat.field_width(bound)
+    product = _intmat.packed_product(graph.adjacency, pack(x, width))
+    assert unpack(product, n, width) == expected
+    assert _intmat.packed_max_abs(product, n, width) == max(
+        (abs(v) for row in expected for v in row), default=0
+    )
+    assert _intmat.packed_trace(product, width) == sum(expected[i][i] for i in range(n))
+
+
+@SETTINGS
+@given(random_graphs(), st.lists(ENTRIES, max_size=5))
+def test_adjacency_eval_poly_matches_dense(graph, coefficients):
+    n = graph.n
+    expected = adjacency_eval_poly(coefficients, graph.adjacency)
+    # the dense reference needs at least one row
+    assert expected == (_intmat.eval_poly(coefficients, graph.adjacency_matrix()) if n else [])
+    width = _intmat.field_width(_intmat.poly_bound(coefficients, max(graph.degrees, default=0)))
+    packed = _intmat.packed_eval_poly(coefficients, graph.adjacency, width)
+    assert unpack(packed, n, width) == expected
+    assert _intmat.packed_max_abs(packed, n, width) == max(
+        (abs(v) for row in expected for v in row), default=0
     )
 
 
 @SETTINGS
-@given(random_graphs(), st.lists(st.integers(-20, 20), max_size=5))
-def test_adjacency_eval_poly_matches_dense(graph, coefficients):
-    # the dense reference needs at least one row
-    expected = _intmat.eval_poly(coefficients, graph.adjacency_matrix()) if graph.n else []
-    assert _intmat.adjacency_eval_poly(coefficients, graph.adjacency) == expected
+@given(st.one_of(random_graphs(), cycle_unions()), st.integers(0, 4), st.sampled_from([8, 72]))
+def test_pack_bitsets_matches_the_distance_rows(graph, far, width):
+    analysis = GraphAnalysis(graph)
+    packed = _intmat.pack_bitsets(analysis.level(far), graph.n, width)
+    assert unpack(packed, graph.n, width) == [
+        [int(x == far) for x in row] for row in analysis.distances
+    ]
+    assert _intmat.ones_row(graph.n, width) == sum(pack([[1] * graph.n], width))
+
+
+def test_packed_kernels_on_the_null_graph():
+    # format(0, "00b") is "0", not "": no bitset of the order-0 graph is formatted
+    assert _intmat.pack_bitsets([], 0, 8) == []
+    assert _intmat.packed_eval_poly([1, -2, 3], [], 8) == []
+    assert _intmat.packed_product([], []) == []
+    assert (_intmat.packed_max_abs([], 0, 8), _intmat.packed_trace([], 8)) == (0, 0)
+    assert (_intmat.ones_row(0, 8), _intmat.unpack(0, 0, 8)) == (0, [])
+
+
+def test_field_width_holds_the_bound():
+    assert [_intmat.field_width(b) for b in (0, 127, 128, 2**63 - 1, 2**63)] == [8, 8, 16, 64, 72]
+    assert _intmat.unpack(pack([[-127, 127, 0, -1]], 8)[0], 4, 8) == [-127, 127, 0, -1]
 
 
 @SETTINGS

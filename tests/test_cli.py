@@ -282,7 +282,7 @@ def test_verify_structural_failure_skips_identity_kernels(monkeypatch, capsys):
 
     monkeypatch.setattr(graphs.GraphAnalysis, "distances", property(never))
     monkeypatch.setattr(graphs.GraphAnalysis, "distance_matrix", never)
-    for kernel in ("adjacency_matmul", "adjacency_eval_poly", "mat_add"):
+    for kernel in ("pack_bitsets", "packed_eval_poly", "packed_product"):
         monkeypatch.setattr(_intmat, kernel, never)
     code, out, _ = run(capsys, "verify", "catalog:heawood", "--k", "3", "--d", "3", "--e", "2")
     assert code == 1 and "FAIL" in out

@@ -33,6 +33,11 @@ def complete(n):
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def distance_matrix(analysis, i):
+    """A_i as lists, decoded from the analysis's packed rows."""
+    return [_intmat.unpack(row, analysis.graph.n, 8) for row in analysis.distance_matrix(i, 8)]
+
+
 # ---------------------------------------------------------------------------
 # Moore bound
 
@@ -180,13 +185,13 @@ def test_girth_small_graphs(heawood):
 def test_distance_matrices_path2():
     analysis = GraphAnalysis(Graph.from_edges(2, [(0, 1)]))
     assert analysis.diameter == 1
-    assert analysis.distance_matrix(0) == [[1, 0], [0, 1]]
-    assert analysis.distance_matrix(1) == [[0, 1], [1, 0]]
+    assert distance_matrix(analysis, 0) == [[1, 0], [0, 1]]
+    assert distance_matrix(analysis, 1) == [[0, 1], [1, 0]]
 
 
 def test_distance_matrices_c4_antipodes():
     analysis = GraphAnalysis(cycle(4))
-    assert analysis.distance_matrix(2) == [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
+    assert distance_matrix(analysis, 2) == [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
 
 
 def test_distance_matrices_heawood_oracle(heawood):
@@ -194,15 +199,15 @@ def test_distance_matrices_heawood_oracle(heawood):
 
     analysis = GraphAnalysis(heawood)
     assert analysis.diameter == 3
-    assert {sum(row) for row in analysis.distance_matrix(3)} == {4}
+    assert {sum(row) for row in distance_matrix(analysis, 3)} == {4}
     # every row partitions the other 13 vertices
     for u in range(heawood.n):
-        assert sum(sum(analysis.distance_matrix(i)[u]) for i in range(1, 4)) == heawood.n - 1
+        assert sum(sum(distance_matrix(analysis, i)[u]) for i in range(1, 4)) == heawood.n - 1
     # full cross-check against networkx BFS
     G = nx.Graph([(u, v) for u in range(heawood.n) for v in heawood.adjacency[u]])
     lengths = dict(nx.all_pairs_shortest_path_length(G))
     for i in range(4):
-        mat = analysis.distance_matrix(i)
+        mat = distance_matrix(analysis, i)
         for u in range(14):
             for v in range(14):
                 assert mat[u][v] == (1 if lengths[u][v] == i else 0)
@@ -214,7 +219,7 @@ def test_distance_matrices_partition_and_symmetry(name):
     analysis = GraphAnalysis(graph)
     total = [[0] * graph.n for _ in range(graph.n)]
     for i in range(analysis.diameter + 1):
-        mat = analysis.distance_matrix(i)
+        mat = distance_matrix(analysis, i)
         assert mat == [list(col) for col in zip(*mat)]  # symmetric
         for u in range(graph.n):
             for v in range(graph.n):
@@ -295,21 +300,24 @@ def test_identities_moebius_kantor_conditional(moebius_kantor):
 
 def test_identities_skip_the_zero_distance_matrix(heawood, monkeypatch):
     # e = 0: A_{d+1} = 0, so neither A·A_{d+1} nor H_{d-1}(A) + A_{d+1} is formed
-    nonzero = []
-    product = _intmat.adjacency_matmul
+    nonzero, packed = [], []
+    product = _intmat.packed_product
+    pack = GraphAnalysis.distance_matrix
 
-    def recording(adjacency, x):
-        nonzero.append(any(map(any, x)))
-        return product(adjacency, x)
+    def recording(adjacency, rows):
+        nonzero.append(any(rows))
+        return product(adjacency, rows)
 
-    def never(*args):
-        raise AssertionError("the zero matrix A_{d+1} was added")
+    def packing(analysis, i, width):
+        packed.append(i)
+        return pack(analysis, i, width)
 
-    monkeypatch.setattr(_intmat, "adjacency_matmul", recording)
-    monkeypatch.setattr(_intmat, "mat_add", never)
+    monkeypatch.setattr(_intmat, "packed_product", recording)
+    monkeypatch.setattr(GraphAnalysis, "distance_matrix", packing)
     assert verify_path_count_identity(heawood, 3, 3, 0).residual == 0
     assert verify_allones_identity(heawood, 3, 3, 0).residual == 0
     assert nonzero and all(nonzero)
+    assert packed == [3]  # A_d for the path-count identity; the zero A_{d+1} never
 
 
 def test_identity_refusal():

@@ -47,7 +47,7 @@ def test_build_bd_domain():
 @pytest.mark.parametrize("k,D", [(3, 3), (4, 5), (7, 9)])
 def test_bd_moments_match_dense_powers(k, D):
     b = build_bd(k, D)
-    power, expected = _intmat.eye(D + 1), []
+    power, expected = [[int(i == j) for j in range(D + 1)] for i in range(D + 1)], []
     for _ in range(3 * D):
         expected.append(power[0][0])
         power = _intmat.matmul(power, b.rows())

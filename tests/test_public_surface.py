@@ -83,12 +83,17 @@ REMOVED = {
     "DistanceMatrixSet": "graphs",
     "ExactRational": "polynomials",
     "MultiplicitySet": "feasibility",
+    "adjacency_eval_poly": "_intmat",
+    "adjacency_matmul": "_intmat",
     "all_distances": "graphs",
     "bd_entry00": "intersection",
     "distance_matrices": "graphs",
     "eval_rational": "polynomials",
+    "eye": "_intmat",
+    "frobenius": "_intmat",
     "is_bipartite": "graphs",
     "ld_entry00": "intersection",
+    "mat_add": "_intmat",
     "poly_enclosure": "intervals",
     "transcendental_residual": "feasibility",
 }
