@@ -67,24 +67,15 @@ def packed_product(adjacency, rows: list[int]) -> list[int]:
 
 def packed_eval_poly(coefficients, adjacency, width: int) -> list[int]:
     """Packed rows of p(A) for integer coefficients (constant term first), by
-    Horner's rule P <- A·P + c·I.
+    Horner's rule P <- A·P + c·I from P = top·I.
 
     Multiplying on the left is exact because P is a polynomial in A and so
-    commutes with it.  The first step, top·I -> top·A + c·I, reads the
-    neighbour lists and needs no product.
+    commutes with it.
     """
-    # pad to degree >= 1; a zero top coefficient leaves p unchanged
-    *lower, top = [*coefficients, 0, 0][: max(len(coefficients), 2)]
-    size = width // 8
-    rows = []
-    for nbrs in adjacency:
-        fields = bytearray(len(adjacency) * size)
-        for v in nbrs:
-            fields[v * size] = 1
-        rows.append(top * int.from_bytes(fields, "little"))
-    for step, c in enumerate(reversed(lower)):
-        if step:
-            rows = packed_product(adjacency, rows)
+    *lower, top = coefficients or (0,)
+    rows = [top << width * u for u in range(len(adjacency))]
+    for c in reversed(lower):
+        rows = packed_product(adjacency, rows)
         if c:
             rows = [row + (c << width * u) for u, row in enumerate(rows)]
     return rows

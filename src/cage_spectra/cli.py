@@ -40,7 +40,6 @@ from .feasibility import (
     spectral_feasibility,
 )
 from .graphs import (
-    GraphAnalysis,
     catalog,
     catalog_entry,
     catalog_names,
@@ -279,8 +278,7 @@ def _load_targets(target: str):
 
 
 def _verify_one(name, graph, k, d, e) -> dict:
-    analysis = GraphAnalysis(graph)
-    verdict = structural_check(graph, k, d, e, analysis=analysis)
+    verdict = structural_check(graph, k, d, e)
     result = {
         "graph": name,
         "n": graph.n,
@@ -303,9 +301,9 @@ def _verify_one(name, graph, k, d, e) -> dict:
     }
     if not verdict.structure_ok:
         return result
-    path_id = verify_path_count_identity(graph, k, d, e, analysis=analysis)
-    allones = verify_allones_identity(graph, k, d, e, analysis=analysis)
-    cross = spectral_crosscheck(graph, k, d, e, analysis=analysis)
+    path_id = verify_path_count_identity(graph, k, d, e)
+    allones = verify_allones_identity(graph, k, d, e)
+    cross = spectral_crosscheck(graph, k, d, e)
     result["path_count_residual"] = path_id.residual
     result["allones_residual"] = allones.residual
     result["crosscheck_max_deviation"] = cross.max_deviation

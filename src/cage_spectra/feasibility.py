@@ -814,10 +814,6 @@ def gap_check(k: int, d: int, e: int) -> GapVerdict:
         )
     mu2 = isolate_roots(k, d, e, 1)[1]
     lam2 = isolate_roots(k, d, e, -e // 2)[1]
-    return _gap_from_records(k, d, e, mu2, lam2)
-
-
-def _gap_from_records(k, d, e, mu2: RootRecord, lam2: RootRecord) -> GapVerdict:
     lam_sq = RatInterval(*lam2.bracket).square()
     mu_sq = RatInterval(*mu2.bracket).square()
     gap = lam_sq - mu_sq
@@ -934,11 +930,7 @@ def spectral_feasibility(k: int, d: int, e: int) -> FeasibilityReport:
     sum_ok = abs(total - (n - 2)) <= 1e-6 * n
     moments = _moment_check(k, d, e, n, assessments)
 
-    gap = None
-    if d >= _GAP_MIN_D:
-        mu2 = next(r for r in roots if r.epsilon == 1 and r.i == 2)
-        lam2 = next(r for r in roots if r.epsilon == -e // 2 and r.i == 2)
-        gap = _gap_from_records(k, d, e, mu2, lam2)
+    gap = gap_check(k, d, e) if d >= _GAP_MIN_D else None
 
     if gap is not None and gap.excluded:
         verdict = VERDICT_GAP

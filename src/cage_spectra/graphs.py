@@ -24,8 +24,9 @@ u's k neighbours, A_d and A_{d+1} are packed straight from the level bitsets,
 and every row of J is one constant int.  The field width comes from an a-priori bound on the entries of
 lhs - rhs, so an identity holds exactly when every packed difference row is
 the integer 0; only a nonzero row is decoded, for the max |entry| residual.
-The verifiers and `structural_check` accept the `GraphAnalysis` of their
-graph, so `verify` runs the BFS pass once per graph.
+Every check reads the graph's own `GraphAnalysis` (`Graph.analysis`, built
+on first use), so `verify` and the trace oracle run the BFS pass once per
+graph.
 
 For excess 0 the matrix A_{d+1} is taken to be zero and both identities
 degrade gracefully, which lets the classical excess-0 graphs in the catalog
@@ -67,9 +68,13 @@ def moore_bound(k: int, g: int) -> int:
 
 
 class Graph:
-    """Undirected simple graph on vertices 0..n-1 with sorted adjacency lists."""
+    """Undirected simple graph on vertices 0..n-1 with sorted adjacency lists.
 
-    __slots__ = ("n", "adjacency")
+    ``analysis`` is the graph's `GraphAnalysis`, built on first access and
+    kept; the adjacency is a tuple of tuples, so it never goes stale.
+    """
+
+    __slots__ = ("n", "adjacency", "_analysis")
 
     def __init__(self, n: int, adjacency: Sequence[Iterable[int]]):
         if len(adjacency) != n:
@@ -85,14 +90,25 @@ class Graph:
                     raise ValueError(f"asymmetric adjacency: {u} -> {v}")
         self.n = n
         self.adjacency = adj
+        self._analysis: GraphAnalysis | None = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         adj = [[] for _ in range(n)]
         for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
+            try:
+                adj[u].append(v)
+                adj[v].append(u)
+            except IndexError:
+                bad = v if 0 <= u < n else u
+                raise ValueError(f"vertex {bad} out of range in edge ({u}, {v})") from None
         return cls(n, adj)
+
+    @property
+    def analysis(self) -> GraphAnalysis:
+        if self._analysis is None:
+            self._analysis = GraphAnalysis(self)
+        return self._analysis
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -101,13 +117,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(self.degrees) // 2
-
-    def adjacency_matrix(self) -> list[list[int]]:
-        m = [[0] * self.n for _ in range(self.n)]
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                m[u][v] = 1
-        return m
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.adjacency == other.adjacency
@@ -265,74 +274,45 @@ def _all_roots_bfs(adjacency) -> tuple[list[list[int]], int | float, bool, bool]
 
 
 class GraphAnalysis:
-    """Everything `verify` needs from breadth-first search, from one
+    """Everything the checks need from breadth-first search, from one
     bit-parallel pass over all roots (`_all_roots_bfs`): the level bitsets,
-    the girth, bipartiteness, connectivity and the diameter.
+    the girth, bipartiteness, connectivity and the diameter, plus the
+    structural verdicts already computed for the graph (`structural_check`).
 
     ``levels[i][v]`` is the bitset of the vertices at distance i from v, so
     the antipode counts and the clique-partition test read bitsets, and the
-    distance rows (``distances``) and the packed rows of the matrices A_i
-    are built only when asked for.  The order-0 graph counts as connected,
-    with no diameter.
+    packed rows of the matrices A_i are built only when asked for.  The
+    analysis keeps the order n, not its graph, so the two form no reference
+    cycle.  The order-0 graph counts as connected, with no diameter.
     """
 
-    __slots__ = ("graph", "levels", "girth", "bipartite", "connected", "diameter",
-                 "_distances", "_verdicts")
+    __slots__ = ("n", "levels", "girth", "bipartite", "connected", "diameter", "_verdicts")
 
     def __init__(self, graph: Graph):
-        self.graph = graph
+        self.n = graph.n
         self._verdicts: dict[tuple[int, int, int], StructuralVerdict] = {}
-        self._distances: list[list[int]] | None = None
         self.levels, self.girth, self.bipartite, self.connected = _all_roots_bfs(
             graph.adjacency
         )
         self.diameter: int | None = len(self.levels) - 1 if self.connected and graph.n else None
-
-    @property
-    def distances(self) -> list[list[int]]:
-        """Distance rows from every vertex, -1 where unreachable; built from
-        the level bitsets on first use."""
-        if self._distances is None:
-            n = self.graph.n
-            rows = [[-1] * n for _ in range(n)]
-            for i, level in enumerate(self.levels):
-                for row, bits in zip(rows, level):
-                    for u in _members(bits):
-                        row[u] = i
-            self._distances = rows
-        return self._distances
-
-    def verdict(self, k: int, d: int, e: int) -> StructuralVerdict:
-        """The structural verdict for (k, d, e), computed once per triple."""
-        verdict = self._verdicts.get((k, d, e))
-        if verdict is None:
-            verdict = self._verdicts[k, d, e] = _verdict(self, k, d, e)
-        return verdict
 
     def level(self, i: int) -> list[int]:
         """The bitsets of the vertices at distance i from each vertex (all
         empty beyond the eccentricities)."""
         if 0 <= i < len(self.levels):
             return self.levels[i]
-        return [0] * self.graph.n
+        return [0] * self.n
 
     def distance_matrix(self, i: int, width: int) -> list[int]:
         """The packed rows, with ``width``-bit fields, of A_i, the 0/1 matrix of
         vertex pairs at distance i (zero beyond the diameter)."""
-        return _intmat.pack_bitsets(self.level(i), self.graph.n, width)
-
-
-def _analysis_for(graph: Graph, analysis: GraphAnalysis | None) -> GraphAnalysis:
-    if analysis is None:
-        return GraphAnalysis(graph)
-    if analysis.graph != graph:
-        raise ValueError("the analysis passed is of another graph")
-    return analysis
+        return _intmat.pack_bitsets(self.level(i), self.n, width)
 
 
 def girth(graph: Graph) -> int | float:
-    """Length of a shortest cycle via BFS from every vertex; inf for forests."""
-    return GraphAnalysis(graph).girth
+    """Length of a shortest cycle, read from the graph's all-roots BFS pass
+    (`Graph.analysis`); inf for forests."""
+    return graph.analysis.girth
 
 
 # ---------------------------------------------------------------------------
@@ -382,21 +362,23 @@ class StructuralVerdict:
         return tuple(f for f in self.failures if f in REGIME_CONDITIONS)
 
 
-def structural_check(
-    graph: Graph, k: int, d: int, e: int, *, analysis: GraphAnalysis | None = None
-) -> StructuralVerdict:
+def structural_check(graph: Graph, k: int, d: int, e: int) -> StructuralVerdict:
     """Check, in order: regularity, bipartiteness, girth 2d, order M(k,2d)+e,
     diameter (d+1 for e > 0, d for e = 0), uniform count of e/2 vertices at
     distance d+1, and the clique partition of the distance-(d+1) relation.
 
-    Violations are recorded, not raised.  A precomputed ``analysis`` of the
-    same graph is used instead of a new one.
+    Violations are recorded, not raised.  The verdict is computed once per
+    triple and kept on the graph's analysis.
     """
-    return _analysis_for(graph, analysis).verdict(k, d, e)
+    verdicts = graph.analysis._verdicts
+    verdict = verdicts.get((k, d, e))
+    if verdict is None:
+        verdict = verdicts[k, d, e] = _verdict(graph, k, d, e)
+    return verdict
 
 
-def _verdict(analysis: GraphAnalysis, k: int, d: int, e: int) -> StructuralVerdict:
-    graph = analysis.graph
+def _verdict(graph: Graph, k: int, d: int, e: int) -> StructuralVerdict:
+    analysis = graph.analysis
     failures: list[str] = []
     if d < 3:
         failures.append("half-girth-range")
@@ -487,21 +469,16 @@ class IdentityCheck:
         return self.residual == 0
 
 
-def _require_structure(
-    graph: Graph, k: int, d: int, e: int, analysis: GraphAnalysis | None
-) -> GraphAnalysis:
-    analysis = _analysis_for(graph, analysis)
-    verdict = analysis.verdict(k, d, e)
+def _require_structure(graph: Graph, k: int, d: int, e: int) -> GraphAnalysis:
+    verdict = structural_check(graph, k, d, e)
     if not verdict.structure_ok:
         raise StructuralRefusal(
             f"structural check failed: {', '.join(verdict.failures)}", verdict=verdict
         )
-    return analysis
+    return graph.analysis
 
 
-def verify_path_count_identity(
-    graph: Graph, k: int, d: int, e: int, *, analysis: GraphAnalysis | None = None
-) -> IdentityCheck:
+def verify_path_count_identity(graph: Graph, k: int, d: int, e: int) -> IdentityCheck:
     """Exact residual of F_d(A) = k*A_d - A*A_{d+1}.
 
     Refuses when the graph is structurally inconsistent with (k, d, e); the
@@ -514,7 +491,7 @@ def verify_path_count_identity(
     A*A_{d+1} add at most k each: fields of that width hold every entry of
     the difference, and it is zero exactly when each packed row is 0.
     """
-    analysis = _require_structure(graph, k, d, e, analysis)
+    analysis = _require_structure(graph, k, d, e)
     n, adjacency = graph.n, graph.adjacency
     coefficients = dickson_family("F", k, d).coefficients
     width = _intmat.field_width(_intmat.poly_bound(coefficients, k) + 2 * k)
@@ -532,9 +509,7 @@ def verify_path_count_identity(
     return IdentityCheck(name="path-count", n=n, residual=residual)
 
 
-def verify_allones_identity(
-    graph: Graph, k: int, d: int, e: int, *, analysis: GraphAnalysis | None = None
-) -> IdentityCheck:
+def verify_allones_identity(graph: Graph, k: int, d: int, e: int) -> IdentityCheck:
     """Exact residual of k*J = (A + k*I)(H_{d-1}(A) + A_{d+1}), with the
     product taken as A·M + k·M on packed rows.
 
@@ -542,7 +517,7 @@ def verify_allones_identity(
     has entries of at most 2k(Σ|c_i| k^i + 1) + k: the field width that
     makes the packed comparison exact.
     """
-    analysis = _require_structure(graph, k, d, e, analysis)
+    analysis = _require_structure(graph, k, d, e)
     n, adjacency = graph.n, graph.adjacency
     coefficients = dickson_family("H", k, d - 1).coefficients
     width = _intmat.field_width(2 * k * (_intmat.poly_bound(coefficients, k) + 1) + k)
@@ -587,13 +562,11 @@ class CrosscheckReport:
         return self.max_deviation <= self.tolerance
 
 
-def spectral_crosscheck(
-    graph: Graph, k: int, d: int, e: int, *, analysis: GraphAnalysis | None = None
-) -> CrosscheckReport:
+def spectral_crosscheck(graph: Graph, k: int, d: int, e: int) -> CrosscheckReport:
     """Eigen-decompose A (LAPACK symmetric solver) and check H_{d-1}(theta)
     against {1, -e/2} (or {0} in the degenerate e = 0 case) for every
     eigenvalue other than one copy each of +k and -k."""
-    _require_structure(graph, k, d, e, analysis)
+    _require_structure(graph, k, d, e)
     n, degrees = graph.n, graph.degrees
     a = np.zeros((n, n))
     a[np.repeat(np.arange(n), degrees),
@@ -703,7 +676,8 @@ def catalog_entry(name: str) -> CatalogEntry:
 @lru_cache(maxsize=None)
 def catalog(name: str) -> Graph:
     """Build an embedded catalog graph; order, regularity, and girth are
-    asserted against the entry's metadata at load."""
+    asserted against the entry's metadata at load.  The girth comes from the
+    graph's analysis, which later checks of the graph reuse."""
     entry = catalog_entry(name)
     graph = entry.build()
     if graph.n != entry.n or set(graph.degrees) != {entry.k} or girth(graph) != entry.girth:

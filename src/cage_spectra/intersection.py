@@ -26,7 +26,7 @@ from operator import mul
 
 from . import _intmat
 from .errors import DegreeRangeError, ParameterDomainError, StructuralRefusal
-from .graphs import Graph, GraphAnalysis
+from .graphs import Graph
 from .polynomials import dickson_family
 
 
@@ -97,7 +97,7 @@ def trace_identity_check(graph: Graph, k: int, d: int) -> TraceIdentityReport:
     each, and tr(A^q) is the sum of their diagonal fields.  Each entry of A^q
     is at most k^q, which sets the field width.
     """
-    analysis = GraphAnalysis(graph)
+    analysis = graph.analysis
     problems = []
     if any(deg != k for deg in graph.degrees):
         problems.append("regularity")

@@ -3,13 +3,15 @@
 Each one reaches its value by another route than the engine does (`Fraction`
 interval arithmetic, synthetic polynomial division in binary64 or mpmath,
 the transcendental angular-defect equation, list-of-list matrices where the
-package packs each row into one int), so agreement is evidence that both are
-right.  None of them is used by the package itself.
+package packs each row into one int, a queue-based search per root where the
+package searches from every root at once), so agreement is evidence that both
+are right.  None of them is used by the package itself.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from operator import mul
 from typing import Sequence, Union
@@ -207,32 +209,56 @@ def adjacency_eval_poly(coefficients, adjacency):
     return result
 
 
-def distance_matrix(analysis, i):
-    """A_i as a list of 0/1 rows, read from the analysis's distance rows."""
-    return [[int(x == i) for x in row] for row in analysis.distances]
+def adjacency_rows(adjacency):
+    """The 0/1 adjacency matrix as a list of rows."""
+    return [[int(v in nbrs) for v in range(len(adjacency))] for nbrs in adjacency]
 
 
-def path_count_residual(graph, analysis, k, d, coefficients):
+def distance_rows(adjacency):
+    """Distance rows from every vertex, -1 where unreachable, by one plain
+    queue-based breadth-first search per root."""
+    rows = []
+    for root in range(len(adjacency)):
+        row = [-1] * len(adjacency)
+        row[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v in adjacency[u]:
+                if row[v] < 0:
+                    row[v] = row[u] + 1
+                    queue.append(v)
+        rows.append(row)
+    return rows
+
+
+def distance_matrix(adjacency, i):
+    """A_i as a list of 0/1 rows, read from `distance_rows`."""
+    return [[int(x == i) for x in row] for row in distance_rows(adjacency)]
+
+
+def path_count_residual(graph, k, d, coefficients):
     """max |F_d(A) - k*A_d + A*A_{d+1}| on lists, for the coefficients of F_d."""
     lhs = adjacency_eval_poly(coefficients, graph.adjacency)
-    walks = adjacency_matmul(graph.adjacency, distance_matrix(analysis, d + 1))
+    walks = adjacency_matmul(graph.adjacency, distance_matrix(graph.adjacency, d + 1))
     return max(
         (
             abs(f - k * a + w)
-            for f_row, a_row, w_row in zip(lhs, distance_matrix(analysis, d), walks)
+            for f_row, a_row, w_row in zip(lhs, distance_matrix(graph.adjacency, d), walks)
             for f, a, w in zip(f_row, a_row, w_row)
         ),
         default=0,
     )
 
 
-def allones_residual(graph, analysis, k, d, coefficients):
+def allones_residual(graph, k, d, coefficients):
     """max |(A + k*I)(H_{d-1}(A) + A_{d+1}) - k*J| on lists, for the
     coefficients of H_{d-1}."""
     inner = [
         [h + a for h, a in zip(h_row, a_row)]
         for h_row, a_row in zip(
-            adjacency_eval_poly(coefficients, graph.adjacency), distance_matrix(analysis, d + 1)
+            adjacency_eval_poly(coefficients, graph.adjacency),
+            distance_matrix(graph.adjacency, d + 1),
         )
     ]
     walks = adjacency_matmul(graph.adjacency, inner)

@@ -5,18 +5,12 @@ reference products and the list route of `oracles`."""
 import math
 
 import networkx as nx
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cage_spectra import _intmat
-from cage_spectra.graphs import (
-    Graph,
-    GraphAnalysis,
-    _is_clique_partition,
-    structural_check,
-)
-from oracles import adjacency_eval_poly, adjacency_matmul
+from cage_spectra.graphs import Graph, _is_clique_partition
+from oracles import adjacency_eval_poly, adjacency_matmul, adjacency_rows, distance_rows
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -94,13 +88,17 @@ def sparse_graphs(draw):
 
 
 def check_against_networkx(graph):
-    analysis = GraphAnalysis(graph)
+    analysis = graph.analysis
     g = to_networkx(graph)
     assert analysis.girth == nx.girth(g)
     assert analysis.bipartite == nx.is_bipartite(g)
     lengths = dict(nx.all_pairs_shortest_path_length(g))
     rows = [[lengths[u].get(v, -1) for v in range(graph.n)] for u in range(graph.n)]
-    assert analysis.distances == rows
+    # one level past the last, which must be empty
+    for i in range(len(analysis.levels) + 1):
+        assert analysis.level(i) == [
+            sum(1 << v for v, x in enumerate(row) if x == i) for row in rows
+        ]
     connected = graph.n == 0 or nx.is_connected(g)
     assert analysis.connected == connected
     assert analysis.diameter == (nx.diameter(g) if connected and graph.n else None)
@@ -140,9 +138,9 @@ def test_analysis_beyond_one_machine_word(graph):
 
 
 def test_analysis_forest_and_null_graph():
-    assert GraphAnalysis(Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])).girth == math.inf
-    null = GraphAnalysis(Graph(0, []))
-    assert (null.distances, null.girth, null.connected, null.diameter) == ([], math.inf, True, None)
+    assert Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)]).analysis.girth == math.inf
+    null = Graph(0, []).analysis
+    assert (null.levels, null.girth, null.connected, null.diameter) == ([], math.inf, True, None)
 
 
 #: entries up to 2^80 in size, so fields run past one machine word
@@ -163,7 +161,7 @@ def test_adjacency_matmul_matches_dense(graph, data):
     n = graph.n
     x = [data.draw(st.lists(ENTRIES, min_size=n, max_size=n)) for _ in range(n)]
     expected = adjacency_matmul(graph.adjacency, x)
-    assert expected == (_intmat.matmul(graph.adjacency_matrix(), x) if n else [])
+    assert expected == (_intmat.matmul(adjacency_rows(graph.adjacency), x) if n else [])
     bound = max(graph.degrees, default=0) * max((abs(v) for row in x for v in row), default=0)
     width = _intmat.field_width(bound)
     product = _intmat.packed_product(graph.adjacency, pack(x, width))
@@ -180,7 +178,7 @@ def test_adjacency_eval_poly_matches_dense(graph, coefficients):
     n = graph.n
     expected = adjacency_eval_poly(coefficients, graph.adjacency)
     # the dense reference needs at least one row
-    assert expected == (_intmat.eval_poly(coefficients, graph.adjacency_matrix()) if n else [])
+    assert expected == (_intmat.eval_poly(coefficients, adjacency_rows(graph.adjacency)) if n else [])
     width = _intmat.field_width(_intmat.poly_bound(coefficients, max(graph.degrees, default=0)))
     packed = _intmat.packed_eval_poly(coefficients, graph.adjacency, width)
     assert unpack(packed, n, width) == expected
@@ -192,10 +190,9 @@ def test_adjacency_eval_poly_matches_dense(graph, coefficients):
 @SETTINGS
 @given(st.one_of(random_graphs(), cycle_unions()), st.integers(0, 4), st.sampled_from([8, 72]))
 def test_pack_bitsets_matches_the_distance_rows(graph, far, width):
-    analysis = GraphAnalysis(graph)
-    packed = _intmat.pack_bitsets(analysis.level(far), graph.n, width)
+    packed = _intmat.pack_bitsets(graph.analysis.level(far), graph.n, width)
     assert unpack(packed, graph.n, width) == [
-        [int(x == far) for x in row] for row in analysis.distances
+        [int(x == far) for x in row] for row in distance_rows(graph.adjacency)
     ]
     assert _intmat.ones_row(graph.n, width) == sum(pack([[1] * graph.n], width))
 
@@ -219,8 +216,7 @@ def test_field_width_holds_the_bound():
 def test_antipodal_clique_partition_matches_definition(graph, far):
     # the distance-``far`` relation is a disjoint clique union iff adding the
     # identity makes it transitive
-    analysis = GraphAnalysis(graph)
-    dists = analysis.distances
+    dists = distance_rows(graph.adjacency)
     n = graph.n
     related = [[u == v or dists[u][v] == far for v in range(n)] for u in range(n)]
     transitive = all(
@@ -228,11 +224,5 @@ def test_antipodal_clique_partition_matches_definition(graph, far):
         for u in range(n) for v in range(n) for w in range(n)
         if related[u][v] and related[v][w]
     )
-    assert _is_clique_partition(bitset_cells(analysis, far)) == transitive
+    assert _is_clique_partition(bitset_cells(graph.analysis, far)) == transitive
 
-
-def test_analysis_of_another_graph_is_rejected(heawood, tutte_coxeter):
-    with pytest.raises(ValueError, match="another graph"):
-        structural_check(heawood, 3, 3, 0, analysis=GraphAnalysis(tutte_coxeter))
-    analysis = GraphAnalysis(heawood)
-    assert structural_check(heawood, 3, 3, 0, analysis=analysis).passed

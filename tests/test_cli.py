@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import g6ref
-from cage_spectra import _intmat, catalog, cli, graphs
+from cage_spectra import _intmat, catalog, cli, graphs, trace_identity_check
 from cage_spectra.cli import dumps_canonical, main
 
 
@@ -239,7 +239,9 @@ def test_verify_order_zero_graph_is_a_failed_row(tmp_path, capsys):
 
 
 def count_bfs_passes(monkeypatch):
-    catalog("heawood")  # its load-time girth check is not part of verify
+    """Record the order of the graph of every all-roots BFS pass, from a cold
+    catalog: the next catalog graph is built anew, without an analysis."""
+    catalog.cache_clear()
     passes = []
     bfs = graphs._all_roots_bfs
 
@@ -255,16 +257,20 @@ def test_verify_analyses_each_graph_once(monkeypatch, capsys):
     passes = count_bfs_passes(monkeypatch)
     code, _, _ = run(capsys, "verify", "catalog:heawood", "--k", "3", "--d", "3", "--e", "0")
     assert code == 0
-    assert passes == [14]  # one all-roots pass over the one graph
+    # one all-roots pass over the one graph, shared by its load-time girth check
+    assert passes == [14]
+    assert trace_identity_check(catalog("heawood"), 3, 3).ok
+    assert passes == [14]  # the trace oracle reads the same analysis
 
 
 def test_verify_computes_one_structural_verdict_per_graph(monkeypatch, capsys):
+    catalog.cache_clear()  # a graph built anew has no verdict yet
     verdicts = []
     compute = graphs._verdict
 
-    def counted(analysis, *args):
+    def counted(graph, *args):
         verdicts.append(args)
-        return compute(analysis, *args)
+        return compute(graph, *args)
 
     monkeypatch.setattr(graphs, "_verdict", counted)
     code, _, _ = run(capsys, "verify", "catalog:heawood", "--k", "3", "--d", "3", "--e", "0")
@@ -273,14 +279,12 @@ def test_verify_computes_one_structural_verdict_per_graph(monkeypatch, capsys):
 
 
 def test_verify_structural_failure_skips_identity_kernels(monkeypatch, capsys):
-    """A rejected candidate costs the one BFS pass: no n x n distance rows, no
-    A_i, no matrix kernel."""
+    """A rejected candidate costs the one BFS pass: no A_i, no matrix kernel."""
     passes = count_bfs_passes(monkeypatch)
 
     def never(*args):
         raise AssertionError("built or entered after a structural failure")
 
-    monkeypatch.setattr(graphs.GraphAnalysis, "distances", property(never))
     monkeypatch.setattr(graphs.GraphAnalysis, "distance_matrix", never)
     for kernel in ("pack_bitsets", "packed_eval_poly", "packed_product"):
         monkeypatch.setattr(_intmat, kernel, never)

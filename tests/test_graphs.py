@@ -33,9 +33,9 @@ def complete(n):
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-def distance_matrix(analysis, i):
-    """A_i as lists, decoded from the analysis's packed rows."""
-    return [_intmat.unpack(row, analysis.graph.n, 8) for row in analysis.distance_matrix(i, 8)]
+def distance_matrix(graph, i):
+    """A_i as lists, decoded from the packed rows of the graph's analysis."""
+    return [_intmat.unpack(row, graph.n, 8) for row in graph.analysis.distance_matrix(i, 8)]
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +171,18 @@ def test_graph_validation():
         Graph(2, [(3,), ()])
 
 
+@pytest.mark.parametrize("edge", [(0, 5), (5, 0), (-4, 1), (1, -4)])
+def test_from_edges_rejects_an_out_of_range_end(edge):
+    with pytest.raises(ValueError, match=r"^vertex (5|-4) out of range in edge \("):
+        Graph.from_edges(3, [(0, 1), edge])
+
+
+def test_graph_analysis_is_built_once():
+    graph = cycle(6)
+    assert graph.analysis is graph.analysis
+    assert girth(graph) == 6 and structural_check(graph, 2, 3, 0) is structural_check(graph, 2, 3, 0)
+
+
 # ---------------------------------------------------------------------------
 # girth and distance matrices
 
@@ -183,31 +195,29 @@ def test_girth_small_graphs(heawood):
 
 
 def test_distance_matrices_path2():
-    analysis = GraphAnalysis(Graph.from_edges(2, [(0, 1)]))
-    assert analysis.diameter == 1
-    assert distance_matrix(analysis, 0) == [[1, 0], [0, 1]]
-    assert distance_matrix(analysis, 1) == [[0, 1], [1, 0]]
+    graph = Graph.from_edges(2, [(0, 1)])
+    assert graph.analysis.diameter == 1
+    assert distance_matrix(graph, 0) == [[1, 0], [0, 1]]
+    assert distance_matrix(graph, 1) == [[0, 1], [1, 0]]
 
 
 def test_distance_matrices_c4_antipodes():
-    analysis = GraphAnalysis(cycle(4))
-    assert distance_matrix(analysis, 2) == [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
+    assert distance_matrix(cycle(4), 2) == [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
 
 
 def test_distance_matrices_heawood_oracle(heawood):
     import networkx as nx
 
-    analysis = GraphAnalysis(heawood)
-    assert analysis.diameter == 3
-    assert {sum(row) for row in distance_matrix(analysis, 3)} == {4}
+    assert heawood.analysis.diameter == 3
+    assert {sum(row) for row in distance_matrix(heawood, 3)} == {4}
     # every row partitions the other 13 vertices
     for u in range(heawood.n):
-        assert sum(sum(distance_matrix(analysis, i)[u]) for i in range(1, 4)) == heawood.n - 1
+        assert sum(sum(distance_matrix(heawood, i)[u]) for i in range(1, 4)) == heawood.n - 1
     # full cross-check against networkx BFS
     G = nx.Graph([(u, v) for u in range(heawood.n) for v in heawood.adjacency[u]])
     lengths = dict(nx.all_pairs_shortest_path_length(G))
     for i in range(4):
-        mat = distance_matrix(analysis, i)
+        mat = distance_matrix(heawood, i)
         for u in range(14):
             for v in range(14):
                 assert mat[u][v] == (1 if lengths[u][v] == i else 0)
@@ -216,10 +226,9 @@ def test_distance_matrices_heawood_oracle(heawood):
 @pytest.mark.parametrize("name", ["heawood", "tutte_coxeter", "moebius_kantor", "pg23_incidence"])
 def test_distance_matrices_partition_and_symmetry(name):
     graph = catalog(name)
-    analysis = GraphAnalysis(graph)
     total = [[0] * graph.n for _ in range(graph.n)]
-    for i in range(analysis.diameter + 1):
-        mat = distance_matrix(analysis, i)
+    for i in range(graph.analysis.diameter + 1):
+        mat = distance_matrix(graph, i)
         assert mat == [list(col) for col in zip(*mat)]  # symmetric
         for u in range(graph.n):
             for v in range(graph.n):
@@ -330,11 +339,10 @@ def test_identity_refusal():
 
 def test_identity_refusal_carries_the_shared_verdict():
     graph = cycle(5)
-    analysis = GraphAnalysis(graph)
-    verdict = structural_check(graph, 3, 3, 0, analysis=analysis)
+    verdict = structural_check(graph, 3, 3, 0)
     for verifier in (verify_path_count_identity, verify_allones_identity, spectral_crosscheck):
         with pytest.raises(StructuralRefusal) as info:
-            verifier(graph, 3, 3, 0, analysis=analysis)
+            verifier(graph, 3, 3, 0)
         assert info.value.verdict is verdict
         assert str(info.value) == f"structural check failed: {', '.join(verdict.failures)}"
 

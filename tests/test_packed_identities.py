@@ -23,7 +23,6 @@ from cage_spectra import (
     verify_path_count_identity,
 )
 from cage_spectra import graphs
-from cage_spectra.graphs import GraphAnalysis
 from geometries import pg2_incidence, wq_incidence
 from oracles import allones_residual, path_count_residual, power_traces
 
@@ -48,9 +47,9 @@ IDENTITIES = {
 def test_perturbed_residual_equals_the_list_route(case, identity, data):
     name, k, d, e = case
     family, index, verifier, list_route = IDENTITIES[identity]
-    graph, analysis = catalog(name), GraphAnalysis(catalog(name))
+    graph = catalog(name)
     exact = dickson_family(family, k, index(d))
-    assert list_route(graph, analysis, k, d, exact.coefficients) == 0
+    assert list_route(graph, k, d, exact.coefficients) == 0
     coefficients = list(exact.coefficients)
     coefficients[data.draw(st.integers(0, exact.degree))] += data.draw(
         st.one_of(st.integers(-5, 5), st.integers(2**70, 2**90)).filter(bool)
@@ -62,9 +61,9 @@ def test_perturbed_residual_equals_the_list_route(case, identity, data):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(graphs, "dickson_family", family_with_perturbed)
-        check = verifier(graph, k, d, e, analysis=analysis)
+        check = verifier(graph, k, d, e)
     assert check.name == identity
-    assert check.residual == list_route(graph, analysis, k, d, perturbed.coefficients) != 0
+    assert check.residual == list_route(graph, k, d, perturbed.coefficients) != 0
 
 
 def test_trace_check_reports_the_first_wrong_moment(monkeypatch):
@@ -90,10 +89,9 @@ def test_incidence_graphs_satisfy_every_identity(build, q, d):
     and girth 8; both are (q+1)-regular with excess 0, so every check holds
     exactly (PG(2, 31): n = 1986; W(7): n = 800)."""
     graph, k = build(q), q + 1
-    analysis = GraphAnalysis(graph)
     assert graph.n == (2 * (q * q + q + 1) if d == 3 else 2 * (q + 1) * (q * q + 1))
-    assert structural_check(graph, k, d, 0, analysis=analysis).passed
-    assert verify_path_count_identity(graph, k, d, 0, analysis=analysis).holds
-    assert verify_allones_identity(graph, k, d, 0, analysis=analysis).holds
-    assert spectral_crosscheck(graph, k, d, 0, analysis=analysis).ok
+    assert structural_check(graph, k, d, 0).passed
+    assert verify_path_count_identity(graph, k, d, 0).holds
+    assert verify_allones_identity(graph, k, d, 0).holds
+    assert spectral_crosscheck(graph, k, d, 0).ok
     assert trace_identity_check(graph, k, d).ok

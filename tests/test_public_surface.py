@@ -9,6 +9,7 @@ arguments alone.
 
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -85,6 +86,7 @@ REMOVED = {
     "MultiplicitySet": "feasibility",
     "adjacency_eval_poly": "_intmat",
     "adjacency_matmul": "_intmat",
+    "_analysis_for": "graphs",
     "all_distances": "graphs",
     "bd_entry00": "intersection",
     "distance_matrices": "graphs",
@@ -96,6 +98,13 @@ REMOVED = {
     "mat_add": "_intmat",
     "poly_enclosure": "intervals",
     "transcendental_residual": "feasibility",
+}
+
+#: Attributes the package's classes dropped: the graph owns its one analysis,
+#: and no n x n list of distance rows or adjacency entries is built.
+REMOVED_ATTRIBUTES = {
+    ("graphs", "Graph"): ("adjacency_matrix",),
+    ("graphs", "GraphAnalysis"): ("distances", "graph", "verdict"),
 }
 
 #: The one package module allowed to import each third-party library.
@@ -128,6 +137,25 @@ def test_removed_names_are_gone(name):
     assert not hasattr(cage_spectra, name)
     module = importlib.import_module(f"cage_spectra.{REMOVED[name]}")
     assert not hasattr(module, name)
+
+
+@pytest.mark.parametrize("owner", sorted(REMOVED_ATTRIBUTES))
+def test_removed_attributes_are_gone(owner):
+    cls = getattr(importlib.import_module(f"cage_spectra.{owner[0]}"), owner[1])
+    for attr in REMOVED_ATTRIBUTES[owner]:
+        assert not hasattr(cls, attr), attr
+
+
+def test_no_public_function_takes_an_analysis():
+    """Every check reads `Graph.analysis`; no caller passes one in."""
+    functions = [obj for obj in map(vars(cage_spectra).get, PUBLIC) if inspect.isfunction(obj)]
+    assert {f.__name__ for f in functions} >= {
+        "structural_check", "verify_path_count_identity", "verify_allones_identity",
+        "spectral_crosscheck",
+    }
+    for function in functions:
+        assert "analysis" not in inspect.signature(function).parameters, function.__name__
+    assert not hasattr(importlib.import_module("cage_spectra.cli"), "GraphAnalysis")
 
 
 def test_precision_module_is_gone():
