@@ -1,5 +1,13 @@
 """Graphs, structural checks, and exact matrix-identity verifiers.
 
+Graphs come in as adjacency rows, edge lists or graph6 text, and every
+constructor builds the sorted rows the same way: the distinct pairs i < j as
+numpy arrays, both orientations sorted by one key, the rows cut from one list
+by the degrees.  `parse_graph6` decodes the payload in numpy too (the set bits
+of the nonzero bytes are the pair indices t = j(j-1)/2 + i, and j is found by
+`searchsorted` on the triangular offsets), so no ingestion path loops over
+edges in Python.
+
 The graphs treated here are k-regular of even girth 2d with a small excess e
 over the Moore bound.  Such a graph (when e <= k - 2) is bipartite of
 diameter d + 1, every vertex has exactly e/2 vertices at distance d + 1, and
@@ -39,7 +47,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, islice, product
 from operator import add
 from typing import Iterable, Sequence
 
@@ -70,6 +78,13 @@ def moore_bound(k: int, g: int) -> int:
 class Graph:
     """Undirected simple graph on vertices 0..n-1 with sorted adjacency lists.
 
+    Every constructor ends in `_build`, which sorts the distinct pairs i < j
+    into rows with numpy; each front door checks only what its input can get
+    wrong.  `Graph(n, rows)` checks range, self-loops and symmetry,
+    `from_edges` range and self-loops (a repeated edge counts once), and
+    `parse_graph6` the encoding, whose pairs are distinct with i < j by
+    construction.
+
     ``analysis`` is the graph's `GraphAnalysis`, built on first access and
     kept; the adjacency is a tuple of tuples, so it never goes stale.
     """
@@ -79,30 +94,60 @@ class Graph:
     def __init__(self, n: int, adjacency: Sequence[Iterable[int]]):
         if len(adjacency) != n:
             raise ValueError(f"adjacency has {len(adjacency)} rows for n={n}")
-        adj = tuple(tuple(sorted(set(nbrs))) for nbrs in adjacency)
-        for u, nbrs in enumerate(adj):
-            for v in nbrs:
-                if not 0 <= v < n:
-                    raise ValueError(f"vertex {v} out of range in row {u}")
-                if v == u:
-                    raise ValueError(f"self-loop at vertex {u}")
-                if u not in adj[v]:
-                    raise ValueError(f"asymmetric adjacency: {u} -> {v}")
-        self.n = n
-        self.adjacency = adj
-        self._analysis: GraphAnalysis | None = None
+        rows = [sorted(set(nbrs)) for nbrs in adjacency]
+        flat = list(chain.from_iterable(rows))
+        ends = np.repeat(np.arange(n, dtype=np.int64), [len(nbrs) for nbrs in rows])
+        others = _int_array(flat)
+        out = (others < 0) | (others >= n)
+        others = np.where(out, -1, others).astype(np.int64)
+        loop = others == ends
+        asym = ~out & ~np.isin(others * n + ends, (ends * n + others)[~out])
+        bad = np.flatnonzero(out | loop | asym)
+        if bad.size:  # the first failure in row order, as a row-by-row scan meets it
+            at = int(bad[0])
+            u, v = int(ends[at]), flat[at]
+            if out[at]:
+                raise ValueError(f"vertex {v} out of range in row {u}")
+            if loop[at]:
+                raise ValueError(f"self-loop at vertex {u}")
+            raise ValueError(f"asymmetric adjacency: {u} -> {v}")
+        upper = ends < others
+        self._build(n, ends[upper], others[upper])
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        adj = [[] for _ in range(n)]
-        for u, v in edges:
-            try:
-                adj[u].append(v)
-                adj[v].append(u)
-            except IndexError:
-                bad = v if 0 <= u < n else u
-                raise ValueError(f"vertex {bad} out of range in edge ({u}, {v})") from None
-        return cls(n, adj)
+        edges = list(edges)
+        ends = _int_array(edges).reshape(len(edges), 2)
+        out = ((ends < 0) | (ends >= n)).any(axis=1)
+        if out.any():
+            u, v = edges[int(np.argmax(out))]
+            bad = v if 0 <= u < n else u
+            raise ValueError(f"vertex {bad} out of range in edge ({u}, {v})")
+        ends = ends.astype(np.int64, copy=False)
+        lo, hi = ends.min(axis=1), ends.max(axis=1)
+        loop = lo == hi
+        if loop.any():
+            raise ValueError(f"self-loop at vertex {int(lo[loop].min())}")
+        pairs = np.unique(lo * n + hi)
+        return cls._from_pairs(n, pairs // n, pairs % n)
+
+    @classmethod
+    def _from_pairs(cls, n: int, lo: np.ndarray, hi: np.ndarray) -> "Graph":
+        """The graph of the distinct pairs ``lo[t] < hi[t]``, unchecked."""
+        graph = cls.__new__(cls)
+        graph._build(n, lo, hi)
+        return graph
+
+    def _build(self, n: int, lo: np.ndarray, hi: np.ndarray) -> None:
+        # both orientations as keys end*n + other; one sort orders every row,
+        # and the rows are cut from one list by the degrees
+        ends, others = np.divmod(np.sort(np.concatenate((lo * n + hi, hi * n + lo))), n)
+        flat = iter(others.tolist())
+        self.n = n
+        self.adjacency = tuple(
+            tuple(islice(flat, degree)) for degree in np.bincount(ends, minlength=n).tolist()
+        )
+        self._analysis: GraphAnalysis | None = None
 
     @property
     def analysis(self) -> GraphAnalysis:
@@ -128,13 +173,21 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
+def _int_array(values: list) -> np.ndarray:
+    """``values`` as int64, or as Python ints (dtype object) when one does not
+    fit, so that a range check compares every value exactly."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
 # ---------------------------------------------------------------------------
 # graph6 ingestion
 
 _G6_HEADER = b">>graph6<<"
 _ASCII_SPACE = " \t\n\r\x0b\x0c"  # what bytes.strip() removes
 _G6_OUT_OF_RANGE = re.compile(rb"[^\x3f-\x7e]")
-_G6_NONZERO = re.compile(rb"[^?]")
 
 
 def parse_graph6(text: bytes | str) -> Graph:
@@ -166,21 +219,19 @@ def parse_graph6(text: bytes | str) -> Graph:
         raise Graph6ParseError(
             f"wrong length: order {n} needs {need} payload bytes, got {len(body)}"
         )
-    # bit t of the payload (most significant first) is the pair (i, j), i < j,
-    # with t = j(j-1)/2 + i; only the nonzero bytes ("?" is 0) carry edges
-    edges = []
-    for match in _G6_NONZERO.finditer(body):
-        pos = match.start()
-        value = body[pos] - 63
-        while value:
-            top = value.bit_length() - 1
-            value ^= 1 << top
-            t = 6 * pos + 5 - top
-            if t >= nbits:
-                raise Graph6ParseError("trailing padding bits are nonzero")
-            j = (1 + math.isqrt(8 * t + 1)) // 2
-            edges.append((t - j * (j - 1) // 2, j))
-    return Graph.from_edges(n, edges)
+    if need and (body[-1] - 63) & ((1 << (6 * need - nbits)) - 1):
+        raise Graph6ParseError("trailing padding bits are nonzero")
+    # bit t of the payload (six to a byte, most significant first) is the pair
+    # (i, j), i < j, with t = j(j-1)/2 + i; only the bytes other than "?" (0)
+    # carry edges, and each unpacks to eight bits whose top two are 0
+    payload = np.frombuffer(body, dtype=np.uint8)
+    pos = np.flatnonzero(payload != 63)
+    bit = np.flatnonzero(np.unpackbits(payload[pos] - 63))
+    t = 6 * pos[bit >> 3] + (bit & 7) - 2
+    starts = np.arange(n, dtype=np.int64)
+    starts = starts * (starts - 1) // 2
+    j = np.searchsorted(starts, t, side="right") - 1
+    return Graph._from_pairs(n, t - starts[j], j)
 
 
 def _parse_g6_order(data: bytes) -> tuple[int, bytes]:

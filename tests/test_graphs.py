@@ -3,8 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import g6ref
+from oracles import parse_graph6_rows
 from cage_spectra import (
     Graph,
     Graph6ParseError,
@@ -162,6 +165,81 @@ def test_parse_graph6_rejects_every_set_padding_bit(n):
             parse_graph6(chr(63 + n) + "".join(chr(63 + v) for v in payload))
 
 
+@st.composite
+def edge_lists(draw):
+    """(n, distinct pairs i < j, the same edges in random order and
+    orientation with some repeated), n across the 62/63 order-header edge."""
+    n = draw(st.integers(0, 200))
+    density = draw(st.sampled_from([0.0, 0.01, 0.05, 0.3, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pairs = [(i, j) for j in range(n) for i in range(j) if rng.random() < density]
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+    edges += rng.sample(edges, len(edges) // 4)
+    rng.shuffle(edges)
+    return n, pairs, edges
+
+
+def _complete_case(n):
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    return n, pairs, pairs
+
+
+@settings(max_examples=80, deadline=None)
+@given(edge_lists())
+@example((0, [], []))
+@example((1, [], []))
+@example((63, [], []))
+@example(_complete_case(62))
+@example(_complete_case(63))
+def test_parse_graph6_matches_the_bitwise_oracle(case):
+    n, pairs, edges = case
+    text = g6ref.encode_graph6(n, pairs)
+    graph = parse_graph6(text)
+    rows = [[] for _ in range(n)]
+    for i, j in pairs:
+        rows[i].append(j)
+        rows[j].append(i)
+    assert (graph.n, graph.adjacency) == parse_graph6_rows(text)
+    assert graph.adjacency == tuple(tuple(sorted(row)) for row in rows)
+    assert graph == Graph.from_edges(n, edges)
+    assert Graph(graph.n, graph.adjacency) == graph
+    assert all(type(v) is int for row in graph.adjacency for v in row)
+
+
+def _corruptions(text):
+    """Valid ``text`` broken one way at a time: each byte moved out of range
+    (as str and as bytes), the payload cut short or lengthened by a byte, and
+    each padding bit set."""
+    n = parse_graph6_rows(text)[0]
+    nbits = n * (n - 1) // 2
+    payload_at = len(text) - (nbits + 5) // 6
+    for pos in range(len(text)):
+        for bad in ("\x00", "\x1f", "\x7f", "\xff", "\u20ac"):
+            broken = text[:pos] + bad + text[pos + 1:]
+            yield broken
+            if bad != "\u20ac":
+                yield broken.encode("latin-1")
+    if len(text) > payload_at:
+        yield text[:-1]
+    yield text + "?"
+    yield text + "~"
+    for bit in range(-nbits % 6):
+        yield text[:-1] + chr(63 + ((ord(text[-1]) - 63) | 1 << bit))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 10, 62, 63, 64])
+def test_parse_graph6_errors_match_the_bitwise_oracle(n):
+    rng = random.Random(n)
+    pairs = [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.4]
+    text = g6ref.encode_graph6(n, pairs)
+    for broken in _corruptions(text):
+        with pytest.raises(Graph6ParseError) as expected:
+            parse_graph6_rows(broken)
+        with pytest.raises(Graph6ParseError) as got:
+            parse_graph6(broken)
+        assert str(got.value) == str(expected.value), broken
+
+
 def test_graph_validation():
     with pytest.raises(ValueError, match="self-loop"):
         Graph(2, [(0, 1), (0,)])
@@ -169,12 +247,38 @@ def test_graph_validation():
         Graph(2, [(1,), ()])
     with pytest.raises(ValueError, match="out of range"):
         Graph(2, [(3,), ()])
+    # the first failure in row order is the one reported
+    cases = [
+        ([(1,), (0, 2), ()], "^asymmetric adjacency: 1 -> 2$"),
+        ([(1,), (0, 1), (5,)], "^self-loop at vertex 1$"),
+        ([(1, 2**70), (0,), ()], "^vertex 1180591620717411303424 out of range in row 0$"),
+        ([(2, -1), (), (0,)], "^vertex -1 out of range in row 0$"),
+        ([(2,), (2,), (0,)], "^asymmetric adjacency: 1 -> 2$"),
+    ]
+    for rows, message in cases:
+        with pytest.raises(ValueError, match=message):
+            Graph(3, rows)
+    with pytest.raises(ValueError, match="^adjacency has 2 rows for n=3$"):
+        Graph(3, [(), ()])
+    assert Graph(3, [[2, 1, 1], {0}, iter([0])]).adjacency == ((1, 2), (0,), (0,))
 
 
-@pytest.mark.parametrize("edge", [(0, 5), (5, 0), (-4, 1), (1, -4)])
+@pytest.mark.parametrize(
+    "edge", [(0, 5), (5, 0), (-4, 1), (1, -4), (-1, 2), (2, -1), (2**70, 1)]
+)
 def test_from_edges_rejects_an_out_of_range_end(edge):
-    with pytest.raises(ValueError, match=r"^vertex (5|-4) out of range in edge \("):
-        Graph.from_edges(3, [(0, 1), edge])
+    bad = next(v for v in edge if not 0 <= v < 3)
+    message = rf"^vertex {bad} out of range in edge \({edge[0]}, {edge[1]}\)$"
+    with pytest.raises(ValueError, match=message):
+        Graph.from_edges(3, [(0, 1), edge, (7, 8)])
+
+
+def test_from_edges_rejects_a_self_loop_and_merges_repeats():
+    with pytest.raises(ValueError, match="^self-loop at vertex 1$"):
+        Graph.from_edges(3, [(2, 2), (0, 1), (1, 1)])
+    assert Graph.from_edges(3, iter([(1, 0), (0, 1), (2, 1)])).adjacency == ((1,), (0, 2), (1,))
+    with pytest.raises(ValueError):
+        Graph.from_edges(3, [(0, 1, 2), (1, 2, 0)])
 
 
 def test_graph_analysis_is_built_once():
