@@ -1,12 +1,10 @@
 """Graphs, structural checks, and exact matrix-identity verifiers.
 
-Graphs come in as adjacency rows, edge lists or graph6 text, and every
-constructor builds the sorted rows the same way: the distinct pairs i < j as
-numpy arrays, both orientations sorted by one key, the rows cut from one list
-by the degrees.  `parse_graph6` decodes the payload in numpy too (the set bits
-of the nonzero bytes are the pair indices t = j(j-1)/2 + i, and j is found by
-`searchsorted` on the triangular offsets), so no ingestion path loops over
-edges in Python.
+Graphs come in as adjacency rows, edge lists or graph6 text.  `parse_graph6`
+decodes the payload in numpy (the set bits of the nonzero bytes are the pair
+indices t = j(j-1)/2 + i, and j is found by `searchsorted` on the triangular
+offsets) and sorts both orientations of the pairs by one key, cutting the rows
+from one list by the degrees, so graph6 ingestion has no per-edge Python loop.
 
 The graphs treated here are k-regular of even girth 2d with a small excess e
 over the Moore bound.  Such a graph (when e <= k - 2) is bipartite of
@@ -78,12 +76,10 @@ def moore_bound(k: int, g: int) -> int:
 class Graph:
     """Undirected simple graph on vertices 0..n-1 with sorted adjacency lists.
 
-    Every constructor ends in `_build`, which sorts the distinct pairs i < j
-    into rows with numpy; each front door checks only what its input can get
-    wrong.  `Graph(n, rows)` checks range, self-loops and symmetry,
-    `from_edges` range and self-loops (a repeated edge counts once), and
-    `parse_graph6` the encoding, whose pairs are distinct with i < j by
-    construction.
+    `Graph(n, rows)` checks range, self-loops and symmetry, and `from_edges`
+    checks range and builds through it (a repeated edge counts once).
+    `parse_graph6` checks the encoding and builds the rows in numpy
+    (`_from_pairs`), since its pairs are distinct with i < j by construction.
 
     ``analysis`` is the graph's `GraphAnalysis`, built on first access and
     kept; the adjacency is a tuple of tuples, so it never goes stale.
@@ -94,60 +90,44 @@ class Graph:
     def __init__(self, n: int, adjacency: Sequence[Iterable[int]]):
         if len(adjacency) != n:
             raise ValueError(f"adjacency has {len(adjacency)} rows for n={n}")
-        rows = [sorted(set(nbrs)) for nbrs in adjacency]
-        flat = list(chain.from_iterable(rows))
-        ends = np.repeat(np.arange(n, dtype=np.int64), [len(nbrs) for nbrs in rows])
-        others = _int_array(flat)
-        out = (others < 0) | (others >= n)
-        others = np.where(out, -1, others).astype(np.int64)
-        loop = others == ends
-        asym = ~out & ~np.isin(others * n + ends, (ends * n + others)[~out])
-        bad = np.flatnonzero(out | loop | asym)
-        if bad.size:  # the first failure in row order, as a row-by-row scan meets it
-            at = int(bad[0])
-            u, v = int(ends[at]), flat[at]
-            if out[at]:
-                raise ValueError(f"vertex {v} out of range in row {u}")
-            if loop[at]:
-                raise ValueError(f"self-loop at vertex {u}")
-            raise ValueError(f"asymmetric adjacency: {u} -> {v}")
-        upper = ends < others
-        self._build(n, ends[upper], others[upper])
+        adj = tuple(tuple(sorted(set(nbrs))) for nbrs in adjacency)
+        for u, nbrs in enumerate(adj):
+            for v in nbrs:
+                if not 0 <= v < n:
+                    raise ValueError(f"vertex {v} out of range in row {u}")
+                if v == u:
+                    raise ValueError(f"self-loop at vertex {u}")
+                if u not in adj[v]:
+                    raise ValueError(f"asymmetric adjacency: {u} -> {v}")
+        self.n = n
+        self.adjacency = adj
+        self._analysis: GraphAnalysis | None = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        edges = list(edges)
-        ends = _int_array(edges).reshape(len(edges), 2)
-        out = ((ends < 0) | (ends >= n)).any(axis=1)
-        if out.any():
-            u, v = edges[int(np.argmax(out))]
-            bad = v if 0 <= u < n else u
-            raise ValueError(f"vertex {bad} out of range in edge ({u}, {v})")
-        ends = ends.astype(np.int64, copy=False)
-        lo, hi = ends.min(axis=1), ends.max(axis=1)
-        loop = lo == hi
-        if loop.any():
-            raise ValueError(f"self-loop at vertex {int(lo[loop].min())}")
-        pairs = np.unique(lo * n + hi)
-        return cls._from_pairs(n, pairs // n, pairs % n)
+        adj = [[] for _ in range(n)]
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):  # a negative index would wrap
+                bad = v if 0 <= u < n else u
+                raise ValueError(f"vertex {bad} out of range in edge ({u}, {v})")
+            adj[u].append(v)
+            adj[v].append(u)
+        return cls(n, adj)
 
     @classmethod
     def _from_pairs(cls, n: int, lo: np.ndarray, hi: np.ndarray) -> "Graph":
-        """The graph of the distinct pairs ``lo[t] < hi[t]``, unchecked."""
-        graph = cls.__new__(cls)
-        graph._build(n, lo, hi)
-        return graph
-
-    def _build(self, n: int, lo: np.ndarray, hi: np.ndarray) -> None:
-        # both orientations as keys end*n + other; one sort orders every row,
-        # and the rows are cut from one list by the degrees
+        """The graph of the distinct pairs ``lo[t] < hi[t]``, unchecked: both
+        orientations as keys end*n + other, one sort orders every row, and
+        the rows are cut from one list by the degrees."""
         ends, others = np.divmod(np.sort(np.concatenate((lo * n + hi, hi * n + lo))), n)
         flat = iter(others.tolist())
-        self.n = n
-        self.adjacency = tuple(
+        graph = cls.__new__(cls)
+        graph.n = n
+        graph.adjacency = tuple(
             tuple(islice(flat, degree)) for degree in np.bincount(ends, minlength=n).tolist()
         )
-        self._analysis: GraphAnalysis | None = None
+        graph._analysis = None
+        return graph
 
     @property
     def analysis(self) -> GraphAnalysis:
@@ -171,15 +151,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
-
-
-def _int_array(values: list) -> np.ndarray:
-    """``values`` as int64, or as Python ints (dtype object) when one does not
-    fit, so that a range check compares every value exactly."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
 
 
 # ---------------------------------------------------------------------------

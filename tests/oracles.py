@@ -4,15 +4,14 @@ Each one reaches its value by another route than the engine does (`Fraction`
 interval arithmetic, synthetic polynomial division in binary64 or mpmath,
 the transcendental angular-defect equation, list-of-list matrices where the
 package packs each row into one int, a queue-based search per root where the
-package searches from every root at once, a bit-by-bit graph6 decoder where
-the package decodes in numpy), so agreement is evidence that both are right.
-None of them is used by the package itself.
+package searches from every root at once, a bit-by-bit graph6 payload decoder
+where the package decodes in numpy), so agreement is evidence that both are
+right.  None of them is used by the package itself.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from collections import deque
 from fractions import Fraction
 from operator import mul
@@ -286,43 +285,15 @@ def power_traces(adjacency, count):
 
 
 # ---------------------------------------------------------------------------
-# graph6 parsing one set bit at a time
+# graph6 payload decoding one set bit at a time
 
-_G6_OUT_OF_RANGE = re.compile(rb"[^\x3f-\x7e]")
-
-
-def parse_graph6_rows(text):
-    """``(n, rows)`` of a graph6 string, with the sorted neighbour rows as a
-    tuple of tuples, by the bit-by-bit decoding the package used before it
-    decoded in numpy: every set bit of every nonzero payload byte is one edge,
-    its pair found by `math.isqrt`.  Raises the same `Graph6ParseError`
-    messages as `cage_spectra.parse_graph6`."""
-    if isinstance(text, str):
-        text = text.strip(" \t\n\r\x0b\x0c").removeprefix(">>graph6<<")
-        try:
-            data = text.encode("latin-1")
-        except UnicodeEncodeError as exc:
-            bad = _G6_OUT_OF_RANGE.search(text[: exc.start].encode("latin-1"))
-            pos = bad.start() if bad else exc.start
-            raise Graph6ParseError(
-                f"character out of range at byte {pos}: {ord(text[pos])}"
-            ) from None
-    else:
-        data = bytes(text).strip().removeprefix(b">>graph6<<")
-    if not data:
-        raise Graph6ParseError("malformed header: empty graph6 string")
-    bad = _G6_OUT_OF_RANGE.search(data)
-    if bad:
-        raise Graph6ParseError(
-            f"character out of range at byte {bad.start()}: {data[bad.start()]}"
-        )
-    n, body = _g6_order(data)
+def decode_graph6_payload(n, body):
+    """The sorted neighbour rows (a tuple of tuples) of the order-``n`` graph
+    whose graph6 payload is ``body`` (bytes, in range, of the right length),
+    by the bit-by-bit decoding the package used before it decoded in numpy:
+    every set bit of every payload byte is one edge, its pair found by
+    `math.isqrt`.  A set padding bit raises the package's `Graph6ParseError`."""
     nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
-    if len(body) != need:
-        raise Graph6ParseError(
-            f"wrong length: order {n} needs {need} payload bytes, got {len(body)}"
-        )
     rows = [[] for _ in range(n)]
     for pos, byte in enumerate(body):
         value = byte - 63
@@ -336,23 +307,4 @@ def parse_graph6_rows(text):
             i = t - j * (j - 1) // 2
             rows[i].append(j)
             rows[j].append(i)
-    return n, tuple(tuple(sorted(row)) for row in rows)
-
-
-def _g6_order(data):
-    if data[0] != 126:
-        return data[0] - 63, data[1:]
-    if len(data) >= 2 and data[1] == 126:
-        if len(data) < 8:
-            raise Graph6ParseError("malformed header: truncated 36-bit order")
-        digits = data[2:8]
-        body = data[8:]
-    else:
-        if len(data) < 4:
-            raise Graph6ParseError("malformed header: truncated 18-bit order")
-        digits = data[1:4]
-        body = data[4:]
-    n = 0
-    for byte in digits:
-        n = (n << 6) | (byte - 63)
-    return n, body
+    return tuple(tuple(sorted(row)) for row in rows)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import g6ref
-from oracles import parse_graph6_rows
+from oracles import decode_graph6_payload
 from cage_spectra import (
     Graph,
     Graph6ParseError,
@@ -184,6 +184,11 @@ def _complete_case(n):
     return n, pairs, pairs
 
 
+def _payload(n, text):
+    """The payload bytes of a graph6 string of order ``n``."""
+    return text.encode()[len(text) - (n * (n - 1) // 2 + 5) // 6:]
+
+
 @settings(max_examples=80, deadline=None)
 @given(edge_lists())
 @example((0, [], []))
@@ -199,45 +204,41 @@ def test_parse_graph6_matches_the_bitwise_oracle(case):
     for i, j in pairs:
         rows[i].append(j)
         rows[j].append(i)
-    assert (graph.n, graph.adjacency) == parse_graph6_rows(text)
+    assert graph.n == n
+    assert graph.adjacency == decode_graph6_payload(n, _payload(n, text))
     assert graph.adjacency == tuple(tuple(sorted(row)) for row in rows)
     assert graph == Graph.from_edges(n, edges)
     assert Graph(graph.n, graph.adjacency) == graph
     assert all(type(v) is int for row in graph.adjacency for v in row)
 
 
-def _corruptions(text):
-    """Valid ``text`` broken one way at a time: each byte moved out of range
-    (as str and as bytes), the payload cut short or lengthened by a byte, and
-    each padding bit set."""
-    n = parse_graph6_rows(text)[0]
-    nbits = n * (n - 1) // 2
-    payload_at = len(text) - (nbits + 5) // 6
-    for pos in range(len(text)):
-        for bad in ("\x00", "\x1f", "\x7f", "\xff", "\u20ac"):
-            broken = text[:pos] + bad + text[pos + 1:]
-            yield broken
-            if bad != "\u20ac":
-                yield broken.encode("latin-1")
-    if len(text) > payload_at:
-        yield text[:-1]
-    yield text + "?"
-    yield text + "~"
-    for bit in range(-nbits % 6):
-        yield text[:-1] + chr(63 + ((ord(text[-1]) - 63) | 1 << bit))
+def _outcome(decode, *args):
+    try:
+        return decode(*args)
+    except Graph6ParseError as exc:
+        return str(exc)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 10, 62, 63, 64])
-def test_parse_graph6_errors_match_the_bitwise_oracle(n):
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 10, 62, 63, 64])
+def test_parse_graph6_payload_corruptions_match_the_bitwise_oracle(n):
+    """Each payload byte changed to other in-range values and each padding bit
+    set: the parser and the oracle give the same rows or the same error.  The
+    header, byte-range and length checks are covered by the tests above."""
     rng = random.Random(n)
     pairs = [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.4]
     text = g6ref.encode_graph6(n, pairs)
-    for broken in _corruptions(text):
-        with pytest.raises(Graph6ParseError) as expected:
-            parse_graph6_rows(broken)
-        with pytest.raises(Graph6ParseError) as got:
-            parse_graph6(broken)
-        assert str(got.value) == str(expected.value), broken
+    head, body = text.encode()[: len(text) - len(_payload(n, text))], _payload(n, text)
+    broken = [body[:-1] + bytes([63 + ((body[-1] - 63) | 1 << bit)])
+              for bit in range(-(n * (n - 1) // 2) % 6)]
+    for pos in range(len(body)):
+        for byte in {63, 126, rng.randrange(63, 127)} - {body[pos]}:
+            broken.append(body[:pos] + bytes([byte]) + body[pos + 1:])
+    padding_errors = 0
+    for payload in broken:
+        got = _outcome(lambda: parse_graph6(head + payload).adjacency)
+        assert got == _outcome(decode_graph6_payload, n, payload), payload
+        padding_errors += got == "trailing padding bits are nonzero"
+    assert padding_errors >= -(n * (n - 1) // 2) % 6
 
 
 def test_graph_validation():
@@ -279,6 +280,15 @@ def test_from_edges_rejects_a_self_loop_and_merges_repeats():
     assert Graph.from_edges(3, iter([(1, 0), (0, 1), (2, 1)])).adjacency == ((1,), (0, 2), (1,))
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 1, 2), (1, 2, 0)])
+
+
+def test_a_non_integer_vertex_is_rejected():
+    for edges in ([(0.5, 1)], [(0, 1.0)], [("0", 1)]):
+        with pytest.raises(TypeError):
+            Graph.from_edges(3, edges)
+    for rows in ([(1.0,), (0,)], [(1,), (0.0,)], [("1",), (0,)]):
+        with pytest.raises(TypeError):
+            Graph(2, rows)
 
 
 def test_graph_analysis_is_built_once():
