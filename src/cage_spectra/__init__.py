@@ -5,8 +5,9 @@ The package provides exact integer polynomial families on a three-term
 recurrence, graph structural checks with exact matrix-identity verifiers, the
 tridiagonal intersection-matrix moment oracle, and a certified feasibility
 engine: certified dyadic root brackets, closed-form eigenvalue
-multiplicities (with the trigonometric weight form as a second route),
-rational-interval integrality certificates, and the product-gap
+multiplicities (the trigonometric weight form is exported alongside; the
+engine does not evaluate it), integrality certificates computed exactly in
+integers over each bracket's power of two, and the product-gap
 nonexistence test for girth >= 14.
 """
 
@@ -68,7 +69,6 @@ from .intersection import (
     minimal_polynomial_check,
     trace_identity_check,
 )
-from .intervals import RatInterval
 from .polynomials import (
     IntPolynomial,
     derivative,
@@ -97,7 +97,6 @@ __all__ = [
     "MultiplicityAssessment",
     "OddExcessError",
     "ParameterDomainError",
-    "RatInterval",
     "RegimeViolationError",
     "RootRecord",
     "SkippedTriple",

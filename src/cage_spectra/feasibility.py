@@ -65,7 +65,6 @@ from .errors import (
 )
 from .graphs import moore_bound
 from .intersection import bd_moments, build_bd
-from .intervals import RatInterval
 from .polynomials import IntPolynomial, derivative, dickson_family
 
 VERDICT_ADMISSIBLE = "spectrally-admissible"
@@ -106,8 +105,8 @@ class RootRecord:
 
     phi in (0, pi) satisfies theta = -2 s cos(phi); alpha = i*pi - d*phi is
     the angular defect, whose sign and magnitude obey the case bound for
-    eta = eps * (-1)^(d+i).  ``bracket`` is an exact dyadic-rational
-    enclosure of theta of width below 2^-60.
+    eta = eps * (-1)^(d+i).  ``bracket`` is the integer triple (lo, hi, shift):
+    theta lies in [lo, hi] / 2^shift, of width below 2^-60.
     """
 
     i: int
@@ -116,7 +115,7 @@ class RootRecord:
     theta: float
     phi: float
     alpha: float
-    bracket: tuple[Fraction, Fraction]
+    bracket: tuple[int, int, int]
 
 
 class _Polys(NamedTuple):
@@ -154,7 +153,7 @@ def _dyadic_enclosure(coeffs: tuple[int, ...], lo: int, hi: int, shift: int) -> 
     the dyadic bracket [lo, hi] / 2^shift, in integers.
 
     Returns numerators (a, b): [a, b] / 2^(shift*deg) equals interval Horner
-    in `RatInterval` arithmetic endpoint for endpoint.  Each step multiplies
+    in exact rational arithmetic endpoint for endpoint.  Each step multiplies
     by the bracket, taking the extreme corners by sign as the four-product
     min/max would, then adds c; every endpoint keeps the one shared power of
     two, so no gcd is ever taken.
@@ -465,10 +464,11 @@ def _isolate(k: int, d: int, e: int, epsilon: int) -> tuple[RootRecord, ...]:
                 theta=(lo + hi) / (1 << (shift + 1)),
                 phi=phi / (1 << bits),
                 alpha=alpha / (1 << bits),
-                bracket=(Fraction(lo, 1 << shift), Fraction(hi, 1 << shift)),
+                bracket=(lo, hi, shift),
             )
         )
-    records.sort(key=lambda r: r.bracket[0])
+    top = max(r.bracket[2] for r in records)  # order the low ends at one shift
+    records.sort(key=lambda r: r.bracket[0] << (top - r.bracket[2]))
     if [r.i for r in records] != list(range(1, d)):
         raise BracketSeedError("isolated roots are not ascending in their index order")
     return tuple(records)
@@ -577,11 +577,13 @@ def multiplicity_trig(k: int, d: int, e: int, record: RootRecord) -> float:
 
 @dataclass(frozen=True)
 class MultiplicityAssessment:
-    """Certified view of one root's multiplicity."""
+    """Certified view of one root's multiplicity: it lies in [a/b, c/q] for
+    ``enclosure`` ((a, b), (c, q)) with b, q > 0, and ``integer`` is the one
+    integer there (None when there is not exactly one)."""
 
     record: RootRecord
     closed_form: float
-    enclosure: RatInterval
+    enclosure: tuple[tuple[int, int], tuple[int, int]]
     integer: int | None
     nearest: int
     deviation: float
@@ -591,10 +593,19 @@ class MultiplicityAssessment:
         return self.integer is not None
 
 
-def _dyadic_pair(bracket: tuple[Fraction, Fraction]) -> tuple[int, int, int]:
-    lo, hi = bracket
-    shift = max(lo.denominator.bit_length(), hi.denominator.bit_length()) - 1
-    return int(lo * (1 << shift)), int(hi * (1 << shift)), shift
+def _dyadic_square(lo: int, hi: int) -> tuple[int, int]:
+    """Tight enclosure of x^2 over [lo, hi] / 2^shift, over 2^(2 shift)."""
+    if lo >= 0:
+        return lo * lo, hi * hi
+    if hi <= 0:
+        return hi * hi, lo * lo
+    return 0, max(lo * lo, hi * hi)
+
+
+def _integers_in(ends) -> range:
+    """The integers in [a/b, c/q] for ends ((a, b), (c, q)) with b, q > 0."""
+    (a, b), (c, q) = ends
+    return range(-(-a // b), c // q + 1)
 
 
 def _multiplicity_enclosure(
@@ -604,14 +615,14 @@ def _multiplicity_enclosure(
     [lo, hi] / 2^shift, as two unreduced fractions (numerator, positive
     denominator); None when the denominator enclosure contains zero.
 
-    Equal, endpoint for endpoint, to the `RatInterval` evaluation
+    Equal, endpoint for endpoint, to the exact rational interval evaluation
 
         N / (D * (k^2 - x^2)) * prefactor,   N = H_{d-2}(x),  D = H'_{d-1}(x)
 
-    with each factor enclosed by interval Horner and `square`, but done in
-    integers: N and D (both of degree d-2) carry 2^(shift (d-2)), k^2 - x^2
-    carries 2^(2 shift), so the quotient carries 2^(2 shift).  Its extreme
-    corners are picked by sign; no gcd is taken.
+    with N and D enclosed by interval Horner and x^2 by its tight square,
+    but done in integers: N and D (both of degree d-2) carry 2^(shift (d-2)),
+    k^2 - x^2 carries 2^(2 shift), so the quotient carries 2^(2 shift).  Its
+    extreme corners are picked by sign; no gcd is taken.
     """
     n = moore_bound(k, 2 * d) + e
     pre_num = n * e * k * (k - 1)
@@ -620,12 +631,7 @@ def _multiplicity_enclosure(
     n_lo, n_hi = _dyadic_enclosure(polys.h_prev.coefficients, lo, hi, shift)
     h_lo, h_hi = _dyadic_enclosure(polys.h_deriv.coefficients, lo, hi, shift)
     # k^2 - x^2 from the tight enclosure of x^2
-    if lo >= 0:
-        sq_lo, sq_hi = lo * lo, hi * hi
-    elif hi <= 0:
-        sq_lo, sq_hi = hi * hi, lo * lo
-    else:
-        sq_lo, sq_hi = 0, max(lo * lo, hi * hi)
+    sq_lo, sq_hi = _dyadic_square(lo, hi)
     k2 = k * k << 2 * shift
     w_lo, w_hi = k2 - sq_hi, k2 - sq_lo
     corners = (h_lo * w_lo, h_lo * w_hi, h_hi * w_lo, h_hi * w_hi)
@@ -660,7 +666,7 @@ def _decisive(ends) -> bool:
 def _assess_multiplicity(k, d, e, record: RootRecord) -> MultiplicityAssessment:
     """Closed-form multiplicity with a certified enclosure; the bracket is
     refined until the enclosure is decisively narrow."""
-    lo, hi, shift = _dyadic_pair(record.bracket)
+    lo, hi, shift = record.bracket
     bits = TARGET_BRACKET_BITS
     ends = _multiplicity_enclosure(k, d, e, record.epsilon, lo, hi, shift)
     coeffs = None
@@ -679,14 +685,14 @@ def _assess_multiplicity(k, d, e, record: RootRecord) -> MultiplicityAssessment:
             raise IllConditionedError("degenerate exact bracket with singular denominator")
         lo, hi, shift = _bisect(coeffs, lo, hi, shift, sign_lo, bits)
         ends = _multiplicity_enclosure(k, d, e, record.epsilon, lo, hi, shift)
-    enclosure = RatInterval(Fraction(*ends[0]), Fraction(*ends[1]))
+    integers = _integers_in(ends)
     closed = multiplicity_closed_form(k, d, e, record.epsilon, record.theta)
     nearest = round(closed)
     return MultiplicityAssessment(
         record=record,
         closed_form=closed,
-        enclosure=enclosure,
-        integer=enclosure.contained_integer(),
+        enclosure=ends,
+        integer=integers[0] if len(integers) == 1 else None,
         nearest=int(nearest),
         deviation=abs(closed - nearest),
     )
@@ -771,7 +777,7 @@ def multiplicity_symmetry_checks(k: int, d: int, e: int) -> SymmetryReport:
 class GapVerdict:
     """Certified bounds on lambda_2^2 - mu_2^2.
 
-    ``lo``/``hi`` are exact rationals from the root brackets.  ``excluded``
+    ``lo``/``hi`` are exact rationals from the squared root brackets.  ``excluded``
     requires only the certified interval to contain no integer; the
     closed-form analytic bound and the closing inequality chain
 
@@ -812,11 +818,13 @@ def gap_check(k: int, d: int, e: int) -> GapVerdict:
             k=k, d=d, e=e, applicable=False,
             reason=f"gap argument needs girth 2d >= 14, got 2d = {2 * d}",
         )
-    mu2 = isolate_roots(k, d, e, 1)[1]
-    lam2 = isolate_roots(k, d, e, -e // 2)[1]
-    lam_sq = RatInterval(*lam2.bracket).square()
-    mu_sq = RatInterval(*mu2.bracket).square()
-    gap = lam_sq - mu_sq
+    mu_lo, mu_hi, mu_shift = isolate_roots(k, d, e, 1)[1].bracket
+    lam_lo, lam_hi, lam_shift = isolate_roots(k, d, e, -e // 2)[1].bracket
+    shift = max(mu_shift, lam_shift)
+    mu_sq = _dyadic_square(mu_lo << (shift - mu_shift), mu_hi << (shift - mu_shift))
+    lam_sq = _dyadic_square(lam_lo << (shift - lam_shift), lam_hi << (shift - lam_shift))
+    gap_lo, gap_hi = lam_sq[0] - mu_sq[1], lam_sq[1] - mu_sq[0]  # over 2^(2 shift)
+    unit = 1 << 2 * shift
     s_pow = (k - 1) ** (-(d - 1) / 2)                       # s^(1-d)
     s32 = (k - 1) ** ((d - 3) / 4)                          # s^((d-3)/2)
     analytic = (
@@ -836,11 +844,11 @@ def gap_check(k: int, d: int, e: int) -> GapVerdict:
         d=d,
         e=e,
         applicable=True,
-        lo=gap.lo,
-        hi=gap.hi,
+        lo=Fraction(gap_lo, unit),
+        hi=Fraction(gap_hi, unit),
         analytic_bound=analytic,
-        contains_integer=gap.contained_integer_count() > 0,
-        within_unit_interval=bool(gap.lo > 0 and gap.hi < 1),
+        contains_integer=len(_integers_in(((gap_lo, unit), (gap_hi, unit)))) > 0,
+        within_unit_interval=0 < gap_lo and gap_hi < unit,
         chain_values=chain,
         chain_ok=chain_ok,
     )

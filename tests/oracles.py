@@ -1,7 +1,8 @@
 """Independent reference computations the tests compare the package against.
 
 Each one reaches its value by another route than the engine does (`Fraction`
-interval arithmetic, synthetic polynomial division in binary64 or mpmath,
+interval arithmetic where the engine keeps integers over a power of two,
+synthetic polynomial division in binary64 or mpmath,
 the transcendental angular-defect equation, list-of-list matrices where the
 package packs each row into one int, a queue-based search per root where the
 package searches from every root at once, a bit-by-bit graph6 payload decoder
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
+from dataclasses import dataclass
 from operator import mul
 from typing import Sequence, Union
 
@@ -29,11 +31,105 @@ from cage_spectra.feasibility import (
     _sign_dyadic,
 )
 from cage_spectra.intersection import build_bd
-from cage_spectra.intervals import RatInterval
 from cage_spectra.polynomials import dickson_family
 
 #: mpmath working precision, in bits, wherever binary64 is not enough.
 MP_BITS = 128
+
+Rat = Union[int, Fraction]
+
+
+# ---------------------------------------------------------------------------
+# exact closed-interval arithmetic over the rationals (Moore, Interval
+# Analysis, 1966): `Fraction` endpoints, so directed rounding degenerates to
+# exact arithmetic and "does this interval contain an integer" is decidable
+
+@dataclass(frozen=True)
+class RatInterval:
+    """Closed interval [lo, hi] with exact rational endpoints."""
+
+    lo: Fraction
+    hi: Fraction
+
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+
+    @classmethod
+    def point(cls, x: Rat) -> "RatInterval":
+        x = Fraction(x)
+        return cls(x, x)
+
+    @property
+    def width(self) -> Fraction:
+        return self.hi - self.lo
+
+    def __add__(self, other: "RatInterval") -> "RatInterval":
+        other = _coerce(other)
+        return RatInterval(self.lo + other.lo, self.hi + other.hi)
+
+    def __neg__(self) -> "RatInterval":
+        return RatInterval(-self.hi, -self.lo)
+
+    def __sub__(self, other) -> "RatInterval":
+        return self + (-_coerce(other))
+
+    def __mul__(self, other) -> "RatInterval":
+        other = _coerce(other)
+        products = (
+            self.lo * other.lo,
+            self.lo * other.hi,
+            self.hi * other.lo,
+            self.hi * other.hi,
+        )
+        return RatInterval(min(products), max(products))
+
+    def __truediv__(self, other) -> "RatInterval":
+        other = _coerce(other)
+        if other.contains_zero():
+            raise ZeroDivisionError("interval division by an interval containing zero")
+        inv = RatInterval(1 / other.hi, 1 / other.lo)
+        return self * inv
+
+    def square(self) -> "RatInterval":
+        """Tight enclosure of {x^2 : x in self}."""
+        if self.lo >= 0:
+            return RatInterval(self.lo * self.lo, self.hi * self.hi)
+        if self.hi <= 0:
+            return RatInterval(self.hi * self.hi, self.lo * self.lo)
+        return RatInterval(Fraction(0), max(self.lo * self.lo, self.hi * self.hi))
+
+    def contains_zero(self) -> bool:
+        return self.lo <= 0 <= self.hi
+
+    def contained_integer_count(self) -> int:
+        """Number of integers z with lo <= z <= hi."""
+        return max(0, math.floor(self.hi) - math.ceil(self.lo) + 1)
+
+    def contained_integer(self) -> int | None:
+        """The unique integer in the interval, or None if there is not
+        exactly one."""
+        if self.contained_integer_count() != 1:
+            return None
+        return math.ceil(self.lo)
+
+
+def _coerce(x) -> RatInterval:
+    if isinstance(x, RatInterval):
+        return x
+    return RatInterval.point(x)
+
+
+def bracket_interval(bracket: tuple[int, int, int]) -> RatInterval:
+    """A root record's dyadic bracket (lo, hi, shift) as [lo, hi] / 2^shift."""
+    lo, hi, shift = bracket
+    return RatInterval(Fraction(lo, 1 << shift), Fraction(hi, 1 << shift))
+
+
+def enclosure_interval(ends: tuple[tuple[int, int], tuple[int, int]]) -> RatInterval:
+    """A multiplicity enclosure ((a, b), (c, q)) as [a/b, c/q]."""
+    (a, b), (c, q) = ends
+    return RatInterval(Fraction(a, b), Fraction(c, q))
 
 
 def poly_enclosure(coefficients: Sequence[Union[int, Fraction]], x: RatInterval) -> RatInterval:
@@ -175,10 +271,10 @@ def isolate_mp(k: int, d: int, e: int, epsilon: int) -> tuple[RootRecord, ...]:
                     theta=float(theta_mid),
                     phi=float(phi),
                     alpha=float(alpha),
-                    bracket=(Fraction(lo, 1 << shift), Fraction(hi, 1 << shift)),
+                    bracket=(lo, hi, shift),
                 )
             )
-    records.sort(key=lambda r: r.bracket[0])
+    records.sort(key=lambda r: bracket_interval(r.bracket).lo)
     if [r.i for r in records] != list(range(1, d)):
         raise BracketSeedError("isolated roots are not ascending in their index order")
     return tuple(records)

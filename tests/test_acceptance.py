@@ -29,6 +29,7 @@ from cage_spectra import (
     verify_allones_identity,
     verify_path_count_identity,
 )
+from oracles import enclosure_interval
 
 DUAL_FORMULA_TRIPLES = [(4, 3, 2), (5, 5, 2), (6, 5, 4), (7, 7, 2), (8, 7, 6)]
 
@@ -97,7 +98,7 @@ def test_c5_worked_multiplicity_instance():
         assert spectrum[round(-math.sqrt(2), 9)] == 6
         assert sum(m for _, m in report.spectrum()) == 28
         for assessment in report.assessments:
-            assert assessment.enclosure.contained_integer_count() == 1
+            assert enclosure_interval(assessment.enclosure).contained_integer_count() == 1
             assert assessment.deviation <= 1e-6
         assert report.moment_check.ok and report.moment_check.worst_q <= 5
         assert report.final_verdict == "spectrally-admissible"

@@ -1,8 +1,9 @@
 """The scan's integer kernels against the arithmetic they replace.
 
-`oracles.poly_enclosure` and `RatInterval` are the documented oracles:
-every endpoint the integer route produces must equal theirs exactly, so the
-refinement steps, the certified integers and every verdict stay the same.
+`oracles.poly_enclosure` and `oracles.RatInterval` are the documented
+oracles: every endpoint the integer route produces must equal theirs
+exactly, so the refinement steps, the certified integers, the product gap
+and every verdict stay the same.
 Likewise `_bisect` must return exactly the bracket of the bit-by-bit halving
 loop (`halving_loop` below).
 """
@@ -17,9 +18,9 @@ from hypothesis import strategies as st
 from cage_spectra import (
     BracketSeedError,
     IntPolynomial,
-    RatInterval,
     derivative,
     dickson_family,
+    gap_check,
     isolate_roots,
     moore_bound,
 )
@@ -30,12 +31,12 @@ from cage_spectra.feasibility import (
     _bisect,
     _decisive,
     _dyadic_enclosure,
-    _dyadic_pair,
     _family_poly,
+    _integers_in,
     _multiplicity_enclosure,
     _sign_dyadic,
 )
-from oracles import poly_enclosure
+from oracles import RatInterval, bracket_interval, enclosure_interval, poly_enclosure
 
 PAPER_GRID = [
     (k, d, e)
@@ -70,8 +71,7 @@ def test_dyadic_enclosure_matches_poly_enclosure(coeffs, bracket):
     lo, hi, shift = bracket
     a, b = _dyadic_enclosure(tuple(coeffs), lo, hi, shift)
     den = 1 << shift * (len(coeffs) - 1)
-    x = RatInterval(Fraction(lo, 1 << shift), Fraction(hi, 1 << shift))
-    expected = poly_enclosure(coeffs, x)
+    expected = poly_enclosure(coeffs, bracket_interval(bracket))
     assert (Fraction(a, den), Fraction(b, den)) == (expected.lo, expected.hi)
 
 
@@ -86,7 +86,7 @@ def rational_route(k, d, e, epsilon, lo, hi, shift):
     """The multiplicity enclosure in `RatInterval` arithmetic."""
     n = moore_bound(k, 2 * d) + e
     prefactor = Fraction(n * e * k * (k - 1), 2 * epsilon * (2 * epsilon + e // 2 - 1))
-    x = RatInterval(Fraction(lo, 1 << shift), Fraction(hi, 1 << shift))
+    x = bracket_interval((lo, hi, shift))
     numer = poly_enclosure(dickson_family("H", k, d - 2).coefficients, x)
     h_deriv = poly_enclosure(derivative(dickson_family("H", k, d - 1)).coefficients, x)
     denom = h_deriv * (RatInterval.point(k * k) - x.square())
@@ -111,7 +111,7 @@ def integer_route(k, d, e, epsilon, lo, hi, shift):
         return None
     (a, b), (c, q) = ends
     assert b > 0 and q > 0
-    enclosure = RatInterval(Fraction(a, b), Fraction(c, q))
+    enclosure = enclosure_interval(ends)
     assert _decisive(ends) == (enclosure.width <= ENCLOSURE_WIDTH_LIMIT)
     return enclosure
 
@@ -132,7 +132,7 @@ def assert_enclosures_match(k, d, e):
     halving loop's."""
     for epsilon in (1, -e // 2):
         for record in isolate_roots(k, d, e, epsilon):
-            lo, hi, shift = _dyadic_pair(record.bracket)
+            lo, hi, shift = record.bracket
             bits = TARGET_BRACKET_BITS
             while True:
                 enclosure = integer_route(k, d, e, epsilon, lo, hi, shift)
@@ -154,6 +154,79 @@ def test_multiplicity_enclosure_matches_rational_route_on_paper_grid():
 @pytest.mark.parametrize("k,d,e", DEEP_GIRTH)
 def test_multiplicity_enclosure_matches_rational_route_on_deep_girth(k, d, e):
     assert_enclosures_match(k, d, e)
+
+
+# ---------------------------------------------------------------------------
+# integer certificates: the integer count and the product gap
+
+
+@st.composite
+def fraction_ends(draw):
+    """Ends ((a, b), (c, q)) with b, q > 0 and a/b <= c/q, some of zero
+    width and some with an end on an integer."""
+    b = draw(st.integers(1, 10**6))
+    a = draw(st.integers(-10**9, 10**9))
+    if draw(st.booleans()):
+        a -= a % b  # a/b is an integer
+    kind = draw(st.sampled_from(("any", "point", "integer")))
+    if kind == "point":
+        scale = draw(st.integers(1, 1000))
+        return (a, b), (a * scale, b * scale)
+    if kind == "integer":
+        c = -(-a // b) + draw(st.integers(0, 3))
+        q = draw(st.integers(1, 1000))
+        return (a, b), (c * q, q)
+    q = draw(st.integers(1, 10**6))
+    c = -(-a * q // b) + draw(st.integers(0, 10**7))  # c/q >= a/b
+    return (a, b), (c, q)
+
+
+@settings(max_examples=500, deadline=None)
+@given(fraction_ends())
+@example(((-7, 2), (-3, 1)))      # negative, high end on an integer
+@example(((-6, 2), (-6, 2)))      # zero width on an integer
+@example(((5, 3), (5, 3)))        # zero width between integers
+@example(((13, 10), (17, 10)))    # no integer
+@example(((-1, 3), (1, 3)))       # straddles 0: the integer 0
+@example(((0, 1), (3, 1)))        # several
+def test_integers_in_matches_the_interval_oracle(ends):
+    oracle = enclosure_interval(ends)
+    integers = _integers_in(ends)
+    assert len(integers) == oracle.contained_integer_count()
+    assert (integers[0] if len(integers) == 1 else None) == oracle.contained_integer()
+    if integers:
+        assert oracle.lo <= integers[0] and integers[-1] <= oracle.hi
+
+
+def oracle_gap(k, d, e):
+    """lambda_2^2 - mu_2^2 from the second roots' brackets, squared and
+    subtracted in `RatInterval` arithmetic."""
+    mu2 = bracket_interval(isolate_roots(k, d, e, 1)[1].bracket)
+    lam2 = bracket_interval(isolate_roots(k, d, e, -e // 2)[1].bracket)
+    return lam2.square() - mu2.square()
+
+
+def assert_gap_matches(k, d, e):
+    verdict = gap_check(k, d, e)
+    gap = oracle_gap(k, d, e)
+    assert (verdict.lo, verdict.hi) == (gap.lo, gap.hi)
+    assert verdict.contains_integer == (gap.contained_integer_count() > 0)
+    assert verdict.within_unit_interval == (gap.lo > 0 and gap.hi < 1)
+
+
+def test_gap_matches_the_interval_oracle_on_paper_grid():
+    mixed = 0
+    for k, d, e in PAPER_GRID:
+        assert_gap_matches(k, d, e)
+        mu_shift = isolate_roots(k, d, e, 1)[1].bracket[2]
+        mixed += mu_shift != isolate_roots(k, d, e, -e // 2)[1].bracket[2]
+    assert len(PAPER_GRID) == 135
+    assert mixed > 0  # brackets of different shift are aligned before squaring
+
+
+@pytest.mark.parametrize("k,d,e", DEEP_GIRTH)
+def test_gap_matches_the_interval_oracle_on_deep_girth(k, d, e):
+    assert_gap_matches(k, d, e)
 
 
 # ---------------------------------------------------------------------------

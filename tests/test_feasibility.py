@@ -10,7 +10,6 @@ from cage_spectra import (
     IllConditionedError,
     OddExcessError,
     ParameterDomainError,
-    RatInterval,
     RegimeViolationError,
     RootRecord,
     SkippedTriple,
@@ -29,7 +28,7 @@ from cage_spectra import (
     spectral_feasibility,
 )
 from cage_spectra.intersection import bd_moments
-from oracles import transcendental_residual
+from oracles import RatInterval, bracket_interval, enclosure_interval, transcendental_residual
 
 ACCEPTANCE_TRIPLES = [(4, 3, 2), (5, 5, 2), (6, 5, 4), (7, 7, 2), (8, 7, 6)]
 
@@ -45,15 +44,14 @@ def test_isolate_roots_worked_instance():
         [-math.sqrt(2), math.sqrt(2)], abs=1e-15
     )
     # brackets certify the exact roots -2, 2, -sqrt(2), sqrt(2)
-    assert plus[0].bracket[0] <= -2 <= plus[0].bracket[1]
-    assert plus[1].bracket[0] <= 2 <= plus[1].bracket[1]
-    lo, hi = minus[1].bracket
-    assert 0 < lo and lo * lo <= 2 <= hi * hi
-    lo, hi = minus[0].bracket
-    assert hi < 0 and hi * hi <= 2 <= lo * lo
+    low, high = (bracket_interval(r.bracket) for r in plus)
+    assert low.lo <= -2 <= low.hi and high.lo <= 2 <= high.hi
+    bracket = bracket_interval(minus[1].bracket)
+    assert 0 < bracket.lo and bracket.square().lo <= 2 <= bracket.square().hi
+    bracket = bracket_interval(minus[0].bracket)
+    assert bracket.hi < 0 and bracket.square().lo <= 2 <= bracket.square().hi
     for r in plus + minus:
-        lo, hi = r.bracket
-        assert hi - lo < Fraction(1, 2**60)
+        assert bracket_interval(r.bracket).width < Fraction(1, 2**60)
 
 
 def test_isolate_roots_case_interval():
@@ -79,8 +77,7 @@ def test_isolate_roots_structure(k, d, e):
         assert thetas == sorted(thetas)
         for r in records:
             assert abs(h(r.theta) - eps) < 1e-6
-            lo, hi = r.bracket
-            assert hi - lo < Fraction(1, 2**60)
+            assert bracket_interval(r.bracket).width < Fraction(1, 2**60)
             assert r.eta == eps * (-1) ** (d + r.i)
             # theta inside the image of its angular case interval
             a = abs(r.eta)
@@ -102,12 +99,10 @@ def test_isolate_roots_bracket_sign_certified():
     for eps in (1, -1):
         coeffs = _family_poly(5, 5, eps)
         for r in isolate_roots(5, 5, 2, eps):
-            lo, hi = r.bracket
+            lo, hi, shift = r.bracket
             if lo == hi:
                 continue
-            sign_lo = _sign_dyadic(coeffs, lo.numerator, lo.denominator.bit_length() - 1)
-            sign_hi = _sign_dyadic(coeffs, hi.numerator, hi.denominator.bit_length() - 1)
-            assert sign_lo * sign_hi < 0
+            assert _sign_dyadic(coeffs, lo, shift) * _sign_dyadic(coeffs, hi, shift) < 0
 
 
 def test_isolate_roots_returns_a_new_list_each_call():
@@ -340,8 +335,9 @@ def test_spectral_feasibility_worked_instance():
     ]
     assert report.all_integral and report.all_positive
     for assessment in report.assessments:
-        assert assessment.enclosure.contained_integer_count() == 1
-        assert assessment.enclosure.width < Fraction(1, 10**6)
+        enclosure = enclosure_interval(assessment.enclosure)
+        assert enclosure.contained_integer() == assessment.integer
+        assert enclosure.width < Fraction(1, 10**6)
     assert report.sum_ok and report.sum_value == pytest.approx(26.0, rel=1e-12)
     assert report.moment_check.ok
 
@@ -423,7 +419,7 @@ def test_scan_gap_regime_row():
 
 
 # ---------------------------------------------------------------------------
-# interval plumbing used by the certificates
+# the interval oracle the certificates are tested against
 
 def test_rat_interval_arithmetic():
     a = RatInterval(Fraction(1, 3), Fraction(1, 2))

@@ -4,7 +4,7 @@ pins `phi`, `alpha`, `theta` and the full spectrum of every triple, from the
 cubic worked instance through the product-gap regime and past the 2^51
 multiplicity range.
 
-ROADMAP item 4 changes `alpha` on purpose (an exact enclosure in place of
+ROADMAP item 5 changes `alpha` on purpose (an exact enclosure in place of
 the midpoint's float); that change regenerates this file.  Regenerate it
 only in a change meant to alter `feasibility` output:
 

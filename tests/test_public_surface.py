@@ -1,10 +1,10 @@
 """The package's public surface and its third-party footprint.
 
 `__all__` is pinned name for name, so a name is added or removed on purpose;
-the names the package dropped must stay gone; numpy serves only the
-eigenvalue cross-check and no module imports mpmath (the tests' oracles
-use it); and no module reads the environment, so output depends on
-arguments alone.
+the names and modules the package dropped must stay gone; numpy is imported
+by `graphs` alone (the graph6 decoder and the eigenvalue cross-check) and no
+module imports mpmath (the tests' oracles use it); and no module reads the
+environment, so output depends on arguments alone.
 """
 
 import ast
@@ -37,7 +37,6 @@ PUBLIC = [
     "MultiplicityAssessment",
     "OddExcessError",
     "ParameterDomainError",
-    "RatInterval",
     "RegimeViolationError",
     "RootRecord",
     "SkippedTriple",
@@ -78,12 +77,14 @@ PUBLIC = [
     "verify_path_count_identity",
 ]
 
-#: Names the package no longer has, with the module that held each.
+#: Names the package no longer has, with the module that held each; no
+#: module of the package binds them.
 REMOVED = {
     "DisconnectedGraphError": "errors",
     "DistanceMatrixSet": "graphs",
     "ExactRational": "polynomials",
     "MultiplicitySet": "feasibility",
+    "RatInterval": "intervals",
     "adjacency_eval_poly": "_intmat",
     "adjacency_matmul": "_intmat",
     "_analysis_for": "graphs",
@@ -100,6 +101,10 @@ REMOVED = {
     "transcendental_residual": "feasibility",
 }
 
+#: Modules the package no longer has.  The engine's exact arithmetic is
+#: dyadic integers; `RatInterval` lives on as a test oracle.
+REMOVED_MODULES = ("intervals", "precision")
+
 #: Attributes the package's classes dropped: the graph owns its one analysis,
 #: and no n x n list of distance rows or adjacency entries is built.
 REMOVED_ATTRIBUTES = {
@@ -113,6 +118,11 @@ THIRD_PARTY = {"numpy": "graphs"}
 
 def module_trees():
     return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE_DIR.glob("*.py"))}
+
+
+def package_modules():
+    return [importlib.import_module(f"cage_spectra.{path.stem}")
+            for path in sorted(PACKAGE_DIR.glob("*.py")) if path.stem != "__init__"]
 
 
 def imported_roots(tree) -> set[str]:
@@ -135,8 +145,8 @@ def test_all_is_pinned_and_resolves():
 @pytest.mark.parametrize("name", sorted(REMOVED))
 def test_removed_names_are_gone(name):
     assert not hasattr(cage_spectra, name)
-    module = importlib.import_module(f"cage_spectra.{REMOVED[name]}")
-    assert not hasattr(module, name)
+    for module in package_modules():
+        assert not hasattr(module, name), module.__name__
 
 
 @pytest.mark.parametrize("owner", sorted(REMOVED_ATTRIBUTES))
@@ -158,9 +168,10 @@ def test_no_public_function_takes_an_analysis():
     assert not hasattr(importlib.import_module("cage_spectra.cli"), "GraphAnalysis")
 
 
-def test_precision_module_is_gone():
+@pytest.mark.parametrize("stem", REMOVED_MODULES)
+def test_module_is_gone(stem):
     with pytest.raises(ModuleNotFoundError):
-        importlib.import_module("cage_spectra.precision")
+        importlib.import_module(f"cage_spectra.{stem}")
 
 
 def test_third_party_imports_stay_in_their_module():
