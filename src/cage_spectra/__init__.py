@@ -60,8 +60,7 @@ from .graphs import (
     parse_graph6,
     spectral_crosscheck,
     structural_check,
-    verify_allones_identity,
-    verify_path_count_identity,
+    verify_identities,
 )
 from .intersection import (
     IntersectionMatrix,
@@ -133,6 +132,5 @@ __all__ = [
     "structural_check",
     "trace_identity_check",
     "validate_parameters",
-    "verify_allones_identity",
-    "verify_path_count_identity",
+    "verify_identities",
 ]

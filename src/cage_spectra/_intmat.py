@@ -7,9 +7,9 @@ X is held as one Python int, its packed row
 
 with W-bit signed fields (Kronecker substitution).  Packing is linear, so
 row u of A·X is the sum of the packed rows of X at u's neighbours: k big-int
-additions in C for a vertex of degree k (`packed_product`), and c·I adds
-``c << W·u`` to row u.  Every packed value is an exact integer whatever its
-fields hold; only reading fields back needs a bound.  A row whose entries all
+additions in C for a vertex of degree k (`packed_product`); row u of I is
+``1 << W·u``.  Every packed value is an exact integer whatever its fields
+hold; only reading fields back needs a bound.  A row whose entries all
 satisfy |x| < 2^(W-1) is 0 exactly when every entry is 0 (its lowest nonzero
 field is not a multiple of 2^W), and its entries decode field by field
 (`unpack`).  So with W set from an a-priori bound on the entries of a
@@ -63,22 +63,6 @@ def packed_product(adjacency, rows: list[int]) -> list[int]:
     """Packed rows of A·X, for the 0/1 matrix A given by neighbour lists and
     the packed rows of X: row u is the sum of the rows at u's neighbours."""
     return [sum(map(rows.__getitem__, nbrs)) for nbrs in adjacency]
-
-
-def packed_eval_poly(coefficients, adjacency, width: int) -> list[int]:
-    """Packed rows of p(A) for integer coefficients (constant term first), by
-    Horner's rule P <- A·P + c·I from P = top·I.
-
-    Multiplying on the left is exact because P is a polynomial in A and so
-    commutes with it.
-    """
-    *lower, top = coefficients or (0,)
-    rows = [top << width * u for u in range(len(adjacency))]
-    for c in reversed(lower):
-        rows = packed_product(adjacency, rows)
-        if c:
-            rows = [row + (c << width * u) for u, row in enumerate(rows)]
-    return rows
 
 
 def unpack(row: int, n: int, width: int) -> list[int]:

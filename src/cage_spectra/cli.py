@@ -47,8 +47,7 @@ from .graphs import (
     parse_graph6,
     spectral_crosscheck,
     structural_check,
-    verify_allones_identity,
-    verify_path_count_identity,
+    verify_identities,
 )
 from .polynomials import dickson_family
 
@@ -301,8 +300,7 @@ def _verify_one(name, graph, k, d, e) -> dict:
     }
     if not verdict.structure_ok:
         return result
-    path_id = verify_path_count_identity(graph, k, d, e)
-    allones = verify_allones_identity(graph, k, d, e)
+    path_id, allones = verify_identities(graph, k, d, e)
     cross = spectral_crosscheck(graph, k, d, e)
     result["path_count_residual"] = path_id.residual
     result["allones_residual"] = allones.residual
@@ -352,15 +350,17 @@ def _cmd_scan(args, out) -> int:
             _emit_csv_row(out, _row(item))
     elif args.format == "json":
         rows = []
-        for item in items:
-            if isinstance(item, SkippedTriple):
-                rows.append({
-                    "k": item.k, "d": item.d, "e": item.e,
-                    "verdict": item.final_verdict, "note": item.reason,
-                })
-            else:
-                rows.append(_report_json(item))
-        out.write(dumps_canonical(rows) + "\n")
+        try:
+            for item in items:
+                if isinstance(item, SkippedTriple):
+                    rows.append({
+                        "k": item.k, "d": item.d, "e": item.e,
+                        "verdict": item.final_verdict, "note": item.reason,
+                    })
+                else:
+                    rows.append(_report_json(item))
+        finally:  # an error mid-grid still prints the items before it, as csv and text do
+            out.write(dumps_canonical(rows) + "\n")
     else:
         for item in items:
             row = _row(item)

@@ -24,19 +24,23 @@ graph):
     F_d(A)  = k*A_d - A*A_{d+1}             (path-count identity)
     k*J     = (A + k*I)(H_{d-1}(A) + A_{d+1})   (all-ones factorization)
 
-Both are evaluated on packed rows (`_intmat`): each matrix row is one Python
-int with fixed-width signed fields, row u of A·X is the sum of the rows at
-u's k neighbours, A_d and A_{d+1} are packed straight from the level bitsets,
-and every row of J is one constant int.  The field width comes from an a-priori bound on the entries of
-lhs - rhs, so an identity holds exactly when every packed difference row is
-the integer 0; only a nonzero row is decoded, for the max |entry| residual.
-Every check reads the graph's own `GraphAnalysis` (`Graph.analysis`, built
-on first use), so `verify` and the trace oracle run the BFS pass once per
-graph.
+`verify_identities` reads both from the one product A·M, M = H_{d-1}(A) +
+A_{d+1}: since F_d = H_d - H_{d-2}, the path-count difference is
+A·M - k(H_{d-2}(A) + A_d), and the all-ones difference is A·M + k·M - k·J.
+All of it runs on packed rows (`_intmat`): each matrix row is one Python int
+with fixed-width signed fields, row u of A·X is the sum of the rows at u's k
+neighbours, H_{d-2}(A) and H_{d-1}(A) come from the three-term recurrence,
+A_d and A_{d+1} are packed straight from the level bitsets, and every row of
+J is one constant int.  The field width comes from an a-priori bound on the
+entries of both differences, so an identity holds exactly when every packed
+difference row is the integer 0; only a nonzero row is decoded, for the max
+|entry| residual.  Every check reads the graph's own `GraphAnalysis`
+(`Graph.analysis`, built on first use), so `verify` and the trace oracle run
+the BFS pass once per graph.
 
-For excess 0 the matrix A_{d+1} is taken to be zero and both identities
-degrade gracefully, which lets the classical excess-0 graphs in the catalog
-serve as exact regression anchors.
+For excess 0 the matrix A_{d+1} is zero (no vertex is at distance d + 1) and
+packs to zero rows, so the classical excess-0 graphs in the catalog serve as
+exact regression anchors.
 """
 
 from __future__ import annotations
@@ -500,58 +504,51 @@ def _require_structure(graph: Graph, k: int, d: int, e: int) -> GraphAnalysis:
     return graph.analysis
 
 
-def verify_path_count_identity(graph: Graph, k: int, d: int, e: int) -> IdentityCheck:
-    """Exact residual of F_d(A) = k*A_d - A*A_{d+1}.
+def verify_identities(
+    graph: Graph, k: int, d: int, e: int
+) -> tuple[IdentityCheck, IdentityCheck]:
+    """Exact residuals of the path-count identity and of the all-ones
+    factorization, in that order, from the one product A·M with
+    M = H_{d-1}(A) + A_{d+1}.
+
+    H_{d-2}(A) and H_{d-1}(A) come from H_{i+1}(A) = A·H_i(A) - (k-1)H_{i-1}(A)
+    on packed rows, from H_{-1} = 0 and H_0 = I, so with A·M a call costs d
+    packed products.  F_d = H_d - H_{d-2}, so F_d(A) - k*A_d + A*A_{d+1} is
+    A·M - k(H_{d-2}(A) + A_d) entry for entry; (A + k*I)M - k*J is
+    A·M + k·M - k*J.  For e = 0, A_{d+1} packs to zero rows.
 
     Refuses when the graph is structurally inconsistent with (k, d, e); the
-    identity itself is tested on whatever structurally consistent graph is
-    supplied, regime notes notwithstanding.  For e = 0, A_{d+1} is the zero
-    matrix and is neither built nor multiplied.  Costs at most d packed
-    products (see `_intmat`).
+    identities themselves are tested on whatever structurally consistent graph
+    is supplied, regime notes notwithstanding.
 
-    The graph is k-regular, so |F_d(A)| <= Σ|c_i| k^i entrywise and k*A_d and
-    A*A_{d+1} add at most k each: fields of that width hold every entry of
-    the difference, and it is zero exactly when each packed row is 0.
+    The graph is k-regular, so |p(A)| <= Σ|c_i| k^i entrywise: the path-count
+    difference is at most Σ|c_i| k^i + 2k over the coefficients of F_d, and
+    the all-ones difference at most 2k(Σ|c_i| k^i + 1) + k over those of
+    H_{d-1}.  Fields wide enough for the larger bound hold every entry of
+    both, so each difference is zero exactly when each of its packed rows is.
     """
     analysis = _require_structure(graph, k, d, e)
     n, adjacency = graph.n, graph.adjacency
-    coefficients = dickson_family("F", k, d).coefficients
-    width = _intmat.field_width(_intmat.poly_bound(coefficients, k) + 2 * k)
-    diff = [
-        f - k * a
-        for f, a in zip(
-            _intmat.packed_eval_poly(coefficients, adjacency, width),
-            analysis.distance_matrix(d, width),
-        )
+    width = _intmat.field_width(max(
+        _intmat.poly_bound(dickson_family("F", k, d).coefficients, k) + 2 * k,
+        2 * k * (_intmat.poly_bound(dickson_family("H", k, d - 1).coefficients, k) + 1) + k,
+    ))
+    lower, upper = [0] * n, [1 << width * u for u in range(n)]  # H_{-1}(A), H_0(A)
+    for _ in range(d - 1):
+        lower, upper = upper, [
+            w - (k - 1) * h for w, h in zip(_intmat.packed_product(adjacency, upper), lower)
+        ]
+    inner = list(map(add, upper, analysis.distance_matrix(d + 1, width)))
+    walks = _intmat.packed_product(adjacency, inner)
+    path_count = [
+        w - k * (h + a) for w, h, a in zip(walks, lower, analysis.distance_matrix(d, width))
     ]
-    if any(analysis.level(d + 1)):  # A_{d+1} = 0 when the diameter is at most d (e = 0)
-        walks = _intmat.packed_product(adjacency, analysis.distance_matrix(d + 1, width))
-        diff = list(map(add, diff, walks))
-    residual = _intmat.packed_max_abs(diff, n, width)
-    return IdentityCheck(name="path-count", n=n, residual=residual)
-
-
-def verify_allones_identity(graph: Graph, k: int, d: int, e: int) -> IdentityCheck:
-    """Exact residual of k*J = (A + k*I)(H_{d-1}(A) + A_{d+1}), with the
-    product taken as A·M + k·M on packed rows.
-
-    On a k-regular graph |M| <= Σ|c_i| k^i + 1 entrywise, so A·M + k·M - k·J
-    has entries of at most 2k(Σ|c_i| k^i + 1) + k: the field width that
-    makes the packed comparison exact.
-    """
-    analysis = _require_structure(graph, k, d, e)
-    n, adjacency = graph.n, graph.adjacency
-    coefficients = dickson_family("H", k, d - 1).coefficients
-    width = _intmat.field_width(2 * k * (_intmat.poly_bound(coefficients, k) + 1) + k)
-    inner = _intmat.packed_eval_poly(coefficients, adjacency, width)
-    if any(analysis.level(d + 1)):  # A_{d+1} = 0 when the diameter is at most d (e = 0)
-        inner = list(map(add, inner, analysis.distance_matrix(d + 1, width)))
     all_k = k * _intmat.ones_row(n, width)
-    diff = [
-        w + k * m - all_k for w, m in zip(_intmat.packed_product(adjacency, inner), inner)
-    ]
-    residual = _intmat.packed_max_abs(diff, n, width)
-    return IdentityCheck(name="all-ones", n=n, residual=residual)
+    allones = [w + k * m - all_k for w, m in zip(walks, inner)]
+    return tuple(
+        IdentityCheck(name=name, n=n, residual=_intmat.packed_max_abs(diff, n, width))
+        for name, diff in (("path-count", path_count), ("all-ones", allones))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Incidence graphs of finite geometries over a prime field F_q, built without
 networkx: the projective plane PG(2, q) (girth 6) and the symplectic
 generalized quadrangle W(q) (girth 8).  Both are (q+1)-regular bipartite
-graphs of excess 0, so every exact identity holds on them.
+graphs of excess 0, so every exact identity holds on them.  For girth 4 there
+is the complete bipartite graph K_{m,m} (excess 0), and K_{m,m} minus a
+perfect matching, (m-1)-regular with excess 2: each vertex and its removed
+partner are at distance 3.
 
 Points come first (vertices 0..p-1), then lines.  A projective point is a
 nonzero vector whose first nonzero entry is 1; the points of the line spanned
@@ -73,3 +76,12 @@ def wq_incidence(q: int) -> Graph:
         if (a[0] * b[1] - a[1] * b[0] + a[2] * b[3] - a[3] * b[2]) % q == 0
     }
     return _incidence(len(points), lines)
+
+
+def complete_bipartite(m: int, matching_removed: bool = False) -> Graph:
+    """K_{m,m} on 0..m-1 and m..2m-1, less the edges (i, m + i) if
+    ``matching_removed``."""
+    return Graph.from_edges(
+        2 * m,
+        [(i, m + j) for i in range(m) for j in range(m) if not (matching_removed and i == j)],
+    )

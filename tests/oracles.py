@@ -334,28 +334,29 @@ def distance_matrix(adjacency, i):
     return [[int(x == i) for x in row] for row in distance_rows(adjacency)]
 
 
-def path_count_residual(graph, k, d, coefficients):
-    """max |F_d(A) - k*A_d + A*A_{d+1}| on lists, for the coefficients of F_d."""
-    lhs = adjacency_eval_poly(coefficients, graph.adjacency)
-    walks = adjacency_matmul(graph.adjacency, distance_matrix(graph.adjacency, d + 1))
+def path_count_residual(graph, k, d, a_d, a_far):
+    """max |F_d(A) - k*A_d + A*A_{d+1}| on lists, for the given 0/1 lists
+    ``a_d`` and ``a_far`` (A_{d+1}), with F_d(A) by Horner's rule."""
+    lhs = adjacency_eval_poly(dickson_family("F", k, d).coefficients, graph.adjacency)
+    walks = adjacency_matmul(graph.adjacency, a_far)
     return max(
         (
             abs(f - k * a + w)
-            for f_row, a_row, w_row in zip(lhs, distance_matrix(graph.adjacency, d), walks)
+            for f_row, a_row, w_row in zip(lhs, a_d, walks)
             for f, a, w in zip(f_row, a_row, w_row)
         ),
         default=0,
     )
 
 
-def allones_residual(graph, k, d, coefficients):
-    """max |(A + k*I)(H_{d-1}(A) + A_{d+1}) - k*J| on lists, for the
-    coefficients of H_{d-1}."""
+def allones_residual(graph, k, d, a_far):
+    """max |(A + k*I)(H_{d-1}(A) + A_{d+1}) - k*J| on lists, for the given
+    0/1 list ``a_far`` (A_{d+1}), with H_{d-1}(A) by Horner's rule."""
     inner = [
         [h + a for h, a in zip(h_row, a_row)]
         for h_row, a_row in zip(
-            adjacency_eval_poly(coefficients, graph.adjacency),
-            distance_matrix(graph.adjacency, d + 1),
+            adjacency_eval_poly(dickson_family("H", k, d - 1).coefficients, graph.adjacency),
+            a_far,
         )
     ]
     walks = adjacency_matmul(graph.adjacency, inner)

@@ -26,8 +26,7 @@ from cage_spectra import (
     scan,
     spectral_feasibility,
     trace_identity_check,
-    verify_allones_identity,
-    verify_path_count_identity,
+    verify_identities,
 )
 from oracles import enclosure_interval
 
@@ -61,10 +60,9 @@ def test_c2_exact_identity_suite():
     with criterion("C2", "exact-identity-suite", budget=1.0):
         heawood = catalog("heawood")
         tutte_coxeter = catalog("tutte_coxeter")
-        assert verify_path_count_identity(heawood, 3, 3, 0).residual == 0
-        assert verify_allones_identity(heawood, 3, 3, 0).residual == 0
-        assert verify_path_count_identity(tutte_coxeter, 3, 4, 0).residual == 0
-        assert verify_allones_identity(tutte_coxeter, 3, 4, 0).residual == 0
+        for graph, d in ((heawood, 3), (tutte_coxeter, 4)):
+            path_count, allones = verify_identities(graph, 3, d, 0)
+            assert path_count.residual == allones.residual == 0
 
 
 def test_c3_trace_oracle():

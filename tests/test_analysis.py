@@ -175,16 +175,10 @@ def test_adjacency_matmul_matches_dense(graph, data):
 @SETTINGS
 @given(random_graphs(), st.lists(ENTRIES, max_size=5))
 def test_adjacency_eval_poly_matches_dense(graph, coefficients):
-    n = graph.n
+    # the list route of the identity oracles; the dense reference needs a row
     expected = adjacency_eval_poly(coefficients, graph.adjacency)
-    # the dense reference needs at least one row
-    assert expected == (_intmat.eval_poly(coefficients, adjacency_rows(graph.adjacency)) if n else [])
-    width = _intmat.field_width(_intmat.poly_bound(coefficients, max(graph.degrees, default=0)))
-    packed = _intmat.packed_eval_poly(coefficients, graph.adjacency, width)
-    assert unpack(packed, n, width) == expected
-    assert _intmat.packed_max_abs(packed, n, width) == max(
-        (abs(v) for row in expected for v in row), default=0
-    )
+    dense = _intmat.eval_poly(coefficients, adjacency_rows(graph.adjacency)) if graph.n else []
+    assert expected == dense
 
 
 @SETTINGS
@@ -200,7 +194,6 @@ def test_pack_bitsets_matches_the_distance_rows(graph, far, width):
 def test_packed_kernels_on_the_null_graph():
     # format(0, "00b") is "0", not "": no bitset of the order-0 graph is formatted
     assert _intmat.pack_bitsets([], 0, 8) == []
-    assert _intmat.packed_eval_poly([1, -2, 3], [], 8) == []
     assert _intmat.packed_product([], []) == []
     assert (_intmat.packed_max_abs([], 0, 8), _intmat.packed_trace([], 8)) == (0, 0)
     assert (_intmat.ones_row(0, 8), _intmat.unpack(0, 0, 8)) == (0, [])

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import g6ref
-from cage_spectra import _intmat, catalog, cli, graphs, trace_identity_check
+from cage_spectra import BracketSeedError, _intmat, catalog, cli, graphs, trace_identity_check
 from cage_spectra.cli import dumps_canonical, main
 
 
@@ -100,6 +100,24 @@ def test_scan_csv(capsys):
     assert verdicts[("4", "2")] == "excluded-by-gap"
     assert verdicts[("4", "4")] == "outside-regime"  # e > k - 2 skipped with a note
     assert verdicts[("6", "4")] == "excluded-by-gap"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_scan_error_mid_grid_keeps_the_items_before_it(monkeypatch, capsys, fmt):
+    """An error after the first triple ends the scan with exit 1 and the error
+    on stderr; every format prints what a scan of that one triple prints."""
+    argv = ("scan", "--k", "4", "--d", "7", "--e", "2", "--format", fmt)
+    code, before, _ = run(capsys, *argv)
+    assert code == 0
+    scan = cli.scan
+
+    def failing(k_range, d_range, e_range):
+        yield from scan(k_range, d_range, e_range)
+        raise BracketSeedError("seed interval does not bracket a sign change")
+
+    monkeypatch.setattr(cli, "scan", failing)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, before, "error: seed interval does not bracket a sign change\n")
 
 
 def test_verify_catalog_pass(capsys):
@@ -275,7 +293,7 @@ def test_verify_computes_one_structural_verdict_per_graph(monkeypatch, capsys):
     monkeypatch.setattr(graphs, "_verdict", counted)
     code, _, _ = run(capsys, "verify", "catalog:heawood", "--k", "3", "--d", "3", "--e", "0")
     assert code == 0
-    assert verdicts == [(3, 3, 0)]  # shared by the check and all three verifiers
+    assert verdicts == [(3, 3, 0)]  # shared by the check, the identities and the cross-check
 
 
 def test_verify_structural_failure_skips_identity_kernels(monkeypatch, capsys):
@@ -286,7 +304,7 @@ def test_verify_structural_failure_skips_identity_kernels(monkeypatch, capsys):
         raise AssertionError("built or entered after a structural failure")
 
     monkeypatch.setattr(graphs.GraphAnalysis, "distance_matrix", never)
-    for kernel in ("pack_bitsets", "packed_eval_poly", "packed_product"):
+    for kernel in ("pack_bitsets", "packed_product", "packed_max_abs"):
         monkeypatch.setattr(_intmat, kernel, never)
     code, out, _ = run(capsys, "verify", "catalog:heawood", "--k", "3", "--d", "3", "--e", "2")
     assert code == 1 and "FAIL" in out

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import g6ref
+from geometries import complete_bipartite
 from oracles import decode_graph6_payload
 from cage_spectra import (
     Graph,
@@ -21,11 +22,9 @@ from cage_spectra import (
     parse_graph6,
     spectral_crosscheck,
     structural_check,
-    verify_allones_identity,
-    verify_path_count_identity,
+    verify_identities,
 )
 from cage_spectra import _intmat
-from cage_spectra.graphs import GraphAnalysis
 
 
 def cycle(n):
@@ -400,61 +399,64 @@ def test_structural_wrong_parameters(heawood):
 # exact identity verifiers
 
 def test_path_count_identity_heawood(heawood):
-    assert verify_path_count_identity(heawood, 3, 3, 0).residual == 0
+    assert verify_identities(heawood, 3, 3, 0)[0].residual == 0
 
 
 def test_path_count_identity_tutte_coxeter(tutte_coxeter):
-    assert verify_path_count_identity(tutte_coxeter, 3, 4, 0).residual == 0
+    assert verify_identities(tutte_coxeter, 3, 4, 0)[0].residual == 0
 
 
 def test_allones_identity_heawood(heawood):
-    assert verify_allones_identity(heawood, 3, 3, 0).residual == 0
+    assert verify_identities(heawood, 3, 3, 0)[1].residual == 0
 
 
 def test_allones_identity_tutte_coxeter(tutte_coxeter):
-    assert verify_allones_identity(tutte_coxeter, 3, 4, 0).residual == 0
+    assert verify_identities(tutte_coxeter, 3, 4, 0)[1].residual == 0
 
 
 def test_identities_moebius_kantor_conditional(moebius_kantor):
     if structural_check(moebius_kantor, 3, 3, 2).structure_ok:
-        assert verify_path_count_identity(moebius_kantor, 3, 3, 2).residual == 0
-        assert verify_allones_identity(moebius_kantor, 3, 3, 2).residual == 0
+        path_count, allones = verify_identities(moebius_kantor, 3, 3, 2)
+        assert (path_count.name, allones.name) == ("path-count", "all-ones")
+        assert path_count.residual == allones.residual == 0
 
 
-def test_identities_skip_the_zero_distance_matrix(heawood, monkeypatch):
-    # e = 0: A_{d+1} = 0, so neither A·A_{d+1} nor H_{d-1}(A) + A_{d+1} is formed
-    nonzero, packed = [], []
+@pytest.mark.parametrize(
+    "graph,k,d,e",
+    [
+        (catalog("heawood"), 3, 3, 0),
+        (catalog("tutte_coxeter"), 3, 4, 0),
+        (catalog("moebius_kantor"), 3, 3, 2),
+        (complete_bipartite(3), 3, 2, 0),
+        (complete_bipartite(4, matching_removed=True), 3, 2, 2),
+    ],
+    ids=["heawood", "tutte_coxeter", "moebius_kantor", "K33", "K44-matching"],
+)
+def test_identities_take_at_most_d_packed_products(graph, k, d, e, monkeypatch):
+    # H_{d-2}(A) and H_{d-1}(A) by the recurrence, then the one product A·M,
+    # whether or not A_{d+1} is zero
+    products = []
     product = _intmat.packed_product
-    pack = GraphAnalysis.distance_matrix
 
     def recording(adjacency, rows):
-        nonzero.append(any(rows))
+        products.append(len(rows))
         return product(adjacency, rows)
 
-    def packing(analysis, i, width):
-        packed.append(i)
-        return pack(analysis, i, width)
-
     monkeypatch.setattr(_intmat, "packed_product", recording)
-    monkeypatch.setattr(GraphAnalysis, "distance_matrix", packing)
-    assert verify_path_count_identity(heawood, 3, 3, 0).residual == 0
-    assert verify_allones_identity(heawood, 3, 3, 0).residual == 0
-    assert nonzero and all(nonzero)
-    assert packed == [3]  # A_d for the path-count identity; the zero A_{d+1} never
+    assert all(check.holds for check in verify_identities(graph, k, d, e))
+    assert 0 < len(products) <= d
 
 
 def test_identity_refusal():
     with pytest.raises(StructuralRefusal) as info:
-        verify_path_count_identity(cycle(5), 3, 3, 0)
+        verify_identities(cycle(5), 3, 3, 0)
     assert info.value.verdict is not None and not info.value.verdict.passed
-    with pytest.raises(StructuralRefusal):
-        verify_allones_identity(cycle(5), 3, 3, 0)
 
 
 def test_identity_refusal_carries_the_shared_verdict():
     graph = cycle(5)
     verdict = structural_check(graph, 3, 3, 0)
-    for verifier in (verify_path_count_identity, verify_allones_identity, spectral_crosscheck):
+    for verifier in (verify_identities, spectral_crosscheck):
         with pytest.raises(StructuralRefusal) as info:
             verifier(graph, 3, 3, 0)
         assert info.value.verdict is verdict

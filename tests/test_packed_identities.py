@@ -1,9 +1,11 @@
 """The exact identities on packed rows against the list route of `oracles`,
 and on finite-geometry incidence graphs well beyond the catalog's orders.
 
-A perturbed Dickson coefficient breaks an identity; its nonzero residual,
-decoded from the packed difference rows, must equal the list route's exactly,
-also when the perturbation needs fields wider than a machine word.
+A flipped bit of A_d or A_{d+1} breaks an identity; its nonzero residual,
+decoded from the packed difference rows, must equal the list route's exactly.
+The list route evaluates F_d and H_{d-1} by Horner's rule and multiplies by
+A_{d+1} on its own, so it shares no step with the packed recurrence.  Fields
+wider than a machine word are covered by `test_adjacency_matmul_matches_dense`.
 """
 
 import pytest
@@ -11,59 +13,74 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cage_spectra import (
-    IntPolynomial,
     build_bd,
     catalog,
-    dickson_family,
     intersection,
     spectral_crosscheck,
     structural_check,
     trace_identity_check,
-    verify_allones_identity,
-    verify_path_count_identity,
+    verify_identities,
 )
-from cage_spectra import graphs
-from geometries import pg2_incidence, wq_incidence
-from oracles import allones_residual, path_count_residual, power_traces
+from cage_spectra.graphs import GraphAnalysis
+from geometries import complete_bipartite, pg2_incidence, wq_incidence
+from oracles import allones_residual, distance_matrix, path_count_residual, power_traces
 
-#: catalog graphs with the (k, d, e) they are structurally consistent with;
-#: moebius_kantor has e = 2, so A_{d+1} is not zero there
-PASSING = [
-    ("heawood", 3, 3, 0),
-    ("tutte_coxeter", 3, 4, 0),
-    ("moebius_kantor", 3, 3, 2),
-    ("pg23_incidence", 4, 3, 0),
+#: girth-4 graphs (d = 2) with the (k, d, e) they are structurally consistent
+#: with; with the matching removed, e = 2 and A_{d+1} is not zero
+GIRTH_FOUR = [
+    ("K33", complete_bipartite(3), 3, 2, 0),
+    ("K55", complete_bipartite(5), 5, 2, 0),
+    ("K44-matching", complete_bipartite(4, matching_removed=True), 3, 2, 2),
+    ("K66-matching", complete_bipartite(6, matching_removed=True), 5, 2, 2),
 ]
 
-#: (family, index, verifier, list route) for each identity at (k, d)
-IDENTITIES = {
-    "path-count": ("F", lambda d: d, verify_path_count_identity, path_count_residual),
-    "all-ones": ("H", lambda d: d - 1, verify_allones_identity, allones_residual),
-}
+#: the catalog graphs and the girth-4 graphs; moebius_kantor has e = 2 too
+PASSING = [
+    ("heawood", catalog("heawood"), 3, 3, 0),
+    ("tutte_coxeter", catalog("tutte_coxeter"), 3, 4, 0),
+    ("moebius_kantor", catalog("moebius_kantor"), 3, 3, 2),
+    ("pg23_incidence", catalog("pg23_incidence"), 4, 3, 0),
+] + GIRTH_FOUR
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(PASSING), st.sampled_from(sorted(IDENTITIES)), st.data())
-def test_perturbed_residual_equals_the_list_route(case, identity, data):
-    name, k, d, e = case
-    family, index, verifier, list_route = IDENTITIES[identity]
-    graph = catalog(name)
-    exact = dickson_family(family, k, index(d))
-    assert list_route(graph, k, d, exact.coefficients) == 0
-    coefficients = list(exact.coefficients)
-    coefficients[data.draw(st.integers(0, exact.degree))] += data.draw(
-        st.one_of(st.integers(-5, 5), st.integers(2**70, 2**90)).filter(bool)
-    )
-    perturbed = IntPolynomial(coefficients)
+@given(st.sampled_from(PASSING), st.data())
+def test_perturbed_residual_equals_the_list_route(case, data):
+    _, graph, k, d, e = case
+    a = {i: distance_matrix(graph.adjacency, i) for i in (d, d + 1)}
+    assert path_count_residual(graph, k, d, a[d], a[d + 1]) == 0
+    assert allones_residual(graph, k, d, a[d + 1]) == 0
+    # the verdict is kept on the analysis, so the flipped bit reaches only the identities
+    assert structural_check(graph, k, d, e).structure_ok
+    target = data.draw(st.sampled_from((d, d + 1)))
+    u, v = data.draw(st.integers(0, graph.n - 1)), data.draw(st.integers(0, graph.n - 1))
+    a[target][u][v] ^= 1
+    level = GraphAnalysis.level
 
-    def family_with_perturbed(*key):
-        return perturbed if key == (family, k, index(d)) else dickson_family(*key)
+    def flipped(analysis, i):
+        rows = level(analysis, i)[:]
+        if i == target:
+            rows[u] ^= 1 << v
+        return rows
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(graphs, "dickson_family", family_with_perturbed)
-        check = verifier(graph, k, d, e)
-    assert check.name == identity
-    assert check.residual == list_route(graph, k, d, perturbed.coefficients) != 0
+        patch.setattr(GraphAnalysis, "level", flipped)
+        path_count, allones = verify_identities(graph, k, d, e)
+    assert (path_count.name, allones.name) == ("path-count", "all-ones")
+    assert path_count.residual == path_count_residual(graph, k, d, a[d], a[d + 1]) != 0
+    assert allones.residual == allones_residual(graph, k, d, a[d + 1])
+    assert (allones.residual != 0) == (target == d + 1)  # A_d is not in the all-ones identity
+
+
+@pytest.mark.parametrize("case", GIRTH_FOUR, ids=lambda case: case[0])
+def test_girth_four_graphs_satisfy_both_identities(case):
+    """At d = 2 the recurrence gives H_0(A) = I and H_1(A) = A, and A·M is the
+    second of the two packed products."""
+    _, graph, k, d, e = case
+    verdict = structural_check(graph, k, d, e)
+    assert verdict.structure_ok and "half-girth-range" in verdict.regime_notes
+    assert any(graph.analysis.level(d + 1)) == (e > 0)
+    assert all(check.holds for check in verify_identities(graph, k, d, e))
 
 
 def test_trace_check_reports_the_first_wrong_moment(monkeypatch):
@@ -91,7 +108,6 @@ def test_incidence_graphs_satisfy_every_identity(build, q, d):
     graph, k = build(q), q + 1
     assert graph.n == (2 * (q * q + q + 1) if d == 3 else 2 * (q + 1) * (q * q + 1))
     assert structural_check(graph, k, d, 0).passed
-    assert verify_path_count_identity(graph, k, d, 0).holds
-    assert verify_allones_identity(graph, k, d, 0).holds
+    assert all(check.holds for check in verify_identities(graph, k, d, 0))
     assert spectral_crosscheck(graph, k, d, 0).ok
     assert trace_identity_check(graph, k, d).ok
