@@ -16,8 +16,9 @@ field is not a multiple of 2^W), and its entries decode field by field
 difference (`field_width`), comparing packed rows as integers is an exact
 proof, and only a nonzero row is ever decoded.
 
-The dense helpers (`matmul`, `eval_poly`, ...) serve the small intersection
-matrix B_D only.
+`matmul` is the one dense kernel: the intersection matrix B_D is small and
+is read only through its Krylov rows e_0^T B^j, one 1 x (D+1) by
+(D+1) x (D+1) product each (`intersection`).
 """
 
 from __future__ import annotations
@@ -90,6 +91,7 @@ def packed_trace(rows: list[int], width: int) -> int:
 
 
 def matmul(a, b):
+    """Exact product of list-of-rows matrices, skipping zero entries of a."""
     n, inner, m = len(a), len(b), len(b[0])
     out = []
     for i in range(n):
@@ -104,26 +106,3 @@ def matmul(a, b):
                 row[j] += x * row_b[j]
         out.append(row)
     return out
-
-
-def add_diag(a, c):
-    out = [row[:] for row in a]
-    for i in range(len(out)):
-        out[i][i] += c
-    return out
-
-
-def eval_poly(coefficients, a):
-    """Horner evaluation of a polynomial (constant term first) at a square
-    matrix; exact for integer coefficients."""
-    n = len(a)
-    if not coefficients:
-        return [[0] * n for _ in range(n)]
-    result = [[coefficients[-1] if i == j else 0 for j in range(n)] for i in range(n)]
-    for c in reversed(coefficients[:-1]):
-        result = add_diag(matmul(result, a), c)
-    return result
-
-
-def max_abs(a):
-    return max(abs(x) for row in a for x in row)

@@ -78,6 +78,10 @@ TARGET_BRACKET_BITS = 60
 #: A multiplicity enclosure wider than this triggers bracket refinement.
 ENCLOSURE_WIDTH_LIMIT = Fraction(1, 2)
 
+#: The moment check passes when no power sum deviates by more than this,
+#: relative to the magnitude of its summands.
+MOMENT_TOLERANCE = 1e-6
+
 _GAP_MIN_D = 7  # the product-gap argument needs girth 2d >= 14
 
 
@@ -585,7 +589,6 @@ class MultiplicityAssessment:
     closed_form: float
     enclosure: tuple[tuple[int, int], tuple[int, int]]
     integer: int | None
-    nearest: int
     deviation: float
 
     @property
@@ -693,7 +696,6 @@ def _assess_multiplicity(k, d, e, record: RootRecord) -> MultiplicityAssessment:
         closed_form=closed,
         enclosure=ends,
         integer=integers[0] if len(integers) == 1 else None,
-        nearest=int(nearest),
         deviation=abs(closed - nearest),
     )
 
@@ -865,7 +867,7 @@ class MomentCheck:
     ok: bool
     worst_q: int
     worst_rel_dev: float
-    tolerance: float = 1e-6
+    tolerance: float = MOMENT_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -902,18 +904,15 @@ def _moment_check(k: int, d: int, e: int, n: int, assessments) -> MomentCheck:
     walks = bd_moments(build_bd(k, d), 2 * d)
     worst_q, worst = 0, 0.0
     for q in range(2 * d):
-        lhs = sum(a.closed_form * a.record.theta ** q for a in assessments)
-        lhs += float(k) ** q + float(-k) ** q
+        terms = [a.closed_form * a.record.theta ** q for a in assessments]
+        # the parentheses fix the rounding order the goldens were written with
+        lhs = sum(terms) + (float(k) ** q + float(-k) ** q)
         rhs = float(n * walks[q])
-        scale = max(
-            abs(rhs),
-            sum(abs(a.closed_form * a.record.theta ** q) for a in assessments)
-            + 2.0 * float(k) ** q,
-        )
+        scale = max(abs(rhs), sum(map(abs, terms)) + 2.0 * float(k) ** q)
         rel = abs(lhs - rhs) / scale if scale else abs(lhs - rhs)
         if rel > worst:
             worst_q, worst = q, rel
-    return MomentCheck(ok=worst <= 1e-6, worst_q=worst_q, worst_rel_dev=worst)
+    return MomentCheck(ok=worst <= MOMENT_TOLERANCE, worst_q=worst_q, worst_rel_dev=worst)
 
 
 def spectral_feasibility(k: int, d: int, e: int) -> FeasibilityReport:

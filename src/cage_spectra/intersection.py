@@ -17,6 +17,11 @@ moment oracle used by the feasibility engine:
     tr(A^q) = n * (B_d^q)_{0,0}   for q = 0..2d-1.
 
 The polynomial (x^2 - k^2) * H_{D-1}(x) annihilates B_D and is minimal for it.
+
+Every fact read here is a fact about row 0: B_D is read only through its
+Krylov rows e_0^T B^j (`_krylov_rows`).  B_D is irreducible tridiagonal for
+k >= 3 (every super- and sub-diagonal entry is positive), so the rows for
+j = 0..D span, and a polynomial p has p(B) = 0 exactly when e_0^T p(B) = 0.
 """
 
 from __future__ import annotations
@@ -36,9 +41,6 @@ class IntersectionMatrix:
     D: int
     entries: tuple[tuple[int, ...], ...]
 
-    def rows(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
-
 
 def build_bd(k: int, D: int) -> IntersectionMatrix:
     """Exact B_D: superdiagonal 1 except (D-1, D) = k; subdiagonal k-1 except
@@ -57,22 +59,30 @@ def build_bd(k: int, D: int) -> IntersectionMatrix:
     return IntersectionMatrix(k=k, D=D, entries=tuple(tuple(row) for row in m))
 
 
+def _krylov_rows(b: IntersectionMatrix, count: int) -> list[list[int]]:
+    """The rows e_0^T B^j for j = 0..count-1, each one exact vector-matrix
+    product from the one before."""
+    rows = [[1] + [0] * b.D][:count]
+    while len(rows) < count:
+        rows.append(_intmat.matmul(rows[-1:], b.entries)[0])
+    return rows
+
+
+def _combine(coefficients, rows) -> list[int]:
+    """sum_j c_j * rows[j], exact; rows past the coefficients are ignored."""
+    return [sum(map(mul, coefficients, column)) for column in zip(*rows)]
+
+
 def bd_moments(b: IntersectionMatrix, count: int) -> list[int]:
-    """(B^q)_{0,0} for q = 0..count-1, by one pass of exact vector-matrix
-    products e_0^T B^q.
+    """(B^q)_{0,0} for q = 0..count-1: the first entries of the Krylov rows
+    e_0^T B^q.
 
     For q below the girth 2D this equals the number of closed q-walks from
     any vertex of the corresponding graph; it vanishes for odd q.
     """
     if count < 0:
         raise ParameterDomainError(f"moment count must be >= 0, got {count}")
-    columns = list(zip(*b.entries))
-    vec = [1] + [0] * b.D
-    moments = []
-    for _ in range(count):
-        moments.append(vec[0])
-        vec = [sum(map(mul, vec, col)) for col in columns]
-    return moments
+    return [row[0] for row in _krylov_rows(b, count)]
 
 
 @dataclass(frozen=True)
@@ -124,7 +134,13 @@ def trace_identity_check(graph: Graph, k: int, d: int) -> TraceIdentityReport:
 @dataclass(frozen=True)
 class MinimalPolynomialReport:
     """(B^2 - k^2 I) * H_{D-1}(B) must vanish exactly, while neither cofactor
-    (x^2 - k^2) nor H_{D-1} alone may annihilate B."""
+    (x^2 - k^2) nor H_{D-1} alone may annihilate B.
+
+    Each matrix is read through its row 0 (`_krylov_rows`), which is zero
+    exactly when the matrix is.  So ``residual`` is the largest |entry| of
+    row 0 of the product: 0 exactly when the product vanishes, but when
+    nonzero it is not in general the largest |entry| of the whole matrix.
+    """
 
     k: int
     D: int
@@ -138,15 +154,19 @@ class MinimalPolynomialReport:
 
 
 def minimal_polynomial_check(k: int, D: int) -> MinimalPolynomialReport:
-    b = build_bd(k, D).rows()
-    h = dickson_family("H", k, D - 1)
-    square = _intmat.add_diag(_intmat.matmul(b, b), -k * k)
-    h_at_b = _intmat.eval_poly(h.coefficients, b)
-    residual = _intmat.max_abs(_intmat.matmul(square, h_at_b))
+    """Row 0 of each factor from the Krylov rows r_j = e_0^T B^j: H_{D-1}(B)
+    gives sum_j c_j r_j, B^2 - k^2 I gives r_2 - k^2 r_0, and, as polynomials
+    in B commute, their product gives sum_j c_j r_{j+2} - k^2 sum_j c_j r_j."""
+    h = dickson_family("H", k, D - 1).coefficients
+    rows = _krylov_rows(build_bd(k, D), D + 2)  # H_{D-1} has D coefficients
+    k2 = k * k
+    h_row = _combine(h, rows)
+    square_row = [x - k2 * y for x, y in zip(rows[2], rows[0])]
+    residual_row = [x - k2 * y for x, y in zip(_combine(h, rows[2:]), h_row)]
     return MinimalPolynomialReport(
         k=k,
         D=D,
-        residual=residual,
-        square_factor_nonzero=_intmat.max_abs(square) != 0,
-        h_factor_nonzero=_intmat.max_abs(h_at_b) != 0,
+        residual=max(map(abs, residual_row)),
+        square_factor_nonzero=any(square_row),
+        h_factor_nonzero=any(h_row),
     )

@@ -24,9 +24,10 @@ All coefficients are exact Python integers.  Evaluation is exact at int and
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Union
+from itertools import zip_longest
+from typing import Iterable
 
 from .errors import DegreeRangeError, ParameterDomainError
 
@@ -40,15 +41,17 @@ class IntPolynomial:
     Coefficients are stored densely, constant term first; trailing zeros are
     trimmed so the leading coefficient is nonzero unless the polynomial is
     zero.  The zero polynomial has ``coefficients == ()`` and degree -1.
+    Each coefficient must be an integer (``operator.index``): a float or a
+    str raises TypeError instead of being truncated.
     """
 
     coefficients: tuple[int, ...]
 
     def __init__(self, coefficients: Iterable[int]):
-        coeffs = list(coefficients)
+        coeffs = list(map(operator.index, coefficients))
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(int(c) for c in coeffs))
+        object.__setattr__(self, "coefficients", tuple(coeffs))
 
     @property
     def degree(self) -> int:
@@ -64,39 +67,6 @@ class IntPolynomial:
         for c in reversed(self.coefficients[:-1]):
             result = result * x + c
         return result
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPolynomial(
-            [ca + (b[j] if j < len(b) else 0) for j, ca in enumerate(a)]
-        )
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial([-c for c in self.coefficients])
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: Union[int, "IntPolynomial"]) -> "IntPolynomial":
-        if isinstance(other, int):
-            return IntPolynomial([c * other for c in self.coefficients])
-        out = [0] * (len(self.coefficients) + len(other.coefficients) - 1 or 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return IntPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def shift_up(self) -> "IntPolynomial":
-        """Multiply by x."""
-        if self.is_zero:
-            return self
-        return IntPolynomial((0,) + self.coefficients)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -117,8 +87,9 @@ def dickson_family(kind: str, k: int, i: int) -> IntPolynomial:
     """Return the i-th member of the family ``kind`` in {"G", "F", "H"}.
 
     Every member is monic of degree i.  Raises for k < 3 (below the regime
-    these families are used in) and for i < 0.  Members are immutable and
-    memoised per (kind, k, i) for the life of the process.
+    these families are used in) and for i < 0.  Each call runs the
+    recurrence on coefficient tuples from the seeds; nothing is memoised
+    here, and callers that reuse a member keep it themselves.
     """
     kind = kind.upper()
     if kind not in FAMILIES:
@@ -127,34 +98,26 @@ def dickson_family(kind: str, k: int, i: int) -> IntPolynomial:
         raise DegreeRangeError(f"degree k must be >= 3, got {k}")
     if i < 0:
         raise ParameterDomainError(f"family index must be >= 0, got {i}")
-    return _family_member(kind, k, i)
-
-
-@lru_cache(maxsize=None)
-def _family_member(kind: str, k: int, i: int) -> IntPolynomial:
     if kind == "G":
-        seeds = [IntPolynomial((1,)), IntPolynomial((1, 1))]
+        seeds = ((1,), (1, 1))
     elif kind == "F":
-        seeds = [IntPolynomial((1,)), IntPolynomial((0, 1)), IntPolynomial((-k, 0, 1))]
+        seeds = ((1,), (0, 1), (-k, 0, 1))
     else:
-        seeds = [IntPolynomial((1,)), IntPolynomial((0, 1))]
+        seeds = ((1,), (0, 1))
     if i < len(seeds):
-        return seeds[i]
-    prev, cur = seeds[-2], seeds[-1]
+        return IntPolynomial(seeds[i])
+    prev, cur = seeds[-2:]
     for _ in range(i - len(seeds) + 1):
-        prev, cur = cur, cur.shift_up() - (k - 1) * prev
-    return cur
+        # x * P_i - (k - 1) * P_{i-1}; x * P_i is two coefficients longer
+        prev, cur = cur, tuple(
+            c - (k - 1) * p for c, p in zip_longest((0,) + cur, prev, fillvalue=0)
+        )
+    return IntPolynomial(cur)
 
 
 def derivative(p: IntPolynomial) -> IntPolynomial:
-    """Formal derivative, exact; memoised per coefficient tuple, so the
-    derivative of a family member is built once per (kind, k, i)."""
-    return _derivative(p.coefficients)
-
-
-@lru_cache(maxsize=None)
-def _derivative(coefficients: tuple[int, ...]) -> IntPolynomial:
-    return IntPolynomial([j * c for j, c in enumerate(coefficients)][1:])
+    """Formal derivative, exact."""
+    return IntPolynomial(j * c for j, c in enumerate(p.coefficients) if j)
 
 
 def h_closed_form(k: int, d: int, phi: float) -> float:

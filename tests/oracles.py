@@ -4,10 +4,11 @@ Each one reaches its value by another route than the engine does (`Fraction`
 interval arithmetic where the engine keeps integers over a power of two,
 synthetic polynomial division in binary64 or mpmath,
 the transcendental angular-defect equation, list-of-list matrices where the
-package packs each row into one int, a queue-based search per root where the
-package searches from every root at once, a bit-by-bit graph6 payload decoder
-where the package decodes in numpy), so agreement is evidence that both are
-right.  None of them is used by the package itself.
+package packs each row into one int, full matrix polynomials of B_D where
+the package reads only its Krylov rows e_0^T B^j, a queue-based search per
+root where the package searches from every root at once, a bit-by-bit graph6
+payload decoder where the package decodes in numpy), so agreement is evidence
+that both are right.  None of them is used by the package itself.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Sequence, Union
 
 import mpmath
 
-from cage_spectra import _intmat
 from cage_spectra.errors import BracketSeedError, Graph6ParseError, ParameterDomainError
 from cage_spectra.feasibility import (
     TARGET_BRACKET_BITS,
@@ -169,8 +169,7 @@ def _ld_entry00(k, d, h, theta):
         numer[j] += -k * k * c
         numer[j + 2] += c
     quotient = _synthetic_divide(numer, theta)
-    b = build_bd(k, d).rows()
-    return _intmat.eval_poly(quotient, b)[0][0]
+    return dense_eval_poly(quotient, bd_rows(k, d))[0][0]
 
 
 def _one_like(x):
@@ -304,6 +303,38 @@ def adjacency_eval_poly(coefficients, adjacency):
         for i, row in enumerate(result):
             row[i] += c
     return result
+
+
+def dense_matmul(a, b):
+    """The product of list-of-rows matrices, each entry a dot product."""
+    return [[sum(map(mul, row, column)) for column in zip(*b)] for row in a]
+
+
+def dense_eval_poly(coefficients, matrix):
+    """p(M) for a square list-of-rows matrix M (constant term first), by
+    Horner's rule P <- P·M + c·I on full matrices; exact for integer
+    coefficients."""
+    n = len(matrix)
+    result = [[0] * n for _ in range(n)]
+    for c in reversed(coefficients):
+        result = dense_matmul(result, matrix)
+        for i, row in enumerate(result):
+            row[i] += c
+    return result
+
+
+def bd_rows(k, D):
+    """B_D as a list of rows."""
+    return [list(row) for row in build_bd(k, D).entries]
+
+
+def dense_minimal_polynomial(k, D, h_coefficients):
+    """The full matrices B^2 - k^2 I, h(B) and their product, for B = B_D and
+    the polynomial h with the given coefficients."""
+    b = bd_rows(k, D)
+    square = dense_eval_poly((-k * k, 0, 1), b)
+    h_at_b = dense_eval_poly(h_coefficients, b)
+    return square, h_at_b, dense_matmul(square, h_at_b)
 
 
 def adjacency_rows(adjacency):

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from cage_spectra import _intmat
 from cage_spectra.graphs import Graph, _is_clique_partition
-from oracles import adjacency_eval_poly, adjacency_matmul, adjacency_rows, distance_rows
+from oracles import (
+    adjacency_eval_poly,
+    adjacency_matmul,
+    adjacency_rows,
+    dense_eval_poly,
+    distance_rows,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -177,8 +183,7 @@ def test_adjacency_matmul_matches_dense(graph, data):
 def test_adjacency_eval_poly_matches_dense(graph, coefficients):
     # the list route of the identity oracles; the dense reference needs a row
     expected = adjacency_eval_poly(coefficients, graph.adjacency)
-    dense = _intmat.eval_poly(coefficients, adjacency_rows(graph.adjacency)) if graph.n else []
-    assert expected == dense
+    assert expected == dense_eval_poly(coefficients, adjacency_rows(graph.adjacency))
 
 
 @SETTINGS

@@ -4,17 +4,18 @@ import pytest
 
 from cage_spectra import (
     Graph,
+    IntPolynomial,
     ParameterDomainError,
     StructuralRefusal,
     build_bd,
     catalog,
     dickson_family,
+    intersection,
     minimal_polynomial_check,
     trace_identity_check,
 )
-from cage_spectra import _intmat
 from cage_spectra.intersection import bd_moments
-from oracles import adjacency_rows, ld_entry00
+from oracles import adjacency_rows, bd_rows, dense_matmul, dense_minimal_polynomial, ld_entry00
 
 
 def tree_closed_walks(k: int, q: int) -> int:
@@ -32,9 +33,8 @@ def tree_closed_walks(k: int, q: int) -> int:
 
 
 def test_build_bd_frozen():
-    b = build_bd(3, 3)
-    assert b.rows() == [[0, 1, 0, 0], [3, 0, 1, 0], [0, 2, 0, 3], [0, 0, 2, 0]]
-    assert build_bd(4, 2).rows() == [[0, 1, 0], [4, 0, 4], [0, 3, 0]]
+    assert build_bd(3, 3).entries == ((0, 1, 0, 0), (3, 0, 1, 0), (0, 2, 0, 3), (0, 0, 2, 0))
+    assert build_bd(4, 2).entries == ((0, 1, 0), (4, 0, 4), (0, 3, 0))
 
 
 def test_build_bd_domain():
@@ -46,11 +46,11 @@ def test_build_bd_domain():
 
 @pytest.mark.parametrize("k,D", [(3, 3), (4, 5), (7, 9)])
 def test_bd_moments_match_dense_powers(k, D):
-    b = build_bd(k, D)
+    b, rows = build_bd(k, D), bd_rows(k, D)
     power, expected = [[int(i == j) for j in range(D + 1)] for i in range(D + 1)], []
     for _ in range(3 * D):
         expected.append(power[0][0])
-        power = _intmat.matmul(power, b.rows())
+        power = dense_matmul(power, rows)
     assert bd_moments(b, 3 * D) == expected
     assert bd_moments(b, 0) == []
     with pytest.raises(ParameterDomainError):
@@ -108,6 +108,30 @@ def test_minimal_polynomial(k, D):
     assert report.square_factor_nonzero
     assert report.h_factor_nonzero
     assert report.ok
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+@pytest.mark.parametrize("D", range(2, 11))
+def test_minimal_polynomial_matches_dense_under_perturbation(monkeypatch, k, D):
+    # H_{D-1} and each of its single-coefficient +-1 perturbations, read by
+    # the check through the family it asks for
+    h = dickson_family("H", k, D - 1).coefficients
+    square, h_at_b, product = dense_minimal_polynomial(k, D, h)
+    assert not any(map(any, product)) and any(map(any, square)) and any(map(any, h_at_b))
+    cases = [h] + [h[:j] + (h[j] + s,) + h[j + 1:] for j in range(D) for s in (1, -1)]
+    for coefficients in cases:
+        def family(kind, k_, i, coefficients=coefficients):
+            assert (kind, k_, i) == ("H", k, D - 1)
+            return IntPolynomial(coefficients)
+
+        monkeypatch.setattr(intersection, "dickson_family", family)
+        report = minimal_polynomial_check(k, D)
+        square, h_at_b, product = dense_minimal_polynomial(k, D, coefficients)
+        assert (report.residual == 0) == (not any(map(any, product)))
+        assert report.square_factor_nonzero == any(map(any, square))
+        assert report.h_factor_nonzero == any(map(any, h_at_b))
+        # the documented residual: the largest |entry| of row 0
+        assert report.residual == max(map(abs, product[0]))
 
 
 def test_ld_entry00_frozen():

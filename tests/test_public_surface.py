@@ -8,6 +8,7 @@ environment, so output depends on arguments alone.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import sys
@@ -84,18 +85,23 @@ REMOVED = {
     "ExactRational": "polynomials",
     "MultiplicitySet": "feasibility",
     "RatInterval": "intervals",
+    "add_diag": "_intmat",
     "adjacency_eval_poly": "_intmat",
     "adjacency_matmul": "_intmat",
     "_analysis_for": "graphs",
     "all_distances": "graphs",
     "bd_entry00": "intersection",
+    "_derivative": "polynomials",
     "distance_matrices": "graphs",
+    "eval_poly": "_intmat",
     "eval_rational": "polynomials",
     "eye": "_intmat",
+    "_family_member": "polynomials",
     "frobenius": "_intmat",
     "is_bipartite": "graphs",
     "ld_entry00": "intersection",
     "mat_add": "_intmat",
+    "max_abs": "_intmat",
     "packed_eval_poly": "_intmat",
     "poly_enclosure": "intervals",
     "transcendental_residual": "feasibility",
@@ -107,11 +113,19 @@ REMOVED = {
 #: dyadic integers; `RatInterval` lives on as a test oracle.
 REMOVED_MODULES = ("intervals", "precision")
 
-#: Attributes the package's classes dropped: the graph owns its one analysis,
-#: and no n x n list of distance rows or adjacency entries is built.
+#: Attributes and dataclass fields the package's classes dropped: the graph
+#: owns its one analysis, and no n x n list of distance rows or adjacency
+#: entries is built; B_D is read only through its Krylov rows; the families
+#: run their recurrence on coefficient tuples, so `IntPolynomial` has no
+#: operator algebra.
 REMOVED_ATTRIBUTES = {
+    ("feasibility", "MultiplicityAssessment"): ("nearest",),
     ("graphs", "Graph"): ("adjacency_matrix",),
     ("graphs", "GraphAnalysis"): ("distances", "graph", "verdict"),
+    ("intersection", "IntersectionMatrix"): ("rows",),
+    ("polynomials", "IntPolynomial"): (
+        "__add__", "__neg__", "__sub__", "__mul__", "__rmul__", "shift_up",
+    ),
 }
 
 #: The one package module allowed to import each third-party library.
@@ -154,8 +168,10 @@ def test_removed_names_are_gone(name):
 @pytest.mark.parametrize("owner", sorted(REMOVED_ATTRIBUTES))
 def test_removed_attributes_are_gone(owner):
     cls = getattr(importlib.import_module(f"cage_spectra.{owner[0]}"), owner[1])
+    fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
     for attr in REMOVED_ATTRIBUTES[owner]:
         assert not hasattr(cls, attr), attr
+        assert attr not in fields, attr
 
 
 def test_no_public_function_takes_an_analysis():
