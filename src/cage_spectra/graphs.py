@@ -1,10 +1,10 @@
 """Graphs, structural checks, and exact matrix-identity verifiers.
 
-Graphs come in as adjacency rows, edge lists or graph6 text.  `parse_graph6`
-decodes the payload in numpy (the set bits of the nonzero bytes are the pair
-indices t = j(j-1)/2 + i, and j is found by `searchsorted` on the triangular
-offsets) and sorts both orientations of the pairs by one key, cutting the rows
-from one list by the degrees, so graph6 ingestion has no per-edge Python loop.
+Graphs come in as adjacency rows, edge lists or graph6 text.  A graph6
+payload is base64 in the alphabet chr(63)..chr(126), so `parse_graph6`
+translates it to the standard alphabet and decodes it with `binascii`; the set
+bits of the result are the pair indices t = j(j-1)/2 + i, read in one pass in
+increasing t, so every row comes out sorted with no sort.
 
 The graphs treated here are k-regular of even girth 2d with a small excess e
 over the Moore bound.  Such a graph (when e <= k - 2) is bipartite of
@@ -45,11 +45,12 @@ exact regression anchors.
 
 from __future__ import annotations
 
+import binascii
 import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, islice, product
+from itertools import chain, product
 from operator import add
 from typing import Iterable, Sequence
 
@@ -82,8 +83,8 @@ class Graph:
 
     `Graph(n, rows)` checks range, self-loops and symmetry, and `from_edges`
     checks range and builds through it (a repeated edge counts once).
-    `parse_graph6` checks the encoding and builds the rows in numpy
-    (`_from_pairs`), since its pairs are distinct with i < j by construction.
+    `parse_graph6` checks the encoding and builds its rows unchecked, since
+    they come out sorted and symmetric by construction.
 
     ``analysis`` is the graph's `GraphAnalysis`, built on first access and
     kept; the adjacency is a tuple of tuples, so it never goes stale.
@@ -118,21 +119,6 @@ class Graph:
             adj[v].append(u)
         return cls(n, adj)
 
-    @classmethod
-    def _from_pairs(cls, n: int, lo: np.ndarray, hi: np.ndarray) -> "Graph":
-        """The graph of the distinct pairs ``lo[t] < hi[t]``, unchecked: both
-        orientations as keys end*n + other, one sort orders every row, and
-        the rows are cut from one list by the degrees."""
-        ends, others = np.divmod(np.sort(np.concatenate((lo * n + hi, hi * n + lo))), n)
-        flat = iter(others.tolist())
-        graph = cls.__new__(cls)
-        graph.n = n
-        graph.adjacency = tuple(
-            tuple(islice(flat, degree)) for degree in np.bincount(ends, minlength=n).tolist()
-        )
-        graph._analysis = None
-        return graph
-
     @property
     def analysis(self) -> GraphAnalysis:
         if self._analysis is None:
@@ -163,29 +149,28 @@ class Graph:
 _G6_HEADER = b">>graph6<<"
 _ASCII_SPACE = " \t\n\r\x0b\x0c"  # what bytes.strip() removes
 _G6_OUT_OF_RANGE = re.compile(rb"[^\x3f-\x7e]")
+_G6_TO_BASE64 = bytes.maketrans(
+    bytes(range(63, 127)),
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+)
 
 
 def parse_graph6(text: bytes | str) -> Graph:
     """Parse one graph in graph6 format (printable McKay encoding)."""
     if isinstance(text, str):
         text = text.strip(_ASCII_SPACE).removeprefix(_G6_HEADER.decode())
-        try:
-            data = text.encode("latin-1")  # code points 0..255 are the bytes
-        except UnicodeEncodeError as exc:
-            # the first byte out of range may come before the wide character
-            bad = _G6_OUT_OF_RANGE.search(text[: exc.start].encode("latin-1"))
-            pos = bad.start() if bad else exc.start
-            raise Graph6ParseError(
-                f"character out of range at byte {pos}: {ord(text[pos])}"
-            ) from None
+        # code points 0..255 are the bytes; a wider one becomes "&#...;", whose
+        # "&" is out of range at that character's index
+        data = text.encode("latin-1", "xmlcharrefreplace")
     else:
-        data = bytes(text).strip().removeprefix(_G6_HEADER)
+        text = data = bytes(text).strip().removeprefix(_G6_HEADER)
     if not data:
         raise Graph6ParseError("malformed header: empty graph6 string")
     bad = _G6_OUT_OF_RANGE.search(data)
     if bad:
+        pos = bad.start()
         raise Graph6ParseError(
-            f"character out of range at byte {bad.start()}: {data[bad.start()]}"
+            f"character out of range at byte {pos}: {ord(text[pos:pos + 1])}"
         )
     n, body = _parse_g6_order(data)
     nbits = n * (n - 1) // 2
@@ -196,17 +181,24 @@ def parse_graph6(text: bytes | str) -> Graph:
         )
     if need and (body[-1] - 63) & ((1 << (6 * need - nbits)) - 1):
         raise Graph6ParseError("trailing padding bits are nonzero")
-    # bit t of the payload (six to a byte, most significant first) is the pair
-    # (i, j), i < j, with t = j(j-1)/2 + i; only the bytes other than "?" (0)
-    # carry edges, and each unpacks to eight bits whose top two are 0
-    payload = np.frombuffer(body, dtype=np.uint8)
-    pos = np.flatnonzero(payload != 63)
-    bit = np.flatnonzero(np.unpackbits(payload[pos] - 63))
-    t = 6 * pos[bit >> 3] + (bit & 7) - 2
-    starts = np.arange(n, dtype=np.int64)
-    starts = starts * (starts - 1) // 2
-    j = np.searchsorted(starts, t, side="right") - 1
-    return Graph._from_pairs(n, t - starts[j], j)
+    # the payload is base64 in the alphabet chr(63)..chr(126); bit t of the
+    # decoded string is the pair (i, j), i < j, with t = j(j-1)/2 + i
+    encoded = body.translate(_G6_TO_BASE64)
+    raw = binascii.a2b_base64(encoded + b"A" * (-len(encoded) % 4))
+    rows = [[] for _ in range(n)]
+    j = start = end = 0  # column j holds bits start .. end - 1, end = start + j
+    for match in re.finditer("1", f"{int.from_bytes(raw):0{8 * len(raw)}b}"):
+        t = match.start()
+        while t >= end:
+            start = end
+            j += 1
+            end += j
+        i = t - start
+        rows[i].append(j)
+        rows[j].append(i)
+    graph = Graph.__new__(Graph)  # sorted and symmetric by construction
+    graph.n, graph.adjacency, graph._analysis = n, tuple(map(tuple, rows)), None
+    return graph
 
 
 def _parse_g6_order(data: bytes) -> tuple[int, bytes]:

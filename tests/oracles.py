@@ -6,9 +6,10 @@ synthetic polynomial division in binary64 or mpmath,
 the transcendental angular-defect equation, list-of-list matrices where the
 package packs each row into one int, full matrix polynomials of B_D where
 the package reads only its Krylov rows e_0^T B^j, a queue-based search per
-root where the package searches from every root at once, a bit-by-bit graph6
-payload decoder where the package decodes in numpy), so agreement is evidence
-that both are right.  None of them is used by the package itself.
+root where the package searches from every root at once, a byte-by-byte graph6
+payload decoder where the package decodes base64 with `binascii`), so
+agreement is evidence that both are right.  None of them is used by the
+package itself.
 """
 
 from __future__ import annotations
@@ -418,8 +419,8 @@ def power_traces(adjacency, count):
 def decode_graph6_payload(n, body):
     """The sorted neighbour rows (a tuple of tuples) of the order-``n`` graph
     whose graph6 payload is ``body`` (bytes, in range, of the right length),
-    by the bit-by-bit decoding the package used before it decoded in numpy:
-    every set bit of every payload byte is one edge, its pair found by
+    by byte-by-byte decoding, not the package's base64 route: every set bit
+    of every payload byte is one edge, its pair found by
     `math.isqrt`.  A set padding bit raises the package's `Graph6ParseError`."""
     nbits = n * (n - 1) // 2
     rows = [[] for _ in range(n)]

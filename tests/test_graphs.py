@@ -193,6 +193,10 @@ def _payload(n, text):
 @example((0, [], []))
 @example((1, [], []))
 @example((63, [], []))
+@example(_complete_case(4))  # payloads of 1, 2, 3 and 4 bytes with every
+@example(_complete_case(5))  # bit set: each base64 padding case
+@example(_complete_case(6))
+@example(_complete_case(7))
 @example(_complete_case(62))
 @example(_complete_case(63))
 def test_parse_graph6_matches_the_bitwise_oracle(case):
@@ -218,7 +222,7 @@ def _outcome(decode, *args):
         return str(exc)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 10, 62, 63, 64])
+@pytest.mark.parametrize("n", [2, 3, 5, 6, 8, 10, 62, 63, 64])
 def test_parse_graph6_payload_corruptions_match_the_bitwise_oracle(n):
     """Each payload byte changed to other in-range values and each padding bit
     set: the parser and the oracle give the same rows or the same error.  The

@@ -2,9 +2,10 @@
 
 `__all__` is pinned name for name, so a name is added or removed on purpose;
 the names and modules the package dropped must stay gone; numpy is imported
-by `graphs` alone (the graph6 decoder and the eigenvalue cross-check) and no
-module imports mpmath (the tests' oracles use it); and no module reads the
-environment, so output depends on arguments alone.
+by `graphs` and used by the eigenvalue cross-check alone (graph6 is decoded
+with the standard library) and no module imports mpmath (the tests' oracles
+use it); and no module reads the environment, so output depends on arguments
+alone.
 """
 
 import ast
@@ -115,12 +116,12 @@ REMOVED_MODULES = ("intervals", "precision")
 
 #: Attributes and dataclass fields the package's classes dropped: the graph
 #: owns its one analysis, and no n x n list of distance rows or adjacency
-#: entries is built; B_D is read only through its Krylov rows; the families
-#: run their recurrence on coefficient tuples, so `IntPolynomial` has no
-#: operator algebra.
+#: entries is built; graph6 rows are built by the decoder's one pass; B_D is
+#: read only through its Krylov rows; the families run their recurrence on
+#: coefficient tuples, so `IntPolynomial` has no operator algebra.
 REMOVED_ATTRIBUTES = {
     ("feasibility", "MultiplicityAssessment"): ("nearest",),
-    ("graphs", "Graph"): ("adjacency_matrix",),
+    ("graphs", "Graph"): ("adjacency_matrix", "_from_pairs"),
     ("graphs", "GraphAnalysis"): ("distances", "graph", "verdict"),
     ("intersection", "IntersectionMatrix"): ("rows",),
     ("polynomials", "IntPolynomial"): (
@@ -128,8 +129,9 @@ REMOVED_ATTRIBUTES = {
     ),
 }
 
-#: The one package module allowed to import each third-party library.
-THIRD_PARTY = {"numpy": "graphs"}
+#: The one package function allowed to use each third-party library, as
+#: "module.function": the module imports it and only that function uses it.
+THIRD_PARTY = {"numpy": "graphs.spectral_crosscheck"}
 
 
 def module_trees():
@@ -149,6 +151,19 @@ def imported_roots(tree) -> set[str]:
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             roots.add(node.module.split(".")[0])
     return roots
+
+
+def imported_bindings(tree, lib) -> set[str]:
+    """The names a module binds by importing ``lib`` or names from it."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or lib for alias in node.names
+                         if alias.name.split(".")[0] == lib)
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] == lib):
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
 
 
 def test_all_is_pinned_and_resolves():
@@ -193,12 +208,27 @@ def test_module_is_gone(stem):
 
 def test_third_party_imports_stay_in_their_module():
     """Every import outside the standard library is listed in THIRD_PARTY
-    and made by its one module, so an mpmath import anywhere fails."""
+    and made by its one module, so an mpmath import anywhere fails; every
+    reference to the imported binding sits inside the listed function."""
+    trees = module_trees()
     users = {}
-    for stem, tree in module_trees().items():
+    for stem, tree in trees.items():
         for lib in imported_roots(tree) - sys.stdlib_module_names - {"__future__"}:
             users.setdefault(lib, []).append(stem)
-    assert users == {lib: [stem] for lib, stem in THIRD_PARTY.items()}
+    assert users == {lib: [owner.split(".")[0]] for lib, owner in THIRD_PARTY.items()}
+    for lib, owner in THIRD_PARTY.items():
+        stem, function = owner.split(".")
+        tree = trees[stem]
+        bindings = imported_bindings(tree, lib)
+        assert bindings, owner
+        [body] = [node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == function]
+        inside = {id(node) for node in ast.walk(body)}
+        uses = [node for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id in bindings]
+        assert uses, owner
+        assert all(id(node) in inside for node in uses), sorted(
+            node.lineno for node in uses if id(node) not in inside)
 
 
 def test_no_module_reads_the_environment():
