@@ -185,9 +185,10 @@ def parse_graph6(text: bytes | str) -> Graph:
     # decoded string is the pair (i, j), i < j, with t = j(j-1)/2 + i
     encoded = body.translate(_G6_TO_BASE64)
     raw = binascii.a2b_base64(encoded + b"A" * (-len(encoded) % 4))
+    bits = f"{int.from_bytes(raw, 'big'):0{8 * len(raw)}b}"
     rows = [[] for _ in range(n)]
     j = start = end = 0  # column j holds bits start .. end - 1, end = start + j
-    for match in re.finditer("1", f"{int.from_bytes(raw):0{8 * len(raw)}b}"):
+    for match in re.finditer("1", bits):
         t = match.start()
         while t >= end:
             start = end
