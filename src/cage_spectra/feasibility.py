@@ -7,7 +7,10 @@ degree-(d-1) Dickson polynomial of the second kind with parameter k - 1.
 This module:
 
 * isolates all 2(d-1) roots of the integer polynomial H_{d-1} - eps in
-  dyadic brackets, seeded from the case-split angular intervals
+  dyadic brackets.  For odd d the polynomial is even, so only the roots
+  i <= (d-1)/2 are seeded, and root d - i is their exact mirror: bracket
+  (-hi, -lo), phi_{d-i} = pi - phi_i, alpha_{d-i} = -alpha_i.  The seeds
+  come from the case-split angular intervals
 
       i*pi/(d + |eta| s^{1-d}) < phi_i < i*pi/d        (eta_i > 0)
       i*pi/d < phi_i < i*pi/(d - |eta| s^{1-d})        (eta_i < 0)
@@ -34,7 +37,9 @@ This module:
 
 * certifies integrality of each multiplicity with exact interval arithmetic
   propagated from the root bracket (an enclosure must contain exactly one
-  integer), done in integers over the bracket's power of two;
+  integer), done in integers over the bracket's power of two.  H_{d-2} and
+  H'_{d-1} are odd, so a mirrored root has its partner's enclosure and
+  closed form, and each pair is assessed once;
 
 * for d >= 7 certifies the product-gap exclusion: the squares of the
   second-smallest roots of the two families differ by a value trapped in a
@@ -49,7 +54,7 @@ triple; it is not an existence claim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Union
@@ -385,9 +390,11 @@ _ROOTS: dict[tuple[int, int, int], tuple[RootRecord, ...]] = {}
 def isolate_roots(k: int, d: int, e: int, epsilon: int) -> list[RootRecord]:
     """Isolate the d-1 roots of H_{d-1}(x) - epsilon in exact dyadic brackets.
 
-    epsilon must be 1 or -e/2.  Each root is seeded from its angular case
-    interval, bracketed to dyadic width below 2^-60, and checked against its
-    alpha case bound; a seed without a sign change is an internal error.
+    epsilon must be 1 or -e/2.  Each root i <= (d-1)/2 is seeded from its
+    angular case interval and bracketed to dyadic width below 2^-60; root
+    d - i is its exact mirror (H_{d-1} - epsilon is even for odd d).  Every
+    root is checked against its alpha case bound; a seed without a sign
+    change is an internal error.
     Records come back sorted by theta ascending with i = 1..d-1, in a new
     list on every call.
     """
@@ -408,18 +415,25 @@ def _isolate(k: int, d: int, e: int, epsilon: int) -> tuple[RootRecord, ...]:
 
     The seeds, phi and alpha are computed in fixed point at `_seed_bits`
     bits.  |eta| s^(1-d) is the rational a / q, so the case interval's ends
-    are the multiples of three base angles pi/d and pi/(d +- a/q)."""
+    are the multiples of three base angles pi/d and pi/(d +- a/q).
+
+    Only the roots i <= (d-1)/2 (theta < 0) are seeded and bracketed.  For
+    odd d, H_{d-1} - epsilon is even, so root d - i is exactly the mirror of
+    root i: the bracket (-hi, -lo, shift), phi = pi - phi_i in the same fixed
+    point, and so alpha = -alpha_i.  Its case bound is then the same
+    inequality as root i's, and it is still checked."""
     coeffs = _family_poly(k, d, epsilon)
     bits = _seed_bits(k, d)
     pi = _fixed_pi(bits)
     two_s = _fixed_two_s(k, bits)
     a, q = abs(epsilon), (k - 1) ** ((d - 1) // 2)
+    half = (d - 1) // 2
     beta = pi // d
-    centre = _multiples(beta, d - 1, bits)                  # i pi / d
-    inner = _multiples(pi * q // (d * q + a), d - 1, bits)  # i pi / (d + a/q)
-    outer = _multiples(pi * q // (d * q - a), d - 1, bits)  # i pi / (d - a/q)
-    records = []
-    for i in range(1, d):
+    centre = _multiples(beta, half, bits)                  # i pi / d
+    inner = _multiples(pi * q // (d * q + a), half, bits)  # i pi / (d + a/q)
+    outer = _multiples(pi * q // (d * q - a), half, bits)  # i pi / (d - a/q)
+    roots = {}  # i -> (lo, hi, shift, phi)
+    for i in range(1, half + 1):
         eta = epsilon if (d + i) % 2 == 0 else -epsilon
         cos_lo, cos_hi = (inner[i][0], centre[i][0]) if eta > 0 else (centre[i][0], outer[i][0])
         theta_lo = -(two_s * cos_lo) >> bits
@@ -448,6 +462,12 @@ def _isolate(k: int, d: int, e: int, epsilon: int) -> tuple[RootRecord, ...]:
         # cos(phi) = -theta_mid / (2s) at the bracket's midpoint
         cos_phi = (-(lo + hi) << 2 * bits) // (two_s << (shift + 1))
         phi = _acos_near(cos_phi, i * beta, *centre[i], bits)
+        roots[i] = lo, hi, shift, phi
+        roots[d - i] = -hi, -lo, shift, pi - phi
+    records = []
+    for i in range(1, d):
+        eta = epsilon if (d + i) % 2 == 0 else -epsilon
+        lo, hi, shift, phi = roots[i]
         alpha = i * pi - d * phi
         bound = a * min(phi, pi - phi) // q
         if eta > 0 and not (0 < alpha < bound):
@@ -668,14 +688,19 @@ def _decisive(ends) -> bool:
 
 def _assess_multiplicity(k, d, e, record: RootRecord) -> MultiplicityAssessment:
     """Closed-form multiplicity with a certified enclosure; the bracket is
-    refined until the enclosure is decisively narrow."""
+    refined until the enclosure is decisively narrow.
+
+    The bits that takes grow with log2 n, the scale of the multiplicity, and
+    with d, through the overestimate of interval Horner, so refinement gives
+    up past TARGET_BRACKET_BITS + log2 n + 2d bits."""
     lo, hi, shift = record.bracket
     bits = TARGET_BRACKET_BITS
+    cap = TARGET_BRACKET_BITS + (moore_bound(k, 2 * d) + e).bit_length() + 2 * d
     ends = _multiplicity_enclosure(k, d, e, record.epsilon, lo, hi, shift)
     coeffs = None
     while not _decisive(ends):
         bits += 32
-        if bits > 444:
+        if bits > cap:
             raise IllConditionedError(
                 f"multiplicity enclosure failed to converge at (k={k}, d={d}, "
                 f"e={e}, eps={record.epsilon}, i={record.i})"
@@ -744,7 +769,12 @@ def multiplicity_symmetry_checks(k: int, d: int, e: int) -> SymmetryReport:
         m(lambda_1) < m(lambda_i) for 2 <= i <= d-2 (lambda: roots of H_{d-1} + e/2)
 
     Margins are reported; an empty index range leaves the margin None
-    (vacuous)."""
+    (vacuous).
+
+    The symmetry holds by construction: `isolate_roots` builds theta_{d-i}
+    as exactly -theta_i, and the float closed form is even in theta, so
+    ``symmetry_max_rel_dev`` reads 0.  The paper's claim is tested on
+    independently isolated roots instead."""
     validate_parameters(k, d, e)
     mu = [multiplicity_closed_form(k, d, e, 1, r.theta) for r in isolate_roots(k, d, e, 1)]
     lam = [
@@ -919,7 +949,8 @@ def spectral_feasibility(k: int, d: int, e: int) -> FeasibilityReport:
     """Assemble the full spectral verdict for (k, d, e).
 
     Isolates all 2(d-1) candidate eigenvalues, computes every multiplicity in
-    closed form with a certified enclosure, and checks: positivity,
+    closed form with a certified enclosure (once per mirrored pair
+    theta_i = -theta_{d-i}), and checks: positivity,
     integrality, the multiplicity sum n - 2, the moment identity for
     q = 0..2d-1, and (for d >= 7) the product-gap exclusion.  The gap
     exclusion reproduces the nonexistence argument and takes precedence;
@@ -929,7 +960,14 @@ def spectral_feasibility(k: int, d: int, e: int) -> FeasibilityReport:
     n = moore_bound(k, 2 * d) + e
     roots = isolate_roots(k, d, e, 1) + isolate_roots(k, d, e, -e // 2)
     roots.sort(key=lambda r: r.theta)
-    assessments = tuple(_assess_multiplicity(k, d, e, r) for r in roots)
+    # root d - i is the mirror of root i, with the same enclosure (H_{d-2}
+    # and H'_{d-1} are odd) and the same float closed form
+    half = (d - 1) // 2
+    assessed = {(r.epsilon, r.i): _assess_multiplicity(k, d, e, r) for r in roots if r.i <= half}
+    assessments = tuple(
+        assessed[r.epsilon, r.i] if r.i <= half else replace(assessed[r.epsilon, d - r.i], record=r)
+        for r in roots
+    )
 
     all_positive = all(a.closed_form > 0 for a in assessments)
     all_integral = all(a.integral for a in assessments)

@@ -28,7 +28,7 @@ from cage_spectra import (
     trace_identity_check,
     verify_identities,
 )
-from oracles import enclosure_interval
+from oracles import enclosure_interval, isolate_mp
 
 DUAL_FORMULA_TRIPLES = [(4, 3, 2), (5, 5, 2), (6, 5, 4), (7, 7, 2), (8, 7, 6)]
 
@@ -153,10 +153,17 @@ def test_c8_property_suites():
             assert all(b > a for a, b in zip(g1, g1[1:]))
             assert all(b < a for a, b in zip(g2, g2[1:]))
             assert all(b > a for a, b in zip(g3, g3[1:]))
-        # multiplicity symmetry under negation at every dual-formula triple
+        # multiplicity symmetry under negation at every dual-formula triple,
+        # at roots the oracle isolates independently (the package mirrors
+        # theta_{d-i} from theta_i, so its own report reads 0 by construction)
         for (k, d, e) in DUAL_FORMULA_TRIPLES:
-            report = multiplicity_symmetry_checks(k, d, e)
-            assert report.symmetry_max_rel_dev <= 1e-6
+            for eps in (1, -e // 2):
+                roots = isolate_mp(k, d, e, eps)
+                m = [multiplicity_closed_form(k, d, e, eps, r.theta) for r in roots]
+                for i in range(1, d):
+                    mirror = m[d - i - 1]
+                    assert abs(m[i - 1] - mirror) <= 1e-6 * abs(mirror), (k, d, e, eps, i)
+            assert multiplicity_symmetry_checks(k, d, e).symmetry_max_rel_dev == 0
         # strict minimality inequalities with positive margins at (7, 7, 2)
         report = multiplicity_symmetry_checks(7, 7, 2)
         assert report.mu_minimality_margin is not None and report.mu_minimality_margin > 0

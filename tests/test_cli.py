@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import g6ref
-from cage_spectra import BracketSeedError, _intmat, catalog, cli, graphs, trace_identity_check
+from cage_spectra import (
+    BracketSeedError, _intmat, catalog, cli, graphs, moore_bound, trace_identity_check,
+)
 from cage_spectra.cli import dumps_canonical, main
 
 
@@ -78,15 +80,32 @@ def test_scan_paper_grid_matches_benchmark_golden(capsys):
     assert out.encode() == (GOLDEN_DIR / "paper-grid.csv").read_bytes()
 
 
+VERDICTS = {"spectrally-admissible", "excluded-by-integrality", "excluded-by-gap", "outside-regime"}
+
+
 def test_scan_deep_girth_matches_benchmark_golden(capsys):
-    """The 21 deep-girth triples, one scan each; the four that fail print a
-    BracketSeedError whose alpha digits depend on the exact root bracket."""
+    """The 21 deep-girth triples, one scan each.  A triple whose golden is a
+    failure (an error on stderr) may instead complete, as the benchmark gate
+    allows: exit 0, nothing on stderr, and one well-formed row for the same
+    (k, d, e, n).  The four golden failures at d = 27 now all complete."""
     golden = json.loads((GOLDEN_DIR / "deep-girth.json").read_text())
     assert len(golden) == 21
+    completed = []
     for key, expected in golden.items():
         k, d, e = key.split(",")
         code, out, err = run(capsys, "scan", "--k", k, "--d", d, "--e", e, "--format", "csv")
-        assert (code, out, err) == (expected["exit"], expected["stdout"], expected["stderr"]), key
+        want = (expected["exit"], expected["stdout"], expected["stderr"])
+        if expected["stderr"] and (code, out, err) != want:
+            assert code == 0 and err == "", key
+            header, row = out.splitlines()
+            fields = row.split(",")
+            n = moore_bound(int(k), 2 * int(d)) + int(e)
+            assert out == f"{header}\n{row}\n" and header == expected["stdout"].rstrip("\n"), key
+            assert fields[:4] == [k, d, e, str(n)] and fields[4] in VERDICTS, key
+            completed.append(key)
+            continue
+        assert (code, out, err) == want, key
+    assert completed == ["16,27,2", "16,27,14", "32,27,2", "32,27,30"]
 
 
 def test_scan_csv(capsys):

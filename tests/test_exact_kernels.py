@@ -42,13 +42,8 @@ PAPER_GRID = [
     (k, d, e)
     for k in range(4, 21) for d in (7, 9, 11) for e in (2, 4, 6) if e <= k - 2
 ]
-#: The benchmark's deep-girth triples that complete (the d = 27, k >= 16
-#: ones raise BracketSeedError in root isolation).
-DEEP_GIRTH = [
-    (k, d, e)
-    for k in (4, 8, 16, 32) for d in (15, 21, 27) for e in sorted({2, k - 2})
-    if not (d == 27 and k >= 16)
-]
+#: The benchmark's 21 deep-girth triples.
+DEEP_GIRTH = [(k, d, e) for k in (4, 8, 16, 32) for d in (15, 21, 27) for e in sorted({2, k - 2})]
 
 coefficient_lists = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12)
 
@@ -307,7 +302,7 @@ _SEEDS = {}
 
 def seed_brackets(k, d, epsilon):
     """The (lo, hi, shift, sign_lo) that root isolation of H_{d-1} - epsilon
-    hands to `_bisect`, up to the first root that fails its case bound."""
+    hands to `_bisect`: one per root i <= (d-1)/2, the roots it seeds."""
     if (k, d, epsilon) not in _SEEDS:
         seeds = []
 
@@ -372,3 +367,57 @@ def test_bisect_survives_a_wrong_prediction(garbage, monkeypatch):
             for bits in (TARGET_BRACKET_BITS, 124):
                 case = (coeffs, lo, hi, shift, sign_lo, bits)
                 assert _bisect(*case) == halving_loop(*case)
+
+
+# ---------------------------------------------------------------------------
+# the mirror: for odd d, H_{d-1} - eps is even and H_{d-2}, H'_{d-1} are odd,
+# so root d - i, its enclosure and its refinement are exact mirrors of root i's
+
+@st.composite
+def odd_d_families(draw):
+    """(k, d, e, epsilon) with d odd, well beyond the paper's grid."""
+    k = draw(st.integers(4, 60))
+    e = 2 * draw(st.integers(1, (k - 2) // 2))
+    return k, draw(st.sampled_from(range(3, 42, 2))), e, draw(st.sampled_from((1, -e // 2)))
+
+
+@given(odd_d_families())
+def test_family_poly_is_even_and_the_enclosure_polynomials_odd(family):
+    k, d, e, epsilon = family
+    assert not any(_family_poly(k, d, epsilon)[1::2])
+    polys = feasibility._polys(k, d)
+    assert not any(polys.h_prev.coefficients[::2])
+    assert not any(polys.h_deriv.coefficients[::2])
+
+
+def as_fractions(ends):
+    return None if ends is None else tuple(Fraction(num, den) for num, den in ends)
+
+
+@settings(max_examples=150, deadline=None)
+@given(odd_d_families(), st.data())
+def test_multiplicity_enclosure_over_the_mirrored_bracket_is_equal(family, data):
+    """On an arbitrary dyadic bracket, and on a root's own bracket."""
+    k, d, e, epsilon = family
+    roots = isolate_roots(k, d, e, epsilon)
+    lo, hi, shift = data.draw(
+        st.one_of(dyadic_brackets(), st.sampled_from([r.bracket for r in roots]))
+    )
+    ends = _multiplicity_enclosure(k, d, e, epsilon, lo, hi, shift)
+    mirrored = _multiplicity_enclosure(k, d, e, epsilon, -hi, -lo, shift)
+    assert as_fractions(mirrored) == as_fractions(ends)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(dickson_seeds(), st.sampled_from(range(60, 445, 32)))
+def test_bisect_on_the_mirrored_bracket_returns_the_mirrored_bracket(seed, bits):
+    """From an isolation seed, or from its 60-bit bracket as the refinement
+    does; the mirrored bracket's low end has the opposite sign unless the
+    bracket has collapsed onto an exact root."""
+    (k, d, epsilon), (lo, hi, shift, sign_lo), refine = seed
+    coeffs = _family_poly(k, d, epsilon)
+    if refine:
+        lo, hi, shift = _bisect(coeffs, lo, hi, shift, sign_lo, TARGET_BRACKET_BITS)
+    assert _sign_dyadic(coeffs, -hi, shift) == (-sign_lo if lo < hi else 0)
+    got_lo, got_hi, got_shift = _bisect(coeffs, -hi, -lo, shift, -sign_lo, bits)
+    assert (-got_hi, -got_lo, got_shift) == _bisect(coeffs, lo, hi, shift, sign_lo, bits)

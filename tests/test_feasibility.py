@@ -351,6 +351,38 @@ def test_spectral_feasibility_gap_regime():
     assert report.sum_ok
 
 
+#: The 134 triples (k, d, 2) with 4 <= k <= 40 and odd 3 <= d <= 31 whose
+#: independently isolated root d - i failed its alpha case bound (the 2^-60
+#: bracket could not decide it) and raised BracketSeedError, as k per d.
+#: Root d - i is now the exact mirror of root i, which passes the same bound.
+FORMER_SEED_FAILURES = {
+    21: [27, 28, 29, 30, 36, 37, 38, 39, 40],
+    23: [23, *range(25, 41)],
+    25: [16, 17, 19, 20, 21, 22, *range(24, 41)],
+    27: [13, 16, 17, *range(19, 41)],
+    29: [12, *range(14, 41)],
+    31: list(range(9, 41)),
+}
+
+
+def test_former_bracket_seed_failures_end_in_a_verdict():
+    triples = [(k, d, 2) for d, ks in FORMER_SEED_FAILURES.items() for k in ks]
+    assert len(triples) == 134
+    for k, d, e in triples:
+        assert spectral_feasibility(k, d, e).final_verdict == VERDICT_GAP, (k, d, e)
+
+
+@pytest.mark.parametrize(
+    "k,d,e",
+    [(180, 55, 28), (142, 59, 80), (96, 61, 22), (162, 57, 130), (140, 61, 104), (164, 61, 66)],
+)
+def test_refinement_past_444_bits_ends_in_a_verdict(k, d, e):
+    """Their isolation used to fail its case bound on a root i > d/2.  With
+    the mirror it passes, and their enclosures then need 476-508 bracket
+    bits (n has 396-442 bits), past the fixed 444-bit cap refinement had."""
+    assert spectral_feasibility(k, d, e).final_verdict == VERDICT_GAP
+
+
 def test_spectral_feasibility_negative_controls():
     with pytest.raises(OddExcessError):
         spectral_feasibility(4, 3, 3)
