@@ -417,11 +417,9 @@ def _isolate(k: int, d: int, e: int, epsilon: int) -> tuple[RootRecord, ...]:
     bits.  |eta| s^(1-d) is the rational a / q, so the case interval's ends
     are the multiples of three base angles pi/d and pi/(d +- a/q).
 
-    Only the roots i <= (d-1)/2 (theta < 0) are seeded and bracketed.  For
-    odd d, H_{d-1} - epsilon is even, so root d - i is exactly the mirror of
-    root i: the bracket (-hi, -lo, shift), phi = pi - phi_i in the same fixed
-    point, and so alpha = -alpha_i.  Its case bound is then the same
-    inequality as root i's, and it is still checked."""
+    Only the roots i <= (d-1)/2 (theta < 0) are seeded; root d - i is
+    their mirror, with phi = pi - phi_i in the same fixed point, so its case
+    bound is the same inequality as root i's.  It is still checked."""
     coeffs = _family_poly(k, d, epsilon)
     bits = _seed_bits(k, d)
     pi = _fixed_pi(bits)
