@@ -46,6 +46,14 @@ This module:
   certified interval inside (0, 1), yet the difference would have to be an
   integer for the graph to exist.
 
+The verdict is decided in certificate order (Biggs & Ito, 1980): the gap
+first, then integrality.  `spectral_feasibility` isolates the roots and runs
+the gap check; the enclosures, their refinement, the multiplicity sum and
+the moment check are computed only when the report is asked for them, once.
+So a gap-excluded CSV row (and a `scan` text row) costs isolation, the gap
+and one float closed form per mirrored pair, while the JSON report and the
+`feasibility` text report print every check and pay for all of them.
+
 n is always the Moore bound plus e; an external order is never accepted.
 A "spectrally-admissible" verdict means no implemented test excludes the
 triple; it is not an existence claim.
@@ -56,7 +64,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Union
 
 from .errors import (
@@ -684,9 +692,10 @@ def _decisive(ends) -> bool:
     return (c * b - a * q) * limit.denominator <= limit.numerator * b * q
 
 
-def _assess_multiplicity(k, d, e, record: RootRecord) -> MultiplicityAssessment:
-    """Closed-form multiplicity with a certified enclosure; the bracket is
-    refined until the enclosure is decisively narrow.
+def _assess_multiplicity(k, d, e, record: RootRecord, closed: float) -> MultiplicityAssessment:
+    """The closed-form multiplicity ``closed`` at ``record`` with a certified
+    enclosure; the bracket is refined until the enclosure is decisively
+    narrow.
 
     The bits that takes grow with log2 n, the scale of the multiplicity, and
     with d, through the overestimate of interval Horner, so refinement gives
@@ -712,7 +721,6 @@ def _assess_multiplicity(k, d, e, record: RootRecord) -> MultiplicityAssessment:
         lo, hi, shift = _bisect(coeffs, lo, hi, shift, sign_lo, bits)
         ends = _multiplicity_enclosure(k, d, e, record.epsilon, lo, hi, shift)
     integers = _integers_in(ends)
-    closed = multiplicity_closed_form(k, d, e, record.epsilon, record.theta)
     nearest = round(closed)
     return MultiplicityAssessment(
         record=record,
@@ -900,23 +908,84 @@ class MomentCheck:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
+    """The spectral verdict for (k, d, e), decided in certificate order.
+
+    Only the roots and the gap are computed up front.  Every other attribute
+    is computed on first access, once, and only ``final_verdict`` decides
+    which of them a verdict needs: a gap exclusion reads nothing else, and
+    otherwise the enclosures, the multiplicity sum and the moment check
+    decide it.  ``repr`` and ``==`` read the fields alone.
+    """
+
     k: int
     d: int
     e: int
     n: int
     roots: tuple[RootRecord, ...]
-    assessments: tuple[MultiplicityAssessment, ...]
-    all_positive: bool
-    all_integral: bool
-    sum_value: float
-    sum_ok: bool
-    moment_check: MomentCheck
     gap: GapVerdict | None
-    final_verdict: str
 
-    @property
+    @cached_property
+    def _closed_forms(self) -> dict[tuple[int, int], float]:
+        """The float closed form at each root i <= (d-1)/2, by (epsilon, i);
+        root d - i, its mirror, has the same value."""
+        half = (self.d - 1) // 2
+        return {
+            (r.epsilon, r.i): multiplicity_closed_form(self.k, self.d, self.e, r.epsilon, r.theta)
+            for r in self.roots
+            if r.i <= half
+        }
+
+    @cached_property
+    def assessments(self) -> tuple[MultiplicityAssessment, ...]:
+        """One certified assessment per root, ascending in theta.  Root
+        d - i shares root i's: the same enclosure (H_{d-2} and H'_{d-1} are
+        odd) and the same float closed form."""
+        k, d, e, half = self.k, self.d, self.e, (self.d - 1) // 2
+        assessed = {
+            (r.epsilon, r.i): _assess_multiplicity(k, d, e, r, self._closed_forms[r.epsilon, r.i])
+            for r in self.roots
+            if r.i <= half
+        }
+        return tuple(
+            assessed[r.epsilon, r.i] if r.i <= half else replace(assessed[r.epsilon, d - r.i], record=r)
+            for r in self.roots
+        )
+
+    @cached_property
+    def all_positive(self) -> bool:
+        return all(a.closed_form > 0 for a in self.assessments)
+
+    @cached_property
+    def all_integral(self) -> bool:
+        return all(a.integral for a in self.assessments)
+
+    @cached_property
+    def sum_value(self) -> float:
+        return sum(a.closed_form for a in self.assessments)
+
+    @cached_property
+    def sum_ok(self) -> bool:
+        return abs(self.sum_value - (self.n - 2)) <= 1e-6 * self.n
+
+    @cached_property
+    def moment_check(self) -> MomentCheck:
+        return _moment_check(self.k, self.d, self.e, self.n, self.assessments)
+
+    @cached_property
+    def final_verdict(self) -> str:
+        """The gap exclusion first; otherwise any failed spectral consistency
+        check excludes by integrality."""
+        if self.gap is not None and self.gap.excluded:
+            return VERDICT_GAP
+        if self.all_positive and self.all_integral and self.sum_ok and self.moment_check.ok:
+            return VERDICT_ADMISSIBLE
+        return VERDICT_INTEGRALITY
+
+    @cached_property
     def max_integrality_deviation(self) -> float:
-        return max((a.deviation for a in self.assessments), default=0.0)
+        """The largest |m - round(m)| over the float closed forms: the
+        assessments' ``deviation``, without their enclosures."""
+        return max(abs(m - round(m)) for m in self._closed_forms.values())
 
     def spectrum(self) -> list[tuple[float, float | int]]:
         """Full candidate spectrum, ascending, including +-k with
@@ -944,58 +1013,32 @@ def _moment_check(k: int, d: int, e: int, n: int, assessments) -> MomentCheck:
 
 
 def spectral_feasibility(k: int, d: int, e: int) -> FeasibilityReport:
-    """Assemble the full spectral verdict for (k, d, e).
+    """The spectral verdict for (k, d, e), in certificate order.
 
-    Isolates all 2(d-1) candidate eigenvalues, computes every multiplicity in
-    closed form with a certified enclosure (once per mirrored pair
-    theta_i = -theta_{d-i}), and checks: positivity,
-    integrality, the multiplicity sum n - 2, the moment identity for
-    q = 0..2d-1, and (for d >= 7) the product-gap exclusion.  The gap
-    exclusion reproduces the nonexistence argument and takes precedence;
-    otherwise any failed spectral consistency check excludes by integrality.
+    Isolates all 2(d-1) candidate eigenvalues and, for d >= 7, runs the
+    product-gap exclusion, which reproduces the nonexistence argument and
+    decides the verdict when it excludes.  The rest is computed on first
+    access to the report: every multiplicity in closed form with a certified
+    enclosure (once per mirrored pair theta_i = -theta_{d-i}), positivity,
+    integrality, the multiplicity sum n - 2 and the moment identity for
+    q = 0..2d-1.  A verdict the gap does not decide reads them, and any
+    failed check excludes by integrality.
+
+    So a CSV row or a ``scan`` text row pays for isolation, the gap and the
+    float closed forms of ``max_integrality_deviation`` only; the JSON
+    report and the ``feasibility`` text report print every check and pay
+    for all of them.
     """
     validate_parameters(k, d, e)
-    n = moore_bound(k, 2 * d) + e
     roots = isolate_roots(k, d, e, 1) + isolate_roots(k, d, e, -e // 2)
     roots.sort(key=lambda r: r.theta)
-    # root d - i is the mirror of root i, with the same enclosure (H_{d-2}
-    # and H'_{d-1} are odd) and the same float closed form
-    half = (d - 1) // 2
-    assessed = {(r.epsilon, r.i): _assess_multiplicity(k, d, e, r) for r in roots if r.i <= half}
-    assessments = tuple(
-        assessed[r.epsilon, r.i] if r.i <= half else replace(assessed[r.epsilon, d - r.i], record=r)
-        for r in roots
-    )
-
-    all_positive = all(a.closed_form > 0 for a in assessments)
-    all_integral = all(a.integral for a in assessments)
-    total = sum(a.closed_form for a in assessments)
-    sum_ok = abs(total - (n - 2)) <= 1e-6 * n
-    moments = _moment_check(k, d, e, n, assessments)
-
-    gap = gap_check(k, d, e) if d >= _GAP_MIN_D else None
-
-    if gap is not None and gap.excluded:
-        verdict = VERDICT_GAP
-    elif not (all_positive and all_integral and sum_ok and moments.ok):
-        verdict = VERDICT_INTEGRALITY
-    else:
-        verdict = VERDICT_ADMISSIBLE
-
     return FeasibilityReport(
         k=k,
         d=d,
         e=e,
-        n=n,
+        n=moore_bound(k, 2 * d) + e,
         roots=tuple(roots),
-        assessments=assessments,
-        all_positive=all_positive,
-        all_integral=all_integral,
-        sum_value=total,
-        sum_ok=sum_ok,
-        moment_check=moments,
-        gap=gap,
-        final_verdict=verdict,
+        gap=gap_check(k, d, e) if d >= _GAP_MIN_D else None,
     )
 
 

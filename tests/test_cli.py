@@ -8,7 +8,8 @@ import pytest
 
 import g6ref
 from cage_spectra import (
-    BracketSeedError, _intmat, catalog, cli, graphs, moore_bound, trace_identity_check,
+    BracketSeedError, _intmat, catalog, cli, feasibility, graphs, moore_bound,
+    trace_identity_check,
 )
 from cage_spectra.cli import dumps_canonical, main
 
@@ -119,6 +120,40 @@ def test_scan_csv(capsys):
     assert verdicts[("4", "2")] == "excluded-by-gap"
     assert verdicts[("4", "4")] == "outside-regime"  # e > k - 2 skipped with a note
     assert verdicts[("6", "4")] == "excluded-by-gap"
+
+
+def test_scan_csv_where_the_moment_check_overflows(capsys):
+    """At (200, 61, e) the float moment check overflows: n times a walk count
+    passes the float range.  The gap decides both rows, so a CSV scan never
+    runs it."""
+    code, out, err = run(capsys, "scan", "--k", "200", "--d", "61", "--e", "2,198", "--format", "csv")
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(row[2], row[4]) for row in rows] == [("2", "excluded-by-gap"), ("198", "excluded-by-gap")]
+
+
+#: The stages a gap-excluded CSV row does not need.
+ENCLOSURE_WORK = ("_assess_multiplicity", "_moment_check", "build_bd")
+
+
+def test_csv_scan_does_no_enclosure_work(monkeypatch, capsys):
+    counts = dict.fromkeys(ENCLOSURE_WORK, 0)
+    for name in ENCLOSURE_WORK:
+        def counted(*args, _name=name, _original=getattr(feasibility, name)):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(feasibility, name, counted)
+    code, out, _ = run(
+        capsys, "scan", "--k", "4..20", "--d", "7,9,11", "--e", "2,4,6", "--format", "csv"
+    )
+    assert code == 0 and out.count(",excluded-by-gap,") == 135
+    assert counts == dict.fromkeys(ENCLOSURE_WORK, 0)
+    # the JSON report prints every check, so it still runs all of them:
+    # one assessment per mirrored pair in each family, one moment check
+    code, _, _ = run(capsys, "feasibility", "5", "7", "2", "--format", "json")
+    assert code == 0
+    assert counts == {"_assess_multiplicity": 6, "_moment_check": 1, "build_bd": 1}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "text"])

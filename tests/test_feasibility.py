@@ -1,11 +1,15 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cage_spectra import (
     BracketSeedError,
     EvenHalfGirthError,
+    FeasibilityReport,
     ExcessRangeError,
     IllConditionedError,
     OddExcessError,
@@ -369,7 +373,11 @@ def test_former_bracket_seed_failures_end_in_a_verdict():
     triples = [(k, d, 2) for d, ks in FORMER_SEED_FAILURES.items() for k in ks]
     assert len(triples) == 134
     for k, d, e in triples:
-        assert spectral_feasibility(k, d, e).final_verdict == VERDICT_GAP, (k, d, e)
+        report = spectral_feasibility(k, d, e)
+        assert report.final_verdict == VERDICT_GAP, (k, d, e)
+        # the gap decides the verdict alone; reading all_integral still
+        # assesses (and refines) every multiplicity, and none is an integer
+        assert report.all_integral is False, (k, d, e)
 
 
 @pytest.mark.parametrize(
@@ -379,8 +387,12 @@ def test_former_bracket_seed_failures_end_in_a_verdict():
 def test_refinement_past_444_bits_ends_in_a_verdict(k, d, e):
     """Their isolation used to fail its case bound on a root i > d/2.  With
     the mirror it passes, and their enclosures then need 476-508 bracket
-    bits (n has 396-442 bits), past the fixed 444-bit cap refinement had."""
-    assert spectral_feasibility(k, d, e).final_verdict == VERDICT_GAP
+    bits (n has 396-442 bits), past the fixed 444-bit cap refinement had.
+    The gap decides the verdict alone; reading all_integral still refines
+    every enclosure, and integrality excludes them as well."""
+    report = spectral_feasibility(k, d, e)
+    assert report.final_verdict == VERDICT_GAP
+    assert report.all_integral is False
 
 
 def test_spectral_feasibility_negative_controls():
@@ -426,6 +438,53 @@ def test_enclosures_certify_worked_integers():
     assert by_theta[-2.0].integer == 7
     assert by_theta[round(math.sqrt(2), 6)].integer == 6
     assert by_theta[round(-math.sqrt(2), 6)].integer == 6
+
+
+# ---------------------------------------------------------------------------
+# the staged verdict
+
+@st.composite
+def regime_triples(draw, max_k, min_d, max_d):
+    """(k, d, e) with 4 <= k <= max_k, odd d in [min_d, max_d] and every
+    valid even e in [2, k - 2]."""
+    k = draw(st.integers(4, max_k))
+    d = draw(st.sampled_from(range(min_d, max_d + 1, 2)))
+    return k, d, 2 * draw(st.integers(1, (k - 2) // 2))
+
+
+def test_repr_and_eq_compute_no_lazy_attribute():
+    report, other = spectral_feasibility(5, 7, 2), spectral_feasibility(5, 7, 2)
+    assert report == other and hash(report) == hash(other)
+    assert repr(report) == repr(other)
+    names = {f.name for f in fields(FeasibilityReport)}
+    assert names == {"k", "d", "e", "n", "roots", "gap"}
+    assert vars(report).keys() == vars(other).keys() == names
+
+
+@settings(max_examples=60, deadline=None)
+@given(regime_triples(40, 3, 31))
+def test_max_integrality_deviation_is_the_assessments_maximum(triple):
+    """The CSV column is read from the float closed forms alone, before any
+    enclosure; it equals the assessments' maximum deviation bit for bit,
+    and the closed form evaluated afresh at every root.  d in {3, 5} gives
+    triples without a gap, whose verdict reads the assessments."""
+    k, d, e = triple
+    report = spectral_feasibility(k, d, e)
+    column = report.max_integrality_deviation
+    assert "assessments" not in vars(report)
+    assert column.hex() == max(a.deviation for a in report.assessments).hex()
+    fresh = (multiplicity_closed_form(k, d, e, r.epsilon, r.theta) for r in report.roots)
+    assert column.hex() == max(abs(m - round(m)) for m in fresh).hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(regime_triples(200, 7, 61))
+def test_every_triple_in_the_gap_regime_ends_in_the_gap_verdict(triple):
+    """Girth 2d >= 14 up to k = 200 and d = 61: the gap decides the verdict
+    and nothing else is computed for it."""
+    report = spectral_feasibility(*triple)
+    assert report.final_verdict == VERDICT_GAP
+    assert vars(report).keys() == {f.name for f in fields(report)} | {"final_verdict"}
 
 
 # ---------------------------------------------------------------------------
