@@ -941,8 +941,9 @@ class FeasibilityReport:
         d - i shares root i's: the same enclosure (H_{d-2} and H'_{d-1} are
         odd) and the same float closed form."""
         k, d, e, half = self.k, self.d, self.e, (self.d - 1) // 2
+        closed = self._closed_forms
         assessed = {
-            (r.epsilon, r.i): _assess_multiplicity(k, d, e, r, self._closed_forms[r.epsilon, r.i])
+            (r.epsilon, r.i): _assess_multiplicity(k, d, e, r, closed[r.epsilon, r.i])
             for r in self.roots
             if r.i <= half
         }

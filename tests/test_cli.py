@@ -126,10 +126,14 @@ def test_scan_csv_where_the_moment_check_overflows(capsys):
     """At (200, 61, e) the float moment check overflows: n times a walk count
     passes the float range.  The gap decides both rows, so a CSV scan never
     runs it."""
-    code, out, err = run(capsys, "scan", "--k", "200", "--d", "61", "--e", "2,198", "--format", "csv")
+    code, out, err = run(
+        capsys, "scan", "--k", "200", "--d", "61", "--e", "2,198", "--format", "csv"
+    )
     assert code == 0 and err == ""
     rows = [line.split(",") for line in out.splitlines()[1:]]
-    assert [(row[2], row[4]) for row in rows] == [("2", "excluded-by-gap"), ("198", "excluded-by-gap")]
+    assert [(row[2], row[4]) for row in rows] == [
+        ("2", "excluded-by-gap"), ("198", "excluded-by-gap"),
+    ]
 
 
 #: The stages a gap-excluded CSV row does not need.

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from cage_spectra import (
     BracketSeedError,
     EvenHalfGirthError,
-    FeasibilityReport,
     ExcessRangeError,
+    FeasibilityReport,
     IllConditionedError,
     OddExcessError,
     ParameterDomainError,
