@@ -24,7 +24,16 @@ This module:
   Each bracket is the cell exact bisection would end on: Newton's method in
   integers predicts it, and it is certified by an interval enclosure of
   P' that excludes 0 over the seed bracket (P is monotone there) and two
-  exact signs at the cell's ends, with the halving loop as the fallback;
+  exact signs, nonzero and opposite, at the cell's ends.  These imply the
+  seed's own end signs, which are evaluated only when the halving loop
+  runs as the fallback.  P = H_{d-1} - eps is even, P(x) = Q(x^2), so every
+  exact sign and Newton step evaluates Q at x^2 (the same integers as P at
+  x, in half the Horner steps), and monotonicity encloses Q' over the
+  squared bracket (P' = 2x Q'(x^2), and the seed brackets exclude 0).
+  The roots of the eps = 1 family, the one every e shares, are cached per
+  (k, d) for the life of the process with the angle tables their seeds
+  read, which the eps = -1 family reuses; a -e/2 family is isolated anew
+  for its triple;
 
 * evaluates the eigenvalue multiplicity in closed form
 
@@ -149,11 +158,24 @@ def _polys(k: int, d: int) -> _Polys:
     return _Polys(h, dickson_family("H", k, d - 2), derivative(h))
 
 
-def _family_poly(k: int, d: int, epsilon: int) -> tuple[int, ...]:
-    """Coefficients of H_{d-1} - epsilon, constant term first."""
-    coeffs = list(_polys(k, d).h.coefficients)
-    coeffs[0] -= epsilon
-    return tuple(coeffs)
+class _Family(NamedTuple):
+    """An even integer polynomial P held as Q(x^2): for odd d, the family
+    polynomial H_{d-1} - epsilon."""
+
+    q: tuple[int, ...]      # Q, constant term first
+    slope: tuple[int, ...]  # Q'
+
+    @classmethod
+    def of(cls, q: Iterable[int]) -> "_Family":
+        q = tuple(q)
+        return cls(q, tuple(j * c for j, c in enumerate(q))[1:])
+
+
+def _family(k: int, d: int, epsilon: int) -> _Family:
+    """H_{d-1} - epsilon as Q(x^2): Q's coefficients are H_{d-1}'s even ones."""
+    q = list(_polys(k, d).h.coefficients[::2])
+    q[0] -= epsilon
+    return _Family.of(q)
 
 
 def _sign_dyadic(coeffs: tuple[int, ...], num: int, shift: int) -> int:
@@ -198,6 +220,30 @@ def _horner_newton(coeffs: tuple[int, ...], num: int, shift: int) -> tuple[int, 
     return acc, slope
 
 
+def _sign_even(q: tuple[int, ...], num: int, shift: int) -> int:
+    """Exact sign of P(num / 2^shift) for P(x) = Q(x^2): Horner on Q at
+    num^2 / 2^(2 shift), whose integer equals the one Horner on P forms at
+    num / 2^shift, in half the steps."""
+    return _sign_dyadic(q, num * num, 2 * shift)
+
+
+def _newton_even(q: tuple[int, ...], num: int, shift: int) -> tuple[int, int]:
+    """`_horner_newton` of P(x) = Q(x^2) at num / 2^shift, from Q at
+    num^2 / 2^(2 shift): P' = 2x Q'(x^2), so the slope is Q's times 2 num.
+    Both integers equal the full-degree ones."""
+    value, slope = _horner_newton(q, num * num, 2 * shift)
+    return value, 2 * num * slope
+
+
+def _dyadic_square(lo: int, hi: int) -> tuple[int, int]:
+    """Tight enclosure of x^2 over [lo, hi] / 2^shift, over 2^(2 shift)."""
+    if lo >= 0:
+        return lo * lo, hi * hi
+    if hi <= 0:
+        return hi * hi, lo * lo
+    return 0, max(lo * lo, hi * hi)
+
+
 #: Extra bits the Newton predictor carries below the grid of final cells.
 _NEWTON_GUARD = 16
 
@@ -209,10 +255,11 @@ _NEWTON_MARGIN = 12
 _NEWTON_STEPS = 40
 
 
-def _predict_cell(coeffs, lo, hi, shift, halvings):
+def _predict_cell(q, lo, hi, shift, halvings):
     """Index j of the grid cell of width (hi - lo) / 2^(shift+halvings) that
-    holds the root of P in (lo, hi) / 2^shift, counted from lo, predicted by
-    Newton's method from the midpoint; None when it does not settle.
+    holds the root of P(x) = Q(x^2) in (lo, hi) / 2^shift, counted from lo,
+    predicted by Newton's method from the midpoint; None when it does not
+    settle.
 
     Each step runs at the scale its result can use (twice the bits its start
     is right to), so only the last one or two run at the full scale: the
@@ -226,7 +273,7 @@ def _predict_cell(coeffs, lo, hi, shift, halvings):
         target = min(top, max(scale, 2 * known))
         x <<= target - scale
         scale = target
-        value, slope = _horner_newton(coeffs, x, scale)
+        value, slope = _newton_even(q, x, scale)
         if slope == 0:
             return None
         step = value // slope
@@ -241,52 +288,63 @@ def _predict_cell(coeffs, lo, hi, shift, halvings):
     return ((x >> _NEWTON_GUARD) - (lo << halvings)) // (hi - lo)
 
 
-def _monotone(coeffs, lo, hi, shift) -> bool:
-    """True when the interval-Horner enclosure of P' over the dyadic bracket
-    [lo, hi] / 2^shift excludes 0, so P is strictly monotone on it."""
-    slope = tuple(j * c for j, c in enumerate(coeffs))[1:]
-    if not slope:
+def _monotone(family: _Family, lo, hi, shift) -> bool:
+    """True when P(x) = Q(x^2) is certified strictly monotone on the dyadic
+    bracket [lo, hi] / 2^shift: the bracket excludes 0 and the
+    interval-Horner enclosure of Q' over the squared bracket excludes 0, so
+    P' = 2x Q'(x^2) has one sign there.  P' vanishes at 0, so a bracket
+    holding 0 is never monotone."""
+    if not family.slope or lo <= 0 <= hi:
         return False
-    slope_lo, slope_hi = _dyadic_enclosure(slope, lo, hi, shift)
+    sq_lo, sq_hi = _dyadic_square(lo, hi)
+    slope_lo, slope_hi = _dyadic_enclosure(family.slope, sq_lo, sq_hi, 2 * shift)
     return slope_lo > 0 or slope_hi < 0
 
 
-def _bisect(coeffs, lo, hi, shift, sign_lo, bits):
-    """Shrink the dyadic bracket (lo, hi)/2^shift below width 2^-bits,
-    keeping P(lo) and P(hi) of opposite sign (or collapsing onto an exact
-    root): the bracket of the halving loop at the end, mostly without its
-    sign evaluations.
+def _bisect(family: _Family, lo, hi, shift, bits):
+    """The bracket the halving loop ends on when it shrinks the dyadic
+    bracket (lo, hi)/2^shift of P(x) = Q(x^2) below width 2^-bits: a cell
+    whose ends P gives opposite signs, or a point where P vanishes.  None
+    when P has one nonzero sign at both ends of (lo, hi); an end where P
+    vanishes is returned as the point bracket.
 
     Halving keeps the numerator width w = hi - lo and runs a number of steps
     L fixed by the width alone, so unless it collapses onto an exact root it
     ends on a cell [lo 2^L + j w, lo 2^L + (j+1) w] / 2^(shift+L) of a uniform
-    grid.  The Newton-predicted cell j is taken only when certified: the
-    interval-Horner enclosure of P' over the whole bracket excludes 0 (P is
-    strictly monotone there, so every grid point left of the root has the
-    sign of the cell's low end and every one right of it the sign of its
-    high end, and halving can only reach this cell), and exact signs show
-    sign_lo at the cell's low end and -sign_lo at its high end.  Anything
-    else runs the halving loop.
+    grid.  The Newton-predicted cell j is taken when certified: P is
+    strictly monotone on the whole bracket (`_monotone`) and exact signs at
+    the cell's ends are nonzero and opposite.  Then P(lo) has the sign of
+    the cell's low end and P(hi) that of its high end, every grid point left
+    of the root the one and every one right of it the other, so halving
+    could only reach this cell.  The bracket's own end signs follow and are
+    evaluated only when the halving loop runs, on anything else.
     """
+    q = family.q
     width = hi - lo
     halvings = max(0, width.bit_length() + bits - shift) if width > 0 else 0
-    if halvings and _monotone(coeffs, lo, hi, shift):
-        cell = _predict_cell(coeffs, lo, hi, shift, halvings)
+    if halvings and _monotone(family, lo, hi, shift):
+        cell = _predict_cell(q, lo, hi, shift, halvings)
         if cell is not None and 0 <= cell < 1 << halvings:
             low, scale = (lo << halvings) + cell * width, shift + halvings
-            if _sign_dyadic(coeffs, low, scale) == sign_lo != 0 and _sign_dyadic(
-                coeffs, low + width, scale
-            ) == -sign_lo:
+            sign_low = _sign_even(q, low, scale)
+            if sign_low and _sign_even(q, low + width, scale) == -sign_low:
                 return low, low + width, scale
+    sign_lo = _sign_even(q, lo, shift)
+    if sign_lo == 0:
+        return lo, lo, shift
+    sign_hi = _sign_even(q, hi, shift)
+    if sign_hi == 0:
+        return hi, hi, shift
+    if sign_hi == sign_lo:
+        return None
     while ((hi - lo) << bits) >= (1 << shift):
         lo <<= 1
         hi <<= 1
         shift += 1
         mid = (lo + hi) // 2
-        sign_mid = _sign_dyadic(coeffs, mid, shift)
+        sign_mid = _sign_even(q, mid, shift)
         if sign_mid == 0:
-            lo = hi = mid
-            break
+            return mid, mid, shift
         if sign_mid == sign_lo:
             lo = mid
         else:
@@ -389,10 +447,47 @@ def _acos_near(c: int, phi: int, cos_phi: int, sin_phi: int, bits: int) -> int:
     return phi + step
 
 
-#: Isolated roots per (k, d, epsilon), for the life of the process.  The
-#: roots do not depend on e beyond epsilon, so the epsilon = 1 family is
-#: shared by every e; a failed isolation is never stored.
-_ROOTS: dict[tuple[int, int, int], tuple[RootRecord, ...]] = {}
+class _Angles(NamedTuple):
+    """What the seeds of one (k, d) read, in fixed point at `bits`
+    (`_seed_bits`): pi, 2s, q = s^(d-1), beta = pi/d, and the (cos, sin) of
+    i*beta and of i*pi/(d +- 1/q) for i = 0..(d-1)/2.  The last two are the
+    case interval's far ends for |epsilon| = 1."""
+
+    bits: int
+    pi: int
+    two_s: int
+    q: int
+    beta: int
+    centre: list[tuple[int, int]]  # i pi / d
+    inner: list[tuple[int, int]]   # i pi / (d + 1/q)
+    outer: list[tuple[int, int]]   # i pi / (d - 1/q)
+
+
+def _side_tables(pi: int, d: int, q: int, a: int, bits: int):
+    """(cos, sin) of i*pi/(d + a/q) and of i*pi/(d - a/q), i = 0..(d-1)/2."""
+    half = (d - 1) // 2
+    return (
+        _multiples(pi * q // (d * q + a), half, bits),
+        _multiples(pi * q // (d * q - a), half, bits),
+    )
+
+
+def _angle_tables(k: int, d: int) -> _Angles:
+    bits = _seed_bits(k, d)
+    pi = _fixed_pi(bits)
+    q = (k - 1) ** ((d - 1) // 2)
+    beta = pi // d
+    return _Angles(
+        bits, pi, _fixed_two_s(k, bits), q, beta,
+        _multiples(beta, (d - 1) // 2, bits), *_side_tables(pi, d, q, 1, bits),
+    )
+
+
+#: Per (k, d), for the life of the process: the roots of the epsilon = 1
+#: family, the one family every e shares, with the angle tables its seeds
+#: read (the epsilon = -1 family reads the same ones).  A -e/2 family serves
+#: one triple and is not kept; a failed isolation stores nothing.
+_ROOTS: dict[tuple[int, int], tuple[tuple[RootRecord, ...], _Angles]] = {}
 
 
 def isolate_roots(k: int, d: int, e: int, epsilon: int) -> list[RootRecord]:
@@ -404,42 +499,42 @@ def isolate_roots(k: int, d: int, e: int, epsilon: int) -> list[RootRecord]:
     root is checked against its alpha case bound; a seed without a sign
     change is an internal error.
     Records come back sorted by theta ascending with i = 1..d-1, in a new
-    list on every call.
+    list on every call.  Only the epsilon = 1 family is cached.
     """
     validate_parameters(k, d, e)
     if epsilon not in (1, -e // 2):
         raise ParameterDomainError(
             f"epsilon must be 1 or -e/2 = {-e // 2}, got {epsilon}"
         )
-    key = (k, d, epsilon)
-    roots = _ROOTS.get(key)
-    if roots is None:
-        roots = _ROOTS[key] = _isolate(k, d, e, epsilon)
-    return list(roots)
+    cached = _ROOTS.get((k, d))
+    if epsilon != 1:
+        angles = cached[1] if cached else _angle_tables(k, d)
+        return list(_isolate(k, d, e, epsilon, angles))
+    if cached is None:
+        angles = _angle_tables(k, d)
+        cached = _ROOTS[k, d] = _isolate(k, d, e, 1, angles), angles
+    return list(cached[0])
 
 
-def _isolate(k: int, d: int, e: int, epsilon: int) -> tuple[RootRecord, ...]:
+def _isolate(k: int, d: int, e: int, epsilon: int, angles: _Angles) -> tuple[RootRecord, ...]:
     """The uncached isolation; ``e`` only names the triple in errors.
 
     The seeds, phi and alpha are computed in fixed point at `_seed_bits`
     bits.  |eta| s^(1-d) is the rational a / q, so the case interval's ends
-    are the multiples of three base angles pi/d and pi/(d +- a/q).
+    are the multiples of three base angles pi/d and pi/(d +- a/q); for
+    a = 1 all three tables come from ``angles``, otherwise the two outer
+    ones are built here.
 
     Only the roots i <= (d-1)/2 (theta < 0) are seeded; root d - i is
     their mirror, with phi = pi - phi_i in the same fixed point, so its case
     bound is the same inequality as root i's.  It is still checked."""
-    coeffs = _family_poly(k, d, epsilon)
-    bits = _seed_bits(k, d)
-    pi = _fixed_pi(bits)
-    two_s = _fixed_two_s(k, bits)
-    a, q = abs(epsilon), (k - 1) ** ((d - 1) // 2)
-    half = (d - 1) // 2
-    beta = pi // d
-    centre = _multiples(beta, half, bits)                  # i pi / d
-    inner = _multiples(pi * q // (d * q + a), half, bits)  # i pi / (d + a/q)
-    outer = _multiples(pi * q // (d * q - a), half, bits)  # i pi / (d - a/q)
+    family = _family(k, d, epsilon)
+    bits, pi, two_s, q, beta, centre, inner, outer = angles
+    a = abs(epsilon)
+    if a != 1:
+        inner, outer = _side_tables(pi, d, q, a, bits)
     roots = {}  # i -> (lo, hi, shift, phi)
-    for i in range(1, half + 1):
+    for i in range(1, (d - 1) // 2 + 1):
         eta = epsilon if (d + i) % 2 == 0 else -epsilon
         cos_lo, cos_hi = (inner[i][0], centre[i][0]) if eta > 0 else (centre[i][0], outer[i][0])
         theta_lo = -(two_s * cos_lo) >> bits
@@ -452,19 +547,13 @@ def _isolate(k: int, d: int, e: int, epsilon: int) -> tuple[RootRecord, ...]:
         shift = max(64, 36 + int(-math.log2(width)) if width > 0 else 64)
         lo = -((-((theta_lo << 30) + span) << shift) >> (bits + 30))
         hi = (((theta_hi << 30) - span) << shift) >> (bits + 30)
-        sign_lo = _sign_dyadic(coeffs, lo, shift)
-        sign_hi = _sign_dyadic(coeffs, hi, shift)
-        if sign_lo == 0:
-            hi = lo
-        elif sign_hi == 0:
-            lo = hi
-        elif sign_lo * sign_hi > 0:
+        bracket = _bisect(family, lo, hi, shift, TARGET_BRACKET_BITS)
+        if bracket is None:
             raise BracketSeedError(
                 f"seed interval for (k={k}, d={d}, e={e}, eps={epsilon}, i={i}) "
                 "does not bracket a sign change"
             )
-        else:
-            lo, hi, shift = _bisect(coeffs, lo, hi, shift, sign_lo, TARGET_BRACKET_BITS)
+        lo, hi, shift = bracket
         # cos(phi) = -theta_mid / (2s) at the bracket's midpoint
         cos_phi = (-(lo + hi) << 2 * bits) // (two_s << (shift + 1))
         phi = _acos_near(cos_phi, i * beta, *centre[i], bits)
@@ -622,15 +711,6 @@ class MultiplicityAssessment:
         return self.integer is not None
 
 
-def _dyadic_square(lo: int, hi: int) -> tuple[int, int]:
-    """Tight enclosure of x^2 over [lo, hi] / 2^shift, over 2^(2 shift)."""
-    if lo >= 0:
-        return lo * lo, hi * hi
-    if hi <= 0:
-        return hi * hi, lo * lo
-    return 0, max(lo * lo, hi * hi)
-
-
 def _integers_in(ends) -> range:
     """The integers in [a/b, c/q] for ends ((a, b), (c, q)) with b, q > 0."""
     (a, b), (c, q) = ends
@@ -704,7 +784,7 @@ def _assess_multiplicity(k, d, e, record: RootRecord, closed: float) -> Multipli
     bits = TARGET_BRACKET_BITS
     cap = TARGET_BRACKET_BITS + (moore_bound(k, 2 * d) + e).bit_length() + 2 * d
     ends = _multiplicity_enclosure(k, d, e, record.epsilon, lo, hi, shift)
-    coeffs = None
+    family = None
     while not _decisive(ends):
         bits += 32
         if bits > cap:
@@ -712,13 +792,12 @@ def _assess_multiplicity(k, d, e, record: RootRecord, closed: float) -> Multipli
                 f"multiplicity enclosure failed to converge at (k={k}, d={d}, "
                 f"e={e}, eps={record.epsilon}, i={record.i})"
             )
-        if coeffs is None:
-            coeffs = _family_poly(k, d, record.epsilon)
-            # every refined bracket keeps this sign of P at its low end
-            sign_lo = _sign_dyadic(coeffs, lo, shift)
         if lo == hi:
             raise IllConditionedError("degenerate exact bracket with singular denominator")
-        lo, hi, shift = _bisect(coeffs, lo, hi, shift, sign_lo, bits)
+        if family is None:
+            family = _family(k, d, record.epsilon)
+        # the bracket came from `_bisect`, so P changes sign across it
+        lo, hi, shift = _bisect(family, lo, hi, shift, bits)
         ends = _multiplicity_enclosure(k, d, e, record.epsilon, lo, hi, shift)
     integers = _integers_in(ends)
     nearest = round(closed)
@@ -849,15 +928,23 @@ class GapVerdict:
 
 def gap_check(k: int, d: int, e: int) -> GapVerdict:
     """Run the product-gap exclusion for d >= 7 (girth >= 14); smaller d is
-    outside the regime and no exclusion is claimed."""
+    outside the regime and no exclusion is claimed.  It isolates both
+    families (the -e/2 one anew); `spectral_feasibility` hands its own
+    records to the same computation instead."""
     validate_parameters(k, d, e)
     if d < _GAP_MIN_D:
         return GapVerdict(
             k=k, d=d, e=e, applicable=False,
             reason=f"gap argument needs girth 2d >= 14, got 2d = {2 * d}",
         )
-    mu_lo, mu_hi, mu_shift = isolate_roots(k, d, e, 1)[1].bracket
-    lam_lo, lam_hi, lam_shift = isolate_roots(k, d, e, -e // 2)[1].bracket
+    return _gap(k, d, e, isolate_roots(k, d, e, 1), isolate_roots(k, d, e, -e // 2))
+
+
+def _gap(k: int, d: int, e: int, mu: list[RootRecord], lam: list[RootRecord]) -> GapVerdict:
+    """The gap verdict from the two families' records, ascending in theta:
+    ``mu`` for epsilon = 1 and ``lam`` for epsilon = -e/2."""
+    mu_lo, mu_hi, mu_shift = mu[1].bracket
+    lam_lo, lam_hi, lam_shift = lam[1].bracket
     shift = max(mu_shift, lam_shift)
     mu_sq = _dyadic_square(mu_lo << (shift - mu_shift), mu_hi << (shift - mu_shift))
     lam_sq = _dyadic_square(lam_lo << (shift - lam_shift), lam_hi << (shift - lam_shift))
@@ -1031,15 +1118,15 @@ def spectral_feasibility(k: int, d: int, e: int) -> FeasibilityReport:
     for all of them.
     """
     validate_parameters(k, d, e)
-    roots = isolate_roots(k, d, e, 1) + isolate_roots(k, d, e, -e // 2)
-    roots.sort(key=lambda r: r.theta)
+    mu = isolate_roots(k, d, e, 1)
+    lam = isolate_roots(k, d, e, -e // 2)
     return FeasibilityReport(
         k=k,
         d=d,
         e=e,
         n=moore_bound(k, 2 * d) + e,
-        roots=tuple(roots),
-        gap=gap_check(k, d, e) if d >= _GAP_MIN_D else None,
+        roots=tuple(sorted(mu + lam, key=lambda r: r.theta)),
+        gap=_gap(k, d, e, mu, lam) if d >= _GAP_MIN_D else None,
     )
 
 

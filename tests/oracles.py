@@ -7,7 +7,9 @@ the transcendental angular-defect equation, list-of-list matrices where the
 package packs each row into one int, full matrix polynomials of B_D where
 the package reads only its Krylov rows e_0^T B^j, a queue-based search per
 root where the package searches from every root at once, a byte-by-byte graph6
-payload decoder where the package decodes base64 with `binascii`), so
+payload decoder where the package decodes base64 with `binascii`, full-degree
+Horner signs and bit-by-bit halving where the package evaluates the even
+family polynomial in x^2 and takes a certified Newton cell), so
 agreement is evidence that both are right.  None of them is used by the
 package itself.
 """
@@ -24,13 +26,7 @@ from typing import Sequence, Union
 import mpmath
 
 from cage_spectra.errors import BracketSeedError, Graph6ParseError, ParameterDomainError
-from cage_spectra.feasibility import (
-    TARGET_BRACKET_BITS,
-    RootRecord,
-    _bisect,
-    _family_poly,
-    _sign_dyadic,
-)
+from cage_spectra.feasibility import TARGET_BRACKET_BITS, RootRecord
 from cage_spectra.intersection import build_bd
 from cage_spectra.polynomials import dickson_family
 
@@ -208,15 +204,71 @@ def transcendental_residual(record: RootRecord, k: int, d: int) -> float:
         return float(value)
 
 
+# ---------------------------------------------------------------------------
+# exact signs and bisection at full degree: the package evaluates the even
+# family polynomial H_{d-1} - eps as Q(x^2), these evaluate it term by term
+
+def family_coefficients(k: int, d: int, epsilon: int) -> tuple[int, ...]:
+    """H_{d-1} - epsilon at full degree, constant term first."""
+    coeffs = list(dickson_family("H", k, d - 1).coefficients)
+    coeffs[0] -= epsilon
+    return tuple(coeffs)
+
+
+def horner_sign(coeffs: Sequence[int], num: int, shift: int) -> int:
+    """Exact sign of P(num / 2^shift) for an integer polynomial P (constant
+    term first): the sign of 2^(shift*deg) P(num / 2^shift), by Horner's
+    rule over every coefficient."""
+    deg = len(coeffs) - 1
+    acc = 0
+    for j in range(deg, -1, -1):
+        acc = acc * num + coeffs[j] * (1 << shift * (deg - j))
+    return (acc > 0) - (acc < 0)
+
+
+def halving_loop(coeffs, lo, hi, shift, sign_lo, bits):
+    """Bit-by-bit bisection of (lo, hi) / 2^shift below width 2^-bits,
+    keeping sign_lo at the low end and collapsing onto a midpoint where P
+    vanishes."""
+    while ((hi - lo) << bits) >= (1 << shift):
+        lo, hi, shift = lo << 1, hi << 1, shift + 1
+        mid = (lo + hi) // 2
+        sign_mid = horner_sign(coeffs, mid, shift)
+        if sign_mid == 0:
+            return mid, mid, shift
+        if sign_mid == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, shift
+
+
+def bisect_reference(coeffs, lo, hi, shift, bits):
+    """What the package's `_bisect` must return for the even polynomial
+    ``coeffs``: the point bracket at an end where P vanishes (the low end
+    first), None when P has one nonzero sign at both ends, and otherwise the
+    bracket `halving_loop` ends on."""
+    sign_lo = horner_sign(coeffs, lo, shift)
+    if sign_lo == 0:
+        return lo, lo, shift
+    sign_hi = horner_sign(coeffs, hi, shift)
+    if sign_hi == 0:
+        return hi, hi, shift
+    if sign_hi == sign_lo:
+        return None
+    return halving_loop(coeffs, lo, hi, shift, sign_lo, bits)
+
+
 def isolate_mp(k: int, d: int, e: int, epsilon: int) -> tuple[RootRecord, ...]:
     """Root isolation with the seeds, phi and alpha in `MP_BITS` of mpmath.
 
     The route the package took before its seeds moved to integer fixed
     point: the case interval's ends, -2s cos(phi) at each, the slop, the
     seed's ceiling and floor, acos and alpha, all as mpmath floats.  The
-    exact parts (`_sign_dyadic`, `_bisect`) are the package's own, so the
-    package must return the same records and raise on the same keys."""
-    coeffs = _family_poly(k, d, epsilon)
+    exact parts are `horner_sign` at full degree and `halving_loop`, every
+    root isolated on its own, so the package must return the same records
+    for the roots it seeds and raise on the same keys."""
+    coeffs = family_coefficients(k, d, epsilon)
     records = []
     with mpmath.mp.workprec(MP_BITS):
         mp = mpmath.mp
@@ -236,8 +288,8 @@ def isolate_mp(k: int, d: int, e: int, epsilon: int) -> tuple[RootRecord, ...]:
             shift = max(64, 36 + int(-math.log2(width)) if width > 0 else 64)
             lo = int(mp.ceil((theta_lo + slop) * (1 << shift)))
             hi = int(mp.floor((theta_hi - slop) * (1 << shift)))
-            sign_lo = _sign_dyadic(coeffs, lo, shift)
-            sign_hi = _sign_dyadic(coeffs, hi, shift)
+            sign_lo = horner_sign(coeffs, lo, shift)
+            sign_hi = horner_sign(coeffs, hi, shift)
             if sign_lo == 0:
                 hi = lo
             elif sign_hi == 0:
@@ -248,7 +300,7 @@ def isolate_mp(k: int, d: int, e: int, epsilon: int) -> tuple[RootRecord, ...]:
                     "does not bracket a sign change"
                 )
             else:
-                lo, hi, shift = _bisect(coeffs, lo, hi, shift, sign_lo, TARGET_BRACKET_BITS)
+                lo, hi, shift = halving_loop(coeffs, lo, hi, shift, sign_lo, TARGET_BRACKET_BITS)
             theta_mid = mp.mpf(lo + hi) / (1 << (shift + 1))
             phi = mp.acos(-theta_mid / two_s)
             alpha = i * mp.pi - d * phi

@@ -5,7 +5,9 @@ oracles: every endpoint the integer route produces must equal theirs
 exactly, so the refinement steps, the certified integers, the product gap
 and every verdict stay the same.
 Likewise `_bisect` must return exactly the bracket of the bit-by-bit halving
-loop (`halving_loop` below).
+loop at full degree (`oracles.halving_loop`, `oracles.bisect_reference`),
+and the x^2 evaluation of an even polynomial must form the same integers as
+Horner on all of its coefficients.
 """
 
 from fractions import Fraction
@@ -28,15 +30,29 @@ from cage_spectra import feasibility
 from cage_spectra.feasibility import (
     ENCLOSURE_WIDTH_LIMIT,
     TARGET_BRACKET_BITS,
+    _Family,
     _bisect,
     _decisive,
     _dyadic_enclosure,
-    _family_poly,
+    _family,
+    _horner_newton,
     _integers_in,
+    _monotone,
     _multiplicity_enclosure,
+    _newton_even,
     _sign_dyadic,
+    _sign_even,
 )
-from oracles import RatInterval, bracket_interval, enclosure_interval, poly_enclosure
+from oracles import (
+    RatInterval,
+    bisect_reference,
+    bracket_interval,
+    enclosure_interval,
+    family_coefficients,
+    halving_loop,
+    horner_sign,
+    poly_enclosure,
+)
 
 PAPER_GRID = [
     (k, d, e)
@@ -135,9 +151,9 @@ def assert_enclosures_match(k, d, e):
                 if enclosure is not None and enclosure.width <= ENCLOSURE_WIDTH_LIMIT:
                     break
                 bits += 32
-                coeffs = _family_poly(k, d, epsilon)
-                args = (coeffs, lo, hi, shift, _sign_dyadic(coeffs, lo, shift), bits)
-                lo, hi, shift = _bisect(*args)
+                coeffs = family_coefficients(k, d, epsilon)
+                args = (coeffs, lo, hi, shift, horner_sign(coeffs, lo, shift), bits)
+                lo, hi, shift = _bisect(_family(k, d, epsilon), lo, hi, shift, bits)
                 assert (lo, hi, shift) == halving_loop(*args)
 
 
@@ -225,23 +241,77 @@ def test_gap_matches_the_interval_oracle_on_deep_girth(k, d, e):
 
 
 # ---------------------------------------------------------------------------
+# the even family in x^2: P(x) = Q(x^2) evaluated through Q
+
+
+def even(q):
+    """P(x) = Q(x^2) at full degree, constant term first."""
+    coeffs = [0] * (2 * len(q) - 1)
+    coeffs[::2] = q
+    return tuple(coeffs)
+
+
+def full_degree_newton(coeffs, num, shift):
+    """(2^(shift*deg) P, 2^(shift*(deg-1)) P') at num / 2^shift, term by term."""
+    deg = len(coeffs) - 1
+    value = sum(c * num**j << shift * (deg - j) for j, c in enumerate(coeffs))
+    slope = sum(j * c * num ** (j - 1) << shift * (deg - j) for j, c in enumerate(coeffs) if j)
+    return value, slope
+
+
+numerators = st.one_of(
+    st.just(0),
+    st.integers(-(1 << 40), 1 << 40),
+    st.integers(-(1 << 700), 1 << 700),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficient_lists, numerators, st.one_of(st.integers(0, 80), st.integers(300, 700)))
+@example([5], 0, 0)                       # constant
+@example([-3, 0, 1], -(1 << 600), 650)    # huge numerator and shift
+@example([4, -4, 1], 2, 1)                # P = (x^2 - 2)^2 at x = 1: a double zero of Q at 1
+def test_even_sign_and_newton_equal_the_full_degree_integers(q, num, shift):
+    q = tuple(q)
+    value, slope = full_degree_newton(even(q), num, shift)
+    assert _newton_even(q, num, shift) == (value, slope)
+    assert _horner_newton(even(q), num, shift) == (value, slope)
+    assert _sign_even(q, num, shift) == (value > 0) - (value < 0)
+    assert _sign_even(q, num, shift) == horner_sign(even(q), num, shift)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficient_lists, dyadic_brackets())
+@example([-2, 1], (5, 6, 2))     # P = x^2 - 2 on [5/4, 3/2]
+@example([-2, 1], (-6, -5, 2))
+@example([-2, 1], (-1, 1, 0))    # holds 0, where P' vanishes
+@example([0, -3, 0, 1], (7, 8, 2))
+def test_squared_bracket_monotonicity_implies_one_sign_of_p_prime(q, bracket):
+    """Whenever `_monotone` certifies, P' has one exact nonzero sign at
+    both ends and at the midpoint of the bracket."""
+    lo, hi, shift = bracket
+    if not _monotone(_Family.of(q), lo, hi, shift):
+        return
+    assert 0 < lo or hi < 0
+    p = IntPolynomial(even(q))
+    slope = derivative(p)
+    signs = {
+        (v > 0) - (v < 0)
+        for v in (slope(Fraction(x, 1 << shift)) for x in (lo, hi, Fraction(lo + hi, 2)))
+    }
+    assert signs in ({1}, {-1})
+
+
+def test_squared_bracket_monotonicity_certifies_the_dickson_seeds():
+    """On the isolation seeds the squared-bracket test does certify."""
+    for k, d, epsilon in ((4, 7, 1), (9, 11, -2), (32, 27, -15)):
+        family = _family(k, d, epsilon)
+        seeds = seed_brackets(k, d, epsilon)
+        assert seeds and all(_monotone(family, *seed) for seed in seeds)
+
+
+# ---------------------------------------------------------------------------
 # root brackets: `_bisect` against the halving loop
-
-
-def halving_loop(coeffs, lo, hi, shift, sign_lo, bits):
-    """Bit-by-bit bisection of (lo, hi) / 2^shift below width 2^-bits,
-    collapsing onto a midpoint where P vanishes."""
-    while ((hi - lo) << bits) >= (1 << shift):
-        lo, hi, shift = lo << 1, hi << 1, shift + 1
-        mid = (lo + hi) // 2
-        sign_mid = _sign_dyadic(coeffs, mid, shift)
-        if sign_mid == 0:
-            return mid, mid, shift
-        if sign_mid == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi, shift
 
 
 def poly_product(factors):
@@ -257,10 +327,11 @@ def poly_product(factors):
 
 @st.composite
 def bracketed_roots(draw):
-    """An integer polynomial with one to three real roots placed in a dyadic
-    bracket, some of them on a grid point the halving loop visits, with or
-    without a factor that has no real roots and a nudge to the constant
-    term; plus the bracket, the sign at its low end and a target width."""
+    """Q for an even P(x) = Q(x^2) with one to three pairs of real roots
+    +-r, r placed in a dyadic bracket, some of them on a grid point the
+    halving loop visits, with or without a factor that has no real roots
+    and a nudge to the constant term; plus the bracket (some holding 0,
+    some negative) and a target width."""
     shift = draw(st.integers(0, 40))
     lo = draw(st.integers(-(1 << (shift + 3)), 1 << (shift + 3)))
     hi = lo + draw(st.integers(1, 1 << (shift + 4)))
@@ -268,51 +339,59 @@ def bracketed_roots(draw):
     for _ in range(draw(st.integers(1, 3))):
         extra = draw(st.integers(0, 70))
         num = draw(st.integers(lo << extra, hi << extra))
-        factors.append((-num, 1 << (shift + extra)))
+        factors.append((-num * num, 1 << 2 * (shift + extra)))  # 2^(2s) y - num^2
     if draw(st.booleans()):
         factors.append((draw(st.integers(1, 100)), 0, 1))
-    coeffs = list(poly_product(factors))
-    coeffs[0] += draw(st.sampled_from((0, 0, 1, -1, 12345)))
-    coeffs = tuple(coeffs)
-    return coeffs, lo, hi, shift, _sign_dyadic(coeffs, lo, shift), draw(st.integers(0, 100))
+    q = list(poly_product(factors))
+    q[0] += draw(st.sampled_from((0, 0, 1, -1, 12345)))
+    return tuple(q), lo, hi, shift, draw(st.integers(0, 100))
 
 
 @settings(max_examples=300, deadline=None)
 @given(bracketed_roots())
-@example(((-1, 3), 0, 1, 0, -1, 20))                      # one simple root, 1/3
-@example(((-3, 4), 0, 1, 0, -1, 10))                      # root 3/4: collapses at a midpoint
-@example((poly_product([(-1, 3), (-4, 3), (-7, 3)]), 0, 3, 0, -1, 30))  # three roots
-@example(((-2, 0, 1), -1, 2, 0, -1, 40))                  # P' straddles 0 (root sqrt 2)
-@example(((-1, 3), 0, 1, 10, -1, 5))                      # L = 0: already narrow
-@example(((-1, 3), 5, 5, 0, 1, 20))                       # a point
-@example(((7,), 0, 1, 0, 1, 20))                          # constant, no root
+@example(((-1, 9), 1, 2, 2, 20))                          # one simple root, 1/3
+@example(((-1, 9), -2, -1, 2, 20))                        # its mirror, -1/3
+@example(((-9, 16), 1, 2, 1, 10))                         # root 3/4: collapses at a midpoint
+@example((poly_product([(-1, 9), (-16, 9), (-49, 9)]), 0, 3, 0, 30))  # three roots
+@example(((-2, 1), -1, 2, 0, 40))                         # holds 0 (root sqrt 2)
+@example(((-1, 9), 341, 342, 10, 5))                      # L = 0: already narrow
+@example(((-1, 9), 5, 5, 0, 20))                          # a point, no root
+@example(((-1, 9), 1, 3, 0, 20))                          # no sign change
+@example(((-1, 9), 1, 3, 3, 20))                          # root 1/3 at the low end
+@example(((7,), 0, 1, 0, 20))                             # constant, no root
 def test_bisect_matches_halving_loop(case):
-    assert _bisect(*case) == halving_loop(*case)
+    q, lo, hi, shift, bits = case
+    assert _bisect(_Family.of(q), lo, hi, shift, bits) == bisect_reference(
+        even(q), lo, hi, shift, bits
+    )
 
 
 @settings(max_examples=200, deadline=None)
-@given(coefficient_lists, dyadic_brackets(), st.sampled_from((-1, 0, 1)), st.integers(0, 100))
-def test_bisect_matches_halving_loop_on_any_input(coeffs, bracket, sign_lo, bits):
-    case = (tuple(coeffs), *bracket, sign_lo, bits)
-    assert _bisect(*case) == halving_loop(*case)
+@given(coefficient_lists, dyadic_brackets(), st.integers(0, 100))
+def test_bisect_matches_halving_loop_on_any_input(q, bracket, bits):
+    assert _bisect(_Family.of(q), *bracket, bits) == bisect_reference(even(q), *bracket, bits)
 
 
 _SEEDS = {}
 
 
+def isolate_uncached(k, d, e, epsilon):
+    return feasibility._isolate(k, d, e, epsilon, feasibility._angle_tables(k, d))
+
+
 def seed_brackets(k, d, epsilon):
-    """The (lo, hi, shift, sign_lo) that root isolation of H_{d-1} - epsilon
-    hands to `_bisect`: one per root i <= (d-1)/2, the roots it seeds."""
+    """The (lo, hi, shift) that root isolation of H_{d-1} - epsilon hands to
+    `_bisect`: one per root i <= (d-1)/2, the roots it seeds."""
     if (k, d, epsilon) not in _SEEDS:
         seeds = []
 
-        def record(coeffs, lo, hi, shift, sign_lo, bits):
-            seeds.append((lo, hi, shift, sign_lo))
-            return _bisect(coeffs, lo, hi, shift, sign_lo, bits)
+        def record(family, lo, hi, shift, bits):
+            seeds.append((lo, hi, shift))
+            return _bisect(family, lo, hi, shift, bits)
 
         with mock.patch.object(feasibility, "_bisect", record):
             try:
-                feasibility._isolate(k, d, 2 if epsilon == 1 else -2 * epsilon, epsilon)
+                isolate_uncached(k, d, 2 if epsilon == 1 else -2 * epsilon, epsilon)
             except BracketSeedError:
                 pass
         _SEEDS[k, d, epsilon] = seeds
@@ -329,26 +408,33 @@ def dickson_seeds(draw):
     return (k, d, epsilon), draw(st.sampled_from(seeds)), draw(st.booleans())
 
 
+def refined(coeffs, lo, hi, shift):
+    """The seed's 60-bit bracket, as the halving loop ends on it."""
+    sign_lo = horner_sign(coeffs, lo, shift)
+    return halving_loop(coeffs, lo, hi, shift, sign_lo, TARGET_BRACKET_BITS)
+
+
 # drawing a seed isolates a whole family the first time, which can take a while
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(dickson_seeds(), st.sampled_from(range(60, 445, 32)))
 def test_bisect_matches_halving_loop_on_dickson_families(seed, bits):
     """From an isolation seed, or from its 60-bit bracket as the refinement
     does, at every refinement width."""
-    (k, d, epsilon), (lo, hi, shift, sign_lo), refine = seed
-    coeffs = _family_poly(k, d, epsilon)
+    (k, d, epsilon), (lo, hi, shift), refine = seed
+    coeffs = family_coefficients(k, d, epsilon)
     if refine:
-        lo, hi, shift = halving_loop(coeffs, lo, hi, shift, sign_lo, TARGET_BRACKET_BITS)
-    case = (coeffs, lo, hi, shift, sign_lo, bits)
-    assert _bisect(*case) == halving_loop(*case)
+        lo, hi, shift = refined(coeffs, lo, hi, shift)
+    assert _bisect(_family(k, d, epsilon), lo, hi, shift, bits) == bisect_reference(
+        coeffs, lo, hi, shift, bits
+    )
 
 
 GARBAGE = {
     "none": lambda real, *args: None,
     "zero": lambda real, *args: 0,
-    "last": lambda real, coeffs, lo, hi, shift, halvings: (1 << halvings) - 1,
+    "last": lambda real, q, lo, hi, shift, halvings: (1 << halvings) - 1,
     "below": lambda real, *args: -1,
-    "beyond": lambda real, coeffs, lo, hi, shift, halvings: 1 << halvings,
+    "beyond": lambda real, q, lo, hi, shift, halvings: 1 << halvings,
     "huge": lambda real, *args: 12345678901234567890123,
     "left": lambda real, *args: (real(*args) or 0) - 1,
     "right": lambda real, *args: (real(*args) or 0) + 1,
@@ -362,11 +448,13 @@ def test_bisect_survives_a_wrong_prediction(garbage, monkeypatch):
         feasibility, "_predict_cell", lambda *args: GARBAGE[garbage](real, *args)
     )
     for k, d, epsilon in ((4, 7, 1), (9, 11, -2), (4, 27, 1)):
-        coeffs = _family_poly(k, d, epsilon)
-        for lo, hi, shift, sign_lo in seed_brackets(k, d, epsilon):
+        family = _family(k, d, epsilon)
+        coeffs = family_coefficients(k, d, epsilon)
+        for lo, hi, shift in seed_brackets(k, d, epsilon):
             for bits in (TARGET_BRACKET_BITS, 124):
-                case = (coeffs, lo, hi, shift, sign_lo, bits)
-                assert _bisect(*case) == halving_loop(*case)
+                assert _bisect(family, lo, hi, shift, bits) == bisect_reference(
+                    coeffs, lo, hi, shift, bits
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +472,10 @@ def odd_d_families(draw):
 @given(odd_d_families())
 def test_family_poly_is_even_and_the_enclosure_polynomials_odd(family):
     k, d, e, epsilon = family
-    assert not any(_family_poly(k, d, epsilon)[1::2])
+    coeffs = family_coefficients(k, d, epsilon)
+    assert not any(coeffs[1::2])
+    assert even(_family(k, d, epsilon).q) == coeffs
+    assert _family(k, d, epsilon).slope == derivative(IntPolynomial(coeffs[::2])).coefficients
     polys = feasibility._polys(k, d)
     assert not any(polys.h_prev.coefficients[::2])
     assert not any(polys.h_deriv.coefficients[::2])
@@ -414,10 +505,11 @@ def test_bisect_on_the_mirrored_bracket_returns_the_mirrored_bracket(seed, bits)
     """From an isolation seed, or from its 60-bit bracket as the refinement
     does; the mirrored bracket's low end has the opposite sign unless the
     bracket has collapsed onto an exact root."""
-    (k, d, epsilon), (lo, hi, shift, sign_lo), refine = seed
-    coeffs = _family_poly(k, d, epsilon)
+    (k, d, epsilon), (lo, hi, shift), refine = seed
+    family, coeffs = _family(k, d, epsilon), family_coefficients(k, d, epsilon)
+    sign_lo = horner_sign(coeffs, lo, shift)
     if refine:
-        lo, hi, shift = _bisect(coeffs, lo, hi, shift, sign_lo, TARGET_BRACKET_BITS)
-    assert _sign_dyadic(coeffs, -hi, shift) == (-sign_lo if lo < hi else 0)
-    got_lo, got_hi, got_shift = _bisect(coeffs, -hi, -lo, shift, -sign_lo, bits)
-    assert (-got_hi, -got_lo, got_shift) == _bisect(coeffs, lo, hi, shift, sign_lo, bits)
+        lo, hi, shift = _bisect(family, lo, hi, shift, TARGET_BRACKET_BITS)
+    assert horner_sign(coeffs, -hi, shift) == (-sign_lo if lo < hi else 0)
+    got_lo, got_hi, got_shift = _bisect(family, -hi, -lo, shift, bits)
+    assert (-got_hi, -got_lo, got_shift) == _bisect(family, lo, hi, shift, bits)

@@ -1,9 +1,10 @@
 import math
 from dataclasses import fields
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cage_spectra import (
@@ -98,15 +99,15 @@ def test_isolate_roots_structure(k, d, e):
 
 
 def test_isolate_roots_bracket_sign_certified():
-    from cage_spectra.feasibility import _family_poly, _sign_dyadic
+    from oracles import family_coefficients, horner_sign
 
     for eps in (1, -1):
-        coeffs = _family_poly(5, 5, eps)
+        coeffs = family_coefficients(5, 5, eps)
         for r in isolate_roots(5, 5, 2, eps):
             lo, hi, shift = r.bracket
             if lo == hi:
                 continue
-            assert _sign_dyadic(coeffs, lo, shift) * _sign_dyadic(coeffs, hi, shift) < 0
+            assert horner_sign(coeffs, lo, shift) * horner_sign(coeffs, hi, shift) < 0
 
 
 def test_isolate_roots_returns_a_new_list_each_call():
@@ -124,12 +125,75 @@ def test_isolate_roots_errors_name_the_callers_e(monkeypatch):
     from cage_spectra import feasibility
 
     monkeypatch.setattr(feasibility, "_ROOTS", {})
-    monkeypatch.setattr(feasibility, "_sign_dyadic", lambda coeffs, num, shift: 1)
+    # `_bisect` finds no sign change across any seed
+    monkeypatch.setattr(feasibility, "_bisect", lambda family, lo, hi, shift, bits: None)
     for e in (2, 14):
         with pytest.raises(BracketSeedError) as info:
             isolate_roots(16, 7, e, 1)
         assert f"(k=16, d=7, e={e}, eps=1, i=1)" in str(info.value)
     assert feasibility._ROOTS == {}  # a failed isolation is not cached
+
+
+def test_a_scan_over_e_keeps_one_cached_family(monkeypatch):
+    """Only the epsilon = 1 family outlives its triple: a scan over every e
+    at one (k, d) isolates it once and one -e/2 family per triple, asks
+    `isolate_roots` for two families per triple, and leaves one family
+    cached."""
+    from cage_spectra import feasibility
+
+    monkeypatch.setattr(feasibility, "_ROOTS", {})
+    isolated, asked = [], []
+    real_isolate, real_isolate_roots = feasibility._isolate, feasibility.isolate_roots
+
+    def isolate(k, d, e, epsilon, angles):
+        isolated.append(epsilon)
+        return real_isolate(k, d, e, epsilon, angles)
+
+    def isolate_roots_(k, d, e, epsilon):
+        asked.append((e, epsilon))
+        return real_isolate_roots(k, d, e, epsilon)
+
+    monkeypatch.setattr(feasibility, "_isolate", isolate)
+    monkeypatch.setattr(feasibility, "isolate_roots", isolate_roots_)
+    excesses = range(2, 29, 2)
+    reports = list(scan([30], [9], excesses))
+    assert [r.final_verdict for r in reports] == [VERDICT_GAP] * len(excesses)
+    assert asked == [(e, epsilon) for e in excesses for epsilon in (1, -e // 2)]
+    assert isolated == [1] + [-e // 2 for e in excesses]
+    assert list(feasibility._ROOTS) == [(30, 9)]
+
+
+@st.composite
+def isolation_histories(draw):
+    """A family (k, d, e, epsilon) and what was isolated before it: nothing,
+    the other family of its triple, or either family of another e."""
+    k = draw(st.integers(4, 30))
+    d = draw(st.sampled_from(range(3, 24, 2)))
+    excesses = range(2, k - 1, 2)
+    e, other = draw(st.sampled_from(excesses)), draw(st.sampled_from(excesses))
+    epsilon = draw(st.sampled_from((1, -e // 2)))
+    before = draw(
+        st.lists(st.sampled_from([(e, 1), (e, -e // 2), (other, 1), (other, -other // 2)]), max_size=3)
+    )
+    return (k, d, e, epsilon), before
+
+
+@settings(max_examples=60, deadline=None)
+@given(isolation_histories())
+@example(((4, 3, 2, -1), []))              # epsilon = -1 before the epsilon = 1 family
+@example(((4, 3, 2, -1), [(2, 1)]))        # and after it, reading its tables
+@example(((12, 7, 10, -5), [(2, -1), (10, 1)]))
+def test_isolate_roots_is_independent_of_family_order_and_cache_state(history):
+    from cage_spectra import feasibility
+
+    (k, d, e, epsilon), before = history
+    with mock.patch.dict(feasibility._ROOTS, clear=True):
+        expected = feasibility._isolate(k, d, e, epsilon, feasibility._angle_tables(k, d))
+        for e_before, eps_before in before:
+            isolate_roots(k, d, e_before, eps_before)
+        assert tuple(isolate_roots(k, d, e, epsilon)) == expected
+        assert tuple(isolate_roots(k, d, e, epsilon)) == expected
+        assert set(feasibility._ROOTS) <= {(k, d)}
 
 
 def test_isolate_roots_domain():

@@ -47,6 +47,10 @@ WORKLOAD_KEYS = isolation_keys(
 )
 
 
+def isolate_uncached(k, d, e, epsilon):
+    return feasibility._isolate(k, d, e, epsilon, feasibility._angle_tables(k, d))
+
+
 def outcome(isolate, k, d, e, epsilon):
     try:
         return isolate(k, d, e, epsilon)
@@ -66,7 +70,7 @@ def check_against_oracle(key):
     failure message when it raises where the package does not; that must
     be on a root i > d/2, whose record the oracle decides on its own."""
     k, d, e, epsilon = key
-    got, want = outcome(feasibility._isolate, *key), outcome(isolate_mp, *key)
+    got, want = outcome(isolate_uncached, *key), outcome(isolate_mp, *key)
     if got[0] is BracketSeedError:
         assert want[0] is BracketSeedError, key
         return None
