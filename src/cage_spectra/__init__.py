@@ -3,12 +3,13 @@ small excess e over the Moore bound.
 
 The package provides exact integer polynomial families on a three-term
 recurrence, graph structural checks with exact matrix-identity verifiers, the
-tridiagonal intersection-matrix moment oracle, and a certified feasibility
-engine: certified dyadic root brackets, closed-form eigenvalue
-multiplicities (the trigonometric weight form is exported alongside; the
-engine does not evaluate it), integrality certificates computed exactly in
-integers over each bracket's power of two, and the product-gap
-nonexistence test for girth >= 14.
+paper's walk-count and minimal-polynomial lemmas on the tridiagonal
+intersection matrix, and a certified feasibility engine: certified dyadic
+root brackets, closed-form eigenvalue multiplicities (the trigonometric
+weight form is exported alongside; the engine does not evaluate it),
+integrality certificates computed exactly in integers over each bracket's
+power of two, and the product-gap nonexistence test for girth >= 14.  The
+verdict rests on the gap and exact integrality alone.
 """
 
 from .errors import (

@@ -106,12 +106,6 @@ def _report_json(report: FeasibilityReport) -> dict:
         "multiplicities": [m for _, m in report.spectrum()],
         "all_integral": report.all_integral,
         "max_integrality_deviation": report.max_integrality_deviation,
-        "sum_ok": report.sum_ok,
-        "moment_check": {
-            "ok": report.moment_check.ok,
-            "worst_q": report.moment_check.worst_q,
-            "worst_rel_dev": report.moment_check.worst_rel_dev,
-        },
         "roots": [
             {
                 "epsilon": r.epsilon,
@@ -162,15 +156,6 @@ def _report_text(report: FeasibilityReport) -> str:
     lines.append(
         f"integrality: {'all integral' if report.all_integral else 'NON-INTEGRAL multiplicities'}"
         f" (max deviation {format_float(report.max_integrality_deviation)})"
-    )
-    lines.append(
-        f"multiplicity sum: {format_float(report.sum_value)} vs n-2 = {report.n - 2}"
-        f" ({'ok' if report.sum_ok else 'FAIL'})"
-    )
-    mc = report.moment_check
-    lines.append(
-        f"moment oracle q=0..{2 * report.d - 1}: {'ok' if mc.ok else 'FAIL'}"
-        f" (worst q={mc.worst_q}, rel dev {format_float(mc.worst_rel_dev)})"
     )
     if report.gap is not None and report.gap.applicable:
         g = report.gap

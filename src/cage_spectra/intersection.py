@@ -11,12 +11,15 @@ degree k, diameter D, girth 2D:
         [                 k-1  0    ]
 
 Its (0,0) entries of powers count closed walks from a vertex, independent of
-the vertex, for walk lengths below the girth; this provides the independent
-moment oracle used by the feasibility engine:
+the vertex, for walk lengths below the girth.  This module checks the
+paper's two lemmas about it exactly: the walk-count lemma on a graph
+(`trace_identity_check`),
 
-    tr(A^q) = n * (B_d^q)_{0,0}   for q = 0..2d-1.
+    tr(A^q) = n * (B_d^q)_{0,0}   for q = 0..2d-1,
 
-The polynomial (x^2 - k^2) * H_{D-1}(x) annihilates B_D and is minimal for it.
+and the minimal-polynomial lemma (`minimal_polynomial_check`): the
+polynomial (x^2 - k^2) * H_{D-1}(x) annihilates B_D and is minimal for it.
+The feasibility engine does not use it.
 
 Every fact read here is a fact about row 0: B_D is read only through its
 Krylov rows e_0^T B^j (`_krylov_rows`).  B_D is irreducible tridiagonal for

@@ -9,7 +9,10 @@ the package reads only its Krylov rows e_0^T B^j, a queue-based search per
 root where the package searches from every root at once, a byte-by-byte graph6
 payload decoder where the package decodes base64 with `binascii`, full-degree
 Horner signs and bit-by-bit halving where the package evaluates the even
-family polynomial in x^2 and takes a certified Newton cell), so
+family polynomial in x^2 and takes a certified Newton cell, traces in
+Q[x]/(P) summed over all roots at once where the package encloses one
+multiplicity per root bracket, closed walks of the infinite k-regular tree
+counted by distance layer where the lemma checks read the rows of B_D), so
 agreement is evidence that both are right.  None of them is used by the
 package itself.
 """
@@ -20,6 +23,7 @@ import math
 from collections import deque
 from fractions import Fraction
 from dataclasses import dataclass
+from itertools import zip_longest
 from operator import mul
 from typing import Sequence, Union
 
@@ -27,8 +31,9 @@ import mpmath
 
 from cage_spectra.errors import BracketSeedError, Graph6ParseError, ParameterDomainError
 from cage_spectra.feasibility import TARGET_BRACKET_BITS, RootRecord
+from cage_spectra.graphs import moore_bound
 from cage_spectra.intersection import build_bd
-from cage_spectra.polynomials import dickson_family
+from cage_spectra.polynomials import derivative, dickson_family
 
 #: mpmath working precision, in bits, wherever binary64 is not enough.
 MP_BITS = 128
@@ -330,6 +335,111 @@ def isolate_mp(k: int, d: int, e: int, epsilon: int) -> tuple[RootRecord, ...]:
     if [r.i for r in records] != list(range(1, d)):
         raise BracketSeedError("isolated roots are not ascending in their index order")
     return tuple(records)
+
+
+# ---------------------------------------------------------------------------
+# the moment identity, exactly and without roots: for every q < 2d
+#
+#     sum_eps Tr_{Q[x]/(P_eps)}(R_eps x^q) + k^q + (-k)^q = n w_q
+#
+# with P_eps = H_{d-1} - eps, R_eps the closed-form multiplicity as a residue
+# class mod P_eps, and w_q the closed q-walks from a vertex of the k-regular
+# tree (a graph of girth 2d looks like the tree out to q < 2d).  Polynomials
+# are lists, constant term first, of ints or Fractions.
+
+def _trim(a: list) -> list:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_mul(a, b) -> list:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _poly_divmod(a, b) -> tuple[list, list]:
+    """Quotient and remainder of a by b != 0 over Q."""
+    a, lead = list(a), Fraction(b[-1])
+    quotient = [0] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(a) - len(b), -1, -1):
+        c = quotient[i] = a[i + len(b) - 1] / lead
+        for j, y in enumerate(b):
+            a[i + j] -= c * y
+    return _trim(quotient), _trim(a[: len(b) - 1])
+
+
+def inverse_mod(g, p) -> tuple[list[int], int]:
+    """g^-1 mod p over Q by the extended Euclidean algorithm, as integer
+    coefficients over one common denominator.  Raises ValueError when g and
+    p have a common factor."""
+    r0, r1 = list(p), _poly_divmod(g, p)[1]
+    s0, s1 = [], [1]  # s_i g = r_i mod p
+    while len(r1) > 1:
+        quotient, rest = _poly_divmod(r0, r1)
+        r0, r1 = r1, rest
+        s0, s1 = s1, _trim([x - y for x, y in zip_longest(s0, _poly_mul(quotient, s1), fillvalue=0)])
+    if not r1:
+        raise ValueError("not invertible: the polynomials share a factor")
+    inverse = [Fraction(c) / r1[0] for c in s1]
+    den = math.lcm(*(c.denominator for c in inverse))
+    return [c.numerator * (den // c.denominator) for c in inverse], den
+
+
+def newton_power_sums(p, count) -> list[int]:
+    """sum of theta^j over the roots theta of the monic integer polynomial
+    p, for j = 0..count-1, by Newton's identities."""
+    m = len(p) - 1
+    sums = [m]
+    for j in range(1, count):
+        total = sum(p[m - i] * sums[j - i] for i in range(1, min(j - 1, m) + 1))
+        sums.append(-total - (j * p[m - j] if j <= m else 0))
+    return sums
+
+
+def tree_closed_walks(k: int, count: int) -> list[int]:
+    """Closed q-walks from a vertex of the infinite k-regular tree, for
+    q = 0..count-1, from the walk counts into each distance layer: a vertex
+    at distance j >= 1 has one neighbour nearer and k - 1 farther, the root
+    has k farther."""
+    layers, walks = [1], []
+    for _ in range(count):
+        walks.append(layers[0])
+        step = [0] * (len(layers) + 1)
+        for j, a in enumerate(layers):
+            step[j + 1] += a * (k if j == 0 else k - 1)
+            if j:
+                step[j - 1] += a
+        layers = step
+    return walks
+
+
+def exact_moments(k: int, d: int, e: int) -> list[Fraction]:
+    """sum m(theta) theta^q over the whole candidate spectrum (+-k with
+    multiplicity 1), q = 0..2d-1, with m the closed-form multiplicity
+
+        n e k (k-1) H_{d-2}(x) / [2 eps (2 eps + e/2 - 1) H'_{d-1}(x) (k^2 - x^2)]
+
+    summed over each family's roots as a trace in Q[x]/(P_eps): the
+    residue R = (H_{d-2} mod P) (H'_{d-1} (k^2 - x^2))^-1, times x^q, dotted
+    with P's power sums.  The moment identity says this is n w_q."""
+    n = moore_bound(k, 2 * d) + e
+    h = dickson_family("H", k, d - 1)
+    h_prev = dickson_family("H", k, d - 2).coefficients
+    denominator = _poly_mul(derivative(h).coefficients, (k * k, 0, -1))
+    moments = [Fraction(k**q + (-k) ** q) for q in range(2 * d)]
+    for eps in (1, -e // 2):
+        p = [h.coefficients[0] - eps, *h.coefficients[1:]]
+        inverse, den = inverse_mod(denominator, p)
+        residue = _poly_divmod(_poly_mul(h_prev, inverse), p)[1]  # integral: p is monic
+        sums = newton_power_sums(p, len(residue) + 2 * d)
+        scale = Fraction(n * e * k * (k - 1), 2 * eps * (2 * eps + e // 2 - 1) * den)
+        for q in range(2 * d):
+            moments[q] += scale * sum(map(mul, residue, sums[q:]))
+    return moments
 
 
 # ---------------------------------------------------------------------------

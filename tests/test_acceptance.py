@@ -28,7 +28,7 @@ from cage_spectra import (
     trace_identity_check,
     verify_identities,
 )
-from oracles import enclosure_interval, isolate_mp
+from oracles import enclosure_interval, exact_moments, isolate_mp, tree_closed_walks
 
 DUAL_FORMULA_TRIPLES = [(4, 3, 2), (5, 5, 2), (6, 5, 4), (7, 7, 2), (8, 7, 6)]
 
@@ -97,8 +97,12 @@ def test_c5_worked_multiplicity_instance():
         assert sum(m for _, m in report.spectrum()) == 28
         for assessment in report.assessments:
             assert enclosure_interval(assessment.enclosure).contained_integer_count() == 1
+            assert assessment.integer >= 1
             assert assessment.deviation <= 1e-6
-        assert report.moment_check.ok and report.moment_check.worst_q <= 5
+        # the moment identity q = 0..5, exactly: 28 times the tree's closed walks
+        assert exact_moments(4, 3, 2) == [28 * w for w in tree_closed_walks(4, 6)] == [
+            28, 0, 112, 0, 784, 0,
+        ]
         assert report.final_verdict == "spectrally-admissible"
 
 

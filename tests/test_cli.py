@@ -123,9 +123,9 @@ def test_scan_csv(capsys):
 
 
 def test_scan_csv_where_the_moment_check_overflows(capsys):
-    """At (200, 61, e) the float moment check overflows: n times a walk count
-    passes the float range.  The gap decides both rows, so a CSV scan never
-    runs it."""
+    """At (200, 61, e) n times a closed-walk count passes the float range,
+    which once overflowed a float moment check.  The gap decides both rows;
+    the full reports there come back too (test_feasibility)."""
     code, out, err = run(
         capsys, "scan", "--k", "200", "--d", "61", "--e", "2,198", "--format", "csv"
     )
@@ -137,7 +137,7 @@ def test_scan_csv_where_the_moment_check_overflows(capsys):
 
 
 #: The stages a gap-excluded CSV row does not need.
-ENCLOSURE_WORK = ("_assess_multiplicity", "_moment_check", "build_bd")
+ENCLOSURE_WORK = ("_assess_multiplicity",)
 
 
 def test_csv_scan_does_no_enclosure_work(monkeypatch, capsys):
@@ -153,11 +153,11 @@ def test_csv_scan_does_no_enclosure_work(monkeypatch, capsys):
     )
     assert code == 0 and out.count(",excluded-by-gap,") == 135
     assert counts == dict.fromkeys(ENCLOSURE_WORK, 0)
-    # the JSON report prints every check, so it still runs all of them:
-    # one assessment per mirrored pair in each family, one moment check
+    # the JSON report prints every multiplicity, so it assesses them all:
+    # one assessment per mirrored pair in each family
     code, _, _ = run(capsys, "feasibility", "5", "7", "2", "--format", "json")
     assert code == 0
-    assert counts == {"_assess_multiplicity": 6, "_moment_check": 1, "build_bd": 1}
+    assert counts == {"_assess_multiplicity": 6}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "text"])

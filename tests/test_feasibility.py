@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from unittest import mock
 
@@ -20,8 +20,9 @@ from cage_spectra import (
     SkippedTriple,
     VERDICT_ADMISSIBLE,
     VERDICT_GAP,
-    build_bd,
+    VERDICT_INTEGRALITY,
     f_weight,
+    feasibility,
     g_weight,
     gap_check,
     isolate_roots,
@@ -32,8 +33,15 @@ from cage_spectra import (
     scan,
     spectral_feasibility,
 )
-from cage_spectra.intersection import bd_moments
-from oracles import RatInterval, bracket_interval, enclosure_interval, transcendental_residual
+from cage_spectra.cli import _report_json, _report_text
+from oracles import (
+    RatInterval,
+    bracket_interval,
+    enclosure_interval,
+    exact_moments,
+    transcendental_residual,
+    tree_closed_walks,
+)
 
 ACCEPTANCE_TRIPLES = [(4, 3, 2), (5, 5, 2), (6, 5, 4), (7, 7, 2), (8, 7, 6)]
 
@@ -401,13 +409,13 @@ def test_spectral_feasibility_worked_instance():
         (pytest.approx(2.0), 7),
         (4.0, 1),
     ]
-    assert report.all_integral and report.all_positive
+    assert report.all_integral
     for assessment in report.assessments:
         enclosure = enclosure_interval(assessment.enclosure)
-        assert enclosure.contained_integer() == assessment.integer
+        assert enclosure.contained_integer() == assessment.integer >= 1
         assert enclosure.width < Fraction(1, 10**6)
-    assert report.sum_ok and report.sum_value == pytest.approx(26.0, rel=1e-12)
-    assert report.moment_check.ok
+    assert sum(m for _, m in report.spectrum()) == report.n
+    assert_moment_identity(4, 3, 2)
 
 
 def test_spectral_feasibility_gap_regime():
@@ -415,8 +423,7 @@ def test_spectral_feasibility_gap_regime():
     assert report.final_verdict == VERDICT_GAP
     assert report.gap is not None and report.gap.excluded
     # the moment identity still holds even though the triple is excluded
-    assert report.moment_check.ok
-    assert report.sum_ok
+    assert_moment_identity(5, 7, 2)
 
 
 #: The 134 triples (k, d, 2) with 4 <= k <= 40 and odd 3 <= d <= 31 whose
@@ -470,29 +477,44 @@ def test_spectral_feasibility_negative_controls():
         spectral_feasibility(4, 3, 0)
 
 
+def assert_moment_identity(k, d, e):
+    """The closed-form multiplicities satisfy the moment identity exactly:
+    for q = 0..2d-1 their q-th power sum over the candidate spectrum is n
+    times the closed q-walks from a vertex of the k-regular tree.  q = 0 is
+    the multiplicity sum n - 2 (with +-k counted once each)."""
+    n = moore_bound(k, 2 * d) + e
+    assert exact_moments(k, d, e) == [n * w for w in tree_closed_walks(k, 2 * d)], (k, d, e)
+
+
+def enclosures_hold_the_sum(report) -> bool:
+    """Whether the report's multiplicity enclosures add up to an interval
+    that holds n - 2.  Each end is first rounded outward to a multiple of
+    2^-64, which keeps the test exact while the sum stays small (the ends'
+    own denominators run to tens of thousands of bits at d = 61)."""
+    lo = hi = 0
+    for assessment in report.assessments:
+        (a, b), (c, q) = assessment.enclosure
+        lo += (a << 64) // b
+        hi -= (-c << 64) // q
+    return lo <= (report.n - 2) << 64 <= hi
+
+
 @pytest.mark.parametrize("k", [4, 6, 8, 10])
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_moment_identity_invariant(k, d):
     for e in (2, 4):
         if e > k - 2:
             continue
-        report = spectral_feasibility(k, d, e)
-        assert report.moment_check.ok, (k, d, e, report.moment_check)
-        # recompute the worst case directly against the oracle
-        walks = bd_moments(build_bd(k, d), 2 * d)
-        for q in range(2 * d):
-            lhs = sum(a.closed_form * a.record.theta ** q for a in report.assessments)
-            lhs += float(k) ** q + float(-k) ** q
-            rhs = float(report.n * walks[q])
-            scale = max(abs(rhs), sum(abs(a.closed_form * a.record.theta ** q)
-                                      for a in report.assessments) + 2.0 * float(k) ** q)
-            assert abs(lhs - rhs) <= 1e-6 * scale
+        assert_moment_identity(k, d, e)
 
 
 def test_multiplicity_sum_invariant():
+    """The multiplicities sum to n - 2 exactly, and so the engine's exact
+    enclosures, one per root, add up to an interval that holds n - 2."""
     for (k, d, e) in ACCEPTANCE_TRIPLES:
-        report = spectral_feasibility(k, d, e)
-        assert abs(report.sum_value - (report.n - 2)) <= 1e-6 * report.n
+        n = moore_bound(k, 2 * d) + e
+        assert exact_moments(k, d, e)[0] == n
+        assert enclosures_hold_the_sum(spectral_feasibility(k, d, e)), (k, d, e)
 
 
 def test_enclosures_certify_worked_integers():
@@ -549,6 +571,41 @@ def test_every_triple_in_the_gap_regime_ends_in_the_gap_verdict(triple):
     report = spectral_feasibility(*triple)
     assert report.final_verdict == VERDICT_GAP
     assert vars(report).keys() == {f.name for f in fields(report)} | {"final_verdict"}
+
+
+@settings(max_examples=6, deadline=None)
+@given(regime_triples(200, 3, 61))
+@example((200, 61, 2))
+def test_every_report_comes_back_and_its_moments_are_exact(triple):
+    """Up to k = 200 and d = 61 both full reports are built (every
+    enclosure, refined as far as it needs), and the closed form they enclose
+    satisfies the moment identity exactly.  At (200, 61, e) the float moment
+    check this replaces overflowed: n times a walk count passes the float
+    range."""
+    report = spectral_feasibility(*triple)
+    assert _report_json(report)["verdict"] == report.final_verdict
+    assert f"verdict: {report.final_verdict}" in _report_text(report).splitlines()
+    assert enclosures_hold_the_sum(report), triple
+    assert_moment_identity(*triple)
+
+
+def test_an_enclosed_integer_below_one_excludes_by_integrality(monkeypatch):
+    """Positivity is read from the exact enclosure: an enclosure whose one
+    integer is 0 excludes the triple, whatever the float closed form says."""
+    assess = feasibility._assess_multiplicity
+
+    def zero_at_the_first_root(k, d, e, record, closed):
+        assessment = assess(k, d, e, record, closed)
+        if record.epsilon == 1 and record.i == 1:
+            return replace(assessment, enclosure=((-1, 2), (1, 2)), integer=0)
+        return assessment
+
+    monkeypatch.setattr(feasibility, "_assess_multiplicity", zero_at_the_first_root)
+    report = spectral_feasibility(4, 3, 2)
+    zero = [a for a in report.assessments if a.integer == 0]
+    assert len(zero) == 2 and all(a.closed_form > 0 for a in zero)  # the mirrored pair
+    assert report.all_integral
+    assert report.final_verdict == VERDICT_INTEGRALITY
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,8 @@ REMOVED = {
     "DisconnectedGraphError": "errors",
     "DistanceMatrixSet": "graphs",
     "ExactRational": "polynomials",
+    "MOMENT_TOLERANCE": "feasibility",
+    "MomentCheck": "feasibility",
     "MultiplicitySet": "feasibility",
     "RatInterval": "intervals",
     "add_diag": "_intmat",
@@ -103,6 +105,7 @@ REMOVED = {
     "ld_entry00": "intersection",
     "mat_add": "_intmat",
     "max_abs": "_intmat",
+    "_moment_check": "feasibility",
     "packed_eval_poly": "_intmat",
     "poly_enclosure": "intervals",
     "transcendental_residual": "feasibility",
@@ -118,8 +121,11 @@ REMOVED_MODULES = ("intervals", "precision")
 #: owns its one analysis, and no n x n list of distance rows or adjacency
 #: entries is built; graph6 rows are built by the decoder's one pass; B_D is
 #: read only through its Krylov rows; the families run their recurrence on
-#: coefficient tuples, so `IntPolynomial` has no operator algebra.
+#: coefficient tuples, so `IntPolynomial` has no operator algebra; the
+#: verdict rests on the gap and exact integrality alone, so a report carries
+#: no float positivity, sum or moment check.
 REMOVED_ATTRIBUTES = {
+    ("feasibility", "FeasibilityReport"): ("all_positive", "moment_check", "sum_ok", "sum_value"),
     ("feasibility", "MultiplicityAssessment"): ("nearest",),
     ("graphs", "Graph"): ("adjacency_matrix", "_from_pairs"),
     ("graphs", "GraphAnalysis"): ("distances", "graph", "verdict"),
@@ -229,6 +235,19 @@ def test_third_party_imports_stay_in_their_module():
         assert uses, owner
         assert all(id(node) in inside for node in uses), sorted(
             node.lineno for node in uses if id(node) not in inside)
+
+
+def test_feasibility_imports_nothing_from_intersection():
+    """The verdict reads no walk count: the moment identity is proved in the
+    tests, so the engine imports nothing from `intersection`."""
+    for node in ast.walk(module_trees()["feasibility"]):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or "", *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any("intersection" in name.split(".") for name in names), node.lineno
 
 
 def test_no_module_reads_the_environment():
