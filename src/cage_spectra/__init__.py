@@ -5,11 +5,10 @@ The package provides exact integer polynomial families on a three-term
 recurrence, graph structural checks with exact matrix-identity verifiers, the
 paper's walk-count and minimal-polynomial lemmas on the tridiagonal
 intersection matrix, and a certified feasibility engine: certified dyadic
-root brackets, closed-form eigenvalue multiplicities (the trigonometric
-weight form is exported alongside; the engine does not evaluate it),
-integrality certificates computed exactly in integers over each bracket's
-power of two, and the product-gap nonexistence test for girth >= 14.  The
-verdict rests on the gap and exact integrality alone.
+root brackets, closed-form eigenvalue multiplicities, integrality
+certificates computed exactly in integers over each bracket's power of two,
+and the product-gap nonexistence test for girth >= 14.  The verdict rests on
+the gap and exact integrality alone.
 """
 
 from .errors import (
@@ -22,7 +21,6 @@ from .errors import (
     IllConditionedError,
     OddExcessError,
     ParameterDomainError,
-    RegimeViolationError,
     StructuralRefusal,
 )
 from .feasibility import (
@@ -31,18 +29,12 @@ from .feasibility import (
     MultiplicityAssessment,
     RootRecord,
     SkippedTriple,
-    SymmetryReport,
     VERDICT_ADMISSIBLE,
     VERDICT_GAP,
     VERDICT_INTEGRALITY,
     VERDICT_OUTSIDE,
-    f_weight,
-    g_weight,
-    gap_check,
     isolate_roots,
     multiplicity_closed_form,
-    multiplicity_symmetry_checks,
-    multiplicity_trig,
     scan,
     spectral_feasibility,
     validate_parameters,
@@ -52,7 +44,6 @@ from .graphs import (
     Graph,
     IdentityCheck,
     StructuralVerdict,
-    antipodal_spectrum,
     catalog,
     catalog_entry,
     catalog_names,
@@ -73,8 +64,6 @@ from .polynomials import (
     IntPolynomial,
     derivative,
     dickson_family,
-    h_closed_form,
-    h_roots_closed_form,
 )
 
 __version__ = "0.1.0"
@@ -97,35 +86,25 @@ __all__ = [
     "MultiplicityAssessment",
     "OddExcessError",
     "ParameterDomainError",
-    "RegimeViolationError",
     "RootRecord",
     "SkippedTriple",
     "StructuralRefusal",
     "StructuralVerdict",
-    "SymmetryReport",
     "VERDICT_ADMISSIBLE",
     "VERDICT_GAP",
     "VERDICT_INTEGRALITY",
     "VERDICT_OUTSIDE",
-    "antipodal_spectrum",
     "build_bd",
     "catalog",
     "catalog_entry",
     "catalog_names",
     "derivative",
     "dickson_family",
-    "f_weight",
-    "g_weight",
-    "gap_check",
     "girth",
-    "h_closed_form",
-    "h_roots_closed_form",
     "isolate_roots",
     "minimal_polynomial_check",
     "moore_bound",
     "multiplicity_closed_form",
-    "multiplicity_symmetry_checks",
-    "multiplicity_trig",
     "parse_graph6",
     "scan",
     "spectral_crosscheck",

@@ -87,10 +87,10 @@ def _report_json(report: FeasibilityReport) -> dict:
     if report.gap is not None:
         g = report.gap
         gap = {
-            "applicable": g.applicable,
+            "applicable": True,  # every gap verdict applies; the key keeps the JSON bytes
             "verdict": g.verdict,
-            "lo": float(g.lo) if g.lo is not None else None,
-            "hi": float(g.hi) if g.hi is not None else None,
+            "lo": float(g.lo),
+            "hi": float(g.hi),
             "analytic_bound": g.analytic_bound,
             "contains_integer": g.contains_integer,
             "within_unit_interval": g.within_unit_interval,
@@ -130,7 +130,7 @@ def _row(item) -> dict:
             "max_integrality_deviation": "",
         }
     gap_lo = gap_hi = ""
-    if item.gap is not None and item.gap.applicable:
+    if item.gap is not None:
         gap_lo = format_float(item.gap.lo)
         gap_hi = format_float(item.gap.hi)
     return {
@@ -157,7 +157,7 @@ def _report_text(report: FeasibilityReport) -> str:
         f"integrality: {'all integral' if report.all_integral else 'NON-INTEGRAL multiplicities'}"
         f" (max deviation {format_float(report.max_integrality_deviation)})"
     )
-    if report.gap is not None and report.gap.applicable:
+    if report.gap is not None:
         g = report.gap
         lines.append(
             f"gap interval for lambda_2^2 - mu_2^2: ({format_float(g.lo)}, {format_float(g.hi)})"

@@ -44,12 +44,6 @@ class IllConditionedError(CageSpectraError, ArithmeticError):
     """A multiplicity evaluation hit a denominator too close to zero."""
 
 
-class RegimeViolationError(CageSpectraError, ArithmeticError):
-    """A weight-function radicand or denominator left its guaranteed-positive
-    regime; the requested parameters violate the assumptions the formulas
-    were derived under."""
-
-
 class BracketSeedError(CageSpectraError, RuntimeError):
     """Internal error: a root-isolation seed interval did not bracket a sign
     change, or an isolated root violated its case bound.  Indicates the

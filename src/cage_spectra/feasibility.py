@@ -38,11 +38,7 @@ This module:
 * evaluates the eigenvalue multiplicity in closed form
 
       m(theta) = n e k (k-1) H_{d-2}(theta)
-                 / [ 2 eps (2 eps + e/2 - 1) H'_{d-1}(theta) (k^2 - theta^2) ]
-
-  (`multiplicity_trig`, the trigonometric weight form built from f, g1,
-  g2, g3, is a second route to the same value; the engine does not
-  evaluate it, and the acceptance suite checks that the two agree);
+                 / [ 2 eps (2 eps + e/2 - 1) H'_{d-1}(theta) (k^2 - theta^2) ];
 
 * certifies integrality of each multiplicity with exact interval arithmetic
   propagated from the root bracket (an enclosure must contain exactly one
@@ -88,7 +84,6 @@ from .errors import (
     IllConditionedError,
     OddExcessError,
     ParameterDomainError,
-    RegimeViolationError,
 )
 from .graphs import moore_bound
 from .polynomials import IntPolynomial, derivative, dickson_family
@@ -142,6 +137,15 @@ class RootRecord:
     phi: float
     alpha: float
     bracket: tuple[int, int, int]
+
+
+def _ascending(records: Iterable[RootRecord]) -> tuple[RootRecord, ...]:
+    """The records in the exact order of their brackets: by low end, the ends
+    taken at one common shift.  The float thetas of two families can tie
+    where their brackets do not."""
+    records = list(records)
+    top = max(r.bracket[2] for r in records)
+    return tuple(sorted(records, key=lambda r: r.bracket[0] << (top - r.bracket[2])))
 
 
 class _Polys(NamedTuple):
@@ -498,8 +502,8 @@ def isolate_roots(k: int, d: int, e: int, epsilon: int) -> list[RootRecord]:
     d - i is its exact mirror (H_{d-1} - epsilon is even for odd d).  Every
     root is checked against its alpha case bound; a seed without a sign
     change is an internal error.
-    Records come back sorted by theta ascending with i = 1..d-1, in a new
-    list on every call.  Only the epsilon = 1 family is cached.
+    Records come back ascending in their exact brackets, with i = 1..d-1, in
+    a new list on every call.  Only the epsilon = 1 family is cached.
     """
     validate_parameters(k, d, e)
     if epsilon not in (1, -e // 2):
@@ -586,11 +590,10 @@ def _isolate(k: int, d: int, e: int, epsilon: int, angles: _Angles) -> tuple[Roo
                 bracket=(lo, hi, shift),
             )
         )
-    top = max(r.bracket[2] for r in records)  # order the low ends at one shift
-    records.sort(key=lambda r: r.bracket[0] << (top - r.bracket[2]))
+    records = _ascending(records)
     if [r.i for r in records] != list(range(1, d)):
         raise BracketSeedError("isolated roots are not ascending in their index order")
-    return tuple(records)
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -620,77 +623,6 @@ def multiplicity_closed_form(k: int, d: int, e: int, epsilon: int, theta: float)
     )
 
 
-def f_weight(k: int, z: float) -> float:
-    """f(z) = 4 s^2 (1 - z^2) / (k^2 - 4 s^2 z^2) on (-1, 1); even, concave."""
-    if not -1.0 < z < 1.0:
-        raise ParameterDomainError(f"z must lie in (-1, 1), got {z}")
-    if k < 3:
-        raise ParameterDomainError(f"degree k must be >= 3, got {k}")
-    s2 = k - 1
-    zz = z * z
-    return 4 * s2 * (1 - zz) / (k * k - 4 * s2 * zz)
-
-
-_G_SIGNS = {"g1": None, "g2": -1, "g3": +1}
-
-
-def g_weight(which: str, k: int, d: int, e: int, z: float) -> float:
-    """The monotone weights g1 (increasing), g2 (decreasing), g3 (increasing):
-
-        g(z; a) = k (k-1) (sqrt(1 - a^2 s^(2-2d) (1 - z^2)) + a s^(1-d) z)
-                  / (d sqrt(1 - a^2 s^(2-2d) (1 - z^2)) + a s^(1-d) z)
-
-    with a = 1 for g1, a = -e/2 for g2, a = +e/2 for g3.  The radicand is
-    positive in the supported regime; a nonpositive radicand means the
-    requested parameters violate it and raises."""
-    if which not in _G_SIGNS:
-        raise ParameterDomainError(f"unknown weight {which!r}; expected g1, g2, or g3")
-    if not -1.0 < z < 1.0:
-        raise ParameterDomainError(f"z must lie in (-1, 1), got {z}")
-    sign = _G_SIGNS[which]
-    a = 1 if sign is None else sign * (e // 2)
-    s_pow = (k - 1) ** (-(d - 1) / 2)
-    radicand = 1 - a * a * (k - 1) ** (-(d - 1)) * (1 - z * z)
-    if radicand <= 0:
-        raise RegimeViolationError(
-            f"radicand {radicand:.6e} is not positive for {which} at "
-            f"(k={k}, d={d}, e={e}, z={z}); parameters violate the regime"
-        )
-    root = math.sqrt(radicand)
-    return k * (k - 1) * (root + a * s_pow * z) / (d * root + a * s_pow * z)
-
-
-def multiplicity_trig(k: int, d: int, e: int, record: RootRecord) -> float:
-    """Multiplicity from the trigonometric weight form:
-
-        eps = 1:            n e / (4 s^2 (e/2+1)) * f(cos phi) * g1(eta cos phi)
-        eps = -e/2, i odd:  n   / (2 s^2 (e/2+1)) * f(cos phi) * g2(cos phi)
-        eps = -e/2, i even: n   / (2 s^2 (e/2+1)) * f(cos phi) * g3(cos phi)
-
-    Must agree with `multiplicity_closed_form` to 1e-6 relative."""
-    validate_parameters(k, d, e)
-    expected_eta = record.epsilon if (d + record.i) % 2 == 0 else -record.epsilon
-    if record.eta != expected_eta:
-        raise BracketSeedError(
-            f"record eta={record.eta} inconsistent with eps={record.epsilon}, i={record.i}"
-        )
-    n = moore_bound(k, 2 * d) + e
-    s2 = k - 1
-    z = math.cos(record.phi)
-    if record.epsilon == 1:
-        return n * e / (4 * s2 * (e // 2 + 1)) * f_weight(k, z) * g_weight(
-            "g1", k, d, e, record.eta * z
-        )
-    if record.epsilon != -e // 2:
-        raise ParameterDomainError(f"record epsilon {record.epsilon} matches neither 1 nor -e/2")
-    if (record.i % 2 == 1) != (record.eta < 0):
-        raise BracketSeedError(
-            f"branch selection inconsistent: i={record.i} with eta={record.eta}"
-        )
-    which = "g2" if record.i % 2 == 1 else "g3"
-    return n / (2 * s2 * (e // 2 + 1)) * f_weight(k, z) * g_weight(which, k, d, e, z)
-
-
 # ---------------------------------------------------------------------------
 # certified integrality
 
@@ -704,7 +636,6 @@ class MultiplicityAssessment:
     closed_form: float
     enclosure: tuple[tuple[int, int], tuple[int, int]]
     integer: int | None
-    deviation: float
 
     @property
     def integral(self) -> bool:
@@ -800,90 +731,11 @@ def _assess_multiplicity(k, d, e, record: RootRecord, closed: float) -> Multipli
         lo, hi, shift = _bisect(family, lo, hi, shift, bits)
         ends = _multiplicity_enclosure(k, d, e, record.epsilon, lo, hi, shift)
     integers = _integers_in(ends)
-    nearest = round(closed)
     return MultiplicityAssessment(
         record=record,
         closed_form=closed,
         enclosure=ends,
         integer=integers[0] if len(integers) == 1 else None,
-        deviation=abs(closed - nearest),
-    )
-
-
-# ---------------------------------------------------------------------------
-# multiplicity structure checks (symmetry and strict minimality)
-
-@dataclass(frozen=True)
-class SymmetryReport:
-    """m(theta) = m(-theta) within each family for odd d, plus the strict
-    minimality of the multiplicity at the family's relevant extreme root."""
-
-    k: int
-    d: int
-    e: int
-    symmetry_max_rel_dev: float
-    mu_minimality_margin: float | None
-    lambda_minimality_margin: float | None
-
-    @property
-    def symmetry_ok(self) -> bool:
-        return self.symmetry_max_rel_dev <= 1e-6
-
-    @property
-    def mu_minimality_vacuous(self) -> bool:
-        return self.mu_minimality_margin is None
-
-    @property
-    def lambda_minimality_vacuous(self) -> bool:
-        return self.lambda_minimality_margin is None
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.symmetry_ok
-            and (self.mu_minimality_margin is None or self.mu_minimality_margin > 0)
-            and (self.lambda_minimality_margin is None or self.lambda_minimality_margin > 0)
-        )
-
-
-def multiplicity_symmetry_checks(k: int, d: int, e: int) -> SymmetryReport:
-    """Check m(theta_i) = m(theta_{d-i}) in both families (tolerance 1e-6
-    relative) and the strict inequalities
-
-        m(mu_2) < m(mu_i) for 3 <= i <= d-3        (mu: roots of H_{d-1} - 1)
-        m(lambda_1) < m(lambda_i) for 2 <= i <= d-2 (lambda: roots of H_{d-1} + e/2)
-
-    Margins are reported; an empty index range leaves the margin None
-    (vacuous).
-
-    The symmetry holds by construction: `isolate_roots` builds theta_{d-i}
-    as exactly -theta_i, and the float closed form is even in theta, so
-    ``symmetry_max_rel_dev`` reads 0.  The paper's claim is tested on
-    independently isolated roots instead."""
-    validate_parameters(k, d, e)
-    mu = [multiplicity_closed_form(k, d, e, 1, r.theta) for r in isolate_roots(k, d, e, 1)]
-    lam = [
-        multiplicity_closed_form(k, d, e, -e // 2, r.theta)
-        for r in isolate_roots(k, d, e, -e // 2)
-    ]
-    dev = 0.0
-    for values in (mu, lam):
-        for idx in range(len(values)):
-            mirror = d - 2 - idx  # i and d - i in 0-based indexing
-            dev = max(dev, abs(values[idx] - values[mirror]) / abs(values[mirror]))
-    mu_margin = None
-    if d >= 7:
-        mu_margin = min(mu[i - 1] - mu[1] for i in range(3, d - 2))
-    lam_margin = None
-    if d >= 5:
-        lam_margin = min(lam[i - 1] - lam[0] for i in range(2, d - 1))
-    return SymmetryReport(
-        k=k,
-        d=d,
-        e=e,
-        symmetry_max_rel_dev=dev,
-        mu_minimality_margin=mu_margin,
-        lambda_minimality_margin=lam_margin,
     )
 
 
@@ -892,7 +744,7 @@ def multiplicity_symmetry_checks(k: int, d: int, e: int) -> SymmetryReport:
 
 @dataclass(frozen=True)
 class GapVerdict:
-    """Certified bounds on lambda_2^2 - mu_2^2.
+    """Certified bounds on lambda_2^2 - mu_2^2, for d >= 7 (girth >= 14).
 
     ``lo``/``hi`` are exact rationals from the squared root brackets.  ``excluded``
     requires only the certified interval to contain no integer; the
@@ -905,43 +757,35 @@ class GapVerdict:
     k: int
     d: int
     e: int
-    applicable: bool
-    reason: str | None = None
-    lo: Fraction | None = None
-    hi: Fraction | None = None
-    analytic_bound: float | None = None
-    contains_integer: bool | None = None
-    within_unit_interval: bool | None = None
-    chain_values: tuple[float, float, float, float] | None = None
-    chain_ok: bool | None = None
+    lo: Fraction
+    hi: Fraction
+    analytic_bound: float
+    chain_values: tuple[float, float, float, float]
+
+    @property
+    def contains_integer(self) -> bool:
+        return math.ceil(self.lo) <= self.hi
+
+    @property
+    def within_unit_interval(self) -> bool:
+        return 0 < self.lo and self.hi < 1
+
+    @property
+    def chain_ok(self) -> bool:
+        lhs, k1d, e1d, four_pi = self.chain_values
+        return lhs > k1d >= e1d > four_pi
 
     @property
     def excluded(self) -> bool:
-        return bool(self.applicable and self.contains_integer is False)
+        return not self.contains_integer
 
     @property
     def verdict(self) -> str:
-        if not self.applicable:
-            return VERDICT_OUTSIDE
         return VERDICT_GAP if self.excluded else "not-excluded"
 
 
-def gap_check(k: int, d: int, e: int) -> GapVerdict:
-    """Run the product-gap exclusion for d >= 7 (girth >= 14); smaller d is
-    outside the regime and no exclusion is claimed.  It isolates both
-    families (the -e/2 one anew); `spectral_feasibility` hands its own
-    records to the same computation instead."""
-    validate_parameters(k, d, e)
-    if d < _GAP_MIN_D:
-        return GapVerdict(
-            k=k, d=d, e=e, applicable=False,
-            reason=f"gap argument needs girth 2d >= 14, got 2d = {2 * d}",
-        )
-    return _gap(k, d, e, isolate_roots(k, d, e, 1), isolate_roots(k, d, e, -e // 2))
-
-
 def _gap(k: int, d: int, e: int, mu: list[RootRecord], lam: list[RootRecord]) -> GapVerdict:
-    """The gap verdict from the two families' records, ascending in theta:
+    """The gap verdict from the two families' records, ascending:
     ``mu`` for epsilon = 1 and ``lam`` for epsilon = -e/2."""
     mu_lo, mu_hi, mu_shift = mu[1].bracket
     lam_lo, lam_hi, lam_shift = lam[1].bracket
@@ -963,19 +807,14 @@ def _gap(k: int, d: int, e: int, mu: list[RootRecord], lam: list[RootRecord]) ->
         (e + 1) * d,
         4 * math.pi * math.sqrt(e / 2 + 1),
     )
-    chain_ok = chain[0] > chain[1] >= chain[2] > chain[3]
     return GapVerdict(
         k=k,
         d=d,
         e=e,
-        applicable=True,
         lo=Fraction(gap_lo, unit),
         hi=Fraction(gap_hi, unit),
         analytic_bound=analytic,
-        contains_integer=len(_integers_in(((gap_lo, unit), (gap_hi, unit)))) > 0,
-        within_unit_interval=0 < gap_lo and gap_hi < unit,
         chain_values=chain,
-        chain_ok=chain_ok,
     )
 
 
@@ -1013,7 +852,7 @@ class FeasibilityReport:
 
     @cached_property
     def assessments(self) -> tuple[MultiplicityAssessment, ...]:
-        """One certified assessment per root, ascending in theta.  Root
+        """One certified assessment per root, in the order of ``roots``.  Root
         d - i shares root i's: the same enclosure (H_{d-2} and H'_{d-1} are
         odd) and the same float closed form."""
         k, d, e, half = self.k, self.d, self.e, (self.d - 1) // 2
@@ -1044,18 +883,19 @@ class FeasibilityReport:
 
     @cached_property
     def max_integrality_deviation(self) -> float:
-        """The largest |m - round(m)| over the float closed forms: the
-        assessments' ``deviation``, without their enclosures."""
+        """The largest |m - round(m)| over the float closed forms, read
+        without the enclosures."""
         return max(abs(m - round(m)) for m in self._closed_forms.values())
 
     def spectrum(self) -> list[tuple[float, float | int]]:
-        """Full candidate spectrum, ascending, including +-k with
-        multiplicity 1; certified-integral multiplicities appear as ints."""
+        """Full candidate spectrum in the exact ascending order of ``roots``,
+        between -k and k with multiplicity 1 each; certified-integral
+        multiplicities appear as ints."""
         inner = [
             (a.record.theta, a.integer if a.integral else a.closed_form)
             for a in self.assessments
         ]
-        return [(-float(self.k), 1)] + sorted(inner) + [(float(self.k), 1)]
+        return [(-float(self.k), 1)] + inner + [(float(self.k), 1)]
 
 
 def spectral_feasibility(k: int, d: int, e: int) -> FeasibilityReport:
@@ -1082,7 +922,7 @@ def spectral_feasibility(k: int, d: int, e: int) -> FeasibilityReport:
         d=d,
         e=e,
         n=moore_bound(k, 2 * d) + e,
-        roots=tuple(sorted(mu + lam, key=lambda r: r.theta)),
+        roots=_ascending(mu + lam),
         gap=_gap(k, d, e, mu, lam) if d >= _GAP_MIN_D else None,
     )
 

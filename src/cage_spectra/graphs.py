@@ -547,17 +547,6 @@ def verify_identities(
 # ---------------------------------------------------------------------------
 # antipodal spectrum and the eigenvalue cross-check
 
-def antipodal_spectrum(n: int, e: int) -> list[tuple[int, int]]:
-    """Spectrum of a disjoint union of c = 2n/(e+2) cliques on e/2+1 vertices:
-    eigenvalue e/2 with multiplicity c and -1 with multiplicity n - c."""
-    if e < 2 or e % 2:
-        raise ParameterDomainError(f"excess must be even and >= 2, got {e}")
-    if (2 * n) % (e + 2):
-        raise ParameterDomainError(f"(e+2) = {e + 2} does not divide 2n = {2 * n}")
-    c = 2 * n // (e + 2)
-    return [(e // 2, c), (-1, n - c)]
-
-
 @dataclass(frozen=True)
 class CrosscheckReport:
     """Numeric check that every adjacency eigenvalue theta != +-k satisfies

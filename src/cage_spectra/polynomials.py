@@ -11,8 +11,7 @@ and differ only in their base cases:
     H_0 = 1,  H_1 = x                        (recurrence from i >= 1)
 
 H_i is the Dickson polynomial of the second kind with parameter k - 1; its
-roots are 2*sqrt(k-1)*cos(j*pi/(i+1)) and it admits the trigonometric closed
-form implemented by `h_closed_form`.  The family also extends to negative
+roots are 2*sqrt(k-1)*cos(j*pi/(i+1)).  The family also extends to negative
 indices (H_{-1} = 0, H_{-2} = -1/(k-1)), but no formula implemented here
 evaluates below index 0, so the constructor rejects i < 0 rather than carry
 rational coefficients.
@@ -23,7 +22,6 @@ All coefficients are exact Python integers.  Evaluation is exact at int and
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -68,20 +66,6 @@ class IntPolynomial:
             result = result * x + c
         return result
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for j in range(self.degree, -1, -1):
-            c = self.coefficients[j]
-            if c == 0:
-                continue
-            mono = "" if j == 0 else ("x" if j == 1 else f"x^{j}")
-            mag = abs(c)
-            body = mono if (mag == 1 and j > 0) else (f"{mag}{mono}" if j else f"{mag}")
-            parts.append(("- " if c < 0 else "+ " if parts else "") + body)
-        return " ".join(parts)
-
 
 def dickson_family(kind: str, k: int, i: int) -> IntPolynomial:
     """Return the i-th member of the family ``kind`` in {"G", "F", "H"}.
@@ -118,30 +102,3 @@ def dickson_family(kind: str, k: int, i: int) -> IntPolynomial:
 def derivative(p: IntPolynomial) -> IntPolynomial:
     """Formal derivative, exact."""
     return IntPolynomial(j * c for j, c in enumerate(p.coefficients) if j)
-
-
-def h_closed_form(k: int, d: int, phi: float) -> float:
-    """Trigonometric closed form of H_{d-1} at x = -2*sqrt(k-1)*cos(phi):
-
-        H_{d-1}(x) = (-s)^(d-1) * sin(d*phi) / sin(phi),   s = sqrt(k-1)
-
-    for phi in the open interval (0, pi).
-    """
-    if k < 3:
-        raise DegreeRangeError(f"degree k must be >= 3, got {k}")
-    if d < 2:
-        raise ParameterDomainError(f"d must be >= 2, got {d}")
-    if not 0.0 < phi < math.pi:
-        raise ParameterDomainError(f"phi must lie in (0, pi), got {phi}")
-    s = math.sqrt(k - 1)
-    return (-s) ** (d - 1) * math.sin(d * phi) / math.sin(phi)
-
-
-def h_roots_closed_form(k: int, d: int) -> list[float]:
-    """The d-1 roots of H_{d-1}: 2*sqrt(k-1)*cos(i*pi/d), ascending."""
-    if k < 3:
-        raise DegreeRangeError(f"degree k must be >= 3, got {k}")
-    if d < 2:
-        raise ParameterDomainError(f"d must be >= 2, got {d}")
-    s = math.sqrt(k - 1)
-    return [2.0 * s * math.cos(i * math.pi / d) for i in range(d - 1, 0, -1)]

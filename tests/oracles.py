@@ -12,9 +12,10 @@ Horner signs and bit-by-bit halving where the package evaluates the even
 family polynomial in x^2 and takes a certified Newton cell, traces in
 Q[x]/(P) summed over all roots at once where the package encloses one
 multiplicity per root bracket, closed walks of the infinite k-regular tree
-counted by distance layer where the lemma checks read the rows of B_D), so
-agreement is evidence that both are right.  None of them is used by the
-package itself.
+counted by distance layer where the lemma checks read the rows of B_D, the
+trigonometric forms of H_{d-1} and of the multiplicities where the package
+evaluates integer polynomials), so agreement is evidence that both are
+right.  None of them is used by the package itself.
 """
 
 from __future__ import annotations
@@ -29,8 +30,18 @@ from typing import Sequence, Union
 
 import mpmath
 
-from cage_spectra.errors import BracketSeedError, Graph6ParseError, ParameterDomainError
-from cage_spectra.feasibility import TARGET_BRACKET_BITS, RootRecord
+from cage_spectra.errors import (
+    BracketSeedError,
+    DegreeRangeError,
+    Graph6ParseError,
+    ParameterDomainError,
+)
+from cage_spectra.feasibility import (
+    TARGET_BRACKET_BITS,
+    RootRecord,
+    multiplicity_closed_form,
+    validate_parameters,
+)
 from cage_spectra.graphs import moore_bound
 from cage_spectra.intersection import build_bd
 from cage_spectra.polynomials import derivative, dickson_family
@@ -335,6 +346,148 @@ def isolate_mp(k: int, d: int, e: int, epsilon: int) -> tuple[RootRecord, ...]:
     if [r.i for r in records] != list(range(1, d)):
         raise BracketSeedError("isolated roots are not ascending in their index order")
     return tuple(records)
+
+
+# ---------------------------------------------------------------------------
+# the paper's float formulas: the trigonometric closed forms of H_{d-1} and
+# of the multiplicities (weights f, g1, g2, g3), and the clique spectrum of
+# the distance-(d+1) relation; the package evaluates the integer
+# polynomials and the closed form in theta instead
+
+def h_closed_form(k: int, d: int, phi: float) -> float:
+    """Trigonometric closed form of H_{d-1} at x = -2*sqrt(k-1)*cos(phi):
+
+        H_{d-1}(x) = (-s)^(d-1) * sin(d*phi) / sin(phi),   s = sqrt(k-1)
+
+    for phi in the open interval (0, pi).
+    """
+    if k < 3:
+        raise DegreeRangeError(f"degree k must be >= 3, got {k}")
+    if d < 2:
+        raise ParameterDomainError(f"d must be >= 2, got {d}")
+    if not 0.0 < phi < math.pi:
+        raise ParameterDomainError(f"phi must lie in (0, pi), got {phi}")
+    s = math.sqrt(k - 1)
+    return (-s) ** (d - 1) * math.sin(d * phi) / math.sin(phi)
+
+
+def h_roots_closed_form(k: int, d: int) -> list[float]:
+    """The d-1 roots of H_{d-1}: 2*sqrt(k-1)*cos(i*pi/d), ascending."""
+    if k < 3:
+        raise DegreeRangeError(f"degree k must be >= 3, got {k}")
+    if d < 2:
+        raise ParameterDomainError(f"d must be >= 2, got {d}")
+    s = math.sqrt(k - 1)
+    return [2.0 * s * math.cos(i * math.pi / d) for i in range(d - 1, 0, -1)]
+
+
+class RegimeViolationError(ArithmeticError):
+    """A weight-function radicand left its guaranteed-positive regime: the
+    requested parameters violate the assumptions the formulas were derived
+    under."""
+
+
+def f_weight(k: int, z: float) -> float:
+    """f(z) = 4 s^2 (1 - z^2) / (k^2 - 4 s^2 z^2) on (-1, 1); even, concave."""
+    if not -1.0 < z < 1.0:
+        raise ParameterDomainError(f"z must lie in (-1, 1), got {z}")
+    if k < 3:
+        raise ParameterDomainError(f"degree k must be >= 3, got {k}")
+    s2 = k - 1
+    zz = z * z
+    return 4 * s2 * (1 - zz) / (k * k - 4 * s2 * zz)
+
+
+_G_SIGNS = {"g1": None, "g2": -1, "g3": +1}
+
+
+def g_weight(which: str, k: int, d: int, e: int, z: float) -> float:
+    """The monotone weights g1 (increasing), g2 (decreasing), g3 (increasing):
+
+        g(z; a) = k (k-1) (sqrt(1 - a^2 s^(2-2d) (1 - z^2)) + a s^(1-d) z)
+                  / (d sqrt(1 - a^2 s^(2-2d) (1 - z^2)) + a s^(1-d) z)
+
+    with a = 1 for g1, a = -e/2 for g2, a = +e/2 for g3.  The radicand is
+    positive in the supported regime; a nonpositive radicand means the
+    requested parameters violate it and raises."""
+    if which not in _G_SIGNS:
+        raise ParameterDomainError(f"unknown weight {which!r}; expected g1, g2, or g3")
+    if not -1.0 < z < 1.0:
+        raise ParameterDomainError(f"z must lie in (-1, 1), got {z}")
+    sign = _G_SIGNS[which]
+    a = 1 if sign is None else sign * (e // 2)
+    s_pow = (k - 1) ** (-(d - 1) / 2)
+    radicand = 1 - a * a * (k - 1) ** (-(d - 1)) * (1 - z * z)
+    if radicand <= 0:
+        raise RegimeViolationError(
+            f"radicand {radicand:.6e} is not positive for {which} at "
+            f"(k={k}, d={d}, e={e}, z={z}); parameters violate the regime"
+        )
+    root = math.sqrt(radicand)
+    return k * (k - 1) * (root + a * s_pow * z) / (d * root + a * s_pow * z)
+
+
+def multiplicity_trig(k: int, d: int, e: int, record: RootRecord) -> float:
+    """Multiplicity from the trigonometric weight form:
+
+        eps = 1:            n e / (4 s^2 (e/2+1)) * f(cos phi) * g1(eta cos phi)
+        eps = -e/2, i odd:  n   / (2 s^2 (e/2+1)) * f(cos phi) * g2(cos phi)
+        eps = -e/2, i even: n   / (2 s^2 (e/2+1)) * f(cos phi) * g3(cos phi)
+
+    Must agree with `multiplicity_closed_form` to 1e-6 relative."""
+    validate_parameters(k, d, e)
+    expected_eta = record.epsilon if (d + record.i) % 2 == 0 else -record.epsilon
+    if record.eta != expected_eta:
+        raise BracketSeedError(
+            f"record eta={record.eta} inconsistent with eps={record.epsilon}, i={record.i}"
+        )
+    n = moore_bound(k, 2 * d) + e
+    s2 = k - 1
+    z = math.cos(record.phi)
+    if record.epsilon == 1:
+        return n * e / (4 * s2 * (e // 2 + 1)) * f_weight(k, z) * g_weight(
+            "g1", k, d, e, record.eta * z
+        )
+    if record.epsilon != -e // 2:
+        raise ParameterDomainError(f"record epsilon {record.epsilon} matches neither 1 nor -e/2")
+    if (record.i % 2 == 1) != (record.eta < 0):
+        raise BracketSeedError(
+            f"branch selection inconsistent: i={record.i} with eta={record.eta}"
+        )
+    which = "g2" if record.i % 2 == 1 else "g3"
+    return n / (2 * s2 * (e // 2 + 1)) * f_weight(k, z) * g_weight(which, k, d, e, z)
+
+
+def mp_multiplicities(k: int, d: int, e: int, epsilon: int) -> list[float]:
+    """The float closed-form multiplicity at each root `isolate_mp` isolates
+    on its own, i = 1..d-1: the package builds root d - i as the mirror of
+    root i, so only these show the symmetry m(theta_i) = m(theta_{d-i})."""
+    return [multiplicity_closed_form(k, d, e, epsilon, r.theta) for r in isolate_mp(k, d, e, epsilon)]
+
+
+def minimality_margins(k: int, d: int, e: int) -> tuple[float | None, float | None]:
+    """The least slack in the paper's strict inequalities
+
+        m(mu_2) < m(mu_i) for 3 <= i <= d-3        (mu: roots of H_{d-1} - 1)
+        m(lambda_1) < m(lambda_i) for 2 <= i <= d-2 (lambda: roots of H_{d-1} + e/2)
+
+    as (mu margin, lambda margin); an empty index range gives None."""
+    mu, lam = mp_multiplicities(k, d, e, 1), mp_multiplicities(k, d, e, -e // 2)
+    return (
+        min((mu[i - 1] - mu[1] for i in range(3, d - 2)), default=None),
+        min((lam[i - 1] - lam[0] for i in range(2, d - 1)), default=None),
+    )
+
+
+def antipodal_spectrum(n: int, e: int) -> list[tuple[int, int]]:
+    """Spectrum of a disjoint union of c = 2n/(e+2) cliques on e/2+1 vertices:
+    eigenvalue e/2 with multiplicity c and -1 with multiplicity n - c."""
+    if e < 2 or e % 2:
+        raise ParameterDomainError(f"excess must be even and >= 2, got {e}")
+    if (2 * n) % (e + 2):
+        raise ParameterDomainError(f"(e+2) = {e + 2} does not divide 2n = {2 * n}")
+    c = 2 * n // (e + 2)
+    return [(e // 2, c), (-1, n - c)]
 
 
 # ---------------------------------------------------------------------------

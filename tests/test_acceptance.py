@@ -15,20 +15,25 @@ from cage_spectra import (
     ExcessRangeError,
     OddExcessError,
     catalog,
-    f_weight,
-    g_weight,
     isolate_roots,
     minimal_polynomial_check,
     moore_bound,
     multiplicity_closed_form,
-    multiplicity_symmetry_checks,
-    multiplicity_trig,
     scan,
     spectral_feasibility,
     trace_identity_check,
     verify_identities,
 )
-from oracles import enclosure_interval, exact_moments, isolate_mp, tree_closed_walks
+from oracles import (
+    enclosure_interval,
+    exact_moments,
+    f_weight,
+    g_weight,
+    minimality_margins,
+    mp_multiplicities,
+    multiplicity_trig,
+    tree_closed_walks,
+)
 
 DUAL_FORMULA_TRIPLES = [(4, 3, 2), (5, 5, 2), (6, 5, 4), (7, 7, 2), (8, 7, 6)]
 
@@ -98,7 +103,8 @@ def test_c5_worked_multiplicity_instance():
         for assessment in report.assessments:
             assert enclosure_interval(assessment.enclosure).contained_integer_count() == 1
             assert assessment.integer >= 1
-            assert assessment.deviation <= 1e-6
+            closed = assessment.closed_form
+            assert abs(closed - round(closed)) <= 1e-6
         # the moment identity q = 0..5, exactly: 28 times the tree's closed walks
         assert exact_moments(4, 3, 2) == [28 * w for w in tree_closed_walks(4, 6)] == [
             28, 0, 112, 0, 784, 0,
@@ -159,22 +165,18 @@ def test_c8_property_suites():
             assert all(b > a for a, b in zip(g3, g3[1:]))
         # multiplicity symmetry under negation at every dual-formula triple,
         # at roots the oracle isolates independently (the package mirrors
-        # theta_{d-i} from theta_i, so its own report reads 0 by construction)
+        # theta_{d-i} from theta_i, so its own roots are symmetric by
+        # construction)
         for (k, d, e) in DUAL_FORMULA_TRIPLES:
             for eps in (1, -e // 2):
-                roots = isolate_mp(k, d, e, eps)
-                m = [multiplicity_closed_form(k, d, e, eps, r.theta) for r in roots]
+                m = mp_multiplicities(k, d, e, eps)
                 for i in range(1, d):
                     mirror = m[d - i - 1]
                     assert abs(m[i - 1] - mirror) <= 1e-6 * abs(mirror), (k, d, e, eps, i)
-            assert multiplicity_symmetry_checks(k, d, e).symmetry_max_rel_dev == 0
         # strict minimality inequalities with positive margins at (7, 7, 2)
-        report = multiplicity_symmetry_checks(7, 7, 2)
-        assert report.mu_minimality_margin is not None and report.mu_minimality_margin > 0
-        assert (
-            report.lambda_minimality_margin is not None
-            and report.lambda_minimality_margin > 0
-        )
+        mu_margin, lambda_margin = minimality_margins(7, 7, 2)
+        assert mu_margin is not None and mu_margin > 0
+        assert lambda_margin is not None and lambda_margin > 0
 
 
 def test_c9_negative_controls():

@@ -22,9 +22,9 @@ from cage_spectra import (
     IntPolynomial,
     derivative,
     dickson_family,
-    gap_check,
     isolate_roots,
     moore_bound,
+    spectral_feasibility,
 )
 from cage_spectra import feasibility
 from cage_spectra.feasibility import (
@@ -218,7 +218,7 @@ def oracle_gap(k, d, e):
 
 
 def assert_gap_matches(k, d, e):
-    verdict = gap_check(k, d, e)
+    verdict = spectral_feasibility(k, d, e).gap
     gap = oracle_gap(k, d, e)
     assert (verdict.lo, verdict.hi) == (gap.lo, gap.hi)
     assert verdict.contains_integer == (gap.contained_integer_count() > 0)

@@ -15,30 +15,31 @@ from cage_spectra import (
     IllConditionedError,
     OddExcessError,
     ParameterDomainError,
-    RegimeViolationError,
     RootRecord,
     SkippedTriple,
     VERDICT_ADMISSIBLE,
     VERDICT_GAP,
     VERDICT_INTEGRALITY,
-    f_weight,
+    GapVerdict,
     feasibility,
-    g_weight,
-    gap_check,
     isolate_roots,
     moore_bound,
     multiplicity_closed_form,
-    multiplicity_symmetry_checks,
-    multiplicity_trig,
     scan,
     spectral_feasibility,
 )
 from cage_spectra.cli import _report_json, _report_text
 from oracles import (
     RatInterval,
+    RegimeViolationError,
     bracket_interval,
     enclosure_interval,
     exact_moments,
+    f_weight,
+    g_weight,
+    minimality_margins,
+    mp_multiplicities,
+    multiplicity_trig,
     transcendental_residual,
     tree_closed_walks,
 )
@@ -331,42 +332,48 @@ def test_dual_formula_agreement(k, d, e):
 
 
 # ---------------------------------------------------------------------------
-# symmetry and minimality of multiplicities
+# symmetry and minimality of multiplicities, at independently isolated roots
+# (the package builds theta_{d-i} as the mirror of theta_i)
+
+def symmetry_deviation(k, d, e) -> float:
+    """The largest relative |m(theta_i) - m(theta_{d-i})| in both families."""
+    deviation = 0.0
+    for eps in (1, -e // 2):
+        m = mp_multiplicities(k, d, e, eps)
+        deviation = max(deviation, *(abs(a - b) / abs(b) for a, b in zip(m, reversed(m))))
+    return deviation
+
 
 def test_symmetry_checks_small():
-    report = multiplicity_symmetry_checks(4, 3, 2)
-    assert report.symmetry_ok
-    assert report.mu_minimality_vacuous
-    assert report.lambda_minimality_vacuous
+    assert symmetry_deviation(4, 3, 2) <= 1e-6
+    assert minimality_margins(4, 3, 2) == (None, None)
 
 
 def test_symmetry_checks_d5():
-    report = multiplicity_symmetry_checks(5, 5, 2)
-    assert report.symmetry_ok
-    assert report.mu_minimality_vacuous  # needs 3 <= i <= d-3, empty at d=5
-    assert not report.lambda_minimality_vacuous
-    assert report.lambda_minimality_margin > 0
+    assert symmetry_deviation(5, 5, 2) <= 1e-6
+    mu_margin, lambda_margin = minimality_margins(5, 5, 2)
+    assert mu_margin is None  # needs 3 <= i <= d-3, empty at d=5
+    assert lambda_margin is not None and lambda_margin > 0
 
 
 def test_symmetry_checks_d7():
-    report = multiplicity_symmetry_checks(7, 7, 2)
-    assert report.ok
-    assert report.mu_minimality_margin > 0
-    assert report.lambda_minimality_margin > 0
+    assert symmetry_deviation(7, 7, 2) <= 1e-6
+    mu_margin, lambda_margin = minimality_margins(7, 7, 2)
+    assert mu_margin > 0
+    assert lambda_margin > 0
 
 
 @pytest.mark.parametrize("k,d,e", ACCEPTANCE_TRIPLES)
 def test_symmetry_under_negation(k, d, e):
-    report = multiplicity_symmetry_checks(k, d, e)
-    assert report.symmetry_max_rel_dev <= 1e-6
+    assert symmetry_deviation(k, d, e) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
 # the gap exclusion
 
 def test_gap_check_excludes():
-    verdict = gap_check(4, 7, 2)
-    assert verdict.applicable and verdict.excluded
+    verdict = spectral_feasibility(4, 7, 2).gap
+    assert verdict is not None and verdict.excluded
     assert verdict.verdict == VERDICT_GAP
     assert 0 < verdict.lo <= verdict.hi < 1
     assert not verdict.contains_integer
@@ -376,22 +383,34 @@ def test_gap_check_excludes():
 
 
 def test_gap_check_excludes_e4():
-    verdict = gap_check(6, 9, 4)
+    verdict = spectral_feasibility(6, 9, 4).gap
     assert verdict.excluded
     assert 0 < verdict.lo and verdict.hi < 1
 
 
 def test_gap_check_outside_regime():
-    verdict = gap_check(4, 3, 2)
-    assert not verdict.applicable
-    assert verdict.verdict == "outside-regime"
-    assert not verdict.excluded
+    report = spectral_feasibility(4, 3, 2)
+    assert report.gap is None  # the gap argument needs girth 2d >= 14
+    assert report.final_verdict != VERDICT_GAP
 
 
 def test_gap_chain_values_ordering():
-    verdict = gap_check(5, 7, 2)
+    verdict = spectral_feasibility(5, 7, 2).gap
     lhs, mid1, mid2, rhs = verdict.chain_values
     assert lhs > mid1 >= mid2 > rhs
+
+
+def test_gap_verdict_reads_its_exact_ends():
+    """The integer test, the unit-interval test and the chain are read from
+    the stored values: an interval holding 1 is not excluded."""
+    verdict = GapVerdict(k=5, d=7, e=2, lo=Fraction(1, 2), hi=Fraction(1), analytic_bound=2.0,
+                         chain_values=(4.0, 3.0, 3.0, 5.0))
+    assert verdict.contains_integer and not verdict.excluded
+    assert verdict.verdict == "not-excluded"
+    assert not verdict.within_unit_interval
+    assert not verdict.chain_ok
+    inside = replace(verdict, hi=Fraction(999, 1000), chain_values=(6.0, 5.0, 5.0, 4.0))
+    assert inside.excluded and inside.within_unit_interval and inside.chain_ok
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +443,20 @@ def test_spectral_feasibility_gap_regime():
     assert report.gap is not None and report.gap.excluded
     # the moment identity still holds even though the triple is excluded
     assert_moment_identity(5, 7, 2)
+
+
+@pytest.mark.parametrize("k,d,e", [(32, 27, 2), (16, 27, 2)])
+def test_roots_ascend_in_their_exact_brackets(k, d, e):
+    """Where a root of one family and a root of the other round to the same
+    float theta, the report still lists them in the order their disjoint
+    brackets certify, and the spectrum follows the roots."""
+    report = spectral_feasibility(k, d, e)
+    thetas = [r.theta for r in report.roots]
+    assert len(set(thetas)) < len(thetas)  # float ties between the families
+    top = max(r.bracket[2] for r in report.roots)
+    ends = [(lo << top - shift, hi << top - shift) for lo, hi, shift in (r.bracket for r in report.roots)]
+    assert all(hi < next_lo for (_, hi), (next_lo, _) in zip(ends, ends[1:]))
+    assert [theta for theta, _ in report.spectrum()] == [-k, *thetas, k]
 
 
 #: The 134 triples (k, d, 2) with 4 <= k <= 40 and odd 3 <= d <= 31 whose
@@ -558,7 +591,8 @@ def test_max_integrality_deviation_is_the_assessments_maximum(triple):
     report = spectral_feasibility(k, d, e)
     column = report.max_integrality_deviation
     assert "assessments" not in vars(report)
-    assert column.hex() == max(a.deviation for a in report.assessments).hex()
+    closed = [a.closed_form for a in report.assessments]
+    assert column.hex() == max(abs(m - round(m)) for m in closed).hex()
     fresh = (multiplicity_closed_form(k, d, e, r.epsilon, r.theta) for r in report.roots)
     assert column.hex() == max(abs(m - round(m)) for m in fresh).hex()
 

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 import g6ref
 from geometries import complete_bipartite
-from oracles import decode_graph6_payload
+from oracles import antipodal_spectrum, decode_graph6_payload
 from cage_spectra import (
     Graph,
     Graph6ParseError,
     ParameterDomainError,
     StructuralRefusal,
-    antipodal_spectrum,
     catalog,
     catalog_names,
     girth,

@@ -39,35 +39,25 @@ PUBLIC = [
     "MultiplicityAssessment",
     "OddExcessError",
     "ParameterDomainError",
-    "RegimeViolationError",
     "RootRecord",
     "SkippedTriple",
     "StructuralRefusal",
     "StructuralVerdict",
-    "SymmetryReport",
     "VERDICT_ADMISSIBLE",
     "VERDICT_GAP",
     "VERDICT_INTEGRALITY",
     "VERDICT_OUTSIDE",
-    "antipodal_spectrum",
     "build_bd",
     "catalog",
     "catalog_entry",
     "catalog_names",
     "derivative",
     "dickson_family",
-    "f_weight",
-    "g_weight",
-    "gap_check",
     "girth",
-    "h_closed_form",
-    "h_roots_closed_form",
     "isolate_roots",
     "minimal_polynomial_check",
     "moore_bound",
     "multiplicity_closed_form",
-    "multiplicity_symmetry_checks",
-    "multiplicity_trig",
     "parse_graph6",
     "scan",
     "spectral_crosscheck",
@@ -79,7 +69,10 @@ PUBLIC = [
 ]
 
 #: Names the package no longer has, with the module that held each; no
-#: module of the package binds them.
+#: module of the package binds them.  The float formulas the acceptance
+#: suite compares the engine with (the trigonometric weight route, the
+#: closed forms of H_{d-1}, the clique spectrum) live on in
+#: `tests/oracles.py`.
 REMOVED = {
     "DisconnectedGraphError": "errors",
     "DistanceMatrixSet": "graphs",
@@ -88,24 +81,34 @@ REMOVED = {
     "MomentCheck": "feasibility",
     "MultiplicitySet": "feasibility",
     "RatInterval": "intervals",
+    "RegimeViolationError": "errors",
+    "SymmetryReport": "feasibility",
     "add_diag": "_intmat",
     "adjacency_eval_poly": "_intmat",
     "adjacency_matmul": "_intmat",
     "_analysis_for": "graphs",
     "all_distances": "graphs",
+    "antipodal_spectrum": "graphs",
     "bd_entry00": "intersection",
     "_derivative": "polynomials",
     "distance_matrices": "graphs",
     "eval_poly": "_intmat",
     "eval_rational": "polynomials",
     "eye": "_intmat",
+    "f_weight": "feasibility",
     "_family_member": "polynomials",
     "frobenius": "_intmat",
+    "g_weight": "feasibility",
+    "gap_check": "feasibility",
+    "h_closed_form": "polynomials",
+    "h_roots_closed_form": "polynomials",
     "is_bipartite": "graphs",
     "ld_entry00": "intersection",
     "mat_add": "_intmat",
     "max_abs": "_intmat",
     "_moment_check": "feasibility",
+    "multiplicity_symmetry_checks": "feasibility",
+    "multiplicity_trig": "feasibility",
     "packed_eval_poly": "_intmat",
     "poly_enclosure": "intervals",
     "transcendental_residual": "feasibility",
@@ -123,16 +126,26 @@ REMOVED_MODULES = ("intervals", "precision")
 #: read only through its Krylov rows; the families run their recurrence on
 #: coefficient tuples, so `IntPolynomial` has no operator algebra; the
 #: verdict rests on the gap and exact integrality alone, so a report carries
-#: no float positivity, sum or moment check.
+#: no float positivity, sum or moment check; a gap verdict exists only where
+#: the argument applies, and the report alone holds the integrality
+#: deviation.
 REMOVED_ATTRIBUTES = {
     ("feasibility", "FeasibilityReport"): ("all_positive", "moment_check", "sum_ok", "sum_value"),
-    ("feasibility", "MultiplicityAssessment"): ("nearest",),
+    ("feasibility", "GapVerdict"): ("applicable", "reason"),
+    ("feasibility", "MultiplicityAssessment"): ("deviation", "nearest"),
     ("graphs", "Graph"): ("adjacency_matrix", "_from_pairs"),
     ("graphs", "GraphAnalysis"): ("distances", "graph", "verdict"),
     ("intersection", "IntersectionMatrix"): ("rows",),
     ("polynomials", "IntPolynomial"): (
         "__add__", "__neg__", "__sub__", "__mul__", "__rmul__", "shift_up",
     ),
+}
+
+#: Public names no package module calls, each with the paper lemma it checks
+#: exactly.  Every other public name is read by the package itself.
+LEMMA_CHECKS = {
+    "minimal_polynomial_check": "(x^2 - k^2) H_{D-1}(x) is the minimal polynomial of B_D",
+    "trace_identity_check": "tr(A^q) = n (B_d^q)_{0,0} for q < 2d on a graph of girth 2d",
 }
 
 #: The one package function allowed to use each third-party library, as
@@ -204,6 +217,47 @@ def test_no_public_function_takes_an_analysis():
     for function in functions:
         assert "analysis" not in inspect.signature(function).parameters, function.__name__
     assert not hasattr(importlib.import_module("cage_spectra.cli"), "GraphAnalysis")
+
+
+def test_int_polynomial_has_no_str_of_its_own():
+    """`hasattr` is always true for ``__str__``, so the class dict is read."""
+    assert "__str__" not in vars(cage_spectra.IntPolynomial)
+
+
+def defined_names(statement) -> set[str]:
+    """The names a top-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return {statement.name}
+    targets = statement.targets if isinstance(statement, ast.Assign) else (
+        [statement.target] if isinstance(statement, ast.AnnAssign) else [])
+    return {node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)}
+
+
+def package_references() -> set[str]:
+    """Every name a package module other than `__init__` reads, bare or as
+    an attribute, outside the top-level statement that defines it.  An
+    import alone is no reference."""
+    names = set()
+    for stem, tree in module_trees().items():
+        if stem == "__init__":
+            continue
+        for statement in tree.body:
+            own = defined_names(statement)
+            for node in ast.walk(statement):
+                name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+                if isinstance(node, (ast.Name, ast.Attribute)) and name not in own:
+                    names.add(name)
+    return names
+
+
+def test_every_public_name_is_used_by_the_package_or_checks_a_lemma():
+    """A public name only the tests call is a test oracle: it belongs in
+    `tests/oracles.py`, unless it is one of the paper's lemma checks."""
+    public = cage_spectra.__all__
+    assert set(LEMMA_CHECKS) <= set(public)
+    used = package_references()
+    assert [name for name in public if name not in used and name not in LEMMA_CHECKS] == []
+    assert [name for name in LEMMA_CHECKS if name in used] == []
 
 
 @pytest.mark.parametrize("stem", REMOVED_MODULES)
