@@ -112,10 +112,10 @@ def _report_json(report: FeasibilityReport) -> dict:
                 "i": r.i,
                 "eta": r.eta,
                 "theta": r.theta,
-                "phi": r.phi,
-                "alpha": r.alpha,
+                "phi": phi,
+                "alpha": alpha,
             }
-            for r in report.roots
+            for r, (phi, alpha) in zip(report.roots, report.angles)
         ],
         "gap": gap,
     }

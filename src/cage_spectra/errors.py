@@ -45,6 +45,8 @@ class IllConditionedError(CageSpectraError, ArithmeticError):
 
 
 class BracketSeedError(CageSpectraError, RuntimeError):
-    """Internal error: a root-isolation seed interval did not bracket a sign
-    change, or an isolated root violated its case bound.  Indicates the
-    interval case analysis was misapplied; never expected for valid input."""
+    """Internal error: a root-isolation seed did not bracket a sign change,
+    its inward shrink did not exceed the error bound of its fixed-point case
+    interval (so it could not be certified inside that interval), or the
+    final bracket left its seed.  Indicates the interval case analysis was
+    misapplied; never expected for valid input."""

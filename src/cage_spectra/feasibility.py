@@ -19,8 +19,13 @@ This module:
   The seeds are computed in integer fixed point, at 168 bits below the
   scale s^(1-d) of the interval: pi by Machin's formula, cos and sin of the
   three base angles pi/d and pi/(d +- |eta| s^(1-d)) by Taylor series and
-  their multiples by angle addition, 2s by `math.isqrt`; phi and alpha come
-  from the final bracket by Newton's method in the same arithmetic.
+  their multiples by angle addition, 2s by `math.isqrt`.  The case bound is
+  certified exactly, with no angle computed: each seed is shrunk inward
+  from its fixed-point ends by more than their stated error bound, so it
+  lies inside the case interval, and the final bracket lies inside its
+  seed, both by integer comparisons.  phi and the angular defect
+  alpha = i*pi - d*phi are computed only for the JSON report, from the
+  final bracket (`FeasibilityReport.angles`).
   Each bracket is the cell exact bisection would end on: Newton's method in
   integers predicts it, and it is certified by an interval enclosure of
   P' that excludes 0 over the seed bracket (P is monotone there) and two
@@ -122,20 +127,20 @@ def validate_parameters(k: int, d: int, e: int) -> None:
 
 @dataclass(frozen=True)
 class RootRecord:
-    """One isolated root theta_i of H_{d-1}(x) - eps.
+    """One isolated root theta_i of H_{d-1}(x) - eps, with
+    eta = eps * (-1)^(d+i), the sign and size of its case.
 
-    phi in (0, pi) satisfies theta = -2 s cos(phi); alpha = i*pi - d*phi is
-    the angular defect, whose sign and magnitude obey the case bound for
-    eta = eps * (-1)^(d+i).  ``bracket`` is the integer triple (lo, hi, shift):
-    theta lies in [lo, hi] / 2^shift, of width below 2^-60.
+    ``bracket`` is the integer triple (lo, hi, shift): theta lies in
+    [lo, hi] / 2^shift, of width below 2^-60, and the bracket lies inside
+    the image of the root's angular case interval under -2 s cos.  The
+    angles phi and alpha are not kept; `FeasibilityReport.angles` computes
+    them for the reports that print them.
     """
 
     i: int
     epsilon: int
     eta: int
     theta: float
-    phi: float
-    alpha: float
     bracket: tuple[int, int, int]
 
 
@@ -370,7 +375,7 @@ def _drop_guard(x: int) -> int:
 
 
 def _seed_bits(k: int, d: int) -> int:
-    """Working precision of the seeds, phi and alpha: 168 bits below
+    """Working precision of the seeds and of phi: 168 bits below
     s^(1-d) = (k-1)^(-(d-1)/2), the scale of the angular case interval."""
     return 168 + ((k - 1) ** ((d - 1) // 2) - 1).bit_length()
 
@@ -452,10 +457,10 @@ def _acos_near(c: int, phi: int, cos_phi: int, sin_phi: int, bits: int) -> int:
 
 
 class _Angles(NamedTuple):
-    """What the seeds of one (k, d) read, in fixed point at `bits`
-    (`_seed_bits`): pi, 2s, q = s^(d-1), beta = pi/d, and the (cos, sin) of
-    i*beta and of i*pi/(d +- 1/q) for i = 0..(d-1)/2.  The last two are the
-    case interval's far ends for |epsilon| = 1."""
+    """What the seeds and `_root_angles` of one (k, d) read, in fixed point
+    at `bits` (`_seed_bits`): pi, 2s, q = s^(d-1), beta = pi/d, and the
+    (cos, sin) of i*beta and of i*pi/(d +- 1/q) for i = 0..(d-1)/2.  The
+    last two are the case interval's far ends for |epsilon| = 1."""
 
     bits: int
     pi: int
@@ -487,6 +492,50 @@ def _angle_tables(k: int, d: int) -> _Angles:
     )
 
 
+def _case_ends(d: int, epsilon: int, angles: _Angles) -> Iterator[tuple[int, int, int, int]]:
+    """(i, eta, theta_lo, theta_hi) for each seeded root i = 1..(d-1)/2: the
+    ends -2s cos(phi) of its angular case interval, in fixed point at
+    ``angles.bits``, each within `_case_end_error` ulp of the exact end.
+
+    |eta| s^(1-d) is the rational a / q, so the interval's ends are
+    multiples of three base angles pi/d and pi/(d +- a/q); for a = 1 all
+    three tables come from ``angles``, otherwise the two outer ones are
+    built here."""
+    bits, pi, two_s, q, _, centre, inner, outer = angles
+    a = abs(epsilon)
+    if a != 1:
+        inner, outer = _side_tables(pi, d, q, a, bits)
+    for i in range(1, (d - 1) // 2 + 1):
+        eta = epsilon if (d + i) % 2 == 0 else -epsilon
+        cos_lo, cos_hi = (inner[i][0], centre[i][0]) if eta > 0 else (centre[i][0], outer[i][0])
+        yield i, eta, -(two_s * cos_lo) >> bits, -(two_s * cos_hi) >> bits
+
+
+def _case_end_error(two_s: int, i: int, bits: int) -> int:
+    """A bound, in ulp (2^-bits), on how far the fixed-point case-interval
+    ends of root i (`_case_ends`) lie from the exact -2s cos(phi_end):
+    6 i (2s) + 3, rounded up.
+
+    pi is within 1 ulp (`_fixed_pi`), so each base angle pi // d and
+    pi q // (d q +- a) is within 3/2 ulp of its exact value, and i times it
+    within 3i/2.  `_multiples` adds at most 4 ulp per angle-addition step:
+    a step rotates the error it inherits, adds the 1-ulp errors of the
+    step's cos and sin (`_cos_sin`) and truncates.  So the table cosine is
+    within 6i ulp of cos(phi_end); times 2s, with 2s itself at most 2 ulp
+    low (`_fixed_two_s`) and one floor of the product, that is
+    6 i (2s) + 3 ulp.
+    """
+    return (6 * i * two_s >> bits) + 4
+
+
+def _seed_shift(span: int, bits: int) -> int:
+    """The shift of a seed whose case interval is span / 2^bits wide:
+    36 + floor(-log2(span / 2^bits)), at least 64, computed exactly for
+    span >= 1 (ceil(log2 span) is the bit length of span - 1), so it does
+    not underflow where s^(1-d) is below the least binary64."""
+    return max(64, 36 + bits - (span - 1).bit_length())
+
+
 #: Per (k, d), for the life of the process: the roots of the epsilon = 1
 #: family, the one family every e shares, with the angle tables its seeds
 #: read (the epsilon = -1 family reads the same ones).  A -e/2 family serves
@@ -500,8 +549,9 @@ def isolate_roots(k: int, d: int, e: int, epsilon: int) -> list[RootRecord]:
     epsilon must be 1 or -e/2.  Each root i <= (d-1)/2 is seeded from its
     angular case interval and bracketed to dyadic width below 2^-60; root
     d - i is its exact mirror (H_{d-1} - epsilon is even for odd d).  Every
-    root is checked against its alpha case bound; a seed without a sign
-    change is an internal error.
+    bracket is certified, in integers, to lie inside its root's case
+    interval; a seed without a sign change, or one whose containment cannot
+    be certified, is an internal error.
     Records come back ascending in their exact brackets, with i = 1..d-1, in
     a new list on every call.  Only the epsilon = 1 family is cached.
     """
@@ -523,77 +573,88 @@ def isolate_roots(k: int, d: int, e: int, epsilon: int) -> list[RootRecord]:
 def _isolate(k: int, d: int, e: int, epsilon: int, angles: _Angles) -> tuple[RootRecord, ...]:
     """The uncached isolation; ``e`` only names the triple in errors.
 
-    The seeds, phi and alpha are computed in fixed point at `_seed_bits`
-    bits.  |eta| s^(1-d) is the rational a / q, so the case interval's ends
-    are the multiples of three base angles pi/d and pi/(d +- a/q); for
-    a = 1 all three tables come from ``angles``, otherwise the two outer
-    ones are built here.
+    Each seed is its case interval's fixed-point ends (`_case_ends`) shrunk
+    inward by span / 2^30 of the interval and rounded inward to the seed's
+    shift.  Two integer comparisons certify that the final bracket lies in
+    the exact case interval: the shrink exceeds the ends' error bound
+    (`_case_end_error`), so the seed lies inside the interval, and the
+    bracket lies inside the seed at their common shift.
 
-    Only the roots i <= (d-1)/2 (theta < 0) are seeded; root d - i is
-    their mirror, with phi = pi - phi_i in the same fixed point, so its case
-    bound is the same inequality as root i's.  It is still checked."""
+    Only the roots i <= (d-1)/2 (theta < 0) are seeded; root d - i is their
+    mirror.  Its case interval (eta flips sign) contains the mirror of root
+    i's: pi - i pi/(d + a/q) < (d - i) pi/(d - a/q) for 2i < d, and
+    pi - i pi/(d - a/q) > (d - i) pi/(d + a/q) likewise.  So its bracket
+    needs no check of its own."""
     family = _family(k, d, epsilon)
-    bits, pi, two_s, q, beta, centre, inner, outer = angles
-    a = abs(epsilon)
-    if a != 1:
-        inner, outer = _side_tables(pi, d, q, a, bits)
-    roots = {}  # i -> (lo, hi, shift, phi)
-    for i in range(1, (d - 1) // 2 + 1):
-        eta = epsilon if (d + i) % 2 == 0 else -epsilon
-        cos_lo, cos_hi = (inner[i][0], centre[i][0]) if eta > 0 else (centre[i][0], outer[i][0])
-        theta_lo = -(two_s * cos_lo) >> bits
-        theta_hi = -(two_s * cos_hi) >> bits
+    bits, two_s = angles.bits, angles.two_s
+    roots = {}  # i -> (lo, hi, shift)
+    for i, eta, theta_lo, theta_hi in _case_ends(d, epsilon, angles):
         # seed strictly inside the open interval; the root keeps a
         # bounded fraction of the interval width on both sides:
         # lo = ceil((theta_lo + w/2^30) 2^shift), hi = floor((theta_hi - w/2^30) 2^shift)
         span = theta_hi - theta_lo
-        width = span / (1 << bits)
-        shift = max(64, 36 + int(-math.log2(width)) if width > 0 else 64)
-        lo = -((-((theta_lo << 30) + span) << shift) >> (bits + 30))
-        hi = (((theta_hi << 30) - span) << shift) >> (bits + 30)
-        bracket = _bisect(family, lo, hi, shift, TARGET_BRACKET_BITS)
+        if _case_end_error(two_s, i, bits) << 30 >= span:
+            raise BracketSeedError(
+                f"seed for (k={k}, d={d}, e={e}, eps={epsilon}, i={i}) is not certified "
+                "inside its case interval: its shrink does not exceed the ends' error bound"
+            )
+        seed = _seed_shift(span, bits)
+        seed_lo = -((-((theta_lo << 30) + span) << seed) >> (bits + 30))
+        seed_hi = (((theta_hi << 30) - span) << seed) >> (bits + 30)
+        bracket = _bisect(family, seed_lo, seed_hi, seed, TARGET_BRACKET_BITS)
         if bracket is None:
             raise BracketSeedError(
                 f"seed interval for (k={k}, d={d}, e={e}, eps={epsilon}, i={i}) "
                 "does not bracket a sign change"
             )
         lo, hi, shift = bracket
-        # cos(phi) = -theta_mid / (2s) at the bracket's midpoint
-        cos_phi = (-(lo + hi) << 2 * bits) // (two_s << (shift + 1))
-        phi = _acos_near(cos_phi, i * beta, *centre[i], bits)
-        roots[i] = lo, hi, shift, phi
-        roots[d - i] = -hi, -lo, shift, pi - phi
-    records = []
-    for i in range(1, d):
-        eta = epsilon if (d + i) % 2 == 0 else -epsilon
-        lo, hi, shift, phi = roots[i]
-        alpha = i * pi - d * phi
-        bound = a * min(phi, pi - phi) // q
-        if eta > 0 and not (0 < alpha < bound):
+        up = shift - seed
+        if up < 0 or not seed_lo << up <= lo <= hi <= seed_hi << up:
             raise BracketSeedError(
-                f"alpha={alpha / (1 << bits)} outside case bound (0, {bound / (1 << bits)}) "
-                f"for (k={k}, d={d}, e={e}, eps={epsilon}, i={i})"
+                f"bracket for (k={k}, d={d}, e={e}, eps={epsilon}, i={i}) leaves its seed"
             )
-        if eta < 0 and not (-bound < alpha < 0):
-            raise BracketSeedError(
-                f"alpha={alpha / (1 << bits)} outside case bound ({-bound / (1 << bits)}, 0) "
-                f"for (k={k}, d={d}, e={e}, eps={epsilon}, i={i})"
-            )
-        records.append(
-            RootRecord(
-                i=i,
-                epsilon=epsilon,
-                eta=eta,
-                theta=(lo + hi) / (1 << (shift + 1)),
-                phi=phi / (1 << bits),
-                alpha=alpha / (1 << bits),
-                bracket=(lo, hi, shift),
-            )
+        roots[i] = lo, hi, shift
+        roots[d - i] = -hi, -lo, shift
+    records = _ascending(
+        RootRecord(
+            i=i,
+            epsilon=epsilon,
+            eta=epsilon if (d + i) % 2 == 0 else -epsilon,
+            theta=(lo + hi) / (1 << (shift + 1)),
+            bracket=(lo, hi, shift),
         )
-    records = _ascending(records)
+        for i, (lo, hi, shift) in roots.items()
+    )
     if [r.i for r in records] != list(range(1, d)):
         raise BracketSeedError("isolated roots are not ascending in their index order")
     return records
+
+
+def _root_angles(k: int, d: int, record: RootRecord) -> tuple[float, float]:
+    """(phi, alpha) of an isolated root of H_{d-1} - epsilon, for the reports
+    that print them.
+
+    phi in (0, pi) is acos(-theta / (2s)) at the bracket's midpoint, by
+    `_acos_near` at the seeds' fixed point and from the (k, d) angle tables
+    (the cached ones when the epsilon = 1 family is cached); root d - i
+    takes pi - phi_i from its mirror i, in the same fixed point.
+    alpha = i pi - d phi is the angular defect.  Formed as that difference
+    it would cancel to the bracket's error; it is taken instead from the
+    angular-defect equation sin(alpha) = eta s^(1-d) sin(phi), as
+    asin(eta sin(phi) / q) with q = s^(d-1) and sin(phi) in fixed point:
+    |eta| s^(1-d) < 1/2 in the regime, so the principal branch is alpha.
+    """
+    cached = _ROOTS.get((k, d))
+    bits, pi, two_s, q, beta, centre, _, _ = cached[1] if cached else _angle_tables(k, d)
+    lo, hi, shift = record.bracket
+    i, mirrored = record.i, 2 * record.i > d
+    if mirrored:
+        i, lo, hi = d - i, -hi, -lo
+    # cos(phi) = -theta_mid / (2s) at the bracket's midpoint
+    cos_phi = (-(lo + hi) << 2 * bits) // (two_s << (shift + 1))
+    phi = _acos_near(cos_phi, i * beta, *centre[i], bits)
+    sin_phi = math.isqrt((1 << 2 * bits) - cos_phi * cos_phi)
+    return (pi - phi if mirrored else phi) / (1 << bits), math.asin(record.eta * sin_phi / (q << bits))
 
 
 # ---------------------------------------------------------------------------
@@ -868,6 +929,12 @@ class FeasibilityReport:
         )
 
     @cached_property
+    def angles(self) -> tuple[tuple[float, float], ...]:
+        """(phi, alpha) of each root, in the order of ``roots``
+        (`_root_angles`); only the JSON report prints them."""
+        return tuple(_root_angles(self.k, self.d, r) for r in self.roots)
+
+    @cached_property
     def all_integral(self) -> bool:
         return all(a.integral for a in self.assessments)
 
@@ -912,7 +979,7 @@ def spectral_feasibility(k: int, d: int, e: int) -> FeasibilityReport:
     So a CSV row or a ``scan`` text row pays for isolation, the gap and the
     float closed forms of ``max_integrality_deviation`` only; the JSON
     report and the ``feasibility`` text report print every multiplicity and
-    pay for the enclosures.
+    pay for the enclosures, and the JSON report alone for the angles.
     """
     validate_parameters(k, d, e)
     mu = isolate_roots(k, d, e, 1)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from dataclasses import dataclass
 from itertools import zip_longest
 from operator import mul
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import mpmath
 
@@ -202,12 +202,13 @@ def _synthetic_divide(coeffs, root):
     return quotient
 
 
-def transcendental_residual(record: RootRecord, k: int, d: int) -> float:
-    """Left side of the angular-defect equation at the record's alpha:
+def transcendental_residual(record: RootRecord, alpha: float, k: int, d: int) -> float:
+    """Left side of the angular-defect equation at the record's i and eta and
+    at ``alpha``:
 
         sin(alpha) - eta * s^(1-d) * sin((i*pi - alpha)/d)
 
-    Must vanish (below 1e-9) for a genuine record."""
+    Must vanish (below 1e-9) for a genuine record and its alpha."""
     if record.epsilon == 0:
         raise ParameterDomainError(
             "epsilon = 0 (the zero-excess limit) is outside the supported regime"
@@ -215,9 +216,22 @@ def transcendental_residual(record: RootRecord, k: int, d: int) -> float:
     with mpmath.mp.workprec(MP_BITS):
         mp = mpmath.mp
         s_pow = mp.power(k - 1, mp.mpf(-(d - 1)) / 2)
-        alpha = mp.mpf(record.alpha)
+        alpha = mp.mpf(alpha)
         value = mp.sin(alpha) - record.eta * s_pow * mp.sin((record.i * mp.pi - alpha) / d)
         return float(value)
+
+
+def alpha_reference(k: int, d: int, i: int, eta: int) -> float:
+    """The angular defect alpha of root i, solved from the angular-defect
+    equation sin(alpha) = eta s^(1-d) sin((i*pi - alpha)/d) by `findroot` in
+    `MP_BITS` of mpmath, from the start asin(eta s^(1-d) sin(i*pi/d)): the
+    true root's alpha to working precision, with no bracket and no
+    cancellation in i*pi - d*phi."""
+    with mpmath.mp.workprec(MP_BITS):
+        mp = mpmath.mp
+        c = eta * mp.power(k - 1, mp.mpf(-(d - 1)) / 2)
+        start = mp.asin(c * mp.sin(i * mp.pi / d))
+        return float(mp.findroot(lambda a: mp.sin(a) - c * mp.sin((i * mp.pi - a) / d), start))
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +289,26 @@ def bisect_reference(coeffs, lo, hi, shift, bits):
     return halving_loop(coeffs, lo, hi, shift, sign_lo, bits)
 
 
-def isolate_mp(k: int, d: int, e: int, epsilon: int) -> tuple[RootRecord, ...]:
+class MpRoot(NamedTuple):
+    """One root of `isolate_mp`: its record, and phi and alpha = i*pi - d*phi
+    at the bracket's midpoint."""
+
+    record: RootRecord
+    phi: float
+    alpha: float
+
+
+def isolate_mp(k: int, d: int, e: int, epsilon: int) -> tuple[MpRoot, ...]:
     """Root isolation with the seeds, phi and alpha in `MP_BITS` of mpmath.
 
     The route the package took before its seeds moved to integer fixed
     point: the case interval's ends, -2s cos(phi) at each, the slop, the
-    seed's ceiling and floor, acos and alpha, all as mpmath floats.  The
-    exact parts are `horner_sign` at full degree and `halving_loop`, every
-    root isolated on its own, so the package must return the same records
-    for the roots it seeds and raise on the same keys."""
+    seed's ceiling and floor, acos and alpha, all as mpmath floats, and the
+    case bound checked on alpha at the bracket's midpoint.  The exact parts
+    are `horner_sign` at full degree and `halving_loop`, every root
+    isolated on its own, so the package must return the same records and
+    phi for the roots it seeds and raise on the same keys, bar the roots
+    i > d/2 whose case bound the midpoint's alpha cannot decide."""
     coeffs = family_coefficients(k, d, epsilon)
     records = []
     with mpmath.mp.workprec(MP_BITS):
@@ -331,19 +356,12 @@ def isolate_mp(k: int, d: int, e: int, epsilon: int) -> tuple[RootRecord, ...]:
                     f"alpha={float(alpha)} outside case bound ({-float(bound)}, 0) "
                     f"for (k={k}, d={d}, e={e}, eps={epsilon}, i={i})"
                 )
-            records.append(
-                RootRecord(
-                    i=i,
-                    epsilon=epsilon,
-                    eta=eta,
-                    theta=float(theta_mid),
-                    phi=float(phi),
-                    alpha=float(alpha),
-                    bracket=(lo, hi, shift),
-                )
+            record = RootRecord(
+                i=i, epsilon=epsilon, eta=eta, theta=float(theta_mid), bracket=(lo, hi, shift)
             )
-    records.sort(key=lambda r: bracket_interval(r.bracket).lo)
-    if [r.i for r in records] != list(range(1, d)):
+            records.append(MpRoot(record, float(phi), float(alpha)))
+    records.sort(key=lambda r: bracket_interval(r.record.bracket).lo)
+    if [r.record.i for r in records] != list(range(1, d)):
         raise BracketSeedError("isolated roots are not ascending in their index order")
     return tuple(records)
 
@@ -434,7 +452,8 @@ def multiplicity_trig(k: int, d: int, e: int, record: RootRecord) -> float:
         eps = -e/2, i odd:  n   / (2 s^2 (e/2+1)) * f(cos phi) * g2(cos phi)
         eps = -e/2, i even: n   / (2 s^2 (e/2+1)) * f(cos phi) * g3(cos phi)
 
-    Must agree with `multiplicity_closed_form` to 1e-6 relative."""
+    with cos phi = -theta / (2s).  Must agree with `multiplicity_closed_form`
+    to 1e-6 relative."""
     validate_parameters(k, d, e)
     expected_eta = record.epsilon if (d + record.i) % 2 == 0 else -record.epsilon
     if record.eta != expected_eta:
@@ -443,7 +462,7 @@ def multiplicity_trig(k: int, d: int, e: int, record: RootRecord) -> float:
         )
     n = moore_bound(k, 2 * d) + e
     s2 = k - 1
-    z = math.cos(record.phi)
+    z = -record.theta / (2 * math.sqrt(s2))
     if record.epsilon == 1:
         return n * e / (4 * s2 * (e // 2 + 1)) * f_weight(k, z) * g_weight(
             "g1", k, d, e, record.eta * z
@@ -462,7 +481,9 @@ def mp_multiplicities(k: int, d: int, e: int, epsilon: int) -> list[float]:
     """The float closed-form multiplicity at each root `isolate_mp` isolates
     on its own, i = 1..d-1: the package builds root d - i as the mirror of
     root i, so only these show the symmetry m(theta_i) = m(theta_{d-i})."""
-    return [multiplicity_closed_form(k, d, e, epsilon, r.theta) for r in isolate_mp(k, d, e, epsilon)]
+    return [
+        multiplicity_closed_form(k, d, e, epsilon, r.record.theta) for r in isolate_mp(k, d, e, epsilon)
+    ]
 
 
 def minimality_margins(k: int, d: int, e: int) -> tuple[float | None, float | None]:

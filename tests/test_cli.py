@@ -160,6 +160,26 @@ def test_csv_scan_does_no_enclosure_work(monkeypatch, capsys):
     assert counts == {"_assess_multiplicity": 6}
 
 
+def test_only_the_json_report_computes_the_angles(monkeypatch, capsys):
+    """phi and alpha are printed by the JSON alone: CSV and text scans call
+    `_acos_near` zero times, and a JSON scan once per root."""
+    calls = []
+    acos_near = feasibility._acos_near
+
+    def counted(*args):
+        calls.append(args)
+        return acos_near(*args)
+
+    monkeypatch.setattr(feasibility, "_acos_near", counted)
+    argv = ("scan", "--k", "5..6", "--d", "7", "--e", "2", "--format")
+    for fmt in ("csv", "text"):
+        code, out, _ = run(capsys, *argv, fmt)
+        assert code == 0 and out.count("excluded-by-gap") == 2
+        assert calls == []
+    code, _, _ = run(capsys, *argv, "json")
+    assert code == 0 and len(calls) == 2 * 2 * 6  # two triples, two families, d - 1 roots
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
 def test_scan_error_mid_grid_keeps_the_items_before_it(monkeypatch, capsys, fmt):
     """An error after the first triple ends the scan with exit 1 and the error

@@ -73,8 +73,9 @@ def test_isolate_roots_case_interval():
     # (pi/(3 + 1/3), pi/3); the root is theta = -2 = -2*sqrt(3)*cos(phi)
     record = isolate_roots(4, 3, 2, 1)[0]
     assert record.i == 1 and record.eta == 1
-    assert math.pi / (3 + 1 / 3) < record.phi < math.pi / 3
-    assert record.phi == pytest.approx(math.acos(1 / math.sqrt(3)), abs=1e-12)
+    phi, _ = feasibility._root_angles(4, 3, record)
+    assert math.pi / (3 + 1 / 3) < phi < math.pi / 3
+    assert phi == pytest.approx(math.acos(1 / math.sqrt(3)), abs=1e-12)
 
 
 @pytest.mark.parametrize("k,d,e", ACCEPTANCE_TRIPLES)
@@ -90,6 +91,7 @@ def test_isolate_roots_structure(k, d, e):
         thetas = [r.theta for r in records]
         assert thetas == sorted(thetas)
         for r in records:
+            phi, alpha = feasibility._root_angles(k, d, r)
             assert abs(h(r.theta) - eps) < 1e-6
             assert bracket_interval(r.bracket).width < Fraction(1, 2**60)
             assert r.eta == eps * (-1) ** (d + r.i)
@@ -99,12 +101,12 @@ def test_isolate_roots_structure(k, d, e):
                 phi_lo, phi_hi = r.i * math.pi / (d + a * s_pow), r.i * math.pi / d
             else:
                 phi_lo, phi_hi = r.i * math.pi / d, r.i * math.pi / (d - a * s_pow)
-            assert phi_lo < r.phi < phi_hi
-            assert r.theta == pytest.approx(-2 * s * math.cos(r.phi), rel=1e-12)
+            assert phi_lo < phi < phi_hi
+            assert r.theta == pytest.approx(-2 * s * math.cos(phi), rel=1e-12)
             # alpha sign matches the eta case
-            assert (r.alpha > 0) == (r.eta > 0)
-            bound = a * s_pow * min(r.phi, math.pi - r.phi)
-            assert abs(r.alpha) < bound
+            assert (alpha > 0) == (r.eta > 0)
+            bound = a * s_pow * min(phi, math.pi - phi)
+            assert abs(alpha) < bound
 
 
 def test_isolate_roots_bracket_sign_certified():
@@ -141,6 +143,43 @@ def test_isolate_roots_errors_name_the_callers_e(monkeypatch):
             isolate_roots(16, 7, e, 1)
         assert f"(k=16, d=7, e={e}, eps=1, i=1)" in str(info.value)
     assert feasibility._ROOTS == {}  # a failed isolation is not cached
+
+
+def test_a_bracket_outside_its_seed_raises(monkeypatch):
+    """The exact containment catches a sign change of the wrong root: P is
+    even, so the mirror of a root's bracket holds a sign change too, but it
+    lies outside the seed."""
+    monkeypatch.setattr(feasibility, "_ROOTS", {})
+    bisect = feasibility._bisect
+
+    def mirrored(family, lo, hi, shift, bits):
+        lo, hi, shift = bisect(family, lo, hi, shift, bits)
+        return -hi, -lo, shift
+
+    monkeypatch.setattr(feasibility, "_bisect", mirrored)
+    with pytest.raises(BracketSeedError, match=r"\(k=16, d=7, e=2, eps=1, i=1\) leaves its seed"):
+        isolate_roots(16, 7, 2, 1)
+
+
+def test_a_seed_not_certified_inside_its_case_interval_raises(monkeypatch):
+    """At 40 bits the case interval of (16, 7) is about 2^26 ulp wide, so
+    its 2^-30 shrink is below the ends' error bound: the seed could leave
+    the interval, and isolation refuses it before any sign is taken."""
+    monkeypatch.setattr(feasibility, "_ROOTS", {})
+    monkeypatch.setattr(feasibility, "_seed_bits", lambda k, d: 40)
+    monkeypatch.setattr(feasibility, "_bisect", None)  # never reached
+    with pytest.raises(BracketSeedError, match=r"\(k=16, d=7, e=2, eps=1, i=1\) is not certified"):
+        isolate_roots(16, 7, 2, 1)
+
+
+def test_a_case_interval_below_the_binary64_range_ends_in_a_verdict():
+    """s^(1-d) = 2^-1200 at (2^40 + 1, 61): the case interval's width
+    underflows binary64, and a seed shift taken from the float width
+    collapsed the seed into an internal BracketSeedError."""
+    report = spectral_feasibility(2**40 + 1, 61, 2)
+    assert report.final_verdict == VERDICT_GAP
+    assert len(report.roots) == 2 * 60
+    assert min(r.bracket[2] for r in report.roots) > 1200
 
 
 def test_a_scan_over_e_keeps_one_cached_family(monkeypatch):
@@ -213,30 +252,23 @@ def test_isolate_roots_domain():
 
 
 def test_transcendental_residual():
-    for r in isolate_roots(4, 3, 2, 1):
-        assert abs(transcendental_residual(r, 4, 3)) < 1e-9
-    for r in isolate_roots(7, 7, 2, -1):
-        assert abs(transcendental_residual(r, 7, 7)) < 1e-9
+    for k, d, eps in ((4, 3, 1), (7, 7, -1)):
+        for r in isolate_roots(k, d, 2, eps):
+            _, alpha = feasibility._root_angles(k, d, r)
+            assert abs(transcendental_residual(r, alpha, k, d)) < 1e-9
 
 
 def test_transcendental_residual_negative_control():
     real = isolate_roots(4, 3, 2, 1)[0]
-    fake = RootRecord(
-        i=real.i, epsilon=real.epsilon, eta=real.eta, theta=real.theta,
-        phi=real.phi, alpha=0.0, bracket=real.bracket,
-    )
     # with alpha forced to zero the residual is -eta * s^(1-d) * sin(i*pi/d) != 0
-    assert abs(transcendental_residual(fake, 4, 3)) > 1e-3
+    assert abs(transcendental_residual(real, 0.0, 4, 3)) > 1e-3
 
 
 def test_transcendental_residual_rejects_zero_epsilon():
     real = isolate_roots(4, 3, 2, 1)[0]
-    fake = RootRecord(
-        i=1, epsilon=0, eta=0, theta=real.theta, phi=real.phi,
-        alpha=real.alpha, bracket=real.bracket,
-    )
+    fake = RootRecord(i=1, epsilon=0, eta=0, theta=real.theta, bracket=real.bracket)
     with pytest.raises(ParameterDomainError):
-        transcendental_residual(fake, 4, 3)
+        transcendental_residual(fake, feasibility._root_angles(4, 3, real)[1], 4, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +347,7 @@ def test_multiplicity_trig_worked_instance():
     # eps = 1, i = 2, theta = 2: (56/24) * f(-1/sqrt(3)) * g1(1/sqrt(3)) = 7
     record = isolate_roots(4, 3, 2, 1)[1]
     assert record.i == 2 and record.eta == -1
-    assert f_weight(4, math.cos(record.phi)) == pytest.approx(2 / 3, rel=1e-12)
+    assert f_weight(4, -record.theta / (2 * math.sqrt(3))) == pytest.approx(2 / 3, rel=1e-12)
     assert multiplicity_trig(4, 3, 2, record) == pytest.approx(7.0, rel=1e-12)
     # eps = -1, i = 1, theta = -sqrt(2) goes through the g2 branch
     record = isolate_roots(4, 3, 2, -1)[0]
@@ -462,7 +494,8 @@ def test_roots_ascend_in_their_exact_brackets(k, d, e):
 #: The 134 triples (k, d, 2) with 4 <= k <= 40 and odd 3 <= d <= 31 whose
 #: independently isolated root d - i failed its alpha case bound (the 2^-60
 #: bracket could not decide it) and raised BracketSeedError, as k per d.
-#: Root d - i is now the exact mirror of root i, which passes the same bound.
+#: Root d - i is now the exact mirror of root i, and its case interval
+#: contains the mirror of root i's.
 FORMER_SEED_FAILURES = {
     21: [27, 28, 29, 30, 36, 37, 38, 39, 40],
     23: [23, *range(25, 41)],
@@ -490,7 +523,7 @@ def test_former_bracket_seed_failures_end_in_a_verdict():
 )
 def test_refinement_past_444_bits_ends_in_a_verdict(k, d, e):
     """Their isolation used to fail its case bound on a root i > d/2.  With
-    the mirror it passes, and their enclosures then need 476-508 bracket
+    the mirror it holds, and their enclosures then need 476-508 bracket
     bits (n has 396-442 bits), past the fixed 444-bit cap refinement had.
     The gap decides the verdict alone; reading all_integral still refines
     every enclosure, and integrality excludes them as well."""

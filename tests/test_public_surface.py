@@ -128,11 +128,13 @@ REMOVED_MODULES = ("intervals", "precision")
 #: verdict rests on the gap and exact integrality alone, so a report carries
 #: no float positivity, sum or moment check; a gap verdict exists only where
 #: the argument applies, and the report alone holds the integrality
-#: deviation.
+#: deviation; a root record keeps its exact bracket, and the angles are
+#: computed for the report that prints them.
 REMOVED_ATTRIBUTES = {
     ("feasibility", "FeasibilityReport"): ("all_positive", "moment_check", "sum_ok", "sum_value"),
     ("feasibility", "GapVerdict"): ("applicable", "reason"),
     ("feasibility", "MultiplicityAssessment"): ("deviation", "nearest"),
+    ("feasibility", "RootRecord"): ("alpha", "phi"),
     ("graphs", "Graph"): ("adjacency_matrix", "_from_pairs"),
     ("graphs", "GraphAnalysis"): ("distances", "graph", "verdict"),
     ("intersection", "IntersectionMatrix"): ("rows",),

@@ -3,15 +3,21 @@
 `oracles.isolate_mp` is the isolation with 128-bit mpmath seeds, every root
 isolated on its own.  The package isolates only the roots i < d/2 and
 mirrors the rest (H_{d-1} - eps is even for odd d).  So its records for
-i < d/2 must equal the oracle's bit for bit (bracket, theta, phi, alpha),
-and each record for i > d/2 must be the exact mirror of record d - i, with a
-bracket that meets the oracle's independently isolated one.  The kernels it
-is built from are checked against mpmath at 32 bits above their own
-precision, each within a stated bound in units of the last place (ulp,
-2^-bits).
+i < d/2 must equal the oracle's bit for bit (bracket, theta, phi), and each
+record for i > d/2 must be the exact mirror of record d - i, with a bracket
+that meets the oracle's independently isolated one.  alpha, taken from the
+angular-defect equation, must match the true root's (`alpha_reference`) to
+a relative 1e-12.  The kernels it is built from are checked against mpmath
+at 32 bits above their own precision, each within a stated bound in units
+of the last place (ulp, 2^-bits), and so are the case-interval ends the
+seeds are shrunk from, whose shrink must exceed that bound.
 """
 
+import math
 import re
+from itertools import count
+
+import pytest
 
 import mpmath
 from hypothesis import given, settings
@@ -21,13 +27,18 @@ from cage_spectra import BracketSeedError
 from cage_spectra import feasibility
 from cage_spectra.feasibility import (
     _acos_near,
+    _angle_tables,
+    _case_end_error,
+    _case_ends,
     _cos_sin,
     _fixed_pi,
     _fixed_two_s,
     _multiples,
+    _root_angles,
     _seed_bits,
+    _seed_shift,
 )
-from oracles import isolate_mp
+from oracles import alpha_reference, isolate_mp
 
 
 def isolation_keys(triples):
@@ -74,19 +85,22 @@ def check_against_oracle(key):
     if got[0] is BracketSeedError:
         assert want[0] is BracketSeedError, key
         return None
+    angles = {r.i: _root_angles(k, d, r) for r in got}
     for r in got:
         mirror = got[d - r.i - 1]
-        assert (r.theta, r.alpha, r.eta) == (-mirror.theta, -mirror.alpha, -mirror.eta), (key, r.i)
+        assert (r.theta, r.eta) == (-mirror.theta, -mirror.eta), (key, r.i)
         assert r.bracket == (-mirror.bracket[1], -mirror.bracket[0], mirror.bracket[2]), (key, r.i)
+        assert angles[r.i][1] == -angles[mirror.i][1], (key, r.i)
+        assert math.isclose(angles[r.i][1], alpha_reference(k, d, r.i, r.eta), rel_tol=1e-12), (key, r.i)
     if want[0] is BracketSeedError:
         index = re.search(r"i=(\d+)\)$", want[1])
         assert index and int(index.group(1)) > d / 2, (key, want)
         return want[1]
     for r, oracle in zip(got, want):
         if r.i < d / 2:
-            assert r == oracle, (key, r.i)
+            assert (r, angles[r.i][0]) == (oracle.record, oracle.phi), (key, r.i)
         else:
-            assert meet(r.bracket, oracle.bracket), (key, r.i)
+            assert meet(r.bracket, oracle.record.bracket), (key, r.i)
     return None
 
 
@@ -94,7 +108,8 @@ def test_fixed_point_isolation_equals_mpmath_on_the_workload_keys():
     """Exhaustive: the package isolates every key.  The oracle still fails
     on the d = 27, k >= 16 keys behind the benchmark's four former failures,
     each on a root i > d/2 whose alpha case bound its 2^-60 bracket cannot
-    decide; the package's mirrored record there is exact."""
+    decide; the package's mirrored record there is exact, and lies in its
+    case interval because root d - i's does."""
     assert len(WORKLOAD_KEYS) == 186 + 33
     oracle_failures = [key for key in WORKLOAD_KEYS if check_against_oracle(key)]
     assert oracle_failures == [
@@ -114,6 +129,68 @@ def isolations(draw):
 @given(isolations())
 def test_fixed_point_isolation_equals_mpmath_on_a_sample(key):
     check_against_oracle(key)
+
+
+# ---------------------------------------------------------------------------
+# the case-interval ends the seeds are shrunk from
+
+def check_case_ends(k, d, epsilon):
+    """Every fixed-point case-interval end of (k, d, epsilon) lies within
+    `_case_end_error` ulp of -2s cos(phi_end) in mpmath, and the seed's
+    span / 2^30 shrink exceeds that bound, so the seed lies inside the
+    exact interval."""
+    angles = _angle_tables(k, d)
+    bits, two_s = angles.bits, angles.two_s
+    a = abs(epsilon)
+    with reference(bits):
+        mp = mpmath.mp
+        s_pow = mp.power(k - 1, mp.mpf(-(d - 1)) / 2)
+        for i, eta, theta_lo, theta_hi in _case_ends(d, epsilon, angles):
+            if eta > 0:
+                phi_lo, phi_hi = i * mp.pi / (d + a * s_pow), i * mp.pi / d
+            else:
+                phi_lo, phi_hi = i * mp.pi / d, i * mp.pi / (d - a * s_pow)
+            bound = _case_end_error(two_s, i, bits)
+            assert ulps(theta_lo, -2 * mp.sqrt(k - 1) * mp.cos(phi_lo), bits) < bound, (k, d, epsilon, i)
+            assert ulps(theta_hi, -2 * mp.sqrt(k - 1) * mp.cos(phi_hi), bits) < bound, (k, d, epsilon, i)
+            assert bound << 30 < theta_hi - theta_lo, (k, d, epsilon, i)
+
+
+def test_case_ends_within_their_bound_on_the_workload_keys():
+    for k, d, _, epsilon in WORKLOAD_KEYS:
+        check_case_ends(k, d, epsilon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 200), st.sampled_from(range(3, 62, 2)), st.data())
+def test_case_ends_within_their_bound_on_a_sample(k, d, data):
+    e = 2 * data.draw(st.integers(1, (k - 2) // 2))
+    check_case_ends(k, d, data.draw(st.sampled_from((1, -e // 2))))
+
+
+def ceil_log2(span):
+    """The least t with 2^t >= span, by counting."""
+    return next(t for t in count() if 1 << t >= span)
+
+
+@pytest.mark.parametrize("bits", [168, 400, 1400])
+@pytest.mark.parametrize("m", [0, 1, 2, 30, 40, 52, 53, 54, 200, 1300])
+def test_seed_shift_is_exact_around_powers_of_two(m, bits):
+    """36 + floor(-log2(span / 2^bits)), at least 64: exactly
+    36 + bits - ceil(log2 span).  Where binary64 holds span / 2^bits and its
+    log2 exactly enough, the float formula the shift once came from agrees."""
+    for span in sorted({max(1, 2**m - 1), 2**m, 2**m + 1}):
+        shift = _seed_shift(span, bits)
+        assert shift == max(64, 36 + bits - ceil_log2(span)), span
+        if m <= 40 and bits - m < 1000:
+            assert shift == max(64, 36 + int(-math.log2(span / (1 << bits)))), span
+
+
+def test_seed_shift_does_not_underflow():
+    """span / 2^bits below the least binary64 (2^-1074): the float width
+    was 0.0 and gave the least shift, 64, collapsing the seed."""
+    assert (1 << 170) / (1 << 1400) == 0.0
+    assert _seed_shift(1 << 170, 1400) == 36 + 1400 - 170
 
 
 # ---------------------------------------------------------------------------
