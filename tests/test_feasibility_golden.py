@@ -4,9 +4,10 @@ pins `phi`, `alpha`, `theta` and the full spectrum of every triple, from the
 cubic worked instance through the product-gap regime and past the 2^51
 multiplicity range.
 
-ROADMAP item 5 changes `alpha` on purpose (an exact enclosure in place of
-the midpoint's float); that change regenerates this file.  Regenerate it
-only in a change meant to alter `feasibility` output:
+`alpha` is printed from the angular-defect equation
+sin(alpha) = eta s^(1-d) sin(phi), not as i*pi - d*phi at the bracket's
+midpoint, which cancelled.  Regenerate this file only in a change meant to
+alter `feasibility` output:
 
     PYTHONPATH=src python tests/test_feasibility_golden.py
 """
