@@ -61,6 +61,11 @@ def format_float(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _float_or(x: float | None, absent: str) -> str:
+    """``format_float(x)``, or ``absent`` where x has no float value."""
+    return absent if x is None else format_float(x)
+
+
 def dumps_canonical(obj) -> str:
     """Deterministic JSON: sorted keys, 12-significant-digit floats, compact
     separators.  Parsing the output and re-serializing it is byte-identical."""
@@ -83,6 +88,7 @@ def dumps_canonical(obj) -> str:
 
 
 def _report_json(report: FeasibilityReport) -> dict:
+    spectrum = report.spectrum()
     gap = None
     if report.gap is not None:
         g = report.gap
@@ -102,8 +108,8 @@ def _report_json(report: FeasibilityReport) -> dict:
         "e": report.e,
         "n": report.n,
         "verdict": report.final_verdict,
-        "thetas": [theta for theta, _ in report.spectrum()],
-        "multiplicities": [m for _, m in report.spectrum()],
+        "thetas": [theta for theta, _ in spectrum],
+        "multiplicities": [m for _, m in spectrum],
         "all_integral": report.all_integral,
         "max_integrality_deviation": report.max_integrality_deviation,
         "roots": [
@@ -136,7 +142,7 @@ def _row(item) -> dict:
     return {
         "k": item.k, "d": item.d, "e": item.e, "n": item.n,
         "verdict": item.final_verdict, "gap_lo": gap_lo, "gap_hi": gap_hi,
-        "max_integrality_deviation": format_float(item.max_integrality_deviation),
+        "max_integrality_deviation": _float_or(item.max_integrality_deviation, ""),
     }
 
 
@@ -151,11 +157,11 @@ def _report_text(report: FeasibilityReport) -> str:
         "spectrum (theta : multiplicity):",
     ]
     for theta, m in report.spectrum():
-        shown = str(m) if isinstance(m, int) else format_float(m)
+        shown = str(m) if isinstance(m, int) else _float_or(m, "n/a")
         lines.append(f"  {format_float(theta):>18} : {shown}")
     lines.append(
         f"integrality: {'all integral' if report.all_integral else 'NON-INTEGRAL multiplicities'}"
-        f" (max deviation {format_float(report.max_integrality_deviation)})"
+        f" (max deviation {_float_or(report.max_integrality_deviation, 'n/a')})"
     )
     if report.gap is not None:
         g = report.gap
@@ -348,13 +354,13 @@ def _cmd_scan(args, out) -> int:
             out.write(dumps_canonical(rows) + "\n")
     else:
         for item in items:
-            row = _row(item)
             if isinstance(item, SkippedTriple):
                 out.write(
                     f"(k={item.k}, d={item.d}, e={item.e}) {item.final_verdict}: {item.reason}\n"
                 )
             else:
-                gap = f" gap=({row['gap_lo']}, {row['gap_hi']})" if row["gap_lo"] else ""
+                g = item.gap
+                gap = f" gap=({format_float(g.lo)}, {format_float(g.hi)})" if g is not None else ""
                 out.write(
                     f"(k={item.k}, d={item.d}, e={item.e}) n={item.n} {item.final_verdict}{gap}\n"
                 )

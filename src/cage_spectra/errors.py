@@ -47,6 +47,7 @@ class IllConditionedError(CageSpectraError, ArithmeticError):
 class BracketSeedError(CageSpectraError, RuntimeError):
     """Internal error: a root-isolation seed did not bracket a sign change,
     its inward shrink did not exceed the error bound of its fixed-point case
-    interval (so it could not be certified inside that interval), or the
-    final bracket left its seed.  Indicates the interval case analysis was
-    misapplied; never expected for valid input."""
+    interval (so it could not be certified inside that interval), the
+    seeds overlap or reach 0 (so the roots cannot be counted one per
+    bracket), or the final bracket left its seed.  Indicates the interval
+    case analysis was misapplied; never expected for valid input."""

@@ -27,14 +27,16 @@ This module:
   alpha = i*pi - d*phi are computed only for the JSON report, from the
   final bracket (`FeasibilityReport.angles`).
   Each bracket is the cell exact bisection would end on: Newton's method in
-  integers predicts it, and it is certified by an interval enclosure of
-  P' that excludes 0 over the seed bracket (P is monotone there) and two
-  exact signs, nonzero and opposite, at the cell's ends.  These imply the
-  seed's own end signs, which are evaluated only when the halving loop
-  runs as the fallback.  P = H_{d-1} - eps is even, P(x) = Q(x^2), so every
-  exact sign and Newton step evaluates Q at x^2 (the same integers as P at
-  x, in half the Horner steps), and monotonicity encloses Q' over the
-  squared bracket (P' = 2x Q'(x^2), and the seed brackets exclude 0).
+  integers predicts it, and it is taken when two exact signs at its ends
+  are nonzero and opposite; the seed's own end signs are evaluated only
+  when the halving loop runs as the fallback.  One root count per family
+  certifies the whole isolation: the seeds ascend disjointly and end below
+  0, so with their mirrors they are d - 1 disjoint intervals, each holding
+  a sign change of P = H_{d-1} - eps, of degree d - 1.  So each seed holds
+  exactly one root, a simple one, and the Newton cell is the one halving
+  would reach; no bracket is checked for monotonicity.  P is even,
+  P(x) = Q(x^2), so every exact sign and Newton step evaluates Q at x^2
+  (the same integers as P at x, in half the Horner steps).
   The roots of the eps = 1 family, the one every e shares, are cached per
   (k, d) for the life of the process with the angle tables their seeds
   read, which the eps = -1 family reuses; a -e/2 family is isolated anew
@@ -61,9 +63,9 @@ rests on two exact facts alone: the gap first, then integrality.  A triple
 is admissible exactly when every enclosure holds one integer and that
 integer is at least 1.  `spectral_feasibility` isolates the roots and runs
 the gap check; the enclosures and their refinement are computed only when
-the report is asked for them, once.  So a gap-excluded CSV row (and a
-`scan` text row) costs isolation, the gap and one float closed form per
-mirrored pair, while the JSON report and the `feasibility` text report
+the report is asked for them, once.  So a gap-excluded `scan` text row
+costs isolation and the gap, a CSV row one float closed form per mirrored
+pair besides, while the JSON report and the `feasibility` text report
 print every multiplicity and pay for the enclosures.  The moment identity
 the multiplicities must satisfy (their sum n - 2 among it) holds exactly
 in Q[x]/(H_{d-1} - eps); the test suite proves it there, with no roots, so
@@ -144,15 +146,6 @@ class RootRecord:
     bracket: tuple[int, int, int]
 
 
-def _ascending(records: Iterable[RootRecord]) -> tuple[RootRecord, ...]:
-    """The records in the exact order of their brackets: by low end, the ends
-    taken at one common shift.  The float thetas of two families can tie
-    where their brackets do not."""
-    records = list(records)
-    top = max(r.bracket[2] for r in records)
-    return tuple(sorted(records, key=lambda r: r.bracket[0] << (top - r.bracket[2])))
-
-
 class _Polys(NamedTuple):
     """The polynomials the scan needs for one (k, d)."""
 
@@ -167,24 +160,12 @@ def _polys(k: int, d: int) -> _Polys:
     return _Polys(h, dickson_family("H", k, d - 2), derivative(h))
 
 
-class _Family(NamedTuple):
-    """An even integer polynomial P held as Q(x^2): for odd d, the family
-    polynomial H_{d-1} - epsilon."""
-
-    q: tuple[int, ...]      # Q, constant term first
-    slope: tuple[int, ...]  # Q'
-
-    @classmethod
-    def of(cls, q: Iterable[int]) -> "_Family":
-        q = tuple(q)
-        return cls(q, tuple(j * c for j, c in enumerate(q))[1:])
-
-
-def _family(k: int, d: int, epsilon: int) -> _Family:
-    """H_{d-1} - epsilon as Q(x^2): Q's coefficients are H_{d-1}'s even ones."""
+def _family(k: int, d: int, epsilon: int) -> tuple[int, ...]:
+    """H_{d-1} - epsilon as Q(x^2): Q's coefficients (constant term first)
+    are H_{d-1}'s even ones."""
     q = list(_polys(k, d).h.coefficients[::2])
     q[0] -= epsilon
-    return _Family.of(q)
+    return tuple(q)
 
 
 def _sign_dyadic(coeffs: tuple[int, ...], num: int, shift: int) -> int:
@@ -297,41 +278,31 @@ def _predict_cell(q, lo, hi, shift, halvings):
     return ((x >> _NEWTON_GUARD) - (lo << halvings)) // (hi - lo)
 
 
-def _monotone(family: _Family, lo, hi, shift) -> bool:
-    """True when P(x) = Q(x^2) is certified strictly monotone on the dyadic
-    bracket [lo, hi] / 2^shift: the bracket excludes 0 and the
-    interval-Horner enclosure of Q' over the squared bracket excludes 0, so
-    P' = 2x Q'(x^2) has one sign there.  P' vanishes at 0, so a bracket
-    holding 0 is never monotone."""
-    if not family.slope or lo <= 0 <= hi:
-        return False
-    sq_lo, sq_hi = _dyadic_square(lo, hi)
-    slope_lo, slope_hi = _dyadic_enclosure(family.slope, sq_lo, sq_hi, 2 * shift)
-    return slope_lo > 0 or slope_hi < 0
-
-
-def _bisect(family: _Family, lo, hi, shift, bits):
+def _bisect(q: tuple[int, ...], lo, hi, shift, bits):
     """The bracket the halving loop ends on when it shrinks the dyadic
-    bracket (lo, hi)/2^shift of P(x) = Q(x^2) below width 2^-bits: a cell
-    whose ends P gives opposite signs, or a point where P vanishes.  None
-    when P has one nonzero sign at both ends of (lo, hi); an end where P
-    vanishes is returned as the point bracket.
+    bracket (lo, hi)/2^shift of P(x) = Q(x^2) below width 2^-bits, whenever
+    (lo, hi) holds exactly one root of P: the cell whose ends P gives
+    opposite signs, or a point where P vanishes.  On any other bracket the
+    result is still a root's bracket, not necessarily the halving loop's: a
+    grid cell whose ends P gives nonzero opposite signs, a point where P
+    vanishes, or None when P has one nonzero sign at both ends of (lo, hi).
+    An end where P vanishes is returned as the point bracket.
 
     Halving keeps the numerator width w = hi - lo and runs a number of steps
     L fixed by the width alone, so unless it collapses onto an exact root it
     ends on a cell [lo 2^L + j w, lo 2^L + (j+1) w] / 2^(shift+L) of a uniform
-    grid.  The Newton-predicted cell j is taken when certified: P is
-    strictly monotone on the whole bracket (`_monotone`) and exact signs at
-    the cell's ends are nonzero and opposite.  Then P(lo) has the sign of
-    the cell's low end and P(hi) that of its high end, every grid point left
-    of the root the one and every one right of it the other, so halving
-    could only reach this cell.  The bracket's own end signs follow and are
-    evaluated only when the halving loop runs, on anything else.
+    grid.  The Newton-predicted cell j is taken when exact signs at its ends
+    are nonzero and opposite.  If (lo, hi) holds one root, it lies inside
+    that cell, so every grid point left of it has the sign of the cell's low
+    end and every one right of it that of its high end: halving could only
+    reach this cell.  The bracket's own end signs are evaluated only when
+    the halving loop runs, on anything else.  Both callers pass one-root
+    brackets: `_isolate` certifies its seeds so by counting roots after the
+    fact, and the refinement loop passes the cells `_isolate` returned.
     """
-    q = family.q
     width = hi - lo
     halvings = max(0, width.bit_length() + bits - shift) if width > 0 else 0
-    if halvings and _monotone(family, lo, hi, shift):
+    if halvings:
         cell = _predict_cell(q, lo, hi, shift, halvings)
         if cell is not None and 0 <= cell < 1 << halvings:
             low, scale = (lo << halvings) + cell * width, shift + halvings
@@ -550,10 +521,13 @@ def isolate_roots(k: int, d: int, e: int, epsilon: int) -> list[RootRecord]:
     angular case interval and bracketed to dyadic width below 2^-60; root
     d - i is its exact mirror (H_{d-1} - epsilon is even for odd d).  Every
     bracket is certified, in integers, to lie inside its root's case
-    interval; a seed without a sign change, or one whose containment cannot
-    be certified, is an internal error.
-    Records come back ascending in their exact brackets, with i = 1..d-1, in
-    a new list on every call.  Only the epsilon = 1 family is cached.
+    interval, and the isolation by counting roots: the seeds are disjoint
+    and below 0, so each of the d - 1 brackets holds exactly one root.  A
+    seed without a sign change, seeds that overlap or reach 0, or a bracket
+    whose containment cannot be certified is an internal error.
+    Records come back in index order i = 1..d-1, which is the ascending
+    order of their exact brackets, in a new list on every call.  Only the
+    epsilon = 1 family is cached.
     """
     validate_parameters(k, d, e)
     if epsilon not in (1, -e // 2):
@@ -571,7 +545,8 @@ def isolate_roots(k: int, d: int, e: int, epsilon: int) -> list[RootRecord]:
 
 
 def _isolate(k: int, d: int, e: int, epsilon: int, angles: _Angles) -> tuple[RootRecord, ...]:
-    """The uncached isolation; ``e`` only names the triple in errors.
+    """The uncached isolation, in index order; ``e`` only names the triple
+    in errors.
 
     Each seed is its case interval's fixed-point ends (`_case_ends`) shrunk
     inward by span / 2^30 of the interval and rounded inward to the seed's
@@ -584,50 +559,51 @@ def _isolate(k: int, d: int, e: int, epsilon: int, angles: _Angles) -> tuple[Roo
     mirror.  Its case interval (eta flips sign) contains the mirror of root
     i's: pi - i pi/(d + a/q) < (d - i) pi/(d - a/q) for 2i < d, and
     pi - i pi/(d - a/q) > (d - i) pi/(d + a/q) likewise.  So its bracket
-    needs no check of its own."""
-    family = _family(k, d, epsilon)
+    needs no check of its own.
+
+    The family's roots are certified isolated by counting them.  Each seed
+    starts strictly above the high end of seed i - 1, and the last one ends
+    below 0, so the seeds and their mirrors are d - 1 disjoint intervals,
+    each holding a cell with opposite nonzero end signs or an exact root.
+    P = H_{d-1} - epsilon has degree d - 1, so each cell holds exactly one
+    root, a simple one, and each seed holds only its own: the cell
+    `_bisect` took is the one the halving loop would reach."""
+    q = _family(k, d, epsilon)
     bits, two_s = angles.bits, angles.two_s
-    roots = {}  # i -> (lo, hi, shift)
+    seeded = []  # (eta, (lo, hi, shift)) for i = 1..(d-1)/2
+    prev_hi = prev_seed = None  # the high end of seed i - 1, at its shift
     for i, eta, theta_lo, theta_hi in _case_ends(d, epsilon, angles):
+        name = f"(k={k}, d={d}, e={e}, eps={epsilon}, i={i})"
         # seed strictly inside the open interval; the root keeps a
         # bounded fraction of the interval width on both sides:
         # lo = ceil((theta_lo + w/2^30) 2^shift), hi = floor((theta_hi - w/2^30) 2^shift)
         span = theta_hi - theta_lo
         if _case_end_error(two_s, i, bits) << 30 >= span:
             raise BracketSeedError(
-                f"seed for (k={k}, d={d}, e={e}, eps={epsilon}, i={i}) is not certified "
-                "inside its case interval: its shrink does not exceed the ends' error bound"
+                f"seed for {name} is not certified inside its case interval: "
+                "its shrink does not exceed the ends' error bound"
             )
         seed = _seed_shift(span, bits)
         seed_lo = -((-((theta_lo << 30) + span) << seed) >> (bits + 30))
         seed_hi = (((theta_hi << 30) - span) << seed) >> (bits + 30)
-        bracket = _bisect(family, seed_lo, seed_hi, seed, TARGET_BRACKET_BITS)
+        if prev_hi is not None and seed_lo << prev_seed <= prev_hi << seed:
+            raise BracketSeedError(f"seed for {name} overlaps the seed of root i - 1")
+        bracket = _bisect(q, seed_lo, seed_hi, seed, TARGET_BRACKET_BITS)
         if bracket is None:
-            raise BracketSeedError(
-                f"seed interval for (k={k}, d={d}, e={e}, eps={epsilon}, i={i}) "
-                "does not bracket a sign change"
-            )
+            raise BracketSeedError(f"seed interval for {name} does not bracket a sign change")
         lo, hi, shift = bracket
         up = shift - seed
         if up < 0 or not seed_lo << up <= lo <= hi <= seed_hi << up:
-            raise BracketSeedError(
-                f"bracket for (k={k}, d={d}, e={e}, eps={epsilon}, i={i}) leaves its seed"
-            )
-        roots[i] = lo, hi, shift
-        roots[d - i] = -hi, -lo, shift
-    records = _ascending(
-        RootRecord(
-            i=i,
-            epsilon=epsilon,
-            eta=epsilon if (d + i) % 2 == 0 else -epsilon,
-            theta=(lo + hi) / (1 << (shift + 1)),
-            bracket=(lo, hi, shift),
-        )
-        for i, (lo, hi, shift) in roots.items()
+            raise BracketSeedError(f"bracket for {name} leaves its seed")
+        seeded.append((eta, bracket))
+        prev_hi, prev_seed = seed_hi, seed
+    if prev_hi >= 0:
+        raise BracketSeedError(f"seed for {name} reaches 0, where its mirror's seed starts")
+    mirrored = [(-eta, (-hi, -lo, shift)) for eta, (lo, hi, shift) in reversed(seeded)]
+    return tuple(
+        RootRecord(i, epsilon, eta, (lo + hi) / (1 << (shift + 1)), (lo, hi, shift))
+        for i, (eta, (lo, hi, shift)) in enumerate(seeded + mirrored, 1)
     )
-    if [r.i for r in records] != list(range(1, d)):
-        raise BracketSeedError("isolated roots are not ascending in their index order")
-    return records
 
 
 def _root_angles(k: int, d: int, record: RootRecord) -> tuple[float, float]:
@@ -691,10 +667,11 @@ def multiplicity_closed_form(k: int, d: int, e: int, epsilon: int, theta: float)
 class MultiplicityAssessment:
     """Certified view of one root's multiplicity: it lies in [a/b, c/q] for
     ``enclosure`` ((a, b), (c, q)) with b, q > 0, and ``integer`` is the one
-    integer there (None when there is not exactly one)."""
+    integer there (None when there is not exactly one).  ``closed_form`` is
+    the float closed form, None where binary64 cannot evaluate it."""
 
     record: RootRecord
-    closed_form: float
+    closed_form: float | None
     enclosure: tuple[tuple[int, int], tuple[int, int]]
     integer: int | None
 
@@ -764,7 +741,7 @@ def _decisive(ends) -> bool:
     return (c * b - a * q) * limit.denominator <= limit.numerator * b * q
 
 
-def _assess_multiplicity(k, d, e, record: RootRecord, closed: float) -> MultiplicityAssessment:
+def _assess_multiplicity(k, d, e, record: RootRecord, closed: float | None) -> MultiplicityAssessment:
     """The closed-form multiplicity ``closed`` at ``record`` with a certified
     enclosure; the bracket is refined until the enclosure is decisively
     narrow.
@@ -776,7 +753,7 @@ def _assess_multiplicity(k, d, e, record: RootRecord, closed: float) -> Multipli
     bits = TARGET_BRACKET_BITS
     cap = TARGET_BRACKET_BITS + (moore_bound(k, 2 * d) + e).bit_length() + 2 * d
     ends = _multiplicity_enclosure(k, d, e, record.epsilon, lo, hi, shift)
-    family = None
+    q = None
     while not _decisive(ends):
         bits += 32
         if bits > cap:
@@ -784,12 +761,10 @@ def _assess_multiplicity(k, d, e, record: RootRecord, closed: float) -> Multipli
                 f"multiplicity enclosure failed to converge at (k={k}, d={d}, "
                 f"e={e}, eps={record.epsilon}, i={record.i})"
             )
-        if lo == hi:
-            raise IllConditionedError("degenerate exact bracket with singular denominator")
-        if family is None:
-            family = _family(k, d, record.epsilon)
-        # the bracket came from `_bisect`, so P changes sign across it
-        lo, hi, shift = _bisect(family, lo, hi, shift, bits)
+        if q is None:
+            q = _family(k, d, record.epsilon)
+        # `_isolate` certified that the bracket holds exactly one root of P
+        lo, hi, shift = _bisect(q, lo, hi, shift, bits)
         ends = _multiplicity_enclosure(k, d, e, record.epsilon, lo, hi, shift)
     integers = _integers_in(ends)
     return MultiplicityAssessment(
@@ -901,15 +876,21 @@ class FeasibilityReport:
     gap: GapVerdict | None
 
     @cached_property
-    def _closed_forms(self) -> dict[tuple[int, int], float]:
-        """The float closed form at each root i <= (d-1)/2, by (epsilon, i);
-        root d - i, its mirror, has the same value."""
+    def _closed_forms(self) -> dict[tuple[int, int], float | None]:
+        """The float closed form at each root i <= (d-1)/2, by (epsilon, i),
+        or None where binary64 cannot evaluate it (it overflows, with an
+        error or to inf or nan, or is ill-conditioned); root d - i, its
+        mirror, has the same value."""
         half = (self.d - 1) // 2
-        return {
-            (r.epsilon, r.i): multiplicity_closed_form(self.k, self.d, self.e, r.epsilon, r.theta)
-            for r in self.roots
-            if r.i <= half
-        }
+        forms = {}
+        for r in self.roots:
+            if r.i <= half:
+                try:
+                    m = multiplicity_closed_form(self.k, self.d, self.e, r.epsilon, r.theta)
+                except (OverflowError, IllConditionedError):
+                    m = math.inf
+                forms[r.epsilon, r.i] = m if math.isfinite(m) else None
+        return forms
 
     @cached_property
     def assessments(self) -> tuple[MultiplicityAssessment, ...]:
@@ -949,15 +930,19 @@ class FeasibilityReport:
         return VERDICT_INTEGRALITY
 
     @cached_property
-    def max_integrality_deviation(self) -> float:
+    def max_integrality_deviation(self) -> float | None:
         """The largest |m - round(m)| over the float closed forms, read
-        without the enclosures."""
-        return max(abs(m - round(m)) for m in self._closed_forms.values())
+        without the enclosures; None when any closed form is None."""
+        forms = self._closed_forms.values()
+        if None in forms:
+            return None
+        return max(abs(m - round(m)) for m in forms)
 
-    def spectrum(self) -> list[tuple[float, float | int]]:
+    def spectrum(self) -> list[tuple[float, float | int | None]]:
         """Full candidate spectrum in the exact ascending order of ``roots``,
         between -k and k with multiplicity 1 each; certified-integral
-        multiplicities appear as ints."""
+        multiplicities appear as ints, and a non-integral one without a
+        float closed form as None."""
         inner = [
             (a.record.theta, a.integer if a.integral else a.closed_form)
             for a in self.assessments
@@ -976,10 +961,16 @@ def spectral_feasibility(k: int, d: int, e: int) -> FeasibilityReport:
     the gap does not decide reads the enclosures: unless each holds exactly
     one integer and that integer is at least 1, integrality excludes.
 
-    So a CSV row or a ``scan`` text row pays for isolation, the gap and the
-    float closed forms of ``max_integrality_deviation`` only; the JSON
-    report and the ``feasibility`` text report print every multiplicity and
-    pay for the enclosures, and the JSON report alone for the angles.
+    So a gap-excluded ``scan`` text row pays for isolation and the gap
+    only, and a CSV row for the float closed forms of
+    ``max_integrality_deviation`` besides; the JSON report and the
+    ``feasibility`` text report print every multiplicity and pay for the
+    enclosures, and the JSON report alone for the angles.
+
+    The two families are merged by (i, eta < 0), which is their exact
+    bracket order: every bracket lies in its root's case interval, so the
+    eta > 0 root of index i lies below -2s cos(i pi/d) and the eta < 0 root
+    above it, and the case intervals of successive indices are disjoint.
     """
     validate_parameters(k, d, e)
     mu = isolate_roots(k, d, e, 1)
@@ -989,7 +980,7 @@ def spectral_feasibility(k: int, d: int, e: int) -> FeasibilityReport:
         d=d,
         e=e,
         n=moore_bound(k, 2 * d) + e,
-        roots=_ascending(mu + lam),
+        roots=tuple(sorted(mu + lam, key=lambda r: (r.i, r.eta < 0))),
         gap=_gap(k, d, e, mu, lam) if d >= _GAP_MIN_D else None,
     )
 

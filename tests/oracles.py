@@ -9,7 +9,9 @@ the package reads only its Krylov rows e_0^T B^j, a queue-based search per
 root where the package searches from every root at once, a byte-by-byte graph6
 payload decoder where the package decodes base64 with `binascii`, full-degree
 Horner signs and bit-by-bit halving where the package evaluates the even
-family polynomial in x^2 and takes a certified Newton cell, traces in
+family polynomial in x^2 and takes a certified Newton cell, a Sturm root
+count in `Fraction`s where the package counts disjoint sign-change cells
+against the degree, traces in
 Q[x]/(P) summed over all roots at once where the package encloses one
 multiplicity per root bracket, closed walks of the infinite k-regular tree
 counted by distance layer where the lemma checks read the rows of B_D, the
@@ -287,6 +289,55 @@ def bisect_reference(coeffs, lo, hi, shift, bits):
     if sign_hi == sign_lo:
         return None
     return halving_loop(coeffs, lo, hi, shift, sign_lo, bits)
+
+
+def _divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of a by b, both constant term first with no
+    trailing zeros."""
+    a, quotient = list(a), [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        factor, offset = a[-1] / b[-1], len(a) - len(b)
+        quotient[offset] = factor
+        for j, c in enumerate(b):
+            a[offset + j] -= factor * c
+        while a and a[-1] == 0:
+            a.pop()
+    return quotient, a
+
+
+def root_count(coeffs: Sequence[int], lo: int, hi: int, shift: int) -> float:
+    """The number of distinct real roots of an integer polynomial P (constant
+    term first) in the closed interval [lo, hi] / 2^shift, exactly, by
+    Sturm's theorem (Basu, Pollack & Roy, *Algorithms in Real Algebraic
+    Geometry*, 2006, Theorem 2.50) in `Fraction`s; math.inf for P = 0.
+
+    The chain P, P', -rem(P, P'), ... ends in g = gcd(P, P'); divided by g
+    it has no common root, so its sign variations (zeros dropped) fall by
+    one exactly where x passes a root of P.  The variations at lo less
+    those at hi count the roots in (lo, hi]; a root at lo is added."""
+    p = [Fraction(c) for c in coeffs]
+    while p and p[-1] == 0:
+        p.pop()
+    if not p:
+        return math.inf
+    chain = [p, [j * c for j, c in enumerate(p)][1:]]
+    while chain[-1]:
+        chain.append([-c for c in _divmod(chain[-2], chain[-1])[1]])
+    chain.pop()
+    chain = [_divmod(poly, chain[-1])[0] for poly in chain]
+
+    def value(poly, x):
+        acc = Fraction(0)
+        for c in reversed(poly):
+            acc = acc * x + c
+        return acc
+
+    def variations(x):
+        signs = [v > 0 for v in (value(poly, x) for poly in chain) if v != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    x_lo, x_hi = Fraction(lo, 1 << shift), Fraction(hi, 1 << shift)
+    return variations(x_lo) - variations(x_hi) + (value(chain[0], x_lo) == 0)
 
 
 class MpRoot(NamedTuple):

@@ -180,6 +180,59 @@ def test_only_the_json_report_computes_the_angles(monkeypatch, capsys):
     assert code == 0 and len(calls) == 2 * 2 * 6  # two triples, two families, d - 1 roots
 
 
+def test_a_text_scan_computes_no_closed_form(monkeypatch, capsys):
+    """A gap-excluded `scan` text row prints the verdict and the gap alone:
+    it calls `multiplicity_closed_form` zero times, where a CSV row pays for
+    the integrality-deviation column."""
+    calls = []
+    closed_form = feasibility.multiplicity_closed_form
+
+    def counted(*args):
+        calls.append(args)
+        return closed_form(*args)
+
+    monkeypatch.setattr(feasibility, "multiplicity_closed_form", counted)
+    argv = ("scan", "--k", "5..6", "--d", "7", "--e", "2", "--format")
+    code, out, _ = run(capsys, *argv, "text")
+    assert code == 0 and out.count("excluded-by-gap") == 2
+    assert calls == []
+    code, _, _ = run(capsys, *argv, "csv")
+    assert code == 0 and len(calls) == 2 * 2 * 3  # two triples, two families, i <= (d-1)/2
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--k", "3000", "--d", "61", "--e", "2", "--format", "csv"),
+    ("scan", "--k", "1000001", "--d", "61", "--e", "2", "--format", "csv"),
+    ("feasibility", "1099511627777", "61", "2", "--format", "csv"),
+])
+def test_a_closed_form_past_binary64_leaves_its_csv_field_empty(capsys, argv):
+    """With d = 61 the float closed form passes binary64: to inf at
+    k = 3000, and with an `OverflowError` at k = 10^6 + 1 and 2^40 + 1.
+    The gap decides the verdict exactly, and the integrality-deviation
+    column is left empty."""
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    row = out.splitlines()[-1].split(",")
+    assert row[4] == "excluded-by-gap" and row[-1] == ""
+
+
+def test_reports_render_without_a_closed_form(monkeypatch, capsys):
+    """Where binary64 cannot evaluate a closed form, the JSON prints null
+    and the text n/a, both for the deviation and for a non-integral
+    multiplicity."""
+    def overflow(*args):
+        raise OverflowError("int too large to convert to float")
+
+    monkeypatch.setattr(feasibility, "multiplicity_closed_form", overflow)
+    code, out, _ = run(capsys, "feasibility", "4", "7", "2", "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["verdict"] == "excluded-by-gap"
+    assert report["max_integrality_deviation"] is None
+    assert None in report["multiplicities"]
+    code, out, _ = run(capsys, "feasibility", "4", "7", "2")
+    assert code == 0 and "(max deviation n/a)" in out and " : n/a" in out
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
 def test_scan_error_mid_grid_keeps_the_items_before_it(monkeypatch, capsys, fmt):
     """An error after the first triple ends the scan with exit 1 and the error

@@ -5,9 +5,10 @@ oracles: every endpoint the integer route produces must equal theirs
 exactly, so the refinement steps, the certified integers, the product gap
 and every verdict stay the same.
 Likewise `_bisect` must return exactly the bracket of the bit-by-bit halving
-loop at full degree (`oracles.halving_loop`, `oracles.bisect_reference`),
-and the x^2 evaluation of an even polynomial must form the same integers as
-Horner on all of its coefficients.
+loop at full degree (`oracles.halving_loop`, `oracles.bisect_reference`) on
+every bracket that holds one root (`oracles.root_count`, a Sturm count),
+and a root's bracket on any other; the x^2 evaluation of an even polynomial
+must form the same integers as Horner on all of its coefficients.
 """
 
 from fractions import Fraction
@@ -30,14 +31,12 @@ from cage_spectra import feasibility
 from cage_spectra.feasibility import (
     ENCLOSURE_WIDTH_LIMIT,
     TARGET_BRACKET_BITS,
-    _Family,
     _bisect,
     _decisive,
     _dyadic_enclosure,
     _family,
     _horner_newton,
     _integers_in,
-    _monotone,
     _multiplicity_enclosure,
     _newton_even,
     _sign_dyadic,
@@ -52,6 +51,7 @@ from oracles import (
     halving_loop,
     horner_sign,
     poly_enclosure,
+    root_count,
 )
 
 PAPER_GRID = [
@@ -280,36 +280,6 @@ def test_even_sign_and_newton_equal_the_full_degree_integers(q, num, shift):
     assert _sign_even(q, num, shift) == horner_sign(even(q), num, shift)
 
 
-@settings(max_examples=300, deadline=None)
-@given(coefficient_lists, dyadic_brackets())
-@example([-2, 1], (5, 6, 2))     # P = x^2 - 2 on [5/4, 3/2]
-@example([-2, 1], (-6, -5, 2))
-@example([-2, 1], (-1, 1, 0))    # holds 0, where P' vanishes
-@example([0, -3, 0, 1], (7, 8, 2))
-def test_squared_bracket_monotonicity_implies_one_sign_of_p_prime(q, bracket):
-    """Whenever `_monotone` certifies, P' has one exact nonzero sign at
-    both ends and at the midpoint of the bracket."""
-    lo, hi, shift = bracket
-    if not _monotone(_Family.of(q), lo, hi, shift):
-        return
-    assert 0 < lo or hi < 0
-    p = IntPolynomial(even(q))
-    slope = derivative(p)
-    signs = {
-        (v > 0) - (v < 0)
-        for v in (slope(Fraction(x, 1 << shift)) for x in (lo, hi, Fraction(lo + hi, 2)))
-    }
-    assert signs in ({1}, {-1})
-
-
-def test_squared_bracket_monotonicity_certifies_the_dickson_seeds():
-    """On the isolation seeds the squared-bracket test does certify."""
-    for k, d, epsilon in ((4, 7, 1), (9, 11, -2), (32, 27, -15)):
-        family = _family(k, d, epsilon)
-        seeds = seed_brackets(k, d, epsilon)
-        assert seeds and all(_monotone(family, *seed) for seed in seeds)
-
-
 # ---------------------------------------------------------------------------
 # root brackets: `_bisect` against the halving loop
 
@@ -347,6 +317,32 @@ def bracketed_roots(draw):
     return tuple(q), lo, hi, shift, draw(st.integers(0, 100))
 
 
+def assert_bisect_contract(q, lo, hi, shift, bits):
+    """`_bisect`'s contract: on a bracket that holds exactly one root of
+    P(x) = Q(x^2), the halving loop's bracket; on any other, None, a grid
+    cell of the bracket below width 2^-bits whose ends P gives nonzero
+    opposite signs, or a point where P vanishes."""
+    coeffs = even(q)
+    got = _bisect(q, lo, hi, shift, bits)
+    expected = bisect_reference(coeffs, lo, hi, shift, bits)
+    if root_count(coeffs, lo, hi, shift) == 1:
+        assert got == expected
+    elif got is None:
+        assert expected is None  # None only where both ends share one sign
+    else:
+        got_lo, got_hi, got_shift = got
+        if got_lo == got_hi:
+            assert horner_sign(coeffs, got_lo, got_shift) == 0
+            return
+        halvings = got_shift - shift
+        assert halvings >= 0 and got_hi - got_lo == hi - lo
+        assert (got_lo - (lo << halvings)) % (hi - lo) == 0
+        assert lo << halvings <= got_lo and got_hi <= hi << halvings
+        assert (got_hi - got_lo) << bits < 1 << got_shift
+        signs = horner_sign(coeffs, got_lo, got_shift), horner_sign(coeffs, got_hi, got_shift)
+        assert signs in ((1, -1), (-1, 1))
+
+
 @settings(max_examples=300, deadline=None)
 @given(bracketed_roots())
 @example(((-1, 9), 1, 2, 2, 20))                          # one simple root, 1/3
@@ -360,16 +356,13 @@ def bracketed_roots(draw):
 @example(((-1, 9), 1, 3, 3, 20))                          # root 1/3 at the low end
 @example(((7,), 0, 1, 0, 20))                             # constant, no root
 def test_bisect_matches_halving_loop(case):
-    q, lo, hi, shift, bits = case
-    assert _bisect(_Family.of(q), lo, hi, shift, bits) == bisect_reference(
-        even(q), lo, hi, shift, bits
-    )
+    assert_bisect_contract(*case)
 
 
 @settings(max_examples=200, deadline=None)
 @given(coefficient_lists, dyadic_brackets(), st.integers(0, 100))
 def test_bisect_matches_halving_loop_on_any_input(q, bracket, bits):
-    assert _bisect(_Family.of(q), *bracket, bits) == bisect_reference(even(q), *bracket, bits)
+    assert_bisect_contract(tuple(q), *bracket, bits)
 
 
 _SEEDS = {}
@@ -385,9 +378,9 @@ def seed_brackets(k, d, epsilon):
     if (k, d, epsilon) not in _SEEDS:
         seeds = []
 
-        def record(family, lo, hi, shift, bits):
+        def record(q, lo, hi, shift, bits):
             seeds.append((lo, hi, shift))
-            return _bisect(family, lo, hi, shift, bits)
+            return _bisect(q, lo, hi, shift, bits)
 
         with mock.patch.object(feasibility, "_bisect", record):
             try:
@@ -448,11 +441,11 @@ def test_bisect_survives_a_wrong_prediction(garbage, monkeypatch):
         feasibility, "_predict_cell", lambda *args: GARBAGE[garbage](real, *args)
     )
     for k, d, epsilon in ((4, 7, 1), (9, 11, -2), (4, 27, 1)):
-        family = _family(k, d, epsilon)
+        q = _family(k, d, epsilon)
         coeffs = family_coefficients(k, d, epsilon)
         for lo, hi, shift in seed_brackets(k, d, epsilon):
             for bits in (TARGET_BRACKET_BITS, 124):
-                assert _bisect(family, lo, hi, shift, bits) == bisect_reference(
+                assert _bisect(q, lo, hi, shift, bits) == bisect_reference(
                     coeffs, lo, hi, shift, bits
                 )
 
@@ -474,8 +467,7 @@ def test_family_poly_is_even_and_the_enclosure_polynomials_odd(family):
     k, d, e, epsilon = family
     coeffs = family_coefficients(k, d, epsilon)
     assert not any(coeffs[1::2])
-    assert even(_family(k, d, epsilon).q) == coeffs
-    assert _family(k, d, epsilon).slope == derivative(IntPolynomial(coeffs[::2])).coefficients
+    assert even(_family(k, d, epsilon)) == coeffs
     polys = feasibility._polys(k, d)
     assert not any(polys.h_prev.coefficients[::2])
     assert not any(polys.h_deriv.coefficients[::2])
@@ -506,10 +498,10 @@ def test_bisect_on_the_mirrored_bracket_returns_the_mirrored_bracket(seed, bits)
     does; the mirrored bracket's low end has the opposite sign unless the
     bracket has collapsed onto an exact root."""
     (k, d, epsilon), (lo, hi, shift), refine = seed
-    family, coeffs = _family(k, d, epsilon), family_coefficients(k, d, epsilon)
+    q, coeffs = _family(k, d, epsilon), family_coefficients(k, d, epsilon)
     sign_lo = horner_sign(coeffs, lo, shift)
     if refine:
-        lo, hi, shift = _bisect(family, lo, hi, shift, TARGET_BRACKET_BITS)
+        lo, hi, shift = _bisect(q, lo, hi, shift, TARGET_BRACKET_BITS)
     assert horner_sign(coeffs, -hi, shift) == (-sign_lo if lo < hi else 0)
-    got_lo, got_hi, got_shift = _bisect(family, -hi, -lo, shift, bits)
-    assert (-got_hi, -got_lo, got_shift) == _bisect(family, lo, hi, shift, bits)
+    got_lo, got_hi, got_shift = _bisect(q, -hi, -lo, shift, bits)
+    assert (-got_hi, -got_lo, got_shift) == _bisect(q, lo, hi, shift, bits)

@@ -172,6 +172,32 @@ def test_a_seed_not_certified_inside_its_case_interval_raises(monkeypatch):
         isolate_roots(16, 7, 2, 1)
 
 
+@pytest.mark.parametrize("fault,message", [
+    ("overlap", r"\(k=16, d=7, e=2, eps=1, i=2\) overlaps the seed of root i - 1"),
+    ("zero", r"\(k=16, d=7, e=2, eps=1, i=3\) reaches 0"),
+])
+def test_seeds_that_overlap_or_reach_0_raise(fault, message, monkeypatch):
+    """The root count needs the seeds disjoint and below 0.  Seed 2 widened
+    down to the low end of seed 1's case interval, or the last seed widened
+    past 0, where the mirrors' seeds start, up to 1/16, is refused."""
+    monkeypatch.setattr(feasibility, "_ROOTS", {})
+    real = feasibility._case_ends
+
+    def case_ends(d, epsilon, angles):
+        ends = list(real(d, epsilon, angles))
+        if fault == "overlap":
+            i, eta, _, theta_hi = ends[1]
+            ends[1] = i, eta, ends[0][2], theta_hi
+        else:
+            i, eta, theta_lo, _ = ends[-1]
+            ends[-1] = i, eta, theta_lo, 1 << (angles.bits - 4)
+        return iter(ends)
+
+    monkeypatch.setattr(feasibility, "_case_ends", case_ends)
+    with pytest.raises(BracketSeedError, match=message):
+        isolate_roots(16, 7, 2, 1)
+
+
 def test_a_case_interval_below_the_binary64_range_ends_in_a_verdict():
     """s^(1-d) = 2^-1200 at (2^40 + 1, 61): the case interval's width
     underflows binary64, and a seed shift taken from the float width
@@ -638,6 +664,31 @@ def test_every_triple_in_the_gap_regime_ends_in_the_gap_verdict(triple):
     report = spectral_feasibility(*triple)
     assert report.final_verdict == VERDICT_GAP
     assert vars(report).keys() == {f.name for f in fields(report)} | {"final_verdict"}
+
+
+def exact_ascending(records):
+    """The records sorted by the low ends of their brackets at one common
+    shift: the exact order the report's merge of the two families must
+    reproduce."""
+    top = max(r.bracket[2] for r in records)
+    return tuple(sorted(records, key=lambda r: r.bracket[0] << (top - r.bracket[2])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(regime_triples(200, 3, 61))
+@example((200, 61, 2))
+@example((32, 27, 2))  # float thetas of the two families tie
+def test_isolation_emits_disjoint_ascending_brackets_in_index_order(triple):
+    """Each family comes back as i = 1..d-1 with strictly ascending, disjoint
+    brackets, and the report's roots are the two families merged in the
+    exact order of their brackets."""
+    k, d, e = triple
+    families = [isolate_roots(k, d, e, epsilon) for epsilon in (1, -e // 2)]
+    for records in families:
+        assert [r.i for r in records] == list(range(1, d))
+        brackets = [bracket_interval(r.bracket) for r in records]
+        assert all(a.hi < b.lo for a, b in zip(brackets, brackets[1:]))
+    assert spectral_feasibility(k, d, e).roots == exact_ascending(families[0] + families[1])
 
 
 @settings(max_examples=6, deadline=None)

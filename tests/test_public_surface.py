@@ -89,6 +89,7 @@ REMOVED = {
     "_analysis_for": "graphs",
     "all_distances": "graphs",
     "antipodal_spectrum": "graphs",
+    "_ascending": "feasibility",
     "bd_entry00": "intersection",
     "_derivative": "polynomials",
     "distance_matrices": "graphs",
@@ -96,6 +97,7 @@ REMOVED = {
     "eval_rational": "polynomials",
     "eye": "_intmat",
     "f_weight": "feasibility",
+    "_Family": "feasibility",
     "_family_member": "polynomials",
     "frobenius": "_intmat",
     "g_weight": "feasibility",
@@ -107,6 +109,7 @@ REMOVED = {
     "mat_add": "_intmat",
     "max_abs": "_intmat",
     "_moment_check": "feasibility",
+    "_monotone": "feasibility",
     "multiplicity_symmetry_checks": "feasibility",
     "multiplicity_trig": "feasibility",
     "packed_eval_poly": "_intmat",
