@@ -15,15 +15,18 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parameter error
 (an unreadable or malformed graph6 file included).
 
 JSON is canonical: keys sorted, floats at 12 significant digits, so a report
-parsed and re-serialized is byte-identical.  Exact integers are never
-printed in float form.
+parsed and re-serialized is byte-identical inside binary64's normal range.
+Exact integers are never printed in float form, and the exact gap ends keep
+12 significant digits below it (`format_exact`).
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -61,6 +64,26 @@ def format_float(x: float) -> str:
     return format(float(x), ".12g")
 
 
+#: Twelve significant digits, rounded half to even, at any exponent.
+_TWELVE_DIGITS = decimal.Context(
+    prec=12, rounding=decimal.ROUND_HALF_EVEN, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
+)
+
+
+def format_exact(q: Fraction) -> str:
+    """An exact rational at 12 significant digits, in `format_float`'s shape.
+
+    Where q is 0 or its float is normal, this is ``format_float(float(q))``.
+    Below 2^-1022 binary64 would lose digits or underflow to 0, so the 12
+    digits are those of q itself (a correctly rounded decimal quotient): a
+    positive gap end never prints as 0."""
+    x = float(q)
+    if q == 0 or abs(x) >= sys.float_info.min:
+        return format_float(x)
+    digits = _TWELVE_DIGITS.divide(q.numerator, q.denominator)
+    return format(_TWELVE_DIGITS.normalize(digits), "g")
+
+
 def _float_or(x: float | None, absent: str) -> str:
     """``format_float(x)``, or ``absent`` where x has no float value."""
     return absent if x is None else format_float(x)
@@ -68,7 +91,10 @@ def _float_or(x: float | None, absent: str) -> str:
 
 def dumps_canonical(obj) -> str:
     """Deterministic JSON: sorted keys, 12-significant-digit floats, compact
-    separators.  Parsing the output and re-serializing it is byte-identical."""
+    separators; an exact `Fraction` is printed by `format_exact`.  Parsing
+    the output and re-serializing it is byte-identical inside binary64's
+    normal range: Python's `json` reads a `format_exact` token below 2^-1022
+    as 0.0 or a subnormal float, which re-serializes differently."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -77,6 +103,8 @@ def dumps_canonical(obj) -> str:
         return str(obj)
     if isinstance(obj, float):
         return format_float(obj)
+    if isinstance(obj, Fraction):
+        return format_exact(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
@@ -95,12 +123,12 @@ def _report_json(report: FeasibilityReport) -> dict:
         gap = {
             "applicable": True,  # every gap verdict applies; the key keeps the JSON bytes
             "verdict": g.verdict,
-            "lo": float(g.lo),
-            "hi": float(g.hi),
-            "analytic_bound": g.analytic_bound,
+            "lo": g.lo,
+            "hi": g.hi,
+            "analytic_bound": report.analytic_gap_bound,
             "contains_integer": g.contains_integer,
             "within_unit_interval": g.within_unit_interval,
-            "chain_ok": g.chain_ok,
+            "chain_ok": True,  # a theorem on the regime (`GapVerdict`); the key keeps the bytes
         }
     return {
         "k": report.k,
@@ -137,8 +165,8 @@ def _row(item) -> dict:
         }
     gap_lo = gap_hi = ""
     if item.gap is not None:
-        gap_lo = format_float(item.gap.lo)
-        gap_hi = format_float(item.gap.hi)
+        gap_lo = format_exact(item.gap.lo)
+        gap_hi = format_exact(item.gap.hi)
     return {
         "k": item.k, "d": item.d, "e": item.e, "n": item.n,
         "verdict": item.final_verdict, "gap_lo": gap_lo, "gap_hi": gap_hi,
@@ -166,10 +194,10 @@ def _report_text(report: FeasibilityReport) -> str:
     if report.gap is not None:
         g = report.gap
         lines.append(
-            f"gap interval for lambda_2^2 - mu_2^2: ({format_float(g.lo)}, {format_float(g.hi)})"
-            f", analytic bound {format_float(g.analytic_bound)}"
+            f"gap interval for lambda_2^2 - mu_2^2: ({format_exact(g.lo)}, {format_exact(g.hi)})"
+            f", analytic bound {format_float(report.analytic_gap_bound)}"
             f", contains integer: {g.contains_integer}"
-            f", chain ok: {g.chain_ok}"
+            ", chain ok: True"  # a theorem on the regime (`GapVerdict`)
         )
     return "\n".join(lines)
 
@@ -360,7 +388,7 @@ def _cmd_scan(args, out) -> int:
                 )
             else:
                 g = item.gap
-                gap = f" gap=({format_float(g.lo)}, {format_float(g.hi)})" if g is not None else ""
+                gap = f" gap=({format_exact(g.lo)}, {format_exact(g.hi)})" if g is not None else ""
                 out.write(
                     f"(k={item.k}, d={item.d}, e={item.e}) n={item.n} {item.final_verdict}{gap}\n"
                 )

@@ -56,20 +56,25 @@ This module:
 * for d >= 7 certifies the product-gap exclusion: the squares of the
   second-smallest roots of the two families differ by a value trapped in a
   certified interval inside (0, 1), yet the difference would have to be an
-  integer for the graph to exist.
+  integer for the graph to exist.  The interval is integer arithmetic on
+  the two brackets; the argument's closing inequality chain is a theorem
+  on the regime (`GapVerdict`), so no code evaluates it.
 
 The verdict is decided in certificate order (Biggs & Ito, 1980), and it
 rests on two exact facts alone: the gap first, then integrality.  A triple
 is admissible exactly when every enclosure holds one integer and that
-integer is at least 1.  `spectral_feasibility` isolates the roots and runs
-the gap check; the enclosures and their refinement are computed only when
-the report is asked for them, once.  So a gap-excluded `scan` text row
-costs isolation and the gap, a CSV row one float closed form per mirrored
-pair besides, while the JSON report and the `feasibility` text report
-print every multiplicity and pay for the enclosures.  The moment identity
-the multiplicities must satisfy (their sum n - 2 among it) holds exactly
-in Q[x]/(H_{d-1} - eps); the test suite proves it there, with no roots, so
-no float check of it runs here.
+integer is at least 1.  The certificates hold exact data only; the report
+derives the binary64 values it prints.  `spectral_feasibility` isolates the
+roots and runs the gap check; the enclosures and their refinement are
+computed only when the report is asked for them, once.  So a gap-excluded
+`scan` text row costs isolation and the integer gap, and one with d = 3 or
+5 the enclosures that decide it, with no float closed form; a CSV row
+costs one float closed form per mirrored pair besides, while the JSON
+report and the `feasibility` text report print every multiplicity and pay
+for the enclosures, the float closed forms and the float analytic gap
+bound.  The moment identity the multiplicities must satisfy (their sum
+n - 2 among it) holds exactly in Q[x]/(H_{d-1} - eps); the test suite
+proves it there, with no roots, so no float check of it runs here.
 
 n is always the Moore bound plus e; an external order is never accepted.
 A "spectrally-admissible" verdict means no implemented test excludes the
@@ -667,11 +672,11 @@ def multiplicity_closed_form(k: int, d: int, e: int, epsilon: int, theta: float)
 class MultiplicityAssessment:
     """Certified view of one root's multiplicity: it lies in [a/b, c/q] for
     ``enclosure`` ((a, b), (c, q)) with b, q > 0, and ``integer`` is the one
-    integer there (None when there is not exactly one).  ``closed_form`` is
-    the float closed form, None where binary64 cannot evaluate it."""
+    integer there (None when there is not exactly one).  It holds no float:
+    the float closed form a report prints for a non-integral multiplicity is
+    the report's (`FeasibilityReport.spectrum`)."""
 
     record: RootRecord
-    closed_form: float | None
     enclosure: tuple[tuple[int, int], tuple[int, int]]
     integer: int | None
 
@@ -741,9 +746,9 @@ def _decisive(ends) -> bool:
     return (c * b - a * q) * limit.denominator <= limit.numerator * b * q
 
 
-def _assess_multiplicity(k, d, e, record: RootRecord, closed: float | None) -> MultiplicityAssessment:
-    """The closed-form multiplicity ``closed`` at ``record`` with a certified
-    enclosure; the bracket is refined until the enclosure is decisively
+def _assess_multiplicity(k, d, e, record: RootRecord) -> MultiplicityAssessment:
+    """The certified enclosure of the closed-form multiplicity at
+    ``record``; the bracket is refined until the enclosure is decisively
     narrow.
 
     The bits that takes grow with log2 n, the scale of the multiplicity, and
@@ -769,7 +774,6 @@ def _assess_multiplicity(k, d, e, record: RootRecord, closed: float | None) -> M
     integers = _integers_in(ends)
     return MultiplicityAssessment(
         record=record,
-        closed_form=closed,
         enclosure=ends,
         integer=integers[0] if len(integers) == 1 else None,
     )
@@ -780,23 +784,33 @@ def _assess_multiplicity(k, d, e, record: RootRecord, closed: float | None) -> M
 
 @dataclass(frozen=True)
 class GapVerdict:
-    """Certified bounds on lambda_2^2 - mu_2^2, for d >= 7 (girth >= 14).
+    """The certified interval [lo, hi] that holds lambda_2^2 - mu_2^2, for
+    d >= 7 (girth >= 14); ``lo`` and ``hi`` are exact rationals from the
+    squared root brackets.  ``excluded`` requires only that the interval
+    contain no integer.
 
-    ``lo``/``hi`` are exact rationals from the squared root brackets.  ``excluded``
-    requires only the certified interval to contain no integer; the
-    closed-form analytic bound and the closing inequality chain
+    The argument's closing inequality chain
 
         s^((d-3)/2) (d + (e/2) s^(1-d)) > (k-1) d >= (e+1) d > 4 pi sqrt(e/2+1)
 
-    are recorded alongside as the argument's certificate."""
+    is a theorem on every triple the gap check runs on (odd d >= 7, even e,
+    2 <= e <= k-2), so it is proved here and evaluated nowhere:
 
-    k: int
-    d: int
-    e: int
+    * (d-3)/4 >= 1 and k-1 >= 3 give s^((d-3)/2) = (k-1)^((d-3)/4) >= k-1,
+      and e >= 2 makes d + (e/2) s^(1-d) > d;
+    * the second link is e <= k-2;
+    * (e+1) d >= 7 (e+1), and with t = e/2 + 1 >= 2, so e + 1 = 2t - 1,
+      7 (2t-1) > 4 pi sqrt(t) squares to 49 (2t-1)^2 > 16 pi^2 t, which
+      holds: 2t - 1 >= 3t/2 and t^2 >= 2t give 49 (2t-1)^2 >= (441/2) t,
+      and 16 pi^2 < 160.
+
+    The JSON and the text report print ``chain_ok`` as the constant true.
+    The analytic bound the certified high end sits below is binary64, and
+    only the reports that print it compute it
+    (`FeasibilityReport.analytic_gap_bound`)."""
+
     lo: Fraction
     hi: Fraction
-    analytic_bound: float
-    chain_values: tuple[float, float, float, float]
 
     @property
     def contains_integer(self) -> bool:
@@ -807,11 +821,6 @@ class GapVerdict:
         return 0 < self.lo and self.hi < 1
 
     @property
-    def chain_ok(self) -> bool:
-        lhs, k1d, e1d, four_pi = self.chain_values
-        return lhs > k1d >= e1d > four_pi
-
-    @property
     def excluded(self) -> bool:
         return not self.contains_integer
 
@@ -820,38 +829,17 @@ class GapVerdict:
         return VERDICT_GAP if self.excluded else "not-excluded"
 
 
-def _gap(k: int, d: int, e: int, mu: list[RootRecord], lam: list[RootRecord]) -> GapVerdict:
+def _gap(mu: list[RootRecord], lam: list[RootRecord]) -> GapVerdict:
     """The gap verdict from the two families' records, ascending:
-    ``mu`` for epsilon = 1 and ``lam`` for epsilon = -e/2."""
+    ``mu`` for epsilon = 1 and ``lam`` for epsilon = -e/2.  Integer
+    arithmetic only."""
     mu_lo, mu_hi, mu_shift = mu[1].bracket
     lam_lo, lam_hi, lam_shift = lam[1].bracket
     shift = max(mu_shift, lam_shift)
     mu_sq = _dyadic_square(mu_lo << (shift - mu_shift), mu_hi << (shift - mu_shift))
     lam_sq = _dyadic_square(lam_lo << (shift - lam_shift), lam_hi << (shift - lam_shift))
-    gap_lo, gap_hi = lam_sq[0] - mu_sq[1], lam_sq[1] - mu_sq[0]  # over 2^(2 shift)
-    unit = 1 << 2 * shift
-    s_pow = (k - 1) ** (-(d - 1) / 2)                       # s^(1-d)
-    s32 = (k - 1) ** ((d - 3) / 4)                          # s^((d-3)/2)
-    analytic = (
-        16 * math.pi ** 2 * (e / 2 + 1) * (k - 1) ** ((3 - d) / 2)
-        * (2 * d + (e / 2 - 1) * s_pow)
-        / ((d - s_pow) ** 2 * (d + e / 2 * s_pow) ** 2)
-    )
-    chain = (
-        s32 * (d + (e / 2) * s_pow),
-        (k - 1) * d,
-        (e + 1) * d,
-        4 * math.pi * math.sqrt(e / 2 + 1),
-    )
-    return GapVerdict(
-        k=k,
-        d=d,
-        e=e,
-        lo=Fraction(gap_lo, unit),
-        hi=Fraction(gap_hi, unit),
-        analytic_bound=analytic,
-        chain_values=chain,
-    )
+    unit = 1 << 2 * shift  # both ends are over 2^(2 shift)
+    return GapVerdict(Fraction(lam_sq[0] - mu_sq[1], unit), Fraction(lam_sq[1] - mu_sq[0], unit))
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +868,8 @@ class FeasibilityReport:
         """The float closed form at each root i <= (d-1)/2, by (epsilon, i),
         or None where binary64 cannot evaluate it (it overflows, with an
         error or to inf or nan, or is ill-conditioned); root d - i, its
-        mirror, has the same value."""
+        mirror, has the same value.  The CSV's deviation column reads them
+        all, and `spectrum` those of the non-integral multiplicities."""
         half = (self.d - 1) // 2
         forms = {}
         for r in self.roots:
@@ -895,12 +884,10 @@ class FeasibilityReport:
     @cached_property
     def assessments(self) -> tuple[MultiplicityAssessment, ...]:
         """One certified assessment per root, in the order of ``roots``.  Root
-        d - i shares root i's: the same enclosure (H_{d-2} and H'_{d-1} are
-        odd) and the same float closed form."""
+        d - i shares root i's enclosure (H_{d-2} and H'_{d-1} are odd)."""
         k, d, e, half = self.k, self.d, self.e, (self.d - 1) // 2
-        closed = self._closed_forms
         assessed = {
-            (r.epsilon, r.i): _assess_multiplicity(k, d, e, r, closed[r.epsilon, r.i])
+            (r.epsilon, r.i): _assess_multiplicity(k, d, e, r)
             for r in self.roots
             if r.i <= half
         }
@@ -938,14 +925,30 @@ class FeasibilityReport:
             return None
         return max(abs(m - round(m)) for m in forms)
 
+    @cached_property
+    def analytic_gap_bound(self) -> float:
+        """The binary64 analytic bound on lambda_2^2 - mu_2^2 that the
+        certified gap sits below, for the JSON and the ``feasibility`` text
+        report, which alone print it; only a report with a gap reads it.
+        It underflows to 0 where s^(3-d) passes below binary64."""
+        k, d, e = self.k, self.d, self.e
+        s_pow = (k - 1) ** (-(d - 1) / 2)  # s^(1-d)
+        return (
+            16 * math.pi ** 2 * (e / 2 + 1) * (k - 1) ** ((3 - d) / 2)
+            * (2 * d + (e / 2 - 1) * s_pow)
+            / ((d - s_pow) ** 2 * (d + e / 2 * s_pow) ** 2)
+        )
+
     def spectrum(self) -> list[tuple[float, float | int | None]]:
         """Full candidate spectrum in the exact ascending order of ``roots``,
         between -k and k with multiplicity 1 each; certified-integral
-        multiplicities appear as ints, and a non-integral one without a
-        float closed form as None."""
+        multiplicities appear as ints, a non-integral one as its float
+        closed form, and one without a float closed form as None.  The
+        closed forms are computed only when a multiplicity is non-integral."""
+        d = self.d
         inner = [
-            (a.record.theta, a.integer if a.integral else a.closed_form)
-            for a in self.assessments
+            (r.theta, a.integer if a.integral else self._closed_forms[r.epsilon, min(r.i, d - r.i)])
+            for r, a in zip(self.roots, self.assessments)
         ]
         return [(-float(self.k), 1)] + inner + [(float(self.k), 1)]
 
@@ -961,11 +964,14 @@ def spectral_feasibility(k: int, d: int, e: int) -> FeasibilityReport:
     the gap does not decide reads the enclosures: unless each holds exactly
     one integer and that integer is at least 1, integrality excludes.
 
-    So a gap-excluded ``scan`` text row pays for isolation and the gap
-    only, and a CSV row for the float closed forms of
+    So a gap-excluded ``scan`` text row pays for isolation and the integer
+    gap only, and a CSV row for the float closed forms of
     ``max_integrality_deviation`` besides; the JSON report and the
     ``feasibility`` text report print every multiplicity and pay for the
-    enclosures, and the JSON report alone for the angles.
+    enclosures, the float closed forms and the float
+    ``analytic_gap_bound``, and the JSON report alone for the angles.  A
+    verdict that reads the enclosures (d = 3 or 5) computes no float closed
+    form for it, so neither does a ``scan`` text row.
 
     The two families are merged by (i, eta < 0), which is their exact
     bracket order: every bracket lies in its root's case interval, so the
@@ -981,7 +987,7 @@ def spectral_feasibility(k: int, d: int, e: int) -> FeasibilityReport:
         e=e,
         n=moore_bound(k, 2 * d) + e,
         roots=tuple(sorted(mu + lam, key=lambda r: (r.i, r.eta < 0))),
-        gap=_gap(k, d, e, mu, lam) if d >= _GAP_MIN_D else None,
+        gap=_gap(mu, lam) if d >= _GAP_MIN_D else None,
     )
 
 

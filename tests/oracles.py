@@ -16,8 +16,9 @@ Q[x]/(P) summed over all roots at once where the package encloses one
 multiplicity per root bracket, closed walks of the infinite k-regular tree
 counted by distance layer where the lemma checks read the rows of B_D, the
 trigonometric forms of H_{d-1} and of the multiplicities where the package
-evaluates integer polynomials), so agreement is evidence that both are
-right.  None of them is used by the package itself.
+evaluates integer polynomials, the gap's closing inequality chain in
+integers where the package proves it once), so agreement is evidence that
+both are right.  None of them is used by the package itself.
 """
 
 from __future__ import annotations
@@ -549,6 +550,22 @@ def minimality_margins(k: int, d: int, e: int) -> tuple[float | None, float | No
         min((mu[i - 1] - mu[1] for i in range(3, d - 2)), default=None),
         min((lam[i - 1] - lam[0] for i in range(2, d - 1)), default=None),
     )
+
+
+def gap_chain_holds(k: int, d: int, e: int) -> bool:
+    """The gap argument's closing chain, with s = sqrt(k-1),
+
+        s^((d-3)/2) (d + (e/2) s^(1-d)) > (k-1) d >= (e+1) d > 4 pi sqrt(e/2+1),
+
+    checked in integers; True proves it.  The first link holds when
+    s^((d-3)/2) >= k-1, compared as fourth powers, (k-1)^(d-3) >= (k-1)^4,
+    and e > 0.  The last has both sides positive and squares to
+    (e+1)^2 d^2 > 16 pi^2 (e/2+1), which pi < 22/7 implies when
+    49 (e+1)^2 d^2 >= 16 * 22^2 (e/2+1)."""
+    first = (k - 1) ** (d - 3) >= (k - 1) ** 4 and e > 0
+    second = (k - 1) * d >= (e + 1) * d
+    third = 49 * (e + 1) ** 2 * d * d >= 8 * 22 ** 2 * (e + 2)
+    return first and second and third
 
 
 def antipodal_spectrum(n: int, e: int) -> list[tuple[int, int]]:

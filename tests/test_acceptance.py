@@ -28,6 +28,7 @@ from oracles import (
     enclosure_interval,
     exact_moments,
     f_weight,
+    gap_chain_holds,
     g_weight,
     minimality_margins,
     mp_multiplicities,
@@ -103,7 +104,8 @@ def test_c5_worked_multiplicity_instance():
         for assessment in report.assessments:
             assert enclosure_interval(assessment.enclosure).contained_integer_count() == 1
             assert assessment.integer >= 1
-            closed = assessment.closed_form
+            record = assessment.record
+            closed = multiplicity_closed_form(4, 3, 2, record.epsilon, record.theta)
             assert abs(closed - round(closed)) <= 1e-6
         # the moment identity q = 0..5, exactly: 28 times the tree's closed walks
         assert exact_moments(4, 3, 2) == [28 * w for w in tree_closed_walks(4, 6)] == [
@@ -136,10 +138,9 @@ def test_c7_gap_exclusion_scan():
             assert Fraction(0) < gap.lo <= gap.hi < Fraction(1)
             assert not gap.contains_integer
             assert gap.within_unit_interval
-            assert float(gap.hi) < gap.analytic_bound
-            # closing inequality chain, verified numerically for each triple
-            lhs, k1d, e1d, four_pi = gap.chain_values
-            assert lhs > k1d >= e1d > four_pi
+            assert float(gap.hi) < item.analytic_gap_bound
+            # the closing inequality chain, checked exactly for each triple
+            assert gap_chain_holds(item.k, item.d, item.e)
         assert in_regime == 135
 
 

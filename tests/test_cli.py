@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from cage_spectra import (
     BracketSeedError, _intmat, catalog, cli, feasibility, graphs, moore_bound,
     trace_identity_check,
 )
-from cage_spectra.cli import dumps_canonical, main
+from cage_spectra.cli import dumps_canonical, format_exact, format_float, main
 
 
 def run(capsys, *argv):
@@ -214,6 +215,100 @@ def test_a_closed_form_past_binary64_leaves_its_csv_field_empty(capsys, argv):
     assert code == 0 and err == ""
     row = out.splitlines()[-1].split(",")
     assert row[4] == "excluded-by-gap" and row[-1] == ""
+    # the gap ends print as exact rationals; at k = 2^40 + 1 they lie below
+    # 2^-1022, where their floats would print an interval [0, 0]
+    assert 0 < Fraction(row[5]) <= Fraction(row[6]) < 1
+
+
+@pytest.mark.parametrize("q,text", [
+    (Fraction(0), "0"),
+    (Fraction(3, 10 ** 300), "3e-300"),
+    (Fraction(2 ** 1022 - 1, 2 ** 2044), "2.22507385851e-308"),  # its float is 2^-1022
+    (Fraction(123456789012345, 10 ** 322), "1.23456789012e-308"),
+    (Fraction(123456789012345, 10 ** 334), "1.23456789012e-320"),
+    (Fraction(1234567890125, 10 ** 332), "1.23456789012e-320"),  # a tie rounds to even
+    (Fraction(1234567890135, 10 ** 332), "1.23456789014e-320"),
+    (Fraction(1234567890125, 10 ** 332) + Fraction(1, 10 ** 400), "1.23456789013e-320"),
+    (Fraction(9999999999995, 10 ** 322), "1e-309"),  # the tie carries into the exponent
+    (Fraction(-5, 10 ** 630), "-5e-630"),
+    (Fraction(1, 2 ** 5000), "7.07981126105e-1506"),
+])
+def test_format_exact_prints_twelve_digits_of_the_rational(q, text):
+    """At or above 2^-1022 an exact rational prints as its float; below it,
+    as 12 significant digits of the rational itself, rounded half to even,
+    where the float's digits would be wrong (1.23467004896e-320 for
+    1.23456789012345e-320) or 0."""
+    assert format_exact(q) == text
+    if abs(float(q)) >= sys.float_info.min or q == 0:
+        assert text == format_float(float(q))
+
+
+def test_canonical_json_prints_an_exact_gap_end_as_a_number():
+    """A `Fraction` below 2^-1022 is a valid JSON number token, which
+    Python's `json` reads as 0.0 and an exact parser as the rational."""
+    text = dumps_canonical({"lo": Fraction(7, 10 ** 629)})
+    assert text == '{"lo":7e-629}'
+    assert json.loads(text) == {"lo": 0.0}
+    assert json.loads(text, parse_float=Fraction) == {"lo": Fraction(7, 10 ** 629)}
+
+
+def test_the_gap_chain_prints_true_where_binary64_got_it_wrong(capsys):
+    """The closing chain is a theorem on the regime; evaluated in binary64
+    it read false at (131073, 7, 2), and for every k >= 131073 at d = 7 and
+    e = 2.  Both reports print it true."""
+    code, out, _ = run(capsys, "feasibility", "131073", "7", "2", "--format", "json")
+    assert code == 0 and json.loads(out)["gap"]["chain_ok"] is True
+    code, out, _ = run(capsys, "feasibility", "131073", "7", "2")
+    assert code == 0 and out.endswith(", chain ok: True\n")
+
+
+def test_a_triple_past_the_float_chain_ends_in_the_gap_verdict(capsys):
+    """s^((d-3)/2) passes binary64 at (2^343 + 1, 15, 2), which once raised
+    `OverflowError` in the gap check; the gap is integer arithmetic, so the
+    CSV row ends in its verdict, and so does the JSON report at
+    (2^683 + 1, 9, 2), where s^3 passes binary64 (the JSON builds every
+    enclosure, 3x faster there than at d = 15).  The JSON's gap ends lie
+    below 2^-1022 and read back exactly."""
+    k = str(2 ** 343 + 1)
+    code, out, err = run(capsys, "scan", "--k", k, "--d", "15", "--e", "2", "--format", "csv")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1].split(",")[4:5] == ["excluded-by-gap"]
+    code, out, err = run(capsys, "feasibility", str(2 ** 683 + 1), "9", "2", "--format", "json")
+    assert code == 0 and err == ""
+    report = json.loads(out, parse_float=Fraction)
+    assert report["verdict"] == "excluded-by-gap" and report["gap"]["chain_ok"] is True
+    assert 0 < report["gap"]["lo"] <= report["gap"]["hi"] < Fraction(sys.float_info.min)
+
+
+def test_a_text_scan_below_the_gap_regime_computes_no_closed_form(monkeypatch, capsys):
+    """At d = 3 and 5 the enclosures decide the verdict, and a `scan` text
+    row prints nothing else: it calls `multiplicity_closed_form` zero times.
+    The JSON prints each non-integral multiplicity as the float closed form
+    at its mirrored pair's seeded root."""
+    calls = []
+    closed_form = feasibility.multiplicity_closed_form
+
+    def counted(*args):
+        calls.append(args)
+        return closed_form(*args)
+
+    monkeypatch.setattr(feasibility, "multiplicity_closed_form", counted)
+    argv = ("scan", "--k", "5..6", "--d", "3,5", "--e", "2", "--format")
+    code, out, _ = run(capsys, *argv, "text")
+    assert code == 0 and out.count("excluded-by-integrality") + out.count("admissible") == 4
+    assert calls == []
+    code, out, _ = run(capsys, *argv, "json")
+    assert code == 0
+    for row in json.loads(out):
+        k, d, e = row["k"], row["d"], row["e"]
+        report = feasibility.spectral_feasibility(k, d, e)
+        theta = {(r.epsilon, r.i): r.theta for r in report.roots}
+        expected = [1, *(
+            a.integer if a.integral
+            else closed_form(k, d, e, r.epsilon, theta[r.epsilon, min(r.i, d - r.i)])
+            for r, a in zip(report.roots, report.assessments)
+        ), 1]
+        assert row["multiplicities"] == json.loads(dumps_canonical(expected))
 
 
 def test_reports_render_without_a_closed_form(monkeypatch, capsys):

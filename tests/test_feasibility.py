@@ -36,6 +36,7 @@ from oracles import (
     enclosure_interval,
     exact_moments,
     f_weight,
+    gap_chain_holds,
     g_weight,
     minimality_margins,
     mp_multiplicities,
@@ -430,14 +431,15 @@ def test_symmetry_under_negation(k, d, e):
 # the gap exclusion
 
 def test_gap_check_excludes():
-    verdict = spectral_feasibility(4, 7, 2).gap
+    report = spectral_feasibility(4, 7, 2)
+    verdict = report.gap
     assert verdict is not None and verdict.excluded
     assert verdict.verdict == VERDICT_GAP
     assert 0 < verdict.lo <= verdict.hi < 1
     assert not verdict.contains_integer
     assert verdict.within_unit_interval
-    assert float(verdict.hi) < verdict.analytic_bound
-    assert verdict.chain_ok
+    assert float(verdict.hi) < report.analytic_gap_bound
+    assert gap_chain_holds(4, 7, 2)
 
 
 def test_gap_check_excludes_e4():
@@ -452,23 +454,15 @@ def test_gap_check_outside_regime():
     assert report.final_verdict != VERDICT_GAP
 
 
-def test_gap_chain_values_ordering():
-    verdict = spectral_feasibility(5, 7, 2).gap
-    lhs, mid1, mid2, rhs = verdict.chain_values
-    assert lhs > mid1 >= mid2 > rhs
-
-
 def test_gap_verdict_reads_its_exact_ends():
-    """The integer test, the unit-interval test and the chain are read from
-    the stored values: an interval holding 1 is not excluded."""
-    verdict = GapVerdict(k=5, d=7, e=2, lo=Fraction(1, 2), hi=Fraction(1), analytic_bound=2.0,
-                         chain_values=(4.0, 3.0, 3.0, 5.0))
+    """The integer test and the unit-interval test are read from the stored
+    ends: an interval holding 1 is not excluded."""
+    verdict = GapVerdict(Fraction(1, 2), Fraction(1))
     assert verdict.contains_integer and not verdict.excluded
     assert verdict.verdict == "not-excluded"
     assert not verdict.within_unit_interval
-    assert not verdict.chain_ok
-    inside = replace(verdict, hi=Fraction(999, 1000), chain_values=(6.0, 5.0, 5.0, 4.0))
-    assert inside.excluded and inside.within_unit_interval and inside.chain_ok
+    inside = replace(verdict, hi=Fraction(999, 1000))
+    assert inside.excluded and inside.within_unit_interval
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +644,8 @@ def test_max_integrality_deviation_is_the_assessments_maximum(triple):
     report = spectral_feasibility(k, d, e)
     column = report.max_integrality_deviation
     assert "assessments" not in vars(report)
-    closed = [a.closed_form for a in report.assessments]
+    closed = [report._closed_forms[a.record.epsilon, min(a.record.i, d - a.record.i)]
+              for a in report.assessments]
     assert column.hex() == max(abs(m - round(m)) for m in closed).hex()
     fresh = (multiplicity_closed_form(k, d, e, r.epsilon, r.theta) for r in report.roots)
     assert column.hex() == max(abs(m - round(m)) for m in fresh).hex()
@@ -664,6 +659,19 @@ def test_every_triple_in_the_gap_regime_ends_in_the_gap_verdict(triple):
     report = spectral_feasibility(*triple)
     assert report.final_verdict == VERDICT_GAP
     assert vars(report).keys() == {f.name for f in fields(report)} | {"final_verdict"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(regime_triples(2 ** 400, 7, 201))
+@example((4, 7, 2))
+@example((2 ** 400, 201, 2 ** 400 - 2))
+def test_the_gap_chain_holds_on_the_regime(triple):
+    """The closing chain that the `GapVerdict` docstring proves, checked
+    exactly in integers: odd d in 7..201, k up to 2^400 and every even e in
+    [2, k-2].  Just outside the regime the check fails: d = 5, or e = k."""
+    k, d, e = triple
+    assert gap_chain_holds(k, d, e)
+    assert not gap_chain_holds(k, 5, e) and not gap_chain_holds(k, d, k)
 
 
 def exact_ascending(records):
@@ -712,8 +720,8 @@ def test_an_enclosed_integer_below_one_excludes_by_integrality(monkeypatch):
     integer is 0 excludes the triple, whatever the float closed form says."""
     assess = feasibility._assess_multiplicity
 
-    def zero_at_the_first_root(k, d, e, record, closed):
-        assessment = assess(k, d, e, record, closed)
+    def zero_at_the_first_root(k, d, e, record):
+        assessment = assess(k, d, e, record)
         if record.epsilon == 1 and record.i == 1:
             return replace(assessment, enclosure=((-1, 2), (1, 2)), integer=0)
         return assessment
@@ -721,7 +729,7 @@ def test_an_enclosed_integer_below_one_excludes_by_integrality(monkeypatch):
     monkeypatch.setattr(feasibility, "_assess_multiplicity", zero_at_the_first_root)
     report = spectral_feasibility(4, 3, 2)
     zero = [a for a in report.assessments if a.integer == 0]
-    assert len(zero) == 2 and all(a.closed_form > 0 for a in zero)  # the mirrored pair
+    assert len(zero) == 2 and report._closed_forms[1, 1] > 0  # the mirrored pair
     assert report.all_integral
     assert report.final_verdict == VERDICT_INTEGRALITY
 

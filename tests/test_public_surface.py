@@ -12,6 +12,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -132,11 +133,16 @@ REMOVED_MODULES = ("intervals", "precision")
 #: no float positivity, sum or moment check; a gap verdict exists only where
 #: the argument applies, and the report alone holds the integrality
 #: deviation; a root record keeps its exact bracket, and the angles are
-#: computed for the report that prints them.
+#: computed for the report that prints them; a certificate holds exact data
+#: only: a gap verdict is its interval, its closing chain is proved rather
+#: than evaluated, and the report computes the analytic bound and the float
+#: closed forms it prints.
 REMOVED_ATTRIBUTES = {
     ("feasibility", "FeasibilityReport"): ("all_positive", "moment_check", "sum_ok", "sum_value"),
-    ("feasibility", "GapVerdict"): ("applicable", "reason"),
-    ("feasibility", "MultiplicityAssessment"): ("deviation", "nearest"),
+    ("feasibility", "GapVerdict"): (
+        "analytic_bound", "applicable", "chain_ok", "chain_values", "d", "e", "k", "reason",
+    ),
+    ("feasibility", "MultiplicityAssessment"): ("closed_form", "deviation", "nearest"),
     ("feasibility", "RootRecord"): ("alpha", "phi"),
     ("graphs", "Graph"): ("adjacency_matrix", "_from_pairs"),
     ("graphs", "GraphAnalysis"): ("distances", "graph", "verdict"),
@@ -211,6 +217,22 @@ def test_removed_attributes_are_gone(owner):
     for attr in REMOVED_ATTRIBUTES[owner]:
         assert not hasattr(cls, attr), attr
         assert attr not in fields, attr
+
+
+#: The one float a certificate record may hold: the bracket midpoint every
+#: format prints as a root.
+FLOAT_FIELDS = {("RootRecord", "theta")}
+
+
+@pytest.mark.parametrize("cls", [
+    cage_spectra.RootRecord, cage_spectra.MultiplicityAssessment, cage_spectra.GapVerdict,
+])
+def test_certificates_hold_exact_data_only(cls):
+    """No field of a certificate record is annotated with ``float``, but
+    `RootRecord.theta`; the report derives every other float it prints."""
+    floats = {(cls.__name__, f.name) for f in dataclasses.fields(cls)
+              if re.search(r"\bfloat\b", str(f.type))}
+    assert floats <= FLOAT_FIELDS
 
 
 def test_no_public_function_takes_an_analysis():
