@@ -16,8 +16,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parameter error
 
 JSON is canonical: keys sorted, floats at 12 significant digits, so a report
 parsed and re-serialized is byte-identical inside binary64's normal range.
-Exact integers are never printed in float form, and the exact gap ends keep
-12 significant digits below it (`format_exact`).
+Exact integers are never printed in float form, and the exact gap ends and
+spectrum ends keep 12 significant digits outside it (`format_exact`).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -73,12 +74,17 @@ _TWELVE_DIGITS = decimal.Context(
 def format_exact(q: Fraction) -> str:
     """An exact rational at 12 significant digits, in `format_float`'s shape.
 
-    Where q is 0 or its float is normal, this is ``format_float(float(q))``.
-    Below 2^-1022 binary64 would lose digits or underflow to 0, so the 12
-    digits are those of q itself (a correctly rounded decimal quotient): a
-    positive gap end never prints as 0."""
-    x = float(q)
-    if q == 0 or abs(x) >= sys.float_info.min:
+    Where q is 0 or its float is normal and finite, this is
+    ``format_float(float(q))``.  Below 2^-1022 binary64 would lose digits or
+    underflow to 0, and past its largest value ``float(q)`` overflows, so
+    there the 12 digits are those of q itself (a correctly rounded decimal
+    quotient): a positive gap end never prints as 0, and an end eigenvalue
+    -k past binary64 still prints."""
+    try:
+        x = float(q)
+    except OverflowError:
+        x = math.inf
+    if q == 0 or sys.float_info.min <= abs(x) < math.inf:
         return format_float(x)
     digits = _TWELVE_DIGITS.divide(q.numerator, q.denominator)
     return format(_TWELVE_DIGITS.normalize(digits), "g")
@@ -186,7 +192,7 @@ def _report_text(report: FeasibilityReport) -> str:
     ]
     for theta, m in report.spectrum():
         shown = str(m) if isinstance(m, int) else _float_or(m, "n/a")
-        lines.append(f"  {format_float(theta):>18} : {shown}")
+        lines.append(f"  {dumps_canonical(theta):>18} : {shown}")
     lines.append(
         f"integrality: {'all integral' if report.all_integral else 'NON-INTEGRAL multiplicities'}"
         f" (max deviation {_float_or(report.max_integrality_deviation, 'n/a')})"
@@ -195,7 +201,7 @@ def _report_text(report: FeasibilityReport) -> str:
         g = report.gap
         lines.append(
             f"gap interval for lambda_2^2 - mu_2^2: ({format_exact(g.lo)}, {format_exact(g.hi)})"
-            f", analytic bound {format_float(report.analytic_gap_bound)}"
+            f", analytic bound {_float_or(report.analytic_gap_bound, 'n/a')}"
             f", contains integer: {g.contains_integer}"
             ", chain ok: True"  # a theorem on the regime (`GapVerdict`)
         )

@@ -35,12 +35,13 @@ This module:
   a sign change of P = H_{d-1} - eps, of degree d - 1.  So each seed holds
   exactly one root, a simple one, and the Newton cell is the one halving
   would reach; no bracket is checked for monotonicity.  P is even,
-  P(x) = Q(x^2), so every exact sign and Newton step evaluates Q at x^2
-  (the same integers as P at x, in half the Horner steps).
-  The roots of the eps = 1 family, the one every e shares, are cached per
-  (k, d) for the life of the process with the angle tables their seeds
-  read, which the eps = -1 family reuses; a -e/2 family is isolated anew
-  for its triple;
+  P(x) = Q(x^2), so the one sign kernel and the one Newton kernel are
+  Horner on Q at x^2 (the same integers as P at x, in half the Horner
+  steps); there is no general-degree kernel under them.
+  The angle tables the seeds read are cached per (k, d) by themselves, for
+  the life of the process, whichever family builds them first.  The roots
+  of the eps = 1 family, the one every e shares, are cached per (k, d) too;
+  a -e/2 family is isolated anew for its triple, with its two side tables;
 
 * evaluates the eigenvalue multiplicity in closed form
 
@@ -49,9 +50,11 @@ This module:
 
 * certifies integrality of each multiplicity with exact interval arithmetic
   propagated from the root bracket (an enclosure must contain exactly one
-  integer), done in integers over the bracket's power of two.  H_{d-2} and
-  H'_{d-1} are odd, so a mirrored root has its partner's enclosure and
-  closed form, and each pair is assessed once;
+  integer), done in integers over the bracket's power of two; one wider
+  than 1/2 is refined.  H_{d-2} and H'_{d-1} are odd, so a mirrored root
+  has its partner's enclosure and closed form: the report states this
+  mirror rule once (`FeasibilityReport._mirrored`), and each pair is
+  assessed once;
 
 * for d >= 7 certifies the product-gap exclusion: the squares of the
   second-smallest roots of the two families differ by a value trapped in a
@@ -84,7 +87,7 @@ triple; it is not an existence claim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Union
@@ -107,9 +110,6 @@ VERDICT_OUTSIDE = "outside-regime"
 
 #: Root brackets are shrunk below this dyadic width before any verdict.
 TARGET_BRACKET_BITS = 60
-
-#: A multiplicity enclosure wider than this triggers bracket refinement.
-ENCLOSURE_WIDTH_LIMIT = Fraction(1, 2)
 
 _GAP_MIN_D = 7  # the product-gap argument needs girth 2d >= 14
 
@@ -173,12 +173,15 @@ def _family(k: int, d: int, epsilon: int) -> tuple[int, ...]:
     return tuple(q)
 
 
-def _sign_dyadic(coeffs: tuple[int, ...], num: int, shift: int) -> int:
-    """Exact sign of P(num / 2^shift) for an integer polynomial P: the sign of
-    2^(shift*deg) P(num / 2^shift), by Horner's rule in integers."""
-    acc = coeffs[-1]
-    for j, c in enumerate(reversed(coeffs[:-1]), 1):
-        acc = acc * num + (c << shift * j)
+def _sign_even(q: tuple[int, ...], num: int, shift: int) -> int:
+    """Exact sign of P(num / 2^shift) for P(x) = Q(x^2), Q's coefficients
+    constant term first: Horner's rule in integers on Q at num^2 / 2^(2 shift)
+    forms 2^(shift deg P) P(num / 2^shift), the integer Horner on P forms at
+    num / 2^shift, in half the steps."""
+    x, double = num * num, 2 * shift
+    acc = q[-1]
+    for j, c in enumerate(reversed(q[:-1]), 1):
+        acc = acc * x + (c << double * j)
     return (acc > 0) - (acc < 0)
 
 
@@ -204,30 +207,18 @@ def _dyadic_enclosure(coeffs: tuple[int, ...], lo: int, hi: int, shift: int) -> 
     return a, b
 
 
-def _horner_newton(coeffs: tuple[int, ...], num: int, shift: int) -> tuple[int, int]:
-    """P and P' at num / 2^shift in one Horner pass, in integers: returns
-    (2^(shift*deg) P, 2^(shift*(deg-1)) P'), so P/P' in units of 2^-shift is
-    their integer quotient."""
-    acc, slope = coeffs[-1], 0
-    for j, c in enumerate(reversed(coeffs[:-1]), 1):
-        slope = slope * num + acc
-        acc = acc * num + (c << shift * j)
-    return acc, slope
-
-
-def _sign_even(q: tuple[int, ...], num: int, shift: int) -> int:
-    """Exact sign of P(num / 2^shift) for P(x) = Q(x^2): Horner on Q at
-    num^2 / 2^(2 shift), whose integer equals the one Horner on P forms at
-    num / 2^shift, in half the steps."""
-    return _sign_dyadic(q, num * num, 2 * shift)
-
-
 def _newton_even(q: tuple[int, ...], num: int, shift: int) -> tuple[int, int]:
-    """`_horner_newton` of P(x) = Q(x^2) at num / 2^shift, from Q at
-    num^2 / 2^(2 shift): P' = 2x Q'(x^2), so the slope is Q's times 2 num.
-    Both integers equal the full-degree ones."""
-    value, slope = _horner_newton(q, num * num, 2 * shift)
-    return value, 2 * num * slope
+    """P and P' at num / 2^shift for P(x) = Q(x^2), in one Horner pass on Q
+    at num^2 / 2^(2 shift): returns (2^(shift deg P) P, 2^(shift (deg P - 1)) P'),
+    so P/P' in units of 2^-shift is their integer quotient.  P' = 2x Q'(x^2),
+    so the slope is Q's times 2 num; both integers equal the full-degree
+    Horner's."""
+    x, double = num * num, 2 * shift
+    acc, slope = q[-1], 0
+    for j, c in enumerate(reversed(q[:-1]), 1):
+        slope = slope * x + acc
+        acc = acc * x + (c << double * j)
+    return acc, 2 * num * slope
 
 
 def _dyadic_square(lo: int, hi: int) -> tuple[int, int]:
@@ -457,7 +448,10 @@ def _side_tables(pi: int, d: int, q: int, a: int, bits: int):
     )
 
 
+@lru_cache(maxsize=None)
 def _angle_tables(k: int, d: int) -> _Angles:
+    """The angle tables of (k, d), built once per (k, d) for the life of the
+    process; both families' seeds and `_root_angles` read them."""
     bits = _seed_bits(k, d)
     pi = _fixed_pi(bits)
     q = (k - 1) ** ((d - 1) // 2)
@@ -513,10 +507,9 @@ def _seed_shift(span: int, bits: int) -> int:
 
 
 #: Per (k, d), for the life of the process: the roots of the epsilon = 1
-#: family, the one family every e shares, with the angle tables its seeds
-#: read (the epsilon = -1 family reads the same ones).  A -e/2 family serves
-#: one triple and is not kept; a failed isolation stores nothing.
-_ROOTS: dict[tuple[int, int], tuple[tuple[RootRecord, ...], _Angles]] = {}
+#: family, the one family every e shares.  A -e/2 family serves one triple
+#: and is not kept; a failed isolation stores nothing.
+_ROOTS: dict[tuple[int, int], tuple[RootRecord, ...]] = {}
 
 
 def isolate_roots(k: int, d: int, e: int, epsilon: int) -> list[RootRecord]:
@@ -532,26 +525,24 @@ def isolate_roots(k: int, d: int, e: int, epsilon: int) -> list[RootRecord]:
     whose containment cannot be certified is an internal error.
     Records come back in index order i = 1..d-1, which is the ascending
     order of their exact brackets, in a new list on every call.  Only the
-    epsilon = 1 family is cached.
+    epsilon = 1 family's records are cached; the (k, d) angle tables both
+    families' seeds read are cached apart (`_angle_tables`).
     """
     validate_parameters(k, d, e)
     if epsilon not in (1, -e // 2):
         raise ParameterDomainError(
             f"epsilon must be 1 or -e/2 = {-e // 2}, got {epsilon}"
         )
-    cached = _ROOTS.get((k, d))
     if epsilon != 1:
-        angles = cached[1] if cached else _angle_tables(k, d)
-        return list(_isolate(k, d, e, epsilon, angles))
-    if cached is None:
-        angles = _angle_tables(k, d)
-        cached = _ROOTS[k, d] = _isolate(k, d, e, 1, angles), angles
-    return list(cached[0])
+        return list(_isolate(k, d, e, epsilon))
+    if (k, d) not in _ROOTS:
+        _ROOTS[k, d] = _isolate(k, d, e, 1)
+    return list(_ROOTS[k, d])
 
 
-def _isolate(k: int, d: int, e: int, epsilon: int, angles: _Angles) -> tuple[RootRecord, ...]:
-    """The uncached isolation, in index order; ``e`` only names the triple
-    in errors.
+def _isolate(k: int, d: int, e: int, epsilon: int) -> tuple[RootRecord, ...]:
+    """The isolation of one family, in index order, from the cached (k, d)
+    angle tables; ``e`` only names the triple in errors.
 
     Each seed is its case interval's fixed-point ends (`_case_ends`) shrunk
     inward by span / 2^30 of the interval and rounded inward to the seed's
@@ -574,6 +565,7 @@ def _isolate(k: int, d: int, e: int, epsilon: int, angles: _Angles) -> tuple[Roo
     root, a simple one, and each seed holds only its own: the cell
     `_bisect` took is the one the halving loop would reach."""
     q = _family(k, d, epsilon)
+    angles = _angle_tables(k, d)
     bits, two_s = angles.bits, angles.two_s
     seeded = []  # (eta, (lo, hi, shift)) for i = 1..(d-1)/2
     prev_hi = prev_seed = None  # the high end of seed i - 1, at its shift
@@ -616,17 +608,16 @@ def _root_angles(k: int, d: int, record: RootRecord) -> tuple[float, float]:
     that print them.
 
     phi in (0, pi) is acos(-theta / (2s)) at the bracket's midpoint, by
-    `_acos_near` at the seeds' fixed point and from the (k, d) angle tables
-    (the cached ones when the epsilon = 1 family is cached); root d - i
-    takes pi - phi_i from its mirror i, in the same fixed point.
+    `_acos_near` at the seeds' fixed point and from the cached (k, d) angle
+    tables; root d - i takes pi - phi_i from its mirror i, in the same fixed
+    point.
     alpha = i pi - d phi is the angular defect.  Formed as that difference
     it would cancel to the bracket's error; it is taken instead from the
     angular-defect equation sin(alpha) = eta s^(1-d) sin(phi), as
     asin(eta sin(phi) / q) with q = s^(d-1) and sin(phi) in fixed point:
     |eta| s^(1-d) < 1/2 in the regime, so the principal branch is alpha.
     """
-    cached = _ROOTS.get((k, d))
-    bits, pi, two_s, q, beta, centre, _, _ = cached[1] if cached else _angle_tables(k, d)
+    bits, pi, two_s, q, beta, centre, _, _ = _angle_tables(k, d)
     lo, hi, shift = record.bracket
     i, mirrored = record.i, 2 * record.i > d
     if mirrored:
@@ -674,9 +665,10 @@ class MultiplicityAssessment:
     ``enclosure`` ((a, b), (c, q)) with b, q > 0, and ``integer`` is the one
     integer there (None when there is not exactly one).  It holds no float:
     the float closed form a report prints for a non-integral multiplicity is
-    the report's (`FeasibilityReport.spectrum`)."""
+    the report's (`FeasibilityReport.spectrum`).  It names no root either:
+    `FeasibilityReport.assessments` is aligned with ``roots``, and a mirrored
+    pair shares one assessment."""
 
-    record: RootRecord
     enclosure: tuple[tuple[int, int], tuple[int, int]]
     integer: int | None
 
@@ -737,13 +729,12 @@ def _multiplicity_enclosure(
 
 
 def _decisive(ends) -> bool:
-    """The enclosure exists and is no wider than `ENCLOSURE_WIDTH_LIMIT`,
-    by cross-multiplication."""
+    """The enclosure exists and is no wider than 1/2, by cross-multiplication;
+    a wider one triggers bracket refinement."""
     if ends is None:
         return False
     (a, b), (c, q) = ends
-    limit = ENCLOSURE_WIDTH_LIMIT
-    return (c * b - a * q) * limit.denominator <= limit.numerator * b * q
+    return 2 * (c * b - a * q) <= b * q
 
 
 def _assess_multiplicity(k, d, e, record: RootRecord) -> MultiplicityAssessment:
@@ -773,7 +764,6 @@ def _assess_multiplicity(k, d, e, record: RootRecord) -> MultiplicityAssessment:
         ends = _multiplicity_enclosure(k, d, e, record.epsilon, lo, hi, shift)
     integers = _integers_in(ends)
     return MultiplicityAssessment(
-        record=record,
         enclosure=ends,
         integer=integers[0] if len(integers) == 1 else None,
     )
@@ -805,9 +795,9 @@ class GapVerdict:
       and 16 pi^2 < 160.
 
     The JSON and the text report print ``chain_ok`` as the constant true.
-    The analytic bound the certified high end sits below is binary64, and
-    only the reports that print it compute it
-    (`FeasibilityReport.analytic_gap_bound`)."""
+    The analytic bound the certified high end sits below is binary64 (None
+    where binary64 cannot hold it), and only the reports that print it
+    compute it (`FeasibilityReport.analytic_gap_bound`)."""
 
     lo: Fraction
     hi: Fraction
@@ -853,7 +843,9 @@ class FeasibilityReport:
     is computed on first access, once, and only ``final_verdict`` decides
     which of them a verdict needs: a gap exclusion reads nothing else, and
     otherwise the enclosures decide it.  ``repr`` and ``==`` read the fields
-    alone.
+    alone.  The per-root attributes are tuples aligned with ``roots``; the
+    enclosures and the closed forms are computed at the seeded roots only,
+    and a mirror reads its partner's (`_mirrored`).
     """
 
     k: int
@@ -863,38 +855,35 @@ class FeasibilityReport:
     roots: tuple[RootRecord, ...]
     gap: GapVerdict | None
 
+    def _mirrored(self, f) -> tuple:
+        """f at each seeded root (2i < d), in the order of ``roots``: root
+        d - i gets root i's value, since H_{d-2} and H'_{d-1} are odd and
+        theta_{d-i} = -theta_i."""
+        seeded = {(r.epsilon, r.i): f(r) for r in self.roots if 2 * r.i < self.d}
+        return tuple(seeded[r.epsilon, min(r.i, self.d - r.i)] for r in self.roots)
+
     @cached_property
-    def _closed_forms(self) -> dict[tuple[int, int], float | None]:
-        """The float closed form at each root i <= (d-1)/2, by (epsilon, i),
-        or None where binary64 cannot evaluate it (it overflows, with an
-        error or to inf or nan, or is ill-conditioned); root d - i, its
-        mirror, has the same value.  The CSV's deviation column reads them
-        all, and `spectrum` those of the non-integral multiplicities."""
-        half = (self.d - 1) // 2
-        forms = {}
-        for r in self.roots:
-            if r.i <= half:
-                try:
-                    m = multiplicity_closed_form(self.k, self.d, self.e, r.epsilon, r.theta)
-                except (OverflowError, IllConditionedError):
-                    m = math.inf
-                forms[r.epsilon, r.i] = m if math.isfinite(m) else None
-        return forms
+    def _closed_forms(self) -> tuple[float | None, ...]:
+        """The float closed form at each root, in the order of ``roots``, or
+        None where binary64 cannot evaluate it (it overflows, with an error
+        or to inf or nan, or is ill-conditioned); evaluated once per mirrored
+        pair.  The CSV's deviation column reads them all, and `spectrum`
+        those of the non-integral multiplicities."""
+
+        def closed_form(r):
+            try:
+                m = multiplicity_closed_form(self.k, self.d, self.e, r.epsilon, r.theta)
+            except (OverflowError, IllConditionedError):
+                return None
+            return m if math.isfinite(m) else None
+
+        return self._mirrored(closed_form)
 
     @cached_property
     def assessments(self) -> tuple[MultiplicityAssessment, ...]:
-        """One certified assessment per root, in the order of ``roots``.  Root
-        d - i shares root i's enclosure (H_{d-2} and H'_{d-1} are odd)."""
-        k, d, e, half = self.k, self.d, self.e, (self.d - 1) // 2
-        assessed = {
-            (r.epsilon, r.i): _assess_multiplicity(k, d, e, r)
-            for r in self.roots
-            if r.i <= half
-        }
-        return tuple(
-            assessed[r.epsilon, r.i] if r.i <= half else replace(assessed[r.epsilon, d - r.i], record=r)
-            for r in self.roots
-        )
+        """One certified assessment per root, in the order of ``roots``; a
+        mirrored pair shares one (`_mirrored`)."""
+        return self._mirrored(lambda r: _assess_multiplicity(self.k, self.d, self.e, r))
 
     @cached_property
     def angles(self) -> tuple[tuple[float, float], ...]:
@@ -920,37 +909,42 @@ class FeasibilityReport:
     def max_integrality_deviation(self) -> float | None:
         """The largest |m - round(m)| over the float closed forms, read
         without the enclosures; None when any closed form is None."""
-        forms = self._closed_forms.values()
+        forms = self._closed_forms
         if None in forms:
             return None
         return max(abs(m - round(m)) for m in forms)
 
     @cached_property
-    def analytic_gap_bound(self) -> float:
+    def analytic_gap_bound(self) -> float | None:
         """The binary64 analytic bound on lambda_2^2 - mu_2^2 that the
         certified gap sits below, for the JSON and the ``feasibility`` text
         report, which alone print it; only a report with a gap reads it.
-        It underflows to 0 where s^(3-d) passes below binary64."""
+        None where binary64 cannot evaluate it: k - 1 past its range raises
+        `OverflowError`, and s^(3-d) below it makes the bound 0."""
         k, d, e = self.k, self.d, self.e
-        s_pow = (k - 1) ** (-(d - 1) / 2)  # s^(1-d)
-        return (
-            16 * math.pi ** 2 * (e / 2 + 1) * (k - 1) ** ((3 - d) / 2)
-            * (2 * d + (e / 2 - 1) * s_pow)
-            / ((d - s_pow) ** 2 * (d + e / 2 * s_pow) ** 2)
-        )
+        try:
+            s_pow = (k - 1) ** (-(d - 1) / 2)  # s^(1-d)
+            bound = (
+                16 * math.pi ** 2 * (e / 2 + 1) * (k - 1) ** ((3 - d) / 2)
+                * (2 * d + (e / 2 - 1) * s_pow)
+                / ((d - s_pow) ** 2 * (d + e / 2 * s_pow) ** 2)
+            )
+        except OverflowError:
+            return None
+        return bound if 0 < bound < math.inf else None
 
-    def spectrum(self) -> list[tuple[float, float | int | None]]:
+    def spectrum(self) -> list[tuple[float | Fraction, float | int | None]]:
         """Full candidate spectrum in the exact ascending order of ``roots``,
-        between -k and k with multiplicity 1 each; certified-integral
+        between the exact ends -k and k (`Fraction`s, so a k past binary64
+        prints) with multiplicity 1 each; certified-integral
         multiplicities appear as ints, a non-integral one as its float
         closed form, and one without a float closed form as None.  The
         closed forms are computed only when a multiplicity is non-integral."""
-        d = self.d
         inner = [
-            (r.theta, a.integer if a.integral else self._closed_forms[r.epsilon, min(r.i, d - r.i)])
-            for r, a in zip(self.roots, self.assessments)
+            (r.theta, a.integer if a.integral else self._closed_forms[j])
+            for j, (r, a) in enumerate(zip(self.roots, self.assessments))
         ]
-        return [(-float(self.k), 1)] + inner + [(float(self.k), 1)]
+        return [(Fraction(-self.k), 1)] + inner + [(Fraction(self.k), 1)]
 
 
 def spectral_feasibility(k: int, d: int, e: int) -> FeasibilityReport:

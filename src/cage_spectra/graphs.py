@@ -547,39 +547,43 @@ def verify_identities(
 # ---------------------------------------------------------------------------
 # antipodal spectrum and the eigenvalue cross-check
 
+#: The largest |H_{d-1}(theta) - target| the eigenvalue cross-check accepts.
+_CROSSCHECK_TOLERANCE = 1e-8
+
+
 @dataclass(frozen=True)
 class CrosscheckReport:
     """Numeric check that every adjacency eigenvalue theta != +-k satisfies
-    H_{d-1}(theta) in the target set derived from the distance-(d+1) spectrum."""
+    H_{d-1}(theta) in the target set derived from the distance-(d+1) spectrum,
+    to within `_CROSSCHECK_TOLERANCE`."""
 
     targets: tuple[float, ...]
     thetas: tuple[float, ...]
     deviations: tuple[float, ...]
     max_deviation: float
-    tolerance: float = 1e-8
 
     @property
     def ok(self) -> bool:
-        return self.max_deviation <= self.tolerance
+        return self.max_deviation <= _CROSSCHECK_TOLERANCE
 
 
 def spectral_crosscheck(graph: Graph, k: int, d: int, e: int) -> CrosscheckReport:
     """Eigen-decompose A (LAPACK symmetric solver) and check H_{d-1}(theta)
     against {1, -e/2} (or {0} in the degenerate e = 0 case) for every
-    eigenvalue other than one copy each of +k and -k."""
+    eigenvalue other than one copy each of +k and -k.
+
+    The structure check has proved A connected, k-regular and bipartite, so
+    k and -k are simple eigenvalues, the largest and the smallest; `eigvalsh`
+    returns them last and first, in ascending order."""
     _require_structure(graph, k, d, e)
     n, degrees = graph.n, graph.degrees
     a = np.zeros((n, n))
     a[np.repeat(np.arange(n), degrees),
       np.fromiter(chain.from_iterable(graph.adjacency), dtype=np.intp, count=sum(degrees))] = 1.0
     eigenvalues = np.linalg.eigvalsh(a)
-    order = np.argsort(np.abs(eigenvalues - k))
-    drop = {int(order[0])}
-    order = np.argsort(np.abs(eigenvalues + k))
-    drop.add(int(order[0]))
     h = dickson_family("H", k, d - 1)
     targets = (0.0,) if e == 0 else (1.0, -e / 2)
-    thetas = tuple(float(t) for i, t in enumerate(eigenvalues) if i not in drop)
+    thetas = tuple(float(t) for t in eigenvalues[1:-1])
     deviations = tuple(min(abs(h(t) - target) for target in targets) for t in thetas)
     return CrosscheckReport(
         targets=targets,

@@ -101,10 +101,9 @@ def test_c5_worked_multiplicity_instance():
         assert spectrum[round(math.sqrt(2), 9)] == 6
         assert spectrum[round(-math.sqrt(2), 9)] == 6
         assert sum(m for _, m in report.spectrum()) == 28
-        for assessment in report.assessments:
+        for record, assessment in zip(report.roots, report.assessments):
             assert enclosure_interval(assessment.enclosure).contained_integer_count() == 1
             assert assessment.integer >= 1
-            record = assessment.record
             closed = multiplicity_closed_form(4, 3, 2, record.epsilon, record.theta)
             assert abs(closed - round(closed)) <= 1e-6
         # the moment identity q = 0..5, exactly: 28 times the tree's closed walks

@@ -12,7 +12,9 @@ from cage_spectra import (
     BracketSeedError, _intmat, catalog, cli, feasibility, graphs, moore_bound,
     trace_identity_check,
 )
-from cage_spectra.cli import dumps_canonical, format_exact, format_float, main
+from cage_spectra.cli import (
+    _report_json, _report_text, dumps_canonical, format_exact, format_float, main,
+)
 
 
 def run(capsys, *argv):
@@ -241,6 +243,40 @@ def test_format_exact_prints_twelve_digits_of_the_rational(q, text):
     assert format_exact(q) == text
     if abs(float(q)) >= sys.float_info.min or q == 0:
         assert text == format_float(float(q))
+
+
+@pytest.mark.parametrize("q,text", [
+    (Fraction(-(2 ** 1025 + 1)), "-3.59538626972e+308"),
+    (Fraction(2 ** 1024), "1.79769313486e+308"),  # the least power of two past binary64
+    (Fraction(10 ** 400, 3), "3.33333333333e+399"),
+])
+def test_format_exact_prints_twelve_digits_past_binary64(q, text):
+    """Where ``float(q)`` overflows, the 12 digits are those of q itself."""
+    with pytest.raises(OverflowError):
+        float(q)
+    assert format_exact(q) == text
+
+
+@pytest.fixture(scope="module")
+def report_past_binary64():
+    """(2^1025 + 1, 7, 2): neither k - 1 nor the end eigenvalue -k has a
+    binary64 value.  The JSON builds every enclosure, about 5 s."""
+    return feasibility.spectral_feasibility(2 ** 1025 + 1, 7, 2)
+
+
+def test_the_json_report_renders_where_k_passes_binary64(report_past_binary64):
+    """The ends of the spectrum print as 12 digits of the exact -k and k,
+    and the analytic bound, which binary64 cannot evaluate, as null."""
+    text = dumps_canonical(_report_json(report_past_binary64))
+    assert '"thetas":[-3.59538626972e+308,' in text
+    assert text.endswith(',3.59538626972e+308],"verdict":"excluded-by-gap"}')
+    assert '"analytic_bound":null' in text
+
+
+def test_the_text_report_renders_where_k_passes_binary64(report_past_binary64):
+    lines = _report_text(report_past_binary64).splitlines()
+    assert lines[3].split() == ["-3.59538626972e+308", ":", "1"]
+    assert ", analytic bound n/a, " in lines[-1]
 
 
 def test_canonical_json_prints_an_exact_gap_end_as_a_number():

@@ -29,17 +29,14 @@ from cage_spectra import (
 )
 from cage_spectra import feasibility
 from cage_spectra.feasibility import (
-    ENCLOSURE_WIDTH_LIMIT,
     TARGET_BRACKET_BITS,
     _bisect,
     _decisive,
     _dyadic_enclosure,
     _family,
-    _horner_newton,
     _integers_in,
     _multiplicity_enclosure,
     _newton_even,
-    _sign_dyadic,
     _sign_even,
 )
 from oracles import (
@@ -88,9 +85,9 @@ def test_dyadic_enclosure_matches_poly_enclosure(coeffs, bracket):
 
 @settings(max_examples=300, deadline=None)
 @given(coefficient_lists, st.integers(-(1 << 90), 1 << 90), st.integers(0, 80))
-def test_sign_dyadic_matches_rational_evaluation(coeffs, num, shift):
-    value = IntPolynomial(coeffs)(Fraction(num, 1 << shift))
-    assert _sign_dyadic(tuple(coeffs), num, shift) == (value > 0) - (value < 0)
+def test_sign_even_matches_rational_evaluation(q, num, shift):
+    value = IntPolynomial(q)(Fraction(num, 1 << shift) ** 2)
+    assert _sign_even(tuple(q), num, shift) == (value > 0) - (value < 0)
 
 
 def rational_route(k, d, e, epsilon, lo, hi, shift):
@@ -123,7 +120,7 @@ def integer_route(k, d, e, epsilon, lo, hi, shift):
     (a, b), (c, q) = ends
     assert b > 0 and q > 0
     enclosure = enclosure_interval(ends)
-    assert _decisive(ends) == (enclosure.width <= ENCLOSURE_WIDTH_LIMIT)
+    assert _decisive(ends) == (enclosure.width <= Fraction(1, 2))
     return enclosure
 
 
@@ -148,7 +145,7 @@ def assert_enclosures_match(k, d, e):
             while True:
                 enclosure = integer_route(k, d, e, epsilon, lo, hi, shift)
                 assert enclosure == rational_route(k, d, e, epsilon, lo, hi, shift)
-                if enclosure is not None and enclosure.width <= ENCLOSURE_WIDTH_LIMIT:
+                if enclosure is not None and enclosure.width <= Fraction(1, 2):
                     break
                 bits += 32
                 coeffs = family_coefficients(k, d, epsilon)
@@ -275,7 +272,6 @@ def test_even_sign_and_newton_equal_the_full_degree_integers(q, num, shift):
     q = tuple(q)
     value, slope = full_degree_newton(even(q), num, shift)
     assert _newton_even(q, num, shift) == (value, slope)
-    assert _horner_newton(even(q), num, shift) == (value, slope)
     assert _sign_even(q, num, shift) == (value > 0) - (value < 0)
     assert _sign_even(q, num, shift) == horner_sign(even(q), num, shift)
 
@@ -369,7 +365,7 @@ _SEEDS = {}
 
 
 def isolate_uncached(k, d, e, epsilon):
-    return feasibility._isolate(k, d, e, epsilon, feasibility._angle_tables(k, d))
+    return feasibility._isolate(k, d, e, epsilon)
 
 
 def seed_brackets(k, d, epsilon):

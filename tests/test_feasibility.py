@@ -169,8 +169,13 @@ def test_a_seed_not_certified_inside_its_case_interval_raises(monkeypatch):
     monkeypatch.setattr(feasibility, "_ROOTS", {})
     monkeypatch.setattr(feasibility, "_seed_bits", lambda k, d: 40)
     monkeypatch.setattr(feasibility, "_bisect", None)  # never reached
-    with pytest.raises(BracketSeedError, match=r"\(k=16, d=7, e=2, eps=1, i=1\) is not certified"):
-        isolate_roots(16, 7, 2, 1)
+    # the (k, d) tables are cached: build them at 40 bits, and drop them after
+    feasibility._angle_tables.cache_clear()
+    try:
+        with pytest.raises(BracketSeedError, match=r"\(k=16, d=7, e=2, eps=1, i=1\) is not certified"):
+            isolate_roots(16, 7, 2, 1)
+    finally:
+        feasibility._angle_tables.cache_clear()
 
 
 @pytest.mark.parametrize("fault,message", [
@@ -220,9 +225,9 @@ def test_a_scan_over_e_keeps_one_cached_family(monkeypatch):
     isolated, asked = [], []
     real_isolate, real_isolate_roots = feasibility._isolate, feasibility.isolate_roots
 
-    def isolate(k, d, e, epsilon, angles):
+    def isolate(k, d, e, epsilon):
         isolated.append(epsilon)
-        return real_isolate(k, d, e, epsilon, angles)
+        return real_isolate(k, d, e, epsilon)
 
     def isolate_roots_(k, d, e, epsilon):
         asked.append((e, epsilon))
@@ -236,6 +241,19 @@ def test_a_scan_over_e_keeps_one_cached_family(monkeypatch):
     assert asked == [(e, epsilon) for e in excesses for epsilon in (1, -e // 2)]
     assert isolated == [1] + [-e // 2 for e in excesses]
     assert list(feasibility._ROOTS) == [(30, 9)]
+
+
+@pytest.mark.parametrize("first", [1, -2], ids=["epsilon=1", "epsilon=-e/2"])
+def test_angle_tables_are_built_once_per_k_d(first, monkeypatch):
+    """Both families' seeds and the JSON's angles read one set of (k, d)
+    tables, built by whichever family asks first: a scan over every e at
+    one (k, d) builds them once."""
+    monkeypatch.setattr(feasibility, "_ROOTS", {})
+    feasibility._angle_tables.cache_clear()
+    isolate_roots(30, 9, 4, first)
+    reports = list(scan([30], [9], range(2, 29, 2)))
+    assert all(len(report.angles) == 2 * 8 for report in reports)
+    assert feasibility._angle_tables.cache_info().misses == 1
 
 
 @st.composite
@@ -263,7 +281,7 @@ def test_isolate_roots_is_independent_of_family_order_and_cache_state(history):
 
     (k, d, e, epsilon), before = history
     with mock.patch.dict(feasibility._ROOTS, clear=True):
-        expected = feasibility._isolate(k, d, e, epsilon, feasibility._angle_tables(k, d))
+        expected = feasibility._isolate(k, d, e, epsilon)
         for e_before, eps_before in before:
             isolate_roots(k, d, e_before, eps_before)
         assert tuple(isolate_roots(k, d, e, epsilon)) == expected
@@ -442,6 +460,15 @@ def test_gap_check_excludes():
     assert gap_chain_holds(4, 7, 2)
 
 
+def test_an_analytic_bound_below_binary64_is_none():
+    """s^(3-d) passes below binary64 at (2^343 + 1, 15, 2), where the bound
+    once read 0 beside a positive certified gap; it reads None, as a closed
+    form does that binary64 cannot hold."""
+    report = spectral_feasibility(2 ** 343 + 1, 15, 2)
+    assert report.final_verdict == VERDICT_GAP
+    assert report.analytic_gap_bound is None
+
+
 def test_gap_check_excludes_e4():
     verdict = spectral_feasibility(6, 9, 4).gap
     assert verdict.excluded
@@ -603,9 +630,20 @@ def test_multiplicity_sum_invariant():
         assert enclosures_hold_the_sum(spectral_feasibility(k, d, e)), (k, d, e)
 
 
+@pytest.mark.parametrize("k,d,e", [(4, 3, 2), (6, 5, 4), (5, 7, 2)])
+def test_a_mirrored_root_shares_its_partners_assessment(k, d, e):
+    """Root d - i is root i's mirror, and its assessment is root i's own
+    object: each pair is assessed once."""
+    report = spectral_feasibility(k, d, e)
+    by_root = {(r.epsilon, r.i): a for r, a in zip(report.roots, report.assessments)}
+    for (epsilon, i), assessment in by_root.items():
+        assert assessment is by_root[epsilon, d - i]
+    assert len({id(a) for a in report.assessments}) == d - 1
+
+
 def test_enclosures_certify_worked_integers():
     report = spectral_feasibility(4, 3, 2)
-    by_theta = {round(a.record.theta, 6): a for a in report.assessments}
+    by_theta = {round(r.theta, 6): a for r, a in zip(report.roots, report.assessments)}
     assert by_theta[2.0].integer == 7
     assert by_theta[-2.0].integer == 7
     assert by_theta[round(math.sqrt(2), 6)].integer == 6
@@ -644,8 +682,8 @@ def test_max_integrality_deviation_is_the_assessments_maximum(triple):
     report = spectral_feasibility(k, d, e)
     column = report.max_integrality_deviation
     assert "assessments" not in vars(report)
-    closed = [report._closed_forms[a.record.epsilon, min(a.record.i, d - a.record.i)]
-              for a in report.assessments]
+    closed = report._closed_forms
+    assert len(closed) == len(report.assessments) == len(report.roots)
     assert column.hex() == max(abs(m - round(m)) for m in closed).hex()
     fresh = (multiplicity_closed_form(k, d, e, r.epsilon, r.theta) for r in report.roots)
     assert column.hex() == max(abs(m - round(m)) for m in fresh).hex()
@@ -729,7 +767,8 @@ def test_an_enclosed_integer_below_one_excludes_by_integrality(monkeypatch):
     monkeypatch.setattr(feasibility, "_assess_multiplicity", zero_at_the_first_root)
     report = spectral_feasibility(4, 3, 2)
     zero = [a for a in report.assessments if a.integer == 0]
-    assert len(zero) == 2 and report._closed_forms[1, 1] > 0  # the mirrored pair
+    first = next(j for j, r in enumerate(report.roots) if (r.epsilon, r.i) == (1, 1))
+    assert len(zero) == 2 and report._closed_forms[first] > 0  # the mirrored pair
     assert report.all_integral
     assert report.final_verdict == VERDICT_INTEGRALITY
 

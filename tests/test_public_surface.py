@@ -77,6 +77,7 @@ PUBLIC = [
 REMOVED = {
     "DisconnectedGraphError": "errors",
     "DistanceMatrixSet": "graphs",
+    "ENCLOSURE_WIDTH_LIMIT": "feasibility",
     "ExactRational": "polynomials",
     "MOMENT_TOLERANCE": "feasibility",
     "MomentCheck": "feasibility",
@@ -105,6 +106,7 @@ REMOVED = {
     "gap_check": "feasibility",
     "h_closed_form": "polynomials",
     "h_roots_closed_form": "polynomials",
+    "_horner_newton": "feasibility",
     "is_bipartite": "graphs",
     "ld_entry00": "intersection",
     "mat_add": "_intmat",
@@ -115,6 +117,7 @@ REMOVED = {
     "multiplicity_trig": "feasibility",
     "packed_eval_poly": "_intmat",
     "poly_enclosure": "intervals",
+    "_sign_dyadic": "feasibility",
     "transcendental_residual": "feasibility",
     "verify_allones_identity": "graphs",
     "verify_path_count_identity": "graphs",
@@ -136,14 +139,17 @@ REMOVED_MODULES = ("intervals", "precision")
 #: computed for the report that prints them; a certificate holds exact data
 #: only: a gap verdict is its interval, its closing chain is proved rather
 #: than evaluated, and the report computes the analytic bound and the float
-#: closed forms it prints.
+#: closed forms it prints; an assessment names no root, since the report's
+#: assessments are aligned with its roots and a mirrored pair shares one; and
+#: the eigenvalue cross-check has one tolerance, a constant.
 REMOVED_ATTRIBUTES = {
     ("feasibility", "FeasibilityReport"): ("all_positive", "moment_check", "sum_ok", "sum_value"),
     ("feasibility", "GapVerdict"): (
         "analytic_bound", "applicable", "chain_ok", "chain_values", "d", "e", "k", "reason",
     ),
-    ("feasibility", "MultiplicityAssessment"): ("closed_form", "deviation", "nearest"),
+    ("feasibility", "MultiplicityAssessment"): ("closed_form", "deviation", "nearest", "record"),
     ("feasibility", "RootRecord"): ("alpha", "phi"),
+    ("graphs", "CrosscheckReport"): ("tolerance",),
     ("graphs", "Graph"): ("adjacency_matrix", "_from_pairs"),
     ("graphs", "GraphAnalysis"): ("distances", "graph", "verdict"),
     ("intersection", "IntersectionMatrix"): ("rows",),

@@ -59,7 +59,7 @@ WORKLOAD_KEYS = isolation_keys(
 
 
 def isolate_uncached(k, d, e, epsilon):
-    return feasibility._isolate(k, d, e, epsilon, feasibility._angle_tables(k, d))
+    return feasibility._isolate(k, d, e, epsilon)
 
 
 def outcome(isolate, k, d, e, epsilon):
