@@ -16,8 +16,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parameter error
 
 JSON is canonical: keys sorted, floats at 12 significant digits, so a report
 parsed and re-serialized is byte-identical inside binary64's normal range.
-Exact integers are never printed in float form, and the exact gap ends and
-spectrum ends keep 12 significant digits outside it (`format_exact`).
+Exact integers are never printed in float form, and every format prints them
+in full at any size (`format_int`); the exact gap ends and spectrum ends keep
+12 significant digits outside binary64's range (`format_exact`).
 """
 
 from __future__ import annotations
@@ -65,6 +66,14 @@ def format_float(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def format_int(n: int) -> str:
+    """An exact integer in decimal, every digit: `str` refuses one past
+    `sys.get_int_max_str_digits()` digits (n = M(k, 2d) + e passes it at
+    (10^400 + 1, 13, 2)), while a `decimal.Decimal` converts at any size,
+    with no process-wide setting changed."""
+    return str(decimal.Decimal(n))
+
+
 #: Twelve significant digits, rounded half to even, at any exponent.
 _TWELVE_DIGITS = decimal.Context(
     prec=12, rounding=decimal.ROUND_HALF_EVEN, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
@@ -106,7 +115,7 @@ def dumps_canonical(obj) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
-        return str(obj)
+        return format_int(obj)
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, Fraction):
@@ -181,18 +190,20 @@ def _row(item) -> dict:
 
 
 def _emit_csv_row(out, row: dict) -> None:
-    out.write(",".join(str(row[c]) for c in CSV_COLUMNS) + "\n")
+    cells = (row[c] for c in CSV_COLUMNS)
+    out.write(",".join(format_int(v) if isinstance(v, int) else v for v in cells) + "\n")
 
 
 def _report_text(report: FeasibilityReport) -> str:
     lines = [
-        f"(k={report.k}, d={report.d}, e={report.e})  n = {report.n}",
+        f"(k={report.k}, d={report.d}, e={report.e})  n = {format_int(report.n)}",
         f"verdict: {report.final_verdict}",
         "spectrum (theta : multiplicity):",
     ]
     for theta, m in report.spectrum():
-        shown = str(m) if isinstance(m, int) else _float_or(m, "n/a")
-        lines.append(f"  {dumps_canonical(theta):>18} : {shown}")
+        shown = format_int(m) if isinstance(m, int) else _float_or(m, "n/a")
+        theta_shown = "n/a" if theta is None else dumps_canonical(theta)
+        lines.append(f"  {theta_shown:>18} : {shown}")
     lines.append(
         f"integrality: {'all integral' if report.all_integral else 'NON-INTEGRAL multiplicities'}"
         f" (max deviation {_float_or(report.max_integrality_deviation, 'n/a')})"
@@ -270,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # subcommand drivers
 
 def _cmd_moore(args, out) -> int:
-    out.write(f"{moore_bound(args.k, args.g)}\n")
+    out.write(f"{format_int(moore_bound(args.k, args.g))}\n")
     return 0
 
 
@@ -282,7 +293,7 @@ def _cmd_poly(args, out) -> int:
             "degree": p.degree, "coefficients": list(p.coefficients),
         }) + "\n")
     else:
-        out.write(" ".join(str(c) for c in p.coefficients) + "\n")
+        out.write(" ".join(map(format_int, p.coefficients)) + "\n")
     return 0
 
 
@@ -396,7 +407,8 @@ def _cmd_scan(args, out) -> int:
                 g = item.gap
                 gap = f" gap=({format_exact(g.lo)}, {format_exact(g.hi)})" if g is not None else ""
                 out.write(
-                    f"(k={item.k}, d={item.d}, e={item.e}) n={item.n} {item.final_verdict}{gap}\n"
+                    f"(k={item.k}, d={item.d}, e={item.e}) n={format_int(item.n)}"
+                    f" {item.final_verdict}{gap}\n"
                 )
     return 0
 

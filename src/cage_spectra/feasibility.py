@@ -26,13 +26,18 @@ This module:
   seed, both by integer comparisons.  phi and the angular defect
   alpha = i*pi - d*phi are computed only for the JSON report, from the
   final bracket (`FeasibilityReport.angles`).
-  Each bracket is the cell exact bisection would end on: Newton's method in
-  integers predicts it, and it is taken when two exact signs at its ends
-  are nonzero and opposite; the seed's own end signs are evaluated only
-  when the halving loop runs as the fallback.  One root count per family
-  certifies the whole isolation: the seeds ascend disjointly and end below
-  0, so with their mirrors they are d - 1 disjoint intervals, each holding
-  a sign change of P = H_{d-1} - eps, of degree d - 1.  So each seed holds
+  Each bracket is the cell exact bisection would end on.  Newton's method
+  in integers predicts it, starting from the root's second-order value in
+  s^(1-d) from the angular-defect equation (`_asymptotic_start`), and the
+  cell is taken only when two exact signs at its ends are nonzero and
+  opposite; the seed's own end signs are evaluated only when the halving
+  loop runs as the fallback.  So the start sets how many Newton steps a
+  root costs (none or one for most deep-girth roots), never which bracket
+  it gets.
+  One root count per family certifies the whole isolation: the seeds ascend
+  disjointly and end below 0, so with their mirrors they are d - 1 disjoint
+  intervals, each holding a sign change of P = H_{d-1} - eps, of degree
+  d - 1.  So each seed holds
   exactly one root, a simple one, and the Newton cell is the one halving
   would reach; no bracket is checked for monotonicity.  P is even,
   P(x) = Q(x^2), so the one sign kernel and the one Newton kernel are
@@ -139,16 +144,26 @@ class RootRecord:
 
     ``bracket`` is the integer triple (lo, hi, shift): theta lies in
     [lo, hi] / 2^shift, of width below 2^-60, and the bracket lies inside
-    the image of the root's angular case interval under -2 s cos.  The
-    angles phi and alpha are not kept; `FeasibilityReport.angles` computes
-    them for the reports that print them.
+    the image of the root's angular case interval under -2 s cos.
+    ``theta`` is the bracket's midpoint in binary64, or None where binary64
+    cannot hold it (|theta| < 2s passes its range for k past about 2^2046).
+    The angles phi and alpha are not kept; `FeasibilityReport.angles`
+    computes them for the reports that print them.
     """
 
     i: int
     epsilon: int
     eta: int
-    theta: float
+    theta: float | None
     bracket: tuple[int, int, int]
+
+
+def _midpoint_float(lo: int, hi: int, shift: int) -> float | None:
+    """(lo + hi) / 2^(shift+1) in binary64, or None past its range."""
+    try:
+        return (lo + hi) / (1 << (shift + 1))
+    except OverflowError:
+        return None
 
 
 class _Polys(NamedTuple):
@@ -241,24 +256,29 @@ _NEWTON_MARGIN = 12
 _NEWTON_STEPS = 40
 
 
-def _predict_cell(q, lo, hi, shift, halvings):
+def _predict_cell(q, lo, hi, shift, halvings, start):
     """Index j of the grid cell of width (hi - lo) / 2^(shift+halvings) that
     holds the root of P(x) = Q(x^2) in (lo, hi) / 2^shift, counted from lo,
-    predicted by Newton's method from the midpoint; None when it does not
+    predicted by Newton's method from ``start``; None when it does not
     settle.
 
-    Each step runs at the scale its result can use (twice the bits its start
-    is right to), so only the last one or two run at the full scale: the
-    cell grid plus `_NEWTON_GUARD` bits.
+    ``start`` is (x, scale, known): x / 2^scale, claimed within 2^-known of
+    the root.  Each step runs at the scale its result can use, twice the
+    bits its start is right to, up to the full scale: the cell grid plus
+    `_NEWTON_GUARD` bits.  The first step takes those bits from the claim,
+    so a weak start runs its first steps below the full scale, only a start
+    claimed right to half of it can settle in one step, and a start claimed
+    right to the full scale takes none.  The start and its claim only steer
+    the iteration; a wrong one costs steps, and `_bisect` checks the cell it
+    leads to.
     """
+    x, scale, known = start
     top = shift + halvings + _NEWTON_GUARD
-    scale = min(top, max(shift + 1, 2 * _NEWTON_MARGIN))
-    x = (lo + hi) << (scale - shift - 1)
-    known = shift + 1 - (hi - lo).bit_length()  # bits to which the midpoint is right
+    target = min(top, max(2 * known, 2 * _NEWTON_MARGIN))
     for _ in range(_NEWTON_STEPS):
-        target = min(top, max(scale, 2 * known))
-        x <<= target - scale
-        scale = target
+        if known >= top:
+            break
+        x, scale = x << target >> scale, target
         value, slope = _newton_even(q, x, scale)
         if slope == 0:
             return None
@@ -267,14 +287,13 @@ def _predict_cell(q, lo, hi, shift, halvings):
         # the step was the old iterate's error; the new one is right to
         # about twice as many bits
         known = min(scale, 2 * (scale - step.bit_length()) - _NEWTON_MARGIN)
-        if known >= top:
-            break
+        target = min(top, max(scale, 2 * known))
     else:
         return None
-    return ((x >> _NEWTON_GUARD) - (lo << halvings)) // (hi - lo)
+    return ((x << top >> scale >> _NEWTON_GUARD) - (lo << halvings)) // (hi - lo)
 
 
-def _bisect(q: tuple[int, ...], lo, hi, shift, bits):
+def _bisect(q: tuple[int, ...], lo, hi, shift, bits, start=None):
     """The bracket the halving loop ends on when it shrinks the dyadic
     bracket (lo, hi)/2^shift of P(x) = Q(x^2) below width 2^-bits, whenever
     (lo, hi) holds exactly one root of P: the cell whose ends P gives
@@ -295,11 +314,20 @@ def _bisect(q: tuple[int, ...], lo, hi, shift, bits):
     the halving loop runs, on anything else.  Both callers pass one-root
     brackets: `_isolate` certifies its seeds so by counting roots after the
     fact, and the refinement loop passes the cells `_isolate` returned.
+
+    Newton starts at ``start`` (x, scale, known), `_predict_cell`'s start,
+    or at the bracket's midpoint when it is None: `_isolate` passes the
+    root's asymptotic value (`_asymptotic_start`), and the refinement loop
+    the midpoint of the cell it refines.  Whatever the start, the cell is
+    taken on its signs alone, so a poor start costs Newton steps, never a
+    different bracket.
     """
     width = hi - lo
     halvings = max(0, width.bit_length() + bits - shift) if width > 0 else 0
     if halvings:
-        cell = _predict_cell(q, lo, hi, shift, halvings)
+        if start is None:  # the midpoint, within 2^-known of the whole bracket
+            start = lo + hi, shift + 1, shift + 1 - width.bit_length()
+        cell = _predict_cell(q, lo, hi, shift, halvings, start)
         if cell is not None and 0 <= cell < 1 << halvings:
             low, scale = (lo << halvings) + cell * width, shift + halvings
             sign_low = _sign_even(q, low, scale)
@@ -506,6 +534,53 @@ def _seed_shift(span: int, bits: int) -> int:
     return max(64, 36 + bits - (span - 1).bit_length())
 
 
+def _asymptotic_start(
+    k: int, d: int, i: int, eta: int, span: int, angles: _Angles
+) -> tuple[int, int, int]:
+    """The Newton start (x, scale, known) of seeded root i: x / 2^scale is
+    theta_i to second order in u = eta s^(1-d), from the angular-defect
+    equation, and it lies within 2^-known of theta_i.
+
+    With phi = i pi/d - delta, the equation d phi = i pi - alpha,
+    sin(alpha) = u sin(phi) gives d delta = u sin(i pi/d - delta) to first
+    order in alpha.  Two rounds of it from delta = 0, with the table's
+    (c, s_i) = (cos, sin)(i pi/d) and q = s^(d-1),
+
+        delta_1 = eta s_i / (d q),   delta_2 = eta (s_i - c delta_1) / (d q),
+
+    and cos(phi) = c + s_i delta_2 - c delta_2^2 / 2 give the start
+    -2s cos(phi), in integers at the tables' fixed point ``angles.bits``.
+
+    The claim: |x / 2^scale - theta_i| <= 2^-known, with
+    known = min(C + 3, bits - E.bit_length() - 3), where E is
+    `_case_end_error` and
+
+        C = 3 (bits - span.bit_length()) + (k-1).bit_length()
+            - 2 (d^2 // i).bit_length().
+
+    Each of the start's two errors is at most half of 2^-known.  The
+    truncation error is third order in u; to leading order it is at most
+    2s |u|^3 s_i^2 (s_i^2 / (6d) + c^2 / d^3).  In the case interval's width
+    w = span / 2^bits, about 2s s_i (i pi/d) |u| / d, that is at most
+    w^3 (d^2/i)^2 / (30 (2s)^2) (s_i <= i pi/d, and s_i >= 2i/d for
+    i pi/d <= pi/2), below 2^-(C + 5.9), which leaves the higher-order
+    terms a factor of 3.7 below 2^-(C + 4).  The fixed-point error is below
+    4E ulp, under 2^-(bits - E.bit_length() - 2): c and s_i are within 6i
+    ulp (`_case_end_error`), and the delta terms add at most 3i + 5 ulp to
+    the cosine (|u| < 1/2 and d >= 3), times 2s and one floor.  The claim
+    steers `_predict_cell` only; no bracket rests on it.
+    """
+    bits, _, two_s, q, _, centre, _, _ = angles
+    c, s_i = centre[i]
+    dq = d * q
+    delta1 = eta * s_i // dq
+    delta2 = eta * (s_i - (c * delta1 >> bits)) // dq
+    cos_phi = c + (s_i * delta2 >> bits) - (c * delta2 * delta2 >> 2 * bits + 1)
+    cubic = 3 * (bits - span.bit_length()) + (k - 1).bit_length() - 2 * (d * d // i).bit_length()
+    known = min(cubic + 3, bits - _case_end_error(two_s, i, bits).bit_length() - 3)
+    return -(two_s * cos_phi) >> bits, bits, known
+
+
 #: Per (k, d), for the life of the process: the roots of the epsilon = 1
 #: family, the one family every e shares.  A -e/2 family serves one triple
 #: and is not kept; a failed isolation stores nothing.
@@ -585,7 +660,8 @@ def _isolate(k: int, d: int, e: int, epsilon: int) -> tuple[RootRecord, ...]:
         seed_hi = (((theta_hi << 30) - span) << seed) >> (bits + 30)
         if prev_hi is not None and seed_lo << prev_seed <= prev_hi << seed:
             raise BracketSeedError(f"seed for {name} overlaps the seed of root i - 1")
-        bracket = _bisect(q, seed_lo, seed_hi, seed, TARGET_BRACKET_BITS)
+        start = _asymptotic_start(k, d, i, eta, span, angles)
+        bracket = _bisect(q, seed_lo, seed_hi, seed, TARGET_BRACKET_BITS, start)
         if bracket is None:
             raise BracketSeedError(f"seed interval for {name} does not bracket a sign change")
         lo, hi, shift = bracket
@@ -598,7 +674,7 @@ def _isolate(k: int, d: int, e: int, epsilon: int) -> tuple[RootRecord, ...]:
         raise BracketSeedError(f"seed for {name} reaches 0, where its mirror's seed starts")
     mirrored = [(-eta, (-hi, -lo, shift)) for eta, (lo, hi, shift) in reversed(seeded)]
     return tuple(
-        RootRecord(i, epsilon, eta, (lo + hi) / (1 << (shift + 1)), (lo, hi, shift))
+        RootRecord(i, epsilon, eta, _midpoint_float(lo, hi, shift), (lo, hi, shift))
         for i, (eta, (lo, hi, shift)) in enumerate(seeded + mirrored, 1)
     )
 
@@ -865,12 +941,15 @@ class FeasibilityReport:
     @cached_property
     def _closed_forms(self) -> tuple[float | None, ...]:
         """The float closed form at each root, in the order of ``roots``, or
-        None where binary64 cannot evaluate it (it overflows, with an error
-        or to inf or nan, or is ill-conditioned); evaluated once per mirrored
-        pair.  The CSV's deviation column reads them all, and `spectrum`
-        those of the non-integral multiplicities."""
+        None where binary64 cannot evaluate it (theta has no binary64 value,
+        or it overflows, with an error or to inf or nan, or is
+        ill-conditioned); evaluated once per mirrored pair.  The CSV's
+        deviation column reads them all, and `spectrum` those of the
+        non-integral multiplicities."""
 
         def closed_form(r):
+            if r.theta is None:
+                return None
             try:
                 m = multiplicity_closed_form(self.k, self.d, self.e, r.epsilon, r.theta)
             except (OverflowError, IllConditionedError):
@@ -936,10 +1015,11 @@ class FeasibilityReport:
     def spectrum(self) -> list[tuple[float | Fraction, float | int | None]]:
         """Full candidate spectrum in the exact ascending order of ``roots``,
         between the exact ends -k and k (`Fraction`s, so a k past binary64
-        prints) with multiplicity 1 each; certified-integral
-        multiplicities appear as ints, a non-integral one as its float
-        closed form, and one without a float closed form as None.  The
-        closed forms are computed only when a multiplicity is non-integral."""
+        prints) with multiplicity 1 each, and each root's binary64 theta
+        (None past its range); certified-integral multiplicities appear as
+        ints, a non-integral one as its float closed form, and one without a
+        float closed form as None.  The closed forms are computed only when
+        a multiplicity is non-integral."""
         inner = [
             (r.theta, a.integer if a.integral else self._closed_forms[j])
             for j, (r, a) in enumerate(zip(self.roots, self.assessments))

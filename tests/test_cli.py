@@ -1,3 +1,4 @@
+import decimal
 import json
 import os
 import subprocess
@@ -362,6 +363,55 @@ def test_reports_render_without_a_closed_form(monkeypatch, capsys):
     assert None in report["multiplicities"]
     code, out, _ = run(capsys, "feasibility", "4", "7", "2")
     assert code == 0 and "(max deviation n/a)" in out and " : n/a" in out
+
+
+@pytest.fixture
+def no_enclosures(monkeypatch):
+    """Every assessment non-integral, with no enclosure built: past binary64
+    the JSON and the text report would otherwise refine each enclosure to
+    the bits of n, minutes at these k."""
+    none = feasibility.MultiplicityAssessment(((0, 1), (1, 1)), None)
+    monkeypatch.setattr(feasibility, "_assess_multiplicity", lambda *args: none)
+
+
+def test_a_root_past_binary64_has_no_theta(capsys, no_enclosures):
+    """At (2^2050 + 1, 7, 2) |theta| passes binary64 for 8 of the 12 roots,
+    which once ended the CSV in `OverflowError`.  Their theta and every
+    closed form are None: the CSV leaves the deviation empty, the JSON
+    prints null and the text n/a."""
+    k = str(2 ** 2050 + 1)
+    code, out, err = run(capsys, "feasibility", k, "7", "2", "--format", "csv")
+    assert code == 0 and err == ""
+    row = out.splitlines()[1].split(",")
+    assert row[4] == "excluded-by-gap" and row[-1] == ""
+    code, out, _ = run(capsys, "feasibility", k, "7", "2", "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["verdict"] == "excluded-by-gap"
+    thetas = [r["theta"] for r in report["roots"]]
+    assert thetas.count(None) == 8 and report["thetas"][1:-1] == thetas
+    assert report["multiplicities"][1:-1] == [None] * 12
+    code, out, _ = run(capsys, "feasibility", k, "7", "2")
+    lines = [line.split() for line in out.splitlines()[4:16]]
+    assert code == 0 and [m for _, _, m in lines] == ["n/a"] * 12
+    assert [theta == "n/a" for theta, _, _ in lines] == [theta is None for theta in thetas]
+
+
+def test_n_past_the_int_string_limit_prints_in_full(capsys, no_enclosures):
+    """n = M(k, 26) + 2 has 4,801 digits at (10^400 + 1, 13, 2), past the
+    4,300 digits `str` converts by default, which once ended every format in
+    `ValueError`.  Each prints every digit."""
+    k = 10 ** 400 + 1
+    n = 2 * sum((k - 1) ** j for j in range(13)) + 2
+    argv = ("feasibility", str(k), "13", "2", "--format")
+    code, out, err = run(capsys, *argv, "csv")
+    assert code == 0 and err == ""
+    row = out.splitlines()[1].split(",")
+    assert row[4] == "excluded-by-gap" and decimal.Decimal(row[3]) == n
+    code, out, _ = run(capsys, *argv, "json")
+    assert code == 0 and json.loads(out, parse_int=decimal.Decimal)["n"] == n
+    code, out, _ = run(capsys, *argv, "text")
+    shown = out.splitlines()[0].split(" n = ")[1]
+    assert code == 0 and len(shown) == 4801 and decimal.Decimal(shown) == n
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "text"])

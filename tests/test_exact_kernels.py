@@ -369,14 +369,14 @@ def isolate_uncached(k, d, e, epsilon):
 
 
 def seed_brackets(k, d, epsilon):
-    """The (lo, hi, shift) that root isolation of H_{d-1} - epsilon hands to
-    `_bisect`: one per root i <= (d-1)/2, the roots it seeds."""
+    """The (lo, hi, shift, start) that root isolation of H_{d-1} - epsilon
+    hands to `_bisect`: one per root i <= (d-1)/2, the roots it seeds."""
     if (k, d, epsilon) not in _SEEDS:
         seeds = []
 
-        def record(q, lo, hi, shift, bits):
-            seeds.append((lo, hi, shift))
-            return _bisect(q, lo, hi, shift, bits)
+        def record(q, lo, hi, shift, bits, start):
+            seeds.append((lo, hi, shift, start))
+            return _bisect(q, lo, hi, shift, bits, start)
 
         with mock.patch.object(feasibility, "_bisect", record):
             try:
@@ -408,12 +408,13 @@ def refined(coeffs, lo, hi, shift):
 @given(dickson_seeds(), st.sampled_from(range(60, 445, 32)))
 def test_bisect_matches_halving_loop_on_dickson_families(seed, bits):
     """From an isolation seed, or from its 60-bit bracket as the refinement
-    does, at every refinement width."""
-    (k, d, epsilon), (lo, hi, shift), refine = seed
+    does, at every refinement width, with Newton started where isolation
+    starts it."""
+    (k, d, epsilon), (lo, hi, shift, start), refine = seed
     coeffs = family_coefficients(k, d, epsilon)
     if refine:
         lo, hi, shift = refined(coeffs, lo, hi, shift)
-    assert _bisect(_family(k, d, epsilon), lo, hi, shift, bits) == bisect_reference(
+    assert _bisect(_family(k, d, epsilon), lo, hi, shift, bits, start) == bisect_reference(
         coeffs, lo, hi, shift, bits
     )
 
@@ -421,9 +422,9 @@ def test_bisect_matches_halving_loop_on_dickson_families(seed, bits):
 GARBAGE = {
     "none": lambda real, *args: None,
     "zero": lambda real, *args: 0,
-    "last": lambda real, q, lo, hi, shift, halvings: (1 << halvings) - 1,
+    "last": lambda real, q, lo, hi, shift, halvings, start: (1 << halvings) - 1,
     "below": lambda real, *args: -1,
-    "beyond": lambda real, q, lo, hi, shift, halvings: 1 << halvings,
+    "beyond": lambda real, q, lo, hi, shift, halvings, start: 1 << halvings,
     "huge": lambda real, *args: 12345678901234567890123,
     "left": lambda real, *args: (real(*args) or 0) - 1,
     "right": lambda real, *args: (real(*args) or 0) + 1,
@@ -439,11 +440,94 @@ def test_bisect_survives_a_wrong_prediction(garbage, monkeypatch):
     for k, d, epsilon in ((4, 7, 1), (9, 11, -2), (4, 27, 1)):
         q = _family(k, d, epsilon)
         coeffs = family_coefficients(k, d, epsilon)
-        for lo, hi, shift in seed_brackets(k, d, epsilon):
+        for lo, hi, shift, _ in seed_brackets(k, d, epsilon):
             for bits in (TARGET_BRACKET_BITS, 124):
                 assert _bisect(q, lo, hi, shift, bits) == bisect_reference(
                     coeffs, lo, hi, shift, bits
                 )
+
+
+# ---------------------------------------------------------------------------
+# the Newton start: isolation starts Newton at the angular equation's
+# second-order root, which costs evaluations only, never a bracket
+
+
+def isolation_pass(triples):
+    """The isolations a ``scan`` pass over ``triples`` runs, in its order:
+    the epsilon = 1 family once per (k, d), the -e/2 family per triple."""
+    seen = set()
+    for k, d, e in triples:
+        if (k, d) not in seen:
+            seen.add((k, d))
+            yield k, d, e, 1
+        yield k, d, e, -e // 2
+
+
+@pytest.mark.parametrize("triples,roots,newton_per_root", [
+    (DEEP_GIRTH, 330, 1.1),
+    (PAPER_GRID, 744, 2.4),
+], ids=["deep-girth", "paper-grid"])
+def test_isolation_takes_two_signs_and_few_newton_steps_per_root(
+    triples, roots, newton_per_root, monkeypatch
+):
+    """Each seeded root costs two exact signs, at the ends of the predicted
+    cell, so the halving loop never runs.  From the Newton start a
+    deep-girth root takes one step or none (2.26 from the seed's midpoint),
+    and a paper-grid root two or three (3.93 from the midpoint)."""
+    calls = {"_newton_even": 0, "_sign_even": 0}
+
+    def counted(name):
+        real = getattr(feasibility, name)
+
+        def kernel(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return kernel
+
+    for name in calls:
+        monkeypatch.setattr(feasibility, name, counted(name))
+    seeded = 0
+    for k, d, e, epsilon in isolation_pass(triples):
+        isolate_uncached(k, d, e, epsilon)
+        seeded += (d - 1) // 2
+    assert seeded == roots
+    assert calls["_sign_even"] == 2 * roots
+    assert calls["_newton_even"] <= newton_per_root * roots
+
+
+@st.composite
+def wide_families(draw):
+    """(k, d, e, epsilon) over k <= 200 and odd d <= 61."""
+    k = draw(st.integers(4, 200))
+    e = 2 * draw(st.integers(1, (k - 2) // 2))
+    return k, draw(st.sampled_from(range(3, 62, 2))), e, draw(st.sampled_from((1, -e // 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_families())
+@example((4, 3, 2, 1))            # d = 3: s^(1-d) = 1/3, the start is weakest
+@example((200, 3, 198, -99))      # |eta| s^(1-d) near 1/2
+@example((4, 61, 2, -1))          # the deepest girth at the smallest k
+@example((200, 61, 198, -99))     # the claim capped by the fixed-point error
+def test_the_newton_start_is_as_close_as_it_claims(family):
+    """Every point of each root's bracket, refined with `_bisect` to 200
+    bits or 8 past the claim, lies within 2^-known of the start
+    (x, scale, known) isolation hands to `_bisect`."""
+    k, d, e, epsilon = family
+    starts = []
+
+    def record(q, lo, hi, shift, bits, start):
+        starts.append((lo, hi, shift, start))
+        return _bisect(q, lo, hi, shift, bits, start)
+
+    with mock.patch.object(feasibility, "_bisect", record):
+        isolate_uncached(k, d, e, epsilon)
+    q = _family(k, d, epsilon)
+    for lo, hi, shift, (x, scale, known) in starts:
+        got_lo, got_hi, got_shift = _bisect(q, lo, hi, shift, max(200, known + 8))
+        far = max(abs((x << got_shift) - (end << scale)) for end in (got_lo, got_hi))
+        assert far <= 1 << (got_shift + scale - known)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +577,7 @@ def test_bisect_on_the_mirrored_bracket_returns_the_mirrored_bracket(seed, bits)
     """From an isolation seed, or from its 60-bit bracket as the refinement
     does; the mirrored bracket's low end has the opposite sign unless the
     bracket has collapsed onto an exact root."""
-    (k, d, epsilon), (lo, hi, shift), refine = seed
+    (k, d, epsilon), (lo, hi, shift, _), refine = seed
     q, coeffs = _family(k, d, epsilon), family_coefficients(k, d, epsilon)
     sign_lo = horner_sign(coeffs, lo, shift)
     if refine:

@@ -138,7 +138,7 @@ def test_isolate_roots_errors_name_the_callers_e(monkeypatch):
 
     monkeypatch.setattr(feasibility, "_ROOTS", {})
     # `_bisect` finds no sign change across any seed
-    monkeypatch.setattr(feasibility, "_bisect", lambda family, lo, hi, shift, bits: None)
+    monkeypatch.setattr(feasibility, "_bisect", lambda family, lo, hi, shift, bits, start: None)
     for e in (2, 14):
         with pytest.raises(BracketSeedError) as info:
             isolate_roots(16, 7, e, 1)
@@ -153,8 +153,8 @@ def test_a_bracket_outside_its_seed_raises(monkeypatch):
     monkeypatch.setattr(feasibility, "_ROOTS", {})
     bisect = feasibility._bisect
 
-    def mirrored(family, lo, hi, shift, bits):
-        lo, hi, shift = bisect(family, lo, hi, shift, bits)
+    def mirrored(family, lo, hi, shift, bits, start):
+        lo, hi, shift = bisect(family, lo, hi, shift, bits, start)
         return -hi, -lo, shift
 
     monkeypatch.setattr(feasibility, "_bisect", mirrored)
