@@ -55,8 +55,10 @@ This module:
 
 * certifies integrality of each multiplicity with exact interval arithmetic
   propagated from the root bracket (an enclosure must contain exactly one
-  integer), done in integers over the bracket's power of two; one wider
-  than 1/2 is refined.  H_{d-2} and H'_{d-1} are odd, so a mirrored root
+  integer), done in integers over the bracket's power of two.  One that
+  holds no integer is final at any width; otherwise the bracket is refined
+  once, straight to a cap, and that enclosure decides
+  (`_assess_multiplicity`).  H_{d-2} and H'_{d-1} are odd, so a mirrored root
   has its partner's enclosure and closed form: the report states this
   mirror rule once (`FeasibilityReport._mirrored`), and each pair is
   assessed once;
@@ -313,14 +315,14 @@ def _bisect(q: tuple[int, ...], lo, hi, shift, bits, start=None):
     reach this cell.  The bracket's own end signs are evaluated only when
     the halving loop runs, on anything else.  Both callers pass one-root
     brackets: `_isolate` certifies its seeds so by counting roots after the
-    fact, and the refinement loop passes the cells `_isolate` returned.
+    fact, and the refinement step passes the cells `_isolate` returned.
 
     Newton starts at ``start`` (x, scale, known), `_predict_cell`'s start,
     or at the bracket's midpoint when it is None: `_isolate` passes the
-    root's asymptotic value (`_asymptotic_start`), and the refinement loop
-    the midpoint of the cell it refines.  Whatever the start, the cell is
-    taken on its signs alone, so a poor start costs Newton steps, never a
-    different bracket.
+    root's asymptotic value (`_asymptotic_start`), and the refinement step
+    none, so it starts at the midpoint of the cell it refines.  Whatever the
+    start, the cell is taken on its signs alone, so a poor start costs
+    Newton steps, never a different bracket.
     """
     width = hi - lo
     halvings = max(0, width.bit_length() + bits - shift) if width > 0 else 0
@@ -805,8 +807,8 @@ def _multiplicity_enclosure(
 
 
 def _decisive(ends) -> bool:
-    """The enclosure exists and is no wider than 1/2, by cross-multiplication;
-    a wider one triggers bracket refinement."""
+    """The enclosure exists and is no wider than 1/2, by cross-multiplication,
+    so it holds at most one integer."""
     if ends is None:
         return False
     (a, b), (c, q) = ends
@@ -815,29 +817,41 @@ def _decisive(ends) -> bool:
 
 def _assess_multiplicity(k, d, e, record: RootRecord) -> MultiplicityAssessment:
     """The certified enclosure of the closed-form multiplicity at
-    ``record``; the bracket is refined until the enclosure is decisively
-    narrow.
+    ``record``, in one refinement step at most.
 
-    The bits that takes grow with log2 n, the scale of the multiplicity, and
-    with d, through the overestimate of interval Horner, so refinement gives
-    up past TARGET_BRACKET_BITS + log2 n + 2d bits."""
+    The enclosure over the isolation bracket comes first.  If it exists and
+    holds no integer, it certifies a non-integral multiplicity, at any
+    width.  Otherwise `_bisect` refines the bracket once, straight to the
+    cap TARGET_BRACKET_BITS + log2 n + 2d bits, and the enclosure over that
+    bracket must be no wider than 1/2 (IllConditionedError otherwise); its
+    one integer, if it has one, is ``integer``.  The cap's bits grow with
+    log2 n, the scale of the multiplicity, and with d, through the
+    overestimate of interval Horner.
+
+    One step does what widening the bracket a few bits per round up to the
+    cap would, and no worse:
+
+    * halving cells nest, so the cap bracket lies inside every bracket a
+      widening loop would visit on the way;
+    * interval Horner, the tight square and the quotient with its corners
+      picked by sign are all inclusion-isotone (Moore, 1966), so the cap
+      enclosure lies inside each of that loop's enclosures;
+    * hence this rule raises only where the loop would have raised, and its
+      integer is the loop's or None; a None where the loop stopped on a
+      wider enclosure that held an integer is a certified non-integer.
+    """
     lo, hi, shift = record.bracket
-    bits = TARGET_BRACKET_BITS
-    cap = TARGET_BRACKET_BITS + (moore_bound(k, 2 * d) + e).bit_length() + 2 * d
     ends = _multiplicity_enclosure(k, d, e, record.epsilon, lo, hi, shift)
-    q = None
-    while not _decisive(ends):
-        bits += 32
-        if bits > cap:
+    if ends is None or _integers_in(ends):
+        cap = TARGET_BRACKET_BITS + (moore_bound(k, 2 * d) + e).bit_length() + 2 * d
+        # `_isolate` certified that the bracket holds exactly one root of P
+        bracket = _bisect(_family(k, d, record.epsilon), lo, hi, shift, cap)
+        ends = _multiplicity_enclosure(k, d, e, record.epsilon, *bracket)
+        if not _decisive(ends):
             raise IllConditionedError(
                 f"multiplicity enclosure failed to converge at (k={k}, d={d}, "
                 f"e={e}, eps={record.epsilon}, i={record.i})"
             )
-        if q is None:
-            q = _family(k, d, record.epsilon)
-        # `_isolate` certified that the bracket holds exactly one root of P
-        lo, hi, shift = _bisect(q, lo, hi, shift, bits)
-        ends = _multiplicity_enclosure(k, d, e, record.epsilon, lo, hi, shift)
     integers = _integers_in(ends)
     return MultiplicityAssessment(
         enclosure=ends,

@@ -365,16 +365,7 @@ def test_reports_render_without_a_closed_form(monkeypatch, capsys):
     assert code == 0 and "(max deviation n/a)" in out and " : n/a" in out
 
 
-@pytest.fixture
-def no_enclosures(monkeypatch):
-    """Every assessment non-integral, with no enclosure built: past binary64
-    the JSON and the text report would otherwise refine each enclosure to
-    the bits of n, minutes at these k."""
-    none = feasibility.MultiplicityAssessment(((0, 1), (1, 1)), None)
-    monkeypatch.setattr(feasibility, "_assess_multiplicity", lambda *args: none)
-
-
-def test_a_root_past_binary64_has_no_theta(capsys, no_enclosures):
+def test_a_root_past_binary64_has_no_theta(capsys):
     """At (2^2050 + 1, 7, 2) |theta| passes binary64 for 8 of the 12 roots,
     which once ended the CSV in `OverflowError`.  Their theta and every
     closed form are None: the CSV leaves the deviation empty, the JSON
@@ -396,7 +387,7 @@ def test_a_root_past_binary64_has_no_theta(capsys, no_enclosures):
     assert [theta == "n/a" for theta, _, _ in lines] == [theta is None for theta in thetas]
 
 
-def test_n_past_the_int_string_limit_prints_in_full(capsys, no_enclosures):
+def test_n_past_the_int_string_limit_prints_in_full(capsys):
     """n = M(k, 26) + 2 has 4,801 digits at (10^400 + 1, 13, 2), past the
     4,300 digits `str` converts by default, which once ended every format in
     `ValueError`.  Each prints every digit."""

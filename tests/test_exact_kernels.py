@@ -11,6 +11,7 @@ and a root's bracket on any other; the x^2 evaluation of an even polynomial
 must form the same integers as Horner on all of its coefficients.
 """
 
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -134,24 +135,35 @@ def test_multiplicity_enclosure_matches_rational_route_on_any_bracket(triple, br
     assert integer_route(k, d, e, epsilon, *bracket) == rational_route(k, d, e, epsilon, *bracket)
 
 
+def cap_bits(k, d, e):
+    """The bits `_assess_multiplicity` refines a bracket to, when it refines."""
+    return TARGET_BRACKET_BITS + (moore_bound(k, 2 * d) + e).bit_length() + 2 * d
+
+
+def holds_no_integer(enclosure):
+    return enclosure is not None and math.ceil(enclosure.lo) > enclosure.hi
+
+
 def assert_enclosures_match(k, d, e):
-    """Every bracket the engine's refinement visits, for every root: each
-    enclosure equals the rational route, and each refined bracket the
-    halving loop's."""
+    """Every bracket the engine's assessment visits, for every root: the
+    isolation bracket and, unless its enclosure holds no integer, that
+    bracket refined to the cap.  Each enclosure equals the rational route,
+    and the refined bracket the halving loop's."""
     for epsilon in (1, -e // 2):
         for record in isolate_roots(k, d, e, epsilon):
             lo, hi, shift = record.bracket
-            bits = TARGET_BRACKET_BITS
-            while True:
-                enclosure = integer_route(k, d, e, epsilon, lo, hi, shift)
-                assert enclosure == rational_route(k, d, e, epsilon, lo, hi, shift)
-                if enclosure is not None and enclosure.width <= Fraction(1, 2):
-                    break
-                bits += 32
-                coeffs = family_coefficients(k, d, epsilon)
-                args = (coeffs, lo, hi, shift, horner_sign(coeffs, lo, shift), bits)
-                lo, hi, shift = _bisect(_family(k, d, epsilon), lo, hi, shift, bits)
-                assert (lo, hi, shift) == halving_loop(*args)
+            enclosure = integer_route(k, d, e, epsilon, lo, hi, shift)
+            assert enclosure == rational_route(k, d, e, epsilon, lo, hi, shift)
+            if holds_no_integer(enclosure):
+                continue
+            bits = cap_bits(k, d, e)
+            coeffs = family_coefficients(k, d, epsilon)
+            args = (coeffs, lo, hi, shift, horner_sign(coeffs, lo, shift), bits)
+            lo, hi, shift = _bisect(_family(k, d, epsilon), lo, hi, shift, bits)
+            assert (lo, hi, shift) == halving_loop(*args)
+            enclosure = integer_route(k, d, e, epsilon, lo, hi, shift)
+            assert enclosure == rational_route(k, d, e, epsilon, lo, hi, shift)
+            assert enclosure.width <= Fraction(1, 2)
 
 
 def test_multiplicity_enclosure_matches_rational_route_on_paper_grid():
@@ -162,6 +174,45 @@ def test_multiplicity_enclosure_matches_rational_route_on_paper_grid():
 @pytest.mark.parametrize("k,d,e", DEEP_GIRTH)
 def test_multiplicity_enclosure_matches_rational_route_on_deep_girth(k, d, e):
     assert_enclosures_match(k, d, e)
+
+
+#: Roots whose multiplicity lies within 0.1 of an integer that a wider
+#: enclosure held, by triple: (epsilon, i) -> that integer.  Refinement that
+#: stopped at the first enclosure no wider than 1/2 reported these integers.
+NEAR_INTEGERS = {
+    (8, 21, 2): {(1, 9): 7536729028620159, (1, 12): 7536729028620159},
+    (16, 21, 2): {
+        (-1, 1): 916705685240648508610, (-1, 20): 916705685240648508610,
+        (-1, 5): 16837206123409348110673, (-1, 16): 16837206123409348110673,
+        (1, 6): 21393693090479971480261, (1, 15): 21393693090479971480261,
+    },
+    (22, 13, 2): {(-1, 3): 552481713339742, (-1, 10): 552481713339742},
+    (39, 11, 36): {
+        (1, 2): 680763214020641, (1, 9): 680763214020641,
+        (1, 4): 1822256480354595, (1, 7): 1822256480354595,
+    },
+}
+
+
+@pytest.mark.parametrize("k,d,e", sorted(NEAR_INTEGERS))
+def test_a_multiplicity_near_an_integer_is_not_reported_as_one(k, d, e):
+    """Each of these multiplicities is certified non-integral: the rational
+    route over its bracket refined to 400 bits holds no integer, though it
+    lies within 0.1 of one."""
+    near = NEAR_INTEGERS[k, d, e]
+    report = spectral_feasibility(k, d, e)
+    checked = 0
+    for record, assessment in zip(report.roots, report.assessments):
+        integer = near.get((record.epsilon, record.i))
+        if integer is None:
+            continue
+        checked += 1
+        assert assessment.integer is None, (record.epsilon, record.i)
+        bracket = _bisect(_family(k, d, record.epsilon), *record.bracket, 400)
+        enclosure = rational_route(k, d, e, record.epsilon, *bracket)
+        assert holds_no_integer(enclosure)
+        assert abs(enclosure.lo - integer) < Fraction(1, 10)
+    assert checked == len(near)
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +579,33 @@ def test_the_newton_start_is_as_close_as_it_claims(family):
         got_lo, got_hi, got_shift = _bisect(q, lo, hi, shift, max(200, known + 8))
         far = max(abs((x << got_shift) - (end << scale)) for end in (got_lo, got_hi))
         assert far <= 1 << (got_shift + scale - known)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_families(), st.integers(0, 29))
+@example((4, 3, 2, 1), 0)
+@example((22, 13, 2, -1), 2)           # root 3, a multiplicity 0.05 below an integer
+@example((200, 61, 198, -99), 29)
+def test_the_cap_enclosure_lies_inside_the_isolation_enclosure(family, index):
+    """Halving cells nest and the enclosure is inclusion-isotone, so the
+    enclosure over the bracket refined to the cap lies inside the one over
+    the isolation bracket, and the assessment's integer is one that
+    enclosure holds, or None."""
+    k, d, e, epsilon = family
+    seeded = [r for r in isolate_roots(k, d, e, epsilon) if 2 * r.i < d]
+    record = seeded[index % len(seeded)]
+    lo, hi, shift = record.bracket
+    wide = integer_route(k, d, e, epsilon, lo, hi, shift)
+    bracket = _bisect(_family(k, d, epsilon), lo, hi, shift, cap_bits(k, d, e))
+    narrow = integer_route(k, d, e, epsilon, *bracket)
+    assert narrow is not None and narrow.width <= Fraction(1, 2)
+    if wide is not None:
+        assert wide.lo <= narrow.lo and narrow.hi <= wide.hi
+    integer = feasibility._assess_multiplicity(k, d, e, record).integer
+    if holds_no_integer(wide):
+        assert integer is None
+    else:
+        assert integer == (math.ceil(narrow.lo) if math.ceil(narrow.lo) <= narrow.hi else None)
 
 
 # ---------------------------------------------------------------------------

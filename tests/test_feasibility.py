@@ -564,10 +564,13 @@ def test_former_bracket_seed_failures_end_in_a_verdict():
         assert report.all_integral is False, (k, d, e)
 
 
-@pytest.mark.parametrize(
-    "k,d,e",
-    [(180, 55, 28), (142, 59, 80), (96, 61, 22), (162, 57, 130), (140, 61, 104), (164, 61, 66)],
-)
+#: Triples whose enclosures need 476-508 bracket bits.
+REFINEMENT_TRIPLES = [
+    (180, 55, 28), (142, 59, 80), (96, 61, 22), (162, 57, 130), (140, 61, 104), (164, 61, 66),
+]
+
+
+@pytest.mark.parametrize("k,d,e", REFINEMENT_TRIPLES)
 def test_refinement_past_444_bits_ends_in_a_verdict(k, d, e):
     """Their isolation used to fail its case bound on a root i > d/2.  With
     the mirror it holds, and their enclosures then need 476-508 bracket
@@ -577,6 +580,38 @@ def test_refinement_past_444_bits_ends_in_a_verdict(k, d, e):
     report = spectral_feasibility(k, d, e)
     assert report.final_verdict == VERDICT_GAP
     assert report.all_integral is False
+
+
+@pytest.mark.parametrize("k,d,e", [*REFINEMENT_TRIPLES, (200, 61, 2)])
+def test_an_assessment_refines_once_at_most(k, d, e, monkeypatch):
+    """Each assessment builds the enclosure over the isolation bracket and,
+    where that one holds an integer, one more over the bracket `_bisect`
+    refines once, to the cap."""
+    report = spectral_feasibility(k, d, e)
+    calls = []
+
+    def counted(name):
+        original = getattr(feasibility, name)
+
+        def count(*args):
+            calls[-1][name] += 1
+            return original(*args)
+
+        return count
+
+    assess = feasibility._assess_multiplicity
+
+    def assessed(*args):
+        calls.append({"_multiplicity_enclosure": 0, "_bisect": 0})
+        return assess(*args)
+
+    for name in ("_multiplicity_enclosure", "_bisect"):
+        monkeypatch.setattr(feasibility, name, counted(name))
+    monkeypatch.setattr(feasibility, "_assess_multiplicity", assessed)
+    assert report.all_integral is False
+    assert len(calls) == d - 1  # (d - 1)/2 mirrored pairs in each family
+    assert max(c["_multiplicity_enclosure"] for c in calls) <= 2
+    assert max(c["_bisect"] for c in calls) <= 1
 
 
 def test_spectral_feasibility_negative_controls():
