@@ -35,26 +35,6 @@ def field_width(bound: int) -> int:
     return 8 * (bound.bit_length() // 8 + 1)
 
 
-#: maps the ASCII digits of ``format(bits, "b")`` to the byte values 0 and 1
-_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def pack_bitsets(bitsets, n: int, width: int) -> list[int]:
-    """Packed rows of the 0/1 matrix with a 1 at (u, j) for each bit j of
-    ``bitsets[u]``: the binary digits of each bitset, most significant first,
-    become the low bytes of big-endian fields of ``width`` bits."""
-    digits = f"0{n}b"
-    size = width // 8
-    rows = []
-    for bits in bitsets:
-        if bits:
-            fields = bytearray(n * size)
-            fields[size - 1::size] = format(bits, digits).encode().translate(_BINARY_DIGITS)
-            bits = int.from_bytes(fields, "big")
-        rows.append(bits)
-    return rows
-
-
 def ones_row(n: int, width: int) -> int:
     """The packed row of n ones."""
     return int.from_bytes((bytes(width // 8 - 1) + b"\x01") * n, "big")

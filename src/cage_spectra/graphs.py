@@ -11,11 +11,15 @@ over the Moore bound.  Such a graph (when e <= k - 2) is bipartite of
 diameter d + 1, every vertex has exactly e/2 vertices at distance d + 1, and
 the "at distance d + 1" relation partitions the vertex set into cliques of
 size e/2 + 1.  `GraphAnalysis` runs one bit-parallel breadth-first search from
-every root at once, over Python-int bitsets, and derives the girth,
-bipartiteness, connectivity, diameter and the bitsets of the vertices at each
-distance from that single pass; `structural_check` is a view over it for a
-claimed (k, d, e) that reports each violated condition by name instead of
-raising.
+every root at once and derives the girth, bipartiteness, connectivity,
+diameter and the sets of the vertices at each distance from that single pass.
+The sets are packed 64 roots to a little-endian `uint64` word, one row of
+words per vertex plus an all-zero row that pads short neighbour lists, so a
+level is one numpy gather-and-OR per neighbour slot.  A level becomes
+Python-int bitsets only when a check asks for them, once.
+`structural_check` is a view over the analysis for a claimed (k, d, e) that
+reports each violated condition by name instead of raising; its antipode
+counts are read from the words.
 
 Two exact matrix identities tie the distance matrices A_i to the polynomial
 families (integer arithmetic, so a zero residual is a proof for the given
@@ -30,7 +34,7 @@ A·M - k(H_{d-2}(A) + A_d), and the all-ones difference is A·M + k·M - k·J.
 All of it runs on packed rows (`_intmat`): each matrix row is one Python int
 with fixed-width signed fields, row u of A·X is the sum of the rows at u's k
 neighbours, H_{d-2}(A) and H_{d-1}(A) come from the three-term recurrence,
-A_d and A_{d+1} are packed straight from the level bitsets, and every row of
+A_d and A_{d+1} are packed straight from the level words, and every row of
 J is one constant int.  The field width comes from an a-priori bound on the
 entries of both differences, so an identity holds exactly when every packed
 difference row is the integer 0; only a nonzero row is decoded, for the max
@@ -231,16 +235,25 @@ def _members(bits: int):
         bits ^= low
 
 
-def _all_roots_bfs(adjacency) -> tuple[list[list[int]], int | float, bool, bool]:
+#: The numpy dtype of a word of a packed root set: bit r of word w is root
+#: 64w + r.
+_WORD = "<u8"
+
+
+def _all_roots_bfs(adjacency) -> tuple[list[np.ndarray], int | float, bool, bool]:
     """Breadth-first search from every root at once, level by level.
 
-    Vertex v holds a bitset (a Python int) of the roots whose frontier is at v;
-    by symmetry of distance, that is the set of vertices at the current level
-    L from v.  The next frontier of v is the OR of its neighbours' bitsets minus
-    the roots that have already reached v, so a level costs one big-int OR per
-    edge end.  Returns the level bitsets (``levels[i][v]`` is the set of
-    vertices at distance i from v), the girth, bipartiteness and connectivity
-    (every vertex has seen every root).
+    Row v of the frontier holds the set of roots whose frontier is at v, as
+    ceil(n/64) little-endian words with bit r for root r; by symmetry of
+    distance, that is the set of vertices at the current level L from v.  The
+    neighbour lists are a (kmax, n) slot array, a short list padded with the
+    index n of an extra all-zero frontier row, stored one slot to a row so
+    that each slot is one contiguous index vector.  The next frontier is the
+    OR of the neighbours' rows minus the roots that have already reached v, so
+    a level costs one vectorised gather-and-OR per neighbour slot.  Returns the
+    level word arrays (row v of ``levels[i]`` is the set of vertices at
+    distance i from v, and row n is the zero row), the girth, bipartiteness
+    and connectivity (every vertex has seen every root).
 
     A root in both frontier[v] and the OR of v's neighbours' frontiers sees an
     edge inside level L, which closes an odd walk of 2L + 1; a root that newly
@@ -249,83 +262,112 @@ def _all_roots_bfs(adjacency) -> tuple[list[list[int]], int | float, bool, bool]
     one of these two ways seen from any of its vertices, so the first level
     that shows either gives the girth.  The graph is bipartite iff no level of
     any root has an edge inside it.  Once the girth is known, a level tracks
-    only the one OR per edge end, and the odd-edge test until one is found.
+    only the one OR per slot, and the odd-edge test until one is found.
     """
-    frontier = [1 << v for v in range(len(adjacency))]
-    seen = frontier[:]
+    n = len(adjacency)
+    words = -(-n // 64)
+    degrees = np.fromiter(map(len, adjacency), np.intp, n)
+    slots = np.full((degrees.max(initial=0), n), n, np.intp)
+    slots.T[np.arange(len(slots)) < degrees[:, None]] = np.fromiter(
+        chain.from_iterable(adjacency), np.intp, int(degrees.sum())
+    )
+    frontier = np.zeros((n + 1, words), _WORD)
+    roots = np.arange(n)
+    frontier.view(np.uint8)[roots, roots >> 3] = 1 << (roots & 7)
+    seen = frontier[:n].copy()
     levels = []
     shortest: int | float = math.inf
     bipartite = True
-    while any(frontier):
+    f = np.empty_like(seen)
+    while frontier.any():
         level = len(levels)
         levels.append(frontier)
-        odd = even = 0
-        reached = []
-        if shortest == math.inf:
-            for v, nbrs in enumerate(adjacency):
-                once = twice = 0
-                for u in nbrs:
-                    f = frontier[u]
-                    twice |= once & f
-                    once |= f
-                odd |= frontier[v] & once
-                new = once & ~seen[v]
-                even |= new & twice
-                seen[v] |= new
-                reached.append(new)
-        else:
-            for v, nbrs in enumerate(adjacency):
-                once = 0
-                for u in nbrs:
-                    once |= frontier[u]
-                if bipartite:
-                    odd |= frontier[v] & once
-                new = once & ~seen[v]
-                seen[v] |= new
-                reached.append(new)
+        reached = np.zeros_like(frontier)
+        once = reached[:n]
+        twice = np.zeros_like(once) if shortest == math.inf else None
+        for slot in slots:
+            # every index is in range; "clip" skips the buffered bounds check
+            np.take(frontier, slot, axis=0, out=f, mode="clip")
+            if twice is not None:
+                twice |= once & f
+            once |= f
+        odd = bipartite and bool((frontier[:n] & once).any())
+        once &= ~seen
+        even = twice is not None and bool((once & twice).any())
+        seen |= once
         if odd:
             bipartite = False
         if shortest == math.inf and (odd or even):
             shortest = 2 * level + (1 if odd else 2)
         frontier = reached
-    full = (1 << len(adjacency)) - 1
-    return levels, shortest, bipartite, all(bits == full for bits in seen)
+    full = np.frombuffer(((1 << n) - 1).to_bytes(8 * words, "little"), _WORD)
+    return levels, shortest, bipartite, bool((seen == full).all())
+
+
+def _bitsets(words) -> list[int]:
+    """The Python-int bitsets of the rows of a word array."""
+    return [int.from_bytes(row, "little") for row in words]
 
 
 class GraphAnalysis:
     """Everything the checks need from breadth-first search, from one
-    bit-parallel pass over all roots (`_all_roots_bfs`): the level bitsets,
-    the girth, bipartiteness, connectivity and the diameter, plus the
+    bit-parallel pass over all roots (`_all_roots_bfs`): the level word
+    arrays, the girth, bipartiteness, connectivity and the diameter, plus the
     structural verdicts already computed for the graph (`structural_check`).
 
-    ``levels[i][v]`` is the bitset of the vertices at distance i from v, so
-    the antipode counts and the clique-partition test read bitsets, and the
-    packed rows of the matrices A_i are built only when asked for.  The
+    Row v of ``levels[i]`` holds the vertices at distance i from v as
+    little-endian 64-bit words, and its row n is the BFS's zero padding row.
+    The antipode counts and the packed rows of the matrices A_i are read
+    straight from the words; `level` converts a level to Python-int bitsets
+    only on first request (the clique-partition test) and keeps them.  The
     analysis keeps the order n, not its graph, so the two form no reference
     cycle.  The order-0 graph counts as connected, with no diameter.
     """
 
-    __slots__ = ("n", "levels", "girth", "bipartite", "connected", "diameter", "_verdicts")
+    __slots__ = (
+        "n", "levels", "girth", "bipartite", "connected", "diameter", "_converted", "_verdicts",
+    )
 
     def __init__(self, graph: Graph):
         self.n = graph.n
+        self._converted: dict[int, list[int]] = {}
         self._verdicts: dict[tuple[int, int, int], StructuralVerdict] = {}
         self.levels, self.girth, self.bipartite, self.connected = _all_roots_bfs(
             graph.adjacency
         )
         self.diameter: int | None = len(self.levels) - 1 if self.connected and graph.n else None
 
+    def _words(self, i: int):
+        """The word rows of level i, or None beyond the eccentricities."""
+        return self.levels[i][:self.n] if 0 <= i < len(self.levels) else None
+
     def level(self, i: int) -> list[int]:
         """The bitsets of the vertices at distance i from each vertex (all
         empty beyond the eccentricities)."""
-        if 0 <= i < len(self.levels):
-            return self.levels[i]
-        return [0] * self.n
+        words = self._words(i)
+        if words is None:
+            return [0] * self.n
+        if i not in self._converted:
+            self._converted[i] = _bitsets(words)
+        return self._converted[i]
+
+    def level_sizes(self, i: int) -> list[int]:
+        """The number of vertices at distance i from each vertex."""
+        words = self._words(i)
+        if words is None:
+            return [0] * self.n
+        return np.unpackbits(words.view(np.uint8), axis=1).sum(axis=1).tolist()
 
     def distance_matrix(self, i: int, width: int) -> list[int]:
         """The packed rows, with ``width``-bit fields, of A_i, the 0/1 matrix of
-        vertex pairs at distance i (zero beyond the diameter)."""
-        return _intmat.pack_bitsets(self.level(i), self.n, width)
+        vertex pairs at distance i (zero beyond the diameter): bit j of row u
+        becomes the low byte of little-endian field j."""
+        words, n = self._words(i), self.n
+        if words is None:
+            return [0] * n
+        fields = np.zeros((n, n, width // 8), np.uint8)
+        fields[:, :, 0] = np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
+        return [int.from_bytes(row, "little") for row in fields.reshape(n, -1)]
 
 
 def girth(graph: Graph) -> int | float:
@@ -427,8 +469,7 @@ def _verdict(graph: Graph, k: int, d: int, e: int) -> StructuralVerdict:
         failures.append("diameter")
 
     far = d + 1
-    antipodes = analysis.level(far)
-    counts = [bits.bit_count() for bits in antipodes] if connected else []
+    counts = analysis.level_sizes(far) if connected else []
     uniform = bool(counts) and len(set(counts)) == 1
     antipode_count = counts[0] if uniform else None
     if not uniform or antipode_count != e // 2:
@@ -441,7 +482,7 @@ def _verdict(graph: Graph, k: int, d: int, e: int) -> StructuralVerdict:
             cliques_ok = True  # no vertex pairs at distance d+1; trivially a clique partition
         else:
             cliques_ok = _is_clique_partition(
-                [bits | 1 << v for v, bits in enumerate(antipodes)]
+                [bits | 1 << v for v, bits in enumerate(analysis.level(far))]
             )
             if cliques_ok:
                 clique_count = 2 * graph.n // (e + 2)

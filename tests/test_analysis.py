@@ -1,14 +1,20 @@
 """Property tests: the bit-parallel graph analysis against networkx and
 against row-based references, and the packed-row kernels against the dense
-reference products and the list route of `oracles`."""
+reference products and the list route of `oracles`.  The analysis packs 64
+roots to a word, so orders at and beside the word edges, irregular degrees
+(padded neighbour slots) and graphs without edges are checked one by one;
+levels become Python-int bitsets only when a check reads them."""
 
 import math
+import random
 
 import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cage_spectra import _intmat
+import pytest
+
+from cage_spectra import _intmat, catalog, graphs, moore_bound, structural_check, verify_identities
 from cage_spectra.graphs import Graph, _is_clique_partition
 from oracles import (
     adjacency_eval_poly,
@@ -143,10 +149,98 @@ def test_analysis_beyond_one_machine_word(graph):
         ]
 
 
+def chorded_cycle(n, step):
+    """A cycle through 0..n-1 with a chord from every fifth vertex, so the
+    degrees are 2 and 3 and some vertex lists pad a neighbour slot; the last
+    vertex, on or past a word edge, is on the cycle."""
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]
+                            + [(i, (i + step) % n) for i in range(0, n, 5) if step % n])
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+@pytest.mark.parametrize("step", [2, 7, 32])
+def test_analysis_at_the_word_edges(n, step):
+    analysis, rows = check_against_networkx(chorded_cycle(n, step))
+    assert [len(level) for level in analysis.levels] == [n + 1] * len(analysis.levels)
+    assert not any(level[n].any() for level in analysis.levels)  # the padding row
+    assert analysis.level_sizes(1) == [row.count(1) for row in rows]
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+def test_analysis_with_isolated_vertices_and_a_star(n):
+    # a hub joined to every fourth vertex: degrees from 0 to n/4
+    graph = Graph.from_edges(n, [(0, v) for v in range(4, n, 4)])
+    analysis, rows = check_against_networkx(graph)
+    assert not analysis.connected and analysis.girth == math.inf
+    assert analysis.level_sizes(2) == [row.count(2) for row in rows]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 64, 65])
+def test_analysis_without_edges(n):
+    analysis, _ = check_against_networkx(Graph(n, [()] * n))
+    assert len(analysis.levels) == min(n, 1)
+    assert analysis.level(0) == [1 << v for v in range(n)]
+    assert analysis.level(1) == analysis.level_sizes(1) == [0] * n
+
+
 def test_analysis_forest_and_null_graph():
     assert Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)]).analysis.girth == math.inf
     null = Graph(0, []).analysis
     assert (null.levels, null.girth, null.connected, null.diameter) == ([], math.inf, True, None)
+
+
+def count_conversions(monkeypatch):
+    """The number of rows of every level converted to Python-int bitsets."""
+    converted = []
+    convert = graphs._bitsets
+
+    def counted(words):
+        converted.append(len(words))
+        return convert(words)
+
+    monkeypatch.setattr(graphs, "_bitsets", counted)
+    return converted
+
+
+def screening_candidate(k, d, e, seed):
+    """A bipartite k-regular graph of order M(k, 2d) + e: the union of k
+    perfect matchings between the halves, each drawn again until it repeats
+    no edge."""
+    rng = random.Random(seed)
+    half = (moore_bound(k, 2 * d) + e) // 2
+    edges = set()
+    for _ in range(k):
+        while True:
+            matching = {(i, half + j) for i, j in enumerate(rng.sample(range(half), half))}
+            if not matching & edges:
+                edges |= matching
+                break
+    return Graph.from_edges(2 * half, sorted(edges))
+
+
+@pytest.mark.parametrize("k, d, e", [(3, 5, 2), (4, 4, 2), (5, 3, 2)])
+def test_a_failed_count_converts_no_level(monkeypatch, k, d, e):
+    converted = count_conversions(monkeypatch)
+    graph = screening_candidate(k, d, e, seed=27)
+    assert set(graph.degrees) == {k} and graph.analysis.bipartite
+    verdict = structural_check(graph, k, d, e)
+    assert {"girth", "antipode-count", "antipodal-cliques"} <= set(verdict.failures)
+    assert converted == []
+
+
+def test_a_passing_graph_converts_only_the_levels_its_checks_read(monkeypatch):
+    catalog.cache_clear()  # a graph built anew has no analysis yet
+    converted = count_conversions(monkeypatch)
+    graph = catalog("moebius_kantor")
+    assert structural_check(graph, 3, 3, 2).structure_ok  # e = k - 1: a regime note only
+    assert converted == [16]  # level 4, for the clique partition
+    assert all(check.holds for check in verify_identities(graph, 3, 3, 2))
+    assert graph.analysis.level(4) is graph.analysis.level(4)
+    assert converted == [16]  # the identities pack A_3 and A_4 from the words
+    heawood = catalog("heawood")
+    assert structural_check(heawood, 3, 3, 0).passed
+    assert all(check.holds for check in verify_identities(heawood, 3, 3, 0))
+    assert converted == [16]  # excess 0: no pair at distance 4, no conversion
 
 
 #: entries up to 2^80 in size, so fields run past one machine word
@@ -188,8 +282,8 @@ def test_adjacency_eval_poly_matches_dense(graph, coefficients):
 
 @SETTINGS
 @given(st.one_of(random_graphs(), cycle_unions()), st.integers(0, 4), st.sampled_from([8, 72]))
-def test_pack_bitsets_matches_the_distance_rows(graph, far, width):
-    packed = _intmat.pack_bitsets(graph.analysis.level(far), graph.n, width)
+def test_distance_matrix_matches_the_distance_rows(graph, far, width):
+    packed = graph.analysis.distance_matrix(far, width)
     assert unpack(packed, graph.n, width) == [
         [int(x == far) for x in row] for row in distance_rows(graph.adjacency)
     ]
@@ -197,8 +291,7 @@ def test_pack_bitsets_matches_the_distance_rows(graph, far, width):
 
 
 def test_packed_kernels_on_the_null_graph():
-    # format(0, "00b") is "0", not "": no bitset of the order-0 graph is formatted
-    assert _intmat.pack_bitsets([], 0, 8) == []
+    assert Graph(0, []).analysis.distance_matrix(0, 8) == []
     assert _intmat.packed_product([], []) == []
     assert (_intmat.packed_max_abs([], 0, 8), _intmat.packed_trace([], 8)) == (0, 0)
     assert (_intmat.ones_row(0, 8), _intmat.unpack(0, 0, 8)) == (0, [])

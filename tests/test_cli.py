@@ -607,7 +607,7 @@ def test_verify_structural_failure_skips_identity_kernels(monkeypatch, capsys):
         raise AssertionError("built or entered after a structural failure")
 
     monkeypatch.setattr(graphs.GraphAnalysis, "distance_matrix", never)
-    for kernel in ("pack_bitsets", "packed_product", "packed_max_abs"):
+    for kernel in ("packed_product", "packed_max_abs"):
         monkeypatch.setattr(_intmat, kernel, never)
     code, out, _ = run(capsys, "verify", "catalog:heawood", "--k", "3", "--d", "3", "--e", "2")
     assert code == 1 and "FAIL" in out

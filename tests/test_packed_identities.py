@@ -55,16 +55,16 @@ def test_perturbed_residual_equals_the_list_route(case, data):
     target = data.draw(st.sampled_from((d, d + 1)))
     u, v = data.draw(st.integers(0, graph.n - 1)), data.draw(st.integers(0, graph.n - 1))
     a[target][u][v] ^= 1
-    level = GraphAnalysis.level
+    packed = GraphAnalysis.distance_matrix
 
-    def flipped(analysis, i):
-        rows = level(analysis, i)[:]
+    def flipped(analysis, i, width):
+        rows = packed(analysis, i, width)[:]
         if i == target:
-            rows[u] ^= 1 << v
+            rows[u] ^= 1 << width * v  # the low bit of field v
         return rows
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(GraphAnalysis, "level", flipped)
+        patch.setattr(GraphAnalysis, "distance_matrix", flipped)
         path_count, allones = verify_identities(graph, k, d, e)
     assert (path_count.name, allones.name) == ("path-count", "all-ones")
     assert path_count.residual == path_count_residual(graph, k, d, a[d], a[d + 1]) != 0
