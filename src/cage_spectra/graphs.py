@@ -1,10 +1,13 @@
 """Graphs, structural checks, and exact matrix-identity verifiers.
 
-Graphs come in as adjacency rows, edge lists or graph6 text.  A graph6
-payload is base64 in the alphabet chr(63)..chr(126), so `parse_graph6`
-translates it to the standard alphabet and decodes it with `binascii`; the set
-bits of the result are the pair indices t = j(j-1)/2 + i, read in one pass in
-increasing t, so every row comes out sorted with no sort.
+Graphs come in as adjacency rows, edge lists or graph6 text.  A graph keeps
+its neighbours as two numpy arrays, the degrees and the rows' sorted
+neighbours end to end, which the BFS and the eigenvalue cross-check read
+directly; the tuple rows are built from them only when a packed kernel or a
+caller reads `Graph.adjacency`.  `parse_graph6` decodes in numpy and builds
+no Python rows: bit b of nonzero payload byte p is the pair index
+t = 6p + b = j(j-1)/2 + i, j comes from a binary search over the triangular
+numbers, and a stable sort of the pairs by owner puts every row in order.
 
 The graphs treated here are k-regular of even girth 2d with a small excess e
 over the Moore bound.  Such a graph (when e <= k - 2) is bipartite of
@@ -49,12 +52,11 @@ exact regression anchors.
 
 from __future__ import annotations
 
-import binascii
 import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, product
+from itertools import accumulate, chain, product
 from operator import add
 from typing import Iterable, Sequence
 
@@ -85,16 +87,20 @@ def moore_bound(k: int, g: int) -> int:
 class Graph:
     """Undirected simple graph on vertices 0..n-1 with sorted adjacency lists.
 
-    `Graph(n, rows)` checks range, self-loops and symmetry, and `from_edges`
-    checks range and builds through it (a repeated edge counts once).
-    `parse_graph6` checks the encoding and builds its rows unchecked, since
-    they come out sorted and symmetric by construction.
+    The neighbours are stored as a degree array and a flat array of every
+    row's sorted neighbours, end to end (both ``intp``, never written after
+    construction).  ``adjacency``, the rows as a tuple of tuples, is built
+    from them on first read and kept.  `Graph(n, rows)` checks range,
+    self-loops and symmetry, and `from_edges` checks range and builds through
+    it (a repeated edge counts once).  `parse_graph6` checks the encoding and
+    builds the arrays unchecked, since they come out sorted and symmetric by
+    construction.
 
     ``analysis`` is the graph's `GraphAnalysis`, built on first access and
-    kept; the adjacency is a tuple of tuples, so it never goes stale.
+    kept; the arrays are never written, so it never goes stale.
     """
 
-    __slots__ = ("n", "adjacency", "_analysis")
+    __slots__ = ("n", "_degrees", "_flat", "_adjacency", "_analysis")
 
     def __init__(self, n: int, adjacency: Sequence[Iterable[int]]):
         if len(adjacency) != n:
@@ -109,7 +115,8 @@ class Graph:
                 if u not in adj[v]:
                     raise ValueError(f"asymmetric adjacency: {u} -> {v}")
         self.n = n
-        self.adjacency = adj
+        self._degrees, self._flat = _neighbour_arrays(adj)
+        self._adjacency = adj
         self._analysis: GraphAnalysis | None = None
 
     @classmethod
@@ -130,12 +137,21 @@ class Graph:
         return self._analysis
 
     @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted neighbour rows, built from the arrays on first read."""
+        if self._adjacency is None:
+            flat = self._flat.tolist()
+            ends = list(accumulate(self._degrees.tolist()))
+            self._adjacency = tuple(tuple(flat[a:b]) for a, b in zip([0, *ends], ends))
+        return self._adjacency
+
+    @property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nbrs) for nbrs in self.adjacency)
+        return tuple(self._degrees.tolist())
 
     @property
     def edge_count(self) -> int:
-        return sum(self.degrees) // 2
+        return len(self._flat) // 2
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.adjacency == other.adjacency
@@ -147,16 +163,18 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
+def _neighbour_arrays(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The degree array and the flat neighbour array of neighbour rows."""
+    degrees = np.fromiter(map(len, rows), np.intp, len(rows))
+    return degrees, np.fromiter(chain.from_iterable(rows), np.intp, int(degrees.sum()))
+
+
 # ---------------------------------------------------------------------------
 # graph6 ingestion
 
 _G6_HEADER = b">>graph6<<"
 _ASCII_SPACE = " \t\n\r\x0b\x0c"  # what bytes.strip() removes
 _G6_OUT_OF_RANGE = re.compile(rb"[^\x3f-\x7e]")
-_G6_TO_BASE64 = bytes.maketrans(
-    bytes(range(63, 127)),
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
-)
 
 
 def parse_graph6(text: bytes | str) -> Graph:
@@ -176,7 +194,7 @@ def parse_graph6(text: bytes | str) -> Graph:
         raise Graph6ParseError(
             f"character out of range at byte {pos}: {ord(text[pos:pos + 1])}"
         )
-    n, body = _parse_g6_order(data)
+    n, body = _parse_g6_order(memoryview(data))  # a view: the payload is not copied
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(body) != need:
@@ -185,24 +203,23 @@ def parse_graph6(text: bytes | str) -> Graph:
         )
     if need and (body[-1] - 63) & ((1 << (6 * need - nbits)) - 1):
         raise Graph6ParseError("trailing padding bits are nonzero")
-    # the payload is base64 in the alphabet chr(63)..chr(126); bit t of the
-    # decoded string is the pair (i, j), i < j, with t = j(j-1)/2 + i
-    encoded = body.translate(_G6_TO_BASE64)
-    raw = binascii.a2b_base64(encoded + b"A" * (-len(encoded) % 4))
-    bits = f"{int.from_bytes(raw, 'big'):0{8 * len(raw)}b}"
-    rows = [[] for _ in range(n)]
-    j = start = end = 0  # column j holds bits start .. end - 1, end = start + j
-    for match in re.finditer("1", bits):
-        t = match.start()
-        while t >= end:
-            start = end
-            j += 1
-            end += j
-        i = t - start
-        rows[i].append(j)
-        rows[j].append(i)
+    # bit b (from the high end of the 6) of payload byte p is the pair (i, j),
+    # i < j, with t = 6p + b = j(j-1)/2 + i; tri[0] = tri[1] = 0, so j is the
+    # last index with tri[j] <= t
+    payload = np.frombuffer(body, np.uint8) - 63
+    pos = np.flatnonzero(payload)
+    byte, bit = np.nonzero(np.unpackbits(payload[pos, None], axis=1)[:, 2:])
+    t = 6 * pos[byte] + bit
+    tri = np.arange(n) * np.arange(-1, n - 1) // 2
+    j = np.searchsorted(tri, t, side="right") - 1
+    i = t - tri[j]
+    # t ascends, so row u's lower neighbours (u = j) and then its upper ones
+    # (u = i) each ascend, and a stable sort by owner keeps that order
+    owners = np.concatenate((j, i))
     graph = Graph.__new__(Graph)  # sorted and symmetric by construction
-    graph.n, graph.adjacency, graph._analysis = n, tuple(map(tuple, rows)), None
+    graph.n, graph._adjacency, graph._analysis = n, None, None
+    graph._degrees = np.bincount(owners, minlength=n)
+    graph._flat = np.concatenate((i, j))[np.argsort(owners, kind="stable")]
     return graph
 
 
@@ -240,17 +257,18 @@ def _members(bits: int):
 _WORD = "<u8"
 
 
-def _all_roots_bfs(adjacency) -> tuple[list[np.ndarray], int | float, bool, bool]:
+def _all_roots_bfs(degrees, flat) -> tuple[list[np.ndarray], int | float, bool, bool]:
     """Breadth-first search from every root at once, level by level.
 
     Row v of the frontier holds the set of roots whose frontier is at v, as
     ceil(n/64) little-endian words with bit r for root r; by symmetry of
     distance, that is the set of vertices at the current level L from v.  The
-    neighbour lists are a (kmax, n) slot array, a short list padded with the
-    index n of an extra all-zero frontier row, stored one slot to a row so
-    that each slot is one contiguous index vector.  The next frontier is the
-    OR of the neighbours' rows minus the roots that have already reached v, so
-    a level costs one vectorised gather-and-OR per neighbour slot.  Returns the
+    graph's degree and flat neighbour arrays become a (kmax, n) slot array, a
+    short list padded with the index n of an extra all-zero frontier row,
+    stored one slot to a row so that each slot is one contiguous index
+    vector.  The next frontier is the OR of the neighbours' rows minus the
+    roots that have already reached v, so a level costs one vectorised
+    gather-and-OR per neighbour slot.  Returns the
     level word arrays (row v of ``levels[i]`` is the set of vertices at
     distance i from v, and row n is the zero row), the girth, bipartiteness
     and connectivity (every vertex has seen every root).
@@ -264,13 +282,10 @@ def _all_roots_bfs(adjacency) -> tuple[list[np.ndarray], int | float, bool, bool
     any root has an edge inside it.  Once the girth is known, a level tracks
     only the one OR per slot, and the odd-edge test until one is found.
     """
-    n = len(adjacency)
+    n = len(degrees)
     words = -(-n // 64)
-    degrees = np.fromiter(map(len, adjacency), np.intp, n)
     slots = np.full((degrees.max(initial=0), n), n, np.intp)
-    slots.T[np.arange(len(slots)) < degrees[:, None]] = np.fromiter(
-        chain.from_iterable(adjacency), np.intp, int(degrees.sum())
-    )
+    slots.T[np.arange(len(slots)) < degrees[:, None]] = flat
     frontier = np.zeros((n + 1, words), _WORD)
     roots = np.arange(n)
     frontier.view(np.uint8)[roots, roots >> 3] = 1 << (roots & 7)
@@ -286,8 +301,9 @@ def _all_roots_bfs(adjacency) -> tuple[list[np.ndarray], int | float, bool, bool
         once = reached[:n]
         twice = np.zeros_like(once) if shortest == math.inf else None
         for slot in slots:
-            # every index is in range; "clip" skips the buffered bounds check
-            np.take(frontier, slot, axis=0, out=f, mode="clip")
+            # every index is in range; "clip" skips the buffered bounds check,
+            # and the bound method skips the Python-level np.take wrapper
+            frontier.take(slot, 0, f, "clip")
             if twice is not None:
                 twice |= once & f
             once |= f
@@ -333,7 +349,7 @@ class GraphAnalysis:
         self._converted: dict[int, list[int]] = {}
         self._verdicts: dict[tuple[int, int, int], StructuralVerdict] = {}
         self.levels, self.girth, self.bipartite, self.connected = _all_roots_bfs(
-            graph.adjacency
+            graph._degrees, graph._flat
         )
         self.diameter: int | None = len(self.levels) - 1 if self.connected and graph.n else None
 
@@ -446,7 +462,7 @@ def _verdict(graph: Graph, k: int, d: int, e: int) -> StructuralVerdict:
     if e % 2 or e < 0 or e > k - 2:
         failures.append("excess-range")
 
-    if any(deg != k for deg in graph.degrees):
+    if (graph._degrees != k).any():
         failures.append("regularity")
     if not analysis.bipartite:
         failures.append("bipartite")
@@ -617,10 +633,9 @@ def spectral_crosscheck(graph: Graph, k: int, d: int, e: int) -> CrosscheckRepor
     k and -k are simple eigenvalues, the largest and the smallest; `eigvalsh`
     returns them last and first, in ascending order."""
     _require_structure(graph, k, d, e)
-    n, degrees = graph.n, graph.degrees
+    n = graph.n
     a = np.zeros((n, n))
-    a[np.repeat(np.arange(n), degrees),
-      np.fromiter(chain.from_iterable(graph.adjacency), dtype=np.intp, count=sum(degrees))] = 1.0
+    a[np.repeat(np.arange(n), graph._degrees), graph._flat] = 1.0
     eigenvalues = np.linalg.eigvalsh(a)
     h = dickson_family("H", k, d - 1)
     targets = (0.0,) if e == 0 else (1.0, -e / 2)

@@ -7,7 +7,8 @@ the transcendental angular-defect equation, list-of-list matrices where the
 package packs each row into one int, full matrix polynomials of B_D where
 the package reads only its Krylov rows e_0^T B^j, a queue-based search per
 root where the package searches from every root at once, a byte-by-byte graph6
-payload decoder where the package decodes base64 with `binascii`, full-degree
+payload decoder with `math.isqrt` where the package decodes in numpy with a
+binary search over the triangular numbers, full-degree
 Horner signs and bit-by-bit halving where the package evaluates the even
 family polynomial in x^2 and takes a certified Newton cell, a Sturm root
 count in `Fraction`s where the package counts disjoint sign-change cells
@@ -823,7 +824,7 @@ def power_traces(adjacency, count):
 def decode_graph6_payload(n, body):
     """The sorted neighbour rows (a tuple of tuples) of the order-``n`` graph
     whose graph6 payload is ``body`` (bytes, in range, of the right length),
-    by byte-by-byte decoding, not the package's base64 route: every set bit
+    by byte-by-byte decoding, not the package's numpy route: every set bit
     of every payload byte is one edge, its pair found by
     `math.isqrt`.  A set padding bit raises the package's `Graph6ParseError`."""
     nbits = n * (n - 1) // 2

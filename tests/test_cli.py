@@ -566,9 +566,9 @@ def count_bfs_passes(monkeypatch):
     passes = []
     bfs = graphs._all_roots_bfs
 
-    def counted(adjacency):
-        passes.append(len(adjacency))
-        return bfs(adjacency)
+    def counted(degrees, flat):
+        passes.append(len(degrees))
+        return bfs(degrees, flat)
 
     monkeypatch.setattr(graphs, "_all_roots_bfs", counted)
     return passes
@@ -599,8 +599,13 @@ def test_verify_computes_one_structural_verdict_per_graph(monkeypatch, capsys):
     assert verdicts == [(3, 3, 0)]  # shared by the check, the identities and the cross-check
 
 
-def test_verify_structural_failure_skips_identity_kernels(monkeypatch, capsys):
-    """A rejected candidate costs the one BFS pass: no A_i, no matrix kernel."""
+def test_verify_structural_failure_skips_identity_kernels(monkeypatch, capsys, tmp_path):
+    """A rejected candidate costs the one BFS pass: no A_i, no matrix kernel,
+    and a graph6 candidate never builds its tuple rows."""
+    heawood = catalog("heawood")
+    edges = [(u, v) for u in range(heawood.n) for v in heawood.adjacency[u] if u < v]
+    path = tmp_path / "heawood.g6"
+    path.write_text(g6ref.encode_graph6(heawood.n, edges) + "\n")
     passes = count_bfs_passes(monkeypatch)
 
     def never(*args):
@@ -612,6 +617,10 @@ def test_verify_structural_failure_skips_identity_kernels(monkeypatch, capsys):
     code, out, _ = run(capsys, "verify", "catalog:heawood", "--k", "3", "--d", "3", "--e", "2")
     assert code == 1 and "FAIL" in out
     assert passes == [14]
+    monkeypatch.setattr(graphs.Graph, "adjacency", property(never))
+    code, out, _ = run(capsys, "verify", str(path), "--k", "3", "--d", "3", "--e", "2")
+    assert code == 1 and "FAIL" in out
+    assert passes == [14, 14]
 
 
 def test_dumps_canonical_floats():

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,28 @@ def test_parse_graph6_rejects_every_set_padding_bit(n):
             parse_graph6(chr(63 + n) + "".join(chr(63 + v) for v in payload))
 
 
+def test_parse_graph6_memory_is_bounded_by_the_payload():
+    """A sparse 10,000-vertex cycle has a payload of about 8.3 MB; the parse
+    allocates less than 1.5 times that at its peak (numpy reports its buffers
+    to tracemalloc), where a bit string of n(n-1)/2 characters would take 6."""
+    n = 10_000
+    nbits = n * (n - 1) // 2
+    body = bytearray(b"?" * ((nbits + 5) // 6))
+    for i, j in [(0, n - 1)] + [(i, i + 1) for i in range(n - 1)]:
+        t = j * (j - 1) // 2 + i
+        body[t // 6] += 32 >> t % 6
+    text = bytes([126] + [63 + (n >> s & 63) for s in (12, 6, 0)]) + body
+    tracemalloc.start()
+    try:
+        graph = parse_graph6(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.n == n and set(graph.degrees) == {2} and graph.edge_count == n
+    assert graph.adjacency[0] == (1, n - 1) and graph.adjacency[n - 1] == (0, n - 2)
+    assert peak < 1.5 * len(body)
+
+
 @st.composite
 def edge_lists(draw):
     """(n, distinct pairs i < j, the same edges in random order and
@@ -193,7 +216,7 @@ def _payload(n, text):
 @example((1, [], []))
 @example((63, [], []))
 @example(_complete_case(4))  # payloads of 1, 2, 3 and 4 bytes with every
-@example(_complete_case(5))  # bit set: each base64 padding case
+@example(_complete_case(5))  # bit set
 @example(_complete_case(6))
 @example(_complete_case(7))
 @example(_complete_case(62))

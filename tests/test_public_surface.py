@@ -2,11 +2,12 @@
 
 `__all__` is pinned name for name, so a name is added or removed on purpose;
 the names and modules the package dropped must stay gone; numpy is imported
-by `graphs` and used only by the all-roots BFS on packed words, the two
-readers of those words (the antipode counts and the packed distance
-matrices) and the eigenvalue cross-check (graph6 is decoded with the standard
-library), and no module imports mpmath (the tests' oracles use it); and no
-module reads the environment, so output depends on arguments alone.
+by `graphs` and used only by the graph6 decoder and the row-to-array
+conversion that fill a graph's neighbour arrays, the all-roots BFS on packed
+words, the two readers of those words (the antipode counts and the packed
+distance matrices) and the eigenvalue cross-check, and no module imports
+mpmath (the tests' oracles use it); and no module reads the environment, so
+output depends on arguments alone.
 """
 
 import ast
@@ -131,7 +132,7 @@ REMOVED_MODULES = ("intervals", "precision")
 
 #: Attributes and dataclass fields the package's classes dropped: the graph
 #: owns its one analysis, and no n x n list of distance rows or adjacency
-#: entries is built; graph6 rows are built by the decoder's one pass; B_D is
+#: entries is built; graph6 decodes straight into the neighbour arrays; B_D is
 #: read only through its Krylov rows; the families run their recurrence on
 #: coefficient tuples, so `IntPolynomial` has no operator algebra; the
 #: verdict rests on the gap and exact integrality alone, so a report carries
@@ -169,11 +170,14 @@ LEMMA_CHECKS = {
 
 #: The package functions allowed to use each third-party library, as
 #: "module.function": the one module imports it and only those functions use
-#: it.  numpy carries the all-roots BFS on packed words (3-4x faster than
-#: Python-int bitsets on the screening candidates), the two functions that
-#: read those words, and the eigenvalue cross-check.
+#: it.  numpy carries a graph's neighbour arrays (decoded from graph6, or
+#: converted from checked rows), the all-roots BFS on packed words (3-4x
+#: faster than Python-int bitsets on the screening candidates), the two
+#: functions that read those words, and the eigenvalue cross-check.
 THIRD_PARTY = {
     "numpy": (
+        "graphs.parse_graph6",
+        "graphs._neighbour_arrays",
         "graphs._all_roots_bfs",
         "graphs.level_sizes",
         "graphs.distance_matrix",

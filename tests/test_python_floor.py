@@ -18,8 +18,9 @@ MODULES = sorted((ROOT / "src").rglob("*.py"))
 #: checked against that release first: `np.bitwise_count`, for one, is new
 #: in numpy 2.0.
 NUMPY_NAMES = {
-    "arange", "empty_like", "frombuffer", "fromiter", "full", "intp", "linalg.eigvalsh",
-    "ndarray", "repeat", "take", "uint8", "unpackbits", "zeros", "zeros_like",
+    "arange", "argsort", "bincount", "concatenate", "empty_like", "flatnonzero", "frombuffer",
+    "fromiter", "full", "intp", "linalg.eigvalsh", "ndarray", "nonzero", "repeat",
+    "searchsorted", "uint8", "unpackbits", "zeros", "zeros_like",
 }
 
 
