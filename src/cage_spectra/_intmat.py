@@ -7,7 +7,8 @@ X is held as one Python int, its packed row
 
 with W-bit signed fields (Kronecker substitution).  Packing is linear, so
 row u of A·X is the sum of the packed rows of X at u's neighbours: k big-int
-additions in C for a vertex of degree k (`packed_product`); row u of I is
+additions in C for a vertex of degree k (`packed_product`, which reads A as
+the graph's degree and flat neighbour arrays); row u of I is
 ``1 << W·u``.  Every packed value is an exact integer whatever its fields
 hold; only reading fields back needs a bound.  A row whose entries all
 satisfy |x| < 2^(W-1) is 0 exactly when every entry is 0 (its lowest nonzero
@@ -22,6 +23,8 @@ is read only through its Krylov rows e_0^T B^j, one 1 x (D+1) by
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 
 def poly_bound(coefficients, k: int) -> int:
@@ -40,10 +43,12 @@ def ones_row(n: int, width: int) -> int:
     return int.from_bytes((bytes(width // 8 - 1) + b"\x01") * n, "big")
 
 
-def packed_product(adjacency, rows: list[int]) -> list[int]:
-    """Packed rows of A·X, for the 0/1 matrix A given by neighbour lists and
-    the packed rows of X: row u is the sum of the rows at u's neighbours."""
-    return [sum(map(rows.__getitem__, nbrs)) for nbrs in adjacency]
+def packed_product(degrees, flat, rows: list[int]) -> list[int]:
+    """Packed rows of A·X, for the 0/1 matrix A given by its degree array and
+    its flat array of every row's neighbours end to end, and the packed rows
+    of X: row u is the sum of the next deg(u) rows gathered through flat."""
+    gathered = map(rows.__getitem__, flat.tolist())
+    return [sum(islice(gathered, degree)) for degree in degrees.tolist()]
 
 
 def unpack(row: int, n: int, width: int) -> list[int]:

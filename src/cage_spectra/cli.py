@@ -34,6 +34,7 @@ from pathlib import Path
 
 from .errors import (
     CageSpectraError,
+    DegreeRangeError,
     Graph6ParseError,
     ParameterDomainError,
     StructuralRefusal,
@@ -346,6 +347,8 @@ def _verify_one(name, graph, k, d, e) -> dict:
 
 
 def _cmd_verify(args, out) -> int:
+    if args.k < 3:  # refused before any target is read, whatever its graphs
+        raise DegreeRangeError(f"degree k must be >= 3, got {args.k}")
     results = [_verify_one(name, g, args.k, args.d, args.e) for name, g in _load_targets(args.target)]
     if args.format == "json":
         out.write(dumps_canonical(results) + "\n")

@@ -2,10 +2,10 @@
 
 Graphs come in as adjacency rows, edge lists or graph6 text.  A graph keeps
 its neighbours as two numpy arrays, the degrees and the rows' sorted
-neighbours end to end, which the BFS and the eigenvalue cross-check read
-directly; the tuple rows are built from them only when a packed kernel or a
-caller reads `Graph.adjacency`.  `parse_graph6` decodes in numpy and builds
-no Python rows: bit b of nonzero payload byte p is the pair index
+neighbours end to end, and nothing else: the BFS, the packed products and the
+eigenvalue cross-check read them directly, and `Graph.adjacency` builds the
+tuple rows from them for a caller that asks.  `parse_graph6` decodes in numpy
+and builds no Python rows: bit b of nonzero payload byte p is the pair index
 t = 6p + b = j(j-1)/2 + i, j comes from a binary search over the triangular
 numbers, and a stable sort of the pairs by owner puts every row in order.
 
@@ -18,11 +18,10 @@ every root at once and derives the girth, bipartiteness, connectivity,
 diameter and the sets of the vertices at each distance from that single pass.
 The sets are packed 64 roots to a little-endian `uint64` word, one row of
 words per vertex plus an all-zero row that pads short neighbour lists, so a
-level is one numpy gather-and-OR per neighbour slot.  A level becomes
-Python-int bitsets only when a check asks for them, once.
-`structural_check` is a view over the analysis for a claimed (k, d, e) that
-reports each violated condition by name instead of raising; its antipode
-counts are read from the words.
+level is one numpy gather-and-OR per neighbour slot.  The words are the one
+store of the levels.  `structural_check` is a view over the analysis for a
+claimed (k, d, e) that reports each violated condition by name instead of
+raising; its antipode counts and its clique-partition test read the words.
 
 Two exact matrix identities tie the distance matrices A_i to the polynomial
 families (integer arithmetic, so a zero residual is a proof for the given
@@ -36,14 +35,14 @@ A_{d+1}: since F_d = H_d - H_{d-2}, the path-count difference is
 A·M - k(H_{d-2}(A) + A_d), and the all-ones difference is A·M + k·M - k·J.
 All of it runs on packed rows (`_intmat`): each matrix row is one Python int
 with fixed-width signed fields, row u of A·X is the sum of the rows at u's k
-neighbours, H_{d-2}(A) and H_{d-1}(A) come from the three-term recurrence,
-A_d and A_{d+1} are packed straight from the level words, and every row of
-J is one constant int.  The field width comes from an a-priori bound on the
-entries of both differences, so an identity holds exactly when every packed
-difference row is the integer 0; only a nonzero row is decoded, for the max
-|entry| residual.  Every check reads the graph's own `GraphAnalysis`
-(`Graph.analysis`, built on first use), so `verify` and the trace oracle run
-the BFS pass once per graph.
+neighbours, gathered through the graph's neighbour arrays, H_{d-2}(A) and
+H_{d-1}(A) come from the three-term recurrence, A_d and A_{d+1} are packed
+straight from the level words, and every row of J is one constant int.  The
+field width comes from an a-priori bound on the entries of both differences,
+so an identity holds exactly when every packed difference row is the integer
+0; only a nonzero row is decoded, for the max |entry| residual.  Every check
+reads the graph's own `GraphAnalysis` (`Graph.analysis`, built on first use),
+so `verify` and the trace oracle run the BFS pass once per graph.
 
 For excess 0 the matrix A_{d+1} is zero (no vertex is at distance d + 1) and
 packs to zero rows, so the classical excess-0 graphs in the catalog serve as
@@ -56,7 +55,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, chain, product
+from itertools import chain, islice, product
 from operator import add
 from typing import Iterable, Sequence
 
@@ -89,8 +88,8 @@ class Graph:
 
     The neighbours are stored as a degree array and a flat array of every
     row's sorted neighbours, end to end (both ``intp``, never written after
-    construction).  ``adjacency``, the rows as a tuple of tuples, is built
-    from them on first read and kept.  `Graph(n, rows)` checks range,
+    construction), and only there.  ``adjacency``, the rows as a tuple of
+    tuples, is built from them on each read.  `Graph(n, rows)` checks range,
     self-loops and symmetry, and `from_edges` checks range and builds through
     it (a repeated edge counts once).  `parse_graph6` checks the encoding and
     builds the arrays unchecked, since they come out sorted and symmetric by
@@ -100,7 +99,7 @@ class Graph:
     kept; the arrays are never written, so it never goes stale.
     """
 
-    __slots__ = ("n", "_degrees", "_flat", "_adjacency", "_analysis")
+    __slots__ = ("n", "_degrees", "_flat", "_analysis")
 
     def __init__(self, n: int, adjacency: Sequence[Iterable[int]]):
         if len(adjacency) != n:
@@ -116,7 +115,6 @@ class Graph:
                     raise ValueError(f"asymmetric adjacency: {u} -> {v}")
         self.n = n
         self._degrees, self._flat = _neighbour_arrays(adj)
-        self._adjacency = adj
         self._analysis: GraphAnalysis | None = None
 
     @classmethod
@@ -138,12 +136,9 @@ class Graph:
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """The sorted neighbour rows, built from the arrays on first read."""
-        if self._adjacency is None:
-            flat = self._flat.tolist()
-            ends = list(accumulate(self._degrees.tolist()))
-            self._adjacency = tuple(tuple(flat[a:b]) for a, b in zip([0, *ends], ends))
-        return self._adjacency
+        """The sorted neighbour rows, built from the arrays on each read."""
+        flat = iter(self._flat.tolist())
+        return tuple(tuple(islice(flat, degree)) for degree in self._degrees.tolist())
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -217,7 +212,7 @@ def parse_graph6(text: bytes | str) -> Graph:
     # (u = i) each ascend, and a stable sort by owner keeps that order
     owners = np.concatenate((j, i))
     graph = Graph.__new__(Graph)  # sorted and symmetric by construction
-    graph.n, graph._adjacency, graph._analysis = n, None, None
+    graph.n, graph._analysis = n, None
     graph._degrees = np.bincount(owners, minlength=n)
     graph._flat = np.concatenate((i, j))[np.argsort(owners, kind="stable")]
     return graph
@@ -243,14 +238,6 @@ def _parse_g6_order(data: bytes) -> tuple[int, bytes]:
 
 # ---------------------------------------------------------------------------
 # graph analysis: one bit-parallel BFS from every root at once
-
-def _members(bits: int):
-    """The positions of the set bits of ``bits``, lowest first."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
 
 #: The numpy dtype of a word of a packed root set: bit r of word w is root
 #: 64w + r.
@@ -320,11 +307,6 @@ def _all_roots_bfs(degrees, flat) -> tuple[list[np.ndarray], int | float, bool, 
     return levels, shortest, bipartite, bool((seen == full).all())
 
 
-def _bitsets(words) -> list[int]:
-    """The Python-int bitsets of the rows of a word array."""
-    return [int.from_bytes(row, "little") for row in words]
-
-
 class GraphAnalysis:
     """Everything the checks need from breadth-first search, from one
     bit-parallel pass over all roots (`_all_roots_bfs`): the level word
@@ -333,20 +315,17 @@ class GraphAnalysis:
 
     Row v of ``levels[i]`` holds the vertices at distance i from v as
     little-endian 64-bit words, and its row n is the BFS's zero padding row.
-    The antipode counts and the packed rows of the matrices A_i are read
-    straight from the words; `level` converts a level to Python-int bitsets
-    only on first request (the clique-partition test) and keeps them.  The
-    analysis keeps the order n, not its graph, so the two form no reference
-    cycle.  The order-0 graph counts as connected, with no diameter.
+    The words are the only copy of the levels: the antipode counts, the
+    clique-partition test and the packed rows of the matrices A_i read them
+    directly.  The analysis keeps the order n, not its graph, so the two form
+    no reference cycle.  The order-0 graph counts as connected, with no
+    diameter.
     """
 
-    __slots__ = (
-        "n", "levels", "girth", "bipartite", "connected", "diameter", "_converted", "_verdicts",
-    )
+    __slots__ = ("n", "levels", "girth", "bipartite", "connected", "diameter", "_verdicts")
 
     def __init__(self, graph: Graph):
         self.n = graph.n
-        self._converted: dict[int, list[int]] = {}
         self._verdicts: dict[tuple[int, int, int], StructuralVerdict] = {}
         self.levels, self.girth, self.bipartite, self.connected = _all_roots_bfs(
             graph._degrees, graph._flat
@@ -356,16 +335,6 @@ class GraphAnalysis:
     def _words(self, i: int):
         """The word rows of level i, or None beyond the eccentricities."""
         return self.levels[i][:self.n] if 0 <= i < len(self.levels) else None
-
-    def level(self, i: int) -> list[int]:
-        """The bitsets of the vertices at distance i from each vertex (all
-        empty beyond the eccentricities)."""
-        words = self._words(i)
-        if words is None:
-            return [0] * self.n
-        if i not in self._converted:
-            self._converted[i] = _bitsets(words)
-        return self._converted[i]
 
     def level_sizes(self, i: int) -> list[int]:
         """The number of vertices at distance i from each vertex."""
@@ -494,14 +463,11 @@ def _verdict(graph: Graph, k: int, d: int, e: int) -> StructuralVerdict:
     cliques_ok = False
     clique_count = None
     if connected and uniform and antipode_count == e // 2:
-        if e == 0:
-            cliques_ok = True  # no vertex pairs at distance d+1; trivially a clique partition
-        else:
-            cliques_ok = _is_clique_partition(
-                [bits | 1 << v for v, bits in enumerate(analysis.level(far))]
-            )
-            if cliques_ok:
-                clique_count = 2 * graph.n // (e + 2)
+        words = analysis._words(far)
+        # no vertex pairs at distance d+1 (e < 2): every cell is one vertex
+        cliques_ok = words is None or _is_clique_partition(words)
+        if cliques_ok and e > 0:
+            clique_count = 2 * graph.n // (e + 2)
     if not cliques_ok:
         failures.append("antipodal-cliques")
 
@@ -521,12 +487,25 @@ def _verdict(graph: Graph, k: int, d: int, e: int) -> StructuralVerdict:
     )
 
 
-def _is_clique_partition(cells: list[int]) -> bool:
-    """True iff the relation "v is in cells[u]" is a disjoint clique union,
-    for bitset cells with u in cells[u]: each cell is the same set seen from
-    each of its members (then any two members are related).  For the cells
-    {u} + {v : dist(u, v) = far}, that is the antipodal clique partition."""
-    return all(cells[a] == cell for cell in cells for a in _members(cell))
+def _is_clique_partition(words) -> bool:
+    """True iff a symmetric relation, given as word rows (bit u of row v set
+    when u is related to v), is a disjoint union of cliques once each vertex
+    is related to itself.  For the rows of distance d + 1, that is the
+    antipodal clique partition.
+
+    Row v with bit v set is v's cell C(v); the relation is a clique union iff
+    each cell is the same set seen from each of its members, and, the
+    relation being symmetric, iff each cell equals the cell of its lowest
+    member.  Say the latter holds, v is in C = C(u) and m = min C, so
+    C(m) = C.  By symmetry m is in C(v), and m' = min C(v) is in C, since m is
+    in C(v) = C(m'); so m' = m and C(v) = C(m) = C.
+    """
+    roots = np.arange(len(words))
+    cells = np.zeros_like(words)
+    cells.view(np.uint8)[roots, roots >> 3] = 1 << (roots & 7)
+    cells |= words
+    lowest = np.unpackbits(cells.view(np.uint8), axis=1, bitorder="little").argmax(axis=1)
+    return bool((cells[lowest] == cells).all())
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +557,7 @@ def verify_identities(
     both, so each difference is zero exactly when each of its packed rows is.
     """
     analysis = _require_structure(graph, k, d, e)
-    n, adjacency = graph.n, graph.adjacency
+    n, degrees, flat = graph.n, graph._degrees, graph._flat
     width = _intmat.field_width(max(
         _intmat.poly_bound(dickson_family("F", k, d).coefficients, k) + 2 * k,
         2 * k * (_intmat.poly_bound(dickson_family("H", k, d - 1).coefficients, k) + 1) + k,
@@ -586,10 +565,10 @@ def verify_identities(
     lower, upper = [0] * n, [1 << width * u for u in range(n)]  # H_{-1}(A), H_0(A)
     for _ in range(d - 1):
         lower, upper = upper, [
-            w - (k - 1) * h for w, h in zip(_intmat.packed_product(adjacency, upper), lower)
+            w - (k - 1) * h for w, h in zip(_intmat.packed_product(degrees, flat, upper), lower)
         ]
     inner = list(map(add, upper, analysis.distance_matrix(d + 1, width)))
-    walks = _intmat.packed_product(adjacency, inner)
+    walks = _intmat.packed_product(degrees, flat, inner)
     path_count = [
         w - k * (h + a) for w, h, a in zip(walks, lower, analysis.distance_matrix(d, width))
     ]

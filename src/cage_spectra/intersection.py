@@ -107,8 +107,9 @@ def trace_identity_check(graph: Graph, k: int, d: int) -> TraceIdentityReport:
     2d against the intersection-matrix oracle, exactly.
 
     The powers A^q, q < 2d, are packed rows (`_intmat`), one packed product
-    each, and tr(A^q) is the sum of their diagonal fields.  Each entry of A^q
-    is at most k^q, which sets the field width.
+    each over the graph's neighbour arrays, and tr(A^q) is the sum of their
+    diagonal fields.  Each entry of A^q is at most k^q, which sets the field
+    width.
     """
     analysis = graph.analysis
     problems = []
@@ -127,7 +128,7 @@ def trace_identity_check(graph: Graph, k: int, d: int) -> TraceIdentityReport:
     qs = tuple(range(2 * d))
     for q in qs:
         if q:
-            power = _intmat.packed_product(graph.adjacency, power)
+            power = _intmat.packed_product(graph._degrees, graph._flat, power)
         if _intmat.packed_trace(power, width) != graph.n * walks_from_vertex[q]:
             first_failure = q
             break

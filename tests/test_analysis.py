@@ -2,13 +2,15 @@
 against row-based references, and the packed-row kernels against the dense
 reference products and the list route of `oracles`.  The analysis packs 64
 roots to a word, so orders at and beside the word edges, irregular degrees
-(padded neighbour slots) and graphs without edges are checked one by one;
-levels become Python-int bitsets only when a check reads them."""
+(padded neighbour slots) and graphs without edges are checked one by one; the
+clique-partition test reads the same words, and is checked against the
+row-based definition on partitions packed across the word edges."""
 
 import math
 import random
 
 import networkx as nx
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -99,6 +101,13 @@ def sparse_graphs(draw):
                                 if u != v and not (bipartite and (u - v) % 2 == 0)])
 
 
+def level_bitsets(analysis, i):
+    """The word rows of level i as Python ints, bit v for vertex v (all 0
+    beyond the eccentricities)."""
+    words = analysis._words(i)
+    return [0] * analysis.n if words is None else [int.from_bytes(row, "little") for row in words]
+
+
 def check_against_networkx(graph):
     analysis = graph.analysis
     g = to_networkx(graph)
@@ -108,7 +117,7 @@ def check_against_networkx(graph):
     rows = [[lengths[u].get(v, -1) for v in range(graph.n)] for u in range(graph.n)]
     # one level past the last, which must be empty
     for i in range(len(analysis.levels) + 1):
-        assert analysis.level(i) == [
+        assert level_bitsets(analysis, i) == [
             sum(1 << v for v, x in enumerate(row) if x == i) for row in rows
         ]
     connected = graph.n == 0 or nx.is_connected(g)
@@ -131,8 +140,11 @@ def row_clique_partition(rows, far):
     return all(cells[a] == cell for cell in cells for a in cell)
 
 
-def bitset_cells(analysis, far):
-    return [bits | 1 << v for v, bits in enumerate(analysis.level(far))]
+def word_clique_partition(analysis, far):
+    """The clique-partition test on the word rows of level ``far``, as the
+    structural check reads it: with no such level every cell is one vertex."""
+    words = analysis._words(far)
+    return words is None or _is_clique_partition(words)
 
 
 @settings(max_examples=25, deadline=None)
@@ -140,10 +152,8 @@ def bitset_cells(analysis, far):
 def test_analysis_beyond_one_machine_word(graph):
     analysis, rows = check_against_networkx(graph)
     for far in range(1, 5):
-        assert [bits.bit_count() for bits in analysis.level(far)] == [
-            row.count(far) for row in rows
-        ]
-        assert _is_clique_partition(bitset_cells(analysis, far)) == row_clique_partition(rows, far)
+        assert analysis.level_sizes(far) == [row.count(far) for row in rows]
+        assert word_clique_partition(analysis, far) == row_clique_partition(rows, far)
         assert [_intmat.unpack(row, graph.n, 8) for row in analysis.distance_matrix(far, 8)] == [
             [int(x == far) for x in row] for row in rows
         ]
@@ -179,27 +189,14 @@ def test_analysis_with_isolated_vertices_and_a_star(n):
 def test_analysis_without_edges(n):
     analysis, _ = check_against_networkx(Graph(n, [()] * n))
     assert len(analysis.levels) == min(n, 1)
-    assert analysis.level(0) == [1 << v for v in range(n)]
-    assert analysis.level(1) == analysis.level_sizes(1) == [0] * n
+    assert level_bitsets(analysis, 0) == [1 << v for v in range(n)]
+    assert level_bitsets(analysis, 1) == analysis.level_sizes(1) == [0] * n
 
 
 def test_analysis_forest_and_null_graph():
     assert Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)]).analysis.girth == math.inf
     null = Graph(0, []).analysis
     assert (null.levels, null.girth, null.connected, null.diameter) == ([], math.inf, True, None)
-
-
-def count_conversions(monkeypatch):
-    """The number of rows of every level converted to Python-int bitsets."""
-    converted = []
-    convert = graphs._bitsets
-
-    def counted(words):
-        converted.append(len(words))
-        return convert(words)
-
-    monkeypatch.setattr(graphs, "_bitsets", counted)
-    return converted
 
 
 def screening_candidate(k, d, e, seed):
@@ -218,29 +215,42 @@ def screening_candidate(k, d, e, seed):
     return Graph.from_edges(2 * half, sorted(edges))
 
 
+def count_clique_tests(monkeypatch):
+    """The number of rows of every level handed to the clique-partition test,
+    the one step that reads a level's word rows past the BFS."""
+    tested = []
+    test = graphs._is_clique_partition
+
+    def counted(words):
+        tested.append(len(words))
+        return test(words)
+
+    monkeypatch.setattr(graphs, "_is_clique_partition", counted)
+    return tested
+
+
 @pytest.mark.parametrize("k, d, e", [(3, 5, 2), (4, 4, 2), (5, 3, 2)])
 def test_a_failed_count_converts_no_level(monkeypatch, k, d, e):
-    converted = count_conversions(monkeypatch)
+    tested = count_clique_tests(monkeypatch)
     graph = screening_candidate(k, d, e, seed=27)
     assert set(graph.degrees) == {k} and graph.analysis.bipartite
     verdict = structural_check(graph, k, d, e)
     assert {"girth", "antipode-count", "antipodal-cliques"} <= set(verdict.failures)
-    assert converted == []
+    assert tested == []
 
 
 def test_a_passing_graph_converts_only_the_levels_its_checks_read(monkeypatch):
-    catalog.cache_clear()  # a graph built anew has no analysis yet
-    converted = count_conversions(monkeypatch)
+    catalog.cache_clear()  # a graph built anew has no memoised verdict yet
+    tested = count_clique_tests(monkeypatch)
     graph = catalog("moebius_kantor")
     assert structural_check(graph, 3, 3, 2).structure_ok  # e = k - 1: a regime note only
-    assert converted == [16]  # level 4, for the clique partition
+    assert tested == [16]  # level 4, once
     assert all(check.holds for check in verify_identities(graph, 3, 3, 2))
-    assert graph.analysis.level(4) is graph.analysis.level(4)
-    assert converted == [16]  # the identities pack A_3 and A_4 from the words
+    assert tested == [16]  # the identities reuse the verdict
     heawood = catalog("heawood")
     assert structural_check(heawood, 3, 3, 0).passed
     assert all(check.holds for check in verify_identities(heawood, 3, 3, 0))
-    assert converted == [16]  # excess 0: no pair at distance 4, no conversion
+    assert tested == [16]  # excess 0: no pair at distance 4, no test
 
 
 #: entries up to 2^80 in size, so fields run past one machine word
@@ -264,7 +274,7 @@ def test_adjacency_matmul_matches_dense(graph, data):
     assert expected == (_intmat.matmul(adjacency_rows(graph.adjacency), x) if n else [])
     bound = max(graph.degrees, default=0) * max((abs(v) for row in x for v in row), default=0)
     width = _intmat.field_width(bound)
-    product = _intmat.packed_product(graph.adjacency, pack(x, width))
+    product = _intmat.packed_product(graph._degrees, graph._flat, pack(x, width))
     assert unpack(product, n, width) == expected
     assert _intmat.packed_max_abs(product, n, width) == max(
         (abs(v) for row in expected for v in row), default=0
@@ -291,8 +301,9 @@ def test_distance_matrix_matches_the_distance_rows(graph, far, width):
 
 
 def test_packed_kernels_on_the_null_graph():
-    assert Graph(0, []).analysis.distance_matrix(0, 8) == []
-    assert _intmat.packed_product([], []) == []
+    null = Graph(0, [])
+    assert null.analysis.distance_matrix(0, 8) == []
+    assert _intmat.packed_product(null._degrees, null._flat, []) == []
     assert (_intmat.packed_max_abs([], 0, 8), _intmat.packed_trace([], 8)) == (0, 0)
     assert (_intmat.ones_row(0, 8), _intmat.unpack(0, 0, 8)) == (0, [])
 
@@ -315,5 +326,29 @@ def test_antipodal_clique_partition_matches_definition(graph, far):
         for u in range(n) for v in range(n) for w in range(n)
         if related[u][v] and related[v][w]
     )
-    assert _is_clique_partition(bitset_cells(graph.analysis, far)) == transitive
+    assert word_clique_partition(graph.analysis, far) == transitive
 
+
+def pack_related(related):
+    """The rows of a 0/1 relation as word rows, ceil(n/64) little-endian
+    words each, the bits past n left as zero padding."""
+    size = 8 * -(-len(related) // 64)
+    bits = (sum(1 << v for v, r in enumerate(row) if r) for row in related)
+    data = b"".join(row.to_bytes(size, "little") for row in bits)
+    return np.frombuffer(data, "<u8").reshape(len(related), -1)
+
+
+@pytest.mark.parametrize("order", [63, 64, 65, 128, 129, None])
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_word_clique_test_across_the_word_edges(order, data):
+    # a random partition passes; toggling one symmetric pair may break it
+    n = order or data.draw(st.integers(1, 200))
+    cells = data.draw(st.integers(1, n))
+    labels = data.draw(st.lists(st.integers(0, cells - 1), min_size=n, max_size=n))
+    related = [[int(u != v and labels[u] == labels[v]) for v in range(n)] for u in range(n)]
+    assert _is_clique_partition(pack_related(related))
+    if n > 1:
+        u, v = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        related[u][v] = related[v][u] = 1 - related[u][v]
+        assert _is_clique_partition(pack_related(related)) == row_clique_partition(related, 1)

@@ -559,6 +559,23 @@ def test_verify_order_zero_graph_is_a_failed_row(tmp_path, capsys):
     assert result["structural_ok"] is False and result["ok"] is False
 
 
+def test_verify_refuses_a_degree_below_three_before_reading_a_target(tmp_path, capsys):
+    """k < 3 is refused alike whatever the target holds: a hexagon, which
+    passes the structural check at k = 2, two disjoint hexagons, which fail
+    it, both in one file, a catalog graph, or a file that does not exist."""
+    hexagon = g6ref.encode_graph6(6, [(i, (i + 1) % 6) for i in range(6)])
+    two = g6ref.encode_graph6(12, [(s + i, s + (i + 1) % 6) for s in (0, 6) for i in range(6)])
+    targets = ["catalog:heawood", str(tmp_path / "absent.g6")]
+    for name, lines in (("hexagon", [hexagon]), ("two-hexagons", [two]), ("both", [hexagon, two])):
+        path = tmp_path / f"{name}.g6"
+        path.write_text("".join(line + "\n" for line in lines))
+        targets.append(str(path))
+    for target in targets:
+        for fmt in ("text", "json"):
+            argv = ("verify", target, "--k", "2", "--d", "3", "--e", "0", "--format", fmt)
+            assert run(capsys, *argv) == (2, "", "error: degree k must be >= 3, got 2\n")
+
+
 def count_bfs_passes(monkeypatch):
     """Record the order of the graph of every all-roots BFS pass, from a cold
     catalog: the next catalog graph is built anew, without an analysis."""

@@ -464,9 +464,9 @@ def test_identities_take_at_most_d_packed_products(graph, k, d, e, monkeypatch):
     products = []
     product = _intmat.packed_product
 
-    def recording(adjacency, rows):
+    def recording(degrees, flat, rows):
         products.append(len(rows))
-        return product(adjacency, rows)
+        return product(degrees, flat, rows)
 
     monkeypatch.setattr(_intmat, "packed_product", recording)
     assert all(check.holds for check in verify_identities(graph, k, d, e))

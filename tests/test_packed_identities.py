@@ -79,7 +79,8 @@ def test_girth_four_graphs_satisfy_both_identities(case):
     _, graph, k, d, e = case
     verdict = structural_check(graph, k, d, e)
     assert verdict.structure_ok and "half-girth-range" in verdict.regime_notes
-    assert any(graph.analysis.level(d + 1)) == (e > 0)
+    far = graph.analysis._words(d + 1)
+    assert (far is not None and bool(far.any())) == (e > 0)
     assert all(check.holds for check in verify_identities(graph, k, d, e))
 
 

@@ -4,8 +4,9 @@
 the names and modules the package dropped must stay gone; numpy is imported
 by `graphs` and used only by the graph6 decoder and the row-to-array
 conversion that fill a graph's neighbour arrays, the all-roots BFS on packed
-words, the two readers of those words (the antipode counts and the packed
-distance matrices) and the eigenvalue cross-check, and no module imports
+words, the three readers of those words (the antipode counts, the
+clique-partition test and the packed distance matrices) and the eigenvalue
+cross-check, and no module imports
 mpmath (the tests' oracles use it); and no module reads the environment, so
 output depends on arguments alone.
 """
@@ -95,6 +96,7 @@ REMOVED = {
     "antipodal_spectrum": "graphs",
     "_ascending": "feasibility",
     "bd_entry00": "intersection",
+    "_bitsets": "graphs",
     "_derivative": "polynomials",
     "distance_matrices": "graphs",
     "eval_poly": "_intmat",
@@ -113,6 +115,7 @@ REMOVED = {
     "ld_entry00": "intersection",
     "mat_add": "_intmat",
     "max_abs": "_intmat",
+    "_members": "graphs",
     "_moment_check": "feasibility",
     "_monotone": "feasibility",
     "multiplicity_symmetry_checks": "feasibility",
@@ -132,7 +135,9 @@ REMOVED_MODULES = ("intervals", "precision")
 
 #: Attributes and dataclass fields the package's classes dropped: the graph
 #: owns its one analysis, and no n x n list of distance rows or adjacency
-#: entries is built; graph6 decodes straight into the neighbour arrays; B_D is
+#: entries is built; graph6 decodes straight into the neighbour arrays, which
+#: are the graph's one neighbour store, and the level words are the analysis's
+#: one level store; B_D is
 #: read only through its Krylov rows; the families run their recurrence on
 #: coefficient tuples, so `IntPolynomial` has no operator algebra; the
 #: verdict rests on the gap and exact integrality alone, so a report carries
@@ -153,8 +158,8 @@ REMOVED_ATTRIBUTES = {
     ("feasibility", "MultiplicityAssessment"): ("closed_form", "deviation", "nearest", "record"),
     ("feasibility", "RootRecord"): ("alpha", "phi"),
     ("graphs", "CrosscheckReport"): ("tolerance",),
-    ("graphs", "Graph"): ("adjacency_matrix", "_from_pairs"),
-    ("graphs", "GraphAnalysis"): ("distances", "graph", "verdict"),
+    ("graphs", "Graph"): ("adjacency_matrix", "_adjacency", "_from_pairs"),
+    ("graphs", "GraphAnalysis"): ("_converted", "distances", "graph", "level", "verdict"),
     ("intersection", "IntersectionMatrix"): ("rows",),
     ("polynomials", "IntPolynomial"): (
         "__add__", "__neg__", "__sub__", "__mul__", "__rmul__", "shift_up",
@@ -172,7 +177,7 @@ LEMMA_CHECKS = {
 #: "module.function": the one module imports it and only those functions use
 #: it.  numpy carries a graph's neighbour arrays (decoded from graph6, or
 #: converted from checked rows), the all-roots BFS on packed words (3-4x
-#: faster than Python-int bitsets on the screening candidates), the two
+#: faster than Python-int bitsets on the screening candidates), the three
 #: functions that read those words, and the eigenvalue cross-check.
 THIRD_PARTY = {
     "numpy": (
@@ -180,6 +185,7 @@ THIRD_PARTY = {
         "graphs._neighbour_arrays",
         "graphs._all_roots_bfs",
         "graphs.level_sizes",
+        "graphs._is_clique_partition",
         "graphs.distance_matrix",
         "graphs.spectral_crosscheck",
     ),

@@ -5,6 +5,8 @@ reach `verify` through `parse_graph6`.  The cases are seeded: relabelled
 catalog graphs that pass, random bipartite regular graphs that fail, a
 non-bipartite graph, a disconnected union of cycles, and orders 0, 1, 2, 62
 and 63, on both sides of the graph6 header edge (a one-byte order up to 62).
+A claimed degree below 3 is refused before the file is read, so the files
+claimed with one are also run under a claim that reads them.
 
 Regenerate the golden file only in a change meant to alter `verify` output:
 
@@ -18,8 +20,10 @@ import tempfile
 from pathlib import Path
 
 import g6ref
+from cage_spectra import trace_identity_check
 from cage_spectra.cli import main
-from cage_spectra.graphs import catalog
+from cage_spectra.graphs import Graph, catalog
+from geometries import pg2_incidence
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verify-graph6.txt"
 
@@ -72,19 +76,22 @@ CASES = (
     ("petersen.g6", (10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]), (3, 3, 0)),
     ("two-hexagons.g6", cycles(6, 6), (2, 3, 0)),
+    ("two-hexagons.g6", cycles(6, 6), (3, 3, 0)),
     ("hexagon.g6", cycles(6), (3, 3, 0)),
     ("order-0.g6", (0, []), (3, 3, 0)),
     ("order-1.g6", (1, []), (3, 3, 0)),
     ("order-2.g6", (2, [(0, 1)]), (1, 3, 0)),
+    ("order-2.g6", (2, [(0, 1)]), (3, 3, 4)),
     ("cycle-62.g6", cycles(62), (3, 31, 0)),
     ("cycle-63.g6", cycles(63), (2, 31, 0)),
+    ("cycle-63.g6", cycles(63), (3, 31, 0)),
 )
 
 
-def render() -> str:
+def render(cases=CASES) -> str:
     blocks = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (n, pairs), (k, d, e) in CASES:
+        for name, (n, pairs), (k, d, e) in cases:
             text = g6ref.encode_graph6(n, pairs)
             path = Path(tmp) / name
             path.write_text(text + "\n")
@@ -101,6 +108,22 @@ def render() -> str:
 
 def test_verify_graph6_output_matches_golden():
     assert render() == GOLDEN.read_text()
+
+
+def test_no_package_code_builds_tuple_rows(monkeypatch):
+    """A passing `verify` of a graph6 file and the trace identity read only the
+    neighbour arrays: with `Graph.adjacency` raising, both still pass, and the
+    verify output still matches the golden bytes."""
+    incidence = pg2_incidence(3)
+
+    def never(graph):
+        raise AssertionError("tuple rows built")
+
+    monkeypatch.setattr(Graph, "adjacency", property(never))
+    golden, cases = GOLDEN.read_text(), {case[0]: case for case in CASES}
+    for name in ("pg23-relabelled.g6", "moebius-kantor-relabelled.g6"):
+        assert render([cases[name]]) in golden
+    assert trace_identity_check(incidence, 4, 3).ok
 
 
 if __name__ == "__main__":
