@@ -32,13 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from .errors import (
-    CageSpectraError,
-    DegreeRangeError,
-    Graph6ParseError,
-    ParameterDomainError,
-    StructuralRefusal,
-)
+from .errors import CageSpectraError, DegreeRangeError, Graph6ParseError, ParameterDomainError
 from .feasibility import (
     FeasibilityReport,
     SkippedTriple,
@@ -100,11 +94,6 @@ def format_exact(q: Fraction) -> str:
     return format(_TWELVE_DIGITS.normalize(digits), "g")
 
 
-def _float_or(x: float | None, absent: str) -> str:
-    """``format_float(x)``, or ``absent`` where x has no float value."""
-    return absent if x is None else format_float(x)
-
-
 def dumps_canonical(obj) -> str:
     """Deterministic JSON: sorted keys, 12-significant-digit floats, compact
     separators; an exact `Fraction` is printed by `format_exact`.  Parsing
@@ -129,6 +118,12 @@ def dumps_canonical(obj) -> str:
         items = (f"{json.dumps(str(key))}:{dumps_canonical(obj[key])}" for key in sorted(obj))
         return "{" + ",".join(items) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _token(x) -> str:
+    """A value as the text formats print it: its canonical JSON token, or
+    ``n/a`` where it has none."""
+    return "n/a" if x is None else dumps_canonical(x)
 
 
 def _report_json(report: FeasibilityReport) -> dict:
@@ -171,49 +166,41 @@ def _report_json(report: FeasibilityReport) -> dict:
     }
 
 
-def _row(item) -> dict:
-    """The shared CSV row for a scan/feasibility item."""
-    if isinstance(item, SkippedTriple):
-        return {
-            "k": item.k, "d": item.d, "e": item.e, "n": "",
-            "verdict": item.final_verdict, "gap_lo": "", "gap_hi": "",
-            "max_integrality_deviation": "",
-        }
-    gap_lo = gap_hi = ""
-    if item.gap is not None:
-        gap_lo = format_exact(item.gap.lo)
-        gap_hi = format_exact(item.gap.hi)
-    return {
-        "k": item.k, "d": item.d, "e": item.e, "n": item.n,
-        "verdict": item.final_verdict, "gap_lo": gap_lo, "gap_hi": gap_hi,
-        "max_integrality_deviation": _float_or(item.max_integrality_deviation, ""),
-    }
-
-
-def _emit_csv_row(out, row: dict) -> None:
-    cells = (row[c] for c in CSV_COLUMNS)
-    out.write(",".join(format_int(v) if isinstance(v, int) else v for v in cells) + "\n")
+def _csv_row(item) -> str:
+    """The CSV line of a scan/feasibility item: a skipped triple fills only
+    k, d, e and verdict, and a value that is None leaves its field empty."""
+    row = dict.fromkeys(CSV_COLUMNS, "")
+    row.update(k=item.k, d=item.d, e=item.e, verdict=item.final_verdict)
+    if not isinstance(item, SkippedTriple):
+        gap = item.gap
+        row.update(
+            n=item.n,
+            gap_lo=None if gap is None else gap.lo,
+            gap_hi=None if gap is None else gap.hi,
+            max_integrality_deviation=item.max_integrality_deviation,
+        )
+    cells = (v if isinstance(v, str) else "" if v is None else dumps_canonical(v)
+             for v in row.values())
+    return ",".join(cells) + "\n"
 
 
 def _report_text(report: FeasibilityReport) -> str:
     lines = [
-        f"(k={report.k}, d={report.d}, e={report.e})  n = {format_int(report.n)}",
+        f"(k={report.k}, d={report.d}, e={report.e})  n = {_token(report.n)}",
         f"verdict: {report.final_verdict}",
         "spectrum (theta : multiplicity):",
     ]
     for theta, m in report.spectrum():
-        shown = format_int(m) if isinstance(m, int) else _float_or(m, "n/a")
-        theta_shown = "n/a" if theta is None else dumps_canonical(theta)
-        lines.append(f"  {theta_shown:>18} : {shown}")
+        lines.append(f"  {_token(theta):>18} : {_token(m)}")
     lines.append(
         f"integrality: {'all integral' if report.all_integral else 'NON-INTEGRAL multiplicities'}"
-        f" (max deviation {_float_or(report.max_integrality_deviation, 'n/a')})"
+        f" (max deviation {_token(report.max_integrality_deviation)})"
     )
     if report.gap is not None:
         g = report.gap
         lines.append(
-            f"gap interval for lambda_2^2 - mu_2^2: ({format_exact(g.lo)}, {format_exact(g.hi)})"
-            f", analytic bound {_float_or(report.analytic_gap_bound, 'n/a')}"
+            f"gap interval for lambda_2^2 - mu_2^2: ({_token(g.lo)}, {_token(g.hi)})"
+            f", analytic bound {_token(report.analytic_gap_bound)}"
             f", contains integer: {g.contains_integer}"
             ", chain ok: True"  # a theorem on the regime (`GapVerdict`)
         )
@@ -246,16 +233,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("moore", help="minimum order of a k-regular graph of girth g")
+    p.set_defaults(run=_cmd_moore)
     p.add_argument("k", type=int)
     p.add_argument("g", type=int)
 
     p = sub.add_parser("poly", help="coefficients of a family member (constant term first)")
+    p.set_defaults(run=_cmd_poly)
     p.add_argument("family", choices=["G", "F", "H", "g", "f", "h"])
     p.add_argument("k", type=int)
     p.add_argument("i", type=int)
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("verify", help="structural, exact-identity, and spectral checks on a graph")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("target", help="catalog:<name> or a graph6 file (one graph per line)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
@@ -263,18 +253,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("feasibility", help="full spectral feasibility report for (k, d, e)")
+    p.set_defaults(run=_cmd_feasibility)
     p.add_argument("k", type=int)
     p.add_argument("d", type=int)
     p.add_argument("e", type=int)
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
 
     p = sub.add_parser("scan", help="stream feasibility reports over a parameter grid")
+    p.set_defaults(run=_cmd_scan)
     p.add_argument("--k", type=_int_list, required=True)
     p.add_argument("--d", type=_int_list, required=True)
     p.add_argument("--e", type=_int_list, required=True)
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
 
-    sub.add_parser("catalog", help="list embedded graphs")
+    sub.add_parser("catalog", help="list embedded graphs").set_defaults(run=_cmd_catalog)
     return parser
 
 
@@ -360,11 +352,11 @@ def _cmd_verify(args, out) -> int:
             if r["regime_notes"]:
                 out.write(f"  regime notes: {', '.join(r['regime_notes'])}\n")
             if r["structural_ok"]:
-                out.write(f"  path-count identity residual: {r['path_count_residual']}\n")
-                out.write(f"  all-ones identity residual: {r['allones_residual']}\n")
+                out.write(f"  path-count identity residual: {_token(r['path_count_residual'])}\n")
+                out.write(f"  all-ones identity residual: {_token(r['allones_residual'])}\n")
                 out.write(
                     "  eigenvalue crosscheck max deviation: "
-                    f"{format_float(r['crosscheck_max_deviation'])}\n"
+                    f"{_token(r['crosscheck_max_deviation'])}\n"
                 )
     return 0 if all(r["ok"] for r in results) else 1
 
@@ -375,7 +367,7 @@ def _cmd_feasibility(args, out) -> int:
         out.write(dumps_canonical(_report_json(report)) + "\n")
     elif args.format == "csv":
         out.write(",".join(CSV_COLUMNS) + "\n")
-        _emit_csv_row(out, _row(report))
+        out.write(_csv_row(report))
     else:
         out.write(_report_text(report) + "\n")
     return 0
@@ -386,7 +378,7 @@ def _cmd_scan(args, out) -> int:
     if args.format == "csv":
         out.write(",".join(CSV_COLUMNS) + "\n")
         for item in items:
-            _emit_csv_row(out, _row(item))
+            out.write(_csv_row(item))
     elif args.format == "json":
         rows = []
         try:
@@ -408,9 +400,9 @@ def _cmd_scan(args, out) -> int:
                 )
             else:
                 g = item.gap
-                gap = f" gap=({format_exact(g.lo)}, {format_exact(g.hi)})" if g is not None else ""
+                gap = f" gap=({_token(g.lo)}, {_token(g.hi)})" if g is not None else ""
                 out.write(
-                    f"(k={item.k}, d={item.d}, e={item.e}) n={format_int(item.n)}"
+                    f"(k={item.k}, d={item.d}, e={item.e}) n={_token(item.n)}"
                     f" {item.final_verdict}{gap}\n"
                 )
     return 0
@@ -423,25 +415,14 @@ def _cmd_catalog(args, out) -> int:
     return 0
 
 
-_DRIVERS = {
-    "moore": _cmd_moore,
-    "poly": _cmd_poly,
-    "verify": _cmd_verify,
-    "feasibility": _cmd_feasibility,
-    "scan": _cmd_scan,
-    "catalog": _cmd_catalog,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _DRIVERS[args.command](args, sys.stdout)
+        return args.run(args, sys.stdout)
     except (ParameterDomainError, Graph6ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (StructuralRefusal, CageSpectraError) as exc:
+    except CageSpectraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

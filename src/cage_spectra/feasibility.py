@@ -265,34 +265,29 @@ def _predict_cell(q, lo, hi, shift, halvings, start):
     settle.
 
     ``start`` is (x, scale, known): x / 2^scale, claimed within 2^-known of
-    the root.  Each step runs at the scale its result can use, twice the
-    bits its start is right to, up to the full scale: the cell grid plus
-    `_NEWTON_GUARD` bits.  The first step takes those bits from the claim,
-    so a weak start runs its first steps below the full scale, only a start
-    claimed right to half of it can settle in one step, and a start claimed
-    right to the full scale takes none.  The start and its claim only steer
-    the iteration; a wrong one costs steps, and `_bisect` checks the cell it
-    leads to.
+    the root.  Every step runs at the full scale ``top``, the cell grid plus
+    `_NEWTON_GUARD` bits, and the claim only decides whether any step runs:
+    a start claimed right to the full scale takes none.  A step of b bits
+    (in units of 2^-top) leaves the new iterate about 2^(MARGIN + 2b - 2 top)
+    from the root, so the iteration stops once 2b + `_NEWTON_MARGIN` <= top.
+    The start and its claim only steer the iteration; a wrong one costs
+    steps, and `_bisect` checks the cell it leads to.
     """
     x, scale, known = start
     top = shift + halvings + _NEWTON_GUARD
-    target = min(top, max(2 * known, 2 * _NEWTON_MARGIN))
-    for _ in range(_NEWTON_STEPS):
-        if known >= top:
-            break
-        x, scale = x << target >> scale, target
-        value, slope = _newton_even(q, x, scale)
-        if slope == 0:
+    x = x << top >> scale
+    if known < top:
+        for _ in range(_NEWTON_STEPS):
+            value, slope = _newton_even(q, x, top)
+            if slope == 0:
+                return None
+            step = value // slope
+            x -= step
+            if 2 * step.bit_length() + _NEWTON_MARGIN <= top:
+                break
+        else:
             return None
-        step = value // slope
-        x -= step
-        # the step was the old iterate's error; the new one is right to
-        # about twice as many bits
-        known = min(scale, 2 * (scale - step.bit_length()) - _NEWTON_MARGIN)
-        target = min(top, max(scale, 2 * known))
-    else:
-        return None
-    return ((x << top >> scale >> _NEWTON_GUARD) - (lo << halvings)) // (hi - lo)
+    return ((x >> _NEWTON_GUARD) - (lo << halvings)) // (hi - lo)
 
 
 def _bisect(q: tuple[int, ...], lo, hi, shift, bits, start=None):

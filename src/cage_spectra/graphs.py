@@ -221,19 +221,13 @@ def parse_graph6(text: bytes | str) -> Graph:
 def _parse_g6_order(data: bytes) -> tuple[int, bytes]:
     if data[0] != 126:
         return data[0] - 63, data[1:]
-    if len(data) >= 2 and data[1] == 126:
-        if len(data) < 8:
-            raise Graph6ParseError("malformed header: truncated 36-bit order")
-        n = 0
-        for byte in data[2:8]:
-            n = (n << 6) | (byte - 63)
-        return n, data[8:]
-    if len(data) < 4:
-        raise Graph6ParseError("malformed header: truncated 18-bit order")
+    start, end = (2, 8) if len(data) >= 2 and data[1] == 126 else (1, 4)
+    if len(data) < end:
+        raise Graph6ParseError(f"malformed header: truncated {6 * (end - start)}-bit order")
     n = 0
-    for byte in data[1:4]:
+    for byte in data[start:end]:
         n = (n << 6) | (byte - 63)
-    return n, data[4:]
+    return n, data[end:]
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,30 @@ def test_scan_csv(capsys):
     assert verdicts[("6", "4")] == "excluded-by-gap"
 
 
+SKIPPED_SCAN = ["scan", "--k", "4", "--d", "7,8", "--e", "2,4"]
+
+
+def test_scan_csv_pins_every_field_of_a_skipped_row(capsys):
+    """A skipped triple prints k, d, e and its verdict, and every other
+    field empty; a reported one prints all eight."""
+    assert run(capsys, *SKIPPED_SCAN, "--format", "csv") == (0, (
+        "k,d,e,n,verdict,gap_lo,gap_hi,max_integrality_deviation\n"
+        "4,7,2,2188,excluded-by-gap,0.0968030761646,0.0968030761646,0.325922531206\n"
+        "4,7,4,,outside-regime,,,\n"
+        "4,8,2,,outside-regime,,,\n"
+        "4,8,4,,outside-regime,,,\n"
+    ), "")
+
+
+def test_scan_text_pins_every_row(capsys):
+    assert run(capsys, *SKIPPED_SCAN) == (0, (
+        "(k=4, d=7, e=2) n=2188 excluded-by-gap gap=(0.0968030761646, 0.0968030761646)\n"
+        "(k=4, d=7, e=4) outside-regime: excess must satisfy e <= k - 2, got e=4 with k=4\n"
+        "(k=4, d=8, e=2) outside-regime: half-girth d must be odd, got d=8\n"
+        "(k=4, d=8, e=4) outside-regime: half-girth d must be odd, got d=8\n"
+    ), "")
+
+
 def test_scan_csv_where_the_moment_check_overflows(capsys):
     """At (200, 61, e) n times a closed-walk count passes the float range,
     which once overflowed a float moment check.  The gap decides both rows;

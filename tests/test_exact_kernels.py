@@ -515,16 +515,16 @@ def isolation_pass(triples):
 
 
 @pytest.mark.parametrize("triples,roots,newton_per_root", [
-    (DEEP_GIRTH, 330, 1.1),
-    (PAPER_GRID, 744, 2.4),
+    (DEEP_GIRTH, 330, 0.75),
+    (PAPER_GRID, 744, 2.2),
 ], ids=["deep-girth", "paper-grid"])
 def test_isolation_takes_two_signs_and_few_newton_steps_per_root(
     triples, roots, newton_per_root, monkeypatch
 ):
     """Each seeded root costs two exact signs, at the ends of the predicted
-    cell, so the halving loop never runs.  From the Newton start a
-    deep-girth root takes one step or none (2.26 from the seed's midpoint),
-    and a paper-grid root two or three (3.93 from the midpoint)."""
+    cell, so the halving loop never runs.  From the Newton start, with
+    every step at the cell grid's full scale, a deep-girth root takes 0.72
+    steps on average (237 in a pass) and a paper-grid root 2.13 (1,583)."""
     calls = {"_newton_even": 0, "_sign_even": 0}
 
     def counted(name):

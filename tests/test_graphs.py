@@ -150,6 +150,17 @@ def test_parse_graph6_errors():
         parse_graph6("A@")  # n=2 needs 1 bit; a set pad bit is invalid
 
 
+@pytest.mark.parametrize("text,bits", [("~", 18), ("~??", 18), ("~~", 36), ("~~?????", 36)])
+def test_parse_graph6_truncated_order_header(text, bits):
+    """An order header cut short names the field it cut: 18 bits after one
+    "~", 36 after two."""
+    for data in (text, text.encode()):
+        with pytest.raises(
+            Graph6ParseError, match=f"^malformed header: truncated {bits}-bit order$"
+        ):
+            parse_graph6(data)
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 6, 7, 8, 10])
 def test_parse_graph6_rejects_every_set_padding_bit(n):
     nbits = n * (n - 1) // 2

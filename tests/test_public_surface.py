@@ -99,11 +99,14 @@ REMOVED = {
     "_bitsets": "graphs",
     "_derivative": "polynomials",
     "distance_matrices": "graphs",
+    "_DRIVERS": "cli",
     "eval_poly": "_intmat",
     "eval_rational": "polynomials",
+    "_emit_csv_row": "cli",
     "eye": "_intmat",
     "f_weight": "feasibility",
     "_Family": "feasibility",
+    "_float_or": "cli",
     "_family_member": "polynomials",
     "frobenius": "_intmat",
     "g_weight": "feasibility",
@@ -123,6 +126,7 @@ REMOVED = {
     "pack_bitsets": "_intmat",
     "packed_eval_poly": "_intmat",
     "poly_enclosure": "intervals",
+    "_row": "cli",
     "_sign_dyadic": "feasibility",
     "transcendental_residual": "feasibility",
     "verify_allones_identity": "graphs",
