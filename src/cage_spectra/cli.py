@@ -211,15 +211,22 @@ def _report_text(report: FeasibilityReport) -> str:
 # argument parsing helpers
 
 def _int_list(text: str) -> list[int]:
-    """Parse '4..20' (inclusive range) or '7,9,11' or a single integer."""
+    """Parse '4..20' (inclusive range) or '7,9,11' or a single integer.  A
+    malformed range, a non-integer or an empty item is an argparse error
+    that names the accepted forms."""
     text = text.strip()
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if hi < lo:
-            raise argparse.ArgumentTypeError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(tok) for tok in text.split(",") if tok]
+    try:
+        if ".." in text:
+            lo_text, hi_text = text.split("..", 1)
+            lo, hi = int(lo_text), int(hi_text)
+            if hi < lo:
+                raise argparse.ArgumentTypeError(f"empty range {text!r}")
+            return list(range(lo, hi + 1))
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid integer list {text!r}: expected A..B, A,B,... or A"
+        ) from None
 
 
 @lru_cache(maxsize=1)

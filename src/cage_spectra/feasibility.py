@@ -27,22 +27,23 @@ This module:
   alpha = i*pi - d*phi are computed only for the JSON report, from the
   final bracket (`FeasibilityReport.angles`).
   Each bracket is the cell exact bisection would end on.  Newton's method
-  in integers predicts it, starting from the root's second-order value in
-  s^(1-d) from the angular-defect equation (`_asymptotic_start`), and the
-  cell is taken only when two exact signs at its ends are nonzero and
-  opposite; the seed's own end signs are evaluated only when the halving
-  loop runs as the fallback.  So the start sets how many Newton steps a
-  root costs (none or one for most deep-girth roots), never which bracket
-  it gets.
+  in truncated fixed point predicts it, starting from the root's
+  second-order value in s^(1-d) from the angular-defect equation
+  (`_asymptotic_start`), and the cell is taken only when two exact signs
+  at its ends are nonzero and opposite; the seed's own end signs are
+  evaluated only when the halving loop runs as the fallback.  So the start
+  and the truncation set how many Newton steps a root costs (none or one
+  for most deep-girth roots), never which bracket it gets.
   One root count per family certifies the whole isolation: the seeds ascend
   disjointly and end below 0, so with their mirrors they are d - 1 disjoint
   intervals, each holding a sign change of P = H_{d-1} - eps, of degree
   d - 1.  So each seed holds
   exactly one root, a simple one, and the Newton cell is the one halving
   would reach; no bracket is checked for monotonicity.  P is even,
-  P(x) = Q(x^2), so the one sign kernel and the one Newton kernel are
-  Horner on Q at x^2 (the same integers as P at x, in half the Horner
-  steps); there is no general-degree kernel under them.
+  P(x) = Q(x^2), so the one sign kernel is exact Horner on Q at x^2 (the
+  same integers as P at x, in half the Horner steps), and the one Newton
+  kernel is the same Horner truncated to the Newton scale; there is no
+  general-degree kernel under them.
   The angle tables the seeds read are cached per (k, d) by themselves, for
   the life of the process, whichever family builds them first.  The roots
   of the eps = 1 family, the one every e shares, are cached per (k, d) too;
@@ -196,9 +197,10 @@ def _sign_even(q: tuple[int, ...], num: int, shift: int) -> int:
     forms 2^(shift deg P) P(num / 2^shift), the integer Horner on P forms at
     num / 2^shift, in half the steps."""
     x, double = num * num, 2 * shift
-    acc = q[-1]
-    for j, c in enumerate(reversed(q[:-1]), 1):
-        acc = acc * x + (c << double * j)
+    acc, scale = q[-1], 0
+    for c in q[-2::-1]:
+        scale += double
+        acc = acc * x + (c << scale)
     return (acc > 0) - (acc < 0)
 
 
@@ -213,8 +215,10 @@ def _dyadic_enclosure(coeffs: tuple[int, ...], lo: int, hi: int, shift: int) -> 
     two, so no gcd is ever taken.
     """
     a = b = coeffs[-1]
-    for j, c in enumerate(reversed(coeffs[:-1]), 1):
-        c <<= shift * j
+    scale = 0
+    for c in coeffs[-2::-1]:
+        scale += shift
+        c <<= scale
         if lo >= 0:
             a, b = (a * lo if a >= 0 else a * hi) + c, (b * hi if b >= 0 else b * lo) + c
         elif hi <= 0:
@@ -224,18 +228,24 @@ def _dyadic_enclosure(coeffs: tuple[int, ...], lo: int, hi: int, shift: int) -> 
     return a, b
 
 
-def _newton_even(q: tuple[int, ...], num: int, shift: int) -> tuple[int, int]:
-    """P and P' at num / 2^shift for P(x) = Q(x^2), in one Horner pass on Q
-    at num^2 / 2^(2 shift): returns (2^(shift deg P) P, 2^(shift (deg P - 1)) P'),
-    so P/P' in units of 2^-shift is their integer quotient.  P' = 2x Q'(x^2),
-    so the slope is Q's times 2 num; both integers equal the full-degree
-    Horner's."""
-    x, double = num * num, 2 * shift
-    acc, slope = q[-1], 0
-    for j, c in enumerate(reversed(q[:-1]), 1):
-        slope = slope * x + acc
-        acc = acc * x + (c << double * j)
-    return acc, 2 * num * slope
+def _newton_even(q: tuple[int, ...], num: int, top: int) -> tuple[int, int]:
+    """P and P' at x = num / 2^top for P(x) = Q(x^2), in truncated fixed
+    point: one Horner pass on Q at y = floor(num^2 / 2^top), about x^2 at
+    ``top`` fractional bits, floors each step of the value and of Q's slope
+    back to ``top`` fractional bits.  P' = 2x Q'(x^2).  Returns (a, b) whose
+    floor quotient a // b is the Newton step P/P' in units of 2^-top, up to
+    the truncation error.
+
+    The integers stay about ``top`` bits plus the size of the values, where
+    exact Horner's grow to ``top`` deg P bits.  The error only steers
+    `_predict_cell`: `_bisect` takes the cell it leads to on two exact
+    signs (`_sign_even`) or runs the halving loop."""
+    y = num * num >> top
+    acc, slope = q[-1] << top, 0
+    for c in q[-2::-1]:
+        slope = (slope * y >> top) + acc
+        acc = (acc * y >> top) + (c << top)
+    return acc << top, num * slope >> top - 1
 
 
 def _dyadic_square(lo: int, hi: int) -> tuple[int, int]:
@@ -270,8 +280,14 @@ def _predict_cell(q, lo, hi, shift, halvings, start):
     a start claimed right to the full scale takes none.  A step of b bits
     (in units of 2^-top) leaves the new iterate about 2^(MARGIN + 2b - 2 top)
     from the root, so the iteration stops once 2b + `_NEWTON_MARGIN` <= top.
-    The start and its claim only steer the iteration; a wrong one costs
-    steps, and `_bisect` checks the cell it leads to.
+
+    The steps are truncated fixed point at ``top`` (`_newton_even`), not
+    exact, and nothing here is certified: the prediction only steers.  No
+    bracket can move, because `_bisect` takes the predicted cell only when
+    exact signs at its two ends are nonzero and opposite, which for a
+    one-root bracket makes it the halving loop's cell, and otherwise runs
+    the halving loop.  A poor start, a truncation error or a wrong cell
+    costs evaluations, never a different bracket.
     """
     x, scale, known = start
     top = shift + halvings + _NEWTON_GUARD
@@ -705,19 +721,41 @@ def _root_angles(k: int, d: int, record: RootRecord) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # multiplicity formulas
 
+@lru_cache(maxsize=None)
+def _float_coefficients(k: int, d: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The coefficients of H_{d-2} and H'_{d-1} in binary64, constant term
+    first, converted once per (k, d); raises OverflowError when one is past
+    binary64's range."""
+    polys = _polys(k, d)
+    return tuple(tuple(map(float, p.coefficients)) for p in (polys.h_prev, polys.h_deriv))
+
+
+def _horner_float(coeffs: tuple[float, ...], x: float) -> float:
+    """Horner's rule in binary64: the operations, in their order, of
+    `IntPolynomial.__call__` at a finite float, whose int coefficients are
+    converted by the same correctly rounded rule, so the result is the same
+    float."""
+    result = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        result = result * x + c
+    return result
+
+
 def multiplicity_closed_form(k: int, d: int, e: int, epsilon: int, theta: float) -> float:
     """Eigenvalue multiplicity at a root theta of H_{d-1} - epsilon:
 
         n e k (k-1) H_{d-2}(theta)
         / [ 2 eps (2 eps + e/2 - 1) H'_{d-1}(theta) (k^2 - theta^2) ]
 
-    with n = M(k, 2d) + e.  Raises IllConditionedError when the derivative
-    or k^2 - theta^2 falls below 1e-12 in magnitude."""
+    with n = M(k, 2d) + e, in binary64.  Raises OverflowError when a
+    coefficient of H_{d-2} or H'_{d-1} is past binary64's range, and
+    IllConditionedError when the derivative or k^2 - theta^2 falls below
+    1e-12 in magnitude."""
     validate_parameters(k, d, e)
     n = moore_bound(k, 2 * d) + e
-    polys = _polys(k, d)
-    h_prev = polys.h_prev(theta)
-    h_deriv = polys.h_deriv(theta)
+    prev_coeffs, deriv_coeffs = _float_coefficients(k, d)
+    h_prev = _horner_float(prev_coeffs, theta)
+    h_deriv = _horner_float(deriv_coeffs, theta)
     k2t2 = k * k - theta * theta
     if abs(h_deriv) < 1e-12 or abs(k2t2) < 1e-12:
         raise IllConditionedError(

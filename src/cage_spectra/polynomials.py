@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import zip_longest
 from typing import Iterable
 
 from .errors import DegreeRangeError, ParameterDomainError
@@ -72,8 +71,9 @@ def dickson_family(kind: str, k: int, i: int) -> IntPolynomial:
 
     Every member is monic of degree i.  Raises for k < 3 (below the regime
     these families are used in) and for i < 0.  Each call runs the
-    recurrence on coefficient tuples from the seeds; nothing is memoised
-    here, and callers that reuse a member keep it themselves.
+    recurrence from the seeds on coefficient lists, each step updating the
+    list of x * P_i in place; nothing is memoised here, and callers that
+    reuse a member keep it themselves.
     """
     kind = kind.upper()
     if kind not in FAMILIES:
@@ -91,11 +91,13 @@ def dickson_family(kind: str, k: int, i: int) -> IntPolynomial:
     if i < len(seeds):
         return IntPolynomial(seeds[i])
     prev, cur = seeds[-2:]
+    m = k - 1
     for _ in range(i - len(seeds) + 1):
         # x * P_i - (k - 1) * P_{i-1}; x * P_i is two coefficients longer
-        prev, cur = cur, tuple(
-            c - (k - 1) * p for c, p in zip_longest((0,) + cur, prev, fillvalue=0)
-        )
+        nxt = [0, *cur]
+        for j, p in enumerate(prev):
+            nxt[j] -= m * p
+        prev, cur = cur, nxt
     return IntPolynomial(cur)
 
 

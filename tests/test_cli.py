@@ -501,6 +501,20 @@ def test_unknown_flag_usage_error(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--k", "--d", "--e"])
+@pytest.mark.parametrize("value", ["5..", "a", "4,,5"])
+def test_a_malformed_integer_list_names_the_accepted_forms(flag, value, capsys):
+    """A malformed range, a non-integer and an empty item are usage errors
+    whose message names the forms, not the parser's private function."""
+    argv = {"--k": "4", "--d": "7", "--e": "2", flag: value}
+    with pytest.raises(SystemExit) as info:
+        main(["scan", *(token for item in argv.items() for token in item)])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {flag}: invalid integer list '{value}': expected A..B, A,B,... or A\n"
+    )
+
+
 def test_parser_is_built_once_and_reused(capsys):
     assert run(capsys, "moore", "3", "6")[:2] == (0, "14\n")
     parser = cli._build_parser()

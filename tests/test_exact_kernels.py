@@ -7,8 +7,10 @@ and every verdict stay the same.
 Likewise `_bisect` must return exactly the bracket of the bit-by-bit halving
 loop at full degree (`oracles.halving_loop`, `oracles.bisect_reference`) on
 every bracket that holds one root (`oracles.root_count`, a Sturm count),
-and a root's bracket on any other; the x^2 evaluation of an even polynomial
-must form the same integers as Horner on all of its coefficients.
+and a root's bracket on any other; the x^2 sign kernel of an even
+polynomial must form the same integers as Horner on all of its
+coefficients.  The Newton kernel only steers, in truncated fixed point: it
+must predict the cell that exact Newton predicts.
 """
 
 import math
@@ -37,7 +39,6 @@ from cage_spectra.feasibility import (
     _family,
     _integers_in,
     _multiplicity_enclosure,
-    _newton_even,
     _sign_even,
 )
 from oracles import (
@@ -319,10 +320,9 @@ numerators = st.one_of(
 @example([5], 0, 0)                       # constant
 @example([-3, 0, 1], -(1 << 600), 650)    # huge numerator and shift
 @example([4, -4, 1], 2, 1)                # P = (x^2 - 2)^2 at x = 1: a double zero of Q at 1
-def test_even_sign_and_newton_equal_the_full_degree_integers(q, num, shift):
+def test_even_sign_equals_the_full_degree_integers(q, num, shift):
     q = tuple(q)
-    value, slope = full_degree_newton(even(q), num, shift)
-    assert _newton_even(q, num, shift) == (value, slope)
+    value, _ = full_degree_newton(even(q), num, shift)
     assert _sign_even(q, num, shift) == (value > 0) - (value < 0)
     assert _sign_even(q, num, shift) == horner_sign(even(q), num, shift)
 
@@ -547,12 +547,63 @@ def test_isolation_takes_two_signs_and_few_newton_steps_per_root(
     assert calls["_newton_even"] <= newton_per_root * roots
 
 
+def exact_newton(q, num, shift):
+    """The Newton kernel in exact full-degree integers: P and P' at
+    num / 2^shift over 2^(shift deg P) and 2^(shift (deg P - 1)), whose
+    floor quotient is the step in units of 2^-shift."""
+    return full_degree_newton(even(q), num, shift)
+
+
+@pytest.mark.parametrize("triples,predictions", [(DEEP_GIRTH, 291), (PAPER_GRID, 744)],
+                         ids=["deep-girth", "paper-grid"])
+def test_truncated_newton_predicts_the_exact_newton_cell(triples, predictions, monkeypatch):
+    """`_newton_even` runs in truncated fixed point and only steers: on every
+    prediction of a scan's isolation pass, `_predict_cell` returns the cell
+    that the same iteration on exact full-degree integers returns.  39 of
+    the 330 deep-girth seeds are already below 2^-60 wide and need none."""
+    real, calls = feasibility._predict_cell, []
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(feasibility, "_predict_cell", record)
+        for k, d, e, epsilon in isolation_pass(triples):
+            isolate_uncached(k, d, e, epsilon)
+    assert len(calls) == predictions
+    truncated = [real(*args) for args in calls]
+    monkeypatch.setattr(feasibility, "_newton_even", exact_newton)
+    assert [real(*args) for args in calls] == truncated
+
+
 @st.composite
 def wide_families(draw):
     """(k, d, e, epsilon) over k <= 200 and odd d <= 61."""
     k = draw(st.integers(4, 200))
     e = 2 * draw(st.integers(1, (k - 2) // 2))
     return k, draw(st.sampled_from(range(3, 62, 2))), e, draw(st.sampled_from((1, -e // 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_families())
+@example((4, 3, 2, 1))
+@example((4, 61, 2, -1))
+@example((200, 61, 198, -99))
+def test_isolation_takes_two_signs_per_root_across_the_regime(family):
+    """Past the benchmark's grids, to k = 200 and d = 61, the truncated
+    Newton kernel still leads to a cell that its two exact end signs
+    certify, so the halving loop never runs."""
+    k, d, e, epsilon = family
+    real, signs = feasibility._sign_even, []
+
+    def counted(*args):
+        signs.append(args)
+        return real(*args)
+
+    with mock.patch.object(feasibility, "_sign_even", counted):
+        isolate_uncached(k, d, e, epsilon)
+    assert len(signs) == 2 * ((d - 1) // 2)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import struct
 from dataclasses import fields, replace
 from fractions import Fraction
 from unittest import mock
@@ -21,6 +22,8 @@ from cage_spectra import (
     VERDICT_GAP,
     VERDICT_INTEGRALITY,
     GapVerdict,
+    derivative,
+    dickson_family,
     feasibility,
     isolate_roots,
     moore_bound,
@@ -323,6 +326,65 @@ def test_multiplicity_closed_form_worked_instance():
     assert multiplicity_closed_form(4, 3, 2, 1, 2.0) == pytest.approx(7.0, rel=1e-12)
     assert multiplicity_closed_form(4, 3, 2, 1, -2.0) == pytest.approx(7.0, rel=1e-12)
     assert multiplicity_closed_form(4, 3, 2, -1, math.sqrt(2)) == pytest.approx(6.0, rel=1e-12)
+
+
+def closed_form_by_polynomials(k, d, e, epsilon, theta):
+    """The closed form as `IntPolynomial` evaluates it at a float: Horner
+    with each int coefficient added to the float, the same operations in the
+    same order as the package's binary64 Horner."""
+    n = moore_bound(k, 2 * d) + e
+    h_prev = dickson_family("H", k, d - 2)(theta)
+    h_deriv = derivative(dickson_family("H", k, d - 1))(theta)
+    k2t2 = k * k - theta * theta
+    if abs(h_deriv) < 1e-12 or abs(k2t2) < 1e-12:
+        raise IllConditionedError("ill-conditioned")
+    return (n * e * k * (k - 1) * h_prev) / (
+        2 * epsilon * (2 * epsilon + e // 2 - 1) * h_deriv * k2t2
+    )
+
+
+def outcome(f, *args):
+    """f's result as its binary64 bytes, or the type of what it raised."""
+    try:
+        return struct.pack("<d", f(*args))
+    except (OverflowError, IllConditionedError) as exc:
+        return type(exc)
+
+
+def test_closed_form_equals_the_polynomial_route_bit_for_bit_on_paper_grid():
+    """At the seeded roots of the paper grid's 135 triples."""
+    calls = [
+        (k, d, e, epsilon, r.theta)
+        for k in range(4, 21) for d in (7, 9, 11) for e in range(2, min(6, k - 2) + 1, 2)
+        for epsilon in (1, -e // 2) for r in isolate_roots(k, d, e, epsilon) if 2 * r.i < d
+    ]
+    assert len(calls) == 1080
+    for args in calls:
+        assert outcome(multiplicity_closed_form, *args) == outcome(closed_form_by_polynomials, *args)
+
+
+@st.composite
+def closed_form_arguments(draw):
+    """(k, d, e, epsilon, theta) with theta inside [-2s, 2s] or anywhere,
+    and k up to where the coefficients pass binary64."""
+    k = draw(st.one_of(st.integers(4, 200), st.integers(4, 2**1100)))
+    e = 2 * draw(st.integers(1, min((k - 2) // 2, 10**6)))
+    d = draw(st.sampled_from(range(3, 62, 2)))
+    reach = 2 * math.sqrt(min(k, 2**1000))
+    theta = draw(st.one_of(
+        st.floats(-reach, reach), st.floats(allow_nan=False, allow_infinity=False)
+    ))
+    return k, d, e, draw(st.sampled_from((1, -e // 2))), theta
+
+
+@settings(max_examples=300, deadline=None)
+@given(closed_form_arguments())
+@example((4, 3, 2, 1, 2.0))
+@example((4, 3, 2, 1, 4.0))                  # ill-conditioned
+@example((2**1100 + 1, 7, 2, 1, 1.5))        # k itself past binary64
+@example((2**200 + 1, 13, 2, -1, -3.0e30))   # H_{11}'s coefficients pass binary64
+def test_closed_form_equals_the_polynomial_route_bit_for_bit(args):
+    assert outcome(multiplicity_closed_form, *args) == outcome(closed_form_by_polynomials, *args)
 
 
 def test_multiplicity_closed_form_ill_conditioned():
