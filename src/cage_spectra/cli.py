@@ -126,6 +126,11 @@ def _token(x) -> str:
     return "n/a" if x is None else dumps_canonical(x)
 
 
+def _triple(item) -> str:
+    """The ``(k=.., d=.., e=..)`` head of a text report or scan row."""
+    return f"(k={_token(item.k)}, d={_token(item.d)}, e={_token(item.e)})"
+
+
 def _report_json(report: FeasibilityReport) -> dict:
     spectrum = report.spectrum()
     gap = None
@@ -186,7 +191,7 @@ def _csv_row(item) -> str:
 
 def _report_text(report: FeasibilityReport) -> str:
     lines = [
-        f"(k={report.k}, d={report.d}, e={report.e})  n = {_token(report.n)}",
+        f"{_triple(report)}  n = {_token(report.n)}",
         f"verdict: {report.final_verdict}",
         "spectrum (theta : multiplicity):",
     ]
@@ -210,23 +215,36 @@ def _report_text(report: FeasibilityReport) -> str:
 # ---------------------------------------------------------------------------
 # argument parsing helpers
 
+def _int(text: str) -> int:
+    """An integer argument, read as `int` reads it and refused with argparse's
+    message for `int`.  `int` refuses a numeral past
+    `sys.get_int_max_str_digits()` digits, so an all-digit one goes through
+    `decimal.Decimal` instead, which reads it at any size; a numeral within
+    the limit costs one `int` call, as before."""
+    try:
+        return int(text)
+    except ValueError:
+        if not text.isdecimal():
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    return int(decimal.Decimal(text))
+
+
 def _int_list(text: str) -> list[int]:
-    """Parse '4..20' (inclusive range) or '7,9,11' or a single integer.  A
-    malformed range, a non-integer or an empty item is an argparse error
-    that names the accepted forms."""
+    """Parse '4..20' (inclusive range) or '7,9,11' or a single integer, each
+    read by `_int`.  A malformed range, a non-integer or an empty item is an
+    argparse error that names the accepted forms."""
     text = text.strip()
     try:
-        if ".." in text:
-            lo_text, hi_text = text.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            if hi < lo:
-                raise argparse.ArgumentTypeError(f"empty range {text!r}")
-            return list(range(lo, hi + 1))
-        return [int(tok) for tok in text.split(",")]
-    except ValueError:
+        if ".." not in text:
+            return [_int(tok) for tok in text.split(",")]
+        lo, hi = map(_int, text.split("..", 1))
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
             f"invalid integer list {text!r}: expected A..B, A,B,... or A"
         ) from None
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 @lru_cache(maxsize=1)
@@ -241,29 +259,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moore", help="minimum order of a k-regular graph of girth g")
     p.set_defaults(run=_cmd_moore)
-    p.add_argument("k", type=int)
-    p.add_argument("g", type=int)
+    p.add_argument("k", type=_int)
+    p.add_argument("g", type=_int)
 
     p = sub.add_parser("poly", help="coefficients of a family member (constant term first)")
     p.set_defaults(run=_cmd_poly)
     p.add_argument("family", choices=["G", "F", "H", "g", "f", "h"])
-    p.add_argument("k", type=int)
-    p.add_argument("i", type=int)
+    p.add_argument("k", type=_int)
+    p.add_argument("i", type=_int)
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("verify", help="structural, exact-identity, and spectral checks on a graph")
     p.set_defaults(run=_cmd_verify)
     p.add_argument("target", help="catalog:<name> or a graph6 file (one graph per line)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
+    p.add_argument("--k", type=_int, required=True)
+    p.add_argument("--d", type=_int, required=True)
+    p.add_argument("--e", type=_int, required=True)
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("feasibility", help="full spectral feasibility report for (k, d, e)")
     p.set_defaults(run=_cmd_feasibility)
-    p.add_argument("k", type=int)
-    p.add_argument("d", type=int)
-    p.add_argument("e", type=int)
+    p.add_argument("k", type=_int)
+    p.add_argument("d", type=_int)
+    p.add_argument("e", type=_int)
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
 
     p = sub.add_parser("scan", help="stream feasibility reports over a parameter grid")
@@ -402,23 +420,17 @@ def _cmd_scan(args, out) -> int:
     else:
         for item in items:
             if isinstance(item, SkippedTriple):
-                out.write(
-                    f"(k={item.k}, d={item.d}, e={item.e}) {item.final_verdict}: {item.reason}\n"
-                )
+                out.write(f"{_triple(item)} {item.final_verdict}: {item.reason}\n")
             else:
                 g = item.gap
                 gap = f" gap=({_token(g.lo)}, {_token(g.hi)})" if g is not None else ""
-                out.write(
-                    f"(k={item.k}, d={item.d}, e={item.e}) n={_token(item.n)}"
-                    f" {item.final_verdict}{gap}\n"
-                )
+                out.write(f"{_triple(item)} n={_token(item.n)} {item.final_verdict}{gap}\n")
     return 0
 
 
 def _cmd_catalog(args, out) -> int:
-    for name in catalog_names():
-        entry = catalog_entry(name)
-        out.write(f"{name}: n={entry.n}, k={entry.k}, girth={entry.girth} - {entry.description}\n")
+    for entry in map(catalog_entry, catalog_names()):
+        out.write(f"{entry.name}: n={entry.n}, k={entry.k}, girth={entry.girth} - {entry.description}\n")
     return 0
 
 

@@ -96,8 +96,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Iterable, Iterator, NamedTuple, Union
 
 from .errors import (
@@ -126,15 +127,16 @@ def validate_parameters(k: int, d: int, e: int) -> None:
     """Reject triples outside the proven regime, each with a named error:
     odd e, even d, and e outside [2, k-2]."""
     if e % 2:
-        raise OddExcessError(f"excess must be even, got e={e}")
+        raise OddExcessError(f"excess must be even, got e={Decimal(e)}")
     if d % 2 == 0:
-        raise EvenHalfGirthError(f"half-girth d must be odd, got d={d}")
+        raise EvenHalfGirthError(f"half-girth d must be odd, got d={Decimal(d)}")
     if d < 3:
         raise ParameterDomainError(f"half-girth d must be >= 3, got d={d}")
     if e < 2:
         raise ExcessRangeError(f"excess must be >= 2, got e={e}")
     if e > k - 2:
-        raise ExcessRangeError(f"excess must satisfy e <= k - 2, got e={e} with k={k}")
+        raise ExcessRangeError(f"excess must satisfy e <= k - 2, got e={Decimal(e)}"
+                               f" with k={Decimal(k)}")
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +630,12 @@ def isolate_roots(k: int, d: int, e: int, epsilon: int) -> list[RootRecord]:
     return list(_ROOTS[k, d])
 
 
+def _root_name(k: int, d: int, e: int, epsilon: int, i: int) -> str:
+    """A seeded root as errors name it, each integer in full at any size (a
+    `Decimal` prints past the int-string limit, as `cli.format_int` does)."""
+    return "(k={}, d={}, e={}, eps={}, i={})".format(*map(Decimal, (k, d, e, epsilon, i)))
+
+
 def _isolate(k: int, d: int, e: int, epsilon: int) -> tuple[RootRecord, ...]:
     """The isolation of one family, in index order, from the cached (k, d)
     angle tables; ``e`` only names the triple in errors.
@@ -653,38 +661,38 @@ def _isolate(k: int, d: int, e: int, epsilon: int) -> tuple[RootRecord, ...]:
     root, a simple one, and each seed holds only its own: the cell
     `_bisect` took is the one the halving loop would reach."""
     q = _family(k, d, epsilon)
+    name = partial(_root_name, k, d, e, epsilon)  # formatted only into an error
     angles = _angle_tables(k, d)
     bits, two_s = angles.bits, angles.two_s
     seeded = []  # (eta, (lo, hi, shift)) for i = 1..(d-1)/2
     prev_hi = prev_seed = None  # the high end of seed i - 1, at its shift
     for i, eta, theta_lo, theta_hi in _case_ends(d, epsilon, angles):
-        name = f"(k={k}, d={d}, e={e}, eps={epsilon}, i={i})"
         # seed strictly inside the open interval; the root keeps a
         # bounded fraction of the interval width on both sides:
         # lo = ceil((theta_lo + w/2^30) 2^shift), hi = floor((theta_hi - w/2^30) 2^shift)
         span = theta_hi - theta_lo
         if _case_end_error(two_s, i, bits) << 30 >= span:
             raise BracketSeedError(
-                f"seed for {name} is not certified inside its case interval: "
+                f"seed for {name(i)} is not certified inside its case interval: "
                 "its shrink does not exceed the ends' error bound"
             )
         seed = _seed_shift(span, bits)
         seed_lo = -((-((theta_lo << 30) + span) << seed) >> (bits + 30))
         seed_hi = (((theta_hi << 30) - span) << seed) >> (bits + 30)
         if prev_hi is not None and seed_lo << prev_seed <= prev_hi << seed:
-            raise BracketSeedError(f"seed for {name} overlaps the seed of root i - 1")
+            raise BracketSeedError(f"seed for {name(i)} overlaps the seed of root i - 1")
         start = _asymptotic_start(k, d, i, eta, span, angles)
         bracket = _bisect(q, seed_lo, seed_hi, seed, TARGET_BRACKET_BITS, start)
         if bracket is None:
-            raise BracketSeedError(f"seed interval for {name} does not bracket a sign change")
+            raise BracketSeedError(f"seed interval for {name(i)} does not bracket a sign change")
         lo, hi, shift = bracket
         up = shift - seed
         if up < 0 or not seed_lo << up <= lo <= hi <= seed_hi << up:
-            raise BracketSeedError(f"bracket for {name} leaves its seed")
+            raise BracketSeedError(f"bracket for {name(i)} leaves its seed")
         seeded.append((eta, bracket))
         prev_hi, prev_seed = seed_hi, seed
     if prev_hi >= 0:
-        raise BracketSeedError(f"seed for {name} reaches 0, where its mirror's seed starts")
+        raise BracketSeedError(f"seed for {name(i)} reaches 0, where its mirror's seed starts")
     mirrored = [(-eta, (-hi, -lo, shift)) for eta, (lo, hi, shift) in reversed(seeded)]
     return tuple(
         RootRecord(i, epsilon, eta, _midpoint_float(lo, hi, shift), (lo, hi, shift))
@@ -882,8 +890,8 @@ def _assess_multiplicity(k, d, e, record: RootRecord) -> MultiplicityAssessment:
         ends = _multiplicity_enclosure(k, d, e, record.epsilon, *bracket)
         if not _decisive(ends):
             raise IllConditionedError(
-                f"multiplicity enclosure failed to converge at (k={k}, d={d}, "
-                f"e={e}, eps={record.epsilon}, i={record.i})"
+                "multiplicity enclosure failed to converge at "
+                f"{_root_name(k, d, e, record.epsilon, record.i)}"
             )
     integers = _integers_in(ends)
     return MultiplicityAssessment(

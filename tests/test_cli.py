@@ -429,6 +429,63 @@ def test_n_past_the_int_string_limit_prints_in_full(capsys):
     assert code == 0 and len(shown) == 4801 and decimal.Decimal(shown) == n
 
 
+#: 10^4300 + 1, one digit past the 4,300 that `int` reads from a string by
+#: default; written out, since `str(10**4300 + 1)` refuses it too.
+LONG_K = "1" + "0" * 4299 + "1"
+
+
+@pytest.mark.parametrize("argv", [
+    ("feasibility", LONG_K, "3", "2", "--format", "text"),
+    ("feasibility", LONG_K, "3", "2", "--format", "json"),
+    ("feasibility", LONG_K, "3", "2", "--format", "csv"),
+    ("scan", "--k", LONG_K, "--d", "3", "--e", "2", "--format", "text"),
+    ("scan", "--k", LONG_K, "--d", "3", "--e", "2", "--format", "csv"),
+], ids=["feasibility-text", "feasibility-json", "feasibility-csv", "scan-text", "scan-csv"])
+def test_a_degree_past_the_int_string_limit_ends_in_a_verdict(capsys, argv):
+    """Such a k once stopped at the argument parser (exit 2), and past it at
+    the engine's error names and the text formats' f-strings (`ValueError`).
+    Every format prints it in full; the text formats head with the triple."""
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and "spectrally-admissible" in out
+    if argv[-1] == "json":
+        assert json.loads(out, parse_int=decimal.Decimal)["k"] == decimal.Decimal(LONG_K)
+    elif argv[-1] == "csv":
+        assert out.splitlines()[1].startswith(f"{LONG_K},3,2,")
+    else:
+        assert out.startswith(f"(k={LONG_K}, d=3, e=2) ")
+
+
+def test_an_integer_argument_reads_at_any_size_and_is_refused_as_int_refuses_it(capsys):
+    """Every integer argument goes through one reader: an all-digit numeral
+    past the int-string limit reads in full, and a malformed scalar or list
+    keeps the usage error `int` and the list parser gave it, byte for byte."""
+    assert run(capsys, "moore", LONG_K, "3")[:2] == (0, LONG_K[:-1] + "2\n")  # 1 + k
+    usage = "usage: cage-spectra feasibility [-h] [--format {text,json,csv}] k d e\n"
+    for value in ("x", "1.5", "1e3"):
+        with pytest.raises(SystemExit) as info:
+            main(["feasibility", value, "3", "2"])
+        assert info.value.code == 2 and capsys.readouterr().err == (
+            f"{usage}cage-spectra feasibility: error: argument k: invalid int value: '{value}'\n"
+        )
+    with pytest.raises(SystemExit) as info:
+        main(["scan", "--k", "5..", "--d", "3", "--e", "2"])
+    assert info.value.code == 2 and capsys.readouterr().err == (
+        "usage: cage-spectra scan [-h] --k K --d D --e E [--format {text,json,csv}]\n"
+        "cage-spectra scan: error: argument --k: invalid integer list '5..': "
+        "expected A..B, A,B,... or A\n"
+    )
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("feasibility", "3", "3", LONG_K), f"excess must be even, got e={LONG_K}"),
+    (("feasibility", "3", "3", LONG_K[:-1] + "0"),
+     f"excess must satisfy e <= k - 2, got e={LONG_K[:-1]}0 with k=3"),
+    (("moore", LONG_K, "2"), f"moore_bound needs k >= 2 and g >= 3, got k={LONG_K}, g=2"),
+], ids=["odd-e", "e-past-k", "moore"])
+def test_a_parameter_error_names_an_argument_past_the_int_string_limit_in_full(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
 def test_scan_error_mid_grid_keeps_the_items_before_it(monkeypatch, capsys, fmt):
     """An error after the first triple ends the scan with exit 1 and the error

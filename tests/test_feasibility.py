@@ -207,6 +207,23 @@ def test_seeds_that_overlap_or_reach_0_raise(fault, message, monkeypatch):
         isolate_roots(16, 7, 2, 1)
 
 
+def test_a_degree_past_the_int_string_limit_ends_in_a_verdict():
+    """Each seeded root's error name once formatted k with `str` before any
+    error, and `str` refuses an int of more than 4,300 digits."""
+    assert spectral_feasibility(10**4300 + 1, 3, 2).final_verdict == VERDICT_ADMISSIBLE
+
+
+def test_a_root_error_names_a_degree_past_the_int_string_limit_in_full(monkeypatch):
+    monkeypatch.setattr(feasibility, "_ROOTS", {})
+    monkeypatch.setattr(feasibility, "_bisect", lambda *args: None)
+    with pytest.raises(BracketSeedError) as info:
+        isolate_roots(10**4300 + 1, 3, 2, 1)
+    assert str(info.value) == (
+        f"seed interval for (k=1{'0' * 4299}1, d=3, e=2, eps=1, i=1)"
+        " does not bracket a sign change"
+    )
+
+
 def test_a_case_interval_below_the_binary64_range_ends_in_a_verdict():
     """s^(1-d) = 2^-1200 at (2^40 + 1, 61): the case interval's width
     underflows binary64, and a seed shift taken from the float width

@@ -564,12 +564,15 @@ def test_spectral_crosscheck_refusal():
 # catalog
 
 def test_catalog_names_and_metadata():
-    assert catalog_names() == ("heawood", "moebius_kantor", "pg23_incidence", "tutte_coxeter")
+    assert catalog_names() == (
+        "heawood", "moebius_kantor", "pg23_incidence", "tutte_coxeter", "z14_antipodal",
+    )
     expectations = {
         "heawood": (14, 3, 6),
         "tutte_coxeter": (30, 3, 8),
         "moebius_kantor": (16, 3, 6),
         "pg23_incidence": (26, 4, 6),
+        "z14_antipodal": (28, 4, 6),
     }
     for name, (n, k, g) in expectations.items():
         graph = catalog(name)

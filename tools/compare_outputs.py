@@ -29,6 +29,10 @@ GOLDEN_TRIPLES = ("4 3 2", "5 5 2", "8 7 4", "20 11 2", "8 21 2", "16 21 2")
 #: A degree past binary64 (k > 2^1024), where the floats print as absent.
 HUGE_K = str(2**1100 + 1)
 
+#: 10^4300 + 1, a degree past Python's default int-string limit of 4,300
+#: digits, written out so that no conversion of it meets that limit.
+LONG_K = "1" + "0" * 4299 + "1"
+
 #: The graph6 files of the scratch directory.  ``missing.g6`` is not among
 #: them, so a call that reads it finds no file.
 GRAPH6_FILES = {
@@ -52,6 +56,9 @@ VERIFY_TARGETS = (
     ("catalog:moebius_kantor", "3 3 0"),
     ("catalog:pg23_incidence", "4 3 0"),
     ("catalog:tutte_coxeter", "3 4 0"),
+    ("catalog:z14_antipodal", "4 3 2"),
+    ("catalog:z14_antipodal", "4 3 0"),
+    ("catalog:z14_antipodal", "4 3 4"),
     ("catalog:nonesuch", "3 3 0"),
     ("heawood.g6", "3 3 0"),
     ("moebius-kantor.g6", "3 3 2"),
@@ -87,7 +94,10 @@ def _calls() -> list[list[str]]:
             ["scan", "--k", "4,5", "--d", "9", "--e", "3", "--format", fmt],
         ]
     calls += [["scan", "--k", "5..", "--d", "7", "--e", "2"],
-              ["scan", "--k", "9..4", "--d", "7", "--e", "2"]]
+              ["scan", "--k", "9..4", "--d", "7", "--e", "2"],
+              ["feasibility", LONG_K, "3", "2", "--format", "text"],
+              ["feasibility", LONG_K, "3", "2", "--format", "json"],
+              ["scan", "--k", LONG_K, "--d", "3", "--e", "2", "--format", "csv"]]
     for target, kde in VERIFY_TARGETS:
         k, d, e = kde.split()
         for fmt in ("text", "json"):
