@@ -218,13 +218,15 @@ def _report_text(report: FeasibilityReport) -> str:
 def _int(text: str) -> int:
     """An integer argument, read as `int` reads it and refused with argparse's
     message for `int`.  `int` refuses a numeral past
-    `sys.get_int_max_str_digits()` digits, so an all-digit one goes through
-    `decimal.Decimal` instead, which reads it at any size; a numeral within
-    the limit costs one `int` call, as before."""
+    `sys.get_int_max_str_digits()` digits, so one of digits alone, after
+    surrounding space and one optional sign, goes through `decimal.Decimal`
+    instead, which reads it at any size; a numeral within the limit costs
+    one `int` call, as before."""
     try:
         return int(text)
     except ValueError:
-        if not text.isdecimal():
+        numeral = text.strip()
+        if not numeral[numeral[:1] in ("+", "-"):].isdecimal():  # past one sign
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     return int(decimal.Decimal(text))
 
@@ -365,7 +367,7 @@ def _verify_one(name, graph, k, d, e) -> dict:
 
 def _cmd_verify(args, out) -> int:
     if args.k < 3:  # refused before any target is read, whatever its graphs
-        raise DegreeRangeError(f"degree k must be >= 3, got {args.k}")
+        raise DegreeRangeError(f"degree k must be >= 3, got {format_int(args.k)}")
     results = [_verify_one(name, g, args.k, args.d, args.e) for name, g in _load_targets(args.target)]
     if args.format == "json":
         out.write(dumps_canonical(results) + "\n")

@@ -49,5 +49,6 @@ class BracketSeedError(CageSpectraError, RuntimeError):
     its inward shrink did not exceed the error bound of its fixed-point case
     interval (so it could not be certified inside that interval), the
     seeds overlap or reach 0 (so the roots cannot be counted one per
-    bracket), or the final bracket left its seed.  Indicates the interval
-    case analysis was misapplied; never expected for valid input."""
+    bracket), the final bracket left its seed, or a refined bracket left its
+    isolation bracket.  Indicates the interval case analysis was misapplied;
+    never expected for valid input."""

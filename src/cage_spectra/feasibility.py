@@ -20,26 +20,27 @@ This module:
   scale s^(1-d) of the interval: pi by Machin's formula, cos and sin of the
   three base angles pi/d and pi/(d +- |eta| s^(1-d)) by Taylor series and
   their multiples by angle addition, 2s by `math.isqrt`.  The case bound is
-  certified exactly, with no angle computed: each seed is shrunk inward
-  from its fixed-point ends by more than their stated error bound, so it
-  lies inside the case interval, and the final bracket lies inside its
-  seed, both by integer comparisons.  phi and the angular defect
+  certified exactly, with no angle computed (`_check_family`): each seed is
+  shrunk inward from its fixed-point ends by more than their stated error
+  bound, so it lies inside the case interval, and the final bracket lies
+  inside its seed, both by integer comparisons.  phi and the angular defect
   alpha = i*pi - d*phi are computed only for the JSON report, from the
   final bracket (`FeasibilityReport.angles`).
   Each bracket is the cell exact bisection would end on.  Newton's method
   in truncated fixed point predicts it, starting from the root's
   second-order value in s^(1-d) from the angular-defect equation
-  (`_asymptotic_start`), and the cell is taken only when two exact signs
-  at its ends are nonzero and opposite; the seed's own end signs are
-  evaluated only when the halving loop runs as the fallback.  So the start
-  and the truncation set how many Newton steps a root costs (none or one
-  for most deep-girth roots), never which bracket it gets.
+  (`_asymptotic_start`), and the cell is taken only when the bracket rule
+  certifies it by two exact signs at its ends, nonzero and opposite; the
+  seed's own end signs are evaluated only for a seed already below the
+  target width, or when the halving loop runs as the fallback.  So the
+  start and the truncation set how many Newton steps a root costs (none or
+  one for most deep-girth roots), never which bracket it gets.
   One root count per family certifies the whole isolation: the seeds ascend
   disjointly and end below 0, so with their mirrors they are d - 1 disjoint
   intervals, each holding a sign change of P = H_{d-1} - eps, of degree
-  d - 1.  So each seed holds
-  exactly one root, a simple one, and the Newton cell is the one halving
-  would reach; no bracket is checked for monotonicity.  P is even,
+  d - 1.  So each seed holds exactly one root, a simple one, and the Newton
+  cell is the one halving would reach; no bracket is checked for
+  monotonicity.  P is even,
   P(x) = Q(x^2), so the one sign kernel is exact Horner on Q at x^2 (the
   same integers as P at x, in half the Horner steps), and the one Newton
   kernel is the same Horner truncated to the Newton scale; there is no
@@ -90,6 +91,20 @@ proves it there, with no roots, so no float check of it runs here.
 n is always the Moore bound plus e; an external order is never accepted.
 A "spectrally-admissible" verdict means no implemented test excludes the
 triple; it is not an existence claim.
+
+One section at the top of the module certifies every verdict, and nothing
+below it is trusted.  It holds every exact fact a verdict reads, on plain
+integers: the regime (`validate_parameters`), the one sign kernel
+(`_sign_even`), the bracket rule every root bracket is returned through
+(`_bracket`), the family check that certifies a family's isolation and holds
+every refusal of it (`_check_family`), the check that a refined bracket lies
+inside its isolation bracket and that its enclosure decides
+(`_refined_enclosure`), the case-interval error bound, the integer interval
+kernels of the multiplicity enclosure, and the gap (`_gap`, `GapVerdict`).
+Everything below it only proposes or prints: the angle tables and the
+seeds, the Newton start and Newton's method, the halving fallback, the
+refinement cap, the angles and the float closed forms.  So a proposal that
+is wrong costs work or ends in a refusal, never a different verdict.
 """
 
 from __future__ import annotations
@@ -98,7 +113,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Union
 
 from .errors import (
@@ -110,7 +125,7 @@ from .errors import (
     ParameterDomainError,
 )
 from .graphs import moore_bound
-from .polynomials import IntPolynomial, derivative, dickson_family
+from .polynomials import derivative, dickson_family
 
 VERDICT_ADMISSIBLE = "spectrally-admissible"
 VERDICT_INTEGRALITY = "excluded-by-integrality"
@@ -123,6 +138,16 @@ TARGET_BRACKET_BITS = 60
 _GAP_MIN_D = 7  # the product-gap argument needs girth 2d >= 14
 
 
+# ---------------------------------------------------------------------------
+# the checked section: every exact fact a verdict reads, and nothing else.
+# It reads plain integers and calls only itself, `errors`, `Fraction`,
+# `Decimal`, `math.ceil` and its declared inputs: `_polys` and `_family`
+# (the integer coefficients of one (k, d)), `moore_bound` and `_root_name`.
+# Everything below it only proposes (the seeds, Newton, the halving
+# fallback, the refinement cap) or prints (the angles, the float closed
+# forms); a verdict rests on nothing it computes unless this section has
+# checked it.
+
 def validate_parameters(k: int, d: int, e: int) -> None:
     """Reject triples outside the proven regime, each with a named error:
     odd e, even d, and e outside [2, k-2]."""
@@ -131,16 +156,285 @@ def validate_parameters(k: int, d: int, e: int) -> None:
     if d % 2 == 0:
         raise EvenHalfGirthError(f"half-girth d must be odd, got d={Decimal(d)}")
     if d < 3:
-        raise ParameterDomainError(f"half-girth d must be >= 3, got d={d}")
+        raise ParameterDomainError(f"half-girth d must be >= 3, got d={Decimal(d)}")
     if e < 2:
-        raise ExcessRangeError(f"excess must be >= 2, got e={e}")
+        raise ExcessRangeError(f"excess must be >= 2, got e={Decimal(e)}")
     if e > k - 2:
         raise ExcessRangeError(f"excess must satisfy e <= k - 2, got e={Decimal(e)}"
                                f" with k={Decimal(k)}")
 
 
+def _sign_even(q: tuple[int, ...], num: int, shift: int) -> int:
+    """Exact sign of P(num / 2^shift) for P(x) = Q(x^2), Q's coefficients
+    constant term first: Horner's rule in integers on Q at num^2 / 2^(2 shift)
+    forms 2^(shift deg P) P(num / 2^shift), the integer Horner on P forms at
+    num / 2^shift, in half the steps."""
+    x, double = num * num, 2 * shift
+    acc, scale = q[-1], 0
+    for c in q[-2::-1]:
+        scale += double
+        acc = acc * x + (c << scale)
+    return (acc > 0) - (acc < 0)
+
+
+def _bracket(q: tuple[int, ...], lo: int, hi: int, shift: int) -> tuple[int, int, int] | None:
+    """The bracket the exact signs of P(x) = Q(x^2) at lo and hi / 2^shift
+    certify: an end where P vanishes as the point (lo, lo, shift) or
+    (hi, hi, shift), the bracket itself when P gives its ends nonzero
+    opposite signs, and None otherwise.  Every bracket `_bisect` returns
+    comes from here; the low end's sign is taken first, and a zero there
+    takes no second sign."""
+    sign_lo = _sign_even(q, lo, shift)
+    if sign_lo == 0:
+        return lo, lo, shift
+    sign_hi = _sign_even(q, hi, shift)
+    if sign_hi == 0:
+        return hi, hi, shift
+    return (lo, hi, shift) if sign_hi == -sign_lo else None
+
+
+def _inside(inner: tuple[int, int, int], outer: tuple[int, int, int]) -> bool:
+    """Whether the dyadic bracket ``inner`` lies inside ``outer``, compared
+    at inner's shift, which must be no coarser than outer's."""
+    (lo, hi, shift), (outer_lo, outer_hi, outer_shift) = inner, outer
+    up = shift - outer_shift
+    return up >= 0 and outer_lo << up <= lo <= hi <= outer_hi << up
+
+
+def _check_family(root: tuple[int, int, int, int], seeds, brackets) -> list[tuple[int, int, int]]:
+    """The d - 1 brackets of one family P = H_{d-1} - epsilon, in index
+    order, certified to isolate its roots; ``root`` is (k, d, e, epsilon),
+    which names a root in the errors.
+
+    ``seeds`` holds, for i = 1..(d-1)/2, (i, error, span, (lo, hi, shift)):
+    the seed of root i, which is its fixed-point case interval, span ulp
+    wide at the tables' precision, shrunk inward by span / 2^30 on each side
+    and rounded inward; error is that interval's end error bound
+    (`_case_end_error`), in the same ulp.  ``brackets`` yields root i's
+    bracket from its seed, every one a `_bracket` result, and is pulled
+    only after seed i passed its integer checks, so a refused seed takes no
+    sign.  Each refusal is a BracketSeedError:
+
+    * the shrink must exceed the error bound, so the seed lies inside the
+      exact case interval;
+    * each seed must start strictly above the high end of seed i - 1;
+    * the bracket must exist and lie inside its seed (so inside the case
+      interval: a wrong root's or the other family's bracket leaves it);
+    * the last seed must end below 0.
+
+    Then the seeds and their mirrors are d - 1 disjoint intervals, each
+    holding a cell with nonzero opposite end signs or an exact root of P,
+    of degree d - 1: each holds exactly one root, a simple one.  P is even
+    for odd d, so root d - i's bracket is the exact mirror (-hi, -lo) of
+    root i's, and it lies in its own case interval (`_isolate`)."""
+    checked, last = [], None
+    for i, error, span, seed in seeds:
+        if error << 30 >= span:
+            raise BracketSeedError(f"seed for {_root_name(*root, i)} is not certified inside its "
+                                   "case interval: its shrink does not exceed the ends' error bound")
+        if last is not None and seed[0] << last[2] <= last[1] << seed[2]:
+            raise BracketSeedError(f"seed for {_root_name(*root, i)} overlaps the seed of root i - 1")
+        bracket = next(brackets)
+        if bracket is None:
+            raise BracketSeedError(f"seed interval for {_root_name(*root, i)} does not bracket "
+                                   "a sign change")
+        if not _inside(bracket, seed):
+            raise BracketSeedError(f"bracket for {_root_name(*root, i)} leaves its seed")
+        checked.append(bracket)
+        last = seed
+    if last[1] >= 0:
+        raise BracketSeedError(f"seed for {_root_name(*root, i)} reaches 0, where its mirror's "
+                               "seed starts")
+    return checked + [(-hi, -lo, shift) for lo, hi, shift in reversed(checked)]
+
+
+def _case_end_error(two_s: int, i: int, bits: int) -> int:
+    """A bound, in ulp (2^-bits), on how far the fixed-point case-interval
+    ends of root i (`_case_ends`) lie from the exact -2s cos(phi_end):
+    6 i (2s) + 3, rounded up.
+
+    pi is within 1 ulp (`_fixed_pi`), so each base angle pi // d and
+    pi q // (d q +- a) is within 3/2 ulp of its exact value, and i times it
+    within 3i/2.  `_multiples` adds at most 4 ulp per angle-addition step:
+    a step rotates the error it inherits, adds the 1-ulp errors of the
+    step's cos and sin (`_cos_sin`) and truncates.  So the table cosine is
+    within 6i ulp of cos(phi_end); times 2s, with 2s itself at most 2 ulp
+    low (`_fixed_two_s`) and one floor of the product, that is
+    6 i (2s) + 3 ulp.
+    """
+    return (6 * i * two_s >> bits) + 4
+
+
+def _dyadic_square(lo: int, hi: int) -> tuple[int, int]:
+    """Tight enclosure of x^2 over [lo, hi] / 2^shift, over 2^(2 shift)."""
+    if lo >= 0:
+        return lo * lo, hi * hi
+    if hi <= 0:
+        return hi * hi, lo * lo
+    return 0, max(lo * lo, hi * hi)
+
+
+def _dyadic_enclosure(coeffs: tuple[int, ...], lo: int, hi: int, shift: int) -> tuple[int, int]:
+    """Interval Horner of an integer polynomial (constant term first) over
+    the dyadic bracket [lo, hi] / 2^shift, in integers.
+
+    Returns numerators (a, b): [a, b] / 2^(shift*deg) equals interval Horner
+    in exact rational arithmetic endpoint for endpoint.  Each step multiplies
+    by the bracket, taking the extreme corners by sign as the four-product
+    min/max would, then adds c; every endpoint keeps the one shared power of
+    two, so no gcd is ever taken.
+    """
+    a = b = coeffs[-1]
+    scale = 0
+    for c in coeffs[-2::-1]:
+        scale += shift
+        c <<= scale
+        if lo >= 0:
+            a, b = (a * lo if a >= 0 else a * hi) + c, (b * hi if b >= 0 else b * lo) + c
+        elif hi <= 0:
+            a, b = (b * lo if b >= 0 else b * hi) + c, (a * hi if a >= 0 else a * lo) + c
+        else:
+            a, b = min(a * hi, b * lo) + c, max(a * lo, b * hi) + c
+    return a, b
+
+
+def _multiplicity_enclosure(
+    k: int, d: int, e: int, epsilon: int, lo: int, hi: int, shift: int
+) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """Exact enclosure of the closed-form multiplicity over the theta bracket
+    [lo, hi] / 2^shift, as two unreduced fractions (numerator, positive
+    denominator); None when the denominator enclosure contains zero.
+
+    Equal, endpoint for endpoint, to the exact rational interval evaluation
+
+        N / (D * (k^2 - x^2)) * prefactor,   N = H_{d-2}(x),  D = H'_{d-1}(x)
+
+    with N and D enclosed by interval Horner and x^2 by its tight square,
+    but done in integers: N and D (both of degree d-2) carry 2^(shift (d-2)),
+    k^2 - x^2 carries 2^(2 shift), so the quotient carries 2^(2 shift).  Its
+    extreme corners are picked by sign; no gcd is taken.
+    """
+    n = moore_bound(k, 2 * d) + e
+    pre_num = n * e * k * (k - 1)
+    pre_den = 2 * epsilon * (2 * epsilon + e // 2 - 1)
+    _, h_prev, h_deriv = _polys(k, d)
+    n_lo, n_hi = _dyadic_enclosure(h_prev, lo, hi, shift)
+    h_lo, h_hi = _dyadic_enclosure(h_deriv, lo, hi, shift)
+    # k^2 - x^2 from the tight enclosure of x^2
+    sq_lo, sq_hi = _dyadic_square(lo, hi)
+    k2 = k * k << 2 * shift
+    w_lo, w_hi = k2 - sq_hi, k2 - sq_lo
+    corners = (h_lo * w_lo, h_lo * w_hi, h_hi * w_lo, h_hi * w_hi)
+    d_lo, d_hi = min(corners), max(corners)
+    if d_lo <= 0 <= d_hi:
+        return None
+    # corners of [n_lo, n_hi] * [1/d_hi, 1/d_lo]; the prefactor is positive
+    # for both families (eps = 1 and eps = -e/2 with e >= 2), so it keeps them
+    if d_lo > 0:
+        low = (n_lo, d_hi if n_lo >= 0 else d_lo)
+        high = (n_hi, d_lo if n_hi >= 0 else d_hi)
+    else:
+        low = (-n_hi, -(d_hi if n_hi >= 0 else d_lo))
+        high = (-n_lo, -(d_lo if n_lo >= 0 else d_hi))
+    scale = 2 * shift
+    return (
+        (low[0] * pre_num << scale, low[1] * pre_den),
+        (high[0] * pre_num << scale, high[1] * pre_den),
+    )
+
+
+def _integers_in(ends) -> range:
+    """The integers in [a/b, c/q] for ends ((a, b), (c, q)) with b, q > 0."""
+    (a, b), (c, q) = ends
+    return range(-(-a // b), c // q + 1)
+
+
+def _decisive(ends) -> bool:
+    """The enclosure exists and is no wider than 1/2, by cross-multiplication,
+    so it holds at most one integer."""
+    if ends is None:
+        return False
+    (a, b), (c, q) = ends
+    return 2 * (c * b - a * q) <= b * q
+
+
+def _refined_enclosure(root: tuple[int, int, int, int], i: int, isolation, bracket):
+    """The multiplicity enclosure over ``bracket``, a refinement of root i's
+    isolation bracket ``isolation``, for ``root`` = (k, d, e, epsilon).  A
+    bracket outside the isolation bracket is refused (BracketSeedError), and
+    so is an enclosure that is not decisive (IllConditionedError): only a
+    decisive one may stand for the multiplicity."""
+    if bracket is None or not _inside(bracket, isolation):
+        raise BracketSeedError(f"refined bracket for {_root_name(*root, i)} leaves its "
+                               "isolation bracket")
+    ends = _multiplicity_enclosure(*root, *bracket)
+    if not _decisive(ends):
+        raise IllConditionedError("multiplicity enclosure failed to converge at "
+                                  f"{_root_name(*root, i)}")
+    return ends
+
+
+@dataclass(frozen=True)
+class GapVerdict:
+    """The certified interval [lo, hi] that holds lambda_2^2 - mu_2^2, for
+    d >= 7 (girth >= 14); ``lo`` and ``hi`` are exact rationals from the
+    squared root brackets.  ``excluded`` requires only that the interval
+    contain no integer.
+
+    The argument's closing inequality chain
+
+        s^((d-3)/2) (d + (e/2) s^(1-d)) > (k-1) d >= (e+1) d > 4 pi sqrt(e/2+1)
+
+    is a theorem on every triple the gap check runs on (odd d >= 7, even e,
+    2 <= e <= k-2), so it is proved here and evaluated nowhere:
+
+    * (d-3)/4 >= 1 and k-1 >= 3 give s^((d-3)/2) = (k-1)^((d-3)/4) >= k-1,
+      and e >= 2 makes d + (e/2) s^(1-d) > d;
+    * the second link is e <= k-2;
+    * (e+1) d >= 7 (e+1), and with t = e/2 + 1 >= 2, so e + 1 = 2t - 1,
+      7 (2t-1) > 4 pi sqrt(t) squares to 49 (2t-1)^2 > 16 pi^2 t, which
+      holds: 2t - 1 >= 3t/2 and t^2 >= 2t give 49 (2t-1)^2 >= (441/2) t,
+      and 16 pi^2 < 160.
+
+    The JSON and the text report print ``chain_ok`` as the constant true.
+    The analytic bound the certified high end sits below is binary64 (None
+    where binary64 cannot hold it), and only the reports that print it
+    compute it (`FeasibilityReport.analytic_gap_bound`)."""
+
+    lo: Fraction
+    hi: Fraction
+
+    @property
+    def contains_integer(self) -> bool:
+        return math.ceil(self.lo) <= self.hi
+
+    @property
+    def within_unit_interval(self) -> bool:
+        return 0 < self.lo and self.hi < 1
+
+    @property
+    def excluded(self) -> bool:
+        return not self.contains_integer
+
+    @property
+    def verdict(self) -> str:
+        return VERDICT_GAP if self.excluded else "not-excluded"
+
+
+def _gap(mu: tuple[int, int, int], lam: tuple[int, int, int]) -> GapVerdict:
+    """The gap verdict from the brackets of the second-smallest roots of the
+    two families: ``mu`` for epsilon = 1 and ``lam`` for epsilon = -e/2.
+    Integer arithmetic only."""
+    (mu_lo, mu_hi, mu_shift), (lam_lo, lam_hi, lam_shift) = mu, lam
+    shift = max(mu_shift, lam_shift)
+    mu_sq = _dyadic_square(mu_lo << (shift - mu_shift), mu_hi << (shift - mu_shift))
+    lam_sq = _dyadic_square(lam_lo << (shift - lam_shift), lam_hi << (shift - lam_shift))
+    unit = 1 << 2 * shift  # both ends are over 2^(2 shift)
+    return GapVerdict(Fraction(lam_sq[0] - mu_sq[1], unit), Fraction(lam_sq[1] - mu_sq[0], unit))
+
+
 # ---------------------------------------------------------------------------
-# root isolation
+# root isolation: proposes only
 
 @dataclass(frozen=True)
 class RootRecord:
@@ -171,63 +465,20 @@ def _midpoint_float(lo: int, hi: int, shift: int) -> float | None:
         return None
 
 
-class _Polys(NamedTuple):
-    """The polynomials the scan needs for one (k, d)."""
-
-    h: IntPolynomial        # H_{d-1}
-    h_prev: IntPolynomial   # H_{d-2}
-    h_deriv: IntPolynomial  # H'_{d-1}
-
-
 @lru_cache(maxsize=None)
-def _polys(k: int, d: int) -> _Polys:
+def _polys(k: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The coefficients, constant term first, of H_{d-1}, H_{d-2} and
+    H'_{d-1} for one (k, d): the integers the checked section reads."""
     h = dickson_family("H", k, d - 1)
-    return _Polys(h, dickson_family("H", k, d - 2), derivative(h))
+    return h.coefficients, dickson_family("H", k, d - 2).coefficients, derivative(h).coefficients
 
 
 def _family(k: int, d: int, epsilon: int) -> tuple[int, ...]:
     """H_{d-1} - epsilon as Q(x^2): Q's coefficients (constant term first)
     are H_{d-1}'s even ones."""
-    q = list(_polys(k, d).h.coefficients[::2])
+    q = list(_polys(k, d)[0][::2])
     q[0] -= epsilon
     return tuple(q)
-
-
-def _sign_even(q: tuple[int, ...], num: int, shift: int) -> int:
-    """Exact sign of P(num / 2^shift) for P(x) = Q(x^2), Q's coefficients
-    constant term first: Horner's rule in integers on Q at num^2 / 2^(2 shift)
-    forms 2^(shift deg P) P(num / 2^shift), the integer Horner on P forms at
-    num / 2^shift, in half the steps."""
-    x, double = num * num, 2 * shift
-    acc, scale = q[-1], 0
-    for c in q[-2::-1]:
-        scale += double
-        acc = acc * x + (c << scale)
-    return (acc > 0) - (acc < 0)
-
-
-def _dyadic_enclosure(coeffs: tuple[int, ...], lo: int, hi: int, shift: int) -> tuple[int, int]:
-    """Interval Horner of an integer polynomial (constant term first) over
-    the dyadic bracket [lo, hi] / 2^shift, in integers.
-
-    Returns numerators (a, b): [a, b] / 2^(shift*deg) equals interval Horner
-    in exact rational arithmetic endpoint for endpoint.  Each step multiplies
-    by the bracket, taking the extreme corners by sign as the four-product
-    min/max would, then adds c; every endpoint keeps the one shared power of
-    two, so no gcd is ever taken.
-    """
-    a = b = coeffs[-1]
-    scale = 0
-    for c in coeffs[-2::-1]:
-        scale += shift
-        c <<= scale
-        if lo >= 0:
-            a, b = (a * lo if a >= 0 else a * hi) + c, (b * hi if b >= 0 else b * lo) + c
-        elif hi <= 0:
-            a, b = (b * lo if b >= 0 else b * hi) + c, (a * hi if a >= 0 else a * lo) + c
-        else:
-            a, b = min(a * hi, b * lo) + c, max(a * lo, b * hi) + c
-    return a, b
 
 
 def _newton_even(q: tuple[int, ...], num: int, top: int) -> tuple[int, int]:
@@ -241,22 +492,13 @@ def _newton_even(q: tuple[int, ...], num: int, top: int) -> tuple[int, int]:
     The integers stay about ``top`` bits plus the size of the values, where
     exact Horner's grow to ``top`` deg P bits.  The error only steers
     `_predict_cell`: `_bisect` takes the cell it leads to on two exact
-    signs (`_sign_even`) or runs the halving loop."""
+    signs (`_bracket`) or runs the halving loop."""
     y = num * num >> top
     acc, slope = q[-1] << top, 0
     for c in q[-2::-1]:
         slope = (slope * y >> top) + acc
         acc = (acc * y >> top) + (c << top)
     return acc << top, num * slope >> top - 1
-
-
-def _dyadic_square(lo: int, hi: int) -> tuple[int, int]:
-    """Tight enclosure of x^2 over [lo, hi] / 2^shift, over 2^(2 shift)."""
-    if lo >= 0:
-        return lo * lo, hi * hi
-    if hi <= 0:
-        return hi * hi, lo * lo
-    return 0, max(lo * lo, hi * hi)
 
 
 #: Extra bits the Newton predictor carries below the grid of final cells.
@@ -321,14 +563,23 @@ def _bisect(q: tuple[int, ...], lo, hi, shift, bits, start=None):
     Halving keeps the numerator width w = hi - lo and runs a number of steps
     L fixed by the width alone, so unless it collapses onto an exact root it
     ends on a cell [lo 2^L + j w, lo 2^L + (j+1) w] / 2^(shift+L) of a uniform
-    grid.  The Newton-predicted cell j is taken when exact signs at its ends
-    are nonzero and opposite.  If (lo, hi) holds one root, it lies inside
-    that cell, so every grid point left of it has the sign of the cell's low
-    end and every one right of it that of its high end: halving could only
-    reach this cell.  The bracket's own end signs are evaluated only when
-    the halving loop runs, on anything else.  Both callers pass one-root
+    grid.  The Newton-predicted cell j is taken when the bracket rule
+    (`_bracket`) certifies it by nonzero opposite end signs.  If (lo, hi)
+    holds one root, it lies inside that cell, so every grid point left of it
+    has the sign of the cell's low end and every one right of it that of its
+    high end: halving could only reach this cell.  A zero at the cell's end
+    is not taken, since the halving loop may reach that root at a coarser
+    shift.  Otherwise the rule runs on the bracket itself, which ends a
+    bracket already below the target width, and the halving loop runs from
+    its result: each step doubles the shift and keeps the rule's bracket on
+    the low half, or else the one on the high half.  So every bracket
+    returned is the rule's.  A taken cell or a bracket already below the
+    target width costs exactly two signs; a halving step costs two to four,
+    where a loop that carried the low end's sign would take one, and it
+    runs only where the prediction fails.  Both callers pass one-root
     brackets: `_isolate` certifies its seeds so by counting roots after the
-    fact, and the refinement step passes the cells `_isolate` returned.
+    fact (`_check_family`), and the refinement step passes the cells
+    `_isolate` returned (`_refined_enclosure`).
 
     Newton starts at ``start`` (x, scale, known), `_predict_cell`'s start,
     or at the bracket's midpoint when it is None: `_isolate` passes the
@@ -344,31 +595,16 @@ def _bisect(q: tuple[int, ...], lo, hi, shift, bits, start=None):
             start = lo + hi, shift + 1, shift + 1 - width.bit_length()
         cell = _predict_cell(q, lo, hi, shift, halvings, start)
         if cell is not None and 0 <= cell < 1 << halvings:
-            low, scale = (lo << halvings) + cell * width, shift + halvings
-            sign_low = _sign_even(q, low, scale)
-            if sign_low and _sign_even(q, low + width, scale) == -sign_low:
-                return low, low + width, scale
-    sign_lo = _sign_even(q, lo, shift)
-    if sign_lo == 0:
-        return lo, lo, shift
-    sign_hi = _sign_even(q, hi, shift)
-    if sign_hi == 0:
-        return hi, hi, shift
-    if sign_hi == sign_lo:
-        return None
-    while ((hi - lo) << bits) >= (1 << shift):
-        lo <<= 1
-        hi <<= 1
-        shift += 1
+            low = (lo << halvings) + cell * width
+            bracket = _bracket(q, low, low + width, shift + halvings)
+            if bracket is not None and bracket[0] < bracket[1]:
+                return bracket
+    bracket = _bracket(q, lo, hi, shift)
+    while bracket and (bracket[1] - bracket[0]) << bits >= 1 << bracket[2]:  # the halving loop
+        lo, hi, shift = bracket[0] << 1, bracket[1] << 1, bracket[2] + 1
         mid = (lo + hi) // 2
-        sign_mid = _sign_even(q, mid, shift)
-        if sign_mid == 0:
-            return mid, mid, shift
-        if sign_mid == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi, shift
+        bracket = _bracket(q, lo, mid, shift) or _bracket(q, mid, hi, shift)
+    return bracket
 
 
 # ---------------------------------------------------------------------------
@@ -524,23 +760,6 @@ def _case_ends(d: int, epsilon: int, angles: _Angles) -> Iterator[tuple[int, int
         yield i, eta, -(two_s * cos_lo) >> bits, -(two_s * cos_hi) >> bits
 
 
-def _case_end_error(two_s: int, i: int, bits: int) -> int:
-    """A bound, in ulp (2^-bits), on how far the fixed-point case-interval
-    ends of root i (`_case_ends`) lie from the exact -2s cos(phi_end):
-    6 i (2s) + 3, rounded up.
-
-    pi is within 1 ulp (`_fixed_pi`), so each base angle pi // d and
-    pi q // (d q +- a) is within 3/2 ulp of its exact value, and i times it
-    within 3i/2.  `_multiples` adds at most 4 ulp per angle-addition step:
-    a step rotates the error it inherits, adds the 1-ulp errors of the
-    step's cos and sin (`_cos_sin`) and truncates.  So the table cosine is
-    within 6i ulp of cos(phi_end); times 2s, with 2s itself at most 2 ulp
-    low (`_fixed_two_s`) and one floor of the product, that is
-    6 i (2s) + 3 ulp.
-    """
-    return (6 * i * two_s >> bits) + 4
-
-
 def _seed_shift(span: int, bits: int) -> int:
     """The shift of a seed whose case interval is span / 2^bits wide:
     36 + floor(-log2(span / 2^bits)), at least 64, computed exactly for
@@ -621,7 +840,7 @@ def isolate_roots(k: int, d: int, e: int, epsilon: int) -> list[RootRecord]:
     validate_parameters(k, d, e)
     if epsilon not in (1, -e // 2):
         raise ParameterDomainError(
-            f"epsilon must be 1 or -e/2 = {-e // 2}, got {epsilon}"
+            f"epsilon must be 1 or -e/2 = {Decimal(-e // 2)}, got {Decimal(epsilon)}"
         )
     if epsilon != 1:
         return list(_isolate(k, d, e, epsilon))
@@ -642,61 +861,39 @@ def _isolate(k: int, d: int, e: int, epsilon: int) -> tuple[RootRecord, ...]:
 
     Each seed is its case interval's fixed-point ends (`_case_ends`) shrunk
     inward by span / 2^30 of the interval and rounded inward to the seed's
-    shift.  Two integer comparisons certify that the final bracket lies in
-    the exact case interval: the shrink exceeds the ends' error bound
-    (`_case_end_error`), so the seed lies inside the interval, and the
-    bracket lies inside the seed at their common shift.
+    shift, and `_bisect` brackets its root from the root's Newton start
+    (`_asymptotic_start`).  Nothing here is certified: `_check_family`
+    takes the seeds with their error bounds, pulls each bracket only after
+    its seed passed, and returns the family's d - 1 brackets or refuses.
 
     Only the roots i <= (d-1)/2 (theta < 0) are seeded; root d - i is their
     mirror.  Its case interval (eta flips sign) contains the mirror of root
     i's: pi - i pi/(d + a/q) < (d - i) pi/(d - a/q) for 2i < d, and
     pi - i pi/(d - a/q) > (d - i) pi/(d + a/q) likewise.  So its bracket
-    needs no check of its own.
-
-    The family's roots are certified isolated by counting them.  Each seed
-    starts strictly above the high end of seed i - 1, and the last one ends
-    below 0, so the seeds and their mirrors are d - 1 disjoint intervals,
-    each holding a cell with opposite nonzero end signs or an exact root.
-    P = H_{d-1} - epsilon has degree d - 1, so each cell holds exactly one
-    root, a simple one, and each seed holds only its own: the cell
-    `_bisect` took is the one the halving loop would reach."""
+    needs no check of its own."""
     q = _family(k, d, epsilon)
-    name = partial(_root_name, k, d, e, epsilon)  # formatted only into an error
     angles = _angle_tables(k, d)
     bits, two_s = angles.bits, angles.two_s
-    seeded = []  # (eta, (lo, hi, shift)) for i = 1..(d-1)/2
-    prev_hi = prev_seed = None  # the high end of seed i - 1, at its shift
+    seeds, etas = [], []  # (i, error, span, seed) and eta_i for i = 1..(d-1)/2
     for i, eta, theta_lo, theta_hi in _case_ends(d, epsilon, angles):
         # seed strictly inside the open interval; the root keeps a
         # bounded fraction of the interval width on both sides:
         # lo = ceil((theta_lo + w/2^30) 2^shift), hi = floor((theta_hi - w/2^30) 2^shift)
         span = theta_hi - theta_lo
-        if _case_end_error(two_s, i, bits) << 30 >= span:
-            raise BracketSeedError(
-                f"seed for {name(i)} is not certified inside its case interval: "
-                "its shrink does not exceed the ends' error bound"
-            )
-        seed = _seed_shift(span, bits)
-        seed_lo = -((-((theta_lo << 30) + span) << seed) >> (bits + 30))
-        seed_hi = (((theta_hi << 30) - span) << seed) >> (bits + 30)
-        if prev_hi is not None and seed_lo << prev_seed <= prev_hi << seed:
-            raise BracketSeedError(f"seed for {name(i)} overlaps the seed of root i - 1")
-        start = _asymptotic_start(k, d, i, eta, span, angles)
-        bracket = _bisect(q, seed_lo, seed_hi, seed, TARGET_BRACKET_BITS, start)
-        if bracket is None:
-            raise BracketSeedError(f"seed interval for {name(i)} does not bracket a sign change")
-        lo, hi, shift = bracket
-        up = shift - seed
-        if up < 0 or not seed_lo << up <= lo <= hi <= seed_hi << up:
-            raise BracketSeedError(f"bracket for {name(i)} leaves its seed")
-        seeded.append((eta, bracket))
-        prev_hi, prev_seed = seed_hi, seed
-    if prev_hi >= 0:
-        raise BracketSeedError(f"seed for {name(i)} reaches 0, where its mirror's seed starts")
-    mirrored = [(-eta, (-hi, -lo, shift)) for eta, (lo, hi, shift) in reversed(seeded)]
+        shift = _seed_shift(span, bits)
+        seed = (-((-((theta_lo << 30) + span) << shift) >> (bits + 30)),
+                (((theta_hi << 30) - span) << shift) >> (bits + 30), shift)
+        seeds.append((i, _case_end_error(two_s, i, bits), span, seed))
+        etas.append(eta)
+    brackets = (
+        _bisect(q, *seed, TARGET_BRACKET_BITS, _asymptotic_start(k, d, i, eta, span, angles))
+        for (i, _, span, seed), eta in zip(seeds, etas)
+    )
+    checked = _check_family((k, d, e, epsilon), seeds, brackets)
+    etas += [-eta for eta in reversed(etas)]
     return tuple(
-        RootRecord(i, epsilon, eta, _midpoint_float(lo, hi, shift), (lo, hi, shift))
-        for i, (eta, (lo, hi, shift)) in enumerate(seeded + mirrored, 1)
+        RootRecord(i, epsilon, eta, _midpoint_float(*bracket), bracket)
+        for i, (eta, bracket) in enumerate(zip(etas, checked), 1)
     )
 
 
@@ -734,8 +931,7 @@ def _float_coefficients(k: int, d: int) -> tuple[tuple[float, ...], tuple[float,
     """The coefficients of H_{d-2} and H'_{d-1} in binary64, constant term
     first, converted once per (k, d); raises OverflowError when one is past
     binary64's range."""
-    polys = _polys(k, d)
-    return tuple(tuple(map(float, p.coefficients)) for p in (polys.h_prev, polys.h_deriv))
+    return tuple(tuple(map(float, p)) for p in _polys(k, d)[1:])
 
 
 def _horner_float(coeffs: tuple[float, ...], x: float) -> float:
@@ -776,7 +972,7 @@ def multiplicity_closed_form(k: int, d: int, e: int, epsilon: int, theta: float)
 
 
 # ---------------------------------------------------------------------------
-# certified integrality
+# the multiplicity assessments
 
 @dataclass(frozen=True)
 class MultiplicityAssessment:
@@ -794,66 +990,6 @@ class MultiplicityAssessment:
     @property
     def integral(self) -> bool:
         return self.integer is not None
-
-
-def _integers_in(ends) -> range:
-    """The integers in [a/b, c/q] for ends ((a, b), (c, q)) with b, q > 0."""
-    (a, b), (c, q) = ends
-    return range(-(-a // b), c // q + 1)
-
-
-def _multiplicity_enclosure(
-    k: int, d: int, e: int, epsilon: int, lo: int, hi: int, shift: int
-) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """Exact enclosure of the closed-form multiplicity over the theta bracket
-    [lo, hi] / 2^shift, as two unreduced fractions (numerator, positive
-    denominator); None when the denominator enclosure contains zero.
-
-    Equal, endpoint for endpoint, to the exact rational interval evaluation
-
-        N / (D * (k^2 - x^2)) * prefactor,   N = H_{d-2}(x),  D = H'_{d-1}(x)
-
-    with N and D enclosed by interval Horner and x^2 by its tight square,
-    but done in integers: N and D (both of degree d-2) carry 2^(shift (d-2)),
-    k^2 - x^2 carries 2^(2 shift), so the quotient carries 2^(2 shift).  Its
-    extreme corners are picked by sign; no gcd is taken.
-    """
-    n = moore_bound(k, 2 * d) + e
-    pre_num = n * e * k * (k - 1)
-    pre_den = 2 * epsilon * (2 * epsilon + e // 2 - 1)
-    polys = _polys(k, d)
-    n_lo, n_hi = _dyadic_enclosure(polys.h_prev.coefficients, lo, hi, shift)
-    h_lo, h_hi = _dyadic_enclosure(polys.h_deriv.coefficients, lo, hi, shift)
-    # k^2 - x^2 from the tight enclosure of x^2
-    sq_lo, sq_hi = _dyadic_square(lo, hi)
-    k2 = k * k << 2 * shift
-    w_lo, w_hi = k2 - sq_hi, k2 - sq_lo
-    corners = (h_lo * w_lo, h_lo * w_hi, h_hi * w_lo, h_hi * w_hi)
-    d_lo, d_hi = min(corners), max(corners)
-    if d_lo <= 0 <= d_hi:
-        return None
-    # corners of [n_lo, n_hi] * [1/d_hi, 1/d_lo]; the prefactor is positive
-    # for both families (eps = 1 and eps = -e/2 with e >= 2), so it keeps them
-    if d_lo > 0:
-        low = (n_lo, d_hi if n_lo >= 0 else d_lo)
-        high = (n_hi, d_lo if n_hi >= 0 else d_hi)
-    else:
-        low = (-n_hi, -(d_hi if n_hi >= 0 else d_lo))
-        high = (-n_lo, -(d_lo if n_lo >= 0 else d_hi))
-    scale = 2 * shift
-    return (
-        (low[0] * pre_num << scale, low[1] * pre_den),
-        (high[0] * pre_num << scale, high[1] * pre_den),
-    )
-
-
-def _decisive(ends) -> bool:
-    """The enclosure exists and is no wider than 1/2, by cross-multiplication,
-    so it holds at most one integer."""
-    if ends is None:
-        return False
-    (a, b), (c, q) = ends
-    return 2 * (c * b - a * q) <= b * q
 
 
 def _assess_multiplicity(k, d, e, record: RootRecord) -> MultiplicityAssessment:
@@ -881,86 +1017,17 @@ def _assess_multiplicity(k, d, e, record: RootRecord) -> MultiplicityAssessment:
       integer is the loop's or None; a None where the loop stopped on a
       wider enclosure that held an integer is a certified non-integer.
     """
-    lo, hi, shift = record.bracket
-    ends = _multiplicity_enclosure(k, d, e, record.epsilon, lo, hi, shift)
+    ends = _multiplicity_enclosure(k, d, e, record.epsilon, *record.bracket)
     if ends is None or _integers_in(ends):
         cap = TARGET_BRACKET_BITS + (moore_bound(k, 2 * d) + e).bit_length() + 2 * d
         # `_isolate` certified that the bracket holds exactly one root of P
-        bracket = _bisect(_family(k, d, record.epsilon), lo, hi, shift, cap)
-        ends = _multiplicity_enclosure(k, d, e, record.epsilon, *bracket)
-        if not _decisive(ends):
-            raise IllConditionedError(
-                "multiplicity enclosure failed to converge at "
-                f"{_root_name(k, d, e, record.epsilon, record.i)}"
-            )
+        bracket = _bisect(_family(k, d, record.epsilon), *record.bracket, cap)
+        ends = _refined_enclosure((k, d, e, record.epsilon), record.i, record.bracket, bracket)
     integers = _integers_in(ends)
     return MultiplicityAssessment(
         enclosure=ends,
         integer=integers[0] if len(integers) == 1 else None,
     )
-
-
-# ---------------------------------------------------------------------------
-# the product-gap exclusion
-
-@dataclass(frozen=True)
-class GapVerdict:
-    """The certified interval [lo, hi] that holds lambda_2^2 - mu_2^2, for
-    d >= 7 (girth >= 14); ``lo`` and ``hi`` are exact rationals from the
-    squared root brackets.  ``excluded`` requires only that the interval
-    contain no integer.
-
-    The argument's closing inequality chain
-
-        s^((d-3)/2) (d + (e/2) s^(1-d)) > (k-1) d >= (e+1) d > 4 pi sqrt(e/2+1)
-
-    is a theorem on every triple the gap check runs on (odd d >= 7, even e,
-    2 <= e <= k-2), so it is proved here and evaluated nowhere:
-
-    * (d-3)/4 >= 1 and k-1 >= 3 give s^((d-3)/2) = (k-1)^((d-3)/4) >= k-1,
-      and e >= 2 makes d + (e/2) s^(1-d) > d;
-    * the second link is e <= k-2;
-    * (e+1) d >= 7 (e+1), and with t = e/2 + 1 >= 2, so e + 1 = 2t - 1,
-      7 (2t-1) > 4 pi sqrt(t) squares to 49 (2t-1)^2 > 16 pi^2 t, which
-      holds: 2t - 1 >= 3t/2 and t^2 >= 2t give 49 (2t-1)^2 >= (441/2) t,
-      and 16 pi^2 < 160.
-
-    The JSON and the text report print ``chain_ok`` as the constant true.
-    The analytic bound the certified high end sits below is binary64 (None
-    where binary64 cannot hold it), and only the reports that print it
-    compute it (`FeasibilityReport.analytic_gap_bound`)."""
-
-    lo: Fraction
-    hi: Fraction
-
-    @property
-    def contains_integer(self) -> bool:
-        return math.ceil(self.lo) <= self.hi
-
-    @property
-    def within_unit_interval(self) -> bool:
-        return 0 < self.lo and self.hi < 1
-
-    @property
-    def excluded(self) -> bool:
-        return not self.contains_integer
-
-    @property
-    def verdict(self) -> str:
-        return VERDICT_GAP if self.excluded else "not-excluded"
-
-
-def _gap(mu: list[RootRecord], lam: list[RootRecord]) -> GapVerdict:
-    """The gap verdict from the two families' records, ascending:
-    ``mu`` for epsilon = 1 and ``lam`` for epsilon = -e/2.  Integer
-    arithmetic only."""
-    mu_lo, mu_hi, mu_shift = mu[1].bracket
-    lam_lo, lam_hi, lam_shift = lam[1].bracket
-    shift = max(mu_shift, lam_shift)
-    mu_sq = _dyadic_square(mu_lo << (shift - mu_shift), mu_hi << (shift - mu_shift))
-    lam_sq = _dyadic_square(lam_lo << (shift - lam_shift), lam_hi << (shift - lam_shift))
-    unit = 1 << 2 * shift  # both ends are over 2^(2 shift)
-    return GapVerdict(Fraction(lam_sq[0] - mu_sq[1], unit), Fraction(lam_sq[1] - mu_sq[0], unit))
 
 
 # ---------------------------------------------------------------------------
@@ -1107,8 +1174,7 @@ def spectral_feasibility(k: int, d: int, e: int) -> FeasibilityReport:
     eta > 0 root of index i lies below -2s cos(i pi/d) and the eta < 0 root
     above it, and the case intervals of successive indices are disjoint.
     """
-    validate_parameters(k, d, e)
-    mu = isolate_roots(k, d, e, 1)
+    mu = isolate_roots(k, d, e, 1)  # validates the triple first
     lam = isolate_roots(k, d, e, -e // 2)
     return FeasibilityReport(
         k=k,
@@ -1116,7 +1182,7 @@ def spectral_feasibility(k: int, d: int, e: int) -> FeasibilityReport:
         e=e,
         n=moore_bound(k, 2 * d) + e,
         roots=tuple(sorted(mu + lam, key=lambda r: (r.i, r.eta < 0))),
-        gap=_gap(mu, lam) if d >= _GAP_MIN_D else None,
+        gap=_gap(mu[1].bracket, lam[1].bracket) if d >= _GAP_MIN_D else None,
     )
 
 

@@ -30,6 +30,7 @@ j = 0..D span, and a polynomial p has p(B) = 0 exactly when e_0^T p(B) = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from operator import mul
 
 from . import _intmat
@@ -49,9 +50,9 @@ def build_bd(k: int, D: int) -> IntersectionMatrix:
     """Exact B_D: superdiagonal 1 except (D-1, D) = k; subdiagonal k-1 except
     (1, 0) = k."""
     if k < 3:
-        raise DegreeRangeError(f"degree k must be >= 3, got {k}")
+        raise DegreeRangeError(f"degree k must be >= 3, got {Decimal(k)}")
     if D < 2:
-        raise ParameterDomainError(f"diameter parameter D must be >= 2, got {D}")
+        raise ParameterDomainError(f"diameter parameter D must be >= 2, got {Decimal(D)}")
     m = [[0] * (D + 1) for _ in range(D + 1)]
     for i in range(D - 1):
         m[i][i + 1] = 1
@@ -84,7 +85,7 @@ def bd_moments(b: IntersectionMatrix, count: int) -> list[int]:
     any vertex of the corresponding graph; it vanishes for odd q.
     """
     if count < 0:
-        raise ParameterDomainError(f"moment count must be >= 0, got {count}")
+        raise ParameterDomainError(f"moment count must be >= 0, got {Decimal(count)}")
     return [row[0] for row in _krylov_rows(b, count)]
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Iterable
 
 from .errors import DegreeRangeError, ParameterDomainError
@@ -79,9 +80,9 @@ def dickson_family(kind: str, k: int, i: int) -> IntPolynomial:
     if kind not in FAMILIES:
         raise ParameterDomainError(f"unknown family {kind!r}; expected one of {FAMILIES}")
     if k < 3:
-        raise DegreeRangeError(f"degree k must be >= 3, got {k}")
+        raise DegreeRangeError(f"degree k must be >= 3, got {Decimal(k)}")
     if i < 0:
-        raise ParameterDomainError(f"family index must be >= 0, got {i}")
+        raise ParameterDomainError(f"family index must be >= 0, got {Decimal(i)}")
     if kind == "G":
         seeds = ((1,), (1, 1))
     elif kind == "F":

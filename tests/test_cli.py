@@ -481,7 +481,11 @@ def test_an_integer_argument_reads_at_any_size_and_is_refused_as_int_refuses_it(
     (("feasibility", "3", "3", LONG_K[:-1] + "0"),
      f"excess must satisfy e <= k - 2, got e={LONG_K[:-1]}0 with k=3"),
     (("moore", LONG_K, "2"), f"moore_bound needs k >= 2 and g >= 3, got k={LONG_K}, g=2"),
-], ids=["odd-e", "e-past-k", "moore"])
+    (("feasibility", "5", "7", "-1" + "0" * 5000), f"excess must be >= 2, got e=-1{'0' * 5000}"),
+    (("feasibility", "5", "+1" + "0" * 5000, "2"), f"half-girth d must be odd, got d=1{'0' * 5000}"),
+    (("verify", "catalog:heawood", "--k", "-1" + "0" * 5000, "--d", "3", "--e", "0"),
+     f"degree k must be >= 3, got -1{'0' * 5000}"),
+], ids=["odd-e", "e-past-k", "moore", "negative-e", "signed-d", "verify-negative-k"])
 def test_a_parameter_error_names_an_argument_past_the_int_string_limit_in_full(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 

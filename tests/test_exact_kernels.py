@@ -677,9 +677,9 @@ def test_family_poly_is_even_and_the_enclosure_polynomials_odd(family):
     coeffs = family_coefficients(k, d, epsilon)
     assert not any(coeffs[1::2])
     assert even(_family(k, d, epsilon)) == coeffs
-    polys = feasibility._polys(k, d)
-    assert not any(polys.h_prev.coefficients[::2])
-    assert not any(polys.h_deriv.coefficients[::2])
+    _, h_prev, h_deriv = feasibility._polys(k, d)
+    assert not any(h_prev[::2])
+    assert not any(h_deriv[::2])
 
 
 def as_fractions(ends):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cage_spectra import (
     BracketSeedError,
+    DegreeRangeError,
     EvenHalfGirthError,
     ExcessRangeError,
     FeasibilityReport,
@@ -22,6 +23,7 @@ from cage_spectra import (
     VERDICT_GAP,
     VERDICT_INTEGRALITY,
     GapVerdict,
+    build_bd,
     derivative,
     dickson_family,
     feasibility,
@@ -32,6 +34,7 @@ from cage_spectra import (
     spectral_feasibility,
 )
 from cage_spectra.cli import _report_json, _report_text
+from cage_spectra.intersection import bd_moments
 from oracles import (
     RatInterval,
     RegimeViolationError,
@@ -222,6 +225,42 @@ def test_a_root_error_names_a_degree_past_the_int_string_limit_in_full(monkeypat
         f"seed interval for (k=1{'0' * 4299}1, d=3, e=2, eps=1, i=1)"
         " does not bracket a sign change"
     )
+
+
+#: 10^5000, past the 4,300 digits `str` converts by default.
+HUGE = 10**5000
+HUGE_TEXT = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: spectral_feasibility(5, 7, -HUGE), ExcessRangeError,
+     f"excess must be >= 2, got e=-{HUGE_TEXT}"),
+    (lambda: spectral_feasibility(5, -HUGE - 1, 2), ParameterDomainError,
+     f"half-girth d must be >= 3, got d=-{HUGE_TEXT[:-1]}1"),
+    (lambda: isolate_roots(5, 7, 2, HUGE), ParameterDomainError,
+     f"epsilon must be 1 or -e/2 = -1, got {HUGE_TEXT}"),
+    (lambda: dickson_family("H", -HUGE, 3), DegreeRangeError,
+     f"degree k must be >= 3, got -{HUGE_TEXT}"),
+    (lambda: dickson_family("H", 5, -HUGE), ParameterDomainError,
+     f"family index must be >= 0, got -{HUGE_TEXT}"),
+    (lambda: build_bd(-HUGE, 3), DegreeRangeError, f"degree k must be >= 3, got -{HUGE_TEXT}"),
+    (lambda: build_bd(5, -HUGE), ParameterDomainError,
+     f"diameter parameter D must be >= 2, got -{HUGE_TEXT}"),
+    (lambda: bd_moments(build_bd(4, 3), -HUGE), ParameterDomainError,
+     f"moment count must be >= 0, got -{HUGE_TEXT}"),
+], ids=["e", "d", "epsilon", "family-k", "family-index", "bd-k", "bd-D", "moment-count"])
+def test_a_parameter_error_names_its_integer_in_full_at_any_size(call, error, message):
+    """`str` refuses an int past the int-string limit, which once replaced
+    each of these named errors with a `ValueError` about that limit."""
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_a_scan_skips_a_triple_whose_excess_is_past_the_int_string_limit():
+    (item,) = scan([5], [7], [-HUGE])
+    assert isinstance(item, SkippedTriple)
+    assert item.reason == f"excess must be >= 2, got e=-{HUGE_TEXT}"
 
 
 def test_a_case_interval_below_the_binary64_range_ends_in_a_verdict():

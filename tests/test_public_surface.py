@@ -126,6 +126,7 @@ REMOVED = {
     "pack_bitsets": "_intmat",
     "packed_eval_poly": "_intmat",
     "poly_enclosure": "intervals",
+    "_Polys": "feasibility",
     "_row": "cli",
     "_sign_dyadic": "feasibility",
     "transcendental_residual": "feasibility",

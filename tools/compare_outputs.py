@@ -11,13 +11,17 @@ names.  Each call's exit code, stdout and stderr are recorded; a usage
 error's `SystemExit` is caught and its code recorded.
 
 Prints each call whose record differs between the trees, and exits 1 if any
-does; otherwise prints the number of calls compared and exits 0.
+does; otherwise prints the number of calls compared and exits 0.  In the
+report, a run of more than `LONG_DIGITS` digits is abbreviated to its first
+and last digits and its digit count (`abbreviate`), so an argument of
+thousands of digits costs one short line per differing call.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -32,6 +36,12 @@ HUGE_K = str(2**1100 + 1)
 #: 10^4300 + 1, a degree past Python's default int-string limit of 4,300
 #: digits, written out so that no conversion of it meets that limit.
 LONG_K = "1" + "0" * 4299 + "1"
+
+#: -10^5000, a negative integer argument past the int-string limit.
+LONG_NEGATIVE = "-1" + "0" * 5000
+
+#: The longest run of digits the report prints in full.
+LONG_DIGITS = 40
 
 #: The graph6 files of the scratch directory.  ``missing.g6`` is not among
 #: them, so a call that reads it finds no file.
@@ -97,7 +107,9 @@ def _calls() -> list[list[str]]:
               ["scan", "--k", "9..4", "--d", "7", "--e", "2"],
               ["feasibility", LONG_K, "3", "2", "--format", "text"],
               ["feasibility", LONG_K, "3", "2", "--format", "json"],
-              ["scan", "--k", LONG_K, "--d", "3", "--e", "2", "--format", "csv"]]
+              ["scan", "--k", LONG_K, "--d", "3", "--e", "2", "--format", "csv"],
+              ["feasibility", "5", "7", LONG_NEGATIVE],
+              ["verify", "catalog:heawood", "--k", LONG_NEGATIVE, "--d", "3", "--e", "0"]]
     for target, kde in VERIFY_TARGETS:
         k, d, e = kde.split()
         for fmt in ("text", "json"):
@@ -143,6 +155,16 @@ def run_tree(src: Path, workdir: Path) -> list[list]:
     return json.loads(proc.stdout)
 
 
+def abbreviate(text: str) -> str:
+    """``text`` with each run of more than `LONG_DIGITS` digits written as
+    its first and last six digits and its digit count."""
+    return re.sub(
+        rf"\d{{{LONG_DIGITS + 1},}}",
+        lambda run: f"{run[0][:6]}...{run[0][-6:]} ({len(run[0])} digits)",
+        text,
+    )
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python tools/compare_outputs.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
@@ -156,10 +178,10 @@ def main(argv: list[str]) -> int:
     for call, old, new in zip(CALLS, parent, change):
         if old != new:
             differ += 1
-            print(f"$ {' '.join(call)}")
+            print(abbreviate(f"$ {' '.join(call)}"))
             for field, a, b in zip(("exit", "stdout", "stderr"), old, new):
                 if a != b:
-                    print(f"  {field}: {a!r}\n     -> {b!r}")
+                    print(abbreviate(f"  {field}: {a!r}\n     -> {b!r}"))
     print(f"{len(CALLS)} calls, {differ} differ")
     return 1 if differ else 0
 
