@@ -231,10 +231,13 @@ def _int(text: str) -> int:
     return int(decimal.Decimal(text))
 
 
-def _int_list(text: str) -> list[int]:
+def _int_list(text: str) -> list[int] | range:
     """Parse '4..20' (inclusive range) or '7,9,11' or a single integer, each
     read by `_int`.  A malformed range, a non-integer or an empty item is an
-    argparse error that names the accepted forms."""
+    argparse error that names the accepted forms.  A range comes back as a
+    `range`: the scan loops iterate it again for every k and d, and it holds
+    ends of any size, where a list of its items past ``sys.maxsize`` could
+    not be built."""
     text = text.strip()
     try:
         if ".." not in text:
@@ -246,55 +249,7 @@ def _int_list(text: str) -> list[int]:
         ) from None
     if hi < lo:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
-    return list(range(lo, hi + 1))
-
-
-@lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first `main` call and reused for the
-    rest of the process (never at import)."""
-    parser = argparse.ArgumentParser(
-        prog="cage-spectra",
-        description="Spectral feasibility toolkit for regular graphs of even girth and small excess.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("moore", help="minimum order of a k-regular graph of girth g")
-    p.set_defaults(run=_cmd_moore)
-    p.add_argument("k", type=_int)
-    p.add_argument("g", type=_int)
-
-    p = sub.add_parser("poly", help="coefficients of a family member (constant term first)")
-    p.set_defaults(run=_cmd_poly)
-    p.add_argument("family", choices=["G", "F", "H", "g", "f", "h"])
-    p.add_argument("k", type=_int)
-    p.add_argument("i", type=_int)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-
-    p = sub.add_parser("verify", help="structural, exact-identity, and spectral checks on a graph")
-    p.set_defaults(run=_cmd_verify)
-    p.add_argument("target", help="catalog:<name> or a graph6 file (one graph per line)")
-    p.add_argument("--k", type=_int, required=True)
-    p.add_argument("--d", type=_int, required=True)
-    p.add_argument("--e", type=_int, required=True)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-
-    p = sub.add_parser("feasibility", help="full spectral feasibility report for (k, d, e)")
-    p.set_defaults(run=_cmd_feasibility)
-    p.add_argument("k", type=_int)
-    p.add_argument("d", type=_int)
-    p.add_argument("e", type=_int)
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-
-    p = sub.add_parser("scan", help="stream feasibility reports over a parameter grid")
-    p.set_defaults(run=_cmd_scan)
-    p.add_argument("--k", type=_int_list, required=True)
-    p.add_argument("--d", type=_int_list, required=True)
-    p.add_argument("--e", type=_int_list, required=True)
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-
-    sub.add_parser("catalog", help="list embedded graphs").set_defaults(run=_cmd_catalog)
-    return parser
+    return range(lo, hi + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +391,93 @@ def _cmd_catalog(args, out) -> int:
     return 0
 
 
+# ---------------------------------------------------------------------------
+# the parsers and the entry point
+
+#: Each subcommand's `_cmd_*` function, help and arguments, the arguments as
+#: ``add_argument``'s (name or flag, keywords) pairs: `_command_parser`
+#: builds one subcommand's parser from its entry, `_build_parser` the tree.
+_COMMANDS = {
+    "moore": (_cmd_moore, "minimum order of a k-regular graph of girth g", (
+        ("k", {"type": _int}),
+        ("g", {"type": _int}),
+    )),
+    "poly": (_cmd_poly, "coefficients of a family member (constant term first)", (
+        ("family", {"choices": ["G", "F", "H", "g", "f", "h"]}),
+        ("k", {"type": _int}),
+        ("i", {"type": _int}),
+        ("--format", {"choices": ["text", "json"], "default": "text"}),
+    )),
+    "verify": (_cmd_verify, "structural, exact-identity, and spectral checks on a graph", (
+        ("target", {"help": "catalog:<name> or a graph6 file (one graph per line)"}),
+        ("--k", {"type": _int, "required": True}),
+        ("--d", {"type": _int, "required": True}),
+        ("--e", {"type": _int, "required": True}),
+        ("--format", {"choices": ["text", "json"], "default": "text"}),
+    )),
+    "feasibility": (_cmd_feasibility, "full spectral feasibility report for (k, d, e)", (
+        ("k", {"type": _int}),
+        ("d", {"type": _int}),
+        ("e", {"type": _int}),
+        ("--format", {"choices": ["text", "json", "csv"], "default": "text"}),
+    )),
+    "scan": (_cmd_scan, "stream feasibility reports over a parameter grid", (
+        ("--k", {"type": _int_list, "required": True}),
+        ("--d", {"type": _int_list, "required": True}),
+        ("--e", {"type": _int_list, "required": True}),
+        ("--format", {"choices": ["text", "json", "csv"], "default": "text"}),
+    )),
+    "catalog": (_cmd_catalog, "list embedded graphs", ()),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    run, _, arguments = _COMMANDS[name]
+    parser.set_defaults(run=run)
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    return parser
+
+
+@lru_cache(maxsize=len(_COMMANDS))
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of subcommand `name` alone, built on the first call that
+    names it and reused for the rest of the process (never at import).  Its
+    ``prog`` is the one argparse gives the full parser's subparser, so its
+    help, usage and errors are that subparser's, byte for byte."""
+    return _add_arguments(argparse.ArgumentParser(prog=f"cage-spectra {name}"), name)
+
+
+@lru_cache(maxsize=1)
+def _build_parser() -> argparse.ArgumentParser:
+    """The full parser, the top level and its six subparsers, built only for
+    a call that `main` cannot finish with `_command_parser` (the top-level
+    help and usage errors) and reused for the rest of the process (never at
+    import)."""
+    parser = argparse.ArgumentParser(
+        prog="cage-spectra",
+        description="Spectral feasibility toolkit for regular graphs of even girth and small excess.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
+    return parser
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run one command line (``sys.argv[1:]`` by default) and return its exit
+    code; argparse exits 2 on a usage error and 0 after printing help.
+
+    A call whose first argument names a subcommand is parsed once, by that
+    subcommand's own parser.  Only a call that names none, or whose
+    subcommand parser leaves arguments over, is parsed by the full parser,
+    which then writes the top-level help or usage error itself."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, rest = None, None
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or rest:
+        args = _build_parser().parse_args(argv)
     try:
         return args.run(args, sys.stdout)
     except (ParameterDomainError, Graph6ParseError, OSError) as exc:

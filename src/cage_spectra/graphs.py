@@ -88,6 +88,13 @@ def moore_bound(k: int, g: int) -> int:
     return 2 * ((k - 1) ** (g // 2) - 1) // (k - 2)
 
 
+def _numeral(x) -> str:
+    """A caller's number as `str` prints it, but an `int` in full at any
+    size: `str` refuses one past `sys.get_int_max_str_digits()` digits,
+    and `Decimal` reads it whole."""
+    return str(Decimal(x)) if isinstance(x, int) else str(x)
+
+
 class Graph:
     """Undirected simple graph on vertices 0..n-1 with sorted adjacency lists.
 
@@ -108,12 +115,12 @@ class Graph:
 
     def __init__(self, n: int, adjacency: Sequence[Iterable[int]]):
         if len(adjacency) != n:
-            raise ValueError(f"adjacency has {len(adjacency)} rows for n={n}")
+            raise ValueError(f"adjacency has {len(adjacency)} rows for n={_numeral(n)}")
         adj = tuple(tuple(sorted(set(nbrs))) for nbrs in adjacency)
         for u, nbrs in enumerate(adj):
             for v in nbrs:
                 if not 0 <= v < n:
-                    raise ValueError(f"vertex {v} out of range in row {u}")
+                    raise ValueError(f"vertex {_numeral(v)} out of range in row {u}")
                 if v == u:
                     raise ValueError(f"self-loop at vertex {u}")
                 if u not in adj[v]:
@@ -128,7 +135,9 @@ class Graph:
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):  # a negative index would wrap
                 bad = v if 0 <= u < n else u
-                raise ValueError(f"vertex {bad} out of range in edge ({u}, {v})")
+                raise ValueError(
+                    f"vertex {_numeral(bad)} out of range in edge ({_numeral(u)}, {_numeral(v)})"
+                )
             adj[u].append(v)
             adj[v].append(u)
         return cls(n, adj)

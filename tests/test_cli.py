@@ -1,4 +1,6 @@
+import argparse
 import decimal
+import io
 import json
 import os
 import subprocess
@@ -557,9 +559,15 @@ def test_parameter_domain_exit_code(capsys):
 
 
 def test_unknown_flag_usage_error(capsys):
+    """An argument the subcommand leaves over is the full parser's error:
+    its usage line, then the arguments it does not recognize."""
     with pytest.raises(SystemExit) as info:
         main(["moore", "3", "6", "--frobnicate"])
     assert info.value.code == 2
+    parser = cli._build_parser()
+    assert parser.prog == "cage-spectra"
+    assert capsys.readouterr() == ("", parser.format_usage()
+                                   + "cage-spectra: error: unrecognized arguments: --frobnicate\n")
 
 
 @pytest.mark.parametrize("flag", ["--k", "--d", "--e"])
@@ -576,11 +584,19 @@ def test_a_malformed_integer_list_names_the_accepted_forms(flag, value, capsys):
     )
 
 
-def test_parser_is_built_once_and_reused(capsys):
+def test_parser_is_built_once_and_reused(monkeypatch, capsys):
     assert run(capsys, "moore", "3", "6")[:2] == (0, "14\n")
-    parser = cli._build_parser()
+    parser, parsers = cli._command_parser("moore"), []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def recorded(self, *args, **kwargs):
+        parsers.append(self)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recorded)
     assert run(capsys, "poly", "H", "4", "2")[:2] == (0, "-3 0 1\n")
-    assert cli._build_parser() is parser
+    assert run(capsys, "moore", "4", "6")[:2] == (0, "26\n")
+    assert parsers == [cli._command_parser("poly"), parser]  # the first moore call's parser
 
 
 def test_usage_error_after_a_successful_call(capsys):
@@ -591,14 +607,69 @@ def test_usage_error_after_a_successful_call(capsys):
     assert run(capsys, "moore", "3", "6")[:2] == (0, "14\n")
 
 
-def test_parser_is_not_built_at_import():
+def parser_cache_sizes(*statements):
+    """The cache sizes of the full parser and of the command parsers in a
+    fresh interpreter that imports `cli` and runs ``statements``."""
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    probe = "import cage_spectra.cli as c; print(c._build_parser.cache_info().currsize)"
+    probe = "; ".join((
+        "import cage_spectra.cli as c", *statements,
+        "print(c._build_parser.cache_info().currsize, c._command_parser.cache_info().currsize)",
+    ))
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout == "0\n"
+    return done.stdout.splitlines()[-1]
+
+
+def test_parser_is_not_built_at_import():
+    assert parser_cache_sizes() == "0 0"
+
+
+def test_a_valid_scan_builds_only_its_own_parser():
+    scan = "c.main(['scan', '--k', '4', '--d', '7', '--e', '2', '--format', 'csv'])"
+    assert parser_cache_sizes(scan) == "0 1"
+
+
+#: One valid call of each subcommand.
+VALID_CALLS = {
+    "moore": ["moore", "3", "6"],
+    "poly": ["poly", "H", "4", "2", "--format", "json"],
+    "verify": ["verify", "catalog:heawood", "--k", "3", "--d", "3", "--e", "0"],
+    "feasibility": ["feasibility", "4", "3", "2", "--format", "csv"],
+    "scan": ["scan", "--k", "4", "--d", "7", "--e", "2"],
+    "catalog": ["catalog"],
+}
+
+
+def full_subparser(name):
+    (subparsers,) = (action for action in cli._build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction))
+    return subparsers.choices[name]
+
+
+@pytest.mark.parametrize("name", VALID_CALLS)
+def test_a_command_parser_has_the_help_and_usage_of_the_full_subparser(name):
+    assert list(cli._COMMANDS) == list(VALID_CALLS)
+    own, full = cli._command_parser(name), full_subparser(name)
+    assert own.prog == full.prog == f"cage-spectra {name}"
+    assert own.format_help() == full.format_help()
+    assert own.format_usage() == full.format_usage()
+
+
+@pytest.mark.parametrize("name", VALID_CALLS)
+def test_a_valid_call_is_parsed_once(name, monkeypatch, capsys):
+    parsed = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    code, _, err = run(capsys, *VALID_CALLS[name])
+    assert (code, err) == (0, "")
+    assert parsed == [f"cage-spectra {name}"]
 
 
 def test_scan_runs_without_mpmath():
@@ -616,6 +687,39 @@ def test_scan_runs_without_mpmath():
     )
     assert done.stdout.splitlines()[-1] == "0 False"
     assert done.stdout.startswith("k,d,e,n,verdict,")
+
+
+class Enough(Exception):
+    """Raised by `FirstLines` once it holds its lines."""
+
+
+class FirstLines(io.StringIO):
+    """A stdout that stops the writer once it holds `count` lines."""
+
+    def __init__(self, count):
+        super().__init__()
+        self.count = count
+
+    def write(self, text):
+        super().write(text)
+        if self.getvalue().count("\n") >= self.count:
+            raise Enough
+
+
+def test_a_scan_range_past_ssize_t_streams_its_first_rows(monkeypatch, capsys):
+    """A range's end past ``sys.maxsize`` is kept as a `range`, not a list
+    whose length overflows: its first rows are those of a short range."""
+    huge = "1" + "0" * 5000
+    ks = cli._int_list(f"4..{huge}")
+    assert (ks[0], ks[1], ks[-1]) == (4, 5, decimal.Decimal(huge))
+    short = ["--d", "7..9", "--e", "2..4", "--format", "csv"]
+    code, expected, _ = run(capsys, "scan", "--k", "4..5", *short)
+    assert code == 0 and expected.count("\n") == 19
+    out = FirstLines(count=13)  # the header and the first twelve rows
+    monkeypatch.setattr(sys, "stdout", out)
+    with pytest.raises(Enough):
+        main(["scan", "--k", f"4..{huge}", *short])
+    assert out.getvalue() == "".join(expected.splitlines(keepends=True)[:13])
 
 
 def test_missing_subcommand_usage_error():

@@ -310,6 +310,23 @@ def test_from_edges_rejects_an_out_of_range_end(edge):
         Graph.from_edges(3, [(0, 1), edge, (7, 8)])
 
 
+#: 10^5000, a number past Python's default int-string limit of 4,300 digits.
+HUGE = 10**5000
+HUGE_TEXT = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Graph(3, [[HUGE], [], []]), f"vertex {HUGE_TEXT} out of range in row 0"),
+    (lambda: Graph.from_edges(3, [(0, HUGE)]),
+     f"vertex {HUGE_TEXT} out of range in edge (0, {HUGE_TEXT})"),
+    (lambda: Graph(HUGE, []), f"adjacency has 0 rows for n={HUGE_TEXT}"),
+], ids=["row-vertex", "edge-end", "order"])
+def test_a_graph_error_names_a_number_past_the_int_string_limit_in_full(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_from_edges_rejects_a_self_loop_and_merges_repeats():
     with pytest.raises(ValueError, match="^self-loop at vertex 1$"):
         Graph.from_edges(3, [(2, 2), (0, 1), (1, 1)])

@@ -87,6 +87,30 @@ VERIFY_TARGETS = (
 )
 
 
+#: The flags of a valid one-triple scan.
+SCAN_FLAGS = ("--k", "4", "--d", "7", "--e", "2")
+
+#: Command lines at the parser's edges: help and usage for the top level and
+#: each subcommand, abbreviated flags, ``--``, unknown commands and flags,
+#: missing and repeated arguments.  argparse writes every one of their
+#: messages, so these calls compare the two trees' parsing.
+PARSER_EDGES = (
+    ["-h"], ["--help"], ["--he"], ["-x"], ["--frobnicate"], ["-h", "scan"],
+    ["sca", *SCAN_FLAGS], ["Scan", *SCAN_FLAGS], ["--", "scan", *SCAN_FLAGS],
+    *([name, "-h"] for name in ("moore", "poly", "verify", "feasibility", "scan", "catalog")),
+    ["scan", "--he"], ["scan", *SCAN_FLAGS, "-h"], ["scan", *SCAN_FLAGS, "--fo", "csv"],
+    ["scan", "--k=4", "--d=7", "--e=2", "--format=csv"],
+    ["scan", "--k", "4..5", "--d", "7", "--e", "2", "--k", "6"],
+    ["scan", *SCAN_FLAGS, "--"], ["scan", "--", *SCAN_FLAGS], ["scan", "--k", "4", "--d", "7"],
+    ["scan", "--frobnicate", *SCAN_FLAGS], ["scan", *SCAN_FLAGS, "--frobnicate"],
+    ["scan", *SCAN_FLAGS, "extra"], ["scan", *SCAN_FLAGS, "--format"],
+    ["moore", "3", "6", "--frobnicate"], ["moore", "3", "6", "--"], ["moore", "--", "3", "6"],
+    ["moore", "3", "--", "6"], ["moore", "3", "-6"], ["moore", "3"], ["moore", "3", "6", "7"],
+    ["feasibility", "5", "7", "2", "--format", "xml"], ["catalog", "extra"],
+    ["catalog", "--format", "json"], ["catalog", "--"],
+)
+
+
 def _calls() -> list[list[str]]:
     calls = [
         [], ["catalog"], ["nonesuch"], ["moore", "3", "6"], ["moore", "1", "6"],
@@ -115,7 +139,7 @@ def _calls() -> list[list[str]]:
         for fmt in ("text", "json"):
             calls.append(["verify", target, "--k", k, "--d", d, "--e", e, "--format", fmt])
     calls.append(["verify", "heawood.g6", "--k", "3", "--d", "3", "--format", "csv"])
-    return calls
+    return calls + [list(argv) for argv in PARSER_EDGES]
 
 
 CALLS = _calls()
