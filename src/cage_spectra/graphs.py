@@ -33,16 +33,24 @@ graph):
 `verify_identities` reads both from the one product A·M, M = H_{d-1}(A) +
 A_{d+1}: since F_d = H_d - H_{d-2}, the path-count difference is
 A·M - k(H_{d-2}(A) + A_d), and the all-ones difference is A·M + k·M - k·J.
-All of it runs on packed rows (`_intmat`): each matrix row is one Python int
-with fixed-width signed fields, row u of A·X is the sum of the rows at u's k
-neighbours, gathered through the graph's neighbour arrays, H_{d-2}(A) and
-H_{d-1}(A) come from the three-term recurrence, A_d and A_{d+1} are packed
-straight from the level words, and every row of J is one constant int.  The
-field width comes from an a-priori bound on the entries of both differences,
-so an identity holds exactly when every packed difference row is the integer
-0; only a nonzero row is decoded, for the max |entry| residual.  Every check
-reads the graph's own `GraphAnalysis` (`Graph.analysis`, built on first use),
-so `verify` and the trace oracle run the BFS pass once per graph.
+Both H come from the levels, not from the three-term recurrence: in a
+k-regular graph, H_i(A) sums the matrices of non-backtracking walks of length
+i, i - 2, ... (Biggs, Algebraic Graph Theory), and when the girth is at least
+2i + 1 such a walk of length j <= i is the one shortest path between its
+ends, so H_i(A) = A_i + A_{i-2} + ....  The structural check certifies
+regularity and girth 2d before the identities run, which covers every
+i <= d - 1.  So M is the union of the levels d+1, d-1, d-3, ..., and
+H_{d-2}(A) + A_d that of the levels d, d-2, ..., each packed straight from
+the level words (the levels are disjoint), and a call costs one packed
+product.  All of it runs on packed rows (`_intmat`): each matrix row is one
+Python int with fixed-width signed fields, row u of A·M is the sum of the
+rows at u's k neighbours, gathered through the graph's neighbour arrays, and
+every row of J is one constant int.  The field width comes from an a-priori
+bound on the entries of both differences, so an identity holds exactly when
+every packed difference row is the integer 0; only a nonzero row is decoded,
+for the max |entry| residual.  Every check reads the graph's own
+`GraphAnalysis` (`Graph.analysis`, built on first use), so `verify` and the
+trace oracle run the BFS pass once per graph.
 
 For excess 0 the matrix A_{d+1} is zero (no vertex is at distance d + 1) and
 packs to zero rows, so the classical excess-0 graphs in the catalog serve as
@@ -59,9 +67,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, islice
-from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -351,16 +358,21 @@ class GraphAnalysis:
             return [0] * self.n
         return np.unpackbits(words.view(np.uint8), axis=1).sum(axis=1).tolist()
 
-    def distance_matrix(self, i: int, width: int) -> list[int]:
-        """The packed rows, with ``width``-bit fields, of A_i, the 0/1 matrix of
-        vertex pairs at distance i (zero beyond the diameter): bit j of row u
+    def distance_matrix(self, distances: Iterable[int], width: int) -> list[int]:
+        """The packed rows, with ``width``-bit fields, of the sum of the A_i
+        over the given distances i, A_i being the 0/1 matrix of vertex pairs
+        at distance i (zero beyond the diameter).  The levels are disjoint,
+        so their words OR into one 0/1 set per row, and bit j of row u
         becomes the low byte of little-endian field j."""
-        words, n = self._words(i), self.n
-        if words is None:
-            return [0] * n
+        n = self.n
+        union = np.zeros((n, -(-n // 64)), _WORD)
+        for i in distances:
+            words = self._words(i)
+            if words is not None:
+                union |= words
         fields = np.zeros((n, n, width // 8), np.uint8)
-        fields[:, :, 0] = np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
-        return [int.from_bytes(row, "little") for row in fields.reshape(n, -1)]
+        fields[:, :, 0] = np.unpackbits(union.view(np.uint8), axis=1, count=n, bitorder="little")
+        return [int.from_bytes(row, "little") for row in fields.reshape(n, n * width // 8)]
 
 
 def girth(graph: Graph) -> int | float:
@@ -548,9 +560,11 @@ def verify_identities(
     factorization, in that order, from the one product A·M with
     M = H_{d-1}(A) + A_{d+1}.
 
-    H_{d-2}(A) and H_{d-1}(A) come from H_{i+1}(A) = A·H_i(A) - (k-1)H_{i-1}(A)
-    on packed rows, from H_{-1} = 0 and H_0 = I, so with A·M a call costs d
-    packed products.  F_d = H_d - H_{d-2}, so F_d(A) - k*A_d + A*A_{d+1} is
+    The structural check comes first and certifies that A is k-regular of
+    girth 2d, so H_i(A) = A_i + A_{i-2} + ... for i <= d - 1 (girth >= 2i + 1
+    is what that needs): M packs as the levels d+1, d-1, ..., and
+    H_{d-2}(A) + A_d as the levels d, d-2, ..., and A·M is the call's one
+    packed product.  F_d = H_d - H_{d-2}, so F_d(A) - k*A_d + A*A_{d+1} is
     A·M - k(H_{d-2}(A) + A_d) entry for entry; (A + k*I)M - k*J is
     A·M + k·M - k*J.  For e = 0, A_{d+1} packs to zero rows.
 
@@ -565,21 +579,15 @@ def verify_identities(
     both, so each difference is zero exactly when each of its packed rows is.
     """
     analysis = _require_structure(graph, k, d, e)
-    n, degrees, flat = graph.n, graph._degrees, graph._flat
+    n = graph.n
     width = _intmat.field_width(max(
         _intmat.poly_bound(dickson_family("F", k, d).coefficients, k) + 2 * k,
         2 * k * (_intmat.poly_bound(dickson_family("H", k, d - 1).coefficients, k) + 1) + k,
     ))
-    lower, upper = [0] * n, [1 << width * u for u in range(n)]  # H_{-1}(A), H_0(A)
-    for _ in range(d - 1):
-        lower, upper = upper, [
-            w - (k - 1) * h for w, h in zip(_intmat.packed_product(degrees, flat, upper), lower)
-        ]
-    inner = list(map(add, upper, analysis.distance_matrix(d + 1, width)))
-    walks = _intmat.packed_product(degrees, flat, inner)
-    path_count = [
-        w - k * (h + a) for w, h, a in zip(walks, lower, analysis.distance_matrix(d, width))
-    ]
+    inner = analysis.distance_matrix(range(d + 1, -1, -2), width)  # H_{d-1}(A) + A_{d+1}
+    lower = analysis.distance_matrix(range(d, -1, -2), width)  # H_{d-2}(A) + A_d
+    walks = _intmat.packed_product(graph._degrees, graph._flat, inner)
+    path_count = [w - k * h for w, h in zip(walks, lower)]
     all_k = k * _intmat.ones_row(n, width)
     allones = [w + k * m - all_k for w, m in zip(walks, inner)]
     return tuple(
@@ -623,14 +631,20 @@ def spectral_crosscheck(graph: Graph, k: int, d: int, e: int) -> CrosscheckRepor
     n = graph.n
     a = np.zeros((n, n))
     a[np.repeat(np.arange(n), graph._degrees), graph._flat] = 1.0
-    eigenvalues = np.linalg.eigvalsh(a)
-    h = dickson_family("H", k, d - 1)
+    thetas = np.linalg.eigvalsh(a)[1:-1]
+    # Horner over every theta at once, from lead + 0·theta and then one
+    # binary64 multiply and one add per step, as `IntPolynomial.__call__`
+    # does at a float, so every value is bit for bit the same
+    *rest, lead = map(float, dickson_family("H", k, d - 1).coefficients)
+    h = 0 * thetas + lead
+    for c in reversed(rest):
+        h *= thetas
+        h += c
     targets = (0.0,) if e == 0 else (1.0, -e / 2)
-    thetas = tuple(float(t) for t in eigenvalues[1:-1])
-    deviations = tuple(min(abs(h(t) - target) for target in targets) for t in thetas)
+    deviations = tuple(reduce(np.minimum, (np.abs(h - target) for target in targets)).tolist())
     return CrosscheckReport(
         targets=targets,
-        thetas=thetas,
+        thetas=tuple(thetas.tolist()),
         deviations=deviations,
         max_deviation=max(deviations) if deviations else 0.0,
     )

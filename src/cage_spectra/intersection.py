@@ -124,7 +124,7 @@ def trace_identity_check(graph: Graph, k: int, d: int) -> TraceIdentityReport:
         raise StructuralRefusal(f"trace identity preconditions failed: {', '.join(problems)}")
     walks_from_vertex = bd_moments(build_bd(k, d), 2 * d)
     width = _intmat.field_width(k ** (2 * d - 1))
-    power = analysis.distance_matrix(0, width)  # A^0 = I
+    power = analysis.distance_matrix((0,), width)  # A^0 = I
     first_failure = None
     qs = tuple(range(2 * d))
     for q in qs:

@@ -5,7 +5,9 @@ interval arithmetic where the engine keeps integers over a power of two,
 synthetic polynomial division in binary64 or mpmath,
 the transcendental angular-defect equation, list-of-list matrices where the
 package packs each row into one int, full matrix polynomials of B_D where
-the package reads only its Krylov rows e_0^T B^j, a queue-based search per
+the package reads only its Krylov rows e_0^T B^j, the three-term recurrence
+of H_i(A) on packed rows where the package reads H_i(A) off the BFS levels,
+a queue-based search per
 root where the package searches from every root at once, a byte-by-byte graph6
 payload decoder with `math.isqrt` where the package decodes in numpy with a
 binary search over the triangular numbers, full-degree
@@ -34,6 +36,7 @@ from typing import NamedTuple, Sequence, Union
 
 import mpmath
 
+from cage_spectra import _intmat
 from cage_spectra.errors import (
     BracketSeedError,
     DegreeRangeError,
@@ -801,6 +804,21 @@ def allones_residual(graph, k, d, a_far):
         (abs(w + k * m - k) for w_row, m_row in zip(walks, inner) for w, m in zip(w_row, m_row)),
         default=0,
     )
+
+
+def packed_h(graph, k, i, width):
+    """The packed rows, with ``width``-bit fields, of H_i(A) by the three-term
+    recurrence H_{j+1}(A) = A·H_j(A) - (k-1)H_{j-1}(A) from H_{-1}(A) = 0 and
+    H_0(A) = I, one packed product per step, for any graph; the package
+    reads H_i(A) off the BFS levels instead, which holds only below half the
+    girth."""
+    lower, upper = [0] * graph.n, [1 << width * u for u in range(graph.n)]
+    for _ in range(i):
+        lower, upper = upper, [
+            w - (k - 1) * h
+            for w, h in zip(_intmat.packed_product(graph._degrees, graph._flat, upper), lower)
+        ]
+    return upper
 
 
 def power_traces(adjacency, count):

@@ -154,7 +154,7 @@ def test_analysis_beyond_one_machine_word(graph):
     for far in range(1, 5):
         assert analysis.level_sizes(far) == [row.count(far) for row in rows]
         assert word_clique_partition(analysis, far) == row_clique_partition(rows, far)
-        assert [_intmat.unpack(row, graph.n, 8) for row in analysis.distance_matrix(far, 8)] == [
+        assert [_intmat.unpack(row, graph.n, 8) for row in analysis.distance_matrix((far,), 8)] == [
             [int(x == far) for x in row] for row in rows
         ]
 
@@ -291,18 +291,20 @@ def test_adjacency_eval_poly_matches_dense(graph, coefficients):
 
 
 @SETTINGS
-@given(st.one_of(random_graphs(), cycle_unions()), st.integers(0, 4), st.sampled_from([8, 72]))
-def test_distance_matrix_matches_the_distance_rows(graph, far, width):
-    packed = graph.analysis.distance_matrix(far, width)
+@given(st.one_of(random_graphs(), cycle_unions()), st.sets(st.integers(0, 4)),
+       st.sampled_from([8, 72]))
+def test_distance_matrix_matches_the_distance_rows(graph, distances, width):
+    # the sum of the A_i over a set of distances, each one a 0/1 matrix
+    packed = graph.analysis.distance_matrix(distances, width)
     assert unpack(packed, graph.n, width) == [
-        [int(x == far) for x in row] for row in distance_rows(graph.adjacency)
+        [int(x in distances) for x in row] for row in distance_rows(graph.adjacency)
     ]
     assert _intmat.ones_row(graph.n, width) == sum(pack([[1] * graph.n], width))
 
 
 def test_packed_kernels_on_the_null_graph():
     null = Graph(0, [])
-    assert null.analysis.distance_matrix(0, 8) == []
+    assert null.analysis.distance_matrix((0,), 8) == []
     assert _intmat.packed_product(null._degrees, null._flat, []) == []
     assert (_intmat.packed_max_abs([], 0, 8), _intmat.packed_trace([], 8)) == (0, 0)
     assert (_intmat.ones_row(0, 8), _intmat.unpack(0, 0, 8)) == (0, [])

@@ -44,7 +44,10 @@ LONG_NEGATIVE = "-1" + "0" * 5000
 LONG_DIGITS = 40
 
 #: The graph6 files of the scratch directory.  ``missing.g6`` is not among
-#: them, so a call that reads it finds no file.
+#: them, so a call that reads it finds no file.  ``pg25.g6`` and ``w3.g6`` are
+#: the incidence graphs of PG(2, 5) (n = 62, girth 6) and of the generalized
+#: quadrangle W(3) (n = 80, girth 8), points first: two graphs that pass,
+#: at orders near the benchmark's.
 GRAPH6_FILES = {
     "heawood.g6": b"MAOOHAPWCO@W_cHA?\n",
     "moebius-kantor.g6": b"O??cOaoEBO?go@?o?aA?B\n",
@@ -57,6 +60,21 @@ GRAPH6_FILES = {
     "padding.g6": b"A`\n",
     "order-zero.g6": b"?\n",
     "one-edge.g6": b"A_\n",
+    "pg25.g6": (
+        b"}?????????????????????????????????????????????????????????????????????????????Fw???A"
+        b"Bw???_@{??C??^??O??Bw?_???N_O`ACG?GGO`A?A@ACGO?OCGO`?@?GO`A?@CCCCC?@AAAB???___oO??GC"
+        b"EAA??@?WGGG??AOGD?_??COI@?_??CGD?g???AA_OI????_SA_O???A_H?Q????H?QOC????PGAOC????Oc@"
+        b"H?????GHGAO????@_CPC?????IG@CO?????cP?G_????@CPC?_????@AGaG??????\n"
+    ),
+    "w3.g6": (
+        b"~?@O????????????????????????????????????????????????????????????????????????????????"
+        b"??????????????????????????????????????????????????b_????A?@o???C???[??C????B_@HG????"
+        b"?O?QO???A???QO??G????HG?IG_?????G?PC????C??@CO??@????AG_?ED???????O@A_?????_??Og????"
+        b"_???AD???C?@?C?O??@??G?_O???G??_O@????O@?A?_????_@?O?_????_?_GA?????GC?C?C????A?G?H?"
+        b"?????O?H?@??????__?O@?????@?C?P??????@?AG?C??????O_@??O?????CA??g???????_?g?O??????@"
+        b"A??OO??????A?__?C??????A?CCC????????a?@?_???????GGC?A???????@?OGC????????AO?CG??????"
+        b"??COC?@????????C@A?_???????\n"
+    ),
 }
 
 #: (target, "k d e") of each ``verify`` call, made in text and in json.
@@ -81,6 +99,8 @@ VERIFY_TARGETS = (
     ("padding.g6", "3 3 0"),
     ("order-zero.g6", "3 3 0"),
     ("one-edge.g6", "3 3 0"),
+    ("pg25.g6", "6 3 0"),
+    ("w3.g6", "4 4 0"),
     ("missing.g6", "3 3 0"),
     ("heawood.g6", "2 3 0"),
     ("missing.g6", "2 3 0"),
