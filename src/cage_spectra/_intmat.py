@@ -27,12 +27,6 @@ from __future__ import annotations
 from itertools import islice
 
 
-def poly_bound(coefficients, k: int) -> int:
-    """Σ|c_i|·k^i: a bound on every entry of p(A) when each row of the 0/1
-    matrix A has at most k ones (then each entry of A^i is at most k^i)."""
-    return sum(abs(c) * k**i for i, c in enumerate(coefficients))
-
-
 def field_width(bound: int) -> int:
     """The field width W, a whole number of bytes, with bound < 2^(W-1)."""
     return 8 * (bound.bit_length() // 8 + 1)

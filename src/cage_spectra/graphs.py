@@ -3,11 +3,12 @@
 Graphs come in as adjacency rows, edge lists or graph6 text.  A graph keeps
 its neighbours as two numpy arrays, the degrees and the rows' sorted
 neighbours end to end, and nothing else: the BFS, the packed products and the
-eigenvalue cross-check read them directly, and `Graph.adjacency` builds the
-tuple rows from them for a caller that asks.  `parse_graph6` decodes in numpy
-and builds no Python rows: bit b of nonzero payload byte p is the pair index
-t = 6p + b = j(j-1)/2 + i, j comes from a binary search over the triangular
-numbers, and a stable sort of the pairs by owner puts every row in order.
+eigenvalue cross-check's biadjacency read them directly, and
+`Graph.adjacency` builds the tuple rows from them for a caller that asks.
+`parse_graph6` decodes in numpy and builds no Python rows: bit b of nonzero
+payload byte p is the pair index t = 6p + b = j(j-1)/2 + i, j comes from a
+binary search over the triangular numbers, and a stable sort of the pairs by
+owner puts every row in order.
 
 The graphs treated here are k-regular of even girth 2d with a small excess e
 over the Moore bound.  Such a graph (when e <= k - 2) is bipartite of
@@ -30,27 +31,38 @@ graph):
     F_d(A)  = k*A_d - A*A_{d+1}             (path-count identity)
     k*J     = (A + k*I)(H_{d-1}(A) + A_{d+1})   (all-ones factorization)
 
-`verify_identities` reads both from the one product A·M, M = H_{d-1}(A) +
-A_{d+1}: since F_d = H_d - H_{d-2}, the path-count difference is
-A·M - k(H_{d-2}(A) + A_d), and the all-ones difference is A·M + k·M - k·J.
-Both H come from the levels, not from the three-term recurrence: in a
-k-regular graph, H_i(A) sums the matrices of non-backtracking walks of length
-i, i - 2, ... (Biggs, Algebraic Graph Theory), and when the girth is at least
-2i + 1 such a walk of length j <= i is the one shortest path between its
-ends, so H_i(A) = A_i + A_{i-2} + ....  The structural check certifies
-regularity and girth 2d before the identities run, which covers every
-i <= d - 1.  So M is the union of the levels d+1, d-1, d-3, ..., and
-H_{d-2}(A) + A_d that of the levels d, d-2, ..., each packed straight from
-the level words (the levels are disjoint), and a call costs one packed
-product.  All of it runs on packed rows (`_intmat`): each matrix row is one
-Python int with fixed-width signed fields, row u of A·M is the sum of the
-rows at u's k neighbours, gathered through the graph's neighbour arrays, and
-every row of J is one constant int.  The field width comes from an a-priori
-bound on the entries of both differences, so an identity holds exactly when
-every packed difference row is the integer 0; only a nonzero row is decoded,
-for the max |entry| residual.  Every check reads the graph's own
-`GraphAnalysis` (`Graph.analysis`, built on first use), so `verify` and the
-trace oracle run the BFS pass once per graph.
+`verify_identities` reads both from one difference, A·M + k·M - k·J with
+M = H_{d-1}(A) + A_{d+1}.  M comes from the levels, not from the three-term
+recurrence: in a k-regular graph, H_i(A) sums the matrices of
+non-backtracking walks of length i, i - 2, ... (Biggs, Algebraic Graph
+Theory), and when the girth is at least 2i + 1 such a walk of length j <= i
+is the one shortest path between its ends, so H_i(A) = A_i + A_{i-2} + ....
+The structural check certifies regularity and girth 2d before the identities
+run, which covers every i <= d - 1, so M is the union of the levels d+1, d-1,
+d-3, ....  It also certifies diameter at most d + 1, so the levels 0..d+1
+partition J and H_{d-2}(A) + A_d, the union of the levels d, d-2, ..., is
+J - M.  Since F_d = H_d - H_{d-2} and A·H_{d-1} = H_d + (k-1)H_{d-2}, the
+path-count difference A·M - k(H_{d-2}(A) + A_d) is then the all-ones
+difference A·M + k·M - k·J, entry for entry: a call costs one packed
+product, and both identities report its residual.  All of it runs on packed
+rows (`_intmat`): each matrix row is one Python int with fixed-width signed
+fields, row u of A·M is the sum of the rows at u's k neighbours, gathered
+through the graph's neighbour arrays, and every row of J is one constant int.
+M is 0/1, so every entry of the difference lies in [-k, 2k], and with fields
+wider than that the identity holds exactly when every packed difference row
+is the integer 0; only a nonzero row is decoded, for the max |entry|
+residual.  Every check reads the graph's own `GraphAnalysis`
+(`Graph.analysis`, built on first use), so `verify` and the trace oracle run
+the BFS pass once per graph.
+
+The eigenvalue cross-check reads the spectrum off half the matrix.  The
+structural check certifies that the graph is bipartite, so with the vertices
+at even and at odd distance from vertex 0 as the two colour classes,
+A = [[0, N], [N^T, 0]] for the biadjacency N, square because the graph is
+k-regular; if N = U·S·V^T, the vectors (u_i, +-v_i) are eigenvectors of A for
++-s_i, so the eigenvalues of A are the +-s_i, the singular values of N with
+both signs.  The graph is also connected, so s_1 = k is simple, and one SVD
+of order n/2 gives every eigenvalue other than one copy each of +k and -k.
 
 For excess 0 the matrix A_{d+1} is zero (no vertex is at distance d + 1) and
 packs to zero rows, so the classical excess-0 graphs in the catalog serve as
@@ -557,42 +569,37 @@ def verify_identities(
     graph: Graph, k: int, d: int, e: int
 ) -> tuple[IdentityCheck, IdentityCheck]:
     """Exact residuals of the path-count identity and of the all-ones
-    factorization, in that order, from the one product A·M with
-    M = H_{d-1}(A) + A_{d+1}.
+    factorization, in that order, both the residual of the one difference
+    A·M + k·M - k*J with M = H_{d-1}(A) + A_{d+1}.
 
     The structural check comes first and certifies that A is k-regular of
     girth 2d, so H_i(A) = A_i + A_{i-2} + ... for i <= d - 1 (girth >= 2i + 1
-    is what that needs): M packs as the levels d+1, d-1, ..., and
-    H_{d-2}(A) + A_d as the levels d, d-2, ..., and A·M is the call's one
-    packed product.  F_d = H_d - H_{d-2}, so F_d(A) - k*A_d + A*A_{d+1} is
-    A·M - k(H_{d-2}(A) + A_d) entry for entry; (A + k*I)M - k*J is
-    A·M + k·M - k*J.  For e = 0, A_{d+1} packs to zero rows.
+    is what that needs), and that it is connected of diameter at most d + 1.
+    So M packs as the levels d+1, d-1, ..., and A·M is the call's one packed
+    product.  The levels 0..d+1 partition J, so H_{d-2}(A) + A_d, the levels
+    d, d-2, ..., is J - M; with F_d = H_d - H_{d-2} and
+    A·H_{d-1} = H_d + (k-1)H_{d-2}, F_d(A) - k*A_d + A*A_{d+1} is
+    A·M - k(J - M) entry for entry, which is (A + k*I)M - k*J.  For e = 0,
+    A_{d+1} packs to zero rows.
 
     Refuses when the graph is structurally inconsistent with (k, d, e); the
     identities themselves are tested on whatever structurally consistent graph
     is supplied, regime notes notwithstanding.
 
-    The graph is k-regular, so |p(A)| <= Σ|c_i| k^i entrywise: the path-count
-    difference is at most Σ|c_i| k^i + 2k over the coefficients of F_d, and
-    the all-ones difference at most 2k(Σ|c_i| k^i + 1) + k over those of
-    H_{d-1}.  Fields wide enough for the larger bound hold every entry of
-    both, so each difference is zero exactly when each of its packed rows is.
+    M is 0/1 and each row of A has k ones, so every entry of the difference
+    lies in [-k, 2k], and fields wide enough for 2k make it zero exactly when
+    each of its packed rows is.
     """
     analysis = _require_structure(graph, k, d, e)
     n = graph.n
-    width = _intmat.field_width(max(
-        _intmat.poly_bound(dickson_family("F", k, d).coefficients, k) + 2 * k,
-        2 * k * (_intmat.poly_bound(dickson_family("H", k, d - 1).coefficients, k) + 1) + k,
-    ))
+    width = _intmat.field_width(2 * k)
     inner = analysis.distance_matrix(range(d + 1, -1, -2), width)  # H_{d-1}(A) + A_{d+1}
-    lower = analysis.distance_matrix(range(d, -1, -2), width)  # H_{d-2}(A) + A_d
     walks = _intmat.packed_product(graph._degrees, graph._flat, inner)
-    path_count = [w - k * h for w, h in zip(walks, lower)]
     all_k = k * _intmat.ones_row(n, width)
-    allones = [w + k * m - all_k for w, m in zip(walks, inner)]
-    return tuple(
-        IdentityCheck(name=name, n=n, residual=_intmat.packed_max_abs(diff, n, width))
-        for name, diff in (("path-count", path_count), ("all-ones", allones))
+    residual = _intmat.packed_max_abs([w + k * m - all_k for w, m in zip(walks, inner)], n, width)
+    return (
+        IdentityCheck(name="path-count", n=n, residual=residual),
+        IdentityCheck(name="all-ones", n=n, residual=residual),
     )
 
 
@@ -620,18 +627,27 @@ class CrosscheckReport:
 
 
 def spectral_crosscheck(graph: Graph, k: int, d: int, e: int) -> CrosscheckReport:
-    """Eigen-decompose A (LAPACK symmetric solver) and check H_{d-1}(theta)
-    against {1, -e/2} (or {0} in the degenerate e = 0 case) for every
-    eigenvalue other than one copy each of +k and -k.
+    """Check H_{d-1}(theta) against {1, -e/2} (or {0} in the degenerate e = 0
+    case) for every adjacency eigenvalue theta other than one copy each of +k
+    and -k, the eigenvalues taken as +-s_i, the singular values of the
+    biadjacency N (LAPACK SVD of order n/2).
 
-    The structure check has proved A connected, k-regular and bipartite, so
-    k and -k are simple eigenvalues, the largest and the smallest; `eigvalsh`
-    returns them last and first, in ascending order."""
-    _require_structure(graph, k, d, e)
-    n = graph.n
-    a = np.zeros((n, n))
-    a[np.repeat(np.arange(n), graph._degrees), graph._flat] = 1.0
-    thetas = np.linalg.eigvalsh(a)[1:-1]
+    The structure check has proved A bipartite, connected and k-regular.
+    Bipartite: the vertices at odd distance from vertex 0 are one colour
+    class, A = [[0, N], [N^T, 0]] with the rows of N the other class, and the
+    eigenvalues of A are the +-s_i.  k-regular: both classes hold n/2
+    vertices, so N is square.  Connected: s_1 = k is simple, so dropping it
+    drops one copy each of +k and -k.  `svd` returns the s_i descending, so
+    -s_2, ..., -s_{n/2} and then s_{n/2}, ..., s_2 ascend."""
+    analysis = _require_structure(graph, k, d, e)
+    n, half = graph.n, graph.n // 2
+    odd_levels = reduce(np.bitwise_or, (level[0] for level in analysis.levels[1::2]))
+    odd = np.unpackbits(odd_levels.view(np.uint8), count=n, bitorder="little").astype(bool)
+    column = np.cumsum(odd) - 1  # an odd vertex's index in its class
+    b = np.zeros((half, half))
+    b[np.arange(half)[:, None], column[graph._flat.reshape(n, k)[~odd]]] = 1.0
+    s = np.linalg.svd(b, compute_uv=False)
+    thetas = np.concatenate((-s[1:], s[:0:-1]))
     # Horner over every theta at once, from lead + 0·theta and then one
     # binary64 multiply and one add per step, as `IntPolynomial.__call__`
     # does at a float, so every value is bit for bit the same

@@ -7,6 +7,8 @@ the transcendental angular-defect equation, list-of-list matrices where the
 package packs each row into one int, full matrix polynomials of B_D where
 the package reads only its Krylov rows e_0^T B^j, the three-term recurrence
 of H_i(A) on packed rows where the package reads H_i(A) off the BFS levels,
+the symmetric eigensolver on the full adjacency matrix where the package
+takes the eigenvalues as the singular values of the half-order biadjacency,
 a queue-based search per
 root where the package searches from every root at once, a byte-by-byte graph6
 payload decoder with `math.isqrt` where the package decodes in numpy with a
@@ -35,6 +37,7 @@ from operator import mul
 from typing import NamedTuple, Sequence, Union
 
 import mpmath
+import numpy as np
 
 from cage_spectra import _intmat
 from cage_spectra.errors import (
@@ -819,6 +822,17 @@ def packed_h(graph, k, i, width):
             for w, h in zip(_intmat.packed_product(graph._degrees, graph._flat, upper), lower)
         ]
     return upper
+
+
+def adjacency_eigenvalues(adjacency):
+    """The eigenvalues of the 0/1 adjacency matrix A, ascending, without the
+    smallest and the largest, by the symmetric eigensolver (`eigvalsh`) on
+    the full n x n matrix; the package takes them as the singular values of
+    the n/2 x n/2 biadjacency with both signs instead."""
+    a = np.zeros((len(adjacency), len(adjacency)))
+    for u, row in enumerate(adjacency):
+        a[u, list(row)] = 1.0
+    return np.linalg.eigvalsh(a)[1:-1].tolist()
 
 
 def power_traces(adjacency, count):

@@ -1,14 +1,17 @@
 """The exact identities on packed rows against the list route of `oracles`,
 and on finite-geometry incidence graphs well beyond the catalog's orders.
 
-A flipped bit of A_d or A_{d+1} breaks an identity; its nonzero residual,
-decoded from the packed difference rows, must equal the list route's exactly.
-The list route evaluates F_d and H_{d-1} by Horner's rule and multiplies by
-A_{d+1} on its own, so it shares no step with the packed level unions.  The
-unions rest on H_i(A) = A_i + A_{i-2} + ... below half the girth, which the
-three-term recurrence of `oracles.packed_h` checks on every passing graph.
-Fields wider than a machine word are covered by
-`test_adjacency_matmul_matches_dense`.
+Moving a pair of vertices between A_d and A_{d+1} breaks both identities; the
+one nonzero residual, decoded from the packed difference rows, must equal
+each list route's exactly.  The list route evaluates F_d and H_{d-1} by
+Horner's rule and multiplies by A_{d+1} on its own, so it shares no step with
+the packed level union.  The union rests on H_i(A) = A_i + A_{i-2} + ...
+below half the girth, which the three-term recurrence of `oracles.packed_h`
+checks on every passing graph, and the one difference on the levels
+partitioning J, checked here too.  The eigenvalue cross-check's singular
+values are held against the full-matrix eigensolver of
+`oracles.adjacency_eigenvalues`.  Fields wider than a machine word are covered
+by `test_adjacency_matmul_matches_dense`.
 """
 
 import numpy as np
@@ -30,8 +33,10 @@ from cage_spectra.graphs import GraphAnalysis
 from cage_spectra.polynomials import dickson_family
 from geometries import complete_bipartite, pg2_incidence, wq_incidence
 from oracles import (
+    adjacency_eigenvalues,
     allones_residual,
     distance_matrix,
+    distance_rows,
     packed_h,
     path_count_residual,
     power_traces,
@@ -58,33 +63,38 @@ PASSING = [
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(PASSING), st.data())
 def test_perturbed_residual_equals_the_list_route(case, data):
+    """A pair (u, v) at distance d or d + 1 moves to the other of the two
+    levels: in the list route its A_d and A_{d+1} entries swap, and in the
+    package the union M takes or loses (u, v), so J - M, which stands for
+    H_{d-2}(A) + A_d, loses or takes it.  A flip of A_d alone is no state
+    of the package: it reads H_{d-2}(A) + A_d as J - M, and the BFS levels
+    always partition J."""
     _, graph, k, d, e = case
     a = {i: distance_matrix(graph.adjacency, i) for i in (d, d + 1)}
     assert path_count_residual(graph, k, d, a[d], a[d + 1]) == 0
     assert allones_residual(graph, k, d, a[d + 1]) == 0
-    # the verdict is kept on the analysis, so the flipped bit reaches only the identities
+    # the verdict is kept on the analysis, so the move reaches only the identities
     assert structural_check(graph, k, d, e).structure_ok
-    target = data.draw(st.sampled_from((d, d + 1)))
-    u, v = data.draw(st.integers(0, graph.n - 1)), data.draw(st.integers(0, graph.n - 1))
-    a[target][u][v] ^= 1
-    step = 1 if a[target][u][v] else -1
+    pairs = [(u, v) for u, row in enumerate(distance_rows(graph.adjacency))
+             for v, x in enumerate(row) if x in (d, d + 1)]
+    u, v = data.draw(st.sampled_from(pairs))
+    a[d][u][v] ^= 1
+    a[d + 1][u][v] ^= 1
+    step = 1 if a[d + 1][u][v] else -1
     packed = GraphAnalysis.distance_matrix
 
-    def flipped(analysis, distances, width):
-        # the union that holds A_target takes the flip of its entry (u, v),
-        # whatever the other levels of the union hold there
+    def moved(analysis, distances, width):
         rows = packed(analysis, distances, width)
-        if target in distances:
+        if d + 1 in distances:
             rows[u] += step << width * v
         return rows
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(GraphAnalysis, "distance_matrix", flipped)
+        patch.setattr(GraphAnalysis, "distance_matrix", moved)
         path_count, allones = verify_identities(graph, k, d, e)
     assert (path_count.name, allones.name) == ("path-count", "all-ones")
     assert path_count.residual == path_count_residual(graph, k, d, a[d], a[d + 1]) != 0
-    assert allones.residual == allones_residual(graph, k, d, a[d + 1])
-    assert (allones.residual != 0) == (target == d + 1)  # A_d is not in the all-ones identity
+    assert allones.residual == allones_residual(graph, k, d, a[d + 1]) == path_count.residual
 
 
 @pytest.mark.parametrize("case", GIRTH_FOUR, ids=lambda case: case[0])
@@ -108,8 +118,10 @@ LEMMA_GRAPHS = PASSING + [
 
 
 def h_width(k, i):
-    """A field width that holds every entry of H_i(A) for k-regular A."""
-    return _intmat.field_width(_intmat.poly_bound(dickson_family("H", k, i).coefficients, k))
+    """A field width that holds every entry of H_i(A) for k-regular A: each
+    entry of A^j is at most k^j, so |H_i(A)| <= Σ|c_j| k^j entrywise."""
+    coefficients = dickson_family("H", k, i).coefficients
+    return _intmat.field_width(sum(abs(c) * k**j for j, c in enumerate(coefficients)))
 
 
 @pytest.mark.parametrize("case", LEMMA_GRAPHS, ids=lambda case: case[0])
@@ -126,6 +138,18 @@ def test_h_below_half_the_girth_is_a_union_of_levels(case):
         )
 
 
+@pytest.mark.parametrize("case", LEMMA_GRAPHS, ids=lambda case: case[0])
+def test_the_two_level_unions_partition_j(case):
+    """M = H_{d-1}(A) + A_{d+1}, the levels d+1, d-1, ..., and
+    H_{d-2}(A) + A_d, the levels d, d-2, ..., sum to J, which is what makes
+    the two identities' differences one."""
+    _, graph, k, d, e = case
+    assert structural_check(graph, k, d, e).structure_ok
+    upper = graph.analysis.distance_matrix(range(d + 1, -1, -2), 8)
+    lower = graph.analysis.distance_matrix(range(d, -1, -2), 8)
+    assert [m + h for m, h in zip(upper, lower)] == [_intmat.ones_row(graph.n, 8)] * graph.n
+
+
 def test_h_is_no_union_of_levels_when_the_girth_is_too_small():
     """The girth precondition matters: K_{3,3} has girth 4 < 2·2 + 1, and
     H_2(A) = A^2 - 2I = 3A_2 + A_0, not A_2 + A_0."""
@@ -138,24 +162,49 @@ def test_h_is_no_union_of_levels_when_the_girth_is_too_small():
     )]
 
 
+def biadjacency_thetas(graph):
+    """-s_2, ..., -s_{n/2}, s_{n/2}, ..., s_2 for the singular values s of the
+    biadjacency built from the tuple rows: rows at even and columns at odd
+    distance from vertex 0, each class in vertex order, as the package
+    orders them."""
+    parity = [x % 2 for x in distance_rows(graph.adjacency)[0]]
+    odd = [v for v in range(graph.n) if parity[v]]
+    b = np.array([[float(v in row) for v in odd]
+                  for u, row in enumerate(graph.adjacency) if not parity[u]])
+    s = np.linalg.svd(b, compute_uv=False).tolist()
+    return [-x for x in s[1:]] + s[:0:-1]
+
+
 @pytest.mark.parametrize("case", LEMMA_GRAPHS, ids=lambda case: case[0])
 def test_crosscheck_is_bit_identical_to_scalar_horner(case):
     """The cross-check evaluates H_{d-1} over all eigenvalues at once in
     numpy; every theta, deviation and the maximum equal, by `float.hex`, the
-    scalar route: `IntPolynomial.__call__` at each theta, then the minimum
-    over the targets."""
+    scalar route: the singular values of a biadjacency built from the tuple
+    rows, then `IntPolynomial.__call__` at each theta and the minimum over
+    the targets."""
     _, graph, k, d, e = case
     report = spectral_crosscheck(graph, k, d, e)
-    a = np.zeros((graph.n, graph.n))
-    for u, row in enumerate(graph.adjacency):
-        a[u, list(row)] = 1.0
-    thetas = [float(t) for t in np.linalg.eigvalsh(a)[1:-1]]
+    thetas = biadjacency_thetas(graph)
     h = dickson_family("H", k, d - 1)
     deviations = [min(abs(h(t) - target) for target in report.targets) for t in thetas]
     assert list(map(float.hex, report.thetas)) == list(map(float.hex, thetas))
     assert list(map(float.hex, report.deviations)) == list(map(float.hex, deviations))
     assert report.max_deviation.hex() == max(deviations).hex()
     assert report.ok
+
+
+@pytest.mark.parametrize(
+    "case",
+    LEMMA_GRAPHS + [("PG(2,13)", pg2_incidence(13), 14, 3, 0), ("W(5)", wq_incidence(5), 6, 4, 0)],
+    ids=lambda case: case[0],
+)
+def test_singular_values_match_the_full_eigensolver(case):
+    """+-s(N) are the eigenvalues of A: the cross-check's thetas equal those
+    of `eigvalsh` on the full matrix to 1e-11, W(q)'s many thetas at 0
+    included."""
+    _, graph, k, d, e = case
+    thetas = spectral_crosscheck(graph, k, d, e).thetas
+    assert np.allclose(thetas, adjacency_eigenvalues(graph.adjacency), rtol=0, atol=1e-11)
 
 
 def test_trace_check_reports_the_first_wrong_moment(monkeypatch):

@@ -125,6 +125,7 @@ REMOVED = {
     "multiplicity_trig": "feasibility",
     "pack_bitsets": "_intmat",
     "packed_eval_poly": "_intmat",
+    "poly_bound": "_intmat",
     "poly_enclosure": "intervals",
     "_Polys": "feasibility",
     "_row": "cli",
