@@ -2,13 +2,13 @@
 small excess e over the Moore bound.
 
 The package provides exact integer polynomial families on a three-term
-recurrence, graph structural checks with exact matrix-identity verifiers, the
-paper's walk-count and minimal-polynomial lemmas on the tridiagonal
-intersection matrix, and a certified feasibility engine: certified dyadic
-root brackets, closed-form eigenvalue multiplicities, integrality
-certificates computed exactly in integers over each bracket's power of two,
-and the product-gap nonexistence test for girth >= 14.  The verdict rests on
-the gap and exact integrality alone.
+recurrence, graph structural checks whose verdict proves the paper's matrix
+identities, the paper's walk-count and minimal-polynomial lemmas on the
+tridiagonal intersection matrix, and a certified feasibility engine:
+certified dyadic root brackets, closed-form eigenvalue multiplicities,
+integrality certificates computed exactly in integers over each bracket's
+power of two, and the product-gap nonexistence test for girth >= 14.  The
+verdict rests on the gap and exact integrality alone.
 """
 
 from .errors import (
@@ -42,7 +42,6 @@ from .feasibility import (
 from .graphs import (
     CrosscheckReport,
     Graph,
-    IdentityCheck,
     StructuralVerdict,
     catalog,
     catalog_entry,
@@ -52,7 +51,6 @@ from .graphs import (
     parse_graph6,
     spectral_crosscheck,
     structural_check,
-    verify_identities,
 )
 from .intersection import (
     IntersectionMatrix,
@@ -79,7 +77,6 @@ __all__ = [
     "GapVerdict",
     "Graph",
     "Graph6ParseError",
-    "IdentityCheck",
     "IllConditionedError",
     "IntPolynomial",
     "IntersectionMatrix",
@@ -112,5 +109,4 @@ __all__ = [
     "structural_check",
     "trace_identity_check",
     "validate_parameters",
-    "verify_identities",
 ]

@@ -10,12 +10,12 @@ row u of A·X is the sum of the packed rows of X at u's neighbours: k big-int
 additions in C for a vertex of degree k (`packed_product`, which reads A as
 the graph's degree and flat neighbour arrays); row u of I is
 ``1 << W·u``.  Every packed value is an exact integer whatever its fields
-hold; only reading fields back needs a bound.  A row whose entries all
-satisfy |x| < 2^(W-1) is 0 exactly when every entry is 0 (its lowest nonzero
-field is not a multiple of 2^W), and its entries decode field by field
-(`unpack`).  So with W set from an a-priori bound on the entries of a
-difference (`field_width`), comparing packed rows as integers is an exact
-proof, and only a nonzero row is ever decoded.
+hold; only reading a field back needs a bound: with every entry below
+2^(W-1) in magnitude (`field_width`), field u of row u decodes exactly
+(`packed_trace`).  `intersection.trace_identity_check` is the package's one
+caller: it packs the powers A^q, q < 2d, and sums their diagonals.  The
+identity residual the structural check proves zero is computed on these
+kernels only in the tests' oracle, which decodes whole rows.
 
 `matmul` is the one dense kernel: the intersection matrix B_D is small and
 is read only through its Krylov rows e_0^T B^j, one 1 x (D+1) by
@@ -43,21 +43,6 @@ def packed_product(degrees, flat, rows: list[int]) -> list[int]:
     of X: row u is the sum of the next deg(u) rows gathered through flat."""
     gathered = map(rows.__getitem__, flat.tolist())
     return [sum(islice(gathered, degree)) for degree in degrees.tolist()]
-
-
-def unpack(row: int, n: int, width: int) -> list[int]:
-    """The n signed fields of a packed row whose entries satisfy
-    |x| < 2^(W-1): adding 2^(W-1) to every field leaves no borrow."""
-    size = width // 8
-    half = 1 << (width - 1)
-    data = (row + half * ones_row(n, width)).to_bytes(n * size, "little")
-    return [int.from_bytes(data[j * size:(j + 1) * size], "little") - half for j in range(n)]
-
-
-def packed_max_abs(rows: list[int], n: int, width: int) -> int:
-    """max |entry| over packed rows (0 for none); only nonzero rows are
-    decoded."""
-    return max((max(map(abs, unpack(row, n, width))) for row in rows if row), default=0)
 
 
 def packed_trace(rows: list[int], width: int) -> int:

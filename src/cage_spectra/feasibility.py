@@ -125,7 +125,7 @@ from .errors import (
     ParameterDomainError,
 )
 from .graphs import moore_bound
-from .polynomials import derivative, dickson_family
+from .polynomials import derivative, dickson_family, horner
 
 VERDICT_ADMISSIBLE = "spectrally-admissible"
 VERDICT_INTEGRALITY = "excluded-by-integrality"
@@ -934,17 +934,6 @@ def _float_coefficients(k: int, d: int) -> tuple[tuple[float, ...], tuple[float,
     return tuple(tuple(map(float, p)) for p in _polys(k, d)[1:])
 
 
-def _horner_float(coeffs: tuple[float, ...], x: float) -> float:
-    """Horner's rule in binary64: the operations, in their order, of
-    `IntPolynomial.__call__` at a finite float, whose int coefficients are
-    converted by the same correctly rounded rule, so the result is the same
-    float."""
-    result = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        result = result * x + c
-    return result
-
-
 def multiplicity_closed_form(k: int, d: int, e: int, epsilon: int, theta: float) -> float:
     """Eigenvalue multiplicity at a root theta of H_{d-1} - epsilon:
 
@@ -958,8 +947,8 @@ def multiplicity_closed_form(k: int, d: int, e: int, epsilon: int, theta: float)
     validate_parameters(k, d, e)
     n = moore_bound(k, 2 * d) + e
     prev_coeffs, deriv_coeffs = _float_coefficients(k, d)
-    h_prev = _horner_float(prev_coeffs, theta)
-    h_deriv = _horner_float(deriv_coeffs, theta)
+    h_prev = horner(prev_coeffs, theta)
+    h_deriv = horner(deriv_coeffs, theta)
     k2t2 = k * k - theta * theta
     if abs(h_deriv) < 1e-12 or abs(k2t2) < 1e-12:
         raise IllConditionedError(

@@ -1,10 +1,11 @@
-"""Graphs, structural checks, and exact matrix-identity verifiers.
+"""Graphs, structural checks, and the theorem that makes `verify`'s two
+matrix identities hold.
 
 Graphs come in as adjacency rows, edge lists or graph6 text.  A graph keeps
 its neighbours as two numpy arrays, the degrees and the rows' sorted
-neighbours end to end, and nothing else: the BFS, the packed products and the
-eigenvalue cross-check's biadjacency read them directly, and
-`Graph.adjacency` builds the tuple rows from them for a caller that asks.
+neighbours end to end, and nothing else: the BFS and the eigenvalue
+cross-check's biadjacency read them directly, and `Graph.adjacency` builds
+the tuple rows from them for a caller that asks.
 `parse_graph6` decodes in numpy and builds no Python rows: bit b of nonzero
 payload byte p is the pair index t = 6p + b = j(j-1)/2 + i, j comes from a
 binary search over the triangular numbers, and a stable sort of the pairs by
@@ -14,46 +15,52 @@ The graphs treated here are k-regular of even girth 2d with a small excess e
 over the Moore bound.  Such a graph (when e <= k - 2) is bipartite of
 diameter d + 1, every vertex has exactly e/2 vertices at distance d + 1, and
 the "at distance d + 1" relation partitions the vertex set into cliques of
-size e/2 + 1.  `GraphAnalysis` runs one bit-parallel breadth-first search from
-every root at once and derives the girth, bipartiteness, connectivity,
-diameter and the sets of the vertices at each distance from that single pass.
-The sets are packed 64 roots to a little-endian `uint64` word, one row of
-words per vertex plus an all-zero row that pads short neighbour lists, so a
-level is one numpy gather-and-OR per neighbour slot.  The words are the one
-store of the levels.  `structural_check` is a view over the analysis for a
-claimed (k, d, e) that reports each violated condition by name instead of
-raising; its antipode counts and its clique-partition test read the words.
+size e/2 + 1 (Biggs & Ito, 1980).  `GraphAnalysis` runs one bit-parallel
+breadth-first search from every root at once and derives the girth,
+bipartiteness, connectivity, diameter and the sets of the vertices at each
+distance from that single pass.  The sets are packed 64 roots to a
+little-endian `uint64` word, one row of words per vertex plus an all-zero
+row that pads short neighbour lists, so a level is one numpy gather-and-OR
+per neighbour slot.  The words are the one store of the levels.
+`structural_check` is a view over the analysis for a claimed (k, d, e) that
+reports each violated condition by name instead of raising; its antipode
+counts and its clique-partition test read the words.
 
-Two exact matrix identities tie the distance matrices A_i to the polynomial
-families (integer arithmetic, so a zero residual is a proof for the given
-graph):
+Two matrix identities tie the distance matrices A_i to the polynomial
+families:
 
     F_d(A)  = k*A_d - A*A_{d+1}             (path-count identity)
     k*J     = (A + k*I)(H_{d-1}(A) + A_{d+1})   (all-ones factorization)
 
-`verify_identities` reads both from one difference, A·M + k·M - k·J with
-M = H_{d-1}(A) + A_{d+1}.  M comes from the levels, not from the three-term
-recurrence: in a k-regular graph, H_i(A) sums the matrices of
+Theorem: both hold on every graph whose structural check passes, regime
+notes aside, so `verify` computes neither.  The check certifies that A is
+k-regular, bipartite and connected, of girth 2d and of diameter at most
+d + 1.  Proof.  In a k-regular graph, H_i(A) sums the matrices of
 non-backtracking walks of length i, i - 2, ... (Biggs, Algebraic Graph
 Theory), and when the girth is at least 2i + 1 such a walk of length j <= i
 is the one shortest path between its ends, so H_i(A) = A_i + A_{i-2} + ....
-The structural check certifies regularity and girth 2d before the identities
-run, which covers every i <= d - 1, so M is the union of the levels d+1, d-1,
-d-3, ....  It also certifies diameter at most d + 1, so the levels 0..d+1
-partition J and H_{d-2}(A) + A_d, the union of the levels d, d-2, ..., is
-J - M.  Since F_d = H_d - H_{d-2} and A·H_{d-1} = H_d + (k-1)H_{d-2}, the
-path-count difference A·M - k(H_{d-2}(A) + A_d) is then the all-ones
-difference A·M + k·M - k·J, entry for entry: a call costs one packed
-product, and both identities report its residual.  All of it runs on packed
-rows (`_intmat`): each matrix row is one Python int with fixed-width signed
-fields, row u of A·M is the sum of the rows at u's k neighbours, gathered
-through the graph's neighbour arrays, and every row of J is one constant int.
-M is 0/1, so every entry of the difference lies in [-k, 2k], and with fields
-wider than that the identity holds exactly when every packed difference row
-is the integer 0; only a nonzero row is decoded, for the max |entry|
-residual.  Every check reads the graph's own `GraphAnalysis`
-(`Graph.analysis`, built on first use), so `verify` and the trace oracle run
-the BFS pass once per graph.
+Girth 2d >= 2(d - 1) + 1 gives that for i = d - 1, so M = H_{d-1}(A) +
+A_{d+1} is the union of the BFS levels d+1, d-1, d-3, ....  The graph is
+connected of diameter at most d + 1, so every pair (v, w) lies in one of
+the levels 0..d+1, and M(v, w) = 1 exactly when d(v, w) has the parity of
+d + 1.  The graph is bipartite, so each of the k neighbours of u lies at
+distance d(u, w) - 1 or d(u, w) + 1 from w, of the parity opposite to
+d(u, w): (A·M)(u, w) is k when d(u, w) has the parity of d, and 0 when it
+has that of d + 1, where M(u, w) = 1.  So (A·M + k·M)(u, w) = k at every
+pair, which is (A + k*I)M = k*J.  For the path-count identity, the levels
+0..d+1 partition J, so H_{d-2}(A) + A_d, the union of the levels d, d-2,
+..., is J - M; since F_d = H_d - H_{d-2} and A·H_{d-1} = H_d + (k-1)H_{d-2},
+F_d(A) - k*A_d + A*A_{d+1} = A·M - k(J - M), the all-ones difference,
+entry for entry.  For e = 0, A_{d+1} is zero and the level d + 1 empty;
+the argument stands.  That proves the theorem.
+
+The tests compute the residuals exactly (`tests/oracles.py`, one packed
+product A·M) and hold them to the theorem.  Each hypothesis does work: on
+random connected regular bipartite graphs of girth >= 2d - 1, the
+path-count residual is 0 exactly when the diameter is at most d + 1 and
+the all-ones one exactly when it is at most d + 2 (the level d + 2 has the
+parity of d, so M still follows the parity rule there), and the odd
+cycles C_7 at d = 2 and C_9 at d = 3, which are not bipartite, give 1.
 
 The eigenvalue cross-check reads the spectrum off half the matrix.  The
 structural check certifies that the graph is bipartite, so with the vertices
@@ -63,14 +70,16 @@ k-regular; if N = U·S·V^T, the vectors (u_i, +-v_i) are eigenvectors of A for
 +-s_i, so the eigenvalues of A are the +-s_i, the singular values of N with
 both signs.  The graph is also connected, so s_1 = k is simple, and one SVD
 of order n/2 gives every eigenvalue other than one copy each of +k and -k.
+Every check reads the graph's own `GraphAnalysis` (`Graph.analysis`, built
+on first use), so `verify` and the trace oracle run the BFS pass once per
+graph.
 
-For excess 0 the matrix A_{d+1} is zero (no vertex is at distance d + 1) and
-packs to zero rows, so the classical excess-0 graphs in the catalog serve as
-exact regression anchors.  `z14_antipodal`, the bi-Cayley graph of the
-relative difference set {0, 1, 4, 6} in Z_14 (Elliott & Butson, 1966), is
-the catalog's graph inside the regime: it passes (k, d, e) = (4, 3, 2), and
-its spectrum is the one `spectral_feasibility(4, 3, 2)` predicts.  It and
-PG(2, 3), from Singer's set {0, 1, 3, 9} mod 13, come from one builder.
+The classical excess-0 graphs in the catalog serve as regression anchors.
+`z14_antipodal`, the bi-Cayley graph of the relative difference set
+{0, 1, 4, 6} in Z_14 (Elliott & Butson, 1966), is the catalog's graph inside
+the regime: it passes (k, d, e) = (4, 3, 2), and its spectrum is the one
+`spectral_feasibility(4, 3, 2)` predicts.  It and PG(2, 3), from Singer's
+set {0, 1, 3, 9} mod 13, come from one builder.
 """
 
 from __future__ import annotations
@@ -85,9 +94,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _intmat
 from .errors import Graph6ParseError, ParameterDomainError, StructuralRefusal
-from .polynomials import dickson_family
+from .polynomials import dickson_family, horner
 
 
 def moore_bound(k: int, g: int) -> int:
@@ -370,22 +378,6 @@ class GraphAnalysis:
             return [0] * self.n
         return np.unpackbits(words.view(np.uint8), axis=1).sum(axis=1).tolist()
 
-    def distance_matrix(self, distances: Iterable[int], width: int) -> list[int]:
-        """The packed rows, with ``width``-bit fields, of the sum of the A_i
-        over the given distances i, A_i being the 0/1 matrix of vertex pairs
-        at distance i (zero beyond the diameter).  The levels are disjoint,
-        so their words OR into one 0/1 set per row, and bit j of row u
-        becomes the low byte of little-endian field j."""
-        n = self.n
-        union = np.zeros((n, -(-n // 64)), _WORD)
-        for i in distances:
-            words = self._words(i)
-            if words is not None:
-                union |= words
-        fields = np.zeros((n, n, width // 8), np.uint8)
-        fields[:, :, 0] = np.unpackbits(union.view(np.uint8), axis=1, count=n, bitorder="little")
-        return [int.from_bytes(row, "little") for row in fields.reshape(n, n * width // 8)]
-
 
 def girth(graph: Graph) -> int | float:
     """Length of a shortest cycle, read from the graph's all-roots BFS pass
@@ -398,7 +390,7 @@ def girth(graph: Graph) -> int | float:
 
 #: Failure labels that flag the (k, d, e) parameters as outside the analytic
 #: regime rather than an inconsistency between the graph and its claimed
-#: parameters.  The identity verifiers run regardless of these.
+#: parameters.  The cross-check runs regardless of these.
 REGIME_CONDITIONS = frozenset({"half-girth-range", "excess-range"})
 
 
@@ -406,6 +398,11 @@ REGIME_CONDITIONS = frozenset({"half-girth-range", "excess-range"})
 class StructuralVerdict:
     """Outcome of every structural condition for a claimed (k, d, e) triple.
 
+    ``excess`` is n - M(k, 2d), or None where the order condition fails
+    without the bound: where M(k, 2d) is undefined (k < 2 or 2d < 3), and
+    where k >= 3 and |n - e| < 2^d.  M(k, 2d) >= 2^d for k >= 3, so no such
+    claim can have order M(k, 2d) + e, and the bound, of about
+    d·log2(k - 1) bits, is computed only when n - e has more than d bits.
     ``antipode_count_per_vertex`` is None when the count is non-uniform.
     ``clique_count`` is 2n/(e+2) when the antipodal-clique condition holds
     with e > 0, else None.  ``failures`` names every violated condition,
@@ -471,10 +468,11 @@ def _verdict(graph: Graph, k: int, d: int, e: int) -> StructuralVerdict:
         failures.append("girth")
 
     excess = None
-    try:
-        excess = graph.n - moore_bound(k, 2 * d)
-    except ParameterDomainError:
-        pass
+    if k < 3 or (graph.n - e).bit_length() > d:  # else n - e < 2^d <= M(k, 2d)
+        try:
+            excess = graph.n - moore_bound(k, 2 * d)
+        except ParameterDomainError:
+            pass
     if excess != e:
         failures.append("order")
 
@@ -541,69 +539,6 @@ def _is_clique_partition(words) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact identity verifiers
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    """Exact residual of a matrix identity: max |lhs - rhs| entry."""
-
-    name: str
-    n: int
-    residual: int
-
-    @property
-    def holds(self) -> bool:
-        return self.residual == 0
-
-
-def _require_structure(graph: Graph, k: int, d: int, e: int) -> GraphAnalysis:
-    verdict = structural_check(graph, k, d, e)
-    if not verdict.structure_ok:
-        raise StructuralRefusal(
-            f"structural check failed: {', '.join(verdict.failures)}", verdict=verdict
-        )
-    return graph.analysis
-
-
-def verify_identities(
-    graph: Graph, k: int, d: int, e: int
-) -> tuple[IdentityCheck, IdentityCheck]:
-    """Exact residuals of the path-count identity and of the all-ones
-    factorization, in that order, both the residual of the one difference
-    A·M + k·M - k*J with M = H_{d-1}(A) + A_{d+1}.
-
-    The structural check comes first and certifies that A is k-regular of
-    girth 2d, so H_i(A) = A_i + A_{i-2} + ... for i <= d - 1 (girth >= 2i + 1
-    is what that needs), and that it is connected of diameter at most d + 1.
-    So M packs as the levels d+1, d-1, ..., and A·M is the call's one packed
-    product.  The levels 0..d+1 partition J, so H_{d-2}(A) + A_d, the levels
-    d, d-2, ..., is J - M; with F_d = H_d - H_{d-2} and
-    A·H_{d-1} = H_d + (k-1)H_{d-2}, F_d(A) - k*A_d + A*A_{d+1} is
-    A·M - k(J - M) entry for entry, which is (A + k*I)M - k*J.  For e = 0,
-    A_{d+1} packs to zero rows.
-
-    Refuses when the graph is structurally inconsistent with (k, d, e); the
-    identities themselves are tested on whatever structurally consistent graph
-    is supplied, regime notes notwithstanding.
-
-    M is 0/1 and each row of A has k ones, so every entry of the difference
-    lies in [-k, 2k], and fields wide enough for 2k make it zero exactly when
-    each of its packed rows is.
-    """
-    analysis = _require_structure(graph, k, d, e)
-    n = graph.n
-    width = _intmat.field_width(2 * k)
-    inner = analysis.distance_matrix(range(d + 1, -1, -2), width)  # H_{d-1}(A) + A_{d+1}
-    walks = _intmat.packed_product(graph._degrees, graph._flat, inner)
-    all_k = k * _intmat.ones_row(n, width)
-    residual = _intmat.packed_max_abs([w + k * m - all_k for w, m in zip(walks, inner)], n, width)
-    return (
-        IdentityCheck(name="path-count", n=n, residual=residual),
-        IdentityCheck(name="all-ones", n=n, residual=residual),
-    )
-
-
-# ---------------------------------------------------------------------------
 # antipodal spectrum and the eigenvalue cross-check
 
 #: The largest |H_{d-1}(theta) - target| the eigenvalue cross-check accepts.
@@ -639,7 +574,12 @@ def spectral_crosscheck(graph: Graph, k: int, d: int, e: int) -> CrosscheckRepor
     vertices, so N is square.  Connected: s_1 = k is simple, so dropping it
     drops one copy each of +k and -k.  `svd` returns the s_i descending, so
     -s_2, ..., -s_{n/2} and then s_{n/2}, ..., s_2 ascend."""
-    analysis = _require_structure(graph, k, d, e)
+    verdict = structural_check(graph, k, d, e)
+    if not verdict.structure_ok:
+        raise StructuralRefusal(
+            f"structural check failed: {', '.join(verdict.failures)}", verdict=verdict
+        )
+    analysis = graph.analysis
     n, half = graph.n, graph.n // 2
     odd_levels = reduce(np.bitwise_or, (level[0] for level in analysis.levels[1::2]))
     odd = np.unpackbits(odd_levels.view(np.uint8), count=n, bitorder="little").astype(bool)
@@ -648,14 +588,8 @@ def spectral_crosscheck(graph: Graph, k: int, d: int, e: int) -> CrosscheckRepor
     b[np.arange(half)[:, None], column[graph._flat.reshape(n, k)[~odd]]] = 1.0
     s = np.linalg.svd(b, compute_uv=False)
     thetas = np.concatenate((-s[1:], s[:0:-1]))
-    # Horner over every theta at once, from lead + 0·theta and then one
-    # binary64 multiply and one add per step, as `IntPolynomial.__call__`
-    # does at a float, so every value is bit for bit the same
-    *rest, lead = map(float, dickson_family("H", k, d - 1).coefficients)
-    h = 0 * thetas + lead
-    for c in reversed(rest):
-        h *= thetas
-        h += c
+    # every theta at once, bit for bit as `IntPolynomial.__call__` at each
+    h = horner(tuple(map(float, dickson_family("H", k, d - 1).coefficients)), thetas)
     targets = (0.0,) if e == 0 else (1.0, -e / 2)
     deviations = tuple(reduce(np.minimum, (np.abs(h - target) for target in targets)).tolist())
     return CrosscheckReport(

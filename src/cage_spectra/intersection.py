@@ -107,10 +107,10 @@ def trace_identity_check(graph: Graph, k: int, d: int) -> TraceIdentityReport:
     """Verify the closed-walk counts of a k-regular bipartite graph of girth
     2d against the intersection-matrix oracle, exactly.
 
-    The powers A^q, q < 2d, are packed rows (`_intmat`), one packed product
-    each over the graph's neighbour arrays, and tr(A^q) is the sum of their
-    diagonal fields.  Each entry of A^q is at most k^q, which sets the field
-    width.
+    The powers A^q, q < 2d, are packed rows (`_intmat`): A^0 = I has row u
+    ``1 << W·u``, and each later power is one packed product over the
+    graph's neighbour arrays; tr(A^q) is the sum of their diagonal fields.
+    Each entry of A^q is at most k^q, which sets the field width.
     """
     analysis = graph.analysis
     problems = []
@@ -124,7 +124,7 @@ def trace_identity_check(graph: Graph, k: int, d: int) -> TraceIdentityReport:
         raise StructuralRefusal(f"trace identity preconditions failed: {', '.join(problems)}")
     walks_from_vertex = bd_moments(build_bd(k, d), 2 * d)
     width = _intmat.field_width(k ** (2 * d - 1))
-    power = analysis.distance_matrix((0,), width)  # A^0 = I
+    power = [1 << width * u for u in range(graph.n)]  # A^0 = I
     first_failure = None
     qs = tuple(range(2 * d))
     for q in qs:

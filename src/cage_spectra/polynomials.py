@@ -60,11 +60,23 @@ class IntPolynomial:
         return not self.coefficients
 
     def __call__(self, x):
-        """Horner evaluation; exact for int/Fraction input, binary64 for float."""
-        result = 0 * x if self.is_zero else self.coefficients[-1] + 0 * x
-        for c in reversed(self.coefficients[:-1]):
-            result = result * x + c
-        return result
+        """Horner evaluation (`horner`); exact for int/Fraction input,
+        binary64 for float."""
+        return 0 * x if self.is_zero else horner(self.coefficients, x)
+
+
+def horner(coefficients, x):
+    """Horner's rule on nonempty coefficients, constant term first: from
+    lead + 0·x, one multiply and one add per step.  Exact at an int or
+    `Fraction` x; at a float, or elementwise over a numpy array of floats,
+    each step is one binary64 multiply and one binary64 add, so every caller
+    that evaluates the same coefficients at the same float gets the same
+    bits.  A float x converts each int coefficient by the correctly rounded
+    rule `float` uses."""
+    result = coefficients[-1] + 0 * x
+    for c in coefficients[-2::-1]:
+        result = result * x + c
+    return result
 
 
 def dickson_family(kind: str, k: int, i: int) -> IntPolynomial:

@@ -7,6 +7,8 @@ the transcendental angular-defect equation, list-of-list matrices where the
 package packs each row into one int, full matrix polynomials of B_D where
 the package reads only its Krylov rows e_0^T B^j, the three-term recurrence
 of H_i(A) on packed rows where the package reads H_i(A) off the BFS levels,
+the residual of the two matrix identities on packed rows where the package
+proves it zero from the structural check,
 the symmetric eigensolver on the full adjacency matrix where the package
 takes the eigenvalues as the singular values of the half-order biadjacency,
 a queue-based search per
@@ -822,6 +824,56 @@ def packed_h(graph, k, i, width):
             for w, h in zip(_intmat.packed_product(graph._degrees, graph._flat, upper), lower)
         ]
     return upper
+
+
+def unpack(row, n, width):
+    """The n signed fields of a packed row whose entries satisfy
+    |x| < 2^(W-1): adding 2^(W-1) to every field leaves no borrow."""
+    size = width // 8
+    half = 1 << (width - 1)
+    data = (row + half * _intmat.ones_row(n, width)).to_bytes(n * size, "little")
+    return [int.from_bytes(data[j * size:(j + 1) * size], "little") - half for j in range(n)]
+
+
+def packed_max_abs(rows, n, width):
+    """max |entry| over packed rows (0 for none); only nonzero rows are
+    decoded."""
+    return max((max(map(abs, unpack(row, n, width))) for row in rows if row), default=0)
+
+
+def level_union(graph, distances, width):
+    """The packed rows, with ``width``-bit fields, of the sum of the A_i
+    over the given distances i, A_i being the 0/1 matrix of vertex pairs at
+    distance i (zero beyond the eccentricities), read off the word rows of
+    the graph's BFS levels.  The levels are disjoint, so their words OR into
+    one 0/1 set per row, and bit j of row u becomes the low byte of
+    little-endian field j."""
+    analysis, n = graph.analysis, graph.n
+    union = np.zeros((n, -(-n // 64)), "<u8")
+    for i in distances:
+        if 0 <= i < len(analysis.levels):
+            union |= analysis.levels[i][:n]
+    fields = np.zeros((n, n, width // 8), np.uint8)
+    fields[:, :, 0] = np.unpackbits(union.view(np.uint8), axis=1, count=n, bitorder="little")
+    return [int.from_bytes(row, "little") for row in fields.reshape(n, n * width // 8)]
+
+
+def identity_residual(graph, k, d, inner=None):
+    """max |A·M + k·M - k·J| over the entries, on packed rows: the residual
+    of the all-ones factorization (A + k*I)M = k*J and, where the levels
+    0..d+1 partition J, of the path-count identity too.  M is ``inner`` (0/1
+    packed rows in `field_width(2k)` fields) or by default the union of the
+    BFS levels d+1, d-1, ..., which is H_{d-1}(A) + A_{d+1} at girth
+    >= 2d - 1.  One packed product gives A·M; M being 0/1, every entry of
+    the difference lies in [-k, 2k], which the fields hold, so only a
+    nonzero row is decoded.  The package proves the residual 0 from the
+    structural check instead (`cage_spectra.graphs`)."""
+    width = _intmat.field_width(2 * k)
+    if inner is None:
+        inner = level_union(graph, range(d + 1, -1, -2), width)
+    walks = _intmat.packed_product(graph._degrees, graph._flat, inner)
+    all_k = k * _intmat.ones_row(graph.n, width)
+    return packed_max_abs([w + k * m - all_k for w, m in zip(walks, inner)], graph.n, width)
 
 
 def adjacency_eigenvalues(adjacency):

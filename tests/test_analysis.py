@@ -1,6 +1,7 @@
 """Property tests: the bit-parallel graph analysis against networkx and
 against row-based references, and the packed-row kernels against the dense
-reference products and the list route of `oracles`.  The analysis packs 64
+reference products and the list route of `oracles`, the packed ones
+decoded by the oracle `unpack`.  The analysis packs 64
 roots to a word, so orders at and beside the word edges, irregular degrees
 (padded neighbour slots) and graphs without edges are checked one by one; the
 clique-partition test reads the same words, and is checked against the
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 
 import pytest
 
-from cage_spectra import _intmat, catalog, graphs, moore_bound, structural_check, verify_identities
+from cage_spectra import (
+    _intmat, catalog, graphs, moore_bound, spectral_crosscheck, structural_check,
+)
 from cage_spectra.graphs import Graph, _is_clique_partition
 from oracles import (
     adjacency_eval_poly,
@@ -24,6 +27,10 @@ from oracles import (
     adjacency_rows,
     dense_eval_poly,
     distance_rows,
+    identity_residual,
+    level_union,
+    packed_max_abs,
+    unpack as unpack_row,
 )
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -154,7 +161,7 @@ def test_analysis_beyond_one_machine_word(graph):
     for far in range(1, 5):
         assert analysis.level_sizes(far) == [row.count(far) for row in rows]
         assert word_clique_partition(analysis, far) == row_clique_partition(rows, far)
-        assert [_intmat.unpack(row, graph.n, 8) for row in analysis.distance_matrix((far,), 8)] == [
+        assert unpack(level_union(graph, (far,), 8), graph.n, 8) == [
             [int(x == far) for x in row] for row in rows
         ]
 
@@ -245,11 +252,11 @@ def test_a_passing_graph_converts_only_the_levels_its_checks_read(monkeypatch):
     graph = catalog("moebius_kantor")
     assert structural_check(graph, 3, 3, 2).structure_ok  # e = k - 1: a regime note only
     assert tested == [16]  # level 4, once
-    assert all(check.holds for check in verify_identities(graph, 3, 3, 2))
-    assert tested == [16]  # the identities reuse the verdict
+    assert spectral_crosscheck(graph, 3, 3, 2).ok and identity_residual(graph, 3, 3) == 0
+    assert tested == [16]  # the cross-check reuses the verdict
     heawood = catalog("heawood")
     assert structural_check(heawood, 3, 3, 0).passed
-    assert all(check.holds for check in verify_identities(heawood, 3, 3, 0))
+    assert spectral_crosscheck(heawood, 3, 3, 0).ok and identity_residual(heawood, 3, 3) == 0
     assert tested == [16]  # excess 0: no pair at distance 4, no test
 
 
@@ -262,7 +269,7 @@ def pack(rows, width):
 
 
 def unpack(rows, n, width):
-    return [_intmat.unpack(row, n, width) for row in rows]
+    return [unpack_row(row, n, width) for row in rows]
 
 
 @SETTINGS
@@ -276,7 +283,7 @@ def test_adjacency_matmul_matches_dense(graph, data):
     width = _intmat.field_width(bound)
     product = _intmat.packed_product(graph._degrees, graph._flat, pack(x, width))
     assert unpack(product, n, width) == expected
-    assert _intmat.packed_max_abs(product, n, width) == max(
+    assert packed_max_abs(product, n, width) == max(
         (abs(v) for row in expected for v in row), default=0
     )
     assert _intmat.packed_trace(product, width) == sum(expected[i][i] for i in range(n))
@@ -295,7 +302,7 @@ def test_adjacency_eval_poly_matches_dense(graph, coefficients):
        st.sampled_from([8, 72]))
 def test_distance_matrix_matches_the_distance_rows(graph, distances, width):
     # the sum of the A_i over a set of distances, each one a 0/1 matrix
-    packed = graph.analysis.distance_matrix(distances, width)
+    packed = level_union(graph, distances, width)
     assert unpack(packed, graph.n, width) == [
         [int(x in distances) for x in row] for row in distance_rows(graph.adjacency)
     ]
@@ -304,15 +311,15 @@ def test_distance_matrix_matches_the_distance_rows(graph, distances, width):
 
 def test_packed_kernels_on_the_null_graph():
     null = Graph(0, [])
-    assert null.analysis.distance_matrix((0,), 8) == []
+    assert level_union(null, (0,), 8) == []
     assert _intmat.packed_product(null._degrees, null._flat, []) == []
-    assert (_intmat.packed_max_abs([], 0, 8), _intmat.packed_trace([], 8)) == (0, 0)
-    assert (_intmat.ones_row(0, 8), _intmat.unpack(0, 0, 8)) == (0, [])
+    assert (packed_max_abs([], 0, 8), _intmat.packed_trace([], 8)) == (0, 0)
+    assert (_intmat.ones_row(0, 8), unpack_row(0, 0, 8)) == (0, [])
 
 
 def test_field_width_holds_the_bound():
     assert [_intmat.field_width(b) for b in (0, 127, 128, 2**63 - 1, 2**63)] == [8, 8, 16, 64, 72]
-    assert _intmat.unpack(pack([[-127, 127, 0, -1]], 8)[0], 4, 8) == [-127, 127, 0, -1]
+    assert unpack_row(pack([[-127, 127, 0, -1]], 8)[0], 4, 8) == [-127, 127, 0, -1]
 
 
 @SETTINGS

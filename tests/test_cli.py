@@ -820,8 +820,8 @@ def test_verify_computes_one_structural_verdict_per_graph(monkeypatch, capsys):
 
 
 def test_verify_structural_failure_skips_identity_kernels(monkeypatch, capsys, tmp_path):
-    """A rejected candidate costs the one BFS pass: no A_i, no matrix kernel,
-    and a graph6 candidate never builds its tuple rows."""
+    """A rejected candidate costs the one BFS pass: no matrix kernel, no
+    cross-check, and a graph6 candidate never builds its tuple rows."""
     heawood = catalog("heawood")
     edges = [(u, v) for u in range(heawood.n) for v in heawood.adjacency[u] if u < v]
     path = tmp_path / "heawood.g6"
@@ -831,9 +831,8 @@ def test_verify_structural_failure_skips_identity_kernels(monkeypatch, capsys, t
     def never(*args):
         raise AssertionError("built or entered after a structural failure")
 
-    monkeypatch.setattr(graphs.GraphAnalysis, "distance_matrix", never)
-    for kernel in ("packed_product", "packed_max_abs"):
-        monkeypatch.setattr(_intmat, kernel, never)
+    monkeypatch.setattr(_intmat, "packed_product", never)
+    monkeypatch.setattr(cli, "spectral_crosscheck", never)
     code, out, _ = run(capsys, "verify", "catalog:heawood", "--k", "3", "--d", "3", "--e", "2")
     assert code == 1 and "FAIL" in out
     assert passes == [14]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import g6ref
 from geometries import complete_bipartite
-from oracles import antipodal_spectrum, decode_graph6_payload
+from oracles import antipodal_spectrum, decode_graph6_payload, identity_residual
 from cage_spectra import (
     Graph,
     Graph6ParseError,
@@ -22,9 +22,9 @@ from cage_spectra import (
     parse_graph6,
     spectral_crosscheck,
     structural_check,
-    verify_identities,
 )
-from cage_spectra import _intmat
+from cage_spectra import _intmat, graphs
+from cage_spectra.cli import _verify_one
 
 
 def cycle(n):
@@ -36,8 +36,20 @@ def complete(n):
 
 
 def distance_matrix(graph, i):
-    """A_i as lists, decoded from the packed rows of the graph's analysis."""
-    return [_intmat.unpack(row, graph.n, 8) for row in graph.analysis.distance_matrix((i,), 8)]
+    """A_i as lists, decoded from the word rows of the graph's BFS level i
+    (all 0 beyond the eccentricities)."""
+    levels, n = graph.analysis.levels, graph.n
+    if i >= len(levels):
+        return [[0] * n for _ in range(n)]
+    return np.unpackbits(levels[i][:n].view(np.uint8), axis=1, count=n, bitorder="little").tolist()
+
+
+def proved_residual(graph, k, d, e):
+    """The oracle's identity residual on a graph whose structural check for
+    (k, d, e) passes, regime notes aside: a graph the theorem of
+    `cage_spectra.graphs` covers, where `verify` prints 0 uncomputed."""
+    assert structural_check(graph, k, d, e).structure_ok
+    return identity_residual(graph, k, d)
 
 
 # ---------------------------------------------------------------------------
@@ -449,30 +461,50 @@ def test_structural_wrong_parameters(heawood):
     assert "order" in verdict.failures
 
 
+@pytest.mark.parametrize("d", [5, 10**8, 10**30])
+def test_a_claim_past_the_graph_fails_the_order_without_the_bound(d, monkeypatch):
+    """M(k, 2d) >= 2^d for k >= 3, so n - e < 2^d fails the order with no
+    bound computed: at d = 10^8 the bound alone took minutes, and at 10^30 it
+    could not finish.  The failures are those a computed bound gives at
+    d = 5 (26 - M(4, 10) = -216, not 0), and the bound still runs where the
+    order can hold.  At k = 2, M(2, 2d) = 2d < 2^d, so the shortcut does not
+    apply: C_6 has the order of (2, 3, 0)."""
+    calls = []
+    bound = graphs.moore_bound
+    monkeypatch.setattr(graphs, "moore_bound", lambda *args: calls.append(args) or bound(*args))
+    graph = graphs._difference_graph(13, (0, 1, 3, 9))  # PG(2, 3), no verdict kept yet
+    verdict = structural_check(graph, 4, d, 0)
+    assert calls == [] and verdict.excess is None
+    assert verdict.failures == ("girth", "order", "diameter")
+    assert structural_check(graph, 4, 3, 0).passed and calls == [(4, 6)]
+    assert structural_check(cycle(6), 2, 3, 0).excess == 0 and calls[1:] == [(2, 6)]
+
+
 # ---------------------------------------------------------------------------
-# exact identity verifiers
+# the exact identities: proved by the structural check, computed by the oracle
+# (one residual serves both, the difference A·M + k·M - k·J)
 
 def test_path_count_identity_heawood(heawood):
-    assert verify_identities(heawood, 3, 3, 0)[0].residual == 0
+    assert proved_residual(heawood, 3, 3, 0) == 0
 
 
 def test_path_count_identity_tutte_coxeter(tutte_coxeter):
-    assert verify_identities(tutte_coxeter, 3, 4, 0)[0].residual == 0
+    assert proved_residual(tutte_coxeter, 3, 4, 0) == 0
 
 
 def test_allones_identity_heawood(heawood):
-    assert verify_identities(heawood, 3, 3, 0)[1].residual == 0
+    assert proved_residual(heawood, 3, 3, 0) == 0
 
 
 def test_allones_identity_tutte_coxeter(tutte_coxeter):
-    assert verify_identities(tutte_coxeter, 3, 4, 0)[1].residual == 0
+    assert proved_residual(tutte_coxeter, 3, 4, 0) == 0
 
 
 def test_identities_moebius_kantor_conditional(moebius_kantor):
     if structural_check(moebius_kantor, 3, 3, 2).structure_ok:
-        path_count, allones = verify_identities(moebius_kantor, 3, 3, 2)
-        assert (path_count.name, allones.name) == ("path-count", "all-ones")
-        assert path_count.residual == allones.residual == 0
+        assert proved_residual(moebius_kantor, 3, 3, 2) == 0
+        result = _verify_one("moebius_kantor", moebius_kantor, 3, 3, 2)
+        assert result["path_count_residual"] == result["allones_residual"] == 0
 
 
 @pytest.mark.parametrize(
@@ -490,8 +522,9 @@ def test_identities_moebius_kantor_conditional(moebius_kantor):
          "K44-matching"],
 )
 def test_identities_take_at_most_d_packed_products(graph, k, d, e, monkeypatch):
-    # H_{d-2}(A) and H_{d-1}(A) are read off the levels, so the one product
-    # A·M is all, at every d and whether or not A_{d+1} is zero
+    # the structural check proves both identities, so `verify` takes no
+    # packed product at any d, whether or not A_{d+1} is zero; the oracle
+    # confirms the 0 it prints with its one product, A·M
     products = []
     product = _intmat.packed_product
 
@@ -500,24 +533,31 @@ def test_identities_take_at_most_d_packed_products(graph, k, d, e, monkeypatch):
         return product(degrees, flat, rows)
 
     monkeypatch.setattr(_intmat, "packed_product", recording)
-    assert all(check.holds for check in verify_identities(graph, k, d, e))
+    result = _verify_one("graph", graph, k, d, e)
+    assert result["path_count_residual"] == result["allones_residual"] == 0 and result["ok"]
+    assert products == []
+    assert proved_residual(graph, k, d, e) == 0
     assert products == [graph.n]
 
 
 def test_identity_refusal():
+    # no structure, no theorem: `verify` prints no residual, and the
+    # cross-check refuses
+    result = _verify_one("C5", cycle(5), 3, 3, 0)
+    assert (result["path_count_residual"], result["allones_residual"]) == (None, None)
+    assert not result["ok"]
     with pytest.raises(StructuralRefusal) as info:
-        verify_identities(cycle(5), 3, 3, 0)
+        spectral_crosscheck(cycle(5), 3, 3, 0)
     assert info.value.verdict is not None and not info.value.verdict.passed
 
 
 def test_identity_refusal_carries_the_shared_verdict():
     graph = cycle(5)
     verdict = structural_check(graph, 3, 3, 0)
-    for verifier in (verify_identities, spectral_crosscheck):
-        with pytest.raises(StructuralRefusal) as info:
-            verifier(graph, 3, 3, 0)
-        assert info.value.verdict is verdict
-        assert str(info.value) == f"structural check failed: {', '.join(verdict.failures)}"
+    with pytest.raises(StructuralRefusal) as info:
+        spectral_crosscheck(graph, 3, 3, 0)
+    assert info.value.verdict is verdict
+    assert str(info.value) == f"structural check failed: {', '.join(verdict.failures)}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
-"""The exact identities on packed rows against the list route of `oracles`,
-and on finite-geometry incidence graphs well beyond the catalog's orders.
+"""The theorem that the structural check proves both exact identities
+(`cage_spectra.graphs`), checked by the oracle's packed residual
+(`oracles.identity_residual`) on the test graphs, on finite-geometry
+incidence graphs well beyond the catalog's orders and on random regular
+bipartite graphs, and the packed residual against the list route.
 
 Moving a pair of vertices between A_d and A_{d+1} breaks both identities; the
 one nonzero residual, decoded from the packed difference rows, must equal
@@ -16,10 +19,11 @@ by `test_adjacency_matmul_matches_dense`.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cage_spectra import (
+    Graph,
     _intmat,
     build_bd,
     catalog,
@@ -27,9 +31,7 @@ from cage_spectra import (
     spectral_crosscheck,
     structural_check,
     trace_identity_check,
-    verify_identities,
 )
-from cage_spectra.graphs import GraphAnalysis
 from cage_spectra.polynomials import dickson_family
 from geometries import complete_bipartite, pg2_incidence, wq_incidence
 from oracles import (
@@ -37,6 +39,8 @@ from oracles import (
     allones_residual,
     distance_matrix,
     distance_rows,
+    identity_residual,
+    level_union,
     packed_h,
     path_count_residual,
     power_traces,
@@ -65,36 +69,96 @@ PASSING = [
 def test_perturbed_residual_equals_the_list_route(case, data):
     """A pair (u, v) at distance d or d + 1 moves to the other of the two
     levels: in the list route its A_d and A_{d+1} entries swap, and in the
-    package the union M takes or loses (u, v), so J - M, which stands for
-    H_{d-2}(A) + A_d, loses or takes it.  A flip of A_d alone is no state
-    of the package: it reads H_{d-2}(A) + A_d as J - M, and the BFS levels
-    always partition J."""
+    packed route the union M takes or loses (u, v), so J - M, which stands
+    for H_{d-2}(A) + A_d, loses or takes it.  A flip of A_d alone is no
+    state of the packed route: it reads H_{d-2}(A) + A_d as J - M, and the
+    BFS levels always partition J."""
     _, graph, k, d, e = case
     a = {i: distance_matrix(graph.adjacency, i) for i in (d, d + 1)}
     assert path_count_residual(graph, k, d, a[d], a[d + 1]) == 0
     assert allones_residual(graph, k, d, a[d + 1]) == 0
-    # the verdict is kept on the analysis, so the move reaches only the identities
     assert structural_check(graph, k, d, e).structure_ok
+    assert identity_residual(graph, k, d) == 0
     pairs = [(u, v) for u, row in enumerate(distance_rows(graph.adjacency))
              for v, x in enumerate(row) if x in (d, d + 1)]
     u, v = data.draw(st.sampled_from(pairs))
     a[d][u][v] ^= 1
     a[d + 1][u][v] ^= 1
     step = 1 if a[d + 1][u][v] else -1
-    packed = GraphAnalysis.distance_matrix
+    width = _intmat.field_width(2 * k)
+    inner = level_union(graph, range(d + 1, -1, -2), width)
+    inner[u] += step << width * v
+    residual = identity_residual(graph, k, d, inner)
+    assert residual == path_count_residual(graph, k, d, a[d], a[d + 1]) != 0
+    assert residual == allones_residual(graph, k, d, a[d + 1])
 
-    def moved(analysis, distances, width):
-        rows = packed(analysis, distances, width)
-        if d + 1 in distances:
-            rows[u] += step << width * v
-        return rows
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(GraphAnalysis, "distance_matrix", moved)
-        path_count, allones = verify_identities(graph, k, d, e)
-    assert (path_count.name, allones.name) == ("path-count", "all-ones")
-    assert path_count.residual == path_count_residual(graph, k, d, a[d], a[d + 1]) != 0
-    assert allones.residual == allones_residual(graph, k, d, a[d + 1]) == path_count.residual
+@st.composite
+def regular_bipartite_graphs(draw):
+    """Connected k-regular bipartite graphs on two halves of m vertices,
+    2 <= k <= min(m, 5): a Hamiltonian cycle through the halves in a drawn
+    order (two perfect matchings), then k - 2 random perfect matchings, each
+    drawn again until it repeats no edge.  At k = 2 the graph is the cycle
+    C_2m, whose girth lets d run up to m."""
+    m = draw(st.integers(2, 12))
+    k = draw(st.integers(2, min(m, 5)))
+    left, right = draw(st.permutations(range(m))), draw(st.permutations(range(m, 2 * m)))
+    edges = {(left[i], right[i]) for i in range(m)} | {(left[i - 1], right[i]) for i in range(m)}
+    rng = draw(st.randoms(use_true_random=False))
+    for _ in range(k - 2):
+        for _ in range(50):
+            matching = set(zip(range(m), rng.sample(range(m, 2 * m), m)))
+            if not matching & edges:
+                edges |= matching
+                break
+        else:
+            assume(False)
+    return Graph.from_edges(2 * m, sorted(edges))
+
+
+@settings(max_examples=60, deadline=None)
+@given(regular_bipartite_graphs())
+def test_the_residual_vanishes_exactly_within_the_theorem(graph):
+    """On a connected k-regular bipartite graph and every d with girth
+    >= 2d - 1, H_{d-1}(A) is the level union (by the recurrence), and the
+    path-count identity, on the list route, holds exactly when the diameter
+    is at most d + 1, as the theorem has it: at a pair at distance d + 2,
+    F_d(A), k*A_d and A*A_{d+1} are 0, 0 and k.  The oracle's residual of
+    (A + k*I)(H_{d-1}(A) + A_{d+1}) = k*J is 0 exactly when the diameter is
+    at most d + 2: the level d + 2 has the parity of d, so M still holds 1
+    exactly at the pairs of the parity of d + 1, while a pair at distance
+    d + 3 or more breaks the identity at the farthest pair.  The structural
+    check certifies diameter <= d + 1.  F_d is defined for k >= 3."""
+    analysis, k = graph.analysis, graph.degrees[0]
+    assert set(graph.degrees) == {k} and analysis.bipartite and analysis.connected
+    rows = distance_rows(graph.adjacency)
+    for d in range(1, (analysis.girth + 1) // 2 + 1):
+        width = _intmat.field_width((2 * k) ** d)  # |H_i(A)| <= (2k)^i by the recurrence
+        assert packed_h(graph, k, d - 1, width) == level_union(graph, range(d - 1, -1, -2), width)
+        assert (identity_residual(graph, k, d) == 0) == (analysis.diameter <= d + 2)
+        if k >= 3:
+            a_d, a_far = ([[int(x == i) for x in row] for row in rows] for i in (d, d + 1))
+            residual = path_count_residual(graph, k, d, a_d, a_far)
+            assert (residual == 0) == (analysis.diameter <= d + 1)
+
+
+def cycle(n):
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+@pytest.mark.parametrize(
+    "n,d,residual", [(12, 3, 2), (10, 3, 0), (7, 2, 1), (9, 3, 1)], ids=["C12", "C10", "C7", "C9"],
+)
+def test_the_residual_on_cycles(n, d, residual):
+    """C_12 at d = 3 has diameter 6 = d + 3: at an antipodal pair M and A·M
+    are 0, so the entry is -k = -2.  C_10 at d = 3 has diameter d + 2, and
+    the residual is 0.  The odd cycles C_7 at d = 2 and C_9 at d = 3 have
+    girth >= 2d - 1 and diameter d + 1 but are not bipartite: at a pair at
+    distance d + 1 one neighbour is at d and one at d + 1, so the entry is
+    1 + k - k = 1."""
+    graph = cycle(n)
+    assert graph.analysis.girth >= 2 * d - 1
+    assert identity_residual(graph, 2, d) == residual
 
 
 @pytest.mark.parametrize("case", GIRTH_FOUR, ids=lambda case: case[0])
@@ -106,7 +170,7 @@ def test_girth_four_graphs_satisfy_both_identities(case):
     assert verdict.structure_ok and "half-girth-range" in verdict.regime_notes
     far = graph.analysis._words(d + 1)
     assert (far is not None and bool(far.any())) == (e > 0)
-    assert all(check.holds for check in verify_identities(graph, k, d, e))
+    assert identity_residual(graph, k, d) == 0
 
 
 #: every passing test graph: the catalog's, PG(2, q), W(q) and the girth-4 ones
@@ -128,14 +192,12 @@ def h_width(k, i):
 def test_h_below_half_the_girth_is_a_union_of_levels(case):
     """H_i(A) = A_i + A_{i-2} + ... for every i <= d - 1 on a k-regular graph
     of girth 2d: the recurrence of the oracle equals the packed level union
-    that `verify_identities` reads."""
+    that the theorem's proof reads."""
     _, graph, k, d, e = case
     assert structural_check(graph, k, d, e).structure_ok
     for i in range(d):
         width = h_width(k, i)
-        assert packed_h(graph, k, i, width) == graph.analysis.distance_matrix(
-            range(i, -1, -2), width
-        )
+        assert packed_h(graph, k, i, width) == level_union(graph, range(i, -1, -2), width)
 
 
 @pytest.mark.parametrize("case", LEMMA_GRAPHS, ids=lambda case: case[0])
@@ -145,8 +207,8 @@ def test_the_two_level_unions_partition_j(case):
     the two identities' differences one."""
     _, graph, k, d, e = case
     assert structural_check(graph, k, d, e).structure_ok
-    upper = graph.analysis.distance_matrix(range(d + 1, -1, -2), 8)
-    lower = graph.analysis.distance_matrix(range(d, -1, -2), 8)
+    upper = level_union(graph, range(d + 1, -1, -2), 8)
+    lower = level_union(graph, range(d, -1, -2), 8)
     assert [m + h for m, h in zip(upper, lower)] == [_intmat.ones_row(graph.n, 8)] * graph.n
 
 
@@ -154,11 +216,11 @@ def test_h_is_no_union_of_levels_when_the_girth_is_too_small():
     """The girth precondition matters: K_{3,3} has girth 4 < 2·2 + 1, and
     H_2(A) = A^2 - 2I = 3A_2 + A_0, not A_2 + A_0."""
     graph, width = complete_bipartite(3), h_width(3, 2)
-    union = graph.analysis.distance_matrix((2, 0), width)
+    union = level_union(graph, (2, 0), width)
     h2 = packed_h(graph, 3, 2, width)
     assert h2 != union
     assert h2 == [3 * a2 + a0 for a2, a0 in zip(
-        graph.analysis.distance_matrix((2,), width), graph.analysis.distance_matrix((0,), width)
+        level_union(graph, (2,), width), level_union(graph, (0,), width)
     )]
 
 
@@ -232,6 +294,6 @@ def test_incidence_graphs_satisfy_every_identity(build, q, d):
     graph, k = build(q), q + 1
     assert graph.n == (2 * (q * q + q + 1) if d == 3 else 2 * (q + 1) * (q * q + 1))
     assert structural_check(graph, k, d, 0).passed
-    assert all(check.holds for check in verify_identities(graph, k, d, 0))
+    assert identity_residual(graph, k, d) == 0
     assert spectral_crosscheck(graph, k, d, 0).ok
     assert trace_identity_check(graph, k, d).ok

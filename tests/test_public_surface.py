@@ -4,9 +4,8 @@
 the names and modules the package dropped must stay gone; numpy is imported
 by `graphs` and used only by the graph6 decoder and the row-to-array
 conversion that fill a graph's neighbour arrays, the all-roots BFS on packed
-words, the three readers of those words (the antipode counts, the
-clique-partition test and the packed distance matrices) and the eigenvalue
-cross-check, and no module imports
+words, the two readers of those words (the antipode counts and the
+clique-partition test) and the eigenvalue cross-check, and no module imports
 mpmath (the tests' oracles use it); and no module reads the environment, so
 output depends on arguments alone.
 """
@@ -36,7 +35,6 @@ PUBLIC = [
     "GapVerdict",
     "Graph",
     "Graph6ParseError",
-    "IdentityCheck",
     "IllConditionedError",
     "IntPolynomial",
     "IntersectionMatrix",
@@ -69,14 +67,15 @@ PUBLIC = [
     "structural_check",
     "trace_identity_check",
     "validate_parameters",
-    "verify_identities",
 ]
 
 #: Names the package no longer has, with the module that held each; no
 #: module of the package binds them.  The float formulas the acceptance
 #: suite compares the engine with (the trigonometric weight route, the
 #: closed forms of H_{d-1}, the clique spectrum) live on in
-#: `tests/oracles.py`.
+#: `tests/oracles.py`, and so does the packed residual of the two matrix
+#: identities (`identity_residual`, with `level_union`, `unpack` and
+#: `packed_max_abs`), which the structural check proves zero.
 REMOVED = {
     "DisconnectedGraphError": "errors",
     "DistanceMatrixSet": "graphs",
@@ -110,9 +109,11 @@ REMOVED = {
     "_family_member": "polynomials",
     "frobenius": "_intmat",
     "g_weight": "feasibility",
+    "_horner_float": "feasibility",
     "gap_check": "feasibility",
     "h_closed_form": "polynomials",
     "h_roots_closed_form": "polynomials",
+    "IdentityCheck": "graphs",
     "_horner_newton": "feasibility",
     "is_bipartite": "graphs",
     "ld_entry00": "intersection",
@@ -125,13 +126,17 @@ REMOVED = {
     "multiplicity_trig": "feasibility",
     "pack_bitsets": "_intmat",
     "packed_eval_poly": "_intmat",
+    "packed_max_abs": "_intmat",
     "poly_bound": "_intmat",
     "poly_enclosure": "intervals",
+    "_require_structure": "graphs",
     "_Polys": "feasibility",
     "_row": "cli",
     "_sign_dyadic": "feasibility",
     "transcendental_residual": "feasibility",
+    "unpack": "_intmat",
     "verify_allones_identity": "graphs",
+    "verify_identities": "graphs",
     "verify_path_count_identity": "graphs",
 }
 
@@ -141,10 +146,11 @@ REMOVED_MODULES = ("intervals", "precision")
 
 #: Attributes and dataclass fields the package's classes dropped: the graph
 #: owns its one analysis, and no n x n list of distance rows or adjacency
-#: entries is built; graph6 decodes straight into the neighbour arrays, which
-#: are the graph's one neighbour store, and the level words are the analysis's
-#: one level store; B_D is
-#: read only through its Krylov rows; the families run their recurrence on
+#: entries is built, nor any packed distance matrix, since the structural
+#: check proves the identities that read them; graph6 decodes straight into
+#: the neighbour arrays, which are the graph's one neighbour store, and the
+#: level words are the analysis's one level store; B_D is read only through
+#: its Krylov rows; the families run their recurrence on
 #: coefficient tuples, so `IntPolynomial` has no operator algebra; the
 #: verdict rests on the gap and exact integrality alone, so a report carries
 #: no float positivity, sum or moment check; a gap verdict exists only where
@@ -165,7 +171,9 @@ REMOVED_ATTRIBUTES = {
     ("feasibility", "RootRecord"): ("alpha", "phi"),
     ("graphs", "CrosscheckReport"): ("tolerance",),
     ("graphs", "Graph"): ("adjacency_matrix", "_adjacency", "_from_pairs"),
-    ("graphs", "GraphAnalysis"): ("_converted", "distances", "graph", "level", "verdict"),
+    ("graphs", "GraphAnalysis"): (
+        "_converted", "distance_matrix", "distances", "graph", "level", "verdict",
+    ),
     ("intersection", "IntersectionMatrix"): ("rows",),
     ("polynomials", "IntPolynomial"): (
         "__add__", "__neg__", "__sub__", "__mul__", "__rmul__", "shift_up",
@@ -183,7 +191,7 @@ LEMMA_CHECKS = {
 #: "module.function": the one module imports it and only those functions use
 #: it.  numpy carries a graph's neighbour arrays (decoded from graph6, or
 #: converted from checked rows), the all-roots BFS on packed words (3-4x
-#: faster than Python-int bitsets on the screening candidates), the three
+#: faster than Python-int bitsets on the screening candidates), the two
 #: functions that read those words, and the eigenvalue cross-check.
 THIRD_PARTY = {
     "numpy": (
@@ -192,7 +200,6 @@ THIRD_PARTY = {
         "graphs._all_roots_bfs",
         "graphs.level_sizes",
         "graphs._is_clique_partition",
-        "graphs.distance_matrix",
         "graphs.spectral_crosscheck",
     ),
 }
@@ -272,9 +279,7 @@ def test_certificates_hold_exact_data_only(cls):
 def test_no_public_function_takes_an_analysis():
     """Every check reads `Graph.analysis`; no caller passes one in."""
     functions = [obj for obj in map(vars(cage_spectra).get, PUBLIC) if inspect.isfunction(obj)]
-    assert {f.__name__ for f in functions} >= {
-        "structural_check", "verify_identities", "spectral_crosscheck",
-    }
+    assert {f.__name__ for f in functions} >= {"structural_check", "spectral_crosscheck"}
     for function in functions:
         assert "analysis" not in inspect.signature(function).parameters, function.__name__
     assert not hasattr(importlib.import_module("cage_spectra.cli"), "GraphAnalysis")

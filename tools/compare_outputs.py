@@ -77,12 +77,16 @@ GRAPH6_FILES = {
     ),
 }
 
-#: (target, "k d e") of each ``verify`` call, made in text and in json.
+#: (target, "k d e") of each ``verify`` call, made in text and in json.  The
+#: half-girth 10^6 claim fails the order of a 26-vertex graph, with or
+#: without M(4, 2·10^6) computed (a 477,122-digit number), so a
+#: tree that skips the bound must print the same bytes.
 VERIFY_TARGETS = (
     ("catalog:heawood", "3 3 0"),
     ("catalog:moebius_kantor", "3 3 2"),
     ("catalog:moebius_kantor", "3 3 0"),
     ("catalog:pg23_incidence", "4 3 0"),
+    ("catalog:pg23_incidence", "4 1000000 0"),
     ("catalog:tutte_coxeter", "3 4 0"),
     ("catalog:z14_antipodal", "4 3 2"),
     ("catalog:z14_antipodal", "4 3 0"),

@@ -13,15 +13,16 @@ times (default 5), and the best time of each is kept:
     bfs         the all-roots BFS pass (`GraphAnalysis`, which
                 `Graph.analysis` builds once)
     structure   the structural verdict for the claim, from that pass
-    identities  `verify_identities`
     crosscheck  `spectral_crosscheck`
 
 A graph that fails the structural check stops there, as ``verify`` stops.
+A graph that passes needs no identity stage: the verdict proves both
+identities, and ``verify`` prints their residuals as 0.
 Prints one line per graph and stage: the best time in milliseconds.
 
 `perfbench/run.py --trace 1` reports the public functions it wraps, and
-none of them is the BFS pass or the identities; this tool times every stage
-of a ``verify`` call, on two trees in turn.
+none of them is the BFS pass; this tool times every stage of a ``verify``
+call, on two trees in turn.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-STAGES = ("load", "bfs", "structure", "identities", "crosscheck")
+STAGES = ("load", "bfs", "structure", "crosscheck")
 
 #: Run in the child: argv[1] is the src directory, stdin the JSON of
 #: {"target", "claim", "repeat"}; writes [[graph, [[stage, best_ms], ...]], ...]
@@ -69,8 +70,7 @@ for name, load in loads:
     times = [["load", best(load)], ["bfs", best(lambda: graphs.GraphAnalysis(graph))],
              ["structure", best(lambda: graphs._verdict(graph, k, d, e))]]
     if graphs.structural_check(graph, k, d, e).structure_ok:
-        times += [["identities", best(lambda: graphs.verify_identities(graph, k, d, e))],
-                  ["crosscheck", best(lambda: graphs.spectral_crosscheck(graph, k, d, e))]]
+        times.append(["crosscheck", best(lambda: graphs.spectral_crosscheck(graph, k, d, e))])
     result.append([name, times])
 json.dump(result, sys.stdout)
 """
