@@ -34,7 +34,6 @@ from .feasibility import (
     VERDICT_INTEGRALITY,
     VERDICT_OUTSIDE,
     isolate_roots,
-    multiplicity_closed_form,
     scan,
     spectral_feasibility,
     validate_parameters,
@@ -101,7 +100,6 @@ __all__ = [
     "isolate_roots",
     "minimal_polynomial_check",
     "moore_bound",
-    "multiplicity_closed_form",
     "parse_graph6",
     "scan",
     "spectral_crosscheck",

@@ -41,7 +41,10 @@ class StructuralRefusal(CageSpectraError, RuntimeError):
 
 
 class IllConditionedError(CageSpectraError, ArithmeticError):
-    """A multiplicity evaluation hit a denominator too close to zero."""
+    """A multiplicity enclosure over a refined root bracket is not decisive:
+    its denominator encloses zero, or it is wider than 1/2, so it may hold
+    more than one integer (`feasibility._refined_enclosure`, its one raise
+    site)."""
 
 
 class BracketSeedError(CageSpectraError, RuntimeError):

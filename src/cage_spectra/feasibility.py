@@ -53,7 +53,10 @@ This module:
 * evaluates the eigenvalue multiplicity in closed form
 
       m(theta) = n e k (k-1) H_{d-2}(theta)
-                 / [ 2 eps (2 eps + e/2 - 1) H'_{d-1}(theta) (k^2 - theta^2) ];
+                 / [ 2 eps (2 eps + e/2 - 1) H'_{d-1}(theta) (k^2 - theta^2) ]
+
+  in binary64, for the reports that print it, in one kernel per report
+  (`FeasibilityReport._closed_forms`);
 
 * certifies integrality of each multiplicity with exact interval arithmetic
   propagated from the root bracket (an enclosure must contain exactly one
@@ -76,12 +79,13 @@ The verdict is decided in certificate order (Biggs & Ito, 1980), and it
 rests on two exact facts alone: the gap first, then integrality.  A triple
 is admissible exactly when every enclosure holds one integer and that
 integer is at least 1.  The certificates hold exact data only; the report
-derives the binary64 values it prints.  `spectral_feasibility` isolates the
-roots and runs the gap check; the enclosures and their refinement are
-computed only when the report is asked for them, once.  So a gap-excluded
-`scan` text row costs isolation and the integer gap, and one with d = 3 or
-5 the enclosures that decide it, with no float closed form; a CSV row
-costs one float closed form per mirrored pair besides, while the JSON
+derives the binary64 values it prints, a root's theta among them.
+`spectral_feasibility` isolates the roots and runs the gap check; the
+enclosures and their refinement are computed only when the report is asked
+for them, once.  So a gap-excluded `scan` text row costs isolation and the
+integer gap, and one with d = 3 or 5 the enclosures that decide it, with no
+theta and no float closed form; a CSV row costs one theta and one float
+closed form per mirrored pair besides, while the JSON
 report and the `feasibility` text report print every multiplicity and pay
 for the enclosures, the float closed forms and the float analytic gap
 bound.  The moment identity the multiplicities must satisfy (their sum
@@ -443,26 +447,27 @@ class RootRecord:
 
     ``bracket`` is the integer triple (lo, hi, shift): theta lies in
     [lo, hi] / 2^shift, of width below 2^-60, and the bracket lies inside
-    the image of the root's angular case interval under -2 s cos.
-    ``theta`` is the bracket's midpoint in binary64, or None where binary64
-    cannot hold it (|theta| < 2s passes its range for k past about 2^2046).
-    The angles phi and alpha are not kept; `FeasibilityReport.angles`
-    computes them for the reports that print them.
+    the image of the root's angular case interval under -2 s cos.  The
+    record holds exact data only: ``theta`` is read off the bracket, and the
+    angles phi and alpha are computed by `FeasibilityReport.angles` for the
+    reports that print them.
     """
 
     i: int
     epsilon: int
     eta: int
-    theta: float | None
     bracket: tuple[int, int, int]
 
-
-def _midpoint_float(lo: int, hi: int, shift: int) -> float | None:
-    """(lo + hi) / 2^(shift+1) in binary64, or None past its range."""
-    try:
-        return (lo + hi) / (1 << (shift + 1))
-    except OverflowError:
-        return None
+    @property
+    def theta(self) -> float | None:
+        """The bracket's midpoint (lo + hi) / 2^(shift+1) in binary64, or
+        None where binary64 cannot hold it (|theta| < 2s passes its range
+        for k past about 2^2046)."""
+        lo, hi, shift = self.bracket
+        try:
+            return (lo + hi) / (1 << (shift + 1))
+        except OverflowError:
+            return None
 
 
 @lru_cache(maxsize=None)
@@ -892,7 +897,7 @@ def _isolate(k: int, d: int, e: int, epsilon: int) -> tuple[RootRecord, ...]:
     checked = _check_family((k, d, e, epsilon), seeds, brackets)
     etas += [-eta for eta in reversed(etas)]
     return tuple(
-        RootRecord(i, epsilon, eta, _midpoint_float(*bracket), bracket)
+        RootRecord(i, epsilon, eta, bracket)
         for i, (eta, bracket) in enumerate(zip(etas, checked), 1)
     )
 
@@ -921,43 +926,6 @@ def _root_angles(k: int, d: int, record: RootRecord) -> tuple[float, float]:
     phi = _acos_near(cos_phi, i * beta, *centre[i], bits)
     sin_phi = math.isqrt((1 << 2 * bits) - cos_phi * cos_phi)
     return (pi - phi if mirrored else phi) / (1 << bits), math.asin(record.eta * sin_phi / (q << bits))
-
-
-# ---------------------------------------------------------------------------
-# multiplicity formulas
-
-@lru_cache(maxsize=None)
-def _float_coefficients(k: int, d: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The coefficients of H_{d-2} and H'_{d-1} in binary64, constant term
-    first, converted once per (k, d); raises OverflowError when one is past
-    binary64's range."""
-    return tuple(tuple(map(float, p)) for p in _polys(k, d)[1:])
-
-
-def multiplicity_closed_form(k: int, d: int, e: int, epsilon: int, theta: float) -> float:
-    """Eigenvalue multiplicity at a root theta of H_{d-1} - epsilon:
-
-        n e k (k-1) H_{d-2}(theta)
-        / [ 2 eps (2 eps + e/2 - 1) H'_{d-1}(theta) (k^2 - theta^2) ]
-
-    with n = M(k, 2d) + e, in binary64.  Raises OverflowError when a
-    coefficient of H_{d-2} or H'_{d-1} is past binary64's range, and
-    IllConditionedError when the derivative or k^2 - theta^2 falls below
-    1e-12 in magnitude."""
-    validate_parameters(k, d, e)
-    n = moore_bound(k, 2 * d) + e
-    prev_coeffs, deriv_coeffs = _float_coefficients(k, d)
-    h_prev = horner(prev_coeffs, theta)
-    h_deriv = horner(deriv_coeffs, theta)
-    k2t2 = k * k - theta * theta
-    if abs(h_deriv) < 1e-12 or abs(k2t2) < 1e-12:
-        raise IllConditionedError(
-            f"multiplicity at theta={theta} is ill-conditioned "
-            f"(|H'|={abs(h_deriv):.3e}, |k^2-theta^2|={abs(k2t2):.3e})"
-        )
-    return (n * e * k * (k - 1) * h_prev) / (
-        2 * epsilon * (2 * epsilon + e // 2 - 1) * h_deriv * k2t2
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1032,7 +1000,10 @@ class FeasibilityReport:
     otherwise the enclosures decide it.  ``repr`` and ``==`` read the fields
     alone.  The per-root attributes are tuples aligned with ``roots``; the
     enclosures and the closed forms are computed at the seeded roots only,
-    and a mirror reads its partner's (`_mirrored`).
+    and a mirror reads its partner's (`_mirrored`).  The report derives
+    every binary64 value it prints from exact data: the thetas from the
+    root brackets, the closed forms in one kernel (`_closed_forms`), the
+    deviation from them, the angles and the analytic gap bound.
     """
 
     k: int
@@ -1051,19 +1022,38 @@ class FeasibilityReport:
 
     @cached_property
     def _closed_forms(self) -> tuple[float | None, ...]:
-        """The float closed form at each root, in the order of ``roots``, or
-        None where binary64 cannot evaluate it (theta has no binary64 value,
-        or it overflows, with an error or to inf or nan, or is
-        ill-conditioned); evaluated once per mirrored pair.  The CSV's
-        deviation column reads them all, and `spectrum` those of the
-        non-integral multiplicities."""
+        """The eigenvalue multiplicity in closed form at each root, in
+        binary64, in the order of ``roots``:
+
+            m(theta) = n e k (k-1) H_{d-2}(theta)
+                       / [ 2 eps (2 eps + e/2 - 1) H'_{d-1}(theta) (k^2 - theta^2) ].
+
+        The coefficients of H_{d-2} and H'_{d-1} are converted to binary64
+        once, and the integer n e k (k-1) formed once; each seeded root then
+        takes two `horner` calls at its theta, k^2 - theta^2, and the
+        quotient, and its mirror reads its value (`_mirrored`).  None where
+        binary64 cannot evaluate it: theta has no binary64 value, a
+        coefficient or an integer factor passes binary64's range, H'_{d-1} or
+        k^2 - theta^2 falls below 1e-12 in magnitude, or the quotient is inf
+        or nan.  The CSV's deviation column reads them all, and `spectrum`
+        those of the non-integral multiplicities."""
+        k, e = self.k, self.e
+        try:
+            h_prev, h_deriv = (tuple(map(float, p)) for p in _polys(k, self.d)[1:])
+        except OverflowError:
+            return (None,) * len(self.roots)
+        numerator = self.n * e * k * (k - 1)
 
         def closed_form(r):
-            if r.theta is None:
+            x, eps = r.theta, r.epsilon
+            if x is None:
                 return None
             try:
-                m = multiplicity_closed_form(self.k, self.d, self.e, r.epsilon, r.theta)
-            except (OverflowError, IllConditionedError):
+                prev, deriv, k2t2 = horner(h_prev, x), horner(h_deriv, x), k * k - x * x
+                if abs(deriv) < 1e-12 or abs(k2t2) < 1e-12:
+                    return None
+                m = numerator * prev / (2 * eps * (2 * eps + e // 2 - 1) * deriv * k2t2)
+            except OverflowError:
                 return None
             return m if math.isfinite(m) else None
 

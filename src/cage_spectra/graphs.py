@@ -85,6 +85,7 @@ set {0, 1, 3, 9} mod 13, come from one builder.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -130,9 +131,11 @@ class Graph:
     construction), and only there.  ``adjacency``, the rows as a tuple of
     tuples, is built from them on each read.  `Graph(n, rows)` checks range,
     self-loops and symmetry, and `from_edges` checks range and builds through
-    it (a repeated edge counts once).  `parse_graph6` checks the encoding and
-    builds the arrays unchecked, since they come out sorted and symmetric by
-    construction.
+    it (a repeated edge counts once).  Both read n and every vertex label
+    through `operator.index`, as `IntPolynomial` reads its coefficients, so
+    a float or a str raises TypeError instead of passing as an int.
+    `parse_graph6` checks the encoding and builds the arrays unchecked,
+    since they come out sorted and symmetric by construction.
 
     ``analysis`` is the graph's `GraphAnalysis`, built on first access and
     kept; the arrays are never written, so it never goes stale.
@@ -141,9 +144,10 @@ class Graph:
     __slots__ = ("n", "_degrees", "_flat", "_analysis")
 
     def __init__(self, n: int, adjacency: Sequence[Iterable[int]]):
+        n = operator.index(n)
         if len(adjacency) != n:
             raise ValueError(f"adjacency has {len(adjacency)} rows for n={_numeral(n)}")
-        adj = tuple(tuple(sorted(set(nbrs))) for nbrs in adjacency)
+        adj = tuple(tuple(sorted(set(map(operator.index, nbrs)))) for nbrs in adjacency)
         for u, nbrs in enumerate(adj):
             for v in nbrs:
                 if not 0 <= v < n:
@@ -158,8 +162,10 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        n = operator.index(n)
         adj = [[] for _ in range(n)]
         for u, v in edges:
+            u, v = operator.index(u), operator.index(v)
             if not (0 <= u < n and 0 <= v < n):  # a negative index would wrap
                 bad = v if 0 <= u < n else u
                 raise ValueError(

@@ -46,12 +46,12 @@ from cage_spectra.errors import (
     BracketSeedError,
     DegreeRangeError,
     Graph6ParseError,
+    IllConditionedError,
     ParameterDomainError,
 )
 from cage_spectra.feasibility import (
     TARGET_BRACKET_BITS,
     RootRecord,
-    multiplicity_closed_form,
     validate_parameters,
 )
 from cage_spectra.graphs import moore_bound
@@ -417,9 +417,7 @@ def isolate_mp(k: int, d: int, e: int, epsilon: int) -> tuple[MpRoot, ...]:
                     f"alpha={float(alpha)} outside case bound ({-float(bound)}, 0) "
                     f"for (k={k}, d={d}, e={e}, eps={epsilon}, i={i})"
                 )
-            record = RootRecord(
-                i=i, epsilon=epsilon, eta=eta, theta=float(theta_mid), bracket=(lo, hi, shift)
-            )
+            record = RootRecord(i=i, epsilon=epsilon, eta=eta, bracket=(lo, hi, shift))
             records.append(MpRoot(record, float(phi), float(alpha)))
     records.sort(key=lambda r: bracket_interval(r.record.bracket).lo)
     if [r.record.i for r in records] != list(range(1, d)):
@@ -504,6 +502,41 @@ def g_weight(which: str, k: int, d: int, e: int, z: float) -> float:
         )
     root = math.sqrt(radicand)
     return k * (k - 1) * (root + a * s_pow * z) / (d * root + a * s_pow * z)
+
+
+def multiplicity_closed_form(k: int, d: int, e: int, epsilon: int, theta: float) -> float:
+    """Eigenvalue multiplicity at a root theta of H_{d-1} - epsilon:
+
+        n e k (k-1) H_{d-2}(theta)
+        / [ 2 eps (2 eps + e/2 - 1) H'_{d-1}(theta) (k^2 - theta^2) ]
+
+    with n = M(k, 2d) + e, in binary64: the coefficients converted to
+    binary64, then Horner's rule from lead + 0·theta, one multiply and one
+    add per step.  These are the report's operations in its order, so
+    `FeasibilityReport._closed_forms` must equal it bit for bit.  Raises
+    OverflowError when a coefficient or an integer factor is past
+    binary64's range, and IllConditionedError when the derivative or
+    k^2 - theta^2 falls below 1e-12 in magnitude."""
+    validate_parameters(k, d, e)
+    n = moore_bound(k, 2 * d) + e
+    h = dickson_family("H", k, d - 1)
+    values = []
+    for p in (dickson_family("H", k, d - 2), derivative(h)):
+        coeffs = [float(c) for c in p.coefficients]
+        value = coeffs[-1] + 0 * theta
+        for c in reversed(coeffs[:-1]):
+            value = value * theta + c
+        values.append(value)
+    h_prev, h_deriv = values
+    k2t2 = k * k - theta * theta
+    if abs(h_deriv) < 1e-12 or abs(k2t2) < 1e-12:
+        raise IllConditionedError(
+            f"multiplicity at theta={theta} is ill-conditioned "
+            f"(|H'|={abs(h_deriv):.3e}, |k^2-theta^2|={abs(k2t2):.3e})"
+        )
+    return (n * e * k * (k - 1) * h_prev) / (
+        2 * epsilon * (2 * epsilon + e // 2 - 1) * h_deriv * k2t2
+    )
 
 
 def multiplicity_trig(k: int, d: int, e: int, record: RootRecord) -> float:

@@ -18,7 +18,6 @@ from cage_spectra import (
     isolate_roots,
     minimal_polynomial_check,
     moore_bound,
-    multiplicity_closed_form,
     scan,
     spectral_feasibility,
     structural_check,
@@ -34,6 +33,7 @@ from oracles import (
     identity_residual,
     minimality_margins,
     mp_multiplicities,
+    multiplicity_closed_form,
     multiplicity_trig,
     tree_closed_walks,
 )

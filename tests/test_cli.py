@@ -18,6 +18,7 @@ from cage_spectra import (
 from cage_spectra.cli import (
     _report_json, _report_text, dumps_canonical, format_exact, format_float, main,
 )
+from oracles import multiplicity_closed_form
 
 
 def run(capsys, *argv):
@@ -210,24 +211,32 @@ def test_only_the_json_report_computes_the_angles(monkeypatch, capsys):
     assert code == 0 and len(calls) == 2 * 2 * 6  # two triples, two families, d - 1 roots
 
 
-def test_a_text_scan_computes_no_closed_form(monkeypatch, capsys):
-    """A gap-excluded `scan` text row prints the verdict and the gap alone:
-    it calls `multiplicity_closed_form` zero times, where a CSV row pays for
-    the integrality-deviation column."""
+def counted_horner(monkeypatch):
+    """The calls of the report's closed-form kernel to `horner`, two per
+    closed form, recorded as they are made."""
     calls = []
-    closed_form = feasibility.multiplicity_closed_form
+    horner = feasibility.horner
 
     def counted(*args):
         calls.append(args)
-        return closed_form(*args)
+        return horner(*args)
 
-    monkeypatch.setattr(feasibility, "multiplicity_closed_form", counted)
+    monkeypatch.setattr(feasibility, "horner", counted)
+    return calls
+
+
+def test_a_text_scan_computes_no_closed_form(monkeypatch, capsys):
+    """A gap-excluded `scan` text row prints the verdict and the gap alone:
+    its closed-form kernel makes no `horner` call, where a CSV row pays for
+    the integrality-deviation column."""
+    calls = counted_horner(monkeypatch)
     argv = ("scan", "--k", "5..6", "--d", "7", "--e", "2", "--format")
     code, out, _ = run(capsys, *argv, "text")
     assert code == 0 and out.count("excluded-by-gap") == 2
     assert calls == []
     code, _, _ = run(capsys, *argv, "csv")
-    assert code == 0 and len(calls) == 2 * 2 * 3  # two triples, two families, i <= (d-1)/2
+    # two triples, two families, i <= (d-1)/2, two Horner calls each
+    assert code == 0 and len(calls) == 2 * 2 * 3 * 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -345,17 +354,10 @@ def test_a_triple_past_the_float_chain_ends_in_the_gap_verdict(capsys):
 
 def test_a_text_scan_below_the_gap_regime_computes_no_closed_form(monkeypatch, capsys):
     """At d = 3 and 5 the enclosures decide the verdict, and a `scan` text
-    row prints nothing else: it calls `multiplicity_closed_form` zero times.
+    row prints nothing else: its closed-form kernel makes no `horner` call.
     The JSON prints each non-integral multiplicity as the float closed form
     at its mirrored pair's seeded root."""
-    calls = []
-    closed_form = feasibility.multiplicity_closed_form
-
-    def counted(*args):
-        calls.append(args)
-        return closed_form(*args)
-
-    monkeypatch.setattr(feasibility, "multiplicity_closed_form", counted)
+    calls = counted_horner(monkeypatch)
     argv = ("scan", "--k", "5..6", "--d", "3,5", "--e", "2", "--format")
     code, out, _ = run(capsys, *argv, "text")
     assert code == 0 and out.count("excluded-by-integrality") + out.count("admissible") == 4
@@ -368,7 +370,7 @@ def test_a_text_scan_below_the_gap_regime_computes_no_closed_form(monkeypatch, c
         theta = {(r.epsilon, r.i): r.theta for r in report.roots}
         expected = [1, *(
             a.integer if a.integral
-            else closed_form(k, d, e, r.epsilon, theta[r.epsilon, min(r.i, d - r.i)])
+            else multiplicity_closed_form(k, d, e, r.epsilon, theta[r.epsilon, min(r.i, d - r.i)])
             for r, a in zip(report.roots, report.assessments)
         ), 1]
         assert row["multiplicities"] == json.loads(dumps_canonical(expected))
@@ -381,7 +383,7 @@ def test_reports_render_without_a_closed_form(monkeypatch, capsys):
     def overflow(*args):
         raise OverflowError("int too large to convert to float")
 
-    monkeypatch.setattr(feasibility, "multiplicity_closed_form", overflow)
+    monkeypatch.setattr(feasibility, "horner", overflow)
     code, out, _ = run(capsys, "feasibility", "4", "7", "2", "--format", "json")
     report = json.loads(out)
     assert code == 0 and report["verdict"] == "excluded-by-gap"

@@ -29,7 +29,6 @@ from cage_spectra import (
     feasibility,
     isolate_roots,
     moore_bound,
-    multiplicity_closed_form,
     scan,
     spectral_feasibility,
 )
@@ -46,6 +45,7 @@ from oracles import (
     g_weight,
     minimality_margins,
     mp_multiplicities,
+    multiplicity_closed_form,
     multiplicity_trig,
     transcendental_residual,
     tree_closed_walks,
@@ -370,7 +370,7 @@ def test_transcendental_residual_negative_control():
 
 def test_transcendental_residual_rejects_zero_epsilon():
     real = isolate_roots(4, 3, 2, 1)[0]
-    fake = RootRecord(i=1, epsilon=0, eta=0, theta=real.theta, bracket=real.bracket)
+    fake = RootRecord(i=1, epsilon=0, eta=0, bracket=real.bracket)
     with pytest.raises(ParameterDomainError):
         transcendental_residual(fake, feasibility._root_angles(4, 3, real)[1], 4, 3)
 
@@ -840,6 +840,36 @@ def test_max_integrality_deviation_is_the_assessments_maximum(triple):
     assert column.hex() == max(abs(m - round(m)) for m in closed).hex()
     fresh = (multiplicity_closed_form(k, d, e, r.epsilon, r.theta) for r in report.roots)
     assert column.hex() == max(abs(m - round(m)) for m in fresh).hex()
+
+
+def oracle_closed_form(k, d, e, record):
+    """The oracle's closed form at the record's theta, or None where theta
+    has no binary64 value, the oracle raises, or its value is inf or nan."""
+    if record.theta is None:
+        return None
+    try:
+        m = multiplicity_closed_form(k, d, e, record.epsilon, record.theta)
+    except (OverflowError, IllConditionedError):
+        return None
+    return m if math.isfinite(m) else None
+
+
+@settings(max_examples=100, deadline=None)
+@given(regime_triples(2 ** 70, 3, 61))
+@example((3000, 61, 2))          # the quotient overflows to inf
+@example((10 ** 6 + 1, 61, 2))   # an integer factor passes binary64: OverflowError
+@example((2 ** 2050 + 1, 7, 2))  # theta itself passes binary64
+@example((2 ** 2050 + 1, 3, 2))  # so it does at d = 3, where every coefficient is small
+def test_the_reports_closed_forms_are_the_oracles_bit_for_bit(triple):
+    """The report's one closed-form kernel converts the coefficients once
+    per report and forms n e k (k-1) once; at every root it gives the
+    oracle's float by `float.hex`, or None where the oracle has none."""
+    report = spectral_feasibility(*triple)
+    expected = [oracle_closed_form(*triple, r) for r in report.roots]
+    got = report._closed_forms
+    assert [None if m is None else m.hex() for m in got] == [
+        None if m is None else m.hex() for m in expected
+    ]
 
 
 @settings(max_examples=100, deadline=None)

@@ -356,6 +356,22 @@ def test_a_non_integer_vertex_is_rejected():
             Graph(2, rows)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Graph(2.0, [[1], [0]]),
+    lambda: Graph(2, [[1.0], [0]]),
+    lambda: Graph(2, [[1], ["0"]]),
+    lambda: Graph.from_edges(2.0, [(0, 1)]),
+    lambda: Graph.from_edges(2, [(0, 1.0)]),
+    lambda: Graph.from_edges(2, [("0", 1)]),
+], ids=["order", "row-float", "row-str", "edges-order", "edge-float", "edge-str"])
+def test_the_order_and_every_label_are_read_as_integers(build):
+    """`Graph(2.0, rows)` once built a graph with n = 2.0 that
+    `structural_check` failed inside with a TypeError; the order and every
+    label are now read through `operator.index` at construction."""
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        build()
+
+
 def test_graph_analysis_is_built_once():
     graph = cycle(6)
     assert graph.analysis is graph.analysis

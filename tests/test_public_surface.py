@@ -59,7 +59,6 @@ PUBLIC = [
     "isolate_roots",
     "minimal_polynomial_check",
     "moore_bound",
-    "multiplicity_closed_form",
     "parse_graph6",
     "scan",
     "spectral_crosscheck",
@@ -72,9 +71,10 @@ PUBLIC = [
 #: Names the package no longer has, with the module that held each; no
 #: module of the package binds them.  The float formulas the acceptance
 #: suite compares the engine with (the trigonometric weight route, the
-#: closed forms of H_{d-1}, the clique spectrum) live on in
-#: `tests/oracles.py`, and so does the packed residual of the two matrix
-#: identities (`identity_residual`, with `level_union`, `unpack` and
+#: closed forms of H_{d-1}, the clique spectrum, and the binary64 closed-form
+#: multiplicity at one theta, which the report's kernel matches bit for bit)
+#: live on in `tests/oracles.py`, and so does the packed residual of the two
+#: matrix identities (`identity_residual`, with `level_union`, `unpack` and
 #: `packed_max_abs`), which the structural check proves zero.
 REMOVED = {
     "DisconnectedGraphError": "errors",
@@ -105,6 +105,7 @@ REMOVED = {
     "eye": "_intmat",
     "f_weight": "feasibility",
     "_Family": "feasibility",
+    "_float_coefficients": "feasibility",
     "_float_or": "cli",
     "_family_member": "polynomials",
     "frobenius": "_intmat",
@@ -120,8 +121,10 @@ REMOVED = {
     "mat_add": "_intmat",
     "max_abs": "_intmat",
     "_members": "graphs",
+    "_midpoint_float": "feasibility",
     "_moment_check": "feasibility",
     "_monotone": "feasibility",
+    "multiplicity_closed_form": "feasibility",
     "multiplicity_symmetry_checks": "feasibility",
     "multiplicity_trig": "feasibility",
     "pack_bitsets": "_intmat",
@@ -260,20 +263,15 @@ def test_removed_attributes_are_gone(owner):
         assert attr not in fields, attr
 
 
-#: The one float a certificate record may hold: the bracket midpoint every
-#: format prints as a root.
-FLOAT_FIELDS = {("RootRecord", "theta")}
-
-
 @pytest.mark.parametrize("cls", [
     cage_spectra.RootRecord, cage_spectra.MultiplicityAssessment, cage_spectra.GapVerdict,
 ])
 def test_certificates_hold_exact_data_only(cls):
-    """No field of a certificate record is annotated with ``float``, but
-    `RootRecord.theta`; the report derives every other float it prints."""
-    floats = {(cls.__name__, f.name) for f in dataclasses.fields(cls)
-              if re.search(r"\bfloat\b", str(f.type))}
-    assert floats <= FLOAT_FIELDS
+    """No field of a certificate record is annotated with ``float``: the
+    report derives every float it prints, and a root's theta is a property
+    of its exact bracket."""
+    floats = [f.name for f in dataclasses.fields(cls) if re.search(r"\bfloat\b", str(f.type))]
+    assert floats == []
 
 
 def test_no_public_function_takes_an_analysis():

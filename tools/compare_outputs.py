@@ -33,6 +33,16 @@ GOLDEN_TRIPLES = ("4 3 2", "5 5 2", "8 7 4", "20 11 2", "8 21 2", "16 21 2")
 #: A degree past binary64 (k > 2^1024), where the floats print as absent.
 HUGE_K = str(2**1100 + 1)
 
+#: A degree whose largest roots pass binary64 (|theta| near 1.8 s with
+#: s = sqrt(k - 1)), so their theta and every closed form print as absent.
+THETA_PAST_K = str(2**2050 + 1)
+
+#: "k d e" of triples whose closed forms the report's kernel leaves empty:
+#: at d = 61 the quotient passes binary64, to inf at k = 3000 and with an
+#: `OverflowError` at k = 10^6 + 1; at `THETA_PAST_K` 8 of the 12 roots have
+#: no binary64 theta, and the coefficients of H_5 pass binary64 as well.
+NO_CLOSED_FORM = ("3000 61 2", "1000001 61 2", f"{THETA_PAST_K} 7 2")
+
 #: 10^4300 + 1, a degree past Python's default int-string limit of 4,300
 #: digits, written out so that no conversion of it meets that limit.
 LONG_K = "1" + "0" * 4299 + "1"
@@ -153,6 +163,8 @@ def _calls() -> list[list[str]]:
         ]
     calls += [["scan", "--k", "5..", "--d", "7", "--e", "2"],
               ["scan", "--k", "9..4", "--d", "7", "--e", "2"],
+              *(["feasibility", *t.split(), "--format", "csv"] for t in NO_CLOSED_FORM),
+              ["feasibility", THETA_PAST_K, "7", "2", "--format", "json"],
               ["feasibility", LONG_K, "3", "2", "--format", "text"],
               ["feasibility", LONG_K, "3", "2", "--format", "json"],
               ["scan", "--k", LONG_K, "--d", "3", "--e", "2", "--format", "csv"],
