@@ -30,14 +30,8 @@ class Graph6ParseError(CageSpectraError, ValueError):
 
 
 class StructuralRefusal(CageSpectraError, RuntimeError):
-    """A verifier refused to run because its structural preconditions failed.
-
-    Carries the offending verdict (when one was computed) in ``verdict``.
-    """
-
-    def __init__(self, message, verdict=None):
-        super().__init__(message)
-        self.verdict = verdict
+    """A verifier refused to run because its structural preconditions failed;
+    the message names each failed fact."""
 
 
 class IllConditionedError(CageSpectraError, ArithmeticError):

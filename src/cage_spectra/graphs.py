@@ -22,9 +22,10 @@ distance from that single pass.  The sets are packed 64 roots to a
 little-endian `uint64` word, one row of words per vertex plus an all-zero
 row that pads short neighbour lists, so a level is one numpy gather-and-OR
 per neighbour slot.  The words are the one store of the levels.
-`structural_check` is a view over the analysis for a claimed (k, d, e) that
-reports each violated condition by name instead of raising; its antipode
-counts and its clique-partition test read the words.
+`structural_check` is a plain function of the graph and a claimed (k, d, e)
+that reads the analysis and reports each violated condition by name instead
+of raising; its antipode counts and its clique-partition test read the
+words.
 
 Two matrix identities tie the distance matrices A_i to the polynomial
 families:
@@ -62,17 +63,23 @@ the all-ones one exactly when it is at most d + 2 (the level d + 2 has the
 parity of d, so M still follows the parity rule there), and the odd
 cycles C_7 at d = 2 and C_9 at d = 3, which are not bipartite, give 1.
 
-The eigenvalue cross-check reads the spectrum off half the matrix.  The
-structural check certifies that the graph is bipartite, so with the vertices
-at even and at odd distance from vertex 0 as the two colour classes,
-A = [[0, N], [N^T, 0]] for the biadjacency N, square because the graph is
-k-regular; if N = U·S·V^T, the vectors (u_i, +-v_i) are eigenvectors of A for
-+-s_i, so the eigenvalues of A are the +-s_i, the singular values of N with
-both signs.  The graph is also connected, so s_1 = k is simple, and one SVD
-of order n/2 gives every eigenvalue other than one copy each of +k and -k.
+The eigenvalue cross-check reads the spectrum off half the matrix, and it
+reads three facts of the graph to do so, which it checks itself.  The graph
+is bipartite, so with the vertices at even and at odd distance from vertex 0
+as the two colour classes, A = [[0, N], [N^T, 0]] for the biadjacency N,
+square because the graph is k-regular; if N = U·S·V^T, the vectors
+(u_i, +-v_i) are eigenvectors of A for +-s_i, so the eigenvalues of A are the
++-s_i, the singular values of N with both signs.  The graph is connected, so
+s_1 = k is simple, and one SVD of order n/2 gives every eigenvalue other than
+one copy each of +k and -k.  A passing structural verdict implies all three,
+so `verify`, which runs the cross-check only after one, never sees it refuse.
+
 Every check reads the graph's own `GraphAnalysis` (`Graph.analysis`, built
-on first use), so `verify` and the trace oracle run the BFS pass once per
-graph.
+on first use), which holds facts of the graph alone.  Nothing else is kept:
+`structural_check` computes its verdict afresh on each call, and a check
+that refuses tests only the facts its own computation reads.  So `verify`
+runs the BFS pass and the structural check once per graph, and the trace
+oracle reuses the pass.
 
 The classical excess-0 graphs in the catalog serve as regression anchors.
 `z14_antipodal`, the bi-Cayley graph of the relative difference set
@@ -89,7 +96,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import chain, islice
 from typing import Iterable, Sequence
 
@@ -351,8 +358,8 @@ def _all_roots_bfs(degrees, flat) -> tuple[list[np.ndarray], int | float, bool, 
 class GraphAnalysis:
     """Everything the checks need from breadth-first search, from one
     bit-parallel pass over all roots (`_all_roots_bfs`): the level word
-    arrays, the girth, bipartiteness, connectivity and the diameter, plus the
-    structural verdicts already computed for the graph (`structural_check`).
+    arrays, the girth, bipartiteness, connectivity and the diameter.  It
+    holds facts of the graph alone, none of a claimed (k, d, e).
 
     Row v of ``levels[i]`` holds the vertices at distance i from v as
     little-endian 64-bit words, and its row n is the BFS's zero padding row.
@@ -363,11 +370,10 @@ class GraphAnalysis:
     diameter.
     """
 
-    __slots__ = ("n", "levels", "girth", "bipartite", "connected", "diameter", "_verdicts")
+    __slots__ = ("n", "levels", "girth", "bipartite", "connected", "diameter")
 
     def __init__(self, graph: Graph):
         self.n = graph.n
-        self._verdicts: dict[tuple[int, int, int], StructuralVerdict] = {}
         self.levels, self.girth, self.bipartite, self.connected = _all_roots_bfs(
             graph._degrees, graph._flat
         )
@@ -448,17 +454,11 @@ def structural_check(graph: Graph, k: int, d: int, e: int) -> StructuralVerdict:
     diameter (d+1 for e > 0, d for e = 0), uniform count of e/2 vertices at
     distance d+1, and the clique partition of the distance-(d+1) relation.
 
-    Violations are recorded, not raised.  The verdict is computed once per
-    triple and kept on the graph's analysis.
+    Violations are recorded, not raised; where M(k, 2d) is undefined (k < 2
+    or d < 2) the order fails.  Each call reads the graph's one analysis
+    and keeps nothing: the verdict is a plain function of the graph and the
+    claim.
     """
-    verdicts = graph.analysis._verdicts
-    verdict = verdicts.get((k, d, e))
-    if verdict is None:
-        verdict = verdicts[k, d, e] = _verdict(graph, k, d, e)
-    return verdict
-
-
-def _verdict(graph: Graph, k: int, d: int, e: int) -> StructuralVerdict:
     analysis = graph.analysis
     failures: list[str] = []
     if d < 3:
@@ -573,19 +573,29 @@ def spectral_crosscheck(graph: Graph, k: int, d: int, e: int) -> CrosscheckRepor
     and -k, the eigenvalues taken as +-s_i, the singular values of the
     biadjacency N (LAPACK SVD of order n/2).
 
-    The structure check has proved A bipartite, connected and k-regular.
-    Bipartite: the vertices at odd distance from vertex 0 are one colour
-    class, A = [[0, N], [N^T, 0]] with the rows of N the other class, and the
-    eigenvalues of A are the +-s_i.  k-regular: both classes hold n/2
-    vertices, so N is square.  Connected: s_1 = k is simple, so dropping it
-    drops one copy each of +k and -k.  `svd` returns the s_i descending, so
-    -s_2, ..., -s_{n/2} and then s_{n/2}, ..., s_2 ascend."""
-    verdict = structural_check(graph, k, d, e)
-    if not verdict.structure_ok:
-        raise StructuralRefusal(
-            f"structural check failed: {', '.join(verdict.failures)}", verdict=verdict
-        )
+    The route reads three facts of the graph, and the check refuses unless
+    all three hold, naming each that fails.  Bipartite: the vertices at odd
+    distance from vertex 0 are one colour class, A = [[0, N], [N^T, 0]] with
+    the rows of N the other class, and the eigenvalues of A are the +-s_i.
+    k-regular: both classes hold n/2 vertices, so N is square.  Connected,
+    read as a diameter, so the order-0 graph, which has no vertex 0 to
+    colour from, is refused too: s_1 = k is simple, so dropping it drops one
+    copy each of +k and -k.  No other condition of the claim is read: a
+    graph with these three facts but the wrong girth gets a report, and that
+    report is not ok.  `svd` returns the s_i descending, so -s_2, ...,
+    -s_{n/2} and then s_{n/2}, ..., s_2 ascend."""
     analysis = graph.analysis
+    problems = []
+    if (graph._degrees != k).any():
+        problems.append("regularity")
+    if not analysis.bipartite:
+        problems.append("bipartite")
+    if analysis.diameter is None:
+        problems.append("connected")
+    if problems:
+        raise StructuralRefusal(f"cross-check preconditions failed: {', '.join(problems)}")
+    # refuses k < 3 (`DegreeRangeError`): K_1, 0-regular, has one colour class
+    coefficients = tuple(map(float, dickson_family("H", k, d - 1).coefficients))
     n, half = graph.n, graph.n // 2
     odd_levels = reduce(np.bitwise_or, (level[0] for level in analysis.levels[1::2]))
     odd = np.unpackbits(odd_levels.view(np.uint8), count=n, bitorder="little").astype(bool)
@@ -595,7 +605,7 @@ def spectral_crosscheck(graph: Graph, k: int, d: int, e: int) -> CrosscheckRepor
     s = np.linalg.svd(b, compute_uv=False)
     thetas = np.concatenate((-s[1:], s[:0:-1]))
     # every theta at once, bit for bit as `IntPolynomial.__call__` at each
-    h = horner(tuple(map(float, dickson_family("H", k, d - 1).coefficients)), thetas)
+    h = horner(coefficients, thetas)
     targets = (0.0,) if e == 0 else (1.0, -e / 2)
     deviations = tuple(reduce(np.minimum, (np.abs(h - target) for target in targets)).tolist())
     return CrosscheckReport(
@@ -685,11 +695,11 @@ def catalog_entry(name: str) -> CatalogEntry:
         ) from None
 
 
-@lru_cache(maxsize=None)
 def catalog(name: str) -> Graph:
-    """Build an embedded catalog graph; order, regularity, and girth are
-    asserted against the entry's metadata at load.  The girth comes from the
-    graph's analysis, which later checks of the graph reuse."""
+    """Build an embedded catalog graph anew; order, regularity, and girth
+    are asserted against the entry's metadata at load.  The girth comes from
+    the graph's analysis, which later checks of the same graph reuse; a
+    second call builds and analyses a second graph."""
     entry = catalog_entry(name)
     graph = entry.build()
     if graph.n != entry.n or set(graph.degrees) != {entry.k} or girth(graph) != entry.girth:

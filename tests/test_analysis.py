@@ -247,13 +247,12 @@ def test_a_failed_count_converts_no_level(monkeypatch, k, d, e):
 
 
 def test_a_passing_graph_converts_only_the_levels_its_checks_read(monkeypatch):
-    catalog.cache_clear()  # a graph built anew has no memoised verdict yet
     tested = count_clique_tests(monkeypatch)
     graph = catalog("moebius_kantor")
     assert structural_check(graph, 3, 3, 2).structure_ok  # e = k - 1: a regime note only
     assert tested == [16]  # level 4, once
     assert spectral_crosscheck(graph, 3, 3, 2).ok and identity_residual(graph, 3, 3) == 0
-    assert tested == [16]  # the cross-check reuses the verdict
+    assert tested == [16]  # the cross-check reads no clique partition
     heawood = catalog("heawood")
     assert structural_check(heawood, 3, 3, 0).passed
     assert spectral_crosscheck(heawood, 3, 3, 0).ok and identity_residual(heawood, 3, 3) == 0

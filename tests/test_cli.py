@@ -12,7 +12,7 @@ import pytest
 
 import g6ref
 from cage_spectra import (
-    BracketSeedError, _intmat, catalog, cli, feasibility, graphs, moore_bound,
+    BracketSeedError, IllConditionedError, catalog, cli, feasibility, graphs, moore_bound,
     trace_identity_check,
 )
 from cage_spectra.cli import (
@@ -151,6 +151,36 @@ def test_scan_text_pins_every_row(capsys):
         "(k=4, d=8, e=2) outside-regime: half-girth d must be odd, got d=8\n"
         "(k=4, d=8, e=4) outside-regime: half-girth d must be odd, got d=8\n"
     ), "")
+
+
+def test_scan_json_prints_a_skipped_triple_as_its_note(capsys):
+    assert run(capsys, "scan", "--k", "4", "--d", "7", "--e", "4", "--format", "json") == (0, (
+        '[{"d":7,"e":4,"k":4,"note":"excess must satisfy e <= k - 2, got e=4 with k=4",'
+        '"verdict":"outside-regime"}]\n'
+    ), "")
+
+
+def test_an_empty_range_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["scan", "--k", "5..4", "--d", "7", "--e", "2"])
+    assert info.value.code == 2 and capsys.readouterr().err == (
+        "usage: cage-spectra scan [-h] --k K --d D --e E [--format {text,json,csv}]\n"
+        "cage-spectra scan: error: argument --k: empty range '5..4'\n"
+    )
+
+
+def test_an_ill_conditioned_enclosure_names_its_root_and_exits_1(monkeypatch, capsys):
+    """`_refined_enclosure`, the one raise site of `IllConditionedError`, is
+    reached when a refined enclosure is not decisive: forced here, since no
+    known triple gets there."""
+    monkeypatch.setattr(feasibility, "_decisive", lambda ends: False)
+    root = "(k=4, d=3, e=2, eps=1, i=1)"
+    with pytest.raises(IllConditionedError) as info:
+        feasibility.spectral_feasibility(4, 3, 2).final_verdict
+    assert str(info.value) == f"multiplicity enclosure failed to converge at {root}"
+    assert run(capsys, "feasibility", "4", "3", "2", "--format", "json") == (
+        1, "", f"error: multiplicity enclosure failed to converge at {root}\n"
+    )
 
 
 def test_scan_csv_where_the_moment_check_overflows(capsys):
@@ -781,10 +811,17 @@ def test_verify_refuses_a_degree_below_three_before_reading_a_target(tmp_path, c
             assert run(capsys, *argv) == (2, "", "error: degree k must be >= 3, got 2\n")
 
 
+def test_verify_on_a_file_of_blank_lines_finds_no_graph(tmp_path, capsys):
+    path = tmp_path / "blank.g6"
+    path.write_bytes(b"\n \n\t\n")
+    assert run(capsys, "verify", str(path), "--k", "3", "--d", "3", "--e", "0") == (
+        2, "", f"error: no graphs found in {path}\n"
+    )
+
+
 def count_bfs_passes(monkeypatch):
-    """Record the order of the graph of every all-roots BFS pass, from a cold
-    catalog: the next catalog graph is built anew, without an analysis."""
-    catalog.cache_clear()
+    """Record the order of the graph of every all-roots BFS pass from now on;
+    each catalog load builds its graph anew, without an analysis."""
     passes = []
     bfs = graphs._all_roots_bfs
 
@@ -802,38 +839,59 @@ def test_verify_analyses_each_graph_once(monkeypatch, capsys):
     assert code == 0
     # one all-roots pass over the one graph, shared by its load-time girth check
     assert passes == [14]
-    assert trace_identity_check(catalog("heawood"), 3, 3).ok
-    assert passes == [14]  # the trace oracle reads the same analysis
+    heawood = catalog("heawood")  # a second load builds and analyses a second graph
+    assert passes == [14, 14]
+    assert trace_identity_check(heawood, 3, 3).ok
+    assert passes == [14, 14]  # the trace oracle reads the same analysis
 
 
-def test_verify_computes_one_structural_verdict_per_graph(monkeypatch, capsys):
-    catalog.cache_clear()  # a graph built anew has no verdict yet
-    verdicts = []
-    compute = graphs._verdict
-
-    def counted(graph, *args):
-        verdicts.append(args)
-        return compute(graph, *args)
-
-    monkeypatch.setattr(graphs, "_verdict", counted)
-    code, _, _ = run(capsys, "verify", "catalog:heawood", "--k", "3", "--d", "3", "--e", "0")
-    assert code == 0
-    assert verdicts == [(3, 3, 0)]  # shared by the check, the identities and the cross-check
-
-
-def test_verify_structural_failure_skips_identity_kernels(monkeypatch, capsys, tmp_path):
-    """A rejected candidate costs the one BFS pass: no matrix kernel, no
-    cross-check, and a graph6 candidate never builds its tuple rows."""
+def heawood_graph6():
     heawood = catalog("heawood")
     edges = [(u, v) for u in range(heawood.n) for v in heawood.adjacency[u] if u < v]
+    return g6ref.encode_graph6(heawood.n, edges)
+
+
+def test_verify_computes_one_structural_verdict_per_graph(monkeypatch, capsys, tmp_path):
+    """`verify` runs one BFS pass and asks for one structural verdict per
+    graph, passing or not, and the cross-check it runs on each passing graph
+    asks for none: it guards its own three facts."""
+    heawood = heawood_graph6()
+    path = tmp_path / "graphs.g6"
+    path.write_text(f"{heawood}\n{g6ref.encode_graph6(6, [])}\n{heawood}\n")
+    passes = count_bfs_passes(monkeypatch)
+    verdicts, asked = [], []
+    check, cross = graphs.structural_check, graphs.spectral_crosscheck
+
+    def counted_check(graph, *claim):
+        verdicts.append((graph.n, *claim))
+        return check(graph, *claim)
+
+    def counted_cross(graph, *claim):
+        before = len(verdicts)
+        report = cross(graph, *claim)
+        asked.append(len(verdicts) - before)
+        return report
+
+    for module in (cli, graphs):
+        monkeypatch.setattr(module, "structural_check", counted_check)
+    monkeypatch.setattr(cli, "spectral_crosscheck", counted_cross)
+    code, out, _ = run(capsys, "verify", str(path), "--k", "3", "--d", "3", "--e", "0")
+    assert code == 1 and out.count("PASS") == 2  # the edgeless graph fails
+    assert passes == [14, 6, 14]
+    assert verdicts == [(14, 3, 3, 0), (6, 3, 3, 0), (14, 3, 3, 0)]
+    assert asked == [0, 0]  # one cross-check per passing graph, no verdict inside
+
+
+def test_a_rejected_graph_costs_one_bfs_pass_and_no_crosscheck(monkeypatch, capsys, tmp_path):
+    """A rejected candidate costs the one BFS pass: no cross-check, and a
+    graph6 candidate never builds its tuple rows."""
     path = tmp_path / "heawood.g6"
-    path.write_text(g6ref.encode_graph6(heawood.n, edges) + "\n")
+    path.write_text(heawood_graph6() + "\n")
     passes = count_bfs_passes(monkeypatch)
 
     def never(*args):
         raise AssertionError("built or entered after a structural failure")
 
-    monkeypatch.setattr(_intmat, "packed_product", never)
     monkeypatch.setattr(cli, "spectral_crosscheck", never)
     code, out, _ = run(capsys, "verify", "catalog:heawood", "--k", "3", "--d", "3", "--e", "2")
     assert code == 1 and "FAIL" in out
@@ -847,3 +905,8 @@ def test_verify_structural_failure_skips_identity_kernels(monkeypatch, capsys, t
 def test_dumps_canonical_floats():
     assert dumps_canonical({"a": 1.0, "b": 0.1234567890123456}) == '{"a":1,"b":0.123456789012}'
     assert dumps_canonical([True, None, 3]) == "[true,null,3]"
+
+
+def test_dumps_canonical_refuses_a_type_it_has_no_token_for():
+    with pytest.raises(TypeError, match="^cannot serialize complex$"):
+        dumps_canonical({"z": 1j})

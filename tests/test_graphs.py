@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -11,6 +12,7 @@ import g6ref
 from geometries import complete_bipartite
 from oracles import antipodal_spectrum, decode_graph6_payload, identity_residual
 from cage_spectra import (
+    DegreeRangeError,
     Graph,
     Graph6ParseError,
     ParameterDomainError,
@@ -372,10 +374,21 @@ def test_the_order_and_every_label_are_read_as_integers(build):
         build()
 
 
+def test_a_graph_prints_its_order_and_edge_count():
+    assert repr(cycle(6)) == "Graph(n=6, m=6)"
+    assert repr(Graph(0, [])) == "Graph(n=0, m=0)"
+
+
 def test_graph_analysis_is_built_once():
+    """The graph keeps its one analysis; a structural verdict is a plain
+    function of the graph and the claim, computed from that analysis on each
+    call and kept nowhere, so two calls give equal verdicts, not one object."""
     graph = cycle(6)
-    assert graph.analysis is graph.analysis
-    assert girth(graph) == 6 and structural_check(graph, 2, 3, 0) is structural_check(graph, 2, 3, 0)
+    analysis = graph.analysis
+    assert graph.analysis is analysis
+    first, second = structural_check(graph, 2, 3, 0), structural_check(graph, 2, 3, 0)
+    assert girth(graph) == 6 and first.passed and first == second and first is not second
+    assert graph.analysis is analysis
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +460,14 @@ def test_structural_k33_below_regime():
     k33 = Graph.from_edges(6, [(i, 3 + j) for i in range(3) for j in range(3)])
     verdict = structural_check(k33, 3, 2, 0)
     assert "half-girth-range" in verdict.failures
+
+
+@pytest.mark.parametrize("k, d", [(1, 3), (0, 3), (2, 1), (3, 1), (-2, 0)])
+def test_an_undefined_moore_bound_fails_the_order(k, d):
+    """Where M(k, 2d) is undefined (k < 2 or 2d < 3), the verdict records
+    the order as failed, with no excess, and raises nothing."""
+    verdict = structural_check(cycle(6), k, d, 0)
+    assert "order" in verdict.failures and verdict.excess is None
 
 
 def test_structural_tutte_coxeter(tutte_coxeter):
@@ -562,18 +583,58 @@ def test_identity_refusal():
     result = _verify_one("C5", cycle(5), 3, 3, 0)
     assert (result["path_count_residual"], result["allones_residual"]) == (None, None)
     assert not result["ok"]
-    with pytest.raises(StructuralRefusal) as info:
+    with pytest.raises(StructuralRefusal, match="^cross-check preconditions failed: "):
         spectral_crosscheck(cycle(5), 3, 3, 0)
-    assert info.value.verdict is not None and not info.value.verdict.passed
 
 
-def test_identity_refusal_carries_the_shared_verdict():
-    graph = cycle(5)
-    verdict = structural_check(graph, 3, 3, 0)
+def two_heawood_graphs():
+    heawood = catalog("heawood")
+    edges = [(s + u, s + v) for s in (0, 14) for u in range(14) for v in heawood.adjacency[u]]
+    return Graph.from_edges(28, edges)
+
+
+@pytest.mark.parametrize("build, claim, failed", [
+    (lambda: Graph(0, []), (3, 3, 0), "connected"),
+    (lambda: Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), (3, 3, 0), "regularity"),
+    (lambda: complete(4), (3, 3, 0), "bipartite"),
+    (lambda: cycle(5), (3, 3, 0), "regularity, bipartite"),
+    (two_heawood_graphs, (3, 3, 0), "connected"),
+], ids=["order-0", "irregular", "K4", "C5", "two-heawood"])
+def test_crosscheck_refusal_names_the_failed_facts(build, claim, failed):
+    """The cross-check guards the three facts its SVD reads, k-regular,
+    bipartite and connected, names each that fails, and asks for no
+    structural verdict."""
     with pytest.raises(StructuralRefusal) as info:
-        spectral_crosscheck(graph, 3, 3, 0)
-    assert info.value.verdict is verdict
-    assert str(info.value) == f"structural check failed: {', '.join(verdict.failures)}"
+        spectral_crosscheck(build(), *claim)
+    assert str(info.value) == f"cross-check preconditions failed: {failed}"
+
+
+@pytest.mark.parametrize("graph, k", [
+    (Graph(1, [[]]), 0), (Graph(2, [[1], [0]]), 1), (cycle(6), 2),
+], ids=["K1", "K2", "C6"])
+def test_crosscheck_refuses_a_degree_below_three(graph, k):
+    """K_1, K_2 and C_6 are k-regular, bipartite and connected, but H_{d-1}
+    is defined for k >= 3 only; K_1 has no second colour class to build N
+    from, and is refused before one is built."""
+    with pytest.raises(DegreeRangeError, match=f"^degree k must be >= 3, got {k}$"):
+        spectral_crosscheck(graph, k, 3, 0)
+
+
+def test_crosscheck_reads_no_other_condition_of_the_claim(monkeypatch):
+    """K_{3,3} is 3-regular, bipartite and connected but of girth 4, so it
+    fails the structural check for (3, 3, 0); the cross-check still runs,
+    computes no verdict, and its report is not ok: the non-valence
+    eigenvalues are 0, where H_2(x) = x^2 - 2 is 2 away from the target 0."""
+
+    def never(*args):
+        raise AssertionError("the cross-check asked for a structural verdict")
+
+    k33 = complete_bipartite(3)
+    assert not structural_check(k33, 3, 3, 0).structure_ok
+    monkeypatch.setattr(graphs, "structural_check", never)
+    report = spectral_crosscheck(k33, 3, 3, 0)
+    assert not report.ok and report.max_deviation == 2
+    assert report.thetas == pytest.approx([0.0] * 4, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -660,3 +721,13 @@ def test_catalog_names_and_metadata():
 def test_catalog_unknown_name():
     with pytest.raises(ParameterDomainError, match="unknown catalog graph"):
         catalog("petersen")
+
+
+@pytest.mark.parametrize("field, value", [("n", 15), ("k", 4), ("girth", 8)])
+def test_a_catalog_graph_is_checked_against_its_metadata_at_each_load(monkeypatch, field, value):
+    """`catalog` builds its graph anew on each call, so an entry whose
+    metadata disagrees with what it builds fails at the next load."""
+    entry = graphs._CATALOG["heawood"]
+    monkeypatch.setitem(graphs._CATALOG, "heawood", dataclasses.replace(entry, **{field: value}))
+    with pytest.raises(AssertionError, match="entry 'heawood' failed its metadata validation"):
+        catalog("heawood")

@@ -100,6 +100,14 @@ def test_trace_identity_refusal():
         trace_identity_check(k4, 3, 3)
 
 
+def test_trace_identity_refuses_an_irregular_graph_by_name():
+    # a hexagon with a pendant vertex: bipartite of girth 6, degrees 1, 2 and 3
+    graph = Graph.from_edges(7, [(i, (i + 1) % 6) for i in range(6)] + [(0, 6)])
+    with pytest.raises(StructuralRefusal) as info:
+        trace_identity_check(graph, 2, 3)
+    assert str(info.value) == "trace identity preconditions failed: regularity"
+
+
 @pytest.mark.parametrize("k", range(3, 8))
 @pytest.mark.parametrize("D", range(2, 9))
 def test_minimal_polynomial(k, D):

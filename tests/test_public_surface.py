@@ -138,6 +138,7 @@ REMOVED = {
     "_sign_dyadic": "feasibility",
     "transcendental_residual": "feasibility",
     "unpack": "_intmat",
+    "_verdict": "graphs",
     "verify_allones_identity": "graphs",
     "verify_identities": "graphs",
     "verify_path_count_identity": "graphs",
@@ -147,14 +148,16 @@ REMOVED = {
 #: dyadic integers; `RatInterval` lives on as a test oracle.
 REMOVED_MODULES = ("intervals", "precision")
 
-#: Attributes and dataclass fields the package's classes dropped: the graph
-#: owns its one analysis, and no n x n list of distance rows or adjacency
-#: entries is built, nor any packed distance matrix, since the structural
-#: check proves the identities that read them; graph6 decodes straight into
-#: the neighbour arrays, which are the graph's one neighbour store, and the
-#: level words are the analysis's one level store; B_D is read only through
-#: its Krylov rows; the families run their recurrence on
-#: coefficient tuples, so `IntPolynomial` has no operator algebra; the
+#: Attributes and dataclass fields the package's classes and functions
+#: dropped: the graph owns its one analysis, which keeps no structural
+#: verdict (a plain function of the graph and the claim), and the catalog
+#: keeps no graph (it builds one anew on each call); no n x n list of
+#: distance rows or adjacency entries is built, nor any packed distance
+#: matrix, since the structural check proves the identities that read them;
+#: graph6 decodes straight into the neighbour arrays, which are the graph's
+#: one neighbour store, and the level words are the analysis's one level
+#: store; B_D is read only through its Krylov rows; the families run their
+#: recurrence on coefficient tuples, so `IntPolynomial` has no operator algebra; the
 #: verdict rests on the gap and exact integrality alone, so a report carries
 #: no float positivity, sum or moment check; a gap verdict exists only where
 #: the argument applies, and the report alone holds the integrality
@@ -175,8 +178,9 @@ REMOVED_ATTRIBUTES = {
     ("graphs", "CrosscheckReport"): ("tolerance",),
     ("graphs", "Graph"): ("adjacency_matrix", "_adjacency", "_from_pairs"),
     ("graphs", "GraphAnalysis"): (
-        "_converted", "distance_matrix", "distances", "graph", "level", "verdict",
+        "_converted", "_verdicts", "distance_matrix", "distances", "graph", "level", "verdict",
     ),
+    ("graphs", "catalog"): ("__wrapped__", "cache_clear", "cache_info"),
     ("intersection", "IntersectionMatrix"): ("rows",),
     ("polynomials", "IntPolynomial"): (
         "__add__", "__neg__", "__sub__", "__mul__", "__rmul__", "shift_up",
@@ -281,6 +285,15 @@ def test_no_public_function_takes_an_analysis():
     for function in functions:
         assert "analysis" not in inspect.signature(function).parameters, function.__name__
     assert not hasattr(importlib.import_module("cage_spectra.cli"), "GraphAnalysis")
+
+
+def test_a_refusal_carries_its_message_alone():
+    """A refusal's message names the failed facts; it keeps `Exception`'s
+    own constructor and carries no verdict."""
+    refusal = cage_spectra.StructuralRefusal("cross-check preconditions failed: connected")
+    assert "__init__" not in vars(cage_spectra.StructuralRefusal)
+    assert refusal.args == ("cross-check preconditions failed: connected",)
+    assert not hasattr(refusal, "verdict")
 
 
 def test_int_polynomial_has_no_str_of_its_own():
